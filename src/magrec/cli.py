@@ -29,7 +29,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from magrec import channel, combinatorics, distances, lattice, reconstruction, tandem
-from magrec.core import ChannelParams, ExplicitCode, ReconstructionError
+from magrec.core import (
+    ChannelParams,
+    EnumerationCapExceeded,
+    ExplicitCode,
+    ReconstructionError,
+)
 
 #: Internal anchor ids naming the formula behind each emitted value.
 ANCHORS = {
@@ -108,9 +113,9 @@ def parse_code_spec(text: str, n: int | None = None):
     raise ValueError(f"unknown code spec {text!r}")
 
 
-def code_distance(code, k_plus: int, k_minus: int) -> int:
+def code_distance(code, k_plus: int, k_minus: int, cap: int) -> int:
     if isinstance(code, lattice.LatticeCode):
-        return lattice.lattice_min_distance(code.spec, k_plus, k_minus)
+        return lattice.lattice_min_distance(code.spec, k_plus, k_minus, cap=cap)
     if isinstance(code, ExplicitCode):
         return distances.code_min_distance(code.members, k_plus, k_minus)
     raise ValueError("cannot compute a distance for this code")
@@ -290,7 +295,7 @@ def cmd_check_splitting(args) -> int:
     row = dict(spec=str(spec), kp=kp, km=km, t=t, anchor="splitting-test")
     row["splitting"] = ok
     if args.oracle:
-        packs = lattice.packing_by_differences(spec, kp, km, t)
+        packs = lattice.packing_by_differences(spec, kp, km, t, cap=args.cap)
         row["packing"] = packs
         row["match"] = "MATCH" if packs == ok else "MISMATCH"
         if packs != ok:
@@ -309,7 +314,7 @@ def _resolve_recon_setup(args):
     km = parse_grid(args.km)[0]
     p = ChannelParams(n, t, kp, km)
     code = parse_code_spec(args.code, n=n)
-    actual = code_distance(code, kp, km)
+    actual = code_distance(code, kp, km, cap=args.cap)
     if args.delta:
         delta = parse_grid(args.delta)[0]
         if delta > actual:
@@ -469,12 +474,15 @@ def cmd_list(args) -> int:
     max_list = 0
     sets = 0
     for Y in read_sets():
-        if alg == "min":
-            L = reconstruction.list_reconstruct_min(Y, code, delta, a)
-        elif alg == "majority":
-            L = reconstruction.list_reconstruct_majority(Y, tau, code, delta, a)
-        else:
-            L = reconstruction.list_reconstruct_sauer(Y, code, delta, a)
+        try:
+            if alg == "min":
+                L = reconstruction.list_reconstruct_min(Y, code, delta, a)
+            elif alg == "majority":
+                L = reconstruction.list_reconstruct_majority(Y, tau, code, delta, a)
+            else:
+                L = reconstruction.list_reconstruct_sauer(Y, code, delta, a)
+        except ReconstructionError:
+            L = ()
         contains += x in L
         max_list = max(max_list, len(L))
         sets += 1
@@ -517,7 +525,7 @@ def cmd_simulate(args) -> int:
                     if n not in code_cache:
                         code_cache[n] = parse_code_spec(args.code, n=n)
                     code = code_cache[n]
-                    actual = code_distance(code, kp, km)
+                    actual = code_distance(code, kp, km, cap=args.cap)
                     delta = parse_grid(args.delta)[0] if args.delta else actual
                     if delta > actual:
                         skipped.append(
@@ -703,7 +711,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ReconstructionError, OSError) as exc:
+    except (ValueError, ReconstructionError, EnumerationCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

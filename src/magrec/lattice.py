@@ -15,6 +15,7 @@ here is in fact cyclic).  The module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -22,6 +23,7 @@ from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
     Code,
+    EnumerationCapExceeded,
     Vec,
 )
 from magrec import combinatorics
@@ -251,57 +253,91 @@ def lattice_code_handle(spec: SplitterSpec) -> LatticeCode:
     return LatticeCode(spec)
 
 
-def lattice_min_distance(spec: SplitterSpec, k_plus: int, k_minus: int) -> int:
+def _lattice_vectors_by_weight(
+    spec: SplitterSpec, span: int, max_weight: int, cap: int
+):
+    """Yield (w, d) for each nonzero lattice vector d in [-span, span]^n with
+    wt(d) <= max_weight, shell by shell in increasing weight w.
+
+    Syndromes are summed from per-coordinate tables of v * s_i built once.
+    Before shell w its C(n, w) * (2 span)^w vectors are added to a running
+    count, and EnumerationCapExceeded is raised once the count passes
+    ``cap``.  The scan is lazy, so a caller that breaks off is charged only
+    up to the shell it breaks off in.
+    """
+    n = spec.n
+    moduli = spec.group.moduli
+    nonzero = [v for v in range(-span, span + 1) if v]
+    tables = [[(v, spec.group.scale(v, si)) for v in nonzero] for si in spec.s]
+    scanned = 0
+    for w in range(1, min(max_weight, n) + 1):
+        scanned += math.comb(n, w) * len(nonzero) ** w
+        if scanned > cap:
+            raise EnumerationCapExceeded(
+                f"lattice scan through weight {w} covers {scanned} vectors, "
+                f"over the enumeration cap {cap}"
+            )
+        for support in combinations(range(n), w):
+            for picks in product(*(tables[i] for i in support)):
+                sums = zip(*(g for _, g in picks))
+                if all(sum(col) % m == 0 for col, m in zip(sums, moduli)):
+                    d = [0] * n
+                    for i, (v, _) in zip(support, picks):
+                        d[i] = v
+                    yield w, tuple(d)
+
+
+def lattice_min_distance(
+    spec: SplitterSpec, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
+) -> int:
     """Exact minimum general distance of the lattice code.
 
     Distances are translation invariant and exceed the finite range only
     through the n+1 encoding, so the minimum over all codeword pairs equals
     the minimum of d(0, d) over nonzero lattice vectors d in the box
     [-(k+ + k-), k+ + k-]^n, or n+1 if the box holds none.
+
+    The box is scanned in shells of increasing weight.  Every d in it has
+    d(0, d) >= (n_small + m_forward + m_backward) / 2 + n_large >= wt(d) / 2,
+    so the scan ends at the first lattice vector of a shell w with
+    ceil(w / 2) >= best: no vector of that shell or a later one can do
+    better.  Raises EnumerationCapExceeded when the shells it reaches hold
+    more than ``cap`` vectors.
     """
     from magrec.distances import distance_general
 
-    span = k_plus + k_minus
-    identity = spec.group.identity
     zero = (0,) * spec.n
     best = spec.n + 1
-    for d in product(range(-span, span + 1), repeat=spec.n):
-        if not any(d):
-            continue
-        if syndrome(spec, d) != identity:
-            continue
-        best = min(best, distance_general(zero, d, k_plus, k_minus))
-        if best == 0:
+    for w, d in _lattice_vectors_by_weight(spec, k_plus + k_minus, spec.n, cap):
+        if -(-w // 2) >= best:
             break
+        best = min(best, distance_general(zero, d, k_plus, k_minus))
     return best
 
 
-def max_pairwise_intersection_lattice(spec: SplitterSpec, p: ChannelParams) -> int:
-    """Brute-force max over codeword pairs of |(x+B) ∩ (y+B)|.
+def max_pairwise_intersection_lattice(
+    spec: SplitterSpec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
+) -> int:
+    """Exact max over codeword pairs of |(x+B) ∩ (y+B)|.
 
-    Two translated balls meet only when the center difference lies in
-    [-(k+ + k-), k+ + k-]^n, so scanning lattice differences in that box is
-    exhaustive over all pairs of the (infinite) lattice.
+    A common point x + e = y + e' needs the center difference d = e' - e,
+    so d lies in [-(k+ + k-), k+ + k-]^n and wt(d) <= 2t.  Scanning the
+    lattice vectors of those weight shells (``cap`` bounds their size) is
+    therefore exhaustive over all pairs of the (infinite) lattice.
     """
-    span = p.magnitude_span
-    identity = spec.group.identity
     zero = (0,) * spec.n
     best = 0
-    for d in product(range(-span, span + 1), repeat=spec.n):
-        if not any(d):
-            continue
-        if syndrome(spec, d) != identity:
-            continue
-        best = max(best, combinatorics.intersection_exact(zero, d, p))
+    for _, d in _lattice_vectors_by_weight(spec, p.magnitude_span, 2 * p.t, cap):
+        best = max(best, combinatorics.intersection_exact(zero, d, p, cap=cap))
     return best
 
 
 def packing_by_differences(
-    spec: SplitterSpec, k_plus: int, k_minus: int, t: int
+    spec: SplitterSpec, k_plus: int, k_minus: int, t: int, cap: int = DEFAULT_ENUM_CAP
 ) -> bool:
     """True iff the radius-t balls around lattice points are pairwise disjoint."""
     return max_pairwise_intersection_lattice(
-        spec, ChannelParams(spec.n, t, k_plus, k_minus)
+        spec, ChannelParams(spec.n, t, k_plus, k_minus), cap
     ) == 0
 
 

@@ -403,13 +403,13 @@ def adversarial_instance(
 ) -> tuple[ReadSet, tuple[Vec, ...]]:
     """A read set contained in every ball of a nontrivially large code.
 
-    The reads are all of S = {v in [-k-, k+-1]^n : wt(v) <= f - a} with
-    f = t - e (the lexicographically smallest members first, and
-    |S| = V_{k+ + k-}(n, f - a) is the largest read count the lower bound
-    speaks about).  The code is built greedily over {-1, 0}^n in
-    lexicographic support order: constant weight e + a, minimum Hamming
-    distance 2e + 2, so it corrects e errors, and its size meets
-    ``adversarial_code_size_bound``.
+    The reads are all of S = {v in [-k-, k+-1]^n : wt(v) <= f - a}, the
+    ball B(n, f - a, k+ - 1, k-), with f = t - e (the lexicographically
+    smallest members first, and |S| = V_{k+ + k-}(n, f - a) is the largest
+    read count the lower bound speaks about).  The code is built greedily
+    over {-1, 0}^n in lexicographic support order: constant weight e + a,
+    minimum Hamming distance 2e + 2, so it corrects e errors, and its size
+    meets ``adversarial_code_size_bound``.
     """
     if (k_plus, k_minus) == (1, 0):
         raise ValueError("the (1, 0) channel admits no such instance")
@@ -421,11 +421,7 @@ def adversarial_instance(
     if e < 0 or e + a > n:
         raise ValueError("weight e + a must fit in n")
 
-    reads = sorted(
-        v
-        for v in product(range(-k_minus, k_plus), repeat=n)
-        if sum(1 for x in v if x) <= f - a
-    )
+    reads = ball_vectors(n, f - a, k_plus - 1, k_minus)
     weight = e + a
     max_shared = weight - (e + 1)  # |A & B| <= this keeps Hamming distance >= 2e+2
     code: list[Vec] = []
@@ -439,4 +435,4 @@ def adversarial_instance(
             code.append(tuple(v))
             supports.append(sup_set)
     params = ChannelParams(n, t, k_plus, k_minus)
-    return ReadSet(tuple(reads), params), tuple(code)
+    return ReadSet(reads, params), tuple(code)

@@ -162,6 +162,40 @@ def test_bad_flags(capsys):
     assert code == 1
 
 
+def test_enumeration_cap_is_one_error_line(capsys):
+    code = main(["ball", "--n", "30", "--t", "10", "--kp", "2", "--km", "2", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the lattice scans honour --cap too
+    code = main([
+        "check-splitting", "--code", "splitter:group=Z7; s=[1,2]",
+        "--kp", "1", "--km", "1", "--t", "1", "--oracle", "--cap", "10",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: lattice scan")
+    code = main([
+        "reconstruct", "--alg", "min", "--code", "sum-mod:3",
+        "--n", "6", "--t", "2", "--kp", "1", "--km", "1", "--cap", "10",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: lattice scan")
+
+
+def test_list_counts_failed_sauer_sets(capsys):
+    # one read is too few for the Sauer search: each set fails, none aborts
+    code, out = run_cli(
+        capsys, "list", "--alg", "sauer", "--code", "sum-mod:3",
+        "--n", "4", "--t", "2", "--kp", "1", "--km", "1",
+        "--delta", "1", "--a", "1", "--trials", "5", "--seed", "3", "--N", "1",
+    )
+    assert code == 1
+    row = out.splitlines()[1].split()
+    assert row[8:10] == ["5", "0"]  # sets, contains_x
+    assert row[-1] == "MISMATCH"
+
+
 def test_list_exhaustive_reads(capsys):
     code, out = run_cli(
         capsys,

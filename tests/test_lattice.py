@@ -1,9 +1,10 @@
+import math
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from magrec import ChannelParams
+from magrec import ChannelParams, EnumerationCapExceeded
 from magrec.lattice import (
     FiniteAbelianGroup,
     SplitterSpec,
@@ -24,7 +25,13 @@ from magrec.lattice import (
     syndrome,
 )
 
-from helpers import oracle_ball_set
+from helpers import (
+    oracle_ball_set,
+    oracle_lattice_min_distance,
+    oracle_max_pairwise_intersection,
+)
+
+DIFFERENTIAL_CHANNELS = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 0), (2, 2)]
 
 
 def spec1(m, s):
@@ -188,6 +195,53 @@ def test_lattice_min_distance():
     spec = SplitterSpec(g, ((1, 0), (0, 1)))
     assert lattice_min_distance(spec, 1, 0) == 3  # n + 1: nothing in range
     assert lattice_min_distance(spec, 2, 0) == 1
+    # with nothing in range every shell is scanned: 4 + 4 vectors at (1, 0)
+    assert lattice_min_distance(spec, 1, 0, cap=8) == 3
+    with pytest.raises(EnumerationCapExceeded):
+        lattice_min_distance(spec, 1, 0, cap=7)
+
+
+def _differential_specs():
+    """Every lattice of a cyclic splitter over Z_m, m <= 6, n <= 3.
+
+    Scaling s by a unit of Z_m keeps the lattice, and permuting coordinates
+    keeps distances and intersections, so one representative per class (the
+    least sorted scaled copy) covers them all.
+    """
+    for m in range(2, 7):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        for n in (1, 2, 3):
+            for s in combinations_with_replacement(range(m), n):
+                if s == min(tuple(sorted(u * v % m for v in s)) for u in units):
+                    yield spec1(m, s)
+    yield SplitterSpec(FiniteAbelianGroup((2, 3)), ((1, 0), (0, 1), (1, 2)))
+
+
+def test_lattice_min_distance_matches_box_scan():
+    for spec in _differential_specs():
+        for kp, km in DIFFERENTIAL_CHANNELS:
+            assert lattice_min_distance(spec, kp, km) == (
+                oracle_lattice_min_distance(spec, kp, km)
+            ), (str(spec), kp, km)
+    spec = parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]")
+    assert lattice_min_distance(spec, 1, 1) == oracle_lattice_min_distance(spec, 1, 1)
+
+
+def test_max_pairwise_intersection_matches_box_scan():
+    for spec in _differential_specs():
+        for kp, km in DIFFERENTIAL_CHANNELS:
+            for t in (1, 2):
+                if t > spec.n:
+                    continue
+                p = ChannelParams(spec.n, t, kp, km)
+                assert max_pairwise_intersection_lattice(spec, p) == (
+                    oracle_max_pairwise_intersection(spec, t, kp, km)
+                ), (str(spec), kp, km, t)
+    spec = parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]")
+    p = ChannelParams(6, 1, 1, 1)
+    assert max_pairwise_intersection_lattice(spec, p) == (
+        oracle_max_pairwise_intersection(spec, 1, 1, 1)
+    )
 
 
 def test_splitter_spec_parse_roundtrip():
