@@ -2,9 +2,10 @@
 
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
-generator name and seed.  Per-trial streams are derived by spawning the seed
-sequence with the trial index, so trials may run in any order (or in
-parallel) and still reproduce bit-for-bit.
+generator name and seed.  ``read_sets`` seeds random trial i with
+``seed + i``, so trial 1 of seed 0 replays trial 0 of seed 1;
+``rng_for(seed, trial_index)`` spawns independent per-trial streams instead,
+and moving the trial loop onto it is ROADMAP item 5.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,11 +26,9 @@ from magrec import reconstruction
 RNG_NAME = "philox"
 
 #: Modes for generate_reads.
-MODES = ("random_distinct", "exhaustive_subsets", "adversarial_heavy")
+MODES = ("random_distinct", "adversarial_heavy")
 
 DEFAULT_SUBSET_CAP = 10**5
-
-ALGORITHMS = ("min", "majority", "list-min", "list-majority", "list-sauer")
 
 
 @dataclass(frozen=True)
@@ -72,20 +71,15 @@ def _adversarial_order(ball: tuple[Vec, ...]) -> list[Vec]:
     )
 
 
-def generate_reads(x: Vec, p: ChannelParams, spec: ReadGenSpec):
-    """Distinct reads from the ball around x, per the spec's mode.
-
-    random_distinct and adversarial_heavy return one ReadSet;
-    exhaustive_subsets returns an iterator over all N-subsets of the ball
-    (tiny instances only, guarded by ``DEFAULT_SUBSET_CAP``).
-    """
+def generate_reads(
+    x: Vec, p: ChannelParams, spec: ReadGenSpec
+) -> reconstruction.ReadSet:
+    """Distinct reads from the ball around x, per the spec's mode."""
     size = ball_size(p)
     if spec.count > size:
         raise ValueError(
             f"cannot draw {spec.count} distinct reads from a ball of size {size}"
         )
-    if spec.mode == "exhaustive_subsets":
-        return exhaustive_read_sets(x, p, spec.count)
     ball = enumerate_ball(p)
     if spec.mode == "random_distinct":
         rng = rng_for(spec.seed)
@@ -183,6 +177,39 @@ class TrialRecord:
         )
 
 
+def read_sets(
+    x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> Iterator[reconstruction.ReadSet]:
+    """N-read sets around x: ``trials`` random ones, trial i seeded with
+    ``seed + i``; the one adversarial set; or every N-subset of the ball."""
+    if reads == "random":
+        return (
+            generate_reads(x, p, ReadGenSpec("random_distinct", N, seed=seed + i))
+            for i in range(trials)
+        )
+    if reads == "adversarial":
+        return iter((generate_reads(x, p, ReadGenSpec("adversarial_heavy", N)),))
+    if reads == "exhaustive":
+        return exhaustive_read_sets(x, p, N, cap=cap)
+    raise ValueError(f"reads must be random, adversarial or exhaustive, got {reads!r}")
+
+
+def decode_read_sets(
+    entry: reconstruction.Algorithm, plan: reconstruction.ReadPlan, code: Code,
+    delta: int, a: int, sets: Iterable[reconstruction.ReadSet],
+) -> Iterator[tuple[Vec, ...]]:
+    """The algorithm's output for each read set, in order; a
+    ReconstructionError yields the empty output."""
+    decode = entry.decoder(plan)
+    for Y in sets:
+        try:
+            outputs = decode(Y, plan, code, delta, a)
+        except ReconstructionError:
+            outputs = ()
+        yield outputs
+
+
 def run_trial(
     code: Code,
     algorithm: str,
@@ -197,41 +224,15 @@ def run_trial(
     A ReconstructionError counts as an unsuccessful trial (that is the
     comparison outcome); genuine usage errors propagate.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if spec.mode == "exhaustive_subsets":
-        raise ValueError("run_trial wants a single read set; iterate subsets yourself")
+    if algorithm not in reconstruction.ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {tuple(reconstruction.ALGORITHMS)}")
+    entry = reconstruction.ALGORITHMS[algorithm]
+    plan = entry.plan(p, delta, a)
     Y = generate_reads(x, p, spec)
     start = time.monotonic_ns()
-    outputs: tuple[Vec, ...]
-    try:
-        if algorithm == "min":
-            outputs = (reconstruction.reconstruct_min(Y, code, delta),)
-        elif algorithm == "majority":
-            _, tau = reconstruction.majority_threshold(
-                p.n, p.t, p.k_plus, p.k_minus, delta
-            )
-            outputs = (reconstruction.reconstruct_majority(Y, tau, code, delta),)
-        elif algorithm == "list-min":
-            outputs = reconstruction.list_reconstruct_min(Y, code, delta, a)
-        elif algorithm == "list-majority":
-            _, tau = reconstruction.list_params_general(
-                p.n, p.t, p.k_plus, p.k_minus, delta, a
-            )
-            outputs = reconstruction.list_reconstruct_majority(Y, tau, code, delta, a)
-        else:
-            outputs = reconstruction.list_reconstruct_sauer(Y, code, delta, a)
-    except ReconstructionError:
-        outputs = ()
+    (outputs,) = decode_read_sets(entry, plan, code, delta, a, (Y,))
     elapsed = time.monotonic_ns() - start
-    success = x in outputs if algorithm.startswith("list-") else outputs == (x,)
+    success = entry.succeeded(x, outputs)
     return TrialRecord(
-        rng=RNG_NAME,
-        seed=spec.seed,
-        params=p,
-        algorithm=algorithm,
-        N=len(Y),
-        success=success,
-        list_size=len(outputs),
-        elapsed_ns=elapsed,
+        RNG_NAME, spec.seed, p, algorithm, len(Y), success, len(outputs), elapsed
     )

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from magrec import channel, combinatorics, distances, lattice, reconstruction, tandem
@@ -176,36 +178,41 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def emit(report: Report, args) -> None:
-    text = report.render()
+def emit(report: Report, args, text: str | None = None) -> None:
+    """Write the rendered report, or ``text`` in its place, to --out or stdout."""
+    text = report.render() if text is None else text
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
+def _skip_note(n: int, t: int, kp: int, km: int, reason) -> str:
+    return f"skipped n={n} t={t} kp={kp} km={km}: {reason}"
+
+
 def _grid_params(args):
-    """Yield ChannelParams for the flag grids, plus skip records."""
+    """Yield (ChannelParams, None) per point of the flag grids, in grid order;
+    a point that violates a precondition yields (None, skip note)."""
     if not (args.n and args.t and args.kp):
         raise ValueError("this command needs --n, --t and --kp")
-    skipped = []
-    points = []
-    for n in parse_grid(args.n):
-        for t in parse_grid(args.t):
-            for kp in parse_grid(args.kp):
-                for km in parse_grid(args.km):
-                    try:
-                        points.append(ChannelParams(n, t, kp, km))
-                    except ValueError as exc:
-                        skipped.append(f"skipped n={n} t={t} kp={kp} km={km}: {exc}")
-    return points, skipped
+    grids = (parse_grid(g) for g in (args.n, args.t, args.kp, args.km))
+    for point in product(*grids):
+        try:
+            p = ChannelParams(*point)
+        except ValueError as exc:
+            yield None, _skip_note(*point, exc)
+        else:
+            yield p, None
 
 
 def cmd_ball(args) -> int:
     report = Report(["n", "t", "kp", "km", "size", "brute", "match"], args.format, args.explain)
-    points, skipped = _grid_params(args)
     status = 0
-    for p in points:
+    for p, skip in _grid_params(args):
+        if p is None:
+            report.note(skip)
+            continue
         row = dict(n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, anchor="ball-size")
         row["size"] = combinatorics.ball_size(p)
         if args.oracle:
@@ -215,8 +222,6 @@ def cmd_ball(args) -> int:
             if brute != row["size"]:
                 status = 1
         report.add(**row)
-    for s in skipped:
-        report.note(s)
     emit(report, args)
     return status
 
@@ -225,9 +230,12 @@ def cmd_intersect(args) -> int:
     report = Report(
         ["n", "t", "kp", "km", "formula", "brute", "match"], args.format, args.explain
     )
-    points, skipped = _grid_params(args)
+    skipped = []
     status = 0
-    for p in points:
+    for p, skip in _grid_params(args):
+        if p is None:
+            report.note(skip)
+            continue
         if p.t < 1:
             skipped.append(f"skipped n={p.n} t={p.t}: needs t >= 1")
             continue
@@ -305,7 +313,10 @@ def cmd_check_splitting(args) -> int:
     return status
 
 
-def _resolve_recon_setup(args):
+def _recon_row(args, algorithm: str, a: int, report: Report):
+    """The report row of a reconstruct or list run, holding the columns of
+    both commands, or None after noting that N distinct reads cannot come
+    from the ball."""
     if not (args.n and args.t and args.kp):
         raise ValueError("this command needs --n, --t and --kp")
     n = parse_grid(args.n)[0]
@@ -332,262 +343,116 @@ def _resolve_recon_setup(args):
         x = (0,) * n
         if not code.contains(x):
             x = code.members[0] if isinstance(code, ExplicitCode) else x
-    return p, code, delta, x
-
-
-def _read_plan(alg: str, p: ChannelParams, delta: int):
-    """(N, tau, anchor) for a unique-reconstruction run.
-
-    A code distance beyond t means unique decoding of a single read covers
-    every error pattern; the multi-read formulas only apply at delta <= t.
-    """
-    if delta > p.t:
-        return 1, None, "unique-decode"
-    if alg == "min":
-        return (
-            reconstruction.reads_required_min(p.n, p.t, p.k_plus, delta),
-            None,
-            "reads-min",
-        )
-    N, tau = reconstruction.majority_threshold(p.n, p.t, p.k_plus, p.k_minus, delta)
-    return N, tau, "majority-reads"
+    entry = reconstruction.ALGORITHMS[algorithm]
+    plan = entry.plan(p, delta, a)
+    N = args.N or plan.N
+    size = combinatorics.ball_size(p)
+    if N > size:
+        report.note(f"skipped: N={N} distinct reads cannot come from a ball of size {size}")
+        return None
+    sets = successes = longest = 0
+    succeeded = entry.succeeded
+    read_sets = channel.read_sets(x, p, N, args.reads, args.trials, args.seed, args.cap)
+    for out in channel.decode_read_sets(entry, plan, code, delta, a, read_sets):
+        sets += 1
+        successes += succeeded(x, out)
+        if len(out) > longest:
+            longest = len(out)
+    return dict(
+        alg=args.alg, code=args.code, n=n, t=t, kp=kp, km=km, delta=delta, a=a, N=N,
+        tau="" if plan.tau is None else plan.tau, sets=sets, success=successes,
+        fail=sets - successes, contains_x=successes, max_list=longest,
+        bound=entry.list_size_bound(p, delta, a), anchor=plan.anchor,
+    )
 
 
 def cmd_reconstruct(args) -> int:
-    p, code, delta, x = _resolve_recon_setup(args)
-    alg = args.alg
-    default_n, tau, anchor = _read_plan(alg, p, delta)
-    N = args.N or default_n
     report = Report(
         ["alg", "code", "n", "t", "kp", "km", "delta", "N", "tau", "sets", "success", "fail"],
         args.format,
         args.explain,
     )
-    size = combinatorics.ball_size(p)
-    if N > size:
-        report.note(
-            f"skipped: N={N} distinct reads cannot come from a ball of size {size}"
-        )
-        emit(report, args)
-        return 0
-
-    def run_one(Y):
-        if anchor == "unique-decode":
-            return code.decode_within(Y.anchor, delta - 1, p)
-        if alg == "min":
-            return reconstruction.reconstruct_min(Y, code, delta)
-        return reconstruction.reconstruct_majority(Y, tau, code, delta)
-
-    successes = failures = sets = 0
-    if args.reads == "exhaustive":
-        for Y in channel.exhaustive_read_sets(x, p, N, cap=args.cap):
-            sets += 1
-            try:
-                ok = run_one(Y) == x
-            except ReconstructionError:
-                ok = False
-            successes += ok
-            failures += not ok
-    else:
-        for i in range(args.trials):
-            mode = "random_distinct" if args.reads == "random" else "adversarial_heavy"
-            rs = channel.ReadGenSpec(mode, N, seed=args.seed + i)
-            Y = channel.generate_reads(x, p, rs)
-            sets += 1
-            try:
-                ok = run_one(Y) == x
-            except ReconstructionError:
-                ok = False
-            successes += ok
-            failures += not ok
-            if args.reads == "adversarial":
-                break
-    report.add(
-        alg=alg,
-        code=args.code,
-        n=p.n,
-        t=p.t,
-        kp=p.k_plus,
-        km=p.k_minus,
-        delta=delta,
-        N=N,
-        tau="" if tau is None else tau,
-        sets=sets,
-        success=successes,
-        fail=failures,
-        anchor=anchor,
-    )
+    row = _recon_row(args, args.alg, 0, report)
+    if row:
+        report.add(**row)
     emit(report, args)
-    return 1 if failures else 0
+    return 1 if row and row["fail"] else 0
 
 
 def cmd_list(args) -> int:
-    p, code, delta, x = _resolve_recon_setup(args)
-    a = parse_grid(args.a)[0] if args.a else 0
-    alg = args.alg
-    if alg == "min":
-        N = reconstruction.list_params_min(p.n, p.t, p.k_plus, delta, a)
-        tau = None
-        bound = combinatorics.hamming_volume(p.k_plus + 1, p.n, a)
-        anchor = "list-reads-min"
-    elif alg == "majority":
-        N, tau = reconstruction.list_params_general(
-            p.n, p.t, p.k_plus, p.k_minus, delta, a
-        )
-        bound = reconstruction.majority_list_size_bound(
-            p.t, p.k_plus, p.k_minus, delta, a, p.n
-        )
-        anchor = "list-reads-majority"
-    else:
-        N = reconstruction.sauer_reads_required(p.n, p.t, p.k_plus, p.k_minus, delta, a)
-        tau = None
-        bound = reconstruction.sauer_list_size_bound(
-            p.t, p.k_plus, p.k_minus, delta, a, p.n
-        )
-        anchor = "sauer-reads"
-    N = args.N or N
     report = Report(
         ["alg", "n", "t", "kp", "km", "delta", "a", "N", "sets",
          "contains_x", "max_list", "bound", "match"],
         args.format,
         args.explain,
     )
-    size = combinatorics.ball_size(p)
-    if N > size:
-        report.note(
-            f"skipped: N={N} distinct reads cannot come from a ball of size {size}"
-        )
-        emit(report, args)
-        return 0
-
-    def read_sets():
-        if args.reads == "exhaustive":
-            yield from channel.exhaustive_read_sets(x, p, N, cap=args.cap)
-        elif args.reads == "adversarial":
-            yield channel.generate_reads(x, p, channel.ReadGenSpec("adversarial_heavy", N))
-        else:
-            for i in range(args.trials):
-                rs = channel.ReadGenSpec("random_distinct", N, seed=args.seed + i)
-                yield channel.generate_reads(x, p, rs)
-
-    contains = 0
-    max_list = 0
-    sets = 0
-    for Y in read_sets():
-        try:
-            if alg == "min":
-                L = reconstruction.list_reconstruct_min(Y, code, delta, a)
-            elif alg == "majority":
-                L = reconstruction.list_reconstruct_majority(Y, tau, code, delta, a)
-            else:
-                L = reconstruction.list_reconstruct_sauer(Y, code, delta, a)
-        except ReconstructionError:
-            L = ()
-        contains += x in L
-        max_list = max(max_list, len(L))
-        sets += 1
-    ok = contains == sets and max_list <= bound
-    report.add(
-        alg=alg,
-        n=p.n,
-        t=p.t,
-        kp=p.k_plus,
-        km=p.k_minus,
-        delta=delta,
-        a=a,
-        N=N,
-        sets=sets,
-        contains_x=contains,
-        max_list=max_list,
-        bound=bound,
-        match="MATCH" if ok else "MISMATCH",
-        anchor=anchor,
-    )
+    a = parse_grid(args.a)[0] if args.a else 0
+    row = _recon_row(args, f"list-{args.alg}", a, report)
+    ok = not row or (row["contains_x"] == row["sets"] and row["max_list"] <= row["bound"])
+    if row:
+        report.add(**row, match="MATCH" if ok else "MISMATCH")
     emit(report, args)
     return 0 if ok else 1
 
 
 def cmd_simulate(args) -> int:
+    entry = reconstruction.ALGORITHMS[args.alg]
+    report = Report(
+        ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"],
+        args.format,
+        args.explain,
+    )
     code_cache: dict[int, object] = {}
-    rows = []
-    skipped = []
     trial_lines = []
     status = 0
-    for n in parse_grid(args.n):
-        for t in parse_grid(args.t):
-            for kp in parse_grid(args.kp):
-                for km in parse_grid(args.km):
-                    try:
-                        p = ChannelParams(n, t, kp, km)
-                    except ValueError as exc:
-                        skipped.append(f"skipped n={n} t={t} kp={kp} km={km}: {exc}")
-                        continue
-                    if n not in code_cache:
-                        code_cache[n] = parse_code_spec(args.code, n=n)
-                    code = code_cache[n]
-                    actual = code_distance(code, kp, km, cap=args.cap)
-                    delta = parse_grid(args.delta)[0] if args.delta else actual
-                    if delta > actual:
-                        skipped.append(
-                            f"skipped n={n} t={t} kp={kp} km={km}: delta={delta} "
-                            f"exceeds the code's distance {actual}"
-                        )
-                        continue
-                    try:
-                        N, _, anchor = _read_plan(args.alg, p, delta)
-                    except ValueError as exc:
-                        skipped.append(f"skipped n={n} t={t} kp={kp} km={km}: {exc}")
-                        continue
-                    if anchor == "unique-decode" and args.alg == "majority":
-                        skipped.append(
-                            f"skipped n={n} t={t} kp={kp} km={km}: distance > t "
-                            f"needs only one read; use reconstruct"
-                        )
-                        continue
-                    if N > combinatorics.ball_size(p):
-                        skipped.append(
-                            f"skipped n={n} t={t} kp={kp} km={km}: "
-                            f"N={N} exceeds ball size {combinatorics.ball_size(p)}"
-                        )
-                        continue
-                    x = (0,) * n
-                    successes = 0
-                    for i in range(args.trials):
-                        rs = channel.ReadGenSpec(
-                            "random_distinct", N, seed=args.seed + i
-                        )
-                        rec = channel.run_trial(code, args.alg, x, p, rs, delta)
-                        if not args.timings:
-                            rec = channel.TrialRecord(
-                                rec.rng, rec.seed, rec.params, rec.algorithm,
-                                rec.N, rec.success, rec.list_size, 0,
-                            )
-                        successes += rec.success
-                        trial_lines.append(rec.to_line())
-                        if not rec.success:
-                            status = 1
-                    rows.append(
-                        dict(
-                            alg=args.alg, n=n, t=t, kp=kp, km=km, delta=delta,
-                            N=N, trials=args.trials, success=successes,
-                        )
-                    )
-    if args.format == "records":
-        text = "\n".join(trial_lines + [f"# {s}" for s in skipped]) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    else:
-        report = Report(
-            ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"],
-            args.format,
-            args.explain,
+    for p, skip in _grid_params(args):
+        if p is None:
+            report.note(skip)
+            continue
+        point = (p.n, p.t, p.k_plus, p.k_minus)
+        if p.n not in code_cache:
+            code_cache[p.n] = parse_code_spec(args.code, n=p.n)
+        code = code_cache[p.n]
+        actual = code_distance(code, p.k_plus, p.k_minus, cap=args.cap)
+        delta = parse_grid(args.delta)[0] if args.delta else actual
+        if delta > actual:
+            report.note(_skip_note(
+                *point, f"delta={delta} exceeds the code's distance {actual}"
+            ))
+            continue
+        try:
+            plan = entry.plan(p, delta, 0)
+        except ValueError as exc:
+            report.note(_skip_note(*point, exc))
+            continue
+        size = combinatorics.ball_size(p)
+        if plan.N > size:
+            report.note(_skip_note(*point, f"N={plan.N} exceeds ball size {size}"))
+            continue
+        x = (0,) * p.n
+        sets = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed)
+        outputs = channel.decode_read_sets(entry, plan, code, delta, 0, sets)
+        successes = 0
+        for i in range(args.trials):
+            start = time.monotonic_ns()
+            out = next(outputs)
+            elapsed = time.monotonic_ns() - start if args.timings else 0
+            success = entry.succeeded(x, out)
+            successes += success
+            if not success:
+                status = 1
+            trial_lines.append(channel.TrialRecord(
+                channel.RNG_NAME, args.seed + i, p, args.alg, plan.N,
+                success, len(out), elapsed,
+            ).to_line())
+        report.add(
+            alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=delta,
+            N=plan.N, trials=args.trials, success=successes,
         )
-        for row in rows:
-            report.add(**row)
-        for s in skipped:
-            report.note(s)
+    if args.format == "records":
+        notes = [f"# {note}" for note in report.notes]
+        emit(report, args, "\n".join(trial_lines + notes) + "\n")
+    else:
         emit(report, args)
     return status
 
@@ -622,6 +487,13 @@ def cmd_tandem(args) -> int:
     return 1 if failures else 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magrec",
@@ -642,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cap", type=int, default=10**7, help="enumeration cap")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--trials", type=int, default=10)
+            sp.add_argument("--trials", type=positive_int, default=10)
             sp.add_argument("--timings", action="store_true",
                             help="include real elapsed_ns (breaks byte determinism)")
 
@@ -673,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", help="transmitted codeword (default: zero vector)")
     sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
                     default="random")
-    sp.add_argument("--N", type=int, help="read count (default: formula value)")
+    sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
     sp.set_defaults(func=cmd_reconstruct)
 
     sp = sub.add_parser("list", help="list-reconstruction trials")
@@ -685,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", help="transmitted codeword (default: zero vector)")
     sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
                     default="random")
-    sp.add_argument("--N", type=int, help="read count (default: formula value)")
+    sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
     sp.set_defaults(func=cmd_list)
 
     sp = sub.add_parser("simulate", help="seeded trial sweeps over a grid")
@@ -700,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", required=True, help="simplex:@FILE")
     sp.add_argument("--t", required=True, help="duplication count bound")
     sp.add_argument("--delta", help="reconstruction distance (default: file header)")
-    sp.add_argument("--N", type=int, help="read count (default: formula value)")
+    sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
     sp.set_defaults(func=cmd_tandem)
 
     return parser

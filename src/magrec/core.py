@@ -131,13 +131,7 @@ class Code:
         memo = self._memo()
         if key in memo:
             return memo[key]
-        result = None
-        for e in _ball_vectors(len(z), radius, params.k_plus, params.k_minus):
-            c = tuple(zi - ei for zi, ei in zip(z, e))
-            if self.contains(c):
-                result = c
-                break
-        memo[key] = result
+        result = memo[key] = _first_in_window(self.contains, z, radius, params)
         return result
 
     def _memo(self) -> dict:
@@ -184,9 +178,17 @@ def brute_force_decode(
     the tie-break when several codewords are in range.
     """
     members = frozenset(tuple(m) for m in code_members)
+    return _first_in_window(members.__contains__, z, radius, params)
+
+
+def _first_in_window(
+    contains, z: Vec, radius: int, params: ChannelParams
+) -> Optional[Vec]:
+    """First c = z - e with ``contains(c)``, e running over the error ball in
+    lexicographic order; None when there is none."""
     for e in _ball_vectors(len(z), radius, params.k_plus, params.k_minus):
         c = tuple(zi - ei for zi, ei in zip(z, e))
-        if c in members:
+        if contains(c):
             return c
     return None
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable, NamedTuple, Optional
 
 from magrec.core import (
     ERASURE,
@@ -94,6 +95,11 @@ def reads_required_min(n: int, t: int, k_plus: int, delta: int) -> int:
     return k_plus**delta * hamming_volume(k_plus + 1, n - delta, t - delta) + 1
 
 
+def _require_k_minus_zero(p: ChannelParams) -> None:
+    if p.k_minus != 0:
+        raise ValueError("componentwise-minimum reconstruction needs k_minus = 0")
+
+
 def componentwise_min(reads: tuple[Vec, ...]) -> Vec:
     return tuple(min(col) for col in zip(*reads))
 
@@ -107,8 +113,7 @@ def reconstruct_min(Y: ReadSet, code: Code, delta: int) -> Vec:
     ReconstructionError reports the violated precondition.
     """
     p = Y.params
-    if p.k_minus != 0:
-        raise ValueError("componentwise-minimum reconstruction needs k_minus = 0")
+    _require_k_minus_zero(p)
     z = componentwise_min(Y.reads)
     result = code.decode_within(z, delta - 1, p)
     if result is None:
@@ -229,8 +234,7 @@ def list_reconstruct_min(Y: ReadSet, code: Code, delta: int, a: int) -> tuple[Ve
     Decode failures are dropped; the list is returned sorted.
     """
     p = Y.params
-    if p.k_minus != 0:
-        raise ValueError("componentwise-minimum reconstruction needs k_minus = 0")
+    _require_k_minus_zero(p)
     z = componentwise_min(Y.reads)
     out = set()
     for e in ball_vectors(p.n, a, p.k_plus, 0):
@@ -376,19 +380,17 @@ def list_reconstruct_sauer(
     return tuple(sorted(out))
 
 
-def majority_list_size_bound(t: int, k_plus: int, k_minus: int, delta: int, a: int, n: int) -> int:
+def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:
     """(k+ + k- + 1)^(2 t (delta + a)) * V(n, a)."""
-    return (k_plus + k_minus + 1) ** (2 * t * (delta + a)) * hamming_volume(
-        k_plus + k_minus + 1, n, a
-    )
+    q = p.magnitude_span + 1
+    return q ** (2 * p.t * (delta + a)) * hamming_volume(q, p.n, a)
 
 
-def sauer_list_size_bound(t: int, k_plus: int, k_minus: int, delta: int, a: int, n: int) -> int:
+def sauer_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:
     """(k+ + k- + 1)^(2(f - a)) * V(n - f + a, a)."""
-    f = t - delta + 1
-    return (k_plus + k_minus + 1) ** (2 * (f - a)) * hamming_volume(
-        k_plus + k_minus + 1, n - f + a, a
-    )
+    f = p.t - delta + 1
+    q = p.magnitude_span + 1
+    return q ** (2 * (f - a)) * hamming_volume(q, p.n - f + a, a)
 
 
 def adversarial_code_size_bound(n: int, e: int, a: int) -> Fraction:
@@ -436,3 +438,117 @@ def adversarial_instance(
             supports.append(sup_set)
     params = ChannelParams(n, t, k_plus, k_minus)
     return ReadSet(reads, params), tuple(code)
+
+
+class ReadPlan(NamedTuple):
+    """Read count N, vote threshold tau (None outside the majority family)
+    and the anchor id of the formula behind N."""
+
+    N: int
+    tau: Optional[Fraction]
+    anchor: str
+
+
+#: A code distance beyond t means unique decoding of a single read covers
+#: every error pattern; the multi-read formulas only apply at delta <= t.
+ONE_READ = ReadPlan(1, None, "unique-decode")
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """An entry of ``ALGORITHMS``: ``plan(p, delta, a)`` raises ValueError on
+    a channel the algorithm cannot handle, and ``decoder(plan)(Y, plan, code,
+    delta, a)`` returns a tuple of at most ``list_size_bound(p, delta, a)``
+    codewords or raises ReconstructionError.
+
+    Decoders look the procedures up by module-level name when they run, so
+    wrapping a module attribute (as ``perfbench/tracing.py`` does) sees them.
+    """
+
+    plan: Callable[[ChannelParams, int, int], ReadPlan]
+    decode: Callable[[ReadSet, ReadPlan, Code, int, int], tuple[Vec, ...]]
+    is_list: bool
+    list_size_bound: Callable[[ChannelParams, int, int], int]
+
+    def decoder(self, plan: ReadPlan):
+        """``decode``, or under the one-read plan a radius-(delta - 1)
+        decode of the anchor read."""
+        return _decode_one_read if plan.anchor == ONE_READ.anchor else self.decode
+
+    def succeeded(self, x: Vec, outputs: tuple[Vec, ...]) -> bool:
+        """x is on the list, or for a unique decoder the only output."""
+        return x in outputs if self.is_list else outputs == (x,)
+
+
+def _plan_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    if delta > p.t:
+        return ONE_READ
+    _require_k_minus_zero(p)
+    return ReadPlan(reads_required_min(p.n, p.t, p.k_plus, delta), None, "reads-min")
+
+
+def _plan_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    if delta > p.t:
+        return ONE_READ
+    N, tau = majority_threshold(p.n, p.t, p.k_plus, p.k_minus, delta)
+    return ReadPlan(N, tau, "majority-reads")
+
+
+def _plan_list_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    _require_k_minus_zero(p)
+    return ReadPlan(list_params_min(p.n, p.t, p.k_plus, delta, a), None, "list-reads-min")
+
+
+def _plan_list_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    N, tau = list_params_general(p.n, p.t, p.k_plus, p.k_minus, delta, a)
+    return ReadPlan(N, tau, "list-reads-majority")
+
+
+def _plan_sauer(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    N = sauer_reads_required(p.n, p.t, p.k_plus, p.k_minus, delta, a)
+    return ReadPlan(N, None, "sauer-reads")
+
+
+def _decode_one_read(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
+    c = code.decode_within(Y.anchor, delta - 1, Y.params)
+    return () if c is None else (c,)
+
+
+def _decode_min(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
+    return (reconstruct_min(Y, code, delta),)
+
+
+def _decode_majority(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
+    return (reconstruct_majority(Y, plan.tau, code, delta),)
+
+
+def _decode_list_min(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
+    return list_reconstruct_min(Y, code, delta, a)
+
+
+def _decode_list_majority(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
+    return list_reconstruct_majority(Y, plan.tau, code, delta, a)
+
+
+def _decode_sauer(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
+    return list_reconstruct_sauer(Y, code, delta, a)
+
+
+def _one(p: ChannelParams, delta: int, a: int) -> int:
+    return 1
+
+
+def _list_min_size_bound(p: ChannelParams, delta: int, a: int) -> int:
+    return hamming_volume(p.k_plus + 1, p.n, a)
+
+
+#: Algorithm name -> read plan, decoder and list-size bound.
+ALGORITHMS: dict[str, Algorithm] = {
+    "min": Algorithm(_plan_min, _decode_min, False, _one),
+    "majority": Algorithm(_plan_majority, _decode_majority, False, _one),
+    "list-min": Algorithm(_plan_list_min, _decode_list_min, True, _list_min_size_bound),
+    "list-majority": Algorithm(
+        _plan_list_majority, _decode_list_majority, True, majority_list_size_bound
+    ),
+    "list-sauer": Algorithm(_plan_sauer, _decode_sauer, True, sauer_list_size_bound),
+}

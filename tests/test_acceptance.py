@@ -423,9 +423,9 @@ def test_criterion_06_list_guarantees():
             words = list(code.members)
         if decoder == "majority":
             _, tau = list_params_general(n, t, kp, km, delta, a)
-            bound = majority_list_size_bound(t, kp, km, delta, a, n)
+            bound = majority_list_size_bound(p, delta, a)
         else:
-            bound = sauer_list_size_bound(t, kp, km, delta, a, n)
+            bound = sauer_list_size_bound(p, delta, a)
         share = -(-per_cell // len(words))
         for word_index, x in enumerate(words):
             seed = 6_000_000 + 10 * cell_index + word_index

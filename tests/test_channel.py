@@ -76,7 +76,7 @@ def test_generate_reads_too_many():
 
 def test_exhaustive_mode_counts_subsets():
     p = ChannelParams(2, 2, 1, 0)  # ball of size 4
-    subsets = list(generate_reads((0, 0), p, ReadGenSpec("exhaustive_subsets", 2)))
+    subsets = list(exhaustive_read_sets((0, 0), p, 2))
     assert len(subsets) == 6
     assert len({s.reads for s in subsets}) == 6
     with pytest.raises(ValueError):

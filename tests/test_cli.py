@@ -239,3 +239,54 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_simulate_skips_channels_the_algorithm_cannot_handle(capsys):
+    # min needs k- = 0 and majority k- >= 1: the other point is a skip note
+    for alg, ran, skipped in (("min", "0", "1"), ("majority", "1", "0")):
+        code, out = run_cli(
+            capsys, "simulate", "--alg", alg, "--code", "sum-mod:3",
+            "--n", "3", "--t", "1", "--kp", "1", "--km", "0:1", "--trials", "2",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].split()[4] == ran
+        assert lines[2].startswith(f"# skipped n=3 t=1 kp=1 km={skipped}: ")
+
+
+def test_simulate_without_grid_flags_is_one_error_line(capsys):
+    code = main(["simulate", "--alg", "min", "--code", "sum-mod:2", "--t", "1", "--kp", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: this command needs --n, --t and --kp\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "reconstruct --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --trials 0",
+    "list --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --trials -1",
+    "simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --trials 0",
+    "reconstruct --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --N 0",
+    "list --alg sauer --code sum-mod:2 --n 2 --t 1 --kp 1 --N 0",
+    "tandem --code simplex:@code.txt --t 1 --N 0",
+])
+def test_counts_below_one_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_simulate_runs_one_read_plan(tmp_path, capsys):
+    # code distance 3 > t: both algorithms run one-read trials on any channel
+    f = tmp_path / "code.txt"
+    f.write_text("0,0\n3,3\n-3,3\n", encoding="utf-8")
+    for alg in ("min", "majority"):
+        code, out = run_cli(
+            capsys, "simulate", "--alg", alg, "--code", f"explicit:@{f}",
+            "--n", "2", "--t", "1", "--kp", "1", "--km", "0:1", "--trials", "3",
+        )
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert [row[4:] for row in rows] == [["0", "3", "1", "3", "3"], ["1", "3", "1", "3", "3"]]

@@ -221,7 +221,7 @@ def test_list_reconstruct_majority_contains_x():
     N, tau = list_params_general(n, t, kp, km, delta, a)
     x = (0, 0, 0, 0)
     ball = [add(x, e) for e in oracle_ball(n, t, kp, km)]
-    bound = majority_list_size_bound(t, kp, km, delta, a, n)
+    bound = majority_list_size_bound(p, delta, a)
     rng = random.Random(57)
     for _ in range(100):
         Y = ReadSet(tuple(rng.sample(ball, N)), p)
@@ -301,7 +301,7 @@ def test_list_reconstruct_sauer_contains_x():
     for delta, a in [(1, 0), (1, 1), (2, 0)]:
         N = sauer_reads_required(n, t, kp, km, delta, a)
         code_d = code if delta == 1 else ExplicitCode([x, (1, 1, -1, 0)])
-        bound = sauer_list_size_bound(t, kp, km, delta, a, n)
+        bound = sauer_list_size_bound(p, delta, a)
         for _ in range(60):
             Y = ReadSet(tuple(rng.sample(ball, N)), p)
             L = list_reconstruct_sauer(Y, code_d, delta, a)
