@@ -1,5 +1,11 @@
 """Channel simulation: error injection, read-set generation, trial running.
 
+A read set is built as an int64 matrix: sorted row indices into the cached
+matrix of the lexicographically ordered error ball (``ball_matrix``),
+shifted by the transmitted word x, so its rows come out distinct and in
+order.  x is a tuple, and x plus any error must stay below ``ENTRY_LIMIT``
+in magnitude.
+
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
 generator name and seed.  ``read_sets`` seeds random trial i with
@@ -14,13 +20,20 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.core import ChannelParams, Code, ReconstructionError, Vec, vector_add
-from magrec.combinatorics import ball_size, enumerate_ball
+from magrec.core import (
+    ChannelParams,
+    Code,
+    ReconstructionError,
+    Vec,
+    check_entries,
+    vector_add,
+)
+from magrec.combinatorics import ball_matrix, ball_size, enumerate_ball
 from magrec import reconstruction
 
 RNG_NAME = "philox"
@@ -29,6 +42,9 @@ RNG_NAME = "philox"
 MODES = ("random_distinct", "adversarial_heavy")
 
 DEFAULT_SUBSET_CAP = 10**5
+
+#: Subsets indexed per step of ``exhaustive_read_sets``.
+_SUBSET_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -63,47 +79,61 @@ def corrupt(x: Vec, p: ChannelParams, rng: np.random.Generator) -> Vec:
     return vector_add(x, e)
 
 
-def _adversarial_order(ball: tuple[Vec, ...]) -> list[Vec]:
-    # maximal weight first, then maximal total magnitude, then lexicographic
-    return sorted(
-        ball,
-        key=lambda e: (-sum(1 for v in e if v), -sum(abs(v) for v in e), e),
-    )
+def _ball_and_shift(x: Vec, p: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ball matrix of p and x as an int64 row, after checking that x
+    plus any error stays within the int64-safe range."""
+    if len(x) != p.n:
+        raise ValueError(f"x has length {len(x)}, the channel has n={p.n}")
+    check_entries(min(x) - p.k_minus, max(x) + p.k_plus)
+    ball = ball_matrix(p.n, p.t, p.k_plus, p.k_minus)
+    return ball, np.array(x, dtype=np.int64)
+
+
+def _adversarial_order(ball: np.ndarray) -> np.ndarray:
+    """Row indices, maximal weight first, then maximal total magnitude,
+    then lexicographic (the stable sort keeps the ball's order on ties)."""
+    return np.lexsort((-np.abs(ball).sum(axis=1), -np.count_nonzero(ball, axis=1)))
 
 
 def generate_reads(
     x: Vec, p: ChannelParams, spec: ReadGenSpec
 ) -> reconstruction.ReadSet:
     """Distinct reads from the ball around x, per the spec's mode."""
-    size = ball_size(p)
+    ball, shift = _ball_and_shift(x, p)
+    size = len(ball)
     if spec.count > size:
         raise ValueError(
             f"cannot draw {spec.count} distinct reads from a ball of size {size}"
         )
-    ball = enumerate_ball(p)
     if spec.mode == "random_distinct":
-        rng = rng_for(spec.seed)
-        idx = rng.choice(size, size=spec.count, replace=False)
-        reads = tuple(vector_add(x, ball[int(i)]) for i in idx)
+        idx = rng_for(spec.seed).choice(size, size=spec.count, replace=False)
     else:  # adversarial_heavy
-        heavy = _adversarial_order(ball)[: spec.count]
-        reads = tuple(vector_add(x, e) for e in heavy)
-    return reconstruction.ReadSet(reads, p)
+        idx = _adversarial_order(ball)[: spec.count]
+    idx.sort()
+    return reconstruction.ReadSet(ball[idx] + shift, p)
 
 
 def exhaustive_read_sets(
     x: Vec, p: ChannelParams, count: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[reconstruction.ReadSet]:
     """All C(|ball|, count) read sets, in lexicographic subset order."""
-    ball = enumerate_ball(p)
-    total = math.comb(len(ball), count)
+    if count < 1:
+        raise ValueError("read set must be nonempty")
+    total = math.comb(ball_size(p), count)
     if total > cap:
         raise ValueError(
             f"{total} subsets exceed the cap {cap}; use sampled_read_sets"
         )
-    shifted = tuple(vector_add(x, e) for e in ball)
-    for subset in combinations(shifted, count):
-        yield reconstruction.ReadSet(subset, p)
+    ball, shift = _ball_and_shift(x, p)
+    shifted = ball + shift
+    subsets = chain.from_iterable(combinations(range(len(shifted)), count))
+    while True:
+        # index a block of subsets at once; each read set is a view into it
+        idx = np.fromiter(islice(subsets, _SUBSET_BLOCK * count), dtype=np.intp)
+        if not idx.size:
+            return
+        for matrix in shifted[idx.reshape(-1, count)]:
+            yield reconstruction.ReadSet(matrix, p)
 
 
 def sampled_read_sets(
@@ -111,12 +141,13 @@ def sampled_read_sets(
 ) -> Iterator[reconstruction.ReadSet]:
     """Deterministic seeded sub-sample of N-subsets (with-replacement over
     subsets; duplicates are vanishingly rare when C(|ball|, N) is large)."""
-    ball = enumerate_ball(p)
-    shifted = tuple(vector_add(x, e) for e in ball)
+    ball, shift = _ball_and_shift(x, p)
+    shifted = ball + shift
     rng = rng_for(seed)
     for _ in range(samples):
         idx = rng.choice(len(shifted), size=count, replace=False)
-        yield reconstruction.ReadSet(tuple(shifted[int(i)] for i in idx), p)
+        idx.sort()
+        yield reconstruction.ReadSet(shifted[idx], p)
 
 
 #: Fixed field order of serialized trial records.

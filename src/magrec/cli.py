@@ -313,6 +313,20 @@ def cmd_check_splitting(args) -> int:
     return status
 
 
+def _transmitted_word(code, n: int, text: str | None = None) -> tuple[int, ...]:
+    """The codeword --x names, or by default the zero word, or the first
+    codeword of an explicit code that does not contain zero."""
+    if text:
+        x = parse_vector(text)
+        if not code.contains(x):
+            raise ValueError(f"--x {text} is not a codeword")
+        return x
+    x = (0,) * n
+    if not code.contains(x) and isinstance(code, ExplicitCode):
+        return code.members[0]
+    return x
+
+
 def _recon_row(args, algorithm: str, a: int, report: Report):
     """The report row of a reconstruct or list run, holding the columns of
     both commands, or None after noting that N distinct reads cannot come
@@ -335,14 +349,7 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
             )
     else:
         delta = actual
-    if args.x:
-        x = parse_vector(args.x)
-        if not code.contains(x):
-            raise ValueError(f"--x {args.x} is not a codeword")
-    else:
-        x = (0,) * n
-        if not code.contains(x):
-            x = code.members[0] if isinstance(code, ExplicitCode) else x
+    x = _transmitted_word(code, n, args.x)
     entry = reconstruction.ALGORITHMS[algorithm]
     plan = entry.plan(p, delta, a)
     N = args.N or plan.N
@@ -429,7 +436,7 @@ def cmd_simulate(args) -> int:
         if plan.N > size:
             report.note(_skip_note(*point, f"N={plan.N} exceeds ball size {size}"))
             continue
-        x = (0,) * p.n
+        x = _transmitted_word(code, p.n)
         sets = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed)
         outputs = channel.decode_read_sets(entry, plan, code, delta, 0, sets)
         successes = 0
@@ -542,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alg", choices=("min", "majority"), required=True)
     sp.add_argument("--code", required=True)
     sp.add_argument("--delta", help="code distance (computed when omitted)")
-    sp.add_argument("--x", help="transmitted codeword (default: zero vector)")
+    sp.add_argument("--x", help="transmitted codeword (default: the zero word, or the first "
+                    "codeword of an explicit code without it)")
     sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
                     default="random")
     sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
@@ -554,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", required=True)
     sp.add_argument("--delta", help="code distance (computed when omitted)")
     sp.add_argument("--a", help="list exponent (default 0)")
-    sp.add_argument("--x", help="transmitted codeword (default: zero vector)")
+    sp.add_argument("--x", help="transmitted codeword (default: the zero word, or the first "
+                    "codeword of an explicit code without it)")
     sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
                     default="random")
     sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")

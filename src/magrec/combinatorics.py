@@ -3,7 +3,8 @@
 The error ball B(n, t, k+, k-) is the set of integer vectors with entries in
 [-k-, k+] and Hamming weight at most t.  Its size is the Hamming-ball volume
 V_q(n, t) over an alphabet of q = k+ + k- + 1 symbols.  This module provides
-exact enumeration of such balls, an exact oracle for the size of the
+exact enumeration of such balls (as tuples, and as cached int64 matrices
+for the read-set machinery), an exact oracle for the size of the
 intersection of two translated balls, the closed form for the worst-case
 intersection over all of Z^n, and the two closed-form bound pairs that
 sandwich the intersection size when the centers are at a known distance.
@@ -15,7 +16,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+
+import numpy as np
 
 from magrec.core import (
     DEFAULT_ENUM_CAP,
@@ -26,6 +30,11 @@ from magrec.core import (
 
 _ball_cache: dict[tuple[int, int, int, int], tuple[Vec, ...]] = {}
 _ball_lock = threading.Lock()
+
+#: Byte budget of the ball-matrix cache; least recently used matrices are
+#: dropped first, and a matrix larger than the budget is not kept.
+BALL_MATRIX_CACHE_BYTES = 16 * 2**20
+_matrix_cache: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
 
 
 def binom(m: int, i: int) -> int:
@@ -95,6 +104,34 @@ def ball_vectors(
     with _ball_lock:
         _ball_cache.setdefault(key, result)
     return result
+
+
+def ball_matrix(
+    n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
+) -> np.ndarray:
+    """``ball_vectors`` as a read-only (|B|, n) int64 matrix, rows in the same
+    lexicographic order; cached within ``BALL_MATRIX_CACHE_BYTES``."""
+    key = (n, t, k_plus, k_minus)
+    with _ball_lock:
+        matrix = _matrix_cache.get(key)
+        if matrix is not None:
+            _matrix_cache.move_to_end(key)
+    if matrix is not None:
+        if len(matrix) > cap:
+            raise EnumerationCapExceeded(
+                f"ball of size {len(matrix)} exceeds enumeration cap {cap}"
+            )
+        return matrix
+    matrix = np.array(ball_vectors(n, t, k_plus, k_minus, cap=cap), dtype=np.int64)
+    matrix = matrix.reshape(-1, n)
+    matrix.flags.writeable = False
+    with _ball_lock:
+        _matrix_cache[key] = matrix
+        used = sum(m.nbytes for m in _matrix_cache.values())
+        while used > BALL_MATRIX_CACHE_BYTES:
+            _, dropped = _matrix_cache.popitem(last=False)
+            used -= dropped.nbytes
+    return matrix
 
 
 def enumerate_ball(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:

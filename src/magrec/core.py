@@ -1,8 +1,13 @@
 """Shared domain types: integer vectors, channel parameters, and codes.
 
-Vectors are plain tuples of Python ints (arbitrary precision, immutable,
-hashable).  Everything in this package is a pure function over such values,
-so all of it is safe to call concurrently.
+At the API edge vectors are plain tuples of Python ints (immutable,
+hashable): codewords, decoder inputs and outputs, and the reads a
+``ReadSet`` hands back.  Inside, a read set is one (N, n) int64 matrix, so
+its entries, and those of the codewords compared with it, must stay below
+``ENTRY_LIMIT`` in magnitude; ``check_entries`` rejects anything larger
+with a ValueError instead of letting int64 arithmetic wrap.  Everything in
+this package is a pure function over such values, so all of it is safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -27,6 +32,19 @@ class ReconstructionError(RuntimeError):
 
 
 DEFAULT_ENUM_CAP = 10**7
+
+#: Bound on the magnitude of read and codeword entries: the difference of
+#: two entries below it still fits in int64.
+ENTRY_LIMIT = 2**62
+
+
+def check_entries(lo: int, hi: int) -> None:
+    """Raise ValueError unless -ENTRY_LIMIT < lo and hi < ENTRY_LIMIT, where
+    lo and hi bound the entries of some reads or codewords."""
+    if lo <= -ENTRY_LIMIT or hi >= ENTRY_LIMIT:
+        raise ValueError(
+            f"entries in [{lo}, {hi}] exceed the int64-safe magnitude 2**62"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,10 +130,11 @@ class Code:
 
     ``decode_within(z, radius, params)`` returns a codeword c with
     z in c + B(n, radius, k_plus, k_minus), or None when no codeword lies in
-    the search window.  Candidates c = z - e are scanned with e running over
-    the error ball in lexicographic order, so the result is deterministic;
-    when the code corrects ``radius`` errors the result is independent of
-    that order.  Results are memoized per handle.
+    the search window: the first c = z - e in the code, e running over the
+    error ball in lexicographic order, so the result is deterministic; when
+    the code corrects ``radius`` errors the result is independent of that
+    order.  Results are memoized per handle; ``_search`` computes a miss,
+    by default with a scan of the window.
     """
 
     #: Known minimum distance of the code, when the constructor can tell.
@@ -131,8 +150,11 @@ class Code:
         memo = self._memo()
         if key in memo:
             return memo[key]
-        result = memo[key] = _first_in_window(self.contains, z, radius, params)
+        result = memo[key] = self._search(z, radius, params)
         return result
+
+    def _search(self, z: Vec, radius: int, params: ChannelParams) -> Optional[Vec]:
+        return _first_in_window(self.contains, z, radius, params)
 
     def _memo(self) -> dict:
         memo = getattr(self, "_decode_memo", None)

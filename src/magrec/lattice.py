@@ -8,7 +8,9 @@ here is in fact cyclic).  The module provides:
 * the splitting test equivalent to the lattice packing of the error ball,
 * the condition checkers for lattice codes whose radius-1 balls pairwise
   intersect in at most 1 (resp. 2) points,
-* the all-ones constructions attaining the group-order lower bounds, and
+* the all-ones constructions attaining the group-order lower bounds,
+* ``LatticeCode``, whose bounded-radius decoder looks the syndrome up in a
+  table of coset leaders, and
 * exact brute-force packing / intersection oracles used to certify all of
   the above on small instances.
 """
@@ -17,7 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from operator import mul
+from typing import Optional
 
 from magrec.core import (
     DEFAULT_ENUM_CAP,
@@ -96,6 +101,12 @@ class SplitterSpec:
     def n(self) -> int:
         return len(self.s)
 
+    @cached_property
+    def forms(self) -> tuple[tuple[int, ...], ...]:
+        """Per group component j, the coefficients (s[0][j], ..., s[n-1][j])
+        of the linear form the syndrome reduces modulo moduli[j]."""
+        return tuple(zip(*self.s))
+
     def __str__(self) -> str:
         if len(self.group.moduli) == 1:
             body = ",".join(str(g[0]) for g in self.s)
@@ -105,14 +116,13 @@ class SplitterSpec:
 
 
 def syndrome(spec: SplitterSpec, x: Vec) -> GroupElement:
-    """sum x[i] * s[i] in the group, scalars extended to negative integers."""
+    """sum x[i] * s[i] in the group, scalars extended to negative integers:
+    per component j, the linear form sum x[i] * s[i][j] modulo moduli[j]."""
     if len(x) != spec.n:
         raise ValueError(f"length mismatch: vector {len(x)}, splitter {spec.n}")
-    acc = spec.group.identity
-    for xi, si in zip(x, spec.s):
-        if xi:
-            acc = spec.group.add(acc, spec.group.scale(xi, si))
-    return acc
+    return tuple(
+        sum(map(mul, x, form)) % m for form, m in zip(spec.forms, spec.group.moduli)
+    )
 
 
 def check_partial_splitting(
@@ -238,15 +248,35 @@ def min_group_order_bound(k_plus: int, k_minus: int, n: int, target_n: int) -> i
 
 class LatticeCode(Code):
     """CodeHandle for the lattice of a splitter spec: membership is a
-    zero-syndrome test, decoding is the shared ball scan."""
+    zero-syndrome test, and decoding looks the syndrome up in a table.
+
+    z - e is a codeword iff e has the syndrome of z, so the lexicographically
+    first e of the error ball with that syndrome (its coset leader) gives the
+    codeword the window scan of ``Code`` would find first.  The table for
+    (radius, k+, k-) is built in one pass over the ball on first use and
+    holds at most min(|B|, |G|) leaders.
+    """
 
     def __init__(self, spec: SplitterSpec, min_distance: int | None = None):
         self.spec = spec
         self.n = spec.n
         self.min_distance = min_distance
+        self._leaders: dict[tuple[int, int, int], dict[GroupElement, Vec]] = {}
 
     def contains(self, v: Vec) -> bool:
         return syndrome(self.spec, v) == self.spec.group.identity
+
+    def _search(self, z: Vec, radius: int, params: ChannelParams) -> Optional[Vec]:
+        key = (radius, params.k_plus, params.k_minus)
+        leaders = self._leaders.get(key)
+        if leaders is None:
+            leaders = {}
+            ball = combinatorics.ball_vectors(self.n, *key)
+            for e in ball:
+                leaders.setdefault(syndrome(self.spec, e), e)
+            self._leaders[key] = leaders
+        e = leaders.get(syndrome(self.spec, z))
+        return None if e is None else tuple(zi - ei for zi, ei in zip(z, e))
 
 
 def lattice_code_handle(spec: SplitterSpec) -> LatticeCode:

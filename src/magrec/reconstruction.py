@@ -12,9 +12,11 @@ family, the exact rational vote threshold) that guarantees it:
 * ``list_reconstruct_sauer`` -- a shattering-based list decoder that needs
   far fewer reads at the cost of a combinatorial coordinate search.
 
-Vote margins are compared against the threshold in exact rational
-arithmetic; the thresholds are generally non-integer and a float comparison
-could misclassify boundary cases.
+The read set is an int64 matrix, so the minimum, the vote and the cover
+check are column operations.  Vote margins are Python ints compared
+against the threshold in exact rational arithmetic; the thresholds are
+generally non-integer and a float comparison could misclassify boundary
+cases.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import lt
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from magrec.core import (
     ERASURE,
@@ -31,38 +36,59 @@ from magrec.core import (
     EstimateWord,
     ReconstructionError,
     Vec,
+    check_entries,
 )
-from magrec.combinatorics import ball_vectors, binom, hamming_volume, in_ball
+from magrec.combinatorics import ball_vectors, binom, hamming_volume
 
 
-@dataclass(frozen=True)
 class ReadSet:
     """Distinct channel outputs assumed to come from one codeword's ball.
 
-    Reads are stored sorted lexicographically; the first read serves as the
-    anchor wherever a procedure needs one, which keeps every algorithm here
-    deterministic.
+    The reads are stored as one read-only (N, n) int64 matrix whose rows are
+    in lexicographic order; ``reads`` gives them back as tuples.  The first
+    read serves as the anchor wherever a procedure needs one, which keeps
+    every algorithm here deterministic.
+
+    ``reads`` is an iterable of vectors, which are sorted, or an int64
+    matrix, which must already hold distinct rows in lexicographic order
+    (the read-set generators in ``channel`` build it that way) and is taken
+    over, not copied.  Entries must stay below ``ENTRY_LIMIT`` in magnitude.
     """
 
-    reads: tuple[Vec, ...]
-    params: ChannelParams
+    __slots__ = ("matrix", "params")
 
-    def __post_init__(self) -> None:
-        reads = tuple(sorted(tuple(r) for r in self.reads))
-        if not reads:
+    def __init__(self, reads, params: ChannelParams) -> None:
+        if isinstance(reads, np.ndarray):
+            matrix = reads
+        else:
+            try:
+                matrix = np.array(sorted(tuple(r) for r in reads), dtype=np.int64)
+            except OverflowError:
+                raise ValueError("read entries exceed the int64 range") from None
+            except ValueError:
+                raise ValueError("every read must have length n") from None
+        if matrix.size == 0:
             raise ValueError("read set must be nonempty")
-        if any(len(r) != self.params.n for r in reads):
-            raise ValueError("every read must have length n")
-        if len(set(reads)) != len(reads):
-            raise ValueError("reads must be distinct")
-        object.__setattr__(self, "reads", reads)
+        if matrix.dtype != np.int64 or matrix.ndim != 2 or matrix.shape[1] != params.n:
+            raise ValueError(f"reads must form an (N, n={params.n}) int64 matrix")
+        rows = matrix.tolist()
+        if not all(map(lt, rows, rows[1:])):
+            raise ValueError("reads must be distinct, and a matrix's rows sorted")
+        check_entries(int(matrix.min()), int(matrix.max()))
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.params = params
 
     def __len__(self) -> int:
-        return len(self.reads)
+        return len(self.matrix)
+
+    @property
+    def reads(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self.matrix.tolist()))
 
     @property
     def anchor(self) -> Vec:
-        return self.reads[0]
+        return tuple(self.matrix[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -100,8 +126,8 @@ def _require_k_minus_zero(p: ChannelParams) -> None:
         raise ValueError("componentwise-minimum reconstruction needs k_minus = 0")
 
 
-def componentwise_min(reads: tuple[Vec, ...]) -> Vec:
-    return tuple(min(col) for col in zip(*reads))
+def componentwise_min(Y: ReadSet) -> Vec:
+    return tuple(Y.matrix.min(axis=0).tolist())
 
 
 def reconstruct_min(Y: ReadSet, code: Code, delta: int) -> Vec:
@@ -114,7 +140,7 @@ def reconstruct_min(Y: ReadSet, code: Code, delta: int) -> Vec:
     """
     p = Y.params
     _require_k_minus_zero(p)
-    z = componentwise_min(Y.reads)
+    z = componentwise_min(Y)
     result = code.decode_within(z, delta - 1, p)
     if result is None:
         raise ReconstructionError(
@@ -155,21 +181,24 @@ def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
     A coordinate keeps its most frequent value (ties broken toward the
     smallest) when twice its count minus N exceeds tau, and is erased
     otherwise.
+
+    Each column is sorted, so a value's count is the length of its run; the
+    first longest run holds the smallest most frequent value.  The work
+    does not depend on how far apart a column's values are.
     """
     N = len(Y)
-    entries = []
-    for i in range(Y.params.n):
-        counts: dict[int, int] = {}
-        for r in Y.reads:
-            v = r[i]
-            counts[v] = counts.get(v, 0) + 1
-        top = max(counts.values())
-        best = min(v for v, c in counts.items() if c == top)
-        if 2 * counts[best] - N > tau:
-            entries.append(best)
-        else:
-            entries.append(ERASURE)
-    return EstimateWord(tuple(entries))
+    columns = np.sort(Y.matrix.T, axis=1)
+    pos = np.arange(N)
+    new_run = np.ones(columns.shape, dtype=bool)
+    np.not_equal(columns[:, 1:], columns[:, :-1], out=new_run[:, 1:])
+    run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    end = run_length.argmax(axis=1)
+    rows = np.arange(len(columns))
+    best = columns[rows, end].tolist()
+    counts = run_length[rows, end].tolist()
+    return EstimateWord(tuple(
+        v if 2 * c - N > tau else ERASURE for v, c in zip(best, counts)
+    ))
 
 
 def _erasure_candidates(Y: ReadSet, estimate: EstimateWord):
@@ -188,11 +217,13 @@ def _erasure_candidates(Y: ReadSet, estimate: EstimateWord):
 
 
 def _covers(c: Vec, Y: ReadSet) -> bool:
+    """Every read lies in c + B(n, t, k+, k-)."""
     p = Y.params
-    return all(
-        in_ball(tuple(a - b for a, b in zip(r, c)), p.t, p.k_plus, p.k_minus)
-        for r in Y.reads
-    )
+    check_entries(min(c), max(c))
+    diff = Y.matrix - np.array(c, dtype=np.int64)
+    if diff.min() < -p.k_minus or diff.max() > p.k_plus:
+        return False
+    return bool(((diff != 0).sum(axis=1) <= p.t).all())
 
 
 def reconstruct_majority(Y: ReadSet, tau: Fraction, code: Code, delta: int) -> Vec:
@@ -235,7 +266,7 @@ def list_reconstruct_min(Y: ReadSet, code: Code, delta: int, a: int) -> tuple[Ve
     """
     p = Y.params
     _require_k_minus_zero(p)
-    z = componentwise_min(Y.reads)
+    z = componentwise_min(Y)
     out = set()
     for e in ball_vectors(p.n, a, p.k_plus, 0):
         u = tuple(zi - ei for zi, ei in zip(z, e))
@@ -351,33 +382,32 @@ def list_reconstruct_sauer(
     """
     p = Y.params
     lp = ListParams.for_channel(p.t, delta, a)
-    q = p.magnitude_span + 1
-    n = p.n
-    lows = []
-    for i in range(n):
-        column = [r[i] for r in Y.reads]
-        m, M = min(column), max(column)
-        lows.append(min(m, M - p.k_plus))
-    shifted = {tuple(r[i] - lows[i] for i in range(n)) for r in Y.reads}
-    U = sauer_shelah_find(shifted, q, lp.f - a)
-
-    representatives: dict[tuple[int, ...], Vec] = {}
-    for r in Y.reads:
-        representatives.setdefault(tuple(r[i] for i in U), r)
-
-    candidates = set()
-    for rep in representatives.values():
-        for e in ball_vectors(n, lp.f, p.k_plus, p.k_minus):
-            z = tuple(ri - ei for ri, ei in zip(rep, e))
-            if all(z[i] != rep[i] for i in U):
-                candidates.add(z)
-
+    M = Y.matrix
+    lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
+    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, lp.f - a)
     out = set()
-    for z in sorted(candidates):
+    for z in _sauer_candidates(Y, U, lp.f):
         c = code.decode_within(z, delta - 1, p)
         if c is not None:
             out.add(c)
     return tuple(sorted(out))
+
+
+def _sauer_candidates(Y: ReadSet, U: tuple[int, ...], f: int) -> list[Vec]:
+    """Sorted candidates rep - e: rep is the first read of each pattern on
+    U, and e in B(n, f, k+, k-) is nonzero on every coordinate of U."""
+    p = Y.params
+    shifts = [
+        e for e in ball_vectors(p.n, f, p.k_plus, p.k_minus) if all(e[i] for i in U)
+    ]
+    representatives: dict[tuple[int, ...], Vec] = {}
+    for r in Y.reads:
+        representatives.setdefault(tuple(r[i] for i in U), r)
+    return sorted({
+        tuple(ri - ei for ri, ei in zip(rep, e))
+        for rep in representatives.values()
+        for e in shifts
+    })
 
 
 def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:

@@ -6,11 +6,18 @@ balls recursively and counts intersections by membership testing; these
 oracles materialize full sets).  The lattice oracles scan the whole box
 [-(k+ + k-), k+ + k-]^n with inline modular sums, where the library scans
 weight shells with precomputed syndrome tables.
+
+The read-set oracles are the tuple kernels the library ran before read sets
+became int64 matrices: per-read and per-column Python loops over sorted
+tuples.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+import math
+from itertools import combinations, combinations_with_replacement, product
+
+from magrec.core import ERASURE
 
 
 def oracle_ball(n: int, t: int, kp: int, km: int) -> list[tuple[int, ...]]:
@@ -84,3 +91,99 @@ def sub(a, b):
 
 def add(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+#: Channels (k+, k-) the lattice differential tests run each spec under.
+DIFFERENTIAL_CHANNELS = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 0), (2, 2)]
+
+
+def differential_specs():
+    """Every lattice of a cyclic splitter over Z_m, m <= 6, n <= 3, plus a
+    Z2xZ3 splitter.
+
+    Scaling s by a unit of Z_m keeps the lattice, and permuting coordinates
+    keeps distances and intersections, so one representative per class (the
+    least sorted scaled copy) covers them all.
+    """
+    from magrec.lattice import FiniteAbelianGroup, SplitterSpec, cyclic
+
+    for m in range(2, 7):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        for n in (1, 2, 3):
+            for s in combinations_with_replacement(range(m), n):
+                if s == min(tuple(sorted(u * v % m for v in s)) for u in units):
+                    yield SplitterSpec(cyclic(m), tuple((v,) for v in s))
+    yield SplitterSpec(FiniteAbelianGroup((2, 3)), ((1, 0), (0, 1), (1, 2)))
+
+
+def oracle_lattice_window(spec, lo, hi):
+    """Lattice vectors of a SplitterSpec in [lo, hi]^n, zero included."""
+    moduli = spec.group.moduli
+    return [
+        v
+        for v in product(range(lo, hi + 1), repeat=spec.n)
+        if all(
+            sum(x * g[j] for x, g in zip(v, spec.s)) % m == 0
+            for j, m in enumerate(moduli)
+        )
+    ]
+
+
+def oracle_read_set(reads, n):
+    """The reads of a tuple-built read set: distinct length-n tuples, sorted."""
+    rows = tuple(sorted(tuple(r) for r in reads))
+    if not rows or any(len(r) != n for r in rows) or len(set(rows)) != len(rows):
+        raise ValueError("reads must be nonempty, distinct and of length n")
+    return rows
+
+
+def oracle_componentwise_min(reads):
+    return tuple(min(col) for col in zip(*reads))
+
+
+def oracle_majority_entries(reads, tau):
+    """Per column, the most frequent value (ties to the smallest), kept when
+    twice its count minus N exceeds tau and ERASURE otherwise."""
+    N = len(reads)
+    entries = []
+    for col in zip(*reads):
+        counts = {}
+        for v in col:
+            counts[v] = counts.get(v, 0) + 1
+        top = max(counts.values())
+        best = min(v for v, c in counts.items() if c == top)
+        entries.append(best if 2 * counts[best] - N > tau else ERASURE)
+    return tuple(entries)
+
+
+def oracle_covers(c, reads, t, kp, km) -> bool:
+    """Every read r has r - c in B(n, t, k+, k-)."""
+    return all(
+        sum(1 for a, b in zip(r, c) if a != b) <= t
+        and all(-km <= a - b <= kp for a, b in zip(r, c))
+        for r in reads
+    )
+
+
+def oracle_sauer_candidates(reads, U, f, kp, km):
+    """The Sauer decoder's candidates, with every e in B(n, f, k+, k-) tried
+    for each representative (the first read of each pattern on U) and
+    rep - e kept when it differs from rep on all of U; sorted."""
+    representatives = {}
+    for r in sorted(reads):
+        representatives.setdefault(tuple(r[i] for i in U), r)
+    out = set()
+    for rep in representatives.values():
+        for e in oracle_ball(len(rep), f, kp, km):
+            z = sub(rep, e)
+            if all(z[i] != rep[i] for i in U):
+                out.add(z)
+    return sorted(out)
+
+
+def oracle_adversarial_order(ball):
+    """Maximal weight first, then maximal total magnitude, then lexicographic."""
+    return sorted(
+        ball,
+        key=lambda e: (-sum(1 for v in e if v), -sum(abs(v) for v in e), e),
+    )

@@ -290,3 +290,28 @@ def test_simulate_runs_one_read_plan(tmp_path, capsys):
         assert code == 0
         rows = [line.split() for line in out.splitlines()[1:]]
         assert [row[4:] for row in rows] == [["0", "3", "1", "3", "3"], ["1", "3", "1", "3", "3"]]
+
+
+def test_simulate_transmits_a_codeword_of_an_explicit_code(tmp_path, capsys):
+    # the code lacks the zero word, so simulate sends its first codeword,
+    # as reconstruct does
+    f = tmp_path / "code.txt"
+    f.write_text("1,1\n4,4\n", encoding="utf-8")
+    code, out = run_cli(
+        capsys, "simulate", "--alg", "min", "--code", f"explicit:@{f}",
+        "--n", "2", "--t", "1", "--kp", "1", "--trials", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split()[-2:] == ["3", "3"]
+
+
+@pytest.mark.parametrize("x", [f"{2**63},0", f"{2**62},0", f"0,{-(2**62)}"])
+def test_transmitted_word_beyond_int64_safe_range_is_one_error_line(x, capsys):
+    code = main([
+        "reconstruct", "--alg", "min", "--code", "sum-mod:2", "--n", "2",
+        "--t", "1", "--kp", "1", f"--x={x}", "--trials", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,6 +1,5 @@
-import math
 import random
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import pytest
 
@@ -26,12 +25,12 @@ from magrec.lattice import (
 )
 
 from helpers import (
+    DIFFERENTIAL_CHANNELS,
+    differential_specs,
     oracle_ball_set,
     oracle_lattice_min_distance,
     oracle_max_pairwise_intersection,
 )
-
-DIFFERENTIAL_CHANNELS = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 0), (2, 2)]
 
 
 def spec1(m, s):
@@ -201,24 +200,8 @@ def test_lattice_min_distance():
         lattice_min_distance(spec, 1, 0, cap=7)
 
 
-def _differential_specs():
-    """Every lattice of a cyclic splitter over Z_m, m <= 6, n <= 3.
-
-    Scaling s by a unit of Z_m keeps the lattice, and permuting coordinates
-    keeps distances and intersections, so one representative per class (the
-    least sorted scaled copy) covers them all.
-    """
-    for m in range(2, 7):
-        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
-        for n in (1, 2, 3):
-            for s in combinations_with_replacement(range(m), n):
-                if s == min(tuple(sorted(u * v % m for v in s)) for u in units):
-                    yield spec1(m, s)
-    yield SplitterSpec(FiniteAbelianGroup((2, 3)), ((1, 0), (0, 1), (1, 2)))
-
-
 def test_lattice_min_distance_matches_box_scan():
-    for spec in _differential_specs():
+    for spec in differential_specs():
         for kp, km in DIFFERENTIAL_CHANNELS:
             assert lattice_min_distance(spec, kp, km) == (
                 oracle_lattice_min_distance(spec, kp, km)
@@ -228,7 +211,7 @@ def test_lattice_min_distance_matches_box_scan():
 
 
 def test_max_pairwise_intersection_matches_box_scan():
-    for spec in _differential_specs():
+    for spec in differential_specs():
         for kp, km in DIFFERENTIAL_CHANNELS:
             for t in (1, 2):
                 if t > spec.n:
