@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from magrec.core import (
+    DEFAULT_ENUM_CAP,
     ChannelParams,
     Code,
     ReconstructionError,
@@ -79,13 +80,15 @@ def corrupt(x: Vec, p: ChannelParams, rng: np.random.Generator) -> Vec:
     return vector_add(x, e)
 
 
-def _ball_and_shift(x: Vec, p: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The ball matrix of p and x as an int64 row, after checking that x
-    plus any error stays within the int64-safe range."""
+def _ball_and_shift(
+    x: Vec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ball matrix of p (at most ``cap`` rows) and x as an int64 row,
+    after checking that x plus any error stays within the int64-safe range."""
     if len(x) != p.n:
         raise ValueError(f"x has length {len(x)}, the channel has n={p.n}")
     check_entries(min(x) - p.k_minus, max(x) + p.k_plus)
-    ball = ball_matrix(p.n, p.t, p.k_plus, p.k_minus)
+    ball = ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=cap)
     return ball, np.array(x, dtype=np.int64)
 
 
@@ -96,10 +99,11 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
 
 
 def generate_reads(
-    x: Vec, p: ChannelParams, spec: ReadGenSpec
+    x: Vec, p: ChannelParams, spec: ReadGenSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> reconstruction.ReadSet:
-    """Distinct reads from the ball around x, per the spec's mode."""
-    ball, shift = _ball_and_shift(x, p)
+    """Distinct reads from the ball around x, per the spec's mode; a ball of
+    more than ``cap`` vectors raises EnumerationCapExceeded."""
+    ball, shift = _ball_and_shift(x, p, cap)
     size = len(ball)
     if spec.count > size:
         raise ValueError(
@@ -116,7 +120,8 @@ def generate_reads(
 def exhaustive_read_sets(
     x: Vec, p: ChannelParams, count: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[reconstruction.ReadSet]:
-    """All C(|ball|, count) read sets, in lexicographic subset order."""
+    """All C(|ball|, count) read sets, in lexicographic subset order; ``cap``
+    bounds both the subset count and the ball."""
     if count < 1:
         raise ValueError("read set must be nonempty")
     total = math.comb(ball_size(p), count)
@@ -124,7 +129,7 @@ def exhaustive_read_sets(
         raise ValueError(
             f"{total} subsets exceed the cap {cap}; use sampled_read_sets"
         )
-    ball, shift = _ball_and_shift(x, p)
+    ball, shift = _ball_and_shift(x, p, cap)
     shifted = ball + shift
     subsets = chain.from_iterable(combinations(range(len(shifted)), count))
     while True:
@@ -148,19 +153,6 @@ def sampled_read_sets(
         idx = rng.choice(len(shifted), size=count, replace=False)
         idx.sort()
         yield reconstruction.ReadSet(shifted[idx], p)
-
-
-#: Fixed field order of serialized trial records.
-RECORD_FIELDS = (
-    "rng",
-    "seed",
-    "params",
-    "algorithm",
-    "N",
-    "success",
-    "list_size",
-    "elapsed_ns",
-)
 
 
 @dataclass(frozen=True)
@@ -213,14 +205,15 @@ def read_sets(
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> Iterator[reconstruction.ReadSet]:
     """N-read sets around x: ``trials`` random ones, trial i seeded with
-    ``seed + i``; the one adversarial set; or every N-subset of the ball."""
+    ``seed + i``; the one adversarial set; or every N-subset of the ball.
+    ``cap`` bounds the ball and, for exhaustive reads, the subset count."""
     if reads == "random":
         return (
-            generate_reads(x, p, ReadGenSpec("random_distinct", N, seed=seed + i))
+            generate_reads(x, p, ReadGenSpec("random_distinct", N, seed=seed + i), cap)
             for i in range(trials)
         )
     if reads == "adversarial":
-        return iter((generate_reads(x, p, ReadGenSpec("adversarial_heavy", N)),))
+        return iter((generate_reads(x, p, ReadGenSpec("adversarial_heavy", N), cap),))
     if reads == "exhaustive":
         return exhaustive_read_sets(x, p, N, cap=cap)
     raise ValueError(f"reads must be random, adversarial or exhaustive, got {reads!r}")

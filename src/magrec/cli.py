@@ -15,9 +15,11 @@ Code mini-language for --code:
 * ``simplex:@FILE``   same, preceded by a header line ``m=,r=,delta=``.
 
 Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single value
-``2``, a range ``1:3`` (inclusive), or a comma list ``1,2,4``.  Grid points
-that violate a precondition are reported as skipped, never silently
-dropped.  Records mode emits one JSON object per line with a fixed,
+``2``, a range ``1:3`` (inclusive), or a comma list ``1,2,4``.  Only
+``ball``, ``intersect`` and ``simulate`` sweep --n, --t, --kp and --km;
+every other flag takes one value and a range or list there is an error.
+Grid points that violate a precondition are reported as skipped, never
+silently dropped.  Records mode emits one JSON object per line with a fixed,
 documented field order; rationals are rendered as ``p/q``.
 """
 
@@ -78,6 +80,15 @@ def parse_grid(text: str) -> list[int]:
         else:
             values.append(int(part))
     return values
+
+
+def single_value(flag: str, text: str) -> int:
+    """The one value of a grid flag that takes a single value here; a range
+    or list raises ValueError instead of being cut to its first value."""
+    values = parse_grid(text)
+    if len(values) != 1:
+        raise ValueError(f"--{flag} takes one value here, got {text}")
+    return values[0]
 
 
 def parse_vector(text: str) -> tuple[int, ...]:
@@ -261,8 +272,8 @@ def cmd_distance(args) -> int:
         raise ValueError("distance needs --kp")
     x = parse_vector(args.x)
     y = parse_vector(args.y)
-    kp = parse_grid(args.kp)[0]
-    km = parse_grid(args.km)[0]
+    kp = single_value("kp", args.kp)
+    km = single_value("km", args.km)
     report = Report(["x", "y", "kp", "km", "distance"], args.format, args.explain)
     d = distances.distance_general(x, y, kp, km)
     report.add(
@@ -286,7 +297,7 @@ def cmd_distance(args) -> int:
 def cmd_check_splitting(args) -> int:
     if not (args.t and args.kp):
         raise ValueError("check-splitting needs --t and --kp")
-    code = parse_code_spec(args.code, n=parse_grid(args.n)[0] if args.n else None)
+    code = parse_code_spec(args.code, n=single_value("n", args.n) if args.n else None)
     if not isinstance(code, lattice.LatticeCode):
         raise ValueError("check-splitting needs a lattice code")
     spec = code.spec
@@ -296,9 +307,9 @@ def cmd_check_splitting(args) -> int:
         args.explain,
     )
     status = 0
-    kp = parse_grid(args.kp)[0]
-    km = parse_grid(args.km)[0]
-    t = parse_grid(args.t)[0]
+    kp = single_value("kp", args.kp)
+    km = single_value("km", args.km)
+    t = single_value("t", args.t)
     ok = lattice.check_partial_splitting(spec, kp, km, t, cap=args.cap)
     row = dict(spec=str(spec), kp=kp, km=km, t=t, anchor="splitting-test")
     row["splitting"] = ok
@@ -333,15 +344,14 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
     from the ball."""
     if not (args.n and args.t and args.kp):
         raise ValueError("this command needs --n, --t and --kp")
-    n = parse_grid(args.n)[0]
-    t = parse_grid(args.t)[0]
-    kp = parse_grid(args.kp)[0]
-    km = parse_grid(args.km)[0]
+    n, t, kp, km = (
+        single_value(flag, getattr(args, flag)) for flag in ("n", "t", "kp", "km")
+    )
     p = ChannelParams(n, t, kp, km)
     code = parse_code_spec(args.code, n=n)
     actual = code_distance(code, kp, km, cap=args.cap)
     if args.delta:
-        delta = parse_grid(args.delta)[0]
+        delta = single_value("delta", args.delta)
         if delta > actual:
             raise ValueError(
                 f"--delta {delta} exceeds the code's distance {actual}; the "
@@ -393,7 +403,7 @@ def cmd_list(args) -> int:
         args.format,
         args.explain,
     )
-    a = parse_grid(args.a)[0] if args.a else 0
+    a = single_value("a", args.a) if args.a else 0
     row = _recon_row(args, f"list-{args.alg}", a, report)
     ok = not row or (row["contains_x"] == row["sets"] and row["max_list"] <= row["bound"])
     if row:
@@ -409,6 +419,7 @@ def cmd_simulate(args) -> int:
         args.format,
         args.explain,
     )
+    given_delta = single_value("delta", args.delta) if args.delta else None
     code_cache: dict[int, object] = {}
     trial_lines = []
     status = 0
@@ -421,7 +432,7 @@ def cmd_simulate(args) -> int:
             code_cache[p.n] = parse_code_spec(args.code, n=p.n)
         code = code_cache[p.n]
         actual = code_distance(code, p.k_plus, p.k_minus, cap=args.cap)
-        delta = parse_grid(args.delta)[0] if args.delta else actual
+        delta = actual if given_delta is None else given_delta
         if delta > actual:
             report.note(_skip_note(
                 *point, f"delta={delta} exceeds the code's distance {actual}"
@@ -437,7 +448,7 @@ def cmd_simulate(args) -> int:
             report.note(_skip_note(*point, f"N={plan.N} exceeds ball size {size}"))
             continue
         x = _transmitted_word(code, p.n)
-        sets = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed)
+        sets = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed, args.cap)
         outputs = channel.decode_read_sets(entry, plan, code, delta, 0, sets)
         successes = 0
         for i in range(args.trials):
@@ -468,8 +479,8 @@ def cmd_tandem(args) -> int:
     code = parse_code_spec(args.code)
     if not isinstance(code, tandem.SimplexCode):
         raise ValueError("tandem needs --code simplex:@FILE")
-    t = parse_grid(args.t)[0]
-    delta = parse_grid(args.delta)[0] if args.delta else code.delta
+    t = single_value("t", args.t)
+    delta = single_value("delta", args.delta) if args.delta else code.delta
     N = args.N or tandem.reads_required_simplex(code.m, t, delta)
     report = Report(
         ["m", "r", "t", "delta", "N", "sets", "success", "fail"],

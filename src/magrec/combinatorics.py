@@ -3,11 +3,15 @@
 The error ball B(n, t, k+, k-) is the set of integer vectors with entries in
 [-k-, k+] and Hamming weight at most t.  Its size is the Hamming-ball volume
 V_q(n, t) over an alphabet of q = k+ + k- + 1 symbols.  This module provides
-exact enumeration of such balls (as tuples, and as cached int64 matrices
-for the read-set machinery), an exact oracle for the size of the
-intersection of two translated balls, the closed form for the worst-case
-intersection over all of Z^n, and the two closed-form bound pairs that
-sandwich the intersection size when the centers are at a known distance.
+exact enumeration of such balls, the exact size of the intersection of two
+translated balls, the closed form for the worst-case intersection over all
+of Z^n, and the two closed-form bound pairs that sandwich the intersection
+size when the centers are at a known distance.
+
+Every ball comes from one enumerator and one LRU cache keyed by
+(n, t, k+, k-): a read-only int64 matrix (``ball_matrix``) and the tuple
+rows made from it once ``ball_vectors`` asks, both in lexicographic order
+and both charged against ``BALL_CACHE_BYTES``.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -15,9 +19,11 @@ All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,13 +34,23 @@ from magrec.core import (
     Vec,
 )
 
-_ball_cache: dict[tuple[int, int, int, int], tuple[Vec, ...]] = {}
-_ball_lock = threading.Lock()
+#: Byte budget of the ball cache.  Each ball is charged for both of its
+#: forms, the int64 matrix and the tuple rows; least recently used balls are
+#: dropped first, and a ball larger than the budget is returned but not kept.
+BALL_CACHE_BYTES = 16 * 2**20
 
-#: Byte budget of the ball-matrix cache; least recently used matrices are
-#: dropped first, and a matrix larger than the budget is not kept.
-BALL_MATRIX_CACHE_BYTES = 16 * 2**20
-_matrix_cache: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
+
+@dataclass
+class _Ball:
+    """A cache entry; ``rows`` stays None until ``ball_vectors`` asks."""
+
+    matrix: np.ndarray
+    nbytes: int
+    rows: Optional[tuple[Vec, ...]] = None
+
+
+_ball_cache: OrderedDict[tuple[int, int, int, int], _Ball] = OrderedDict()
+_ball_lock = threading.Lock()
 
 
 def binom(m: int, i: int) -> int:
@@ -64,74 +80,82 @@ def ball_size(p: ChannelParams) -> int:
     return hamming_volume(p.magnitude_span + 1, p.n, p.t)
 
 
-def ball_vectors(
-    n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[Vec, ...]:
-    """All of B(n, t, k+, k-) in lexicographic order (cached).
+def _enumerate_ball(n: int, t: int, k_plus: int, k_minus: int) -> np.ndarray:
+    """B(n, t, k+, k-) as an int64 matrix with rows in lexicographic order.
 
-    Raises EnumerationCapExceeded instead of silently truncating when the
-    ball holds more than ``cap`` vectors.
+    Built column by column: each prefix, in lexicographic order, is extended
+    by every value of [-k-, k+] in increasing order, nonzero values only
+    while the prefix has fewer than t nonzero entries.  A prefix of weight w
+    with r columns left heads a block of V(r, t - w) rows, so column i
+    repeats each value that ends a prefix of length i + 1 over its block.
     """
-    size = hamming_volume(k_plus + k_minus + 1, n, t)
+    values = np.arange(-k_minus, k_plus + 1, dtype=np.int64)
+    q = len(values)
+    matrix = np.empty((hamming_volume(q, n, t), n), dtype=np.int64)
+    weight = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        # row-major nonzero order: prefix by prefix, values increasing
+        prefix, pick = np.nonzero((values == 0) | (weight[:, None] < t))
+        weight = weight[prefix] + (values[pick] != 0)
+        left = n - i - 1
+        block = np.array([hamming_volume(q, left, min(t - w, left)) for w in range(t + 1)])
+        matrix[:, i] = np.repeat(values[pick], block[weight])
+    return matrix
+
+
+def _ball(n: int, t: int, k_plus: int, k_minus: int, cap: int) -> _Ball:
+    """The cache entry of B(n, t, k+, k-), enumerated on a miss.
+
+    Raises EnumerationCapExceeded when the ball holds more than ``cap``
+    vectors, checked before a miss enumerates anything.
+    """
+    key = (n, t, k_plus, k_minus)
+    with _ball_lock:
+        ball = _ball_cache.get(key)
+        if ball is not None:
+            _ball_cache.move_to_end(key)
+    size = hamming_volume(k_plus + k_minus + 1, n, t) if ball is None else len(ball.matrix)
     if size > cap:
         raise EnumerationCapExceeded(
             f"ball of size {size} exceeds enumeration cap {cap}"
         )
-    key = (n, t, k_plus, k_minus)
-    cached = _ball_cache.get(key)
-    if cached is not None:
-        return cached
+    if ball is not None:
+        return ball
+    matrix = _enumerate_ball(n, t, k_plus, k_minus)
+    matrix.flags.writeable = False
+    # the tuple rows: the outer tuple, one tuple per row, and per row the at
+    # most t entries outside CPython's shared small ints [-5, 256]
+    per_row = 8 + sys.getsizeof((0,) * n) + (0 if k_minus <= 5 and k_plus <= 256 else 32 * t)
+    ball = _Ball(matrix, matrix.nbytes + sys.getsizeof(()) + size * per_row)
+    if ball.nbytes <= BALL_CACHE_BYTES:
+        with _ball_lock:
+            _ball_cache[key] = ball
+            used = sum(b.nbytes for b in _ball_cache.values())
+            while used > BALL_CACHE_BYTES:
+                used -= _ball_cache.popitem(last=False)[1].nbytes
+    return ball
 
-    out: list[Vec] = []
-    cur = [0] * n
 
-    def rec(i: int, budget: int) -> None:
-        if i == n:
-            out.append(tuple(cur))
-            return
-        for v in range(-k_minus, k_plus + 1):
-            if v == 0:
-                cur[i] = 0
-                rec(i + 1, budget)
-            elif budget > 0:
-                cur[i] = v
-                rec(i + 1, budget - 1)
-        cur[i] = 0
+def ball_vectors(
+    n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[Vec, ...]:
+    """All of B(n, t, k+, k-) in lexicographic order, from the ball cache.
 
-    rec(0, t)
-    result = tuple(out)
-    assert len(result) == size
-    with _ball_lock:
-        _ball_cache.setdefault(key, result)
-    return result
+    Raises EnumerationCapExceeded instead of silently truncating when the
+    ball holds more than ``cap`` vectors.
+    """
+    ball = _ball(n, t, k_plus, k_minus, cap)
+    if ball.rows is None:
+        ball.rows = tuple(zip(*ball.matrix.T.tolist())) if n else ((),)
+    return ball.rows
 
 
 def ball_matrix(
     n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
 ) -> np.ndarray:
     """``ball_vectors`` as a read-only (|B|, n) int64 matrix, rows in the same
-    lexicographic order; cached within ``BALL_MATRIX_CACHE_BYTES``."""
-    key = (n, t, k_plus, k_minus)
-    with _ball_lock:
-        matrix = _matrix_cache.get(key)
-        if matrix is not None:
-            _matrix_cache.move_to_end(key)
-    if matrix is not None:
-        if len(matrix) > cap:
-            raise EnumerationCapExceeded(
-                f"ball of size {len(matrix)} exceeds enumeration cap {cap}"
-            )
-        return matrix
-    matrix = np.array(ball_vectors(n, t, k_plus, k_minus, cap=cap), dtype=np.int64)
-    matrix = matrix.reshape(-1, n)
-    matrix.flags.writeable = False
-    with _ball_lock:
-        _matrix_cache[key] = matrix
-        used = sum(m.nbytes for m in _matrix_cache.values())
-        while used > BALL_MATRIX_CACHE_BYTES:
-            _, dropped = _matrix_cache.popitem(last=False)
-            used -= dropped.nbytes
-    return matrix
+    lexicographic order, from the same cache entry."""
+    return _ball(n, t, k_plus, k_minus, cap).matrix
 
 
 def enumerate_ball(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
@@ -156,33 +180,23 @@ def in_ball(v: Vec, t: int, k_plus: int, k_minus: int) -> bool:
 def intersection_exact(
     x: Vec, y: Vec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
 ) -> int:
-    """|(x + B) ∩ (y + B)| by enumerating one ball and membership-testing.
+    """|(x + B) ∩ (y + B)|: the rows e of the ball matrix with (x - y) + e
+    itself in the ball, counted with column operations.
 
-    A point x + e lies in y + B iff (x - y) + e is itself a ball element, so
-    one enumeration plus an O(n) test per element suffices.
+    A point x + e lies in y + B iff (x - y) + e is a ball element.  No such
+    e exists when some |x_i - y_i| exceeds k+ + k-.
     """
     if len(x) != len(y) or len(x) != p.n:
         raise ValueError("centers must both have length n")
-    d = tuple(a - b for a, b in zip(x, y))
-    t, kp, km = p.t, p.k_plus, p.k_minus
-    lo = -km
-    count = 0
-    for e in ball_vectors(p.n, t, kp, km, cap=cap):
-        weight = 0
-        ok = True
-        for di, ei in zip(d, e):
-            w = di + ei
-            if w:
-                if w < lo or w > kp:
-                    ok = False
-                    break
-                weight += 1
-                if weight > t:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+    ball = ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=cap)
+    d = [a - b for a, b in zip(x, y)]
+    if any(abs(v) > p.magnitude_span for v in d):
+        return 0
+    # compare the ball with bounds shifted by -d, so no |B| x n int64 copy
+    # of it is made: -k- - d <= e <= k+ - d, and e != -d in at most t places
+    d = np.array(d, dtype=np.int64)
+    inside = ((ball >= -p.k_minus - d) & (ball <= p.k_plus - d)).all(axis=1)
+    return int((inside & ((ball != -d).sum(axis=1) <= p.t)).sum())
 
 
 def max_intersection_whole_space(p: ChannelParams) -> int:

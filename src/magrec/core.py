@@ -76,10 +76,6 @@ class ChannelParams:
     def magnitude_span(self) -> int:
         return self.k_plus + self.k_minus
 
-    def with_radius(self, radius: int) -> "ChannelParams":
-        """Same channel with the error count replaced by ``radius``."""
-        return ChannelParams(self.n, radius, self.k_plus, self.k_minus)
-
 
 class _Erasure:
     __slots__ = ()
@@ -137,9 +133,6 @@ class Code:
     by default with a scan of the window.
     """
 
-    #: Known minimum distance of the code, when the constructor can tell.
-    min_distance: Optional[int] = None
-
     def contains(self, v: Vec) -> bool:
         raise NotImplementedError
 
@@ -167,7 +160,7 @@ class Code:
 class ExplicitCode(Code):
     """A finite, explicitly listed code."""
 
-    def __init__(self, members: Iterable[Vec], min_distance: Optional[int] = None):
+    def __init__(self, members: Iterable[Vec]):
         members = [tuple(m) for m in members]
         if not members:
             raise ValueError("explicit code needs at least one codeword")
@@ -178,7 +171,6 @@ class ExplicitCode(Code):
             raise ValueError("duplicate codewords")
         self.members: tuple[Vec, ...] = tuple(sorted(members))
         self.n = n
-        self.min_distance = min_distance
         self._set = frozenset(self.members)
 
     def contains(self, v: Vec) -> bool:
@@ -208,16 +200,10 @@ def _first_in_window(
 ) -> Optional[Vec]:
     """First c = z - e with ``contains(c)``, e running over the error ball in
     lexicographic order; None when there is none."""
-    for e in _ball_vectors(len(z), radius, params.k_plus, params.k_minus):
+    from magrec.combinatorics import ball_vectors  # combinatorics imports core
+
+    for e in ball_vectors(len(z), radius, params.k_plus, params.k_minus):
         c = tuple(zi - ei for zi, ei in zip(z, e))
         if contains(c):
             return c
     return None
-
-
-# The ball enumerator lives in combinatorics; imported lazily to avoid a
-# circular import (combinatorics needs ChannelParams).
-def _ball_vectors(n: int, t: int, k_plus: int, k_minus: int):
-    from magrec import combinatorics
-
-    return combinatorics.ball_vectors(n, t, k_plus, k_minus)

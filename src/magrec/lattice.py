@@ -6,11 +6,12 @@ represented canonically as products of cyclic groups (every construction used
 here is in fact cyclic).  The module provides:
 
 * the splitting test equivalent to the lattice packing of the error ball,
+  read off a table of coset leaders,
 * the condition checkers for lattice codes whose radius-1 balls pairwise
   intersect in at most 1 (resp. 2) points,
 * the all-ones constructions attaining the group-order lower bounds,
-* ``LatticeCode``, whose bounded-radius decoder looks the syndrome up in a
-  table of coset leaders, and
+* ``LatticeCode``, whose bounded-radius decoder looks the syndrome up in
+  the same table, and
 * exact brute-force packing / intersection oracles used to certify all of
   the above on small instances.
 """
@@ -125,6 +126,18 @@ def syndrome(spec: SplitterSpec, x: Vec) -> GroupElement:
     )
 
 
+def _coset_leaders(
+    spec: SplitterSpec, radius: int, k_plus: int, k_minus: int,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> dict[GroupElement, Vec]:
+    """Each syndrome taken on B(n, radius, k+, k-) -> its coset leader, the
+    lexicographically first vector of the ball with that syndrome."""
+    leaders: dict[GroupElement, Vec] = {}
+    for e in combinatorics.ball_vectors(spec.n, radius, k_plus, k_minus, cap=cap):
+        leaders.setdefault(syndrome(spec, e), e)
+    return leaders
+
+
 def check_partial_splitting(
     spec: SplitterSpec,
     k_plus: int,
@@ -133,25 +146,19 @@ def check_partial_splitting(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> bool:
     """True iff all products e . s over coefficient vectors e with entries in
-    [-k-, k+], 1 <= wt(e) <= t, are pairwise distinct and non-identity.
+    [-k-, k+], 1 <= wt(e) <= t, are pairwise distinct and non-identity;
+    equivalent to the lattice packing of the error ball B(n, t, k+, k-).
 
-    Exhaustive enumeration with a seen-set; equivalent to the lattice packing
-    of the error ball B(n, t, k+, k-).
+    The zero vector has the identity syndrome, so that holds exactly when
+    the |B| vectors of the ball have |B| distinct syndromes, that is when
+    every vector of the ball is its own coset leader.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if k_plus + k_minus < 1 or k_plus < 0 or k_minus < 0:
         raise ValueError("coefficient range [-k-, k+]* must be nonempty")
-    identity = spec.group.identity
-    seen: set[GroupElement] = set()
-    for e in combinatorics.ball_vectors(spec.n, t, k_plus, k_minus, cap=cap):
-        if not any(e):
-            continue
-        g = syndrome(spec, e)
-        if g == identity or g in seen:
-            return False
-        seen.add(g)
-    return True
+    leaders = _coset_leaders(spec, t, k_plus, k_minus, cap=cap)
+    return len(leaders) == combinatorics.hamming_volume(k_plus + k_minus + 1, spec.n, t)
 
 
 def check_recon_N1(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
@@ -252,15 +259,14 @@ class LatticeCode(Code):
 
     z - e is a codeword iff e has the syndrome of z, so the lexicographically
     first e of the error ball with that syndrome (its coset leader) gives the
-    codeword the window scan of ``Code`` would find first.  The table for
-    (radius, k+, k-) is built in one pass over the ball on first use and
+    codeword the window scan of ``Code`` would find first.  The
+    ``_coset_leaders`` table for (radius, k+, k-) is built on first use and
     holds at most min(|B|, |G|) leaders.
     """
 
-    def __init__(self, spec: SplitterSpec, min_distance: int | None = None):
+    def __init__(self, spec: SplitterSpec):
         self.spec = spec
         self.n = spec.n
-        self.min_distance = min_distance
         self._leaders: dict[tuple[int, int, int], dict[GroupElement, Vec]] = {}
 
     def contains(self, v: Vec) -> bool:
@@ -270,11 +276,7 @@ class LatticeCode(Code):
         key = (radius, params.k_plus, params.k_minus)
         leaders = self._leaders.get(key)
         if leaders is None:
-            leaders = {}
-            ball = combinatorics.ball_vectors(self.n, *key)
-            for e in ball:
-                leaders.setdefault(syndrome(self.spec, e), e)
-            self._leaders[key] = leaders
+            leaders = self._leaders[key] = _coset_leaders(self.spec, *key)
         e = leaders.get(syndrome(self.spec, z))
         return None if e is None else tuple(zi - ei for zi, ei in zip(z, e))
 

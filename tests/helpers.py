@@ -2,10 +2,12 @@
 
 Everything here is built from itertools primitives and set arithmetic only,
 deliberately avoiding the code paths under test (the library enumerates
-balls recursively and counts intersections by membership testing; these
-oracles materialize full sets).  The lattice oracles scan the whole box
-[-(k+ + k-), k+ + k-]^n with inline modular sums, where the library scans
-weight shells with precomputed syndrome tables.
+balls column by column into a cached int64 matrix and counts intersections
+with column operations; these oracles materialize full sets).  The lattice
+oracles scan the whole box [-(k+ + k-), k+ + k-]^n with inline modular sums,
+where the library scans weight shells with precomputed syndrome tables, and
+the splitting oracle keeps a seen-set of syndromes where the library
+compares the size of its coset-leader table with the ball's.
 
 The read-set oracles are the tuple kernels the library ran before read sets
 became int64 matrices: per-read and per-column Python loops over sorted
@@ -79,6 +81,24 @@ def oracle_max_pairwise_intersection(spec, t, kp, km) -> int:
         ),
         default=0,
     )
+
+
+def oracle_partial_splitting(spec, kp, km, t) -> bool:
+    """Every nonzero e of B(n, t, k+, k-) has a non-identity syndrome that
+    no earlier e has."""
+    moduli = spec.group.moduli
+    identity = (0,) * len(moduli)
+    seen = set()
+    for e in oracle_ball(spec.n, t, kp, km):
+        if not any(e):
+            continue
+        g = tuple(
+            sum(x * s[j] for x, s in zip(e, spec.s)) % m for j, m in enumerate(moduli)
+        )
+        if g == identity or g in seen:
+            return False
+        seen.add(g)
+    return True
 
 
 def window(n: int, w: int):

@@ -1,0 +1,157 @@
+"""Property tests of the ball cache, the intersection count, the splitting
+test and the lattice shell scans against the brute-force oracles in
+``helpers``."""
+
+import sys
+from collections import OrderedDict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magrec import ChannelParams, EnumerationCapExceeded
+from magrec import combinatorics
+from magrec.combinatorics import (
+    ball_matrix,
+    ball_size,
+    ball_vectors,
+    enumerate_ball,
+    intersection_exact,
+)
+from magrec.lattice import (
+    FiniteAbelianGroup,
+    SplitterSpec,
+    check_partial_splitting,
+    lattice_min_distance,
+    max_pairwise_intersection_lattice,
+)
+
+from helpers import (
+    oracle_ball,
+    oracle_intersection,
+    oracle_lattice_min_distance,
+    oracle_max_pairwise_intersection,
+    oracle_partial_splitting,
+)
+from strategies import channels
+
+CHECKS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def splitters(draw, max_n=3):
+    """A splitter over a cyclic group of order 2..13 or over Z2 x Z2..Z4."""
+    moduli = draw(st.one_of(
+        st.tuples(st.integers(2, 13)),
+        st.tuples(st.just(2), st.integers(2, 4)),
+    ))
+    n = draw(st.integers(1, max_n))
+    element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+    return SplitterSpec(FiniteAbelianGroup(moduli), tuple(draw(element) for _ in range(n)))
+
+
+@CHECKS
+@given(channels())
+def test_ball_matrix_matches_oracle(p):
+    expected = oracle_ball(p.n, p.t, p.k_plus, p.k_minus)
+    matrix = ball_matrix(p.n, p.t, p.k_plus, p.k_minus)
+    assert len(matrix) == ball_size(p) == len(expected)
+    assert matrix.tolist() == [list(e) for e in expected]  # lexicographic order
+    assert not matrix.flags.writeable
+    assert ball_vectors(p.n, p.t, p.k_plus, p.k_minus) == tuple(expected)
+    assert enumerate_ball(p) == tuple(expected)
+
+
+@CHECKS
+@given(channels(max_n=4), st.data())
+def test_intersection_exact_matches_oracle(p, data):
+    # centers up to 6 apart in an entry, often beyond k+ + k- of each other
+    center = st.tuples(*[st.integers(-3, 3)] * p.n)
+    x, y = data.draw(center), data.draw(center)
+    assert intersection_exact(x, y, p) == oracle_intersection(
+        x, y, p.t, p.k_plus, p.k_minus
+    )
+
+
+@CHECKS
+@given(splitters(max_n=4), channels(max_n=1), st.data())
+def test_check_partial_splitting_matches_seen_set_oracle(spec, channel, data):
+    t = data.draw(st.integers(1, spec.n))
+    kp, km = channel.k_plus, channel.k_minus
+    assert check_partial_splitting(spec, kp, km, t) == oracle_partial_splitting(
+        spec, kp, km, t
+    )
+
+
+@settings(CHECKS, max_examples=60)
+@given(splitters(), channels(max_n=1, max_kp=2), st.data())
+def test_lattice_scans_match_box_oracles(spec, channel, data):
+    kp, km = channel.k_plus, channel.k_minus
+    t = data.draw(st.integers(1, spec.n))
+    assert lattice_min_distance(spec, kp, km) == oracle_lattice_min_distance(spec, kp, km)
+    p = ChannelParams(spec.n, t, kp, km)
+    assert max_pairwise_intersection_lattice(spec, p) == (
+        oracle_max_pairwise_intersection(spec, t, kp, km)
+    )
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty ball cache for the test."""
+    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
+    return combinatorics._ball_cache
+
+
+@pytest.fixture
+def small_cache(fresh_cache, monkeypatch):
+    """An empty ball cache with a 64 KiB budget for the test."""
+    monkeypatch.setattr(combinatorics, "BALL_CACHE_BYTES", 64 * 2**10)
+    return fresh_cache
+
+
+def charged(cache):
+    return sum(ball.nbytes for ball in cache.values())
+
+
+def test_ball_cache_stays_within_its_budget(small_cache):
+    for n in range(1, 8):
+        for t in range(n + 1):
+            for kp, km in [(1, 0), (1, 1), (2, 1)]:
+                ball_vectors(n, t, kp, km)
+                assert charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
+    assert small_cache  # the smaller balls are kept
+    last = next(reversed(small_cache))
+    assert ball_vectors(*last) is small_cache[last].rows  # a hit
+
+
+def test_ball_over_the_budget_is_returned_but_not_kept(small_cache):
+    kept = ball_vectors(3, 1, 1, 1)
+    big = ball_matrix(8, 8, 1, 1)  # 3^8 rows, over 0.4 MiB as a matrix alone
+    assert big.shape == (3**8, 8)
+    # 694 rows: the matrix alone would fit, the matrix and the tuple rows not
+    assert len(ball_matrix(6, 3, 2, 1)) == 694
+    assert list(small_cache) == [(3, 1, 1, 1)]
+    assert ball_vectors(3, 1, 1, 1) is kept
+
+
+def test_cache_hit_past_the_cap_raises(small_cache):
+    assert len(ball_vectors(3, 1, 1, 1)) == 7
+    for fetch in (ball_vectors, ball_matrix):
+        with pytest.raises(EnumerationCapExceeded):
+            fetch(3, 1, 1, 1, cap=6)
+    assert len(ball_matrix(3, 1, 1, 1, cap=7)) == 7
+
+
+@pytest.mark.parametrize("key", [(6, 3, 2, 1), (3, 1, 300, 7)])
+def test_ball_charge_covers_both_forms(key, fresh_cache):
+    matrix = ball_matrix(*key)
+    assert fresh_cache[key].rows is None  # built on the first ball_vectors
+    rows = ball_vectors(*key)
+    unshared = [v for row in rows for v in row if not -5 <= v <= 256]
+    held = (
+        matrix.nbytes
+        + sys.getsizeof(rows)
+        + sum(map(sys.getsizeof, rows))
+        + sum(map(sys.getsizeof, unshared))
+    )
+    assert held <= fresh_cache[key].nbytes

@@ -315,3 +315,44 @@ def test_transmitted_word_beyond_int64_safe_range_is_one_error_line(x, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+SIMPLEX = "m=2,r=3,delta=1\n3,0,0\n0,3,0\n0,0,3\n1,1,1\n"
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    ("reconstruct --alg min --code sum-mod:2 --n 2:4 --t 1 --kp 1", "n", "2:4"),
+    ("reconstruct --alg majority --code sum-mod:3 --n 4 --t 1 --kp 1 --km 1,2", "km", "1,2"),
+    ("list --alg min --code sum-mod:2 --n 4 --t 2 --kp 1 --a 0:1", "a", "0:1"),
+    ("list --alg sauer --code sum-mod:3 --n 4 --t 2 --kp 1 --km 1 --delta 1,2", "delta", "1,2"),
+    ("check-splitting --code sum-mod:7 --n 2 --kp 1 --km 1 --t 1:2", "t", "1:2"),
+    ("distance --x 1,0 --y 0,0 --kp 1:2", "kp", "1:2"),
+    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --delta 1,2", "delta", "1,2"),
+    ("tandem --code simplex:@CODE --t 1,2", "t", "1,2"),
+])
+def test_single_value_flags_reject_a_grid(argv, flag, text, tmp_path, capsys):
+    f = tmp_path / "code.txt"
+    f.write_text(SIMPLEX, encoding="utf-8")
+    code = main(argv.replace("@CODE", f"@{f}").split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --{flag} takes one value here, got {text}\n"
+
+
+@pytest.mark.parametrize("command", [
+    "reconstruct --alg min", "reconstruct --alg min --reads adversarial",
+    "list --alg min", "simulate --alg min",
+])
+def test_cap_bounds_the_read_ball(command, tmp_path, capsys):
+    # distance 3 = t, so two reads from the 42-vector ball B(6, 3, 1, 0)
+    f = tmp_path / "code.txt"
+    f.write_text("0,0,0,0,0,0\n1,1,1,0,0,0\n", encoding="utf-8")
+    argv = command.split() + [
+        "--code", f"explicit:@{f}", "--n", "6", "--t", "3", "--kp", "1", "--trials", "2",
+    ]
+    assert main(argv + ["--cap", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ball of size 42 exceeds enumeration cap 5\n"
+    assert main(argv + ["--cap", "42"]) == 0

@@ -42,6 +42,7 @@ from helpers import (
     oracle_read_set,
     oracle_sauer_candidates,
 )
+from strategies import channels
 
 CHECKS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -51,14 +52,6 @@ ENTRIES = st.one_of(
     st.integers(-3, 3),
     st.sampled_from([-(ENTRY_LIMIT - 1), -(10**12), 10**12, ENTRY_LIMIT - 1]),
 )
-
-
-@st.composite
-def channels(draw, max_n=5):
-    n = draw(st.integers(1, max_n))
-    km = draw(st.integers(0, 2))
-    kp = draw(st.integers(max(km, 1), 3))
-    return ChannelParams(n, draw(st.integers(0, n)), kp, km)
 
 
 @st.composite
