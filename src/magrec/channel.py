@@ -1,17 +1,20 @@
-"""Channel simulation: error injection, read-set generation, trial running.
+"""Channel simulation: read sets in stacks, the decode loop, trial records.
 
-A read set is built as an int64 matrix: sorted row indices into the cached
-matrix of the lexicographically ordered error ball (``ball_matrix``),
-shifted by the transmitted word x, so its rows come out distinct and in
-order.  x is a tuple, and x plus any error must stay below ``ENTRY_LIMIT``
-in magnitude.
+Read sets come in stacks: read-only (S, N, n) int64 arrays of S sets of N
+reads each.  Each set is a sorted row of N indices into the cached matrix
+of the lexicographically ordered error ball (``ball_matrix``), and one
+gather of a block's (S, N) index matrix, shifted by the transmitted word x,
+builds the stack, so every set's rows come out distinct and in order.  A
+stack holds as many sets as fit in ``_STACK_BYTES`` (at least one), so its
+memory stays bounded whatever N, n and the trial count.  x is a tuple, and
+x plus any error must stay below ``ENTRY_LIMIT`` in magnitude.
 
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
-generator name and seed.  ``read_sets`` seeds random trial i with
-``seed + i``, so trial 1 of seed 0 replays trial 0 of seed 1;
-``rng_for(seed, trial_index)`` spawns independent per-trial streams instead,
-and moving the trial loop onto it is ROADMAP item 5.
+generator name and seed.  ``read_sets`` draws random trial i from its own
+generator, seeded with ``seed + i``, so trial 1 of seed 0 replays trial 0 of
+seed 1; ``rng_for(seed, trial_index)`` spawns independent per-trial streams
+instead, and moving the trial loop onto it is ROADMAP item 6.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -29,12 +32,10 @@ from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
     Code,
-    ReconstructionError,
     Vec,
     check_entries,
-    vector_add,
 )
-from magrec.combinatorics import ball_matrix, ball_size, enumerate_ball
+from magrec.combinatorics import ball_matrix, ball_size
 from magrec import reconstruction
 
 RNG_NAME = "philox"
@@ -44,8 +45,8 @@ MODES = ("random_distinct", "adversarial_heavy")
 
 DEFAULT_SUBSET_CAP = 10**5
 
-#: Subsets indexed per step of ``exhaustive_read_sets``.
-_SUBSET_BLOCK = 1024
+#: Byte budget of one read-set stack.
+_STACK_BYTES = 128 * 2**10
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,6 @@ def rng_for(seed: int, trial_index: Optional[int] = None) -> np.random.Generator
     return np.random.Generator(np.random.Philox(ss))
 
 
-def corrupt(x: Vec, p: ChannelParams, rng: np.random.Generator) -> Vec:
-    """x plus an error drawn uniformly from the ball, by index into its
-    lexicographic enumeration."""
-    ball = enumerate_ball(p)
-    e = ball[int(rng.integers(len(ball)))]
-    return vector_add(x, e)
-
-
 def _ball_and_shift(
     x: Vec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,61 +91,92 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
     return np.lexsort((-np.abs(ball).sum(axis=1), -np.count_nonzero(ball, axis=1)))
 
 
+def _draw(size: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct indices below ``size`` from the generator of ``seed``."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    return rng_for(seed).choice(size, size=count, replace=False)
+
+
+def _stacks(
+    ball: np.ndarray, shift: np.ndarray, count: int, draws: Iterator
+) -> Iterator[np.ndarray]:
+    """The stacks of the read sets ``ball[row] + shift``, one per index row
+    that ``draws`` yields, each row sorted; a block holds as many sets as
+    fit in ``_STACK_BYTES``."""
+    if count < 1:
+        raise ValueError("read set must be nonempty")
+    per_stack = max(1, _STACK_BYTES // (8 * count * len(shift)))
+    while rows := list(islice(draws, per_stack)):
+        idx = np.array(rows, dtype=np.intp)
+        idx.sort(axis=1)
+        stack = ball[idx]
+        stack += shift
+        stack.flags.writeable = False
+        yield stack
+
+
+def read_sets(
+    x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> Iterator[np.ndarray]:
+    """Stacks of N-read sets around x: ``trials`` random ones, trial i drawn
+    by the generator of ``seed + i``; the one adversarial set; or every
+    N-subset of the ball, in lexicographic subset order.  ``cap`` bounds the
+    ball and, for exhaustive reads, the subset count."""
+    if reads == "exhaustive":
+        total = math.comb(ball_size(p), N)
+        if total > cap:
+            raise ValueError(
+                f"{total} subsets exceed the cap {cap}; use sampled_read_sets"
+            )
+    elif reads not in ("random", "adversarial"):
+        raise ValueError(
+            f"reads must be random, adversarial or exhaustive, got {reads!r}"
+        )
+    ball, shift = _ball_and_shift(x, p, cap)
+    size = len(ball)
+    if reads == "exhaustive":
+        draws = combinations(range(size), N)
+    elif N > size:
+        raise ValueError(f"cannot draw {N} distinct reads from a ball of size {size}")
+    elif reads == "random":
+        draws = (_draw(size, N, seed + i) for i in range(trials))
+    else:
+        draws = iter((_adversarial_order(ball)[:N],))
+    yield from _stacks(ball, shift, N, draws)
+
+
 def generate_reads(
     x: Vec, p: ChannelParams, spec: ReadGenSpec, cap: int = DEFAULT_ENUM_CAP
 ) -> reconstruction.ReadSet:
     """Distinct reads from the ball around x, per the spec's mode; a ball of
     more than ``cap`` vectors raises EnumerationCapExceeded."""
-    ball, shift = _ball_and_shift(x, p, cap)
-    size = len(ball)
-    if spec.count > size:
-        raise ValueError(
-            f"cannot draw {spec.count} distinct reads from a ball of size {size}"
-        )
-    if spec.mode == "random_distinct":
-        idx = rng_for(spec.seed).choice(size, size=spec.count, replace=False)
-    else:  # adversarial_heavy
-        idx = _adversarial_order(ball)[: spec.count]
-    idx.sort()
-    return reconstruction.ReadSet(ball[idx] + shift, p)
+    reads = "random" if spec.mode == "random_distinct" else "adversarial"
+    (stack,) = read_sets(x, p, spec.count, reads, 1, spec.seed, cap)
+    return reconstruction.ReadSet(stack[0], p)
 
 
 def exhaustive_read_sets(
     x: Vec, p: ChannelParams, count: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[reconstruction.ReadSet]:
-    """All C(|ball|, count) read sets, in lexicographic subset order; ``cap``
-    bounds both the subset count and the ball."""
-    if count < 1:
-        raise ValueError("read set must be nonempty")
-    total = math.comb(ball_size(p), count)
-    if total > cap:
-        raise ValueError(
-            f"{total} subsets exceed the cap {cap}; use sampled_read_sets"
-        )
-    ball, shift = _ball_and_shift(x, p, cap)
-    shifted = ball + shift
-    subsets = chain.from_iterable(combinations(range(len(shifted)), count))
-    while True:
-        # index a block of subsets at once; each read set is a view into it
-        idx = np.fromiter(islice(subsets, _SUBSET_BLOCK * count), dtype=np.intp)
-        if not idx.size:
-            return
-        for matrix in shifted[idx.reshape(-1, count)]:
+    """All C(|ball|, count) read sets, one by one, in lexicographic subset
+    order; ``cap`` bounds both the subset count and the ball."""
+    for stack in read_sets(x, p, count, "exhaustive", cap=cap):
+        for matrix in stack:
             yield reconstruction.ReadSet(matrix, p)
 
 
 def sampled_read_sets(
     x: Vec, p: ChannelParams, count: int, samples: int, seed: int
-) -> Iterator[reconstruction.ReadSet]:
-    """Deterministic seeded sub-sample of N-subsets (with-replacement over
-    subsets; duplicates are vanishingly rare when C(|ball|, N) is large)."""
+) -> Iterator[np.ndarray]:
+    """Stacks of a deterministic seeded sub-sample of N-subsets, all drawn
+    from the one generator of ``seed`` (with replacement over subsets;
+    duplicates are vanishingly rare when C(|ball|, N) is large)."""
     ball, shift = _ball_and_shift(x, p)
-    shifted = ball + shift
     rng = rng_for(seed)
-    for _ in range(samples):
-        idx = rng.choice(len(shifted), size=count, replace=False)
-        idx.sort()
-        yield reconstruction.ReadSet(shifted[idx], p)
+    draws = (rng.choice(len(ball), size=count, replace=False) for _ in range(samples))
+    yield from _stacks(ball, shift, count, draws)
 
 
 @dataclass(frozen=True)
@@ -200,38 +224,19 @@ class TrialRecord:
         )
 
 
-def read_sets(
-    x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> Iterator[reconstruction.ReadSet]:
-    """N-read sets around x: ``trials`` random ones, trial i seeded with
-    ``seed + i``; the one adversarial set; or every N-subset of the ball.
-    ``cap`` bounds the ball and, for exhaustive reads, the subset count."""
-    if reads == "random":
-        return (
-            generate_reads(x, p, ReadGenSpec("random_distinct", N, seed=seed + i), cap)
-            for i in range(trials)
-        )
-    if reads == "adversarial":
-        return iter((generate_reads(x, p, ReadGenSpec("adversarial_heavy", N), cap),))
-    if reads == "exhaustive":
-        return exhaustive_read_sets(x, p, N, cap=cap)
-    raise ValueError(f"reads must be random, adversarial or exhaustive, got {reads!r}")
-
-
 def decode_read_sets(
     entry: reconstruction.Algorithm, plan: reconstruction.ReadPlan, code: Code,
-    delta: int, a: int, sets: Iterable[reconstruction.ReadSet],
+    p: ChannelParams, delta: int, a: int, stacks: Iterable[np.ndarray],
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> Iterator[tuple[Vec, ...]]:
-    """The algorithm's output for each read set, in order; a
-    ReconstructionError yields the empty output."""
+    """The algorithm's output for each read set of each stack, in order; a
+    set it cannot decode gives the empty output.  Each stack is checked once
+    (``reconstruction.check_stack``) and decoded as a whole; ``cap`` bounds
+    the decoder's balls and erasure fills."""
     decode = entry.decoder(plan)
-    for Y in sets:
-        try:
-            outputs = decode(Y, plan, code, delta, a)
-        except ReconstructionError:
-            outputs = ()
-        yield outputs
+    for stack in stacks:
+        reconstruction.check_stack(stack, p)
+        yield from decode(stack, p, plan.tau, code, delta, a, cap)
 
 
 def run_trial(
@@ -254,7 +259,7 @@ def run_trial(
     plan = entry.plan(p, delta, a)
     Y = generate_reads(x, p, spec)
     start = time.monotonic_ns()
-    (outputs,) = decode_read_sets(entry, plan, code, delta, a, (Y,))
+    (outputs,) = decode_read_sets(entry, plan, code, p, delta, a, (Y.stack,))
     elapsed = time.monotonic_ns() - start
     success = entry.succeeded(x, outputs)
     return TrialRecord(

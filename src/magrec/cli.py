@@ -369,8 +369,8 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
         return None
     sets = successes = longest = 0
     succeeded = entry.succeeded
-    read_sets = channel.read_sets(x, p, N, args.reads, args.trials, args.seed, args.cap)
-    for out in channel.decode_read_sets(entry, plan, code, delta, a, read_sets):
+    stacks = channel.read_sets(x, p, N, args.reads, args.trials, args.seed, args.cap)
+    for out in channel.decode_read_sets(entry, plan, code, p, delta, a, stacks, args.cap):
         sets += 1
         successes += succeeded(x, out)
         if len(out) > longest:
@@ -448,21 +448,27 @@ def cmd_simulate(args) -> int:
             report.note(_skip_note(*point, f"N={plan.N} exceeds ball size {size}"))
             continue
         x = _transmitted_word(code, p.n)
-        sets = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed, args.cap)
-        outputs = channel.decode_read_sets(entry, plan, code, delta, 0, sets)
-        successes = 0
-        for i in range(args.trials):
+        stacks = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed, args.cap)
+        successes = trial = 0
+        start = time.monotonic_ns()
+        for stack in stacks:
+            outputs = list(channel.decode_read_sets(
+                entry, plan, code, p, delta, 0, (stack,), args.cap
+            ))
+            # a stack's trials are drawn and decoded together: each gets an
+            # equal share of their time
+            elapsed = (time.monotonic_ns() - start) // len(outputs) if args.timings else 0
+            for out in outputs:
+                success = entry.succeeded(x, out)
+                successes += success
+                if not success:
+                    status = 1
+                trial_lines.append(channel.TrialRecord(
+                    channel.RNG_NAME, args.seed + trial, p, args.alg, plan.N,
+                    success, len(out), elapsed,
+                ).to_line())
+                trial += 1
             start = time.monotonic_ns()
-            out = next(outputs)
-            elapsed = time.monotonic_ns() - start if args.timings else 0
-            success = entry.succeeded(x, out)
-            successes += success
-            if not success:
-                status = 1
-            trial_lines.append(channel.TrialRecord(
-                channel.RNG_NAME, args.seed + i, p, args.alg, plan.N,
-                success, len(out), elapsed,
-            ).to_line())
         report.add(
             alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=delta,
             N=plan.N, trials=args.trials, success=successes,

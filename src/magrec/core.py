@@ -137,17 +137,19 @@ class Code:
         raise NotImplementedError
 
     def decode_within(
-        self, z: Vec, radius: int, params: ChannelParams
+        self, z: Vec, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> Optional[Vec]:
         key = (z, radius, params.k_plus, params.k_minus)
         memo = self._memo()
         if key in memo:
             return memo[key]
-        result = memo[key] = self._search(z, radius, params)
+        result = memo[key] = self._search(z, radius, params, cap)
         return result
 
-    def _search(self, z: Vec, radius: int, params: ChannelParams) -> Optional[Vec]:
-        return _first_in_window(self.contains, z, radius, params)
+    def _search(
+        self, z: Vec, radius: int, params: ChannelParams, cap: int
+    ) -> Optional[Vec]:
+        return _first_in_window(self.contains, z, radius, params, cap)
 
     def _memo(self) -> dict:
         memo = getattr(self, "_decode_memo", None)
@@ -196,13 +198,13 @@ def brute_force_decode(
 
 
 def _first_in_window(
-    contains, z: Vec, radius: int, params: ChannelParams
+    contains, z: Vec, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
 ) -> Optional[Vec]:
-    """First c = z - e with ``contains(c)``, e running over the error ball in
-    lexicographic order; None when there is none."""
+    """First c = z - e with ``contains(c)``, e running over the error ball (at
+    most ``cap`` vectors) in lexicographic order; None when there is none."""
     from magrec.combinatorics import ball_vectors  # combinatorics imports core
 
-    for e in ball_vectors(len(z), radius, params.k_plus, params.k_minus):
+    for e in ball_vectors(len(z), radius, params.k_plus, params.k_minus, cap=cap):
         c = tuple(zi - ei for zi, ei in zip(z, e))
         if contains(c):
             return c

@@ -272,11 +272,13 @@ class LatticeCode(Code):
     def contains(self, v: Vec) -> bool:
         return syndrome(self.spec, v) == self.spec.group.identity
 
-    def _search(self, z: Vec, radius: int, params: ChannelParams) -> Optional[Vec]:
+    def _search(
+        self, z: Vec, radius: int, params: ChannelParams, cap: int
+    ) -> Optional[Vec]:
         key = (radius, params.k_plus, params.k_minus)
         leaders = self._leaders.get(key)
         if leaders is None:
-            leaders = self._leaders[key] = _coset_leaders(self.spec, *key)
+            leaders = self._leaders[key] = _coset_leaders(self.spec, *key, cap=cap)
         e = leaders.get(syndrome(self.spec, z))
         return None if e is None else tuple(zi - ei for zi, ei in zip(z, e))
 

@@ -12,11 +12,21 @@ family, the exact rational vote threshold) that guarantees it:
 * ``list_reconstruct_sauer`` -- a shattering-based list decoder that needs
   far fewer reads at the cost of a combinatorial coordinate search.
 
-The read set is an int64 matrix, so the minimum, the vote and the cover
-check are column operations.  Vote margins are Python ints compared
-against the threshold in exact rational arithmetic; the thresholds are
-generally non-integer and a float comparison could misclassify boundary
-cases.
+Read sets are decoded in stacks: an (S, N, n) int64 array of S sets of N
+distinct reads, each set's rows in lexicographic order.  ``check_stack``
+checks a stack once; the minimum, the plurality vote, the anchors (each
+set's first read) and the cover check then run over all S sets at once,
+and every algorithm of ``ALGORITHMS`` decodes a whole stack into one output
+per set.  Erasure filling builds the candidates as int64 matrices of at
+most ``_CANDIDATE_BYTES``, and only ``Code.decode_within`` runs per
+candidate.  A ``ReadSet`` is a single
+(N, n) matrix, and the per-set procedures above decode it as a stack of
+one.
+
+The vote compares twice a count minus N with the threshold tau = num/den
+as the integer test (2c - N) den > num: in int64 while N den and |num| stay
+below 2**62, in Python ints otherwise.  The thresholds are generally
+non-integer, and a float comparison could misclassify boundary cases.
 """
 
 from __future__ import annotations
@@ -24,21 +34,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import lt
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from magrec.core import (
+    DEFAULT_ENUM_CAP,
     ERASURE,
     ChannelParams,
     Code,
+    EnumerationCapExceeded,
     EstimateWord,
     ReconstructionError,
     Vec,
     check_entries,
 )
-from magrec.combinatorics import ball_vectors, binom, hamming_volume
+from magrec.combinatorics import ball_matrix, ball_vectors, binom, hamming_volume
+
+#: Byte budget of one block of candidate rows.
+_CANDIDATE_BYTES = 128 * 2**10
+
+#: The decoders' outputs, one per read set: a tuple of codewords, empty
+#: when the set could not be decoded.
+Outputs = list[tuple[Vec, ...]]
+
+
+def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """``stack`` itself, after checking that it is an (S, N, n) int64 array of
+    nonempty read sets, each of distinct rows in lexicographic order, with
+    entries below ``ENTRY_LIMIT`` in magnitude; raises ValueError otherwise.
+
+    Rows are sorted and distinct when the first nonzero entry of each
+    difference of consecutive rows is positive.
+    """
+    if stack.size == 0:
+        raise ValueError("read set must be nonempty")
+    if stack.dtype != np.int64 or stack.ndim != 3 or stack.shape[2] != params.n:
+        raise ValueError(f"reads must form an (N, n={params.n}) int64 matrix")
+    check_entries(int(stack.min()), int(stack.max()))
+    # consecutive row differences, one per line; no wrap below 2**62
+    step = (stack[:, 1:] - stack[:, :-1]).reshape(-1, params.n)
+    if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+        raise ValueError("reads must be distinct, and a matrix's rows sorted")
+    return stack
 
 
 class ReadSet:
@@ -51,8 +89,8 @@ class ReadSet:
 
     ``reads`` is an iterable of vectors, which are sorted, or an int64
     matrix, which must already hold distinct rows in lexicographic order
-    (the read-set generators in ``channel`` build it that way) and is taken
-    over, not copied.  Entries must stay below ``ENTRY_LIMIT`` in magnitude.
+    (one set of a ``channel`` stack is one) and is taken over, not copied.
+    Entries must stay below ``ENTRY_LIMIT`` in magnitude.
     """
 
     __slots__ = ("matrix", "params")
@@ -67,14 +105,7 @@ class ReadSet:
                 raise ValueError("read entries exceed the int64 range") from None
             except ValueError:
                 raise ValueError("every read must have length n") from None
-        if matrix.size == 0:
-            raise ValueError("read set must be nonempty")
-        if matrix.dtype != np.int64 or matrix.ndim != 2 or matrix.shape[1] != params.n:
-            raise ValueError(f"reads must form an (N, n={params.n}) int64 matrix")
-        rows = matrix.tolist()
-        if not all(map(lt, rows, rows[1:])):
-            raise ValueError("reads must be distinct, and a matrix's rows sorted")
-        check_entries(int(matrix.min()), int(matrix.max()))
+        check_stack(matrix[None], params)
         matrix.flags.writeable = False
         self.matrix = matrix
         self.params = params
@@ -89,6 +120,11 @@ class ReadSet:
     @property
     def anchor(self) -> Vec:
         return tuple(self.matrix[0].tolist())
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The reads as a stack of one."""
+        return self.matrix[None]
 
 
 @dataclass(frozen=True)
@@ -130,7 +166,30 @@ def componentwise_min(Y: ReadSet) -> Vec:
     return tuple(Y.matrix.min(axis=0).tolist())
 
 
-def reconstruct_min(Y: ReadSet, code: Code, delta: int) -> Vec:
+def _unique(outputs: Outputs, failure: str) -> Vec:
+    """The codeword a unique decoder found for a stack of one; raises
+    ReconstructionError(failure) when it found none."""
+    (out,) = outputs
+    if not out:
+        raise ReconstructionError(failure)
+    return out[0]
+
+
+def _decode_each(words, code: Code, delta: int, p: ChannelParams, cap: int) -> Outputs:
+    """Per word, the codeword it decodes to within radius delta - 1 as a
+    1-tuple, or () when it decodes to none."""
+    decode = code.decode_within
+    found = (decode(tuple(z), delta - 1, p, cap) for z in words)
+    return [() if c is None else (c,) for c in found]
+
+
+def _decode_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+    """Per set: the componentwise minimum decoded within radius delta - 1."""
+    _require_k_minus_zero(p)
+    return _decode_each(stack.min(axis=1).tolist(), code, delta, p, cap)
+
+
+def reconstruct_min(Y: ReadSet, code: Code, delta: int, cap: int = DEFAULT_ENUM_CAP) -> Vec:
     """Componentwise minimum followed by a radius-(delta - 1) unique decode.
 
     Requires a k- = 0 channel.  With at least ``reads_required_min`` distinct
@@ -138,15 +197,10 @@ def reconstruct_min(Y: ReadSet, code: Code, delta: int) -> Vec:
     codeword; on fewer or inconsistent reads the decode fails and a
     ReconstructionError reports the violated precondition.
     """
-    p = Y.params
-    _require_k_minus_zero(p)
-    z = componentwise_min(Y)
-    result = code.decode_within(z, delta - 1, p)
-    if result is None:
-        raise ReconstructionError(
-            "decode failed: reads are not from a single codeword ball or too few"
-        )
-    return result
+    return _unique(
+        _decode_min(Y.stack, Y.params, None, code, delta, 0, cap),
+        "decode failed: reads are not from a single codeword ball or too few",
+    )
 
 
 def majority_reads_required(n: int, t: int, k_plus: int, k_minus: int, delta: int) -> int:
@@ -175,58 +229,145 @@ def majority_threshold(
     return N, tau
 
 
+def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Per set and coordinate, the most frequent value (ties broken toward
+    the smallest) and whether it is kept: twice its count minus N exceeds
+    tau.  Both are (S, n) arrays.
+
+    Each column is sorted, so a value's count is the length of its run; the
+    first longest run holds the smallest most frequent value.  The work
+    does not depend on how far apart a column's values are.
+    """
+    N = stack.shape[1]
+    columns = np.sort(stack.transpose(0, 2, 1), axis=2)
+    pos = np.arange(N)
+    new_run = np.ones(columns.shape, dtype=bool)
+    np.not_equal(columns[..., 1:], columns[..., :-1], out=new_run[..., 1:])
+    run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=2)
+    end = run_length.argmax(axis=2)[..., None]
+    best = np.take_along_axis(columns, end, axis=2)[..., 0]
+    counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
+    num, den = tau.numerator, tau.denominator
+    if N * den < 2**62 and abs(num) < 2**62:
+        return best, (2 * counts - N) * den > num
+    keep = [(2 * c - N) * den > num for c in counts.ravel().tolist()]
+    return best, np.array(keep, dtype=bool).reshape(counts.shape)
+
+
 def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
     """Per-coordinate plurality vote with margin threshold tau.
 
     A coordinate keeps its most frequent value (ties broken toward the
     smallest) when twice its count minus N exceeds tau, and is erased
     otherwise.
-
-    Each column is sorted, so a value's count is the length of its run; the
-    first longest run holds the smallest most frequent value.  The work
-    does not depend on how far apart a column's values are.
     """
-    N = len(Y)
-    columns = np.sort(Y.matrix.T, axis=1)
-    pos = np.arange(N)
-    new_run = np.ones(columns.shape, dtype=bool)
-    np.not_equal(columns[:, 1:], columns[:, :-1], out=new_run[:, 1:])
-    run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
-    end = run_length.argmax(axis=1)
-    rows = np.arange(len(columns))
-    best = columns[rows, end].tolist()
-    counts = run_length[rows, end].tolist()
+    best, keep = majority_votes(Y.stack, tau)
     return EstimateWord(tuple(
-        v if 2 * c - N > tau else ERASURE for v, c in zip(best, counts)
+        v if k else ERASURE for v, k in zip(best[0].tolist(), keep[0].tolist())
     ))
 
 
-def _erasure_candidates(Y: ReadSet, estimate: EstimateWord):
-    """Vectors completing the estimate: erased coordinate i ranges over
-    [anchor[i] - k+, anchor[i] + k-], filled in lexicographic order."""
-    p = Y.params
-    anchor = Y.anchor
-    erased = estimate.erasure_positions()
-    base = list(estimate.entries)
-    ranges = [range(anchor[i] - p.k_plus, anchor[i] + p.k_minus + 1) for i in erased]
-    for fill in product(*ranges):
-        u = base[:]
-        for pos, val in zip(erased, fill):
-            u[pos] = val
-        yield tuple(u)
+def _candidates(
+    words: np.ndarray, erased: np.ndarray, anchors: np.ndarray,
+    shifts: np.ndarray, p: ChannelParams, cap: int,
+) -> list[Iterator[list[int]]]:
+    """Per set, an iterator over the rows u - e: u completes the set's word,
+    its erased coordinate i running over [anchor[i] - k+, anchor[i] + k-]
+    with the fills in lexicographic order, and e runs over the rows of
+    ``shifts``.
+
+    A set with m erasures has (k+ + k- + 1)^m * |shifts| rows; the largest
+    such count is charged against ``cap`` before any row is built.  Rows
+    are built as int64 matrices within ``_CANDIDATE_BYTES``: those of all
+    sets without erasures at once when they fit, the others a block of
+    fills at a time as the iterator is consumed.  The majority decoder
+    consumes the iterators side by side, so each set's blocks get an equal
+    share of the budget.
+    """
+    q = p.magnitude_span + 1
+    misses = erased.sum(axis=1)
+    worst = q ** int(misses.max()) * len(shifts)
+    if worst > cap:
+        raise EnumerationCapExceeded(
+            f"{worst} erasure-fill candidates exceed enumeration cap {cap}"
+        )
+    per_block = max(1, _CANDIDATE_BYTES // (8 * shifts.size))
+    out: list = [None] * len(words)
+    plain = np.flatnonzero(misses == 0)
+    if len(plain) <= per_block:
+        for s, rows in zip(plain.tolist(), (words[plain, None, :] - shifts).tolist()):
+            out[s] = iter(rows)
+    per_set = max(1, per_block // len(words))
+    for s in range(len(words)):
+        if out[s] is None:
+            cols = np.flatnonzero(erased[s])
+            out[s] = _filled(words[s], cols, anchors[s, cols] - p.k_plus, shifts, p, per_set)
+    return out
+
+
+def _filled(word, cols, low, shifts, p: ChannelParams, per_block: int) -> Iterator[list[int]]:
+    """The rows u - e of one set, ``per_block`` fills at a time: fill j
+    writes low plus the base-q digits of j, most significant first, into
+    the erased columns ``cols``."""
+    q = p.magnitude_span + 1
+    count = q ** len(cols)
+    place = q ** np.arange(len(cols) - 1, -1, -1)
+    for start in range(0, count, per_block):
+        digits = np.arange(start, min(count, start + per_block))[:, None] // place % q
+        fills = np.repeat(word[None], len(digits), axis=0)
+        fills[:, cols] = low + digits
+        yield from (fills[:, None, :] - shifts).reshape(-1, p.n).tolist()
+
+
+def _covering(words, stack: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """Per set i, whether every read of stack[i] lies in
+    words[i] + B(n, t, k+, k-)."""
+    check_entries(min(map(min, words)), max(map(max, words)))
+    diff = stack - np.array(words, dtype=np.int64)[:, None, :]
+    inside = ((diff >= -p.k_minus) & (diff <= p.k_plus)).all(axis=(1, 2))
+    return inside & ((diff != 0).sum(axis=2) <= p.t).all(axis=1)
 
 
 def _covers(c: Vec, Y: ReadSet) -> bool:
     """Every read lies in c + B(n, t, k+, k-)."""
-    p = Y.params
-    check_entries(min(c), max(c))
-    diff = Y.matrix - np.array(c, dtype=np.int64)
-    if diff.min() < -p.k_minus or diff.max() > p.k_plus:
-        return False
-    return bool(((diff != 0).sum(axis=1) <= p.t).all())
+    return bool(_covering([c], Y.stack, Y.params)[0])
 
 
-def reconstruct_majority(Y: ReadSet, tau: Fraction, code: Code, delta: int) -> Vec:
+def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+    """Per set: majority estimate, erasure filling, unique decode, and the
+    first decoded candidate whose ball covers every read of the set.
+
+    Each round decodes, for every set still open, its candidates in order up
+    to the next one that decodes, and checks those codewords in one cover
+    test over the stack.
+    """
+    if p.k_minus < 1:
+        raise ValueError("majority reconstruction needs k_minus >= 1")
+    best, keep = majority_votes(stack, tau)
+    zero = np.zeros((1, p.n), dtype=np.int64)
+    decoded = [
+        (c for c in (code.decode_within(tuple(u), delta - 1, p, cap) for u in rows)
+         if c is not None)
+        for rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap)
+    ]
+    outputs: Outputs = [()] * len(stack)
+    open_sets = range(len(stack))
+    while open_sets:
+        picks = [(s, c) for s in open_sets if (c := next(decoded[s], None)) is not None]
+        if not picks:
+            break
+        sets, words = zip(*picks)
+        covered = _covering(words, stack[list(sets)], p).tolist()
+        for s, c, ok in zip(sets, words, covered):
+            if ok:
+                outputs[s] = (c,)
+        open_sets = [s for s, ok in zip(sets, covered) if not ok]
+    return outputs
+
+
+def reconstruct_majority(
+    Y: ReadSet, tau: Fraction, code: Code, delta: int, cap: int = DEFAULT_ENUM_CAP
+) -> Vec:
     """Majority estimate, erasure filling, unique decode, and a final check
     that the decoded ball covers every read.
 
@@ -234,16 +375,9 @@ def reconstruct_majority(Y: ReadSet, tau: Fraction, code: Code, delta: int) -> V
     ball the unique covering candidate is the transmitted codeword; the
     candidate loop returns the first passing one, which is then unique.
     """
-    p = Y.params
-    if p.k_minus < 1:
-        raise ValueError("majority reconstruction needs k_minus >= 1")
-    estimate = majority_estimate(Y, tau)
-    for u in _erasure_candidates(Y, estimate):
-        c = code.decode_within(u, delta - 1, p)
-        if c is not None and _covers(c, Y):
-            return c
-    raise ReconstructionError(
-        "no candidate covers the reads: reads are not from a single codeword ball"
+    return _unique(
+        _decode_majority(Y.stack, Y.params, tau, code, delta, 0, cap),
+        "no candidate covers the reads: reads are not from a single codeword ball",
     )
 
 
@@ -257,23 +391,36 @@ def list_params_min(n: int, t: int, k_plus: int, delta: int, a: int) -> int:
     )
 
 
-def list_reconstruct_min(Y: ReadSet, code: Code, delta: int, a: int) -> tuple[Vec, ...]:
+def _decode_all(rows, code: Code, delta: int, p: ChannelParams, cap: int) -> tuple[Vec, ...]:
+    """The sorted distinct codewords the rows decode to within radius
+    delta - 1; decode failures are dropped."""
+    decode = code.decode_within
+    found = (decode(tuple(u), delta - 1, p, cap) for u in rows)
+    return tuple(sorted({c for c in found if c is not None}))
+
+
+def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+    """Per set: decode every vector of z - B(n, a, k+, 0), z the minimum."""
+    _require_k_minus_zero(p)
+    shifts = ball_matrix(p.n, a, p.k_plus, 0, cap=cap)
+    z = stack.min(axis=1)
+    return [
+        _decode_all(rows, code, delta, p, cap)
+        for rows in _candidates(z, np.zeros(z.shape, dtype=bool), z, shifts, p, cap)
+    ]
+
+
+def list_reconstruct_min(
+    Y: ReadSet, code: Code, delta: int, a: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[Vec, ...]:
     """List variant of the minimum machine (k- = 0): decode every vector of
     z - B(n, a, k+, 0).  Contains the transmitted codeword whenever
     |Y| >= list_params_min; the list never exceeds V_{k+ + 1}(n, a) entries.
 
     Decode failures are dropped; the list is returned sorted.
     """
-    p = Y.params
-    _require_k_minus_zero(p)
-    z = componentwise_min(Y)
-    out = set()
-    for e in ball_vectors(p.n, a, p.k_plus, 0):
-        u = tuple(zi - ei for zi, ei in zip(z, e))
-        c = code.decode_within(u, delta - 1, p)
-        if c is not None:
-            out.add(c)
-    return tuple(sorted(out))
+    (out,) = _decode_list_min(Y.stack, Y.params, None, code, delta, a, cap)
+    return out
 
 
 def list_params_general(
@@ -300,8 +447,24 @@ def list_params_general(
     return N, tau
 
 
+def _decode_list_majority(
+    stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int
+):
+    """Per set: majority estimate, erasure filling, then decode every vector
+    of candidate - B(n, a, k+, k-)."""
+    if p.k_minus < 1:
+        raise ValueError("majority list reconstruction needs k_minus >= 1")
+    best, keep = majority_votes(stack, tau)
+    shifts = ball_matrix(p.n, a, p.k_plus, p.k_minus, cap=cap)
+    return [
+        _decode_all(rows, code, delta, p, cap)
+        for rows in _candidates(best, ~keep, stack[:, 0], shifts, p, cap)
+    ]
+
+
 def list_reconstruct_majority(
-    Y: ReadSet, tau: Fraction, code: Code, delta: int, a: int
+    Y: ReadSet, tau: Fraction, code: Code, delta: int, a: int,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Vec, ...]:
     """Majority estimate, erasure filling, then decode every vector of
     candidate - B(n, a, k+, k-) and collect the survivors.
@@ -310,19 +473,8 @@ def list_reconstruct_majority(
     the list, and the list size is at most
     (k+ + k- + 1)^(2 t (delta + a)) * V(n, a).
     """
-    p = Y.params
-    if p.k_minus < 1:
-        raise ValueError("majority list reconstruction needs k_minus >= 1")
-    estimate = majority_estimate(Y, tau)
-    shifts = ball_vectors(p.n, a, p.k_plus, p.k_minus)
-    out = set()
-    for u in _erasure_candidates(Y, estimate):
-        for e in shifts:
-            v = tuple(ui - ei for ui, ei in zip(u, e))
-            c = code.decode_within(v, delta - 1, p)
-            if c is not None:
-                out.add(c)
-    return tuple(sorted(out))
+    (out,) = _decode_list_majority(Y.stack, Y.params, tau, code, delta, a, cap)
+    return out
 
 
 def sauer_shelah_find(S, q: int, c: int) -> tuple[int, ...]:
@@ -366,8 +518,31 @@ def sauer_reads_required(n: int, t: int, k_plus: int, k_minus: int, delta: int, 
     return hamming_volume(k_plus + k_minus + 1, n, lp.f - 1 - a) + 1
 
 
+def _sauer_list(
+    M: np.ndarray, p: ChannelParams, code: Code, delta: int, a: int, cap: int
+) -> tuple[Vec, ...]:
+    """The Sauer list of one read set, given as its (N, n) matrix; raises
+    ReconstructionError when the coordinate search finds no witness."""
+    lp = ListParams.for_channel(p.t, delta, a)
+    lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
+    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, lp.f - a)
+    return _decode_all(_sauer_candidates(M, p, U, lp.f, cap), code, delta, p, cap)
+
+
+def _decode_sauer(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+    """Per set: the Sauer list, empty where the coordinate search fails.
+    The search is combinatorial per set, so the sets go one by one."""
+    outputs: Outputs = []
+    for M in stack:
+        try:
+            outputs.append(_sauer_list(M, p, code, delta, a, cap))
+        except ReconstructionError:
+            outputs.append(())
+    return outputs
+
+
 def list_reconstruct_sauer(
-    Y: ReadSet, code: Code, delta: int, a: int
+    Y: ReadSet, code: Code, delta: int, a: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[Vec, ...]:
     """Shattering-based list decoder.
 
@@ -380,28 +555,22 @@ def list_reconstruct_sauer(
     the transmitted codeword.  Needs |Y| > V(n, f - 1 - a); the list size is
     at most (k+ + k- + 1)^(2(f - a)) * V(n - f + a, a).
     """
-    p = Y.params
-    lp = ListParams.for_channel(p.t, delta, a)
-    M = Y.matrix
-    lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
-    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, lp.f - a)
-    out = set()
-    for z in _sauer_candidates(Y, U, lp.f):
-        c = code.decode_within(z, delta - 1, p)
-        if c is not None:
-            out.add(c)
-    return tuple(sorted(out))
+    return _sauer_list(Y.matrix, Y.params, code, delta, a, cap)
 
 
-def _sauer_candidates(Y: ReadSet, U: tuple[int, ...], f: int) -> list[Vec]:
-    """Sorted candidates rep - e: rep is the first read of each pattern on
-    U, and e in B(n, f, k+, k-) is nonzero on every coordinate of U."""
-    p = Y.params
+def _sauer_candidates(
+    M: np.ndarray, p: ChannelParams, U: tuple[int, ...], f: int,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> list[Vec]:
+    """Sorted candidates rep - e: rep is the first read (row of M) of each
+    pattern on U, and e in B(n, f, k+, k-) is nonzero on every coordinate
+    of U."""
     shifts = [
-        e for e in ball_vectors(p.n, f, p.k_plus, p.k_minus) if all(e[i] for i in U)
+        e for e in ball_vectors(p.n, f, p.k_plus, p.k_minus, cap=cap)
+        if all(e[i] for i in U)
     ]
     representatives: dict[tuple[int, ...], Vec] = {}
-    for r in Y.reads:
+    for r in map(tuple, M.tolist()):
         representatives.setdefault(tuple(r[i] for i in U), r)
     return sorted({
         tuple(ri - ei for ri, ei in zip(rep, e))
@@ -487,22 +656,21 @@ ONE_READ = ReadPlan(1, None, "unique-decode")
 @dataclass(frozen=True)
 class Algorithm:
     """An entry of ``ALGORITHMS``: ``plan(p, delta, a)`` raises ValueError on
-    a channel the algorithm cannot handle, and ``decoder(plan)(Y, plan, code,
-    delta, a)`` returns a tuple of at most ``list_size_bound(p, delta, a)``
-    codewords or raises ReconstructionError.
-
-    Decoders look the procedures up by module-level name when they run, so
-    wrapping a module attribute (as ``perfbench/tracing.py`` does) sees them.
+    a channel the algorithm cannot handle, and ``decoder(plan)(stack, p,
+    plan.tau, code, delta, a, cap)`` decodes a checked stack into one output
+    per read set: a tuple of at most ``list_size_bound(p, delta, a)``
+    codewords, empty where the set could not be decoded.  ``cap`` bounds
+    every ball and erasure-fill enumeration.
     """
 
     plan: Callable[[ChannelParams, int, int], ReadPlan]
-    decode: Callable[[ReadSet, ReadPlan, Code, int, int], tuple[Vec, ...]]
+    decode: Callable[..., Outputs]
     is_list: bool
     list_size_bound: Callable[[ChannelParams, int, int], int]
 
     def decoder(self, plan: ReadPlan):
         """``decode``, or under the one-read plan a radius-(delta - 1)
-        decode of the anchor read."""
+        decode of each set's anchor read."""
         return _decode_one_read if plan.anchor == ONE_READ.anchor else self.decode
 
     def succeeded(self, x: Vec, outputs: tuple[Vec, ...]) -> bool:
@@ -539,29 +707,8 @@ def _plan_sauer(p: ChannelParams, delta: int, a: int) -> ReadPlan:
     return ReadPlan(N, None, "sauer-reads")
 
 
-def _decode_one_read(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
-    c = code.decode_within(Y.anchor, delta - 1, Y.params)
-    return () if c is None else (c,)
-
-
-def _decode_min(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
-    return (reconstruct_min(Y, code, delta),)
-
-
-def _decode_majority(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
-    return (reconstruct_majority(Y, plan.tau, code, delta),)
-
-
-def _decode_list_min(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
-    return list_reconstruct_min(Y, code, delta, a)
-
-
-def _decode_list_majority(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
-    return list_reconstruct_majority(Y, plan.tau, code, delta, a)
-
-
-def _decode_sauer(Y: ReadSet, plan: ReadPlan, code: Code, delta: int, a: int):
-    return list_reconstruct_sauer(Y, code, delta, a)
+def _decode_one_read(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+    return _decode_each(stack[:, 0].tolist(), code, delta, p, cap)
 
 
 def _one(p: ChannelParams, delta: int, a: int) -> int:

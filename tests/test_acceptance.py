@@ -19,10 +19,12 @@ import math
 import random
 import time
 from collections import deque
-from itertools import combinations, product
+from itertools import product
+
+import numpy as np
 
 from magrec import ChannelParams, ExplicitCode
-from magrec.channel import rng_for, sampled_read_sets
+from magrec.channel import decode_read_sets, read_sets, rng_for, sampled_read_sets
 from magrec.combinatorics import (
     ball_size,
     ball_vectors,
@@ -56,19 +58,14 @@ from magrec.lattice import (
     packing_by_window_pairs,
 )
 from magrec.reconstruction import (
+    ALGORITHMS,
     ReadSet,
     adversarial_code_size_bound,
     adversarial_instance,
     list_params_general,
-    list_reconstruct_majority,
-    list_reconstruct_sauer,
-    majority_estimate,
-    majority_list_size_bound,
     majority_threshold,
+    majority_votes,
     reads_required_min,
-    reconstruct_majority,
-    reconstruct_min,
-    sauer_list_size_bound,
     sauer_reads_required,
 )
 from magrec.tandem import (
@@ -233,14 +230,17 @@ def run_min_cell(code, p, delta, x, note):
     N = reads_required_min(p.n, p.t, p.k_plus, delta)
     ball = ball_vectors(p.n, p.t, p.k_plus, 0)
     assert N <= len(ball), f"vacuous cell {note}"
-    reads_pool = [tuple(a + b for a, b in zip(x, e)) for e in ball]
     total = math.comb(len(ball), N)
     checked = 0
+    entry = ALGORITHMS["min"]
+    plan = entry.plan(p, delta, 0)
     if total <= SUBSET_CAP_C4:
-        for subset in combinations(reads_pool, N):
-            got = reconstruct_min(ReadSet(subset, p), code, delta)
-            assert got == x, (note, subset)
+        # every N-subset of x + B, in lexicographic subset order
+        stacks = read_sets(x, p, N, "exhaustive", cap=SUBSET_CAP_C4)
+        for i, out in enumerate(decode_read_sets(entry, plan, code, p, delta, 0, stacks)):
+            assert out == (x,), (note, i)
             checked += 1
+        assert checked == total
     else:
         # exact min-image check plus a deterministic sample of real subsets
         for z in achievable_minima(ball, N, p.n):
@@ -248,8 +248,9 @@ def run_min_cell(code, p, delta, x, note):
             got = code.decode_within(zz, delta - 1, p)
             assert got == x, (note, z)
             checked += 1
-        for Y in sampled_read_sets(x, p, N, 2000, seed=4_000_000):
-            assert reconstruct_min(Y, code, delta) == x
+        stacks = sampled_read_sets(x, p, N, 2000, seed=4_000_000)
+        outputs = list(decode_read_sets(entry, plan, code, p, delta, 0, stacks))
+        assert outputs == [(x,)] * 2000
     return N, total, checked
 
 
@@ -297,6 +298,24 @@ def test_criterion_04_min_algorithm_completeness():
     report(4, f"{cells} cells complete, ~{subsets} subsets or min-images", t0)
 
 
+def check_majority_budgets(stacks, x, p, delta, tau, code):
+    """Per read set of each stack: at most delta - 1 kept coordinates
+    disagree with x, at most 2 t delta are erased, and the majority decoder
+    returns x.  Returns the number of sets checked."""
+    entry = ALGORITHMS["majority"]
+    plan = entry.plan(p, delta, 0)
+    assert plan.tau == tau
+    checked = 0
+    for stack in stacks:
+        best, keep = majority_votes(stack, tau)
+        assert (((best != x) & keep).sum(axis=1) <= delta - 1).all()
+        assert ((~keep).sum(axis=1) <= 2 * p.t * delta).all()
+        outputs = list(decode_read_sets(entry, plan, code, p, delta, 0, (stack,)))
+        assert outputs == [(x,)] * len(stack)
+        checked += len(stack)
+    return checked
+
+
 def test_criterion_05_majority_budgets():
     t0 = time.time()
     n, t, kp, km = 4, 2, 1, 1
@@ -334,20 +353,11 @@ def test_criterion_05_majority_budgets():
                     )[:N]
                 ),
             ]
-
-            def check(Y):
-                est = majority_estimate(Y, tau)
-                assert len(est.error_positions(x)) <= delta - 1
-                assert len(est.erasure_positions()) <= 2 * t * delta
-                assert reconstruct_majority(Y, tau, code, delta) == x
-
-            for reads in structured:
-                check(ReadSet(reads, p))
-                checked += 1
+            stack = np.array([ReadSet(reads, p).matrix for reads in structured])
+            checked += check_majority_budgets((stack,), x, p, delta, tau, code)
             samples = 50_000 - len(structured)
-            for Y in sampled_read_sets(x, p, N, samples, seed=5_000_000 + word_index):
-                check(Y)
-                checked += 1
+            stacks = sampled_read_sets(x, p, N, samples, seed=5_000_000 + word_index)
+            checked += check_majority_budgets(stacks, x, p, delta, tau, code)
         notes.append(f"delta={delta}: {checked} read sets, 0 budget/decode failures")
         total_checked += checked
     # non-vacuous distance-1 supplement at t = 1 (same budgets, exhaustive)
@@ -356,15 +366,10 @@ def test_criterion_05_majority_budgets():
     code1 = ExplicitCode([(0, 0, 0, 0), (1, -1, 0, 0)])
     assert code_min_distance(code1.members, 1, 1) == 1
     x = (0, 0, 0, 0)
-    ball1 = [tuple(a + b for a, b in zip(x, e)) for e in enumerate_ball(p1)]
-    extra = 0
-    for subset in combinations(ball1, N1):
-        Y = ReadSet(subset, p1)
-        est = majority_estimate(Y, tau1)
-        assert len(est.error_positions(x)) == 0
-        assert len(est.erasure_positions()) <= 2
-        assert reconstruct_majority(Y, tau1, code1, 1) == x
-        extra += 1
+    # every N1-subset of the ball, in lexicographic subset order
+    stacks = read_sets(x, p1, N1, "exhaustive")
+    extra = check_majority_budgets(stacks, x, p1, 1, tau1, code1)
+    assert extra == math.comb(ball_size(p1), N1)
     notes.append(f"t=1 delta=1 supplement: {extra} exhaustive read sets")
     report(5, "; ".join(notes), t0)
 
@@ -421,19 +426,15 @@ def test_criterion_06_list_guarantees():
             code = ExplicitCode([(0,) * n, _delta2_word(n, kp, km)])
             assert code_min_distance(code.members, kp, km) == delta
             words = list(code.members)
-        if decoder == "majority":
-            _, tau = list_params_general(n, t, kp, km, delta, a)
-            bound = majority_list_size_bound(p, delta, a)
-        else:
-            bound = sauer_list_size_bound(p, delta, a)
+        entry = ALGORITHMS[f"list-{decoder}"]
+        plan = entry.plan(p, delta, a)
+        assert plan.N == N
+        bound = entry.list_size_bound(p, delta, a)
         share = -(-per_cell // len(words))
         for word_index, x in enumerate(words):
             seed = 6_000_000 + 10 * cell_index + word_index
-            for Y in sampled_read_sets(x, p, N, share, seed=seed):
-                if decoder == "majority":
-                    L = list_reconstruct_majority(Y, tau, code, delta, a)
-                else:
-                    L = list_reconstruct_sauer(Y, code, delta, a)
+            stacks = sampled_read_sets(x, p, N, share, seed=seed)
+            for L in decode_read_sets(entry, plan, code, p, delta, a, stacks):
                 assert x in L, (decoder, kp, km, n, t, delta, a, x)
                 assert len(L) <= bound, (decoder, len(L), bound)
                 ran += 1

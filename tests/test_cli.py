@@ -356,3 +356,19 @@ def test_cap_bounds_the_read_ball(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: ball of size 42 exceeds enumeration cap 5\n"
     assert main(argv + ["--cap", "42"]) == 0
+
+
+def test_cap_bounds_the_decode_ball(tmp_path, capsys):
+    # distance 7 > t = 1: one read from the 7-vector B(6, 1, 1, 0), decoded
+    # within the 64-vector B(6, 6, 1, 0)
+    f = tmp_path / "code.txt"
+    f.write_text("0,0,0,0,0,0\n3,3,3,3,3,3\n", encoding="utf-8")
+    argv = [
+        "reconstruct", "--alg", "min", "--code", f"explicit:@{f}",
+        "--n", "6", "--t", "1", "--kp", "1", "--trials", "2",
+    ]
+    assert main(argv + ["--cap", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ball of size 64 exceeds enumeration cap 10\n"
+    assert main(argv + ["--cap", "64"]) == 0

@@ -1,19 +1,30 @@
-"""Differential tests of the int64 read-set matrix and the syndrome-table
-decoder against the tuple kernels and brute-force oracles in ``helpers``."""
+"""Differential tests of the int64 read-set matrix, read-set stacks and the
+syndrome-table decoder against the tuple kernels and brute-force oracles in
+``helpers``, and of decoding a stack against decoding its sets one by one."""
 
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magrec import ChannelParams, ERASURE, brute_force_decode
+from magrec import (
+    ChannelParams,
+    ERASURE,
+    EnumerationCapExceeded,
+    ExplicitCode,
+    ReconstructionError,
+    brute_force_decode,
+)
+from magrec import channel, reconstruction
 from magrec.channel import (
     ReadGenSpec,
+    decode_read_sets,
     exhaustive_read_sets,
     generate_reads,
     rng_for,
@@ -22,11 +33,20 @@ from magrec.channel import (
 from magrec.core import ENTRY_LIMIT
 from magrec.lattice import lattice_code_handle, parse_splitter_spec, syndrome
 from magrec.reconstruction import (
+    ALGORITHMS,
     ReadSet,
+    _covering,
     _covers,
     _sauer_candidates,
+    check_stack,
     componentwise_min,
+    list_reconstruct_majority,
+    list_reconstruct_min,
+    list_reconstruct_sauer,
     majority_estimate,
+    majority_votes,
+    reconstruct_majority,
+    reconstruct_min,
 )
 
 from helpers import (
@@ -179,7 +199,11 @@ def test_generated_read_sets_match_tuple_built(p, data):
         )
         for _ in range(3)
     ]
-    assert [Y.reads for Y in sampled_read_sets(x, p, count, 3, seed)] == expected
+    assert [
+        tuple(map(tuple, matrix))
+        for stack in sampled_read_sets(x, p, count, 3, seed)
+        for matrix in stack.tolist()
+    ] == expected
 
     if comb(len(ball), count) <= 3000:
         assert [Y.reads for Y in exhaustive_read_sets(x, p, count)] == [
@@ -209,7 +233,7 @@ def test_sauer_shift_prefilter_matches_full_filter(case, data):
         st.sets(st.integers(0, p.n - 1), max_size=f)
     )))
     Y = ReadSet(reads, p)
-    assert _sauer_candidates(Y, U, f) == oracle_sauer_candidates(
+    assert _sauer_candidates(Y.matrix, p, U, f) == oracle_sauer_candidates(
         reads, U, f, p.k_plus, p.k_minus
     )
 
@@ -245,3 +269,205 @@ def test_table_decode_matches_brute_force():
             _check_table_decode(spec, kp, km)
     spec = parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]")
     _check_table_decode(spec, 1, 1)
+
+
+# -- read-set stacks ---------------------------------------------------------
+
+
+@st.composite
+def stacks(draw, entries=ENTRIES):
+    """A channel and 1-5 read sets of one size N, each as sorted tuples."""
+    p = draw(channels())
+    N = draw(st.integers(1, min(12, 11**p.n)))
+    row = st.tuples(*[entries] * p.n)
+    sets = draw(st.lists(
+        st.lists(row, min_size=N, max_size=N, unique=True), min_size=1, max_size=5
+    ))
+    return p, [oracle_read_set(rows, p.n) for rows in sets]
+
+
+@CHECKS
+@given(stacks(), st.data())
+def test_stack_kernels_match_tuple_oracles(case, data):
+    p, sets = case
+    stack = np.array(sets, dtype=np.int64)
+    assert check_stack(stack, p) is stack
+
+    # thresholds at a margin of some set (erased), just below it (kept) and
+    # in between; past 2**62 the vote compares in Python ints
+    m = data.draw(st.sampled_from([m for rows in sets for m in margins(rows)]))
+    big = 2**62 + 1
+    taus = [
+        Fraction(m), Fraction(m - 1), Fraction(2 * m - 1, 2), Fraction(m * big - 1, big),
+        Fraction(2**70), Fraction(-(2**70)),
+        Fraction(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 3))),
+    ]
+    for tau in taus:
+        best, keep = majority_votes(stack, tau)
+        assert [
+            tuple(v if k else ERASURE for v, k in zip(word, kept))
+            for word, kept in zip(best.tolist(), keep.tolist())
+        ] == [oracle_majority_entries(rows, tau) for rows in sets]
+
+    words = [
+        add(data.draw(st.sampled_from(rows)), data.draw(st.tuples(*[st.integers(-3, 3)] * p.n)))
+        for rows in sets
+    ]
+    if max(abs(v) for w in words for v in w) >= ENTRY_LIMIT:
+        with pytest.raises(ValueError):
+            _covering(words, stack, p)
+    else:
+        assert _covering(words, stack, p).tolist() == [
+            oracle_covers(w, rows, p.t, p.k_plus, p.k_minus) for w, rows in zip(words, sets)
+        ]
+
+
+def test_stack_check_rejects_a_bad_row_at_every_position():
+    p = ChannelParams(3, 2, 1, 1)
+    (stack,) = sampled_read_sets((0, 0, 0), p, 5, 3, seed=1)
+    assert stack.shape == (3, 5, 3) and check_stack(stack, p) is stack
+    for s, j in product(range(3), range(1, 5)):
+        duplicate = stack.copy()
+        duplicate[s, j] = stack[s, j - 1]
+        swapped = stack.copy()
+        swapped[s, [j - 1, j]] = stack[s, [j, j - 1]]
+        for bad in (duplicate, swapped):
+            with pytest.raises(ValueError):
+                check_stack(bad, p)
+
+
+@CHECKS
+@given(channels(max_n=4), st.data())
+def test_stacks_split_trials_at_the_byte_bound(p, data):
+    x = data.draw(st.tuples(*[st.integers(-5, 5)] * p.n))
+    ball = oracle_ball(p.n, p.t, p.k_plus, p.k_minus)
+    shifted = [add(x, e) for e in ball]
+    count = data.draw(st.integers(1, len(ball)))
+    per_stack = data.draw(st.integers(1, 4))
+    trials = data.draw(st.sampled_from([1, per_stack, per_stack + 1, 3 * per_stack - 1]))
+    seed = data.draw(st.integers(0, 2**32))
+    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * count * p.n):
+        random_stacks = list(channel.read_sets(x, p, count, "random", trials, seed))
+        sampled = list(sampled_read_sets(x, p, count, trials, seed))
+        exhaustive = (
+            list(channel.read_sets(x, p, count, "exhaustive"))
+            if comb(len(ball), count) <= 500 else None
+        )
+
+    sizes = [per_stack] * (trials // per_stack) + [trials % per_stack] * (trials % per_stack > 0)
+    for got in (random_stacks, sampled):
+        assert [len(s) for s in got] == sizes
+        for s in got:
+            assert s.dtype == np.int64 and s.shape[1:] == (count, p.n)
+            assert not s.flags.writeable
+
+    def flat(got):
+        return [tuple(map(tuple, m)) for s in got for m in s.tolist()]
+
+    def drawn(rng):
+        return oracle_read_set(
+            [shifted[int(i)] for i in rng.choice(len(ball), size=count, replace=False)], p.n
+        )
+
+    assert flat(random_stacks) == [drawn(rng_for(seed + i)) for i in range(trials)]
+    rng = rng_for(seed)
+    assert flat(sampled) == [drawn(rng) for _ in range(trials)]
+    if exhaustive is not None:
+        assert all(len(s) <= per_stack for s in exhaustive)
+        assert flat(exhaustive) == [oracle_read_set(c, p.n) for c in combinations(shifted, count)]
+
+
+def decode_one_by_one(alg, Y, tau, code, delta, a):
+    """The per-set procedure of ``alg`` on Y, with a failure as ()."""
+    try:
+        if alg == "min":
+            return (reconstruct_min(Y, code, delta),)
+        if alg == "majority":
+            return (reconstruct_majority(Y, tau, code, delta),)
+        if alg == "list-min":
+            return list_reconstruct_min(Y, code, delta, a)
+        if alg == "list-majority":
+            return list_reconstruct_majority(Y, tau, code, delta, a)
+        return list_reconstruct_sauer(Y, code, delta, a)
+    except ReconstructionError:
+        return ()
+
+
+def oracle_unique_decode(alg, rows, tau, members, delta, p):
+    """The minimum or majority machine on tuple rows: the oracle minimum or
+    vote, erasure fills in lexicographic order, brute-force decodes and the
+    oracle cover check."""
+    if alg == "min":
+        c = brute_force_decode(members, oracle_componentwise_min(rows), delta - 1, p)
+        return () if c is None else (c,)
+    entries = oracle_majority_entries(rows, tau)
+    erased = [i for i, v in enumerate(entries) if v is ERASURE]
+    ranges = [range(rows[0][i] - p.k_plus, rows[0][i] + p.k_minus + 1) for i in erased]
+    for fill in product(*ranges):
+        u = list(entries)
+        for i, v in zip(erased, fill):
+            u[i] = v
+        c = brute_force_decode(members, tuple(u), delta - 1, p)
+        if c is not None and oracle_covers(c, rows, p.t, p.k_plus, p.k_minus):
+            return (c,)
+    return ()
+
+
+@CHECKS
+@given(channels(max_n=4, max_kp=2, max_km=1), st.sampled_from(sorted(ALGORITHMS)), st.data())
+def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
+    assume(p.t >= 1 and (p.k_minus == 0) == alg.endswith("min"))
+    delta = data.draw(st.integers(1, p.t))
+    a = data.draw(st.integers(0, p.t - delta)) if alg.startswith("list") else 0
+    x = data.draw(st.tuples(*[st.integers(-2, 2)] * p.n))
+    other = add(x, data.draw(st.tuples(*[st.integers(-2, 2)] * p.n)))
+    code = ExplicitCode({x, other})
+    entry = ALGORITHMS[alg]
+    plan = entry.plan(p, delta, a)
+    # fewer reads than the plan's as well, so that decodes fail and votes
+    # erase
+    N = data.draw(st.integers(1, min(plan.N, len(oracle_ball(p.n, p.t, p.k_plus, p.k_minus)))))
+    trials = data.draw(st.integers(1, 8))
+    seed = data.draw(st.integers(0, 2**32))
+    with mock.patch.object(channel, "_STACK_BYTES", 5 * 8 * N * p.n):
+        # each stack holds sets read around x, then sets read around other
+        around = [list(channel.read_sets(c, p, N, "random", trials, seed)) for c in (x, other)]
+    stacks = [np.concatenate(pair) for pair in zip(*around)]
+    sets = [ReadSet(matrix, p) for stack in stacks for matrix in stack]
+    # small candidate budgets split the erasure fills into many blocks
+    budget = data.draw(st.sampled_from([8, 64, 2**17]))
+    with mock.patch.object(reconstruction, "_CANDIDATE_BYTES", budget):
+        got = list(decode_read_sets(entry, plan, code, p, delta, a, stacks))
+        assert got == [decode_one_by_one(alg, Y, plan.tau, code, delta, a) for Y in sets]
+    if alg in ("min", "majority"):
+        assert got == [
+            oracle_unique_decode(alg, Y.reads, plan.tau, code.members, delta, p) for Y in sets
+        ]
+
+
+def test_erasure_fill_product_respects_the_cap():
+    tau = Fraction(10**6)  # erases every coordinate
+    p = ChannelParams(20, 2, 1, 1)
+    Y = ReadSet([(0,) * 20, (1,) + (0,) * 19], p)
+    code = ExplicitCode([(0,) * 20])
+    tracemalloc.start()
+    try:
+        # 3**20 fills: refused before any of them is built
+        with pytest.raises(EnumerationCapExceeded):
+            reconstruct_majority(Y, tau, code, 1)
+        with pytest.raises(EnumerationCapExceeded):
+            list_reconstruct_majority(Y, tau, code, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    p = ChannelParams(4, 2, 1, 1)
+    Y = ReadSet([(0, 0, 0, 0), (1, 0, 0, 0)], p)
+    code = ExplicitCode([(0, 0, 0, 0)])
+    for decode in (
+        lambda cap: (reconstruct_majority(Y, tau, code, 1, cap=cap),),
+        lambda cap: list_reconstruct_majority(Y, tau, code, 1, 0, cap=cap),
+    ):
+        with pytest.raises(EnumerationCapExceeded):
+            decode(80)
+        assert (0, 0, 0, 0) in decode(81)  # 3**4 fills
