@@ -12,8 +12,9 @@ here is in fact cyclic).  The module provides:
 * the all-ones constructions attaining the group-order lower bounds,
 * ``LatticeCode``, whose bounded-radius decoder looks the syndrome up in
   the same table, and
-* exact brute-force packing / intersection oracles used to certify all of
-  the above on small instances.
+* exact packing / intersection checks over the lattice differences
+  (``max_pairwise_intersection_lattice``, ``packing_by_differences``) used
+  to certify all of the above on small instances.
 """
 
 from __future__ import annotations
@@ -373,36 +374,6 @@ def packing_by_differences(
     return max_pairwise_intersection_lattice(
         spec, ChannelParams(spec.n, t, k_plus, k_minus), cap
     ) == 0
-
-
-def packing_by_window_pairs(
-    spec: SplitterSpec, k_plus: int, k_minus: int, t: int, window: int | None = None
-) -> bool:
-    """Reference packing oracle: enumerate codewords in [-W, W]^n and check
-    every pair of translated balls for disjointness.
-
-    W defaults to 2(k+ + k-) + 1, wide enough that any violating pair has a
-    translate inside the window.  Agrees with ``packing_by_differences``.
-    """
-    if window is None:
-        window = 2 * (k_plus + k_minus) + 1
-    ball = combinatorics.ball_vectors(spec.n, t, k_plus, k_minus)
-    identity = spec.group.identity
-    codewords = [
-        v
-        for v in product(range(-window, window + 1), repeat=spec.n)
-        if syndrome(spec, v) == identity
-    ]
-    ball_sets = {
-        c: {tuple(a + b for a, b in zip(c, e)) for e in ball} for c in codewords
-    }
-    span = k_plus + k_minus
-    for a, b in combinations(codewords, 2):
-        if any(abs(x - y) > span for x, y in zip(a, b)):
-            continue
-        if ball_sets[a] & ball_sets[b]:
-            return False
-    return True
 
 
 def parse_splitter_spec(text: str) -> SplitterSpec:

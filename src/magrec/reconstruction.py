@@ -477,13 +477,15 @@ def list_reconstruct_majority(
     return out
 
 
-def sauer_shelah_find(S, q: int, c: int) -> tuple[int, ...]:
+def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
     """A size-c coordinate set U such that every pattern over U is avoided
     coordinatewise by some member of S.
 
     Brute force over all coordinate subsets (lexicographic order, first
     witness wins) and all q^c patterns.  Such a U exists whenever
     |S| > V_q(n, c - 1); absence therefore signals a violated precondition.
+    The worst-case scan, C(n, c) q^c |S| member tests, is charged against
+    ``cap`` before it starts.
     """
     members = sorted(set(tuple(v) for v in S))
     if not members:
@@ -497,6 +499,11 @@ def sauer_shelah_find(S, q: int, c: int) -> tuple[int, ...]:
         return ()
     if c > n:
         raise ReconstructionError(f"no coordinate set of size {c} in length {n}")
+    worst = binom(n, c) * q**c * len(members)
+    if worst > cap:
+        raise EnumerationCapExceeded(
+            f"{worst} coordinate-search member tests exceed enumeration cap {cap}"
+        )
     for U in combinations(range(n), c):
         ok = True
         for pattern in product(range(q), repeat=c):
@@ -525,7 +532,7 @@ def _sauer_list(
     ReconstructionError when the coordinate search finds no witness."""
     lp = ListParams.for_channel(p.t, delta, a)
     lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
-    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, lp.f - a)
+    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, lp.f - a, cap)
     return _decode_all(_sauer_candidates(M, p, U, lp.f, cap), code, delta, p, cap)
 
 

@@ -13,6 +13,16 @@ of duplications -- the count of reads that can agree on delta shared excess
 units is largest on the outermost shell.  Mixed-weight read sets can defeat
 the formula when delta < t (a documented model boundary), so the generators
 here work shell by shell.
+
+One enumerator builds the excess vectors of B_t^+(0) as a lexicographically
+ordered int64 matrix; a shell w is a row of B_w^+(0) one coordinate shorter
+followed by the excess it leaves, so it depends only on (m + 1, w) and is
+built once for every codeword.  Read sets come in the channel's byte-bounded
+(S, N, m + 1) stacks: every N-subset of a shell, shifted by x.  The decode
+takes each set's componentwise minimum over the stack, decodes each distinct
+minimum once with ``SimplexCode.decode_upward`` and maps the result back to
+its sets.  Reads are int64, so x plus any excess must stay below 2**62
+(``core.check_entries``).
 """
 
 from __future__ import annotations
@@ -22,12 +32,72 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
-from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, ReconstructionError, Vec
+import numpy as np
+
+from magrec import channel
+from magrec.channel import DEFAULT_SUBSET_CAP
+from magrec.core import (
+    DEFAULT_ENUM_CAP,
+    EnumerationCapExceeded,
+    ReconstructionError,
+    Vec,
+    check_entries,
+)
 
 
 def is_simplex_member(v: Vec, m: int, r: int) -> bool:
     """Membership in the simplex: m + 1 non-negative entries summing to r."""
     return len(v) == m + 1 and all(x >= 0 for x in v) and sum(v) == r
+
+
+def _charge(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise EnumerationCapExceeded(f"{what} of size {size} exceeds cap {cap}")
+
+
+def _excess(k: int, t: int) -> np.ndarray:
+    """B_t^+(0) in Z^k: the non-negative int64 rows of sum at most t, in
+    lexicographic order.
+
+    Built column by column: each prefix, in lexicographic order, is extended
+    by every excess 0, 1, ... its prefix leaves within t.  A prefix of
+    excess u with r columns left heads a block of C(r + t - u, r) rows, so
+    column i repeats each value that ends a prefix of length i + 1 over its
+    block.
+    """
+    matrix = np.empty((math.comb(k + t, k), k), dtype=np.int64)
+    steps = np.arange(t + 1)
+    used = np.zeros(1, dtype=np.int64)
+    for i in range(k):
+        # row-major nonzero order: prefix by prefix, excess increasing
+        prefix, step = np.nonzero(used[:, None] + steps <= t)
+        used = used[prefix] + step
+        left = k - i - 1
+        block = np.array([math.comb(left + t - u, left) for u in range(t + 1)])
+        matrix[:, i] = np.repeat(step, block[used])
+    return matrix
+
+
+def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:
+    """The non-negative int64 rows of length k and sum exactly w, in
+    lexicographic order: the excess vectors of one constant-excess shell.
+
+    Each row is a row of B_w^+(0) in Z^(k - 1) followed by the excess it
+    leaves, so the shell holds C(k - 1 + w, k - 1) rows, charged against
+    ``cap`` before any is built.
+    """
+    if w < 0:
+        raise ValueError("w must be >= 0")
+    _charge("upward shell", math.comb(k - 1 + w, k - 1), cap)
+    prefix = _excess(k - 1, w)
+    return np.column_stack((prefix, w - prefix.sum(axis=1)))
+
+
+def _shift(x: Vec, t: int) -> np.ndarray:
+    """x as an int64 row, after checking that x plus any excess up to t
+    stays within the int64-safe range."""
+    check_entries(min(x), max(x) + t)
+    return np.array(x, dtype=np.int64)
 
 
 def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
@@ -37,29 +107,13 @@ def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    size = math.comb(len(x) + t, len(x))
-    if size > cap:
-        raise EnumerationCapExceeded(f"upward ball of size {size} exceeds cap {cap}")
-    out: list[Vec] = []
-    cur = list(x)
-
-    def rec(i: int, budget: int) -> None:
-        if i == len(x):
-            out.append(tuple(cur))
-            return
-        for d in range(budget + 1):
-            cur[i] = x[i] + d
-            rec(i + 1, budget - d)
-        cur[i] = x[i]
-
-    rec(0, t)
-    assert len(out) == size
-    return tuple(out)
+    _charge("upward ball", math.comb(len(x) + t, len(x)), cap)
+    return tuple(map(tuple, (_excess(len(x), t) + _shift(x, t)).tolist()))
 
 
-def upward_shell(x: Vec, w: int) -> tuple[Vec, ...]:
+def upward_shell(x: Vec, w: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
     """The constant-excess slice: y >= x with total excess exactly w."""
-    return tuple(y for y in upward_ball(x, w) if sum(y) - sum(x) == w)
+    return tuple(map(tuple, (_excess_shell(len(x), w, cap) + _shift(x, w)).tolist()))
 
 
 def reads_required_simplex(m: int, t: int, delta: int) -> int:
@@ -119,6 +173,21 @@ class SimplexCode:
         return None
 
 
+def decode_min_stack(
+    stack: np.ndarray, code: SimplexCode, delta: int
+) -> tuple[list[Optional[Vec]], np.ndarray]:
+    """Min-decode an (S, N, m + 1) stack of read sets: each set's
+    componentwise minimum, then a radius-(delta - 1) upward decode.
+
+    Sets often share their minimum, so each distinct minimum is decoded
+    once.  Returns the decodes of the distinct minima (None where the decode
+    fails) and, per set, the index of its minimum among them.
+    """
+    distinct, inverse = np.unique(stack.min(axis=1), axis=0, return_inverse=True)
+    decodes = [code.decode_upward(tuple(z), delta - 1) for z in distinct.tolist()]
+    return decodes, inverse.reshape(-1)
+
+
 def reconstruct_simplex_min(
     Y: Iterable[Vec], code: SimplexCode, delta: int
 ) -> Vec:
@@ -129,8 +198,8 @@ def reconstruct_simplex_min(
     reads = [tuple(y) for y in Y]
     if not reads:
         raise ValueError("read set must be nonempty")
-    z = tuple(min(col) for col in zip(*reads))
-    c = code.decode_upward(z, delta - 1)
+    check_entries(min(map(min, reads)), max(map(max, reads)))
+    (c,), _ = decode_min_stack(np.array([reads], dtype=np.int64), code, delta)
     if c is None:
         raise ReconstructionError(
             "upward decode failed: reads are not from one codeword's upward ball "
@@ -139,17 +208,53 @@ def reconstruct_simplex_min(
     return c
 
 
+def _subset_stacks(
+    shift: np.ndarray, shell: np.ndarray, count: int, cap: int
+) -> Iterator[np.ndarray]:
+    """Stacks of every ``count``-subset of the shell ``shell + shift``, in
+    lexicographic subset order; none when the shell is too small."""
+    size = len(shell)
+    if size < count:
+        return iter(())
+    if math.comb(size, count) > cap:
+        raise ValueError("subset count exceeds cap")
+    return channel._stacks(shell, shift, count, combinations(range(size), count))
+
+
 def exhaustive_simplex_read_sets(
-    x: Vec, t: int, count: int, cap: int = 10**5
+    x: Vec, t: int, count: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[tuple[Vec, ...]]:
-    """All size-``count`` subsets of each constant-excess shell of B_t^+(x)."""
+    """All size-``count`` subsets of each constant-excess shell of B_t^+(x),
+    one by one; ``cap`` bounds each shell and each shell's subset count."""
+    shift = _shift(x, t)
     for w in range(t + 1):
-        shell = upward_shell(x, w)
-        if len(shell) < count:
-            continue
-        if math.comb(len(shell), count) > cap:
-            raise ValueError("subset count exceeds cap")
-        yield from combinations(shell, count)
+        for stack in _subset_stacks(shift, _excess_shell(len(x), w, cap), count, cap):
+            for matrix in stack.tolist():
+                yield tuple(map(tuple, matrix))
+
+
+def simplex_min_counts(
+    code: SimplexCode, t: int, count: int, delta: int, cap: int = DEFAULT_SUBSET_CAP
+) -> tuple[int, int]:
+    """(sets, successes) of min-decoding every size-``count`` subset of every
+    constant-excess shell of every codeword's B_t^+(x); a set succeeds when
+    it decodes to its own codeword.
+
+    Each shell is built once and shifted to each codeword as its sets are
+    stacked; ``cap`` bounds each shell and each shell's subset count.
+    """
+    check_entries(0, code.r + t)
+    sets = successes = 0
+    for w in range(t + 1):
+        shell = _excess_shell(code.m + 1, w, cap)
+        for x in code.members:
+            shift = np.array(x, dtype=np.int64)
+            for stack in _subset_stacks(shift, shell, count, cap):
+                decodes, inverse = decode_min_stack(stack, code, delta)
+                hits = np.array([c == x for c in decodes])
+                sets += len(stack)
+                successes += int(hits[inverse].sum())
+    return sets, successes
 
 
 def greedy_simplex_code(m: int, r: int, delta: int) -> SimplexCode:

@@ -11,7 +11,9 @@ compares the size of its coset-leader table with the ball's.
 
 The read-set oracles are the tuple kernels the library ran before read sets
 became int64 matrices: per-read and per-column Python loops over sorted
-tuples.
+tuples.  The tandem oracles are the recursion and the per-set loop the
+library ran before the upward ball became an int64 matrix and simplex read
+sets became stacks.
 """
 
 from __future__ import annotations
@@ -207,3 +209,57 @@ def oracle_adversarial_order(ball):
         ball,
         key=lambda e: (-sum(1 for v in e if v), -sum(abs(v) for v in e), e),
     )
+
+
+def oracle_packing_by_window_pairs(spec, kp, km, t, window=None) -> bool:
+    """The radius-t balls around the lattice points in [-W, W]^n are
+    pairwise disjoint, checked pair by pair with ball sets.
+
+    W defaults to 2(k+ + k-) + 1, wide enough that any violating pair has a
+    translate inside the window.
+    """
+    if window is None:
+        window = 2 * (kp + km) + 1
+    ball = oracle_ball(spec.n, t, kp, km)
+    codewords = oracle_lattice_window(spec, -window, window)
+    ball_sets = {c: {add(c, e) for e in ball} for c in codewords}
+    span = kp + km
+    return not any(
+        ball_sets[a] & ball_sets[b]
+        for a, b in combinations(codewords, 2)
+        if all(abs(x - y) <= span for x, y in zip(a, b))
+    )
+
+
+def oracle_upward_ball(x, t):
+    """All y >= x with total excess at most t, lex order, by recursion over
+    the coordinates."""
+    out = []
+    cur = list(x)
+
+    def rec(i, budget):
+        if i == len(x):
+            out.append(tuple(cur))
+            return
+        for d in range(budget + 1):
+            cur[i] = x[i] + d
+            rec(i + 1, budget - d)
+        cur[i] = x[i]
+
+    rec(0, t)
+    return out
+
+
+def oracle_simplex_counts(code, t, N, delta):
+    """(sets, successes) of the per-set tandem loop: for each codeword x and
+    each shell w of its upward ball, every N-subset as a tuple of reads, its
+    componentwise minimum and one upward decode."""
+    sets = successes = 0
+    for x in code.members:
+        for w in range(t + 1):
+            shell = [y for y in oracle_upward_ball(x, w) if sum(y) - sum(x) == w]
+            for Y in combinations(shell, N):
+                z = oracle_componentwise_min(Y)
+                sets += 1
+                successes += code.decode_upward(z, delta - 1) == x
+    return sets, successes

@@ -372,3 +372,41 @@ def test_cap_bounds_the_decode_ball(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: ball of size 64 exceeds enumeration cap 10\n"
     assert main(argv + ["--cap", "64"]) == 0
+
+
+def test_cap_bounds_the_sauer_search(capsys):
+    # the coordinate search over 10 reads of length 4 charges
+    # C(4, 2) * 3^2 * 10 = 540 member tests
+    argv = [
+        "list", "--alg", "sauer", "--code", "sum-mod:3", "--n", "4", "--t", "2",
+        "--kp", "1", "--km", "1", "--delta", "1", "--trials", "3",
+    ]
+    assert main(argv + ["--cap", "539"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 540 coordinate-search member tests exceed enumeration cap 539\n"
+    assert main(argv + ["--cap", "540"]) == 0
+
+
+def test_tandem_cap_bounds_the_shells(tmp_path, capsys):
+    # t = 3 shells of the m = 2 simplex hold 1, 3, 6 and 10 vectors; with
+    # N = 10 only the last has a subset, but every shell is charged
+    f = tmp_path / "code.txt"
+    f.write_text(SIMPLEX, encoding="utf-8")
+    argv = ["tandem", "--code", f"simplex:@{f}", "--t", "3", "--N", "10"]
+    assert main(argv + ["--cap", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: upward shell of size 6 exceeds cap 5\n"
+    assert main(argv + ["--cap", "10"]) == 0
+
+
+@pytest.mark.parametrize("r", [2**62 - 1, 2**63])
+def test_tandem_reads_beyond_int64_safe_range_is_one_error_line(r, tmp_path, capsys):
+    f = tmp_path / "code.txt"
+    f.write_text(f"m=1,r={r},delta=1\n{r},0\n0,{r}\n", encoding="utf-8")
+    code = main(["tandem", "--code", f"simplex:@{f}", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,16 +1,21 @@
 """Golden CLI output: exact stdout and exit code of `reconstruct`, `list`,
 `simulate` and grid runs, recorded before their algorithm dispatch moved
-into one registry.  Any difference here is a change in what a user sees."""
+into one registry, and of `tandem` runs, recorded before simplex read sets
+moved onto stacks.  Any difference here is a change in what a user sees."""
 
 import shlex
 
 import pytest
 
 from magrec.cli import main
+from magrec.tandem import format_simplex_code, greedy_simplex_code
 
 #: Explicit code whose distance exceeds t = 1 on the (1, 0) and (1, 1)
 #: channels: one read decodes uniquely.
 UNIQUE_CODE = "0,0\n3,3\n-3,3\n"
+
+#: (m, r, delta) of the greedy simplex codes the tandem cases read.
+SIMPLEX_CODES = [(2, 6, 1), (3, 4, 1), (2, 6, 2)]
 
 CASES = [
     (
@@ -294,6 +299,106 @@ n  t  kp  km  size  brute  match  anchor
 #   ball-size: V_{k++k-+1}(n,t)
 """,
     ),
+    # the tandem codes of the benchmark, the greedy codes (m, r, delta) =
+    # (2, 6, 1), (3, 4, 1) and (2, 6, 2), at t = 1..3: delta = 2 > t = 1 is
+    # an error, and (3, 4, 1) at t = 3 reads N = 18, as its formula's N = 11
+    # gives 5.9 million sets; then rows with failures: too few reads, and a
+    # delta below the code's
+    (
+        "tandem --code simplex:@simplex-m2-r6-d1.txt --t 1",
+        0,
+        """\
+m  r  t  delta  N  sets  success  fail
+2  6  1  1      2  84    84       0
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d1.txt --t 2",
+        0,
+        """\
+m  r  t  delta  N  sets  success  fail
+2  6  2  1      4  420   420      0
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d1.txt --t 3",
+        0,
+        """\
+m  r  t  delta  N  sets  success  fail
+2  6  3  1      7  3360  3360     0
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m3-r4-d1.txt --t 1",
+        0,
+        """\
+m  r  t  delta  N  sets  success  fail
+3  4  1  1      2  210   210      0
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m3-r4-d1.txt --t 2",
+        0,
+        """\
+m  r  t  delta  N  sets  success  fail
+3  4  2  1      5  8820  8820     0
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m3-r4-d1.txt --t 3 --N 18",
+        0,
+        """\
+m  r  t  delta  N   sets  success  fail
+3  4  3  1      18  6650  6650     0
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d2.txt --t 1",
+        1,
+        """\
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d2.txt --t 2 --format records",
+        0,
+        """\
+{"m":2,"r":6,"t":2,"delta":2,"N":2,"sets":180,"success":180,"fail":0}
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d2.txt --t 3 --explain",
+        0,
+        """\
+m  r  t  delta  N  sets  success  fail  anchor
+2  6  3  2      4  2250  2250     0     simplex-reads
+# anchor legend:
+#   simplex-reads: C(m+t-d,m) + 1
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d1.txt --t 3 --N 1",
+        1,
+        """\
+m  r  t  delta  N  sets  success  fail
+2  6  3  1      1  560   28       532
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m3-r4-d1.txt --t 2 --N 2",
+        1,
+        """\
+m  r  t  delta  N  sets  success  fail
+3  4  2  1      2  1785  945      840
+""",
+    ),
+    (
+        "tandem --code simplex:@simplex-m2-r6-d2.txt --t 3 --delta 1 --N 3",
+        1,
+        """\
+m  r  t  delta  N  sets  success  fail
+2  6  3  1      3  1410  810      600
+""",
+    ),
 ]
 
 
@@ -301,5 +406,9 @@ n  t  kp  km  size  brute  match  anchor
 def test_cli_output_unchanged(argv, status, stdout, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "unique.txt").write_text(UNIQUE_CODE, encoding="utf-8")
+    for m, r, delta in SIMPLEX_CODES:
+        (tmp_path / f"simplex-m{m}-r{r}-d{delta}.txt").write_text(
+            format_simplex_code(greedy_simplex_code(m, r, delta)), encoding="utf-8"
+        )
     assert main(shlex.split(argv)) == status
     assert capsys.readouterr().out == stdout

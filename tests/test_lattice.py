@@ -19,7 +19,6 @@ from magrec.lattice import (
     max_pairwise_intersection_lattice,
     min_group_order_bound,
     packing_by_differences,
-    packing_by_window_pairs,
     parse_splitter_spec,
     syndrome,
 )
@@ -30,6 +29,7 @@ from helpers import (
     oracle_ball_set,
     oracle_lattice_min_distance,
     oracle_max_pairwise_intersection,
+    oracle_packing_by_window_pairs,
 )
 
 
@@ -88,7 +88,7 @@ def test_packing_oracles_agree():
             for kp, km in [(1, 0), (1, 1), (2, 1)]:
                 spec = SplitterSpec(cyclic(m), tuple((v,) for v in s))
                 assert packing_by_differences(spec, kp, km, 1) == (
-                    packing_by_window_pairs(spec, kp, km, 1)
+                    oracle_packing_by_window_pairs(spec, kp, km, 1)
                 )
 
 

@@ -1,9 +1,13 @@
 import math
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magrec.core import ReconstructionError
+from magrec import channel
+from magrec.core import EnumerationCapExceeded, ReconstructionError
 from magrec.tandem import (
     SimplexCode,
     exhaustive_simplex_read_sets,
@@ -13,9 +17,14 @@ from magrec.tandem import (
     parse_simplex_code,
     reads_required_simplex,
     reconstruct_simplex_min,
+    simplex_min_counts,
     upward_ball,
     upward_shell,
 )
+
+from helpers import oracle_simplex_counts, oracle_upward_ball
+
+CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def oracle_upward(x, t):
@@ -47,6 +56,59 @@ def test_upward_shell():
     shell = upward_shell((0, 0, 0), 2)
     assert all(sum(y) == 2 for y in shell)
     assert len(shell) == math.comb(2 + 2, 2)
+
+
+@CHECKS
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4), st.integers(0, 4), st.data())
+def test_upward_ball_shells_and_read_sets_match_the_recursion(x, t, data):
+    x = tuple(x)
+    ball = oracle_upward_ball(x, t)
+    assert upward_ball(x, t) == tuple(ball)
+    assert len(ball) == math.comb(len(x) + t, len(x))
+    shells = [[y for y in ball if sum(y) - sum(x) == w] for w in range(t + 1)]
+    for w, shell in enumerate(shells):
+        assert upward_shell(x, w) == tuple(shell)
+    N = data.draw(st.integers(1, 4))
+    per_stack = data.draw(st.integers(1, 4))
+    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * N * len(x)):
+        got = list(exhaustive_simplex_read_sets(x, t, N))
+    assert got == [Y for shell in shells for Y in combinations(shell, N)]
+
+
+@CHECKS
+@given(st.data())
+def test_stack_counts_match_the_per_set_loop(data):
+    m = data.draw(st.integers(1, 3))
+    code = greedy_simplex_code(m, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2)))
+    t = data.draw(st.integers(1, 3 if m < 3 else 2))
+    delta = data.draw(st.integers(1, t))
+    # read counts below the formula's leave sets that fail to decode
+    N = data.draw(st.integers(1, reads_required_simplex(m, t, delta) + 1))
+    # a few sets per stack, so stacks split inside a shell
+    per_stack = data.draw(st.integers(1, 5))
+    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * N * (m + 1)):
+        got = simplex_min_counts(code, t, N, delta)
+    assert got == oracle_simplex_counts(code, t, N, delta)
+
+
+def test_caps_and_int64_range():
+    with pytest.raises(EnumerationCapExceeded):
+        upward_ball((0, 0, 0), 2, cap=9)  # 10 vectors
+    assert len(upward_ball((0, 0, 0), 2, cap=10)) == 10
+    with pytest.raises(EnumerationCapExceeded):
+        upward_shell((0, 0, 0), 2, cap=5)  # 6 vectors
+    with pytest.raises(EnumerationCapExceeded):
+        list(exhaustive_simplex_read_sets((0, 0, 0), 2, 6, cap=5))
+    with pytest.raises(ValueError, match="subset count exceeds cap"):
+        list(exhaustive_simplex_read_sets((0, 0, 0), 2, 3, cap=19))  # C(6, 3) = 20
+    big = 2**62 - 1
+    code = SimplexCode(1, big, 1, ((big, 0),))
+    with pytest.raises(ValueError, match="int64-safe"):
+        simplex_min_counts(code, 1, 2, 1)
+    with pytest.raises(ValueError, match="int64-safe"):
+        reconstruct_simplex_min([(big + 1, 0)], code, 1)
+    with pytest.raises(ValueError, match="int64-safe"):
+        upward_ball((big, 0), 1)
 
 
 def test_reads_required_simplex():
