@@ -111,9 +111,10 @@ def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
     return tuple(map(tuple, (_excess(len(x), t) + _shift(x, t)).tolist()))
 
 
-def upward_shell(x: Vec, w: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
+def upward_shell(x: Vec, w: int) -> tuple[Vec, ...]:
     """The constant-excess slice: y >= x with total excess exactly w."""
-    return tuple(map(tuple, (_excess_shell(len(x), w, cap) + _shift(x, w)).tolist()))
+    shell = _excess_shell(len(x), w, DEFAULT_ENUM_CAP)
+    return tuple(map(tuple, (shell + _shift(x, w)).tolist()))
 
 
 def reads_required_simplex(m: int, t: int, delta: int) -> int:
@@ -208,17 +209,25 @@ def reconstruct_simplex_min(
     return c
 
 
-def _subset_stacks(
-    shift: np.ndarray, shell: np.ndarray, count: int, cap: int
-) -> Iterator[np.ndarray]:
-    """Stacks of every ``count``-subset of the shell ``shell + shift``, in
-    lexicographic subset order; none when the shell is too small."""
-    size = len(shell)
-    if size < count:
-        return iter(())
-    if math.comb(size, count) > cap:
-        raise ValueError("subset count exceeds cap")
-    return channel._stacks(shell, shift, count, combinations(range(size), count))
+def _read_set_stacks(
+    members: tuple[Vec, ...], t: int, count: int, cap: int
+) -> Iterator[tuple[Vec, np.ndarray]]:
+    """(x, stack) for every x in ``members``: stacks of every ``count``-subset
+    of each constant-excess shell of B_t^+(x), shell by shell, in
+    lexicographic subset order.  Each shell is built once, charged against
+    ``cap`` with its subset count, and shifted to each x."""
+    check_entries(min(map(min, members)), max(map(max, members)) + t)
+    shifts = [(x, np.array(x, dtype=np.int64)) for x in members]
+    for w in range(t + 1):
+        shell = _excess_shell(len(members[0]), w, cap)
+        if len(shell) < count:
+            continue
+        if math.comb(len(shell), count) > cap:
+            raise ValueError("subset count exceeds cap")
+        for x, shift in shifts:
+            subsets = combinations(range(len(shell)), count)
+            for stack in channel._stacks(shell, shift, count, subsets):
+                yield x, stack
 
 
 def exhaustive_simplex_read_sets(
@@ -226,11 +235,9 @@ def exhaustive_simplex_read_sets(
 ) -> Iterator[tuple[Vec, ...]]:
     """All size-``count`` subsets of each constant-excess shell of B_t^+(x),
     one by one; ``cap`` bounds each shell and each shell's subset count."""
-    shift = _shift(x, t)
-    for w in range(t + 1):
-        for stack in _subset_stacks(shift, _excess_shell(len(x), w, cap), count, cap):
-            for matrix in stack.tolist():
-                yield tuple(map(tuple, matrix))
+    for _, stack in _read_set_stacks((tuple(x),), t, count, cap):
+        for matrix in stack.tolist():
+            yield tuple(map(tuple, matrix))
 
 
 def simplex_min_counts(
@@ -238,22 +245,15 @@ def simplex_min_counts(
 ) -> tuple[int, int]:
     """(sets, successes) of min-decoding every size-``count`` subset of every
     constant-excess shell of every codeword's B_t^+(x); a set succeeds when
-    it decodes to its own codeword.
-
-    Each shell is built once and shifted to each codeword as its sets are
-    stacked; ``cap`` bounds each shell and each shell's subset count.
+    it decodes to its own codeword.  ``cap`` bounds each shell and each
+    shell's subset count.
     """
-    check_entries(0, code.r + t)
     sets = successes = 0
-    for w in range(t + 1):
-        shell = _excess_shell(code.m + 1, w, cap)
-        for x in code.members:
-            shift = np.array(x, dtype=np.int64)
-            for stack in _subset_stacks(shift, shell, count, cap):
-                decodes, inverse = decode_min_stack(stack, code, delta)
-                hits = np.array([c == x for c in decodes])
-                sets += len(stack)
-                successes += int(hits[inverse].sum())
+    for x, stack in _read_set_stacks(code.members, t, count, cap):
+        decodes, inverse = decode_min_stack(stack, code, delta)
+        hits = np.array([c == x for c in decodes])
+        sets += len(stack)
+        successes += int(hits[inverse].sum())
     return sets, successes
 
 

@@ -96,7 +96,7 @@ def test_caps_and_int64_range():
         upward_ball((0, 0, 0), 2, cap=9)  # 10 vectors
     assert len(upward_ball((0, 0, 0), 2, cap=10)) == 10
     with pytest.raises(EnumerationCapExceeded):
-        upward_shell((0, 0, 0), 2, cap=5)  # 6 vectors
+        simplex_min_counts(greedy_simplex_code(2, 2, 1), 2, 1, 1, cap=5)  # 6 vectors
     with pytest.raises(EnumerationCapExceeded):
         list(exhaustive_simplex_read_sets((0, 0, 0), 2, 6, cap=5))
     with pytest.raises(ValueError, match="subset count exceeds cap"):
