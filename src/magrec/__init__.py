@@ -20,8 +20,6 @@ from magrec.core import (
     ReconstructionError,
     Vec,
     brute_force_decode,
-    vector_add,
-    vector_sub,
 )
 from magrec.combinatorics import (
     IntersectionBounds,
@@ -30,8 +28,7 @@ from magrec.combinatorics import (
     enumerate_ball,
     hamming_volume,
     in_ball,
-    intersection_bounds_asymmetric,
-    intersection_bounds_general,
+    intersection_bounds,
     intersection_exact,
     max_intersection_of_code,
     max_intersection_whole_space,
@@ -56,14 +53,12 @@ from magrec.lattice import (
     construct_N1_code,
     construct_N2_code,
     cyclic,
-    lattice_code_handle,
     lattice_min_distance,
     min_group_order_bound,
     parse_splitter_spec,
     syndrome,
 )
 from magrec.reconstruction import (
-    ListParams,
     ReadSet,
     adversarial_instance,
     list_params_general,

@@ -9,6 +9,13 @@ stack holds as many sets as fit in ``_STACK_BYTES`` (at least one), so its
 memory stays bounded whatever N, n and the trial count.  x is a tuple, and
 x plus any error must stay below ``ENTRY_LIMIT`` in magnitude.
 
+Every generator takes the channel as one ``ChannelParams`` p, and the read
+mode is one of the CLI's ``--reads`` words: "random", "adversarial"
+(heaviest errors first) or "exhaustive" (every N-subset of the ball).
+``generate_reads(x, p, N, reads, seed)`` draws one random or adversarial
+set, and ``run_trial(code, algorithm, x, p, N, delta, a, reads, seed)``
+decodes it.
+
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
 generator name and seed.  ``read_sets`` draws random trial i from its own
@@ -32,6 +39,7 @@ from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
     Code,
+    EnumerationCapExceeded,
     Vec,
     check_entries,
 )
@@ -40,28 +48,10 @@ from magrec import reconstruction
 
 RNG_NAME = "philox"
 
-#: Modes for generate_reads.
-MODES = ("random_distinct", "adversarial_heavy")
-
 DEFAULT_SUBSET_CAP = 10**5
 
 #: Byte budget of one read-set stack.
 _STACK_BYTES = 128 * 2**10
-
-
-@dataclass(frozen=True)
-class ReadGenSpec:
-    mode: str
-    count: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
 
 
 def rng_for(seed: int, trial_index: Optional[int] = None) -> np.random.Generator:
@@ -123,11 +113,12 @@ def read_sets(
     """Stacks of N-read sets around x: ``trials`` random ones, trial i drawn
     by the generator of ``seed + i``; the one adversarial set; or every
     N-subset of the ball, in lexicographic subset order.  ``cap`` bounds the
-    ball and, for exhaustive reads, the subset count."""
+    ball and, for exhaustive reads, the subset count: past it
+    EnumerationCapExceeded is raised."""
     if reads == "exhaustive":
         total = math.comb(ball_size(p), N)
         if total > cap:
-            raise ValueError(
+            raise EnumerationCapExceeded(
                 f"{total} subsets exceed the cap {cap}; use sampled_read_sets"
             )
     elif reads not in ("random", "adversarial"):
@@ -148,12 +139,15 @@ def read_sets(
 
 
 def generate_reads(
-    x: Vec, p: ChannelParams, spec: ReadGenSpec, cap: int = DEFAULT_ENUM_CAP
+    x: Vec, p: ChannelParams, N: int, reads: str = "random", seed: int = 0,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> reconstruction.ReadSet:
-    """Distinct reads from the ball around x, per the spec's mode; a ball of
-    more than ``cap`` vectors raises EnumerationCapExceeded."""
-    reads = "random" if spec.mode == "random_distinct" else "adversarial"
-    (stack,) = read_sets(x, p, spec.count, reads, 1, spec.seed, cap)
+    """One set of N distinct reads from the ball around x, the ``read_sets``
+    set of the same ``reads`` mode ("random" or "adversarial") and seed; a
+    ball of more than ``cap`` vectors raises EnumerationCapExceeded."""
+    if reads == "exhaustive":
+        raise ValueError("generate_reads draws one read set; use exhaustive_read_sets")
+    (stack,) = read_sets(x, p, N, reads, 1, seed, cap)
     return reconstruction.ReadSet(stack[0], p)
 
 
@@ -240,15 +234,11 @@ def decode_read_sets(
 
 
 def run_trial(
-    code: Code,
-    algorithm: str,
-    x: Vec,
-    p: ChannelParams,
-    spec: ReadGenSpec,
-    delta: int,
-    a: int = 0,
+    code: Code, algorithm: str, x: Vec, p: ChannelParams, N: int, delta: int,
+    a: int = 0, reads: str = "random", seed: int = 0,
 ) -> TrialRecord:
-    """Generate reads, run the selected algorithm, compare with x.
+    """Generate N reads (``generate_reads``), run the selected algorithm,
+    compare with x.
 
     A ReconstructionError counts as an unsuccessful trial (that is the
     comparison outcome); genuine usage errors propagate.
@@ -257,11 +247,11 @@ def run_trial(
         raise ValueError(f"algorithm must be one of {tuple(reconstruction.ALGORITHMS)}")
     entry = reconstruction.ALGORITHMS[algorithm]
     plan = entry.plan(p, delta, a)
-    Y = generate_reads(x, p, spec)
+    Y = generate_reads(x, p, N, reads, seed)
     start = time.monotonic_ns()
     (outputs,) = decode_read_sets(entry, plan, code, p, delta, a, (Y.stack,))
     elapsed = time.monotonic_ns() - start
     success = entry.succeeded(x, outputs)
     return TrialRecord(
-        RNG_NAME, spec.seed, p, algorithm, len(Y), success, len(outputs), elapsed
+        RNG_NAME, seed, p, algorithm, len(Y), success, len(outputs), elapsed
     )

@@ -112,9 +112,9 @@ def parse_code_spec(text: str, n: int | None = None):
             raise ValueError("sum-mod codes need --n")
         modulus = int(rest)
         spec = lattice.SplitterSpec(lattice.cyclic(modulus), ((1,),) * n)
-        return lattice.lattice_code_handle(spec)
+        return lattice.LatticeCode(spec)
     if kind == "splitter":
-        return lattice.lattice_code_handle(lattice.parse_splitter_spec(rest))
+        return lattice.LatticeCode(lattice.parse_splitter_spec(rest))
     if kind == "explicit":
         if not rest.startswith("@"):
             raise ValueError("explicit codes are loaded from a file: explicit:@FILE")
@@ -126,11 +126,11 @@ def parse_code_spec(text: str, n: int | None = None):
     raise ValueError(f"unknown code spec {text!r}")
 
 
-def code_distance(code, k_plus: int, k_minus: int, cap: int) -> int:
+def code_distance(code, p: ChannelParams, cap: int) -> int:
     if isinstance(code, lattice.LatticeCode):
-        return lattice.lattice_min_distance(code.spec, k_plus, k_minus, cap=cap)
+        return lattice.lattice_min_distance(code.spec, p.k_plus, p.k_minus, cap=cap)
     if isinstance(code, ExplicitCode):
-        return distances.code_min_distance(code.members, k_plus, k_minus)
+        return distances.code_min_distance(code.members, p.k_plus, p.k_minus)
     raise ValueError("cannot compute a distance for this code")
 
 
@@ -349,7 +349,7 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
     )
     p = ChannelParams(n, t, kp, km)
     code = parse_code_spec(args.code, n=n)
-    actual = code_distance(code, kp, km, cap=args.cap)
+    actual = code_distance(code, p, cap=args.cap)
     if args.delta:
         delta = single_value("delta", args.delta)
         if delta > actual:
@@ -431,7 +431,7 @@ def cmd_simulate(args) -> int:
         if p.n not in code_cache:
             code_cache[p.n] = parse_code_spec(args.code, n=p.n)
         code = code_cache[p.n]
-        actual = code_distance(code, p.k_plus, p.k_minus, cap=args.cap)
+        actual = code_distance(code, p, cap=args.cap)
         delta = actual if given_delta is None else given_delta
         if delta > actual:
             report.note(_skip_note(

@@ -5,8 +5,9 @@ The error ball B(n, t, k+, k-) is the set of integer vectors with entries in
 V_q(n, t) over an alphabet of q = k+ + k- + 1 symbols.  This module provides
 exact enumeration of such balls, the exact size of the intersection of two
 translated balls, the closed form for the worst-case intersection over all
-of Z^n, and the two closed-form bound pairs that sandwich the intersection
-size when the centers are at a known distance.
+of Z^n, and the closed-form bound pair that sandwiches the intersection
+size when the centers are at a known distance (``intersection_bounds(p,
+delta)``, one pair for k- = 0 and one for k- >= 1).
 
 Every ball comes from one enumerator and one LRU cache keyed by
 (n, t, k+, k-): a read-only int64 matrix (``ball_matrix``) and the tuple
@@ -163,16 +164,16 @@ def enumerate_ball(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, 
     return ball_vectors(p.n, p.t, p.k_plus, p.k_minus, cap=cap)
 
 
-def in_ball(v: Vec, t: int, k_plus: int, k_minus: int) -> bool:
-    """Membership test for B(len(v), t, k+, k-); O(n), no enumeration."""
+def in_ball(v: Vec, p: ChannelParams) -> bool:
+    """Membership test of a length-n vector in B(n, t, k+, k-); O(n), no
+    enumeration."""
     weight = 0
-    lo = -k_minus
     for x in v:
         if x:
-            if x < lo or x > k_plus:
+            if not -p.k_minus <= x <= p.k_plus:
                 return False
             weight += 1
-            if weight > t:
+            if weight > p.t:
                 return False
     return True
 
@@ -222,19 +223,22 @@ class IntersectionBounds:
         return self.lower <= value <= self.upper
 
 
-def intersection_bounds_asymmetric(
-    n: int, t: int, k_plus: int, delta: int
-) -> IntersectionBounds:
-    """Bound pair for |(x+B) ∩ (y+B)| when k- = 0 and the centers are at
-    asymmetric distance delta.
+def intersection_bounds(p: ChannelParams, delta: int) -> IntersectionBounds:
+    """Bound pair for |(x+B) ∩ (y+B)| when the centers are at distance delta:
+    the asymmetric distance when k- = 0, the general one when k- >= 1.
 
-    The inner sum's lower index delta + i - t is clamped at 0 (the binomial
-    vanishes below it); empty sums are 0 and 0**0 = 1, which makes the
-    delta = t and k+ = 1 corners come out right.
+    Both lower bounds are sum_i C(n - 2 delta, i) (k+ + k-)^i.  In the k- = 0
+    upper bound the inner sum's lower index delta + i - t is clamped at 0
+    (the binomial vanishes below it); empty sums are 0 and 0**0 = 1, which
+    makes the delta = t and k+ = 1 corners come out right.
     """
-    if not 0 <= delta <= t <= n:
+    n, t, k_plus, span = p.n, p.t, p.k_plus, p.magnitude_span
+    if not 0 <= delta <= t:
         raise ValueError(f"need 0 <= delta <= t <= n, got delta={delta}, t={t}, n={n}")
-    lower = sum(binom(n - 2 * delta, i) * k_plus**i for i in range(t - delta + 1))
+    lower = sum(binom(n - 2 * delta, i) * span**i for i in range(t - delta + 1))
+    if p.k_minus:
+        upper = sum(binom(n, i) * span ** (i + 2 * delta) for i in range(t - delta + 1))
+        return IntersectionBounds(lower, upper)
     upper = 0
     for i in range(t - delta + 1):
         inner = sum(
@@ -242,21 +246,6 @@ def intersection_bounds_asymmetric(
             for k in range(max(0, delta + i - t), min(delta, t - i) + 1)
         )
         upper += binom(n - delta, i) * k_plus**i * inner
-    return IntersectionBounds(lower, upper)
-
-
-def intersection_bounds_general(
-    n: int, t: int, k_plus: int, k_minus: int, delta: int
-) -> IntersectionBounds:
-    """Bound pair for |(x+B) ∩ (y+B)| when k- >= 1 and the centers are at
-    general distance delta."""
-    if k_minus < 1:
-        raise ValueError("general bounds require k_minus >= 1")
-    if not 0 <= delta <= t <= n:
-        raise ValueError(f"need 0 <= delta <= t <= n, got delta={delta}, t={t}, n={n}")
-    span = k_plus + k_minus
-    lower = sum(binom(n - 2 * delta, i) * span**i for i in range(t - delta + 1))
-    upper = sum(binom(n, i) * span ** (i + 2 * delta) for i in range(t - delta + 1))
     return IntersectionBounds(lower, upper)
 
 

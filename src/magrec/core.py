@@ -109,18 +109,6 @@ class EstimateWord:
         return len(self.entries)
 
 
-def vector_add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vector_sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
 class Code:
     """A code over Z^n: membership test plus a bounded-radius unique decoder.
 

@@ -284,10 +284,6 @@ class LatticeCode(Code):
         return None if e is None else tuple(zi - ei for zi, ei in zip(z, e))
 
 
-def lattice_code_handle(spec: SplitterSpec) -> LatticeCode:
-    return LatticeCode(spec)
-
-
 def _lattice_vectors_by_weight(
     spec: SplitterSpec, span: int, max_weight: int, cap: int
 ):

@@ -12,6 +12,14 @@ family, the exact rational vote threshold) that guarantees it:
 * ``list_reconstruct_sauer`` -- a shattering-based list decoder that needs
   far fewer reads at the cost of a combinatorial coordinate search.
 
+Every formula takes the channel as one ``ChannelParams`` p, then the code
+distance delta and, for the list family, the list exponent a:
+``reads_required_min(p, delta)``, ``majority_threshold(p, delta)``,
+``list_params_min(p, delta, a)``, ``list_params_general(p, delta, a)`` and
+``sauer_reads_required(p, delta, a)``.  Each raises ValueError on a channel
+of the wrong k- sign for its machine, on delta outside [1, t] and on a
+outside [0, f - 1], f = t - delta + 1 being the excess error count.
+
 Read sets are decoded in stacks: an (S, N, n) int64 array of S sets of N
 distinct reads, each set's rows in lexicographic order.  ``check_stack``
 checks a stack once; the minimum, the plurality vote, the anchors (each
@@ -127,39 +135,40 @@ class ReadSet:
         return self.matrix[None]
 
 
-@dataclass(frozen=True)
-class ListParams:
-    """List-decoding knobs: code distance delta, list exponent a, and the
-    excess error count f = t - delta + 1."""
-
-    delta: int
-    a: int
-    f: int
-
-    def __post_init__(self) -> None:
-        if self.delta < 1 or self.f < 1:
-            raise ValueError(f"need delta >= 1 and f >= 1, got {self}")
-        if not 0 <= self.a <= self.f - 1:
-            raise ValueError(f"need 0 <= a <= f-1, got a={self.a}, f={self.f}")
-
-    @classmethod
-    def for_channel(cls, t: int, delta: int, a: int) -> "ListParams":
-        if not 1 <= delta <= t:
-            raise ValueError(f"need 1 <= delta <= t, got delta={delta}, t={t}")
-        return cls(delta, a, t - delta + 1)
+def _check_delta(p: ChannelParams, delta: int) -> None:
+    if not 1 <= delta <= p.t:
+        raise ValueError(
+            f"need 1 <= delta <= t <= n, got delta={delta}, t={p.t}, n={p.n}"
+        )
 
 
-def reads_required_min(n: int, t: int, k_plus: int, delta: int) -> int:
-    """Reads guaranteeing the componentwise-minimum reconstruction (k- = 0)
-    recovers the codeword: (k+)^delta * V_{k+ + 1}(n - delta, t - delta) + 1."""
-    if not 1 <= delta <= t <= n:
-        raise ValueError(f"need 1 <= delta <= t <= n, got delta={delta}, t={t}, n={n}")
-    return k_plus**delta * hamming_volume(k_plus + 1, n - delta, t - delta) + 1
+def _list_excess(p: ChannelParams, delta: int, a: int) -> int:
+    """The excess error count f = t - delta + 1 of list decoding, after
+    checking 1 <= delta <= t and 0 <= a <= f - 1."""
+    if not 1 <= delta <= p.t:
+        raise ValueError(f"need 1 <= delta <= t, got delta={delta}, t={p.t}")
+    f = p.t - delta + 1
+    if not 0 <= a <= f - 1:
+        raise ValueError(f"need 0 <= a <= f-1, got a={a}, f={f}")
+    return f
 
 
 def _require_k_minus_zero(p: ChannelParams) -> None:
     if p.k_minus != 0:
         raise ValueError("componentwise-minimum reconstruction needs k_minus = 0")
+
+
+def _require_k_minus_positive(p: ChannelParams, machine: str) -> None:
+    if p.k_minus < 1:
+        raise ValueError(f"{machine} reconstruction needs k_minus >= 1")
+
+
+def reads_required_min(p: ChannelParams, delta: int) -> int:
+    """Reads guaranteeing the componentwise-minimum reconstruction (k- = 0)
+    recovers the codeword: (k+)^delta * V_{k+ + 1}(n - delta, t - delta) + 1."""
+    _require_k_minus_zero(p)
+    _check_delta(p, delta)
+    return p.k_plus**delta * hamming_volume(p.k_plus + 1, p.n - delta, p.t - delta) + 1
 
 
 def componentwise_min(Y: ReadSet) -> Vec:
@@ -203,28 +212,19 @@ def reconstruct_min(Y: ReadSet, code: Code, delta: int, cap: int = DEFAULT_ENUM_
     )
 
 
-def majority_reads_required(n: int, t: int, k_plus: int, k_minus: int, delta: int) -> int:
-    """(k+ + k-)^(2 delta) * V(n, t - delta) + 1 reads for the majority machine."""
-    if not 1 <= delta <= t <= n:
-        raise ValueError(f"need 1 <= delta <= t <= n, got delta={delta}, t={t}, n={n}")
-    span = k_plus + k_minus
-    return span ** (2 * delta) * hamming_volume(span + 1, n, t - delta) + 1
+def majority_threshold(p: ChannelParams, delta: int) -> tuple[int, Fraction]:
+    """The (N, tau) pair for thresholded majority voting (k- >= 1), tau exact.
 
-
-def majority_threshold(
-    n: int, t: int, k_plus: int, k_minus: int, delta: int
-) -> tuple[int, Fraction]:
-    """The (N, tau) pair for thresholded majority voting, tau exact.
-
+    N = (k+ + k-)^(2 delta) * V(n, t - delta) + 1 reads,
     tau = (1 - 2/delta) N + (2 (k+ + k-)^delta / delta) V(n - delta, t - delta),
     and tau < N always.
     """
-    if k_minus < 1:
-        raise ValueError("majority reconstruction needs k_minus >= 1")
-    N = majority_reads_required(n, t, k_plus, k_minus, delta)
-    span = k_plus + k_minus
+    _require_k_minus_positive(p, "majority")
+    _check_delta(p, delta)
+    span = p.magnitude_span
+    N = span ** (2 * delta) * hamming_volume(span + 1, p.n, p.t - delta) + 1
     tau = Fraction(delta - 2, delta) * N + Fraction(2 * span**delta, delta) * (
-        hamming_volume(span + 1, n - delta, t - delta)
+        hamming_volume(span + 1, p.n - delta, p.t - delta)
     )
     return N, tau
 
@@ -341,8 +341,7 @@ def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
     to the next one that decodes, and checks those codewords in one cover
     test over the stack.
     """
-    if p.k_minus < 1:
-        raise ValueError("majority reconstruction needs k_minus >= 1")
+    _require_k_minus_positive(p, "majority")
     best, keep = majority_votes(stack, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
     decoded = [
@@ -381,12 +380,14 @@ def reconstruct_majority(
     )
 
 
-def list_params_min(n: int, t: int, k_plus: int, delta: int, a: int) -> int:
-    """Minimal N with N > (k+)^(delta+a) V_{k+ + 1}(n - delta - a, f - 1 - a)."""
-    lp = ListParams.for_channel(t, delta, a)
+def list_params_min(p: ChannelParams, delta: int, a: int) -> int:
+    """Minimal N with N > (k+)^(delta+a) V_{k+ + 1}(n - delta - a, f - 1 - a),
+    for a k- = 0 channel."""
+    _require_k_minus_zero(p)
+    f = _list_excess(p, delta, a)
     return (
-        k_plus ** (delta + a)
-        * hamming_volume(k_plus + 1, n - delta - a, lp.f - 1 - a)
+        p.k_plus ** (delta + a)
+        * hamming_volume(p.k_plus + 1, p.n - delta - a, f - 1 - a)
         + 1
     )
 
@@ -423,26 +424,19 @@ def list_reconstruct_min(
     return out
 
 
-def list_params_general(
-    n: int, t: int, k_plus: int, k_minus: int, delta: int, a: int
-) -> tuple[int, Fraction]:
-    """(N, tau) for the majority list machine, exact rationals.
+def list_params_general(p: ChannelParams, delta: int, a: int) -> tuple[int, Fraction]:
+    """(N, tau) for the majority list machine (k- >= 1), exact rationals.
 
     N = (k+ + k-)^(delta + a + 1) V(n - delta - a, f - 1 - a) + 1 and
     tau = (1 - 2/(delta+a)) N
           + (2/(delta+a)) sum_i C(n-delta-a, i) (k+ + k-)^(i + delta + a).
     """
-    if k_minus < 1:
-        raise ValueError("majority list reconstruction needs k_minus >= 1")
-    lp = ListParams.for_channel(t, delta, a)
-    span = k_plus + k_minus
-    N = span ** (delta + a + 1) * hamming_volume(
-        span + 1, n - delta - a, lp.f - 1 - a
-    ) + 1
+    _require_k_minus_positive(p, "majority list")
+    f = _list_excess(p, delta, a)
+    span = p.magnitude_span
     s = delta + a
-    tail = sum(
-        binom(n - s, i) * span ** (i + s) for i in range(t - s + 1)
-    )
+    N = span ** (s + 1) * hamming_volume(span + 1, p.n - s, f - 1 - a) + 1
+    tail = sum(binom(p.n - s, i) * span ** (i + s) for i in range(p.t - s + 1))
     tau = Fraction(s - 2, s) * N + Fraction(2, s) * tail
     return N, tau
 
@@ -452,8 +446,7 @@ def _decode_list_majority(
 ):
     """Per set: majority estimate, erasure filling, then decode every vector
     of candidate - B(n, a, k+, k-)."""
-    if p.k_minus < 1:
-        raise ValueError("majority list reconstruction needs k_minus >= 1")
+    _require_k_minus_positive(p, "majority list")
     best, keep = majority_votes(stack, tau)
     shifts = ball_matrix(p.n, a, p.k_plus, p.k_minus, cap=cap)
     return [
@@ -519,10 +512,10 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     )
 
 
-def sauer_reads_required(n: int, t: int, k_plus: int, k_minus: int, delta: int, a: int) -> int:
+def sauer_reads_required(p: ChannelParams, delta: int, a: int) -> int:
     """Minimal N with N > V_{k+ + k- + 1}(n, f - 1 - a)."""
-    lp = ListParams.for_channel(t, delta, a)
-    return hamming_volume(k_plus + k_minus + 1, n, lp.f - 1 - a) + 1
+    f = _list_excess(p, delta, a)
+    return hamming_volume(p.magnitude_span + 1, p.n, f - 1 - a) + 1
 
 
 def _sauer_list(
@@ -530,10 +523,10 @@ def _sauer_list(
 ) -> tuple[Vec, ...]:
     """The Sauer list of one read set, given as its (N, n) matrix; raises
     ReconstructionError when the coordinate search finds no witness."""
-    lp = ListParams.for_channel(p.t, delta, a)
+    f = _list_excess(p, delta, a)
     lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
-    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, lp.f - a, cap)
-    return _decode_all(_sauer_candidates(M, p, U, lp.f, cap), code, delta, p, cap)
+    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, f - a, cap)
+    return _decode_all(_sauer_candidates(M, p, U, f, cap), code, delta, p, cap)
 
 
 def _decode_sauer(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
@@ -594,7 +587,7 @@ def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:
 
 def sauer_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:
     """(k+ + k- + 1)^(2(f - a)) * V(n - f + a, a)."""
-    f = p.t - delta + 1
+    f = _list_excess(p, delta, a)
     q = p.magnitude_span + 1
     return q ** (2 * (f - a)) * hamming_volume(q, p.n - f + a, a)
 
@@ -606,9 +599,7 @@ def adversarial_code_size_bound(n: int, e: int, a: int) -> Fraction:
     return Fraction(n**a, denom)
 
 
-def adversarial_instance(
-    n: int, t: int, k_plus: int, k_minus: int, e: int, a: int
-) -> tuple[ReadSet, tuple[Vec, ...]]:
+def adversarial_instance(p: ChannelParams, e: int, a: int) -> tuple[ReadSet, tuple[Vec, ...]]:
     """A read set contained in every ball of a nontrivially large code.
 
     The reads are all of S = {v in [-k-, k+-1]^n : wt(v) <= f - a}, the
@@ -619,9 +610,10 @@ def adversarial_instance(
     minimum Hamming distance 2e + 2, so it corrects e errors, and its size
     meets ``adversarial_code_size_bound``.
     """
-    if (k_plus, k_minus) == (1, 0):
+    n = p.n
+    if (p.k_plus, p.k_minus) == (1, 0):
         raise ValueError("the (1, 0) channel admits no such instance")
-    f = t - e
+    f = p.t - e
     if not 0 <= a <= f:
         raise ValueError(f"need 0 <= a <= f = t - e, got a={a}, f={f}")
     if n < 2 * e + a:
@@ -629,7 +621,7 @@ def adversarial_instance(
     if e < 0 or e + a > n:
         raise ValueError("weight e + a must fit in n")
 
-    reads = ball_vectors(n, f - a, k_plus - 1, k_minus)
+    reads = ball_vectors(n, f - a, p.k_plus - 1, p.k_minus)
     weight = e + a
     max_shared = weight - (e + 1)  # |A & B| <= this keeps Hamming distance >= 2e+2
     code: list[Vec] = []
@@ -642,8 +634,7 @@ def adversarial_instance(
                 v[i] = -1
             code.append(tuple(v))
             supports.append(sup_set)
-    params = ChannelParams(n, t, k_plus, k_minus)
-    return ReadSet(reads, params), tuple(code)
+    return ReadSet(reads, p), tuple(code)
 
 
 class ReadPlan(NamedTuple):
@@ -686,32 +677,23 @@ class Algorithm:
 
 
 def _plan_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    if delta > p.t:
-        return ONE_READ
-    _require_k_minus_zero(p)
-    return ReadPlan(reads_required_min(p.n, p.t, p.k_plus, delta), None, "reads-min")
+    return ONE_READ if delta > p.t else ReadPlan(reads_required_min(p, delta), None, "reads-min")
 
 
 def _plan_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    if delta > p.t:
-        return ONE_READ
-    N, tau = majority_threshold(p.n, p.t, p.k_plus, p.k_minus, delta)
-    return ReadPlan(N, tau, "majority-reads")
+    return ONE_READ if delta > p.t else ReadPlan(*majority_threshold(p, delta), "majority-reads")
 
 
 def _plan_list_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    _require_k_minus_zero(p)
-    return ReadPlan(list_params_min(p.n, p.t, p.k_plus, delta, a), None, "list-reads-min")
+    return ReadPlan(list_params_min(p, delta, a), None, "list-reads-min")
 
 
 def _plan_list_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    N, tau = list_params_general(p.n, p.t, p.k_plus, p.k_minus, delta, a)
-    return ReadPlan(N, tau, "list-reads-majority")
+    return ReadPlan(*list_params_general(p, delta, a), "list-reads-majority")
 
 
 def _plan_sauer(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    N = sauer_reads_required(p.n, p.t, p.k_plus, p.k_minus, delta, a)
-    return ReadPlan(N, None, "sauer-reads")
+    return ReadPlan(sauer_reads_required(p, delta, a), None, "sauer-reads")
 
 
 def _decode_one_read(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):

@@ -223,7 +223,7 @@ def _read_set_stacks(
         if len(shell) < count:
             continue
         if math.comb(len(shell), count) > cap:
-            raise ValueError("subset count exceeds cap")
+            raise EnumerationCapExceeded("subset count exceeds cap")
         for x, shift in shifts:
             subsets = combinations(range(len(shell)), count)
             for stack in channel._stacks(shell, shift, count, subsets):

@@ -30,8 +30,7 @@ from magrec.combinatorics import (
     ball_vectors,
     enumerate_ball,
     hamming_volume,
-    intersection_bounds_asymmetric,
-    intersection_bounds_general,
+    intersection_bounds,
     intersection_exact,
     max_intersection_whole_space,
 )
@@ -43,6 +42,7 @@ from magrec.distances import (
 )
 from magrec.lattice import (
     FiniteAbelianGroup,
+    LatticeCode,
     SplitterSpec,
     check_partial_splitting,
     check_recon_N1_asym,
@@ -50,7 +50,6 @@ from magrec.lattice import (
     construct_N1_code,
     construct_N2_code,
     cyclic,
-    lattice_code_handle,
     lattice_min_distance,
     max_pairwise_intersection_lattice,
     min_group_order_bound,
@@ -148,14 +147,11 @@ def test_criterion_02_intersection_bounds_sandwich():
                         continue
                     if km == 0:
                         d = distance_asymmetric(x, y, kp)
-                        if d > t:
-                            continue
-                        b = intersection_bounds_asymmetric(n, t, kp, d)
                     else:
                         d = distance_general(x, y, kp, km)
-                        if d > t:
-                            continue
-                        b = intersection_bounds_general(n, t, kp, km, d)
+                    if d > t:
+                        continue
+                    b = intersection_bounds(p, d)
                     assert b.contains(intersection_exact(x, y, p)), (x, y, p, d)
                     kept += 1
                 checked += kept
@@ -228,7 +224,7 @@ def achievable_minima(ball, N, n):
 
 def run_min_cell(code, p, delta, x, note):
     """Verify Algorithm-1 completeness for one (code, params, delta) cell."""
-    N = reads_required_min(p.n, p.t, p.k_plus, delta)
+    N = reads_required_min(p, delta)
     ball = ball_vectors(p.n, p.t, p.k_plus, 0)
     assert N <= len(ball), f"vacuous cell {note}"
     total = math.comb(len(ball), N)
@@ -261,7 +257,7 @@ def test_criterion_04_min_algorithm_completeness():
     # sum-of-entries lattices (distance-1 codes)
     for modulus in (2, 3):
         for n in range(2, 5):
-            code = lattice_code_handle(
+            code = LatticeCode(
                 SplitterSpec(cyclic(modulus), ((1,),) * n)
             )
             for kp in (1, 2):
@@ -288,7 +284,7 @@ def test_criterion_04_min_algorithm_completeness():
                     tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
                 ),
             )
-            code = lattice_code_handle(spec)
+            code = LatticeCode(spec)
             assert lattice_min_distance(spec, kp, 0) >= 2
             p = ChannelParams(n, 2, kp, 0)
             _, total, _ = run_min_cell(
@@ -325,7 +321,7 @@ def test_criterion_05_majority_budgets():
     notes = []
     total_checked = 0
     for delta in (1, 2):
-        N, tau = majority_threshold(n, t, kp, km, delta)
+        N, tau = majority_threshold(p, delta)
         if N > size:
             notes.append(
                 f"delta={delta}: N={N} exceeds ball size {size}; no valid read "
@@ -363,7 +359,7 @@ def test_criterion_05_majority_budgets():
         total_checked += checked
     # non-vacuous distance-1 supplement at t = 1 (same budgets, exhaustive)
     p1 = ChannelParams(4, 1, 1, 1)
-    N1, tau1 = majority_threshold(4, 1, 1, 1, 1)
+    N1, tau1 = majority_threshold(p1, 1)
     code1 = ExplicitCode([(0, 0, 0, 0), (1, -1, 0, 0)])
     assert code_min_distance(code1.members, 1, 1) == 1
     x = (0, 0, 0, 0)
@@ -405,9 +401,9 @@ def test_criterion_06_list_guarantees():
         kp, km, n, t, delta, a, decoder = cell
         p = ChannelParams(n, t, kp, km)
         if decoder == "majority":
-            N, _ = list_params_general(n, t, kp, km, delta, a)
+            N, _ = list_params_general(p, delta, a)
         else:
-            N = sauer_reads_required(n, t, kp, km, delta, a)
+            N = sauer_reads_required(p, delta, a)
         if N <= ball_size(p):
             usable.append((cell, N))
     per_cell = -(-target_instances // len(usable))
@@ -418,7 +414,7 @@ def test_criterion_06_list_guarantees():
         if delta == 1:
             # lattice codes are translation symmetric: transmitting the
             # zero codeword is fully general
-            code = lattice_code_handle(
+            code = LatticeCode(
                 SplitterSpec(cyclic(kp + km + 1), ((1,),) * n)
             )
             assert lattice_min_distance(code.spec, kp, km) == 1
@@ -533,7 +529,7 @@ def test_criterion_10_adversarial_lower_bound():
                         f = t - e
                         if not 0 <= a <= f or t > n:
                             continue
-                        Y, C = adversarial_instance(n, t, kp, km, e, a)
+                        Y, C = adversarial_instance(ChannelParams(n, t, kp, km), e, a)
                         assert len(Y) == hamming_volume(kp + km, n, f - a)
                         assert len(C) >= adversarial_code_size_bound(n, e, a)
                         if len(C) >= 2:

@@ -1,8 +1,7 @@
 import pytest
 
-from magrec import ChannelParams
+from magrec import ChannelParams, EnumerationCapExceeded
 from magrec.channel import (
-    ReadGenSpec,
     TrialRecord,
     exhaustive_read_sets,
     generate_reads,
@@ -10,45 +9,46 @@ from magrec.channel import (
     sampled_read_sets,
 )
 from magrec.combinatorics import ball_size, in_ball
-from magrec.lattice import SplitterSpec, cyclic, lattice_code_handle
+from magrec.lattice import LatticeCode, SplitterSpec, cyclic
 
 
 def sum_mod(n, m):
-    return lattice_code_handle(SplitterSpec(cyclic(m), ((1,),) * n))
+    return LatticeCode(SplitterSpec(cyclic(m), ((1,),) * n))
 
 
-def test_read_gen_spec_validation():
+def test_generate_reads_validation():
+    p = ChannelParams(2, 1, 1, 0)
     with pytest.raises(ValueError):
-        ReadGenSpec("bogus", 1)
+        generate_reads((0, 0), p, 1, "bogus")
     with pytest.raises(ValueError):
-        ReadGenSpec("random_distinct", 0)
+        generate_reads((0, 0), p, 0)
     with pytest.raises(ValueError):
-        ReadGenSpec("random_distinct", 1, seed=-1)
+        generate_reads((0, 0), p, 1, seed=-1)
+    with pytest.raises(ValueError):
+        generate_reads((0, 0), p, 1, "exhaustive")
 
 
 def test_generate_reads_whole_ball():
     p = ChannelParams(2, 1, 1, 0)
-    spec = ReadGenSpec("random_distinct", ball_size(p), seed=5)
-    Y = generate_reads((2, 2), p, spec)
+    Y = generate_reads((2, 2), p, ball_size(p), seed=5)
     assert set(Y.reads) == {(2, 2), (2, 3), (3, 2)}
 
 
 def test_generate_reads_distinct_and_in_ball():
     p = ChannelParams(3, 2, 2, 1)
-    spec = ReadGenSpec("random_distinct", 10, seed=11)
-    Y = generate_reads((1, 1, 1), p, spec)
+    Y = generate_reads((1, 1, 1), p, 10, seed=11)
     assert len(set(Y.reads)) == 10
     for r in Y.reads:
         e = tuple(a - b for a, b in zip(r, (1, 1, 1)))
-        assert in_ball(e, p.t, p.k_plus, p.k_minus)
-    again = generate_reads((1, 1, 1), p, spec)
+        assert in_ball(e, p)
+    again = generate_reads((1, 1, 1), p, 10, seed=11)
     assert Y.reads == again.reads
 
 
 def test_generate_reads_too_many():
     p = ChannelParams(2, 1, 1, 0)
     with pytest.raises(ValueError):
-        generate_reads((0, 0), p, ReadGenSpec("random_distinct", 4))
+        generate_reads((0, 0), p, 4)
 
 
 def test_exhaustive_mode_counts_subsets():
@@ -56,13 +56,13 @@ def test_exhaustive_mode_counts_subsets():
     subsets = list(exhaustive_read_sets((0, 0), p, 2))
     assert len(subsets) == 6
     assert len({s.reads for s in subsets}) == 6
-    with pytest.raises(ValueError):
+    with pytest.raises(EnumerationCapExceeded):
         list(exhaustive_read_sets((0, 0), ChannelParams(2, 2, 2, 2), 6, cap=10))
 
 
 def test_adversarial_mode_prefers_heavy_errors():
     p = ChannelParams(2, 2, 1, 0)
-    Y = generate_reads((0, 0), p, ReadGenSpec("adversarial_heavy", 2))
+    Y = generate_reads((0, 0), p, 2, "adversarial")
     assert Y.reads == ((0, 1), (1, 1))  # weight-2 error first, then (0,1)
 
 
@@ -76,20 +76,18 @@ def test_sampled_read_sets_deterministic():
 
 def test_run_trial_clean_read():
     p = ChannelParams(2, 0, 1, 0)
-    rec = run_trial(sum_mod(2, 2), "min", (0, 0), p, ReadGenSpec("random_distinct", 1, 4), delta=1)
+    rec = run_trial(sum_mod(2, 2), "min", (0, 0), p, 1, delta=1, seed=4)
     assert rec.success
     assert rec.N == 1
-    assert rec.rng == "philox"
+    assert rec.rng == "philox" and rec.seed == 4
 
 
 def test_run_trial_majority_and_list():
     p = ChannelParams(3, 1, 1, 1)
     code = sum_mod(3, 3)
-    rec = run_trial(code, "majority", (0, 0, 0), p,
-                    ReadGenSpec("random_distinct", 5, seed=8), delta=1)
+    rec = run_trial(code, "majority", (0, 0, 0), p, 5, delta=1, seed=8)
     assert rec.success and rec.algorithm == "majority"
-    rec = run_trial(code, "list-sauer", (0, 0, 0), p,
-                    ReadGenSpec("random_distinct", 2, seed=8), delta=1, a=0)
+    rec = run_trial(code, "list-sauer", (0, 0, 0), p, 2, delta=1, a=0, seed=8)
     assert rec.success and rec.list_size >= 1
 
 

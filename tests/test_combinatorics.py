@@ -11,8 +11,7 @@ from magrec.combinatorics import (
     enumerate_ball,
     hamming_volume,
     in_ball,
-    intersection_bounds_asymmetric,
-    intersection_bounds_general,
+    intersection_bounds,
     intersection_exact,
     max_intersection_of_code,
     max_intersection_whole_space,
@@ -67,10 +66,11 @@ def test_enumeration_cap():
 
 
 def test_in_ball():
-    assert in_ball((0, 1), 1, 1, 0)
-    assert not in_ball((1, 1), 1, 1, 0)
-    assert not in_ball((-1, 0), 1, 1, 0)
-    assert in_ball((-1, 0), 1, 1, 1)
+    p = ChannelParams(2, 1, 1, 0)
+    assert in_ball((0, 1), p)
+    assert not in_ball((1, 1), p)
+    assert not in_ball((-1, 0), p)
+    assert in_ball((-1, 0), ChannelParams(2, 1, 1, 1))
 
 
 def test_intersection_exact_examples():
@@ -132,31 +132,31 @@ def test_whole_space_max_attained_and_never_exceeded_small():
 
 
 def test_bounds_asymmetric_examples():
-    b = intersection_bounds_asymmetric(4, 1, 1, 1)
+    b = intersection_bounds(ChannelParams(4, 1, 1, 0), 1)
     assert (b.lower, b.upper) == (1, 1)
-    b = intersection_bounds_asymmetric(3, 3, 1, 3)
+    b = intersection_bounds(ChannelParams(3, 3, 1, 0), 3)
     assert (b.lower, b.upper) == (1, 1)
     # delta = t collapses the outer sum to its i = 0 term
-    b = intersection_bounds_asymmetric(5, 2, 2, 2)
+    b = intersection_bounds(ChannelParams(5, 2, 2, 0), 2)
     assert b.lower == 1
 
 
 def test_bounds_general_examples():
-    b = intersection_bounds_general(4, 2, 1, 1, 2)
+    b = intersection_bounds(ChannelParams(4, 2, 1, 1), 2)
     assert (b.lower, b.upper) == (1, 16)
-    b = intersection_bounds_general(5, 2, 2, 1, 1)
+    b = intersection_bounds(ChannelParams(5, 2, 2, 1), 1)
     assert b.lower == 10
-    b = intersection_bounds_general(4, 2, 2, 1, 2)
+    b = intersection_bounds(ChannelParams(4, 2, 2, 1), 2)
     assert b.lower == 1 and b.upper == 3**4
 
 
 def test_bounds_preconditions():
     with pytest.raises(ValueError):
-        intersection_bounds_asymmetric(4, 1, 1, 2)
+        intersection_bounds(ChannelParams(4, 1, 1, 0), 2)
     with pytest.raises(ValueError):
-        intersection_bounds_general(4, 1, 1, 1, 2)
+        intersection_bounds(ChannelParams(4, 1, 1, 1), 2)
     with pytest.raises(ValueError):
-        intersection_bounds_general(4, 1, 1, 0, 1)
+        intersection_bounds(ChannelParams(4, 1, 1, 1), -1)
 
 
 def test_bounds_sandwich_seeded():
@@ -172,16 +172,10 @@ def test_bounds_sandwich_seeded():
         if x == y:
             continue
         p = ChannelParams(n, t, kp, km)
-        if km == 0:
-            d = distance_asymmetric(x, y, kp)
-            if d > t:
-                continue
-            b = intersection_bounds_asymmetric(n, t, kp, d)
-        else:
-            d = distance_general(x, y, kp, km)
-            if d > t:
-                continue
-            b = intersection_bounds_general(n, t, kp, km, d)
+        d = distance_asymmetric(x, y, kp) if km == 0 else distance_general(x, y, kp, km)
+        if d > t:
+            continue
+        b = intersection_bounds(p, d)
         assert b.contains(intersection_exact(x, y, p)), (n, t, kp, km, x, y, d)
         checked += 1
 
@@ -202,8 +196,8 @@ def test_upper_bound_attained_on_zero_one_differences():
         d = distance_asymmetric(x, y, kp)
         if d > t:
             continue
-        b = intersection_bounds_asymmetric(n, t, kp, d)
-        assert intersection_exact(x, y, ChannelParams(n, t, kp, 0)) == b.upper
+        p = ChannelParams(n, t, kp, 0)
+        assert intersection_exact(x, y, p) == intersection_bounds(p, d).upper
         checked += 1
 
 

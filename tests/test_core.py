@@ -7,22 +7,10 @@ from magrec import (
     ExplicitCode,
     brute_force_decode,
     correction_capability_oracle,
-    vector_add,
 )
 from magrec.combinatorics import ball_vectors, in_ball
 
 from helpers import oracle_ball, oracle_corrects, add
-
-
-def test_vector_add():
-    assert vector_add((0, 0), (1, 0)) == (1, 0)
-    assert vector_add((1, 2), (0, 0)) == (1, 2)
-    assert vector_add((1, -1), (-1, 1)) == (0, 0)
-
-
-def test_vector_add_length_mismatch():
-    with pytest.raises(ValueError):
-        vector_add((1,), (1, 2))
 
 
 def test_channel_params_validation():
@@ -81,7 +69,7 @@ def test_decode_contract_round_trip():
         z = add(c, e)
         got = code.decode_within(z, r, p)
         assert got is not None
-        assert in_ball(tuple(a - b for a, b in zip(z, got)), r, kp, km)
+        assert in_ball(tuple(a - b for a, b in zip(z, got)), ChannelParams(n, r, kp, km))
         if len(members) > 1 and oracle_corrects(code.members, t, kp, km, r):
             assert got == c
 

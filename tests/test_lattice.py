@@ -6,6 +6,7 @@ import pytest
 from magrec import ChannelParams, EnumerationCapExceeded
 from magrec.lattice import (
     FiniteAbelianGroup,
+    LatticeCode,
     SplitterSpec,
     check_partial_splitting,
     check_recon_N1,
@@ -14,7 +15,6 @@ from magrec.lattice import (
     construct_N1_code,
     construct_N2_code,
     cyclic,
-    lattice_code_handle,
     lattice_min_distance,
     max_pairwise_intersection_lattice,
     min_group_order_bound,
@@ -164,14 +164,14 @@ def test_min_group_order_bound_examples():
         min_group_order_bound(2, 1, 3, 3)
 
 
-def test_lattice_code_handle():
-    code = lattice_code_handle(spec1(4, (1, 1)))
+def test_lattice_code_contains_and_decodes():
+    code = LatticeCode(spec1(4, (1, 1)))
     assert code.contains((2, 2))
     assert code.contains((0, 0))
     assert not code.contains((1, 0))
     # recomputed: candidates (1,0),(1,-1),(0,0) in error-lex order; (1,-1)
     # sums to 0 mod 2 and is hit before (0,0)
-    code2 = lattice_code_handle(spec1(2, (1, 1)))
+    code2 = LatticeCode(spec1(2, (1, 1)))
     assert code2.decode_within((1, 0), 1, ChannelParams(2, 1, 1, 0)) == (1, -1)
 
 
@@ -179,7 +179,7 @@ def test_lattice_density_window():
     # all-ones splitter over Z_M: exactly 1/M of any M-aligned cube
     for n, modulus in [(2, 2), (2, 3), (3, 4)]:
         spec = SplitterSpec(cyclic(modulus), ((1,),) * n)
-        code = lattice_code_handle(spec)
+        code = LatticeCode(spec)
         width = 2 * modulus
         hits = sum(
             code.contains(v) for v in product(range(width), repeat=n)
@@ -252,7 +252,7 @@ def test_splitter_spec_parse_errors():
 def test_constructed_lattice_balls_disjointness_against_sets():
     # independent set-based check of the N1 construction at one point
     spec = construct_N1_code(2, 3)
-    code = lattice_code_handle(spec)
+    code = LatticeCode(spec)
     members = [v for v in product(range(-6, 7), repeat=2) if code.contains(v)]
     worst = 0
     for i, a in enumerate(members):

@@ -23,7 +23,6 @@ from magrec import (
 )
 from magrec import channel, reconstruction
 from magrec.channel import (
-    ReadGenSpec,
     decode_read_sets,
     exhaustive_read_sets,
     generate_reads,
@@ -31,7 +30,7 @@ from magrec.channel import (
     sampled_read_sets,
 )
 from magrec.core import ENTRY_LIMIT
-from magrec.lattice import lattice_code_handle, parse_splitter_spec, syndrome
+from magrec.lattice import LatticeCode, parse_splitter_spec, syndrome
 from magrec.reconstruction import (
     ALGORITHMS,
     ReadSet,
@@ -167,10 +166,10 @@ def test_transmitted_word_near_int64_limit_rejected():
     p = ChannelParams(2, 1, 1, 0)
     for x in ((ENTRY_LIMIT - 1, 0), (2**63, 0), (-ENTRY_LIMIT, 0)):
         with pytest.raises(ValueError):
-            generate_reads(x, p, ReadGenSpec("random_distinct", 2))
+            generate_reads(x, p, 2)
         with pytest.raises(ValueError):
             next(exhaustive_read_sets(x, p, 2))
-    Y = generate_reads((ENTRY_LIMIT - 2, 0), p, ReadGenSpec("random_distinct", 3))
+    Y = generate_reads((ENTRY_LIMIT - 2, 0), p, 3)
     assert max(max(r) for r in Y.reads) == ENTRY_LIMIT - 1
 
 
@@ -184,11 +183,11 @@ def test_generated_read_sets_match_tuple_built(p, data):
     seed = data.draw(st.integers(0, 2**32))
 
     idx = rng_for(seed).choice(len(ball), size=count, replace=False)
-    Y = generate_reads(x, p, ReadGenSpec("random_distinct", count, seed))
+    Y = generate_reads(x, p, count, seed=seed)
     assert Y.reads == oracle_read_set([shifted[int(i)] for i in idx], p.n)
 
     heavy = oracle_adversarial_order(ball)[:count]
-    Y = generate_reads(x, p, ReadGenSpec("adversarial_heavy", count))
+    Y = generate_reads(x, p, count, "adversarial")
     assert Y.reads == oracle_read_set([add(x, e) for e in heavy], p.n)
 
     rng = rng_for(seed)
@@ -250,7 +249,7 @@ def test_syndrome_is_the_inline_modular_sum():
 
 def _check_table_decode(spec, kp, km):
     zs = list(product((-1, 0, 1), repeat=spec.n))
-    code = lattice_code_handle(spec)
+    code = LatticeCode(spec)
     members = oracle_lattice_window(spec, -1 - kp, 1 + km)
     for radius in range(min(2, spec.n) + 1):
         p = ChannelParams(spec.n, radius, kp, km)

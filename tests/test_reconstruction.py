@@ -7,9 +7,8 @@ import pytest
 from magrec import ChannelParams, ERASURE, ExplicitCode, ReconstructionError
 from magrec.combinatorics import hamming_volume, in_ball
 from magrec.distances import code_min_distance
-from magrec.lattice import cyclic, lattice_code_handle, SplitterSpec
+from magrec.lattice import cyclic, LatticeCode, SplitterSpec
 from magrec.reconstruction import (
-    ListParams,
     ReadSet,
     adversarial_code_size_bound,
     adversarial_instance,
@@ -34,7 +33,7 @@ from helpers import add, oracle_ball
 
 
 def sum_mod(n, m):
-    return lattice_code_handle(SplitterSpec(cyclic(m), ((1,),) * n))
+    return LatticeCode(SplitterSpec(cyclic(m), ((1,),) * n))
 
 
 def test_read_set_canonicalization():
@@ -48,20 +47,35 @@ def test_read_set_canonicalization():
         ReadSet(((0, 0, 0),), p)
 
 
-def test_list_params_validation():
-    ListParams.for_channel(2, 1, 1)
+def test_list_formulas_validation():
+    # delta in [1, t] and a in [0, f - 1], f = t - delta + 1, on every list
+    # formula, and each formula's k- sign
+    asym, general = ChannelParams(4, 2, 1, 0), ChannelParams(4, 2, 1, 1)
+    for formula, p in [
+        (list_params_min, asym), (list_params_general, general),
+        (sauer_reads_required, general), (sauer_list_size_bound, general),
+    ]:
+        formula(p, 1, 1)
+        with pytest.raises(ValueError):
+            formula(p, 1, 2)
+        with pytest.raises(ValueError):
+            formula(p, 3, 0)
+        with pytest.raises(ValueError):
+            formula(p, 0, 0)
     with pytest.raises(ValueError):
-        ListParams.for_channel(2, 1, 2)
+        list_params_min(general, 1, 0)
     with pytest.raises(ValueError):
-        ListParams.for_channel(2, 3, 0)
+        list_params_general(asym, 1, 0)
 
 
 def test_reads_required_min():
-    assert reads_required_min(2, 1, 1, 1) == 2
-    assert reads_required_min(4, 2, 2, 2) == 5
-    assert reads_required_min(3, 2, 2, 2) == 5  # delta = t: (k+)^delta + 1
+    assert reads_required_min(ChannelParams(2, 1, 1, 0), 1) == 2
+    assert reads_required_min(ChannelParams(4, 2, 2, 0), 2) == 5
+    assert reads_required_min(ChannelParams(3, 2, 2, 0), 2) == 5  # delta = t: (k+)^delta + 1
     with pytest.raises(ValueError):
-        reads_required_min(3, 2, 1, 3)
+        reads_required_min(ChannelParams(3, 2, 1, 0), 3)
+    with pytest.raises(ValueError):
+        reads_required_min(ChannelParams(3, 2, 1, 1), 1)  # k- = 0 only
 
 
 def test_reconstruct_min_examples():
@@ -88,7 +102,7 @@ def test_reconstruct_min_exhaustive_tiny():
     n, t, kp = 2, 1, 1
     p = ChannelParams(n, t, kp, 0)
     code = sum_mod(n, 2)
-    N = reads_required_min(n, t, kp, 1)
+    N = reads_required_min(p, 1)
     for x in [(0, 0), (1, 1), (-1, 1)]:
         ball = [add(x, e) for e in oracle_ball(n, t, kp, 0)]
         for sub in combinations(ball, N):
@@ -101,7 +115,7 @@ def test_reconstruct_min_monotone_in_reads():
     n, t, kp = 3, 2, 2
     p = ChannelParams(n, t, kp, 0)
     code = sum_mod(n, 2)
-    N = reads_required_min(n, t, kp, 1)
+    N = reads_required_min(p, 1)
     x = (0, 0, 0)
     ball = [add(x, e) for e in oracle_ball(n, t, kp, 0)]
     for _ in range(50):
@@ -114,12 +128,15 @@ def test_reconstruct_min_monotone_in_reads():
 
 
 def test_majority_threshold_values():
-    N, tau = majority_threshold(4, 2, 1, 1, 2)
+    p = ChannelParams(4, 2, 1, 1)
+    N, tau = majority_threshold(p, 2)
     assert (N, tau) == (17, Fraction(4))
-    N, tau = majority_threshold(4, 2, 1, 1, 1)
+    N, tau = majority_threshold(p, 1)
     assert (N, tau) == (37, Fraction(-9))  # negative-coefficient branch
     with pytest.raises(ValueError):
-        majority_threshold(4, 2, 1, 0, 1)
+        majority_threshold(ChannelParams(4, 2, 1, 0), 1)
+    with pytest.raises(ValueError):
+        majority_threshold(p, 3)  # delta > t
 
 
 def test_threshold_below_read_count_sweep():
@@ -128,7 +145,7 @@ def test_threshold_below_read_count_sweep():
             for kp in (1, 2):
                 for km in range(1, kp + 1):
                     for delta in range(1, t + 1):
-                        N, tau = majority_threshold(n, t, kp, km, delta)
+                        N, tau = majority_threshold(ChannelParams(n, t, kp, km), delta)
                         assert tau < N
 
 
@@ -163,7 +180,7 @@ def test_reconstruct_majority_full_instance():
     n, t, kp, km, delta = 4, 2, 1, 1, 2
     p = ChannelParams(n, t, kp, km)
     code = ExplicitCode([(0, 0, 0, 0), (1, 1, -1, 0)])
-    N, tau = majority_threshold(n, t, kp, km, delta)
+    N, tau = majority_threshold(p, delta)
     x = (0, 0, 0, 0)
     ball = [add(x, e) for e in oracle_ball(n, t, kp, km)]
     rng = random.Random(56)
@@ -176,11 +193,12 @@ def test_reconstruct_majority_full_instance():
 
 
 def test_list_params_min():
-    assert list_params_min(2, 1, 1, 1, 0) == reads_required_min(2, 1, 1, 1)
-    assert list_params_min(4, 2, 2, 1, 1) == 5
-    assert list_params_min(4, 2, 2, 1, 0) == reads_required_min(4, 2, 2, 1)
+    small, p = ChannelParams(2, 1, 1, 0), ChannelParams(4, 2, 2, 0)
+    assert list_params_min(small, 1, 0) == reads_required_min(small, 1)
+    assert list_params_min(p, 1, 1) == 5
+    assert list_params_min(p, 1, 0) == reads_required_min(p, 1)
     with pytest.raises(ValueError):
-        list_params_min(4, 2, 2, 1, 2)  # a > f - 1
+        list_params_min(p, 1, 2)  # a > f - 1
 
 
 def test_list_reconstruct_min_examples():
@@ -189,8 +207,8 @@ def test_list_reconstruct_min_examples():
     code = ExplicitCode([(0, 0), (0, -1)])
     delta = code_min_distance(code.members, 1, 0)
     assert delta == 1
-    N = list_params_min(2, 2, 1, delta, 1)
-    assert N == 2 < reads_required_min(2, 2, 1, delta)
+    N = list_params_min(p, delta, 1)
+    assert N == 2 < reads_required_min(p, delta)
     Y = ReadSet(((0, 0), (1, 1)), p)
     L = list_reconstruct_min(Y, code, delta, 1)
     assert L == ((0, -1), (0, 0))  # x in L, one spurious neighbor
@@ -201,15 +219,16 @@ def test_list_reconstruct_min_examples():
 
 
 def test_list_params_general_values():
-    N, tau = list_params_general(4, 2, 1, 1, 1, 1)
+    p = ChannelParams(4, 2, 1, 1)
+    N, tau = list_params_general(p, 1, 1)
     assert (N, tau) == (9, Fraction(4))
-    N, tau = list_params_general(4, 2, 1, 1, 1, 0)
+    N, tau = list_params_general(p, 1, 0)
     assert (N, tau) == (29, Fraction(-1))
-    N, tau = list_params_general(4, 2, 1, 1, 2, 0)
+    N, tau = list_params_general(p, 2, 0)
     assert (N, tau) == (9, Fraction(4))
     for delta in (1, 2):
         for a in range(0, 2 - delta + 1):
-            N, tau = list_params_general(4, 2, 1, 1, delta, a)
+            N, tau = list_params_general(p, delta, a)
             assert tau < N
 
 
@@ -218,7 +237,7 @@ def test_list_reconstruct_majority_contains_x():
     p = ChannelParams(n, t, kp, km)
     code = sum_mod(n, 3)
     delta, a = 1, 1
-    N, tau = list_params_general(n, t, kp, km, delta, a)
+    N, tau = list_params_general(p, delta, a)
     x = (0, 0, 0, 0)
     ball = [add(x, e) for e in oracle_ball(n, t, kp, km)]
     bound = majority_list_size_bound(p, delta, a)
@@ -236,7 +255,7 @@ def test_list_majority_a_zero_matches_unique():
     n, t, kp, km, delta = 4, 2, 1, 1, 2
     p = ChannelParams(n, t, kp, km)
     code = ExplicitCode([(0, 0, 0, 0), (1, 1, -1, 0)])
-    N, tau = majority_threshold(n, t, kp, km, delta)
+    N, tau = majority_threshold(p, delta)
     x = (0, 0, 0, 0)
     ball = [add(x, e) for e in oracle_ball(n, t, kp, km)]
     rng = random.Random(61)
@@ -249,14 +268,14 @@ def test_list_majority_a_zero_matches_unique():
 
 def test_reconstruct_majority_adversarial_reads():
     # the guarantee is worst case: the heaviest-error read set must decode
-    from magrec.channel import ReadGenSpec, generate_reads
+    from magrec.channel import generate_reads
 
     n, t, kp, km, delta = 4, 2, 1, 1, 2
     p = ChannelParams(n, t, kp, km)
     code = ExplicitCode([(0, 0, 0, 0), (1, 1, -1, 0)])
-    N, tau = majority_threshold(n, t, kp, km, delta)
+    N, tau = majority_threshold(p, delta)
     for x in code.members:
-        Y = generate_reads(x, p, ReadGenSpec("adversarial_heavy", N))
+        Y = generate_reads(x, p, N, "adversarial")
         assert reconstruct_majority(Y, tau, code, delta) == x
 
 
@@ -287,8 +306,9 @@ def test_sauer_shelah_find_succeeds_above_volume():
 
 
 def test_sauer_reads_required():
-    assert sauer_reads_required(4, 2, 1, 1, 1, 1) == 2
-    assert sauer_reads_required(4, 2, 1, 1, 1, 0) == hamming_volume(3, 4, 1) + 1
+    p = ChannelParams(4, 2, 1, 1)
+    assert sauer_reads_required(p, 1, 1) == 2
+    assert sauer_reads_required(p, 1, 0) == hamming_volume(3, 4, 1) + 1
 
 
 def test_list_reconstruct_sauer_contains_x():
@@ -299,7 +319,7 @@ def test_list_reconstruct_sauer_contains_x():
     ball = [add(x, e) for e in oracle_ball(n, t, kp, km)]
     rng = random.Random(59)
     for delta, a in [(1, 0), (1, 1), (2, 0)]:
-        N = sauer_reads_required(n, t, kp, km, delta, a)
+        N = sauer_reads_required(p, delta, a)
         code_d = code if delta == 1 else ExplicitCode([x, (1, 1, -1, 0)])
         bound = sauer_list_size_bound(p, delta, a)
         for _ in range(60):
@@ -311,31 +331,31 @@ def test_list_reconstruct_sauer_contains_x():
 
 def test_adversarial_instance_examples():
     # e = 0, a = 1: the code is all n weight-1 down-shifts
-    Y, C = adversarial_instance(8, 1, 1, 1, 0, 1)
+    Y, C = adversarial_instance(ChannelParams(8, 1, 1, 1), 0, 1)
     assert len(C) == 8
     assert all(sum(1 for v in c if v == -1) == 1 for c in C)
     assert len(C) >= adversarial_code_size_bound(8, 0, 1)
     p = Y.params
     for c in C:
         for y in Y.reads:
-            assert in_ball(tuple(a - b for a, b in zip(y, c)), p.t, p.k_plus, p.k_minus)
+            assert in_ball(tuple(a - b for a, b in zip(y, c)), p)
 
 
 def test_adversarial_instance_corrects_e():
-    Y, C = adversarial_instance(10, 2, 2, 1, 1, 1)
+    Y, C = adversarial_instance(ChannelParams(10, 2, 2, 1), 1, 1)
     assert code_min_distance(C, 2, 1) >= 2  # corrects e = 1 errors
     assert len(C) >= adversarial_code_size_bound(10, 1, 1)
     p = Y.params
     for c in C:
         for y in Y.reads:
-            assert in_ball(tuple(a - b for a, b in zip(y, c)), p.t, p.k_plus, p.k_minus)
+            assert in_ball(tuple(a - b for a, b in zip(y, c)), p)
 
 
 def test_adversarial_instance_preconditions():
     with pytest.raises(ValueError):
-        adversarial_instance(8, 1, 1, 0, 0, 1)  # (k+, k-) = (1, 0)
+        adversarial_instance(ChannelParams(8, 1, 1, 0), 0, 1)  # (k+, k-) = (1, 0)
     with pytest.raises(ValueError):
-        adversarial_instance(2, 2, 1, 1, 1, 1)  # n < 2e + a
+        adversarial_instance(ChannelParams(2, 2, 1, 1), 1, 1)  # n < 2e + a
 
 
 def test_soundness_outputs_cover_reads():
@@ -343,7 +363,7 @@ def test_soundness_outputs_cover_reads():
     n, t, kp, km = 4, 2, 1, 1
     p = ChannelParams(n, t, kp, km)
     code = ExplicitCode([(0, 0, 0, 0), (1, 1, -1, 0)])
-    N, tau = majority_threshold(n, t, kp, km, 2)
+    N, tau = majority_threshold(p, 2)
     x = (1, 1, -1, 0)
     ball = [add(x, e) for e in oracle_ball(n, t, kp, km)]
     rng = random.Random(60)
@@ -351,4 +371,4 @@ def test_soundness_outputs_cover_reads():
         Y = ReadSet(tuple(rng.sample(ball, N)), p)
         got = reconstruct_majority(Y, tau, code, 2)
         for y in Y.reads:
-            assert in_ball(tuple(a - b for a, b in zip(y, got)), t, kp, km)
+            assert in_ball(tuple(a - b for a, b in zip(y, got)), p)

@@ -99,7 +99,7 @@ def test_caps_and_int64_range():
         simplex_min_counts(greedy_simplex_code(2, 2, 1), 2, 1, 1, cap=5)  # 6 vectors
     with pytest.raises(EnumerationCapExceeded):
         list(exhaustive_simplex_read_sets((0, 0, 0), 2, 6, cap=5))
-    with pytest.raises(ValueError, match="subset count exceeds cap"):
+    with pytest.raises(EnumerationCapExceeded, match="subset count exceeds cap"):
         list(exhaustive_simplex_read_sets((0, 0, 0), 2, 3, cap=19))  # C(6, 3) = 20
     big = 2**62 - 1
     code = SimplexCode(1, big, 1, ((big, 0),))
