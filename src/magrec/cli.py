@@ -26,6 +26,7 @@ documented field order; rationals are rendered as ``p/q``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -42,24 +43,17 @@ from magrec.core import (
 
 #: Internal anchor ids naming the formula behind each emitted value.
 ANCHORS = {
-    "hamming-volume": "V_q(n,r) = sum_{i<=r} C(n,i)(q-1)^i",
     "ball-size": "V_{k++k-+1}(n,t)",
     "whole-space-max": "(k++k-) * V_{k++k-+1}(n-1,t-1)",
-    "pair-bounds-asym": "sum C(n-2d,i)k+^i  <=  .  <=  sum C(n-d,i)k+^i sum C(d,k)(k+-1)^(d-k)",
-    "pair-bounds-general": "sum C(n-2d,i)(k++k-)^i  <=  .  <=  sum C(n,i)(k++k-)^(i+2d)",
     "distance-asym": "max one-sided disagreement count, or n+1 past k+",
     "distance-general": "ceil(max(n_small-|mf-mb|,0)/2) + max(mf,mb) + n_large, or n+1",
     "splitting-test": "all e.s distinct and nonzero over 1<=wt(e)<=t",
     "reads-min": "k+^d * V_{k++1}(n-d,t-d) + 1",
     "unique-decode": "distance > t: one read, radius-(d-1) decode",
     "majority-reads": "(k++k-)^(2d) * V_{k++k-+1}(n,t-d) + 1",
-    "majority-threshold": "(1-2/d)N + (2(k++k-)^d/d) V_{k++k-+1}(n-d,t-d)",
     "list-reads-min": "k+^(d+a) * V_{k++1}(n-d-a,f-1-a) + 1",
     "list-reads-majority": "(k++k-)^(d+a+1) * V_{k++k-+1}(n-d-a,f-1-a) + 1",
-    "list-threshold-majority": "(1-2/(d+a))N + (2/(d+a)) sum C(n-d-a,i)(k++k-)^(i+d+a)",
-    "list-size-majority": "(k++k-+1)^(2t(d+a)) * V_{k++k-+1}(n,a)",
     "sauer-reads": "V_{k++k-+1}(n,f-1-a) + 1",
-    "list-size-sauer": "(k++k-+1)^(2(f-a)) * V_{k++k-+1}(n-f+a,a)",
     "simplex-reads": "C(m+t-d,m) + 1",
 }
 
@@ -509,7 +503,11 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.  Reusing it
+    is safe: ``prog`` is fixed, no default is mutable and no action
+    appends, so ``parse_args`` leaves nothing behind for the next call."""
     parser = argparse.ArgumentParser(
         prog="magrec",
         description="limited-magnitude reconstruction: formulas, oracles, trials",

@@ -22,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import mul
 from typing import Optional
+
+import numpy as np
 
 from magrec.core import (
     DEFAULT_ENUM_CAP,
@@ -36,6 +38,10 @@ from magrec.core import (
 from magrec import combinatorics
 
 GroupElement = tuple[int, ...]
+
+#: Bytes of gathered syndrome-table entries and found vectors one block of
+#: a lattice shell scan may hold (``_lattice_vectors_by_weight``).
+_SCAN_BYTES = 128 * 2**10
 
 
 @dataclass(frozen=True)
@@ -288,33 +294,61 @@ def _lattice_vectors_by_weight(
     spec: SplitterSpec, span: int, max_weight: int, cap: int
 ):
     """Yield (w, d) for each nonzero lattice vector d in [-span, span]^n with
-    wt(d) <= max_weight, shell by shell in increasing weight w.
+    wt(d) <= max_weight, shell by shell in increasing weight w, each shell
+    support by support (in ``combinations`` order) and each support in
+    ``product`` order of its nonzero values.
 
-    Syndromes are summed from per-coordinate tables of v * s_i built once.
     Before shell w its C(n, w) * (2 span)^w vectors are added to a running
     count, and EnumerationCapExceeded is raised once the count passes
-    ``cap``.  The scan is lazy, so a caller that breaks off is charged only
-    up to the shell it breaks off in.
+    ``cap``.  The shell is then scanned as int64 blocks: the rows of its
+    (2 span)^w x w grid of nonzero values, for a run of supports at once,
+    sum per-coordinate tables of v * s_i (reduced into the group) and keep
+    the rows whose syndrome is zero.  A block holds at most ``_SCAN_BYTES``
+    of gathered table entries and found vectors.  The tables are reduced,
+    so each sum stays below n * max(moduli), and a group for which that
+    reaches 2**62 is a ValueError.  The scan is lazy, so a caller that
+    breaks off is charged only up to the shell it breaks off in.
     """
     n = spec.n
     moduli = spec.group.moduli
+    if n * max(moduli) >= 2**62:
+        raise ValueError(
+            f"lattice scans sum syndromes in int64: n * max(moduli) = "
+            f"{n * max(moduli)} reaches 2**62"
+        )
     nonzero = [v for v in range(-span, span + 1) if v]
-    tables = [[(v, spec.group.scale(v, si)) for v in nonzero] for si in spec.s]
+    base = len(nonzero)
+    values = np.array(nonzero, dtype=np.int64)
+    tables = np.array(
+        [[[v * g % m for g, m in zip(si, moduli)] for v in nonzero] for si in spec.s],
+        dtype=np.int64,
+    ).reshape(n, base, len(moduli))
+    mod = np.array(moduli, dtype=np.int64)
     scanned = 0
     for w in range(1, min(max_weight, n) + 1):
-        scanned += math.comb(n, w) * len(nonzero) ** w
+        rows = base**w
+        scanned += math.comb(n, w) * rows
         if scanned > cap:
             raise EnumerationCapExceeded(
                 f"lattice scan through weight {w} covers {scanned} vectors, "
                 f"over the enumeration cap {cap}"
             )
-        for support in combinations(range(n), w):
-            for picks in product(*(tables[i] for i in support)):
-                sums = zip(*(g for _, g in picks))
-                if all(sum(col) % m == 0 for col, m in zip(sums, moduli)):
-                    d = [0] * n
-                    for i, (v, _) in zip(support, picks):
-                        d[i] = v
+        if not rows:
+            continue
+        block = max(1, _SCAN_BYTES // (8 * (w * len(moduli) + n)))
+        # grid row r picks nonzero[j] at position k for the k-th base-2span
+        # digit j of r: the meshgrid of w copies, ``indexing="ij"``
+        digits = base ** np.arange(w - 1, -1, -1)
+        supports = combinations(range(n), w)
+        while chunk := list(islice(supports, max(1, block // rows))):
+            support = np.array(chunk)
+            for lo in range(0, rows, block):
+                picks = np.arange(lo, min(rows, lo + block))[:, None] // digits % base
+                sums = tables[support[:, None, :], picks[None, :, :]].sum(axis=2)
+                s_hit, r_hit = np.nonzero(~(sums % mod).any(axis=2))
+                found = np.zeros((len(s_hit), n), dtype=np.int64)
+                found[np.arange(len(s_hit))[:, None], support[s_hit]] = values[picks[r_hit]]
+                for d in found.tolist():
                     yield w, tuple(d)
 
 

@@ -1,8 +1,13 @@
+import ast
+import inspect
 import json
+from itertools import product
 
 import pytest
 
+from magrec import ChannelParams, cli
 from magrec.cli import main, parse_code_spec, parse_grid
+from magrec.reconstruction import ALGORITHMS
 from magrec.lattice import LatticeCode
 from magrec.core import ExplicitCode
 from magrec.tandem import SimplexCode
@@ -410,3 +415,51 @@ def test_tandem_reads_beyond_int64_safe_range_is_one_error_line(r, tmp_path, cap
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    from test_cli_golden import CASES
+
+    argv, status, stdout = CASES[0]
+    assert "--explain" not in argv and "--oracle" not in argv and "--out" not in argv
+    target = tmp_path / "report.txt"
+    assert main([*argv.split(), "--oracle", "--explain", "--out", str(target)]) == status
+    assert "anchor legend" in target.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--format", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv.split()) == status
+    assert capsys.readouterr().out == stdout
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_anchor_ids_are_the_emitted_ones():
+    tree = ast.parse(inspect.getsource(cli))
+    literal = {
+        node.value
+        for kw in ast.walk(tree)
+        if isinstance(kw, ast.keyword) and kw.arg == "anchor"
+        for node in ast.walk(kw.value)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    planned = set()
+    for entry in ALGORITHMS.values():
+        for km, delta in product((0, 1), (1, 3)):
+            try:
+                planned.add(entry.plan(ChannelParams(6, 2, 1, km), delta, 1).anchor)
+            except ValueError:
+                pass
+    assert set(cli.ANCHORS) == literal | planned
+
+
+def test_lattice_scan_past_int64_is_one_error_line(capsys):
+    code = main([
+        "check-splitting", "--code", f"splitter:group=Z{2**61}; s=[1,2]",
+        "--kp", "1", "--km", "1", "--t", "1", "--oracle",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: lattice scans sum syndromes in int64")
+    assert captured.err.count("\n") == 1

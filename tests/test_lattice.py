@@ -1,9 +1,12 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magrec import ChannelParams, EnumerationCapExceeded
+from magrec import ChannelParams, EnumerationCapExceeded, lattice
 from magrec.lattice import (
     FiniteAbelianGroup,
     LatticeCode,
@@ -28,6 +31,7 @@ from helpers import (
     differential_specs,
     oracle_ball_set,
     oracle_lattice_min_distance,
+    oracle_lattice_vectors_by_weight,
     oracle_max_pairwise_intersection,
     oracle_packing_by_window_pairs,
 )
@@ -225,6 +229,50 @@ def test_max_pairwise_intersection_matches_box_scan():
     assert max_pairwise_intersection_lattice(spec, p) == (
         oracle_max_pairwise_intersection(spec, 1, 1, 1)
     )
+
+
+@st.composite
+def shell_scans(draw):
+    """(spec, span, max_weight, cap) over a cyclic or product group; the cap
+    is either out of reach or small enough to stop the scan at some shell."""
+    moduli = draw(st.one_of(
+        st.tuples(st.integers(2, 13)),
+        st.sampled_from([(4, 3), (2, 2), (3, 3), (2, 3, 2)]),
+    ))
+    n = draw(st.integers(1, 4))
+    s = tuple(tuple(draw(st.integers(0, m - 1)) for m in moduli) for _ in range(n))
+    spec = SplitterSpec(FiniteAbelianGroup(moduli), s)
+    cap = draw(st.one_of(st.just(10**7), st.integers(0, 600)))
+    return spec, draw(st.integers(1, 3)), draw(st.integers(1, n)), cap
+
+
+def _scan(scanner, *args):
+    """Everything the scan yields, then the cap message it stops with."""
+    out = []
+    try:
+        out.extend(scanner(*args))
+    except EnumerationCapExceeded as exc:
+        out.append(str(exc))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shell_scans(), st.integers(1, 300))
+def test_block_scan_matches_tuple_scan(case, budget):
+    expected = _scan(oracle_lattice_vectors_by_weight, *case)
+    assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
+    # a budget of a few rows splits shells and supports across blocks
+    with mock.patch.object(lattice, "_SCAN_BYTES", budget):
+        assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
+
+
+def test_block_scan_refuses_groups_past_int64():
+    spec = parse_splitter_spec(f"group=Z{2**61}; s=[1,2]")
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        lattice_min_distance(spec, 1, 1)
+    # the largest modulus for n = 2: every syndrome sum stays below 2**62
+    spec = parse_splitter_spec(f"group=Z{2**61 - 1}; s=[1,{2**61 - 3}]")
+    assert lattice_min_distance(spec, 1, 1) == oracle_lattice_min_distance(spec, 1, 1) == 2
 
 
 def test_splitter_spec_parse_roundtrip():
