@@ -320,7 +320,7 @@ def _lattice_vectors_by_weight(
     base = len(nonzero)
     values = np.array(nonzero, dtype=np.int64)
     tables = np.array(
-        [[[v * g % m for g, m in zip(si, moduli)] for v in nonzero] for si in spec.s],
+        [v * g % m for si in spec.s for v in nonzero for g, m in zip(si, moduli)],
         dtype=np.int64,
     ).reshape(n, base, len(moduli))
     mod = np.array(moduli, dtype=np.int64)
