@@ -23,9 +23,9 @@ from magrec.core import (
 )
 from magrec.combinatorics import (
     IntersectionBounds,
+    ball_matrix,
     ball_size,
     binom,
-    enumerate_ball,
     hamming_volume,
     in_ball,
     intersection_bounds,

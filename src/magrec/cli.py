@@ -221,7 +221,7 @@ def cmd_ball(args) -> int:
         row = dict(n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, anchor="ball-size")
         row["size"] = combinatorics.ball_size(p)
         if args.oracle:
-            brute = len(combinatorics.enumerate_ball(p, cap=args.cap))
+            brute = len(combinatorics.ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=args.cap))
             row["brute"] = brute
             row["match"] = "MATCH" if brute == row["size"] else "MISMATCH"
             if brute != row["size"]:

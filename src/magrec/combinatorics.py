@@ -9,10 +9,12 @@ of Z^n, and the closed-form bound pair that sandwiches the intersection
 size when the centers are at a known distance (``intersection_bounds(p,
 delta)``, one pair for k- = 0 and one for k- >= 1).
 
-Every ball comes from one enumerator and one LRU cache keyed by
-(n, t, k+, k-): a read-only int64 matrix (``ball_matrix``) and the tuple
-rows made from it once ``ball_vectors`` asks, both in lexicographic order
-and both charged against ``BALL_CACHE_BYTES``.
+Every ball is one read-only int64 matrix with rows in lexicographic order
+(``ball_matrix``), built by the one enumerator ``_lex_rows`` (which also
+builds the tandem module's upward balls) and kept in an LRU cache keyed by
+(n, t, k+, k-) that charges each ball its ``nbytes`` against
+``BALL_CACHE_BYTES``.  ``ball_vectors`` is a tuple copy of it, made on
+every call, for the oracles.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -20,11 +22,9 @@ All arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,22 +35,12 @@ from magrec.core import (
     Vec,
 )
 
-#: Byte budget of the ball cache.  Each ball is charged for both of its
-#: forms, the int64 matrix and the tuple rows; least recently used balls are
-#: dropped first, and a ball larger than the budget is returned but not kept.
+#: Byte budget of the ball cache.  Each ball is charged its matrix's
+#: ``nbytes``; least recently used balls are dropped first, and a ball
+#: larger than the budget is returned but not kept.
 BALL_CACHE_BYTES = 16 * 2**20
 
-
-@dataclass
-class _Ball:
-    """A cache entry; ``rows`` stays None until ``ball_vectors`` asks."""
-
-    matrix: np.ndarray
-    nbytes: int
-    rows: Optional[tuple[Vec, ...]] = None
-
-
-_ball_cache: OrderedDict[tuple[int, int, int, int], _Ball] = OrderedDict()
+_ball_cache: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
 _ball_lock = threading.Lock()
 
 
@@ -81,87 +71,76 @@ def ball_size(p: ChannelParams) -> int:
     return hamming_volume(p.magnitude_span + 1, p.n, p.t)
 
 
-def _enumerate_ball(n: int, t: int, k_plus: int, k_minus: int) -> np.ndarray:
-    """B(n, t, k+, k-) as an int64 matrix with rows in lexicographic order.
+def _lex_rows(values, cost, k: int, budget: int) -> np.ndarray:
+    """The length-k rows over ``values`` (increasing) whose ``cost``s sum to
+    at most ``budget``, as an int64 matrix in lexicographic order.
 
     Built column by column: each prefix, in lexicographic order, is extended
-    by every value of [-k-, k+] in increasing order, nonzero values only
-    while the prefix has fewer than t nonzero entries.  A prefix of weight w
-    with r columns left heads a block of V(r, t - w) rows, so column i
-    repeats each value that ends a prefix of length i + 1 over its block.
+    by every value whose cost still fits, in increasing order.  fits[r][b]
+    is the number of length-r rows of cost at most b, so a prefix of cost u
+    with r columns left heads a block of fits[r][budget - u] rows, and
+    column i repeats each value that ends a prefix of length i + 1 over its
+    block.  Callers include the value 0 at cost 0, so no block is larger
+    than the row count fits[k][budget].
     """
-    values = np.arange(-k_minus, k_plus + 1, dtype=np.int64)
-    q = len(values)
-    matrix = np.empty((hamming_volume(q, n, t), n), dtype=np.int64)
-    weight = np.zeros(1, dtype=np.int64)
-    for i in range(n):
+    values = np.asarray(values, dtype=np.int64)
+    cost = np.asarray(cost, dtype=np.int64)
+    # (cost, how many values have it) for the costs within the budget
+    mult = [(c, m) for c, m in enumerate(np.bincount(cost)[: budget + 1].tolist()) if m]
+    fits = [[1] * (budget + 1)]
+    for _ in range(k):
+        last = fits[-1]
+        fits.append([sum(m * last[b - c] for c, m in mult if c <= b) for b in range(budget + 1)])
+    matrix = np.empty((fits[k][budget], k), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for i in range(k):
         # row-major nonzero order: prefix by prefix, values increasing
-        prefix, pick = np.nonzero((values == 0) | (weight[:, None] < t))
-        weight = weight[prefix] + (values[pick] != 0)
-        left = n - i - 1
-        block = np.array([hamming_volume(q, left, min(t - w, left)) for w in range(t + 1)])
-        matrix[:, i] = np.repeat(values[pick], block[weight])
+        prefix, pick = np.nonzero(used[:, None] + cost <= budget)
+        used = used[prefix] + cost[pick]
+        block = np.array(fits[k - i - 1], dtype=np.int64)
+        matrix[:, i] = np.repeat(values[pick], block[budget - used])
     return matrix
 
 
-def _ball(n: int, t: int, k_plus: int, k_minus: int, cap: int) -> _Ball:
-    """The cache entry of B(n, t, k+, k-), enumerated on a miss.
+def ball_matrix(
+    n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
+) -> np.ndarray:
+    """B(n, t, k+, k-) as a read-only (|B|, n) int64 matrix with rows in
+    lexicographic order, from the ball cache (enumerated on a miss).
 
     Raises EnumerationCapExceeded when the ball holds more than ``cap``
     vectors, checked before a miss enumerates anything.
     """
     key = (n, t, k_plus, k_minus)
     with _ball_lock:
-        ball = _ball_cache.get(key)
-        if ball is not None:
+        matrix = _ball_cache.get(key)
+        if matrix is not None:
             _ball_cache.move_to_end(key)
-    size = hamming_volume(k_plus + k_minus + 1, n, t) if ball is None else len(ball.matrix)
+    size = hamming_volume(k_plus + k_minus + 1, n, t) if matrix is None else len(matrix)
     if size > cap:
         raise EnumerationCapExceeded(
             f"ball of size {size} exceeds enumeration cap {cap}"
         )
-    if ball is not None:
-        return ball
-    matrix = _enumerate_ball(n, t, k_plus, k_minus)
+    if matrix is not None:
+        return matrix
+    # at t = 0 only the zero entry fits, however large k+ and k- are
+    values = np.arange(-k_minus, k_plus + 1) if t else np.zeros(1, dtype=np.int64)
+    matrix = _lex_rows(values, values != 0, n, t)
     matrix.flags.writeable = False
-    # the tuple rows: the outer tuple, one tuple per row, and per row the at
-    # most t entries outside CPython's shared small ints [-5, 256]
-    per_row = 8 + sys.getsizeof((0,) * n) + (0 if k_minus <= 5 and k_plus <= 256 else 32 * t)
-    ball = _Ball(matrix, matrix.nbytes + sys.getsizeof(()) + size * per_row)
-    if ball.nbytes <= BALL_CACHE_BYTES:
+    if matrix.nbytes <= BALL_CACHE_BYTES:
         with _ball_lock:
-            _ball_cache[key] = ball
-            used = sum(b.nbytes for b in _ball_cache.values())
+            _ball_cache[key] = matrix
+            used = sum(m.nbytes for m in _ball_cache.values())
             while used > BALL_CACHE_BYTES:
                 used -= _ball_cache.popitem(last=False)[1].nbytes
-    return ball
+    return matrix
 
 
 def ball_vectors(
     n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[Vec, ...]:
-    """All of B(n, t, k+, k-) in lexicographic order, from the ball cache.
-
-    Raises EnumerationCapExceeded instead of silently truncating when the
-    ball holds more than ``cap`` vectors.
-    """
-    ball = _ball(n, t, k_plus, k_minus, cap)
-    if ball.rows is None:
-        ball.rows = tuple(zip(*ball.matrix.T.tolist())) if n else ((),)
-    return ball.rows
-
-
-def ball_matrix(
-    n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
-) -> np.ndarray:
-    """``ball_vectors`` as a read-only (|B|, n) int64 matrix, rows in the same
-    lexicographic order, from the same cache entry."""
-    return _ball(n, t, k_plus, k_minus, cap).matrix
-
-
-def enumerate_ball(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
-    """B(n, t, k+, k-) as a lexicographically sorted tuple of vectors."""
-    return ball_vectors(p.n, p.t, p.k_plus, p.k_minus, cap=cap)
+    """``ball_matrix`` as a tuple of vectors, made afresh on every call."""
+    return tuple(map(tuple, ball_matrix(n, t, k_plus, k_minus, cap).tolist()))
 
 
 def in_ball(v: Vec, p: ChannelParams) -> bool:

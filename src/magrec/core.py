@@ -33,6 +33,9 @@ class ReconstructionError(RuntimeError):
 
 DEFAULT_ENUM_CAP = 10**7
 
+#: Entries of one code handle's decode memo; a full memo is cleared.
+DECODE_MEMO_ENTRIES = 2**14
+
 #: Bound on the magnitude of read and codeword entries: the difference of
 #: two entries below it still fits in int64.
 ENTRY_LIMIT = 2**62
@@ -117,8 +120,9 @@ class Code:
     the search window: the first c = z - e in the code, e running over the
     error ball in lexicographic order, so the result is deterministic; when
     the code corrects ``radius`` errors the result is independent of that
-    order.  Results are memoized per handle; ``_search`` computes a miss,
-    by default with a scan of the window.
+    order.  Results are memoized per handle, at most
+    ``DECODE_MEMO_ENTRIES`` of them; ``_search`` computes a miss, by default
+    with a scan of the window.
     """
 
     def contains(self, v: Vec) -> bool:
@@ -131,6 +135,8 @@ class Code:
         memo = self._memo()
         if key in memo:
             return memo[key]
+        if len(memo) >= DECODE_MEMO_ENTRIES:
+            memo.clear()
         result = memo[key] = self._search(z, radius, params, cap)
         return result
 
@@ -190,9 +196,10 @@ def _first_in_window(
 ) -> Optional[Vec]:
     """First c = z - e with ``contains(c)``, e running over the error ball (at
     most ``cap`` vectors) in lexicographic order; None when there is none."""
-    from magrec.combinatorics import ball_vectors  # combinatorics imports core
+    from magrec.combinatorics import ball_matrix  # combinatorics imports core
 
-    for e in ball_vectors(len(z), radius, params.k_plus, params.k_minus, cap=cap):
+    # Python ints, so z beyond int64 is exact
+    for e in ball_matrix(len(z), radius, params.k_plus, params.k_minus, cap=cap).tolist():
         c = tuple(zi - ei for zi, ei in zip(z, e))
         if contains(c):
             return c

@@ -140,8 +140,9 @@ def _coset_leaders(
     """Each syndrome taken on B(n, radius, k+, k-) -> its coset leader, the
     lexicographically first vector of the ball with that syndrome."""
     leaders: dict[GroupElement, Vec] = {}
-    for e in combinatorics.ball_vectors(spec.n, radius, k_plus, k_minus, cap=cap):
-        leaders.setdefault(syndrome(spec, e), e)
+    # Python ints, so moduli of 2**62 or more are exact
+    for e in combinatorics.ball_matrix(spec.n, radius, k_plus, k_minus, cap=cap).tolist():
+        leaders.setdefault(syndrome(spec, e), tuple(e))
     return leaders
 
 

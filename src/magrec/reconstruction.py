@@ -57,7 +57,7 @@ from magrec.core import (
     Vec,
     check_entries,
 )
-from magrec.combinatorics import ball_matrix, ball_vectors, binom, hamming_volume
+from magrec.combinatorics import ball_matrix, binom, hamming_volume
 
 #: Byte budget of one block of candidate rows.
 _CANDIDATE_BYTES = 128 * 2**10
@@ -565,18 +565,12 @@ def _sauer_candidates(
     """Sorted candidates rep - e: rep is the first read (row of M) of each
     pattern on U, and e in B(n, f, k+, k-) is nonzero on every coordinate
     of U."""
-    shifts = [
-        e for e in ball_vectors(p.n, f, p.k_plus, p.k_minus, cap=cap)
-        if all(e[i] for i in U)
-    ]
-    representatives: dict[tuple[int, ...], Vec] = {}
-    for r in map(tuple, M.tolist()):
-        representatives.setdefault(tuple(r[i] for i in U), r)
-    return sorted({
-        tuple(ri - ei for ri, ei in zip(rep, e))
-        for rep in representatives.values()
-        for e in shifts
-    })
+    cols = list(U)
+    shifts = ball_matrix(p.n, f, p.k_plus, p.k_minus, cap=cap)
+    shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
+    _, first = np.unique(M[:, cols], axis=0, return_index=True)
+    candidates = (M[first, None, :] - shifts).reshape(-1, p.n)
+    return list(map(tuple, np.unique(candidates, axis=0).tolist()))
 
 
 def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:
@@ -621,7 +615,7 @@ def adversarial_instance(p: ChannelParams, e: int, a: int) -> tuple[ReadSet, tup
     if e < 0 or e + a > n:
         raise ValueError("weight e + a must fit in n")
 
-    reads = ball_vectors(n, f - a, p.k_plus - 1, p.k_minus)
+    reads = ball_matrix(n, f - a, p.k_plus - 1, p.k_minus)
     weight = e + a
     max_shared = weight - (e + 1)  # |A & B| <= this keeps Hamming distance >= 2e+2
     code: list[Vec] = []

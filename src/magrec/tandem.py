@@ -14,7 +14,8 @@ units is largest on the outermost shell.  Mixed-weight read sets can defeat
 the formula when delta < t (a documented model boundary), so the generators
 here work shell by shell.
 
-One enumerator builds the excess vectors of B_t^+(0) as a lexicographically
+The error-ball enumerator (``combinatorics._lex_rows``, each excess costing
+itself) builds the excess vectors of B_t^+(0) as a lexicographically
 ordered int64 matrix; a shell w is a row of B_w^+(0) one coordinate shorter
 followed by the excess it leaves, so it depends only on (m + 1, w) and is
 built once for every codeword.  Read sets come in the channel's byte-bounded
@@ -36,6 +37,7 @@ import numpy as np
 
 from magrec import channel
 from magrec.channel import DEFAULT_SUBSET_CAP
+from magrec.combinatorics import _lex_rows
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     EnumerationCapExceeded,
@@ -57,25 +59,10 @@ def _charge(what: str, size: int, cap: int) -> None:
 
 def _excess(k: int, t: int) -> np.ndarray:
     """B_t^+(0) in Z^k: the non-negative int64 rows of sum at most t, in
-    lexicographic order.
-
-    Built column by column: each prefix, in lexicographic order, is extended
-    by every excess 0, 1, ... its prefix leaves within t.  A prefix of
-    excess u with r columns left heads a block of C(r + t - u, r) rows, so
-    column i repeats each value that ends a prefix of length i + 1 over its
-    block.
-    """
-    matrix = np.empty((math.comb(k + t, k), k), dtype=np.int64)
+    lexicographic order, from the error-ball enumerator with each excess
+    costing itself."""
     steps = np.arange(t + 1)
-    used = np.zeros(1, dtype=np.int64)
-    for i in range(k):
-        # row-major nonzero order: prefix by prefix, excess increasing
-        prefix, step = np.nonzero(used[:, None] + steps <= t)
-        used = used[prefix] + step
-        left = k - i - 1
-        block = np.array([math.comb(left + t - u, left) for u in range(t + 1)])
-        matrix[:, i] = np.repeat(step, block[used])
-    return matrix
+    return _lex_rows(steps, steps, k, t)
 
 
 def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:

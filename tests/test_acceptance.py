@@ -28,7 +28,6 @@ from magrec.channel import decode_read_sets, read_sets, rng_for, sampled_read_se
 from magrec.combinatorics import (
     ball_size,
     ball_vectors,
-    enumerate_ball,
     hamming_volume,
     intersection_bounds,
     intersection_exact,
@@ -336,7 +335,10 @@ def test_criterion_05_majority_budgets():
         # both codewords are exercised
         checked = 0
         for word_index, x in enumerate(code.members):
-            ball = [tuple(a + b for a, b in zip(x, e)) for e in enumerate_ball(p)]
+            ball = [
+                tuple(a + b for a, b in zip(x, e))
+                for e in ball_vectors(p.n, p.t, p.k_plus, p.k_minus)
+            ]
             structured = [
                 tuple(ball[:N]),
                 tuple(ball[-N:]),

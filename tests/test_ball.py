@@ -2,8 +2,8 @@
 test and the lattice shell scans against the brute-force oracles in
 ``helpers``."""
 
-import sys
 from collections import OrderedDict
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from magrec.combinatorics import (
     ball_matrix,
     ball_size,
     ball_vectors,
-    enumerate_ball,
     intersection_exact,
 )
 from magrec.lattice import (
@@ -59,7 +58,17 @@ def test_ball_matrix_matches_oracle(p):
     assert matrix.tolist() == [list(e) for e in expected]  # lexicographic order
     assert not matrix.flags.writeable
     assert ball_vectors(p.n, p.t, p.k_plus, p.k_minus) == tuple(expected)
-    assert enumerate_ball(p) == tuple(expected)
+
+
+def test_lex_rows_is_the_cost_filtered_product():
+    values, cost = [-2, -1, 0, 1, 3], [2, 1, 0, 1, 3]
+    for k in range(4):
+        for budget in range(5):
+            expected = [
+                list(row) for row in product(values, repeat=k)
+                if sum(cost[values.index(v)] for v in row) <= budget
+            ]
+            assert combinatorics._lex_rows(values, cost, k, budget).tolist() == expected
 
 
 @CHECKS
@@ -110,28 +119,54 @@ def small_cache(fresh_cache, monkeypatch):
 
 
 def charged(cache):
-    return sum(ball.nbytes for ball in cache.values())
+    return sum(matrix.nbytes for matrix in cache.values())
 
 
 def test_ball_cache_stays_within_its_budget(small_cache):
     for n in range(1, 8):
         for t in range(n + 1):
             for kp, km in [(1, 0), (1, 1), (2, 1)]:
-                ball_vectors(n, t, kp, km)
+                ball_matrix(n, t, kp, km)
                 assert charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
     assert small_cache  # the smaller balls are kept
     last = next(reversed(small_cache))
-    assert ball_vectors(*last) is small_cache[last].rows  # a hit
+    assert ball_matrix(*last) is small_cache[last]  # a hit
 
 
 def test_ball_over_the_budget_is_returned_but_not_kept(small_cache):
-    kept = ball_vectors(3, 1, 1, 1)
-    big = ball_matrix(8, 8, 1, 1)  # 3^8 rows, over 0.4 MiB as a matrix alone
+    kept = ball_matrix(3, 1, 1, 1)
+    big = ball_matrix(8, 8, 1, 1)  # 3^8 rows, over 0.4 MiB
     assert big.shape == (3**8, 8)
-    # 694 rows: the matrix alone would fit, the matrix and the tuple rows not
-    assert len(ball_matrix(6, 3, 2, 1)) == 694
     assert list(small_cache) == [(3, 1, 1, 1)]
-    assert ball_vectors(3, 1, 1, 1) is kept
+    assert ball_matrix(3, 1, 1, 1) is kept
+
+
+@pytest.mark.parametrize("key", [(6, 3, 2, 1), (3, 1, 300, 7)])
+def test_ball_is_charged_exactly_its_matrix_bytes(key, fresh_cache, monkeypatch):
+    other = (2, 1, 1, 0)
+    monkeypatch.setattr(
+        combinatorics, "BALL_CACHE_BYTES", ball_matrix(*key).nbytes + ball_matrix(*other).nbytes
+    )
+    fresh_cache.clear()
+    matrix = ball_matrix(*key)
+    ball_matrix(*other)
+    assert list(fresh_cache) == [key, other]  # both fit exactly
+    assert fresh_cache[key] is matrix and not matrix.flags.writeable
+    ball_matrix(1, 1, 1, 0)  # 16 bytes more drops the oldest
+    assert list(fresh_cache) == [other, (1, 1, 1, 0)]
+
+
+def test_ball_cache_hit_is_the_same_array_and_vectors_are_a_fresh_copy(fresh_cache):
+    matrix = ball_matrix(4, 2, 1, 1)
+    assert ball_matrix(4, 2, 1, 1) is matrix
+    rows = ball_vectors(4, 2, 1, 1)
+    assert rows == tuple(map(tuple, matrix.tolist()))
+    assert ball_vectors(4, 2, 1, 1) is not rows
+    assert list(fresh_cache) == [(4, 2, 1, 1)]
+
+
+def test_radius_zero_ball_of_any_magnitude_is_the_zero_row(fresh_cache):
+    assert ball_matrix(2, 0, 10**12, 10**12).tolist() == [[0, 0]]
 
 
 def test_cache_hit_past_the_cap_raises(small_cache):
@@ -140,18 +175,3 @@ def test_cache_hit_past_the_cap_raises(small_cache):
         with pytest.raises(EnumerationCapExceeded):
             fetch(3, 1, 1, 1, cap=6)
     assert len(ball_matrix(3, 1, 1, 1, cap=7)) == 7
-
-
-@pytest.mark.parametrize("key", [(6, 3, 2, 1), (3, 1, 300, 7)])
-def test_ball_charge_covers_both_forms(key, fresh_cache):
-    matrix = ball_matrix(*key)
-    assert fresh_cache[key].rows is None  # built on the first ball_vectors
-    rows = ball_vectors(*key)
-    unshared = [v for row in rows for v in row if not -5 <= v <= 256]
-    held = (
-        matrix.nbytes
-        + sys.getsizeof(rows)
-        + sum(map(sys.getsizeof, rows))
-        + sum(map(sys.getsizeof, unshared))
-    )
-    assert held <= fresh_cache[key].nbytes

@@ -1,11 +1,12 @@
 import ast
 import inspect
 import json
+from collections import OrderedDict
 from itertools import product
 
 import pytest
 
-from magrec import ChannelParams, cli
+from magrec import ChannelParams, cli, combinatorics
 from magrec.cli import main, parse_code_spec, parse_grid
 from magrec.reconstruction import ALGORITHMS
 from magrec.lattice import LatticeCode
@@ -30,6 +31,24 @@ def test_ball_example(capsys):
     code, out = run_cli(capsys, "ball", "--n", "2", "--t", "1", "--kp", "1", "--km", "1")
     assert code == 0
     assert out.splitlines()[1].split()[:5] == ["2", "1", "1", "1", "5"]
+
+
+def test_ball_oracle_reports_a_wrong_formula(monkeypatch, capsys):
+    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
+    volume = combinatorics.hamming_volume
+    # one point of the formula off by one: V_3(2, 1) = 5, reported as 6
+    monkeypatch.setattr(
+        combinatorics, "hamming_volume",
+        lambda q, n, r: volume(q, n, r) + ((q, n, r) == (3, 2, 1)),
+    )
+    code, out = run_cli(
+        capsys, "ball", "--n", "1:2", "--t", "1", "--kp", "1", "--km", "1", "--oracle"
+    )
+    assert code == 1
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["1", "1", "1", "1", "3", "3", "MATCH"],
+        ["2", "1", "1", "1", "6", "5", "MISMATCH"],
+    ]
 
 
 def test_intersect_oracle_match(capsys):
@@ -84,6 +103,15 @@ def test_check_splitting(capsys):
     )
     assert code == 0
     assert "False" in out and "MATCH" in out
+
+
+def test_splitting_over_a_group_beyond_int64_is_exact(capsys):
+    code, out = run_cli(
+        capsys, "check-splitting", "--code", f"splitter:group=Z{2**62}; s=[1,2]",
+        "--kp", "1", "--km", "1", "--t", "1",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split()[-1] == "True"
 
 
 def test_list_subcommand(capsys):

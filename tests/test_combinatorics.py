@@ -8,7 +8,7 @@ from magrec.combinatorics import (
     EnumerationCapExceeded,
     binom,
     ball_size,
-    enumerate_ball,
+    ball_vectors,
     hamming_volume,
     in_ball,
     intersection_bounds,
@@ -46,15 +46,15 @@ def test_ball_size():
     assert ball_size(ChannelParams(2, 2, 1, 0)) == 4
 
 
-def test_enumerate_ball_examples():
-    assert enumerate_ball(ChannelParams(1, 1, 2, 1)) == ((-1,), (0,), (1,), (2,))
-    assert enumerate_ball(ChannelParams(2, 1, 1, 0)) == ((0, 0), (0, 1), (1, 0))
-    assert enumerate_ball(ChannelParams(1, 0, 1, 1)) == ((0,),)
+def test_ball_vectors_examples():
+    assert ball_vectors(1, 1, 2, 1) == ((-1,), (0,), (1,), (2,))
+    assert ball_vectors(2, 1, 1, 0) == ((0, 0), (0, 1), (1, 0))
+    assert ball_vectors(1, 0, 1, 1) == ((0,),)
 
 
-def test_enumerate_ball_matches_independent_enumeration():
+def test_ball_vectors_matches_independent_enumeration():
     for (n, t, kp, km) in [(1, 1, 2, 1), (2, 2, 1, 1), (3, 2, 2, 0), (4, 3, 1, 1)]:
-        got = enumerate_ball(ChannelParams(n, t, kp, km))
+        got = ball_vectors(n, t, kp, km)
         assert list(got) == sorted(oracle_ball(n, t, kp, km))
         assert len(got) == ball_size(ChannelParams(n, t, kp, km))
         assert all(got[i] < got[i + 1] for i in range(len(got) - 1))
@@ -62,7 +62,7 @@ def test_enumerate_ball_matches_independent_enumeration():
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_ball(ChannelParams(6, 6, 2, 2), cap=100)
+        ball_vectors(6, 6, 2, 2, cap=100)
 
 
 def test_in_ball():

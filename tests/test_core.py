@@ -4,6 +4,7 @@ import pytest
 
 from magrec import (
     ChannelParams,
+    core,
     ExplicitCode,
     brute_force_decode,
     correction_capability_oracle,
@@ -102,3 +103,21 @@ def test_correction_oracle_matches_independent_oracle():
         assert correction_capability_oracle(members, p, e) == oracle_corrects(
             members, p.t, kp, km, e
         )
+
+
+def test_decode_beyond_int64_is_exact():
+    p = ChannelParams(2, 1, 1, 1)
+    members = [(2**70, 0), (0, 0)]
+    z = (2**70 + 1, 0)
+    assert ExplicitCode(members).decode_within(z, 1, p) == (2**70, 0)
+    assert brute_force_decode(members, z, 1, p) == (2**70, 0)
+
+
+def test_decode_memo_stays_within_its_bound():
+    p = ChannelParams(2, 1, 1, 1)
+    members = [(0, 0), (3, 1), (1, 4)]
+    code = ExplicitCode(members)
+    side = 1 + int(core.DECODE_MEMO_ENTRIES**0.5)  # side**2 distinct words
+    for z in [(i - 2, j - 2) for i in range(side) for j in range(side)]:
+        assert code.decode_within(z, 1, p) == ExplicitCode(members).decode_within(z, 1, p)
+        assert len(code._decode_memo) <= core.DECODE_MEMO_ENTRIES
