@@ -19,7 +19,6 @@ from magrec.core import (
     ExplicitCode,
     ReconstructionError,
     Vec,
-    brute_force_decode,
 )
 from magrec.combinatorics import (
     IntersectionBounds,
@@ -36,7 +35,6 @@ from magrec.combinatorics import (
 from magrec.distances import (
     DistanceComponents,
     code_min_distance,
-    correction_capability_oracle,
     count_greater,
     distance_asymmetric,
     distance_components,

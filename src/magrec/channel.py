@@ -21,7 +21,7 @@ splittable algorithm); every artifact that depends on randomness records the
 generator name and seed.  ``read_sets`` draws random trial i from its own
 generator, seeded with ``seed + i``, so trial 1 of seed 0 replays trial 0 of
 seed 1; ``rng_for(seed, trial_index)`` spawns independent per-trial streams
-instead, and moving the trial loop onto it is ROADMAP item 6.
+instead, and moving the trial loop onto it is ROADMAP item 7.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def read_sets(
         total = math.comb(ball_size(p), N)
         if total > cap:
             raise EnumerationCapExceeded(
-                f"{total} subsets exceed the cap {cap}; use sampled_read_sets"
+                f"{total} subsets exceed the cap {cap}; "
+                "raise the cap or draw random reads"
             )
     elif reads not in ("random", "adversarial"):
         raise ValueError(
@@ -161,18 +162,6 @@ def exhaustive_read_sets(
             yield reconstruction.ReadSet(matrix, p)
 
 
-def sampled_read_sets(
-    x: Vec, p: ChannelParams, count: int, samples: int, seed: int
-) -> Iterator[np.ndarray]:
-    """Stacks of a deterministic seeded sub-sample of N-subsets, all drawn
-    from the one generator of ``seed`` (with replacement over subsets;
-    duplicates are vanishingly rare when C(|ball|, N) is large)."""
-    ball, shift = _ball_and_shift(x, p)
-    rng = rng_for(seed)
-    draws = (rng.choice(len(ball), size=count, replace=False) for _ in range(samples))
-    yield from _stacks(ball, shift, count, draws)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     rng: str
@@ -201,21 +190,6 @@ class TrialRecord:
             "elapsed_ns": self.elapsed_ns,
         }
         return json.dumps(obj, separators=(",", ":"))
-
-    @classmethod
-    def from_line(cls, line: str) -> "TrialRecord":
-        obj = json.loads(line)
-        q = obj["params"]
-        return cls(
-            rng=obj["rng"],
-            seed=obj["seed"],
-            params=ChannelParams(q["n"], q["t"], q["kp"], q["km"]),
-            algorithm=obj["algorithm"],
-            N=obj["N"],
-            success=obj["success"],
-            list_size=obj["list_size"],
-            elapsed_ns=obj["elapsed_ns"],
-        )
 
 
 def decode_read_sets(

@@ -15,9 +15,10 @@ Code mini-language for --code:
 * ``simplex:@FILE``   same, preceded by a header line ``m=,r=,delta=``.
 
 Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single value
-``2``, a range ``1:3`` (inclusive), or a comma list ``1,2,4``.  Only
-``ball``, ``intersect`` and ``simulate`` sweep --n, --t, --kp and --km;
-every other flag takes one value and a range or list there is an error.
+``2``, a range ``1:3`` (inclusive, its end not below its start), or a comma
+list ``1,2,4``.  Only ``ball``, ``intersect`` and ``simulate`` sweep --n,
+--t, --kp and --km; every other flag takes one value and a range or list
+there is an error.
 Grid points that violate a precondition are reported as skipped, never
 silently dropped.  Records mode emits one JSON object per line with a fixed,
 documented field order; rationals are rendered as ``p/q``.
@@ -65,12 +66,16 @@ def _rat(x) -> str:
 
 
 def parse_grid(text: str) -> list[int]:
+    """The values of a grid flag; a range whose end is below its start
+    raises ValueError instead of giving no values."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ":" in part:
-            lo, hi = part.split(":")
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(":"))
+            if hi < lo:
+                raise ValueError(f"range {part} ends below its start")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     return values

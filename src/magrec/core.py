@@ -97,17 +97,6 @@ class EstimateWord:
 
     entries: tuple
 
-    def erasure_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.entries) if v is ERASURE)
-
-    def error_positions(self, reference: Vec) -> tuple[int, ...]:
-        """Coordinates holding an integer that disagrees with ``reference``."""
-        return tuple(
-            i
-            for i, v in enumerate(self.entries)
-            if v is not ERASURE and v != reference[i]
-        )
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -177,18 +166,6 @@ class ExplicitCode(Code):
 
     def __iter__(self):
         return iter(self.members)
-
-
-def brute_force_decode(
-    code_members: Iterable[Vec], z: Vec, radius: int, params: ChannelParams
-) -> Optional[Vec]:
-    """First member of the code found while scanning z - B(n, radius, k+, k-).
-
-    The scan follows the lexicographic enumeration of the error ball, fixing
-    the tie-break when several codewords are in range.
-    """
-    members = frozenset(tuple(m) for m in code_members)
-    return _first_in_window(members.__contains__, z, radius, params)
 
 
 def _first_in_window(

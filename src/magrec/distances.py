@@ -1,4 +1,4 @@
-"""The two channel distances and the brute-force correction-capability oracle.
+"""The two channel distances and the minimum distance of an explicit code.
 
 ``distance_asymmetric`` handles the k- = 0 channel; ``distance_general``
 handles k- >= 1 and specializes to the former at k- = 0.  Neither satisfies
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from magrec.core import ChannelParams, Vec
-from magrec.combinatorics import ball_vectors
+from magrec.core import Vec
 
 
 def count_greater(x: Vec, y: Vec) -> int:
@@ -100,26 +99,3 @@ def code_min_distance(code_members, k_plus: int, k_minus: int) -> int:
         distance_general(a, b, k_plus, k_minus) for a, b in combinations(members, 2)
     )
 
-
-def correction_capability_oracle(
-    code_members, p: ChannelParams, e: int
-) -> bool:
-    """True iff radius-e balls around distinct codewords are pairwise disjoint.
-
-    Checked by enumeration: the union of the translated balls has full size
-    exactly when no two overlap.
-    """
-    if not 0 <= e <= p.t:
-        raise ValueError(f"trial radius must be in [0, t={p.t}], got {e}")
-    members = sorted(tuple(m) for m in code_members)
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate codewords")
-    ball = ball_vectors(p.n, e, p.k_plus, p.k_minus)
-    seen: set[Vec] = set()
-    for c in members:
-        for v in ball:
-            w = tuple(a + b for a, b in zip(c, v))
-            if w in seen:
-                return False
-            seen.add(w)
-    return True

@@ -159,14 +159,14 @@ def check_partial_splitting(
 
     The zero vector has the identity syndrome, so that holds exactly when
     the |B| vectors of the ball have |B| distinct syndromes, that is when
-    every vector of the ball is its own coset leader.
+    every vector of the ball is its own coset leader.  Raises ValueError at
+    t < 1 and on a channel that ``ChannelParams`` rejects.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if k_plus + k_minus < 1 or k_plus < 0 or k_minus < 0:
-        raise ValueError("coefficient range [-k-, k+]* must be nonempty")
+    p = ChannelParams(spec.n, t, k_plus, k_minus)
     leaders = _coset_leaders(spec, t, k_plus, k_minus, cap=cap)
-    return len(leaders) == combinatorics.hamming_volume(k_plus + k_minus + 1, spec.n, t)
+    return len(leaders) == combinatorics.ball_size(p)
 
 
 def check_recon_N1(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
@@ -267,15 +267,16 @@ class LatticeCode(Code):
 
     z - e is a codeword iff e has the syndrome of z, so the lexicographically
     first e of the error ball with that syndrome (its coset leader) gives the
-    codeword the window scan of ``Code`` would find first.  The
-    ``_coset_leaders`` table for (radius, k+, k-) is built on first use and
-    holds at most min(|B|, |G|) leaders.
+    codeword the window scan of ``Code`` would find first.  The handle keeps
+    one ``_coset_leaders`` table, for the last (radius, k+, k-) it decoded
+    at, rebuilt when that key changes; it holds at most min(|B|, |G|)
+    leaders.
     """
 
     def __init__(self, spec: SplitterSpec):
         self.spec = spec
         self.n = spec.n
-        self._leaders: dict[tuple[int, int, int], dict[GroupElement, Vec]] = {}
+        self._leaders: tuple[tuple[int, int, int], dict[GroupElement, Vec]] | None = None
 
     def contains(self, v: Vec) -> bool:
         return syndrome(self.spec, v) == self.spec.group.identity
@@ -284,10 +285,10 @@ class LatticeCode(Code):
         self, z: Vec, radius: int, params: ChannelParams, cap: int
     ) -> Optional[Vec]:
         key = (radius, params.k_plus, params.k_minus)
-        leaders = self._leaders.get(key)
-        if leaders is None:
-            leaders = self._leaders[key] = _coset_leaders(self.spec, *key, cap=cap)
-        e = leaders.get(syndrome(self.spec, z))
+        table = self._leaders
+        if table is None or table[0] != key:
+            table = self._leaders = (key, _coset_leaders(self.spec, *key, cap=cap))
+        e = table[1].get(syndrome(self.spec, z))
         return None if e is None else tuple(zi - ei for zi, ei in zip(z, e))
 
 

@@ -171,10 +171,6 @@ def reads_required_min(p: ChannelParams, delta: int) -> int:
     return p.k_plus**delta * hamming_volume(p.k_plus + 1, p.n - delta, p.t - delta) + 1
 
 
-def componentwise_min(Y: ReadSet) -> Vec:
-    return tuple(Y.matrix.min(axis=0).tolist())
-
-
 def _unique(outputs: Outputs, failure: str) -> Vec:
     """The codeword a unique decoder found for a stack of one; raises
     ReconstructionError(failure) when it found none."""

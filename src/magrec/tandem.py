@@ -98,12 +98,6 @@ def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
     return tuple(map(tuple, (_excess(len(x), t) + _shift(x, t)).tolist()))
 
 
-def upward_shell(x: Vec, w: int) -> tuple[Vec, ...]:
-    """The constant-excess slice: y >= x with total excess exactly w."""
-    shell = _excess_shell(len(x), w, DEFAULT_ENUM_CAP)
-    return tuple(map(tuple, (shell + _shift(x, w)).tolist()))
-
-
 def reads_required_simplex(m: int, t: int, delta: int) -> int:
     """C(m + t - delta, m) + 1 reads guarantee min-based recovery."""
     if not 1 <= delta <= t:

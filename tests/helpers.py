@@ -1,6 +1,14 @@
-"""Independent brute-force oracles used to check the library.
+"""Brute-force oracles and test-only helpers used to check the library.
 
-Everything here is built from itertools primitives and set arithmetic only,
+The library's own oracles live here, not beside its fast paths:
+``brute_force_decode`` scans the decode window of a member set, as
+``Code`` does by default, and ``correction_capability_oracle`` checks that
+the radius-e balls around a code's words are pairwise disjoint.
+``sampled_read_sets`` draws a seeded sub-sample of N-subsets of the ball
+into the channel's stacks, for exhaustive claims whose subset count is out
+of reach; the library's only read generator is ``channel.read_sets``.
+
+Everything else here is built from itertools primitives and set arithmetic only,
 deliberately avoiding the code paths under test (the library enumerates
 balls column by column into a cached int64 matrix and counts intersections
 with column operations; these oracles materialize full sets).  The lattice
@@ -21,8 +29,67 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, combinations_with_replacement, product
+from typing import Iterable, Iterator, Optional
 
-from magrec.core import ERASURE, EnumerationCapExceeded
+import numpy as np
+
+from magrec.channel import _ball_and_shift, _stacks, rng_for
+from magrec.combinatorics import ball_vectors
+from magrec.core import (
+    ERASURE,
+    ChannelParams,
+    EnumerationCapExceeded,
+    Vec,
+    _first_in_window,
+)
+
+
+def brute_force_decode(
+    code_members: Iterable[Vec], z: Vec, radius: int, params: ChannelParams
+) -> Optional[Vec]:
+    """First member of the code found while scanning z - B(n, radius, k+, k-).
+
+    The scan follows the lexicographic enumeration of the error ball, fixing
+    the tie-break when several codewords are in range.
+    """
+    members = frozenset(tuple(m) for m in code_members)
+    return _first_in_window(members.__contains__, z, radius, params)
+
+
+def correction_capability_oracle(
+    code_members, p: ChannelParams, e: int
+) -> bool:
+    """True iff radius-e balls around distinct codewords are pairwise disjoint.
+
+    Checked by enumeration: the union of the translated balls has full size
+    exactly when no two overlap.
+    """
+    if not 0 <= e <= p.t:
+        raise ValueError(f"trial radius must be in [0, t={p.t}], got {e}")
+    members = sorted(tuple(m) for m in code_members)
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate codewords")
+    ball = ball_vectors(p.n, e, p.k_plus, p.k_minus)
+    seen: set[Vec] = set()
+    for c in members:
+        for v in ball:
+            w = tuple(a + b for a, b in zip(c, v))
+            if w in seen:
+                return False
+            seen.add(w)
+    return True
+
+
+def sampled_read_sets(
+    x: Vec, p: ChannelParams, count: int, samples: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Stacks of a deterministic seeded sub-sample of N-subsets, all drawn
+    from the one generator of ``seed`` (with replacement over subsets;
+    duplicates are vanishingly rare when C(|ball|, N) is large)."""
+    ball, shift = _ball_and_shift(x, p)
+    rng = rng_for(seed)
+    draws = (rng.choice(len(ball), size=count, replace=False) for _ in range(samples))
+    yield from _stacks(ball, shift, count, draws)
 
 
 def oracle_ball(n: int, t: int, kp: int, km: int) -> list[tuple[int, ...]]:

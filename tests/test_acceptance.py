@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from magrec import ChannelParams, ExplicitCode
-from magrec.channel import decode_read_sets, read_sets, rng_for, sampled_read_sets
+from magrec.channel import decode_read_sets, read_sets, rng_for
 from magrec.combinatorics import (
     ball_size,
     ball_vectors,
@@ -35,7 +35,6 @@ from magrec.combinatorics import (
 )
 from magrec.distances import (
     code_min_distance,
-    correction_capability_oracle,
     distance_asymmetric,
     distance_general,
 )
@@ -72,7 +71,11 @@ from magrec.tandem import (
     reconstruct_simplex_min,
 )
 
-from helpers import oracle_packing_by_window_pairs
+from helpers import (
+    correction_capability_oracle,
+    oracle_packing_by_window_pairs,
+    sampled_read_sets,
+)
 
 
 def report(num: int, detail: str, t0: float) -> None:

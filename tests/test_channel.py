@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from magrec import ChannelParams, EnumerationCapExceeded
@@ -6,10 +8,11 @@ from magrec.channel import (
     exhaustive_read_sets,
     generate_reads,
     run_trial,
-    sampled_read_sets,
 )
 from magrec.combinatorics import ball_size, in_ball
 from magrec.lattice import LatticeCode, SplitterSpec, cyclic
+
+from helpers import sampled_read_sets
 
 
 def sum_mod(n, m):
@@ -99,4 +102,6 @@ def test_trial_record_round_trip():
         '{"rng":"philox","seed":7,"params":{"n":2,"t":1,"kp":1,"km":0},'
         '"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}'
     )
-    assert TrialRecord.from_line(line) == rec
+    obj = json.loads(line)
+    q = obj.pop("params")
+    assert TrialRecord(params=ChannelParams(q["n"], q["t"], q["kp"], q["km"]), **obj) == rec

@@ -27,6 +27,21 @@ def test_parse_grid():
     assert parse_grid("1:2,5") == [1, 2, 5]
 
 
+@pytest.mark.parametrize("argv, text", [
+    ("ball --n 3:1 --t 1 --kp 1", "3:1"),
+    ("intersect --n 3 --t 2:1 --kp 1", "2:1"),
+    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --km 1:0", "1:0"),
+])
+def test_reversed_grid_range_is_one_error_line(argv, text, capsys):
+    with pytest.raises(ValueError, match=text):
+        parse_grid(text)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: range {text} ends below its start\n"
+
+
 def test_ball_example(capsys):
     code, out = run_cli(capsys, "ball", "--n", "2", "--t", "1", "--kp", "1", "--km", "1")
     assert code == 0
@@ -103,6 +118,19 @@ def test_check_splitting(capsys):
     )
     assert code == 0
     assert "False" in out and "MATCH" in out
+
+
+def test_check_splitting_refuses_k_plus_below_k_minus_with_and_without_oracle(capsys):
+    argv = [
+        "check-splitting", "--code", "splitter:group=Z7; s=[1,2]",
+        "--kp", "0", "--km", "1", "--t", "1",
+    ]
+    for extra in ([], ["--oracle"]):
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: need k_plus >= k_minus >= 0, got (0, 1)\n"
 
 
 def test_splitting_over_a_group_beyond_int64_is_exact(capsys):
@@ -214,6 +242,17 @@ def test_enumeration_cap_is_one_error_line(capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: lattice scan")
+
+
+def test_exhaustive_cap_error_names_only_what_the_user_can_change(capsys):
+    code = main(
+        "reconstruct --alg min --code sum-mod:2 --n 6 --t 3 --kp 1 --reads exhaustive".split()
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "sampled_read_sets" not in captured.err
 
 
 def test_list_counts_failed_sauer_sets(capsys):

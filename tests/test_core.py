@@ -1,17 +1,19 @@
+import inspect
 import random
 
 import pytest
 
-from magrec import (
-    ChannelParams,
-    core,
-    ExplicitCode,
-    brute_force_decode,
-    correction_capability_oracle,
-)
+import magrec
+from magrec import ChannelParams, core, ExplicitCode
 from magrec.combinatorics import ball_vectors, in_ball
 
-from helpers import oracle_ball, oracle_corrects, add
+from helpers import (
+    add,
+    brute_force_decode,
+    correction_capability_oracle,
+    oracle_ball,
+    oracle_corrects,
+)
 
 
 def test_channel_params_validation():
@@ -121,3 +123,30 @@ def test_decode_memo_stays_within_its_bound():
     for z in [(i - 2, j - 2) for i in range(side) for j in range(side)]:
         assert code.decode_within(z, 1, p) == ExplicitCode(members).decode_within(z, 1, p)
         assert len(code._decode_memo) <= core.DECODE_MEMO_ENTRIES
+
+
+def test_public_names():
+    # the exports change only on purpose: edit this list with them
+    names = sorted(
+        name for name, value in vars(magrec).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert names == [
+        "ChannelParams", "Code", "DistanceComponents", "ERASURE",
+        "EnumerationCapExceeded", "EstimateWord", "ExplicitCode",
+        "FiniteAbelianGroup", "IntersectionBounds", "LatticeCode", "ReadSet",
+        "ReconstructionError", "SimplexCode", "SplitterSpec", "Vec",
+        "adversarial_instance", "ball_matrix", "ball_size", "binom",
+        "check_partial_splitting", "check_recon_N1", "check_recon_N1_asym",
+        "check_recon_N2", "code_min_distance", "construct_N1_code",
+        "construct_N2_code", "count_greater", "cyclic", "distance_asymmetric",
+        "distance_components", "distance_general", "hamming_volume", "in_ball",
+        "intersection_bounds", "intersection_exact", "lattice_min_distance",
+        "list_params_general", "list_params_min", "list_reconstruct_majority",
+        "list_reconstruct_min", "list_reconstruct_sauer", "majority_estimate",
+        "majority_threshold", "max_intersection_of_code",
+        "max_intersection_whole_space", "min_group_order_bound",
+        "parse_splitter_spec", "reads_required_min", "reads_required_simplex",
+        "reconstruct_majority", "reconstruct_min", "reconstruct_simplex_min",
+        "sauer_shelah_find", "syndrome", "upward_ball",
+    ]

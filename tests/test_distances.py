@@ -6,14 +6,13 @@ import pytest
 from magrec import ChannelParams
 from magrec.distances import (
     code_min_distance,
-    correction_capability_oracle,
     count_greater,
     distance_asymmetric,
     distance_components,
     distance_general,
 )
 
-from helpers import oracle_corrects
+from helpers import correction_capability_oracle, oracle_corrects
 
 
 def test_count_greater():

@@ -70,6 +70,19 @@ def test_check_partial_splitting_examples():
         assert check_partial_splitting(spec1(kp + km + 1, (1,)), kp, km, 1)
 
 
+def test_check_partial_splitting_validates_the_channel_like_channel_params():
+    # (k+, k-, t): k+ below k-, a trivial channel, t past n
+    spec = spec1(7, (1, 2))
+    for kp, km, t in [(0, 1, 1), (1, 2, 1), (0, 0, 1), (1, 0, 3)]:
+        with pytest.raises(ValueError) as got:
+            check_partial_splitting(spec, kp, km, t)
+        with pytest.raises(ValueError) as want:
+            ChannelParams(spec.n, t, kp, km)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        check_partial_splitting(spec, 1, 1, 0)
+
+
 def test_splitting_iff_packing_small():
     rng = random.Random(101)
     for m in range(2, 13):
@@ -177,6 +190,22 @@ def test_lattice_code_contains_and_decodes():
     # sums to 0 mod 2 and is hit before (0,0)
     code2 = LatticeCode(spec1(2, (1, 1)))
     assert code2.decode_within((1, 0), 1, ChannelParams(2, 1, 1, 0)) == (1, -1)
+
+
+def test_lattice_code_keeps_one_coset_leader_table():
+    spec = spec1(7, (1, 2, 3))
+    code = LatticeCode(spec)
+    keys = [(1, 1, 1), (1, 2, 0), (0, 1, 1)]  # (radius, k+, k-)
+    fresh = {key: LatticeCode(spec) for key in keys}
+    # each new word misses the decode memo, so the table switches key on
+    # every call
+    for z in product(range(-2, 3), repeat=3):
+        for key in keys:
+            radius, kp, km = key
+            p = ChannelParams(3, 3, kp, km)
+            assert code.decode_within(z, radius, p) == fresh[key].decode_within(z, radius, p)
+            assert code._leaders[0] == key
+    assert code._leaders == fresh[keys[-1]]._leaders
 
 
 def test_lattice_density_window():

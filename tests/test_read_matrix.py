@@ -19,7 +19,6 @@ from magrec import (
     EnumerationCapExceeded,
     ExplicitCode,
     ReconstructionError,
-    brute_force_decode,
 )
 from magrec import channel, reconstruction
 from magrec.channel import (
@@ -27,7 +26,6 @@ from magrec.channel import (
     exhaustive_read_sets,
     generate_reads,
     rng_for,
-    sampled_read_sets,
 )
 from magrec.core import ENTRY_LIMIT
 from magrec.lattice import LatticeCode, parse_splitter_spec, syndrome
@@ -38,7 +36,6 @@ from magrec.reconstruction import (
     _covers,
     _sauer_candidates,
     check_stack,
-    componentwise_min,
     list_reconstruct_majority,
     list_reconstruct_min,
     list_reconstruct_sauer,
@@ -51,6 +48,7 @@ from magrec.reconstruction import (
 from helpers import (
     DIFFERENTIAL_CHANNELS,
     add,
+    brute_force_decode,
     differential_specs,
     oracle_adversarial_order,
     oracle_ball,
@@ -60,6 +58,7 @@ from helpers import (
     oracle_majority_entries,
     oracle_read_set,
     oracle_sauer_candidates,
+    sampled_read_sets,
 )
 from strategies import channels
 
@@ -98,7 +97,7 @@ def test_matrix_kernels_match_tuple_oracles(case, data):
     assert Y.reads == rows
     assert Y.anchor == rows[0] and len(Y) == len(rows)
     assert Y.matrix.dtype == np.int64 and not Y.matrix.flags.writeable
-    assert componentwise_min(Y) == oracle_componentwise_min(rows)
+    assert tuple(Y.matrix.min(axis=0).tolist()) == oracle_componentwise_min(rows)
 
     # thresholds at a margin (erased), just below it (kept) and in between
     m = data.draw(st.sampled_from(margins(rows)))

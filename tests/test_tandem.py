@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magrec import channel
-from magrec.core import EnumerationCapExceeded, ReconstructionError
+from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, ReconstructionError
 from magrec.tandem import (
     SimplexCode,
+    _excess_shell,
     exhaustive_simplex_read_sets,
     format_simplex_code,
     greedy_simplex_code,
@@ -19,7 +20,6 @@ from magrec.tandem import (
     reconstruct_simplex_min,
     simplex_min_counts,
     upward_ball,
-    upward_shell,
 )
 
 from helpers import oracle_simplex_counts, oracle_upward_ball
@@ -52,9 +52,9 @@ def test_upward_ball_examples():
 
 
 def test_upward_shell():
-    assert upward_shell((1, 1, 1), 0) == ((1, 1, 1),)
-    shell = upward_shell((0, 0, 0), 2)
-    assert all(sum(y) == 2 for y in shell)
+    assert (_excess_shell(3, 0, DEFAULT_ENUM_CAP) + (1, 1, 1)).tolist() == [[1, 1, 1]]
+    shell = _excess_shell(3, 2, DEFAULT_ENUM_CAP)
+    assert (shell.sum(axis=1) == 2).all()
     assert len(shell) == math.comb(2 + 2, 2)
 
 
@@ -67,7 +67,9 @@ def test_upward_ball_shells_and_read_sets_match_the_recursion(x, t, data):
     assert len(ball) == math.comb(len(x) + t, len(x))
     shells = [[y for y in ball if sum(y) - sum(x) == w] for w in range(t + 1)]
     for w, shell in enumerate(shells):
-        assert upward_shell(x, w) == tuple(shell)
+        assert (_excess_shell(len(x), w, DEFAULT_ENUM_CAP) + x).tolist() == [
+            list(y) for y in shell
+        ]
     N = data.draw(st.integers(1, 4))
     per_stack = data.draw(st.integers(1, 4))
     with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * N * len(x)):
