@@ -16,12 +16,16 @@ Code mini-language for --code:
 
 Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single value
 ``2``, a range ``1:3`` (inclusive, its end not below its start), or a comma
-list ``1,2,4``.  Only ``ball``, ``intersect`` and ``simulate`` sweep --n,
---t, --kp and --km; every other flag takes one value and a range or list
-there is an error.
-Grid points that violate a precondition are reported as skipped, never
-silently dropped.  Records mode emits one JSON object per line with a fixed,
-documented field order; rationals are rendered as ``p/q``.
+list ``1,2,4``; any other value is an error naming the flag and the value.
+Only ``ball``, ``intersect`` and ``simulate`` sweep --n, --t, --kp and --km;
+every other flag takes one value and a range or list there is an error.
+A point that cannot run is noted as ``skipped n=.. t=.. kp=.. km=..:
+<reason>``, never silently dropped.  ``reconstruct``, ``list`` and
+``simulate`` resolve a point and run its trials in one loop; a --delta above
+the code's distance, or a channel the algorithm cannot handle, is an error
+in the first two and a skip note in ``simulate``.  Records mode emits one
+JSON object per line with a fixed, documented field order; rationals are
+rendered as ``p/q``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import functools
 import sys
 import time
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -65,26 +70,30 @@ def _rat(x) -> str:
     return str(x)
 
 
-def parse_grid(text: str) -> list[int]:
-    """The values of a grid flag; a range whose end is below its start
-    raises ValueError instead of giving no values."""
+def parse_grid(flag: str, text: str) -> list[int]:
+    """The values of grid flag --``flag``; a malformed value, or a range whose
+    end is below its start, raises ValueError instead of giving no values."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ":" in part:
-            lo, hi = map(int, part.split(":"))
-            if hi < lo:
-                raise ValueError(f"range {part} ends below its start")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(part))
+        try:
+            bounds = [int(v) for v in part.split(":")]
+        except ValueError:
+            bounds = []
+        if not 1 <= len(bounds) <= 2:
+            raise ValueError(
+                f"--{flag}: bad grid value {part!r} (expected A, A:B or a comma list)"
+            )
+        if bounds[-1] < bounds[0]:
+            raise ValueError(f"range {part} ends below its start")
+        values.extend(range(bounds[0], bounds[-1] + 1))
     return values
 
 
 def single_value(flag: str, text: str) -> int:
     """The one value of a grid flag that takes a single value here; a range
     or list raises ValueError instead of being cut to its first value."""
-    values = parse_grid(text)
+    values = parse_grid(flag, text)
     if len(values) != 1:
         raise ValueError(f"--{flag} takes one value here, got {text}")
     return values[0]
@@ -201,36 +210,42 @@ def _skip_note(n: int, t: int, kp: int, km: int, reason) -> str:
     return f"skipped n={n} t={t} kp={kp} km={km}: {reason}"
 
 
-def _grid_params(args):
-    """Yield (ChannelParams, None) per point of the flag grids, in grid order;
-    a point that violates a precondition yields (None, skip note)."""
+def _channel_flags(args, parse) -> list:
+    """--n, --t, --kp and --km, each parsed by ``parse(flag, text)``."""
     if not (args.n and args.t and args.kp):
         raise ValueError("this command needs --n, --t and --kp")
-    grids = (parse_grid(g) for g in (args.n, args.t, args.kp, args.km))
-    for point in product(*grids):
+    return [parse(flag, getattr(args, flag)) for flag in ("n", "t", "kp", "km")]
+
+
+def _grid_params(args, report: Report):
+    """Yield the ChannelParams of each point of the flag grids, in grid
+    order; a point that violates a precondition is noted as skipped."""
+    for point in product(*_channel_flags(args, parse_grid)):
         try:
             p = ChannelParams(*point)
         except ValueError as exc:
-            yield None, _skip_note(*point, exc)
+            report.note(_skip_note(*point, exc))
         else:
-            yield p, None
+            yield p
+
+
+def _oracle_cells(row: dict, claim: str, **brute) -> int:
+    """Add the one brute-force cell and the match cell to row; the status
+    bit is 1 when the brute-force value differs from ``row[claim]``."""
+    (value,) = brute.values()
+    row.update(brute, match="MATCH" if value == row[claim] else "MISMATCH")
+    return int(value != row[claim])
 
 
 def cmd_ball(args) -> int:
     report = Report(["n", "t", "kp", "km", "size", "brute", "match"], args.format, args.explain)
     status = 0
-    for p, skip in _grid_params(args):
-        if p is None:
-            report.note(skip)
-            continue
+    for p in _grid_params(args, report):
         row = dict(n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, anchor="ball-size")
         row["size"] = combinatorics.ball_size(p)
         if args.oracle:
-            brute = len(combinatorics.ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=args.cap))
-            row["brute"] = brute
-            row["match"] = "MATCH" if brute == row["size"] else "MISMATCH"
-            if brute != row["size"]:
-                status = 1
+            ball = combinatorics.ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=args.cap)
+            status |= _oracle_cells(row, "size", brute=len(ball))
         report.add(**row)
     emit(report, args)
     return status
@@ -240,28 +255,18 @@ def cmd_intersect(args) -> int:
     report = Report(
         ["n", "t", "kp", "km", "formula", "brute", "match"], args.format, args.explain
     )
-    skipped = []
     status = 0
-    for p, skip in _grid_params(args):
-        if p is None:
-            report.note(skip)
-            continue
+    for p in _grid_params(args, report):
         if p.t < 1:
-            skipped.append(f"skipped n={p.n} t={p.t}: needs t >= 1")
+            report.note(_skip_note(*astuple(p), "needs t >= 1"))
             continue
         row = dict(n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, anchor="whole-space-max")
         row["formula"] = combinatorics.max_intersection_whole_space(p)
         if args.oracle:
             zero = (0,) * p.n
-            e1 = (1,) + (0,) * (p.n - 1)
-            brute = combinatorics.intersection_exact(zero, e1, p, cap=args.cap)
-            row["brute"] = brute
-            row["match"] = "MATCH" if brute == row["formula"] else "MISMATCH"
-            if brute != row["formula"]:
-                status = 1
+            brute = combinatorics.intersection_exact(zero, (1,) + zero[1:], p, cap=args.cap)
+            status |= _oracle_cells(row, "formula", brute=brute)
         report.add(**row)
-    for s in skipped:
-        report.note(s)
     emit(report, args)
     return status
 
@@ -305,19 +310,15 @@ def cmd_check_splitting(args) -> int:
         args.format,
         args.explain,
     )
-    status = 0
     kp = single_value("kp", args.kp)
     km = single_value("km", args.km)
     t = single_value("t", args.t)
-    ok = lattice.check_partial_splitting(spec, kp, km, t, cap=args.cap)
     row = dict(spec=str(spec), kp=kp, km=km, t=t, anchor="splitting-test")
-    row["splitting"] = ok
+    row["splitting"] = lattice.check_partial_splitting(spec, kp, km, t, cap=args.cap)
+    status = 0
     if args.oracle:
         packs = lattice.packing_by_differences(spec, kp, km, t, cap=args.cap)
-        row["packing"] = packs
-        row["match"] = "MATCH" if packs == ok else "MISMATCH"
-        if packs != ok:
-            status = 1
+        status = _oracle_cells(row, "splitting", packing=packs)
     report.add(**row)
     emit(report, args)
     return status
@@ -337,49 +338,69 @@ def _transmitted_word(code, n: int, text: str | None = None) -> tuple[int, ...]:
     return x
 
 
-def _recon_row(args, algorithm: str, a: int, report: Report):
-    """The report row of a reconstruct or list run, holding the columns of
-    both commands, or None after noting that N distinct reads cannot come
-    from the ball."""
-    if not (args.n and args.t and args.kp):
-        raise ValueError("this command needs --n, --t and --kp")
-    n, t, kp, km = (
-        single_value(flag, getattr(args, flag)) for flag in ("n", "t", "kp", "km")
-    )
-    p = ChannelParams(n, t, kp, km)
-    code = parse_code_spec(args.code, n=n)
-    actual = code_distance(code, p, cap=args.cap)
-    if args.delta:
-        delta = single_value("delta", args.delta)
-        if delta > actual:
-            raise ValueError(
-                f"--delta {delta} exceeds the code's distance {actual}; the "
-                f"read-count guarantees assume delta <= distance"
-            )
-    else:
-        delta = actual
-    x = _transmitted_word(code, n, args.x)
+def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: int, N):
+    """The ``ALGORITHMS`` entry of ``algorithm``, its plan at p, delta (the
+    code's ``distance`` unless --delta gave one) and N (the plan's unless
+    --N gave one).  A --delta above the distance, or a channel the
+    algorithm cannot handle, raises ValueError."""
+    if delta is None:
+        delta = distance
+    elif delta > distance:
+        raise ValueError(
+            f"--delta {delta} exceeds the code's distance {distance}; the "
+            f"read-count guarantees assume delta <= distance"
+        )
     entry = reconstruction.ALGORITHMS[algorithm]
     plan = entry.plan(p, delta, a)
-    N = args.N or plan.N
+    return entry, plan, delta, N or plan.N
+
+
+def _trials(args, report: Report, entry, plan, code, p: ChannelParams, delta: int,
+            a: int, x, N: int, reads: str):
+    """Yield (output, success, elapsed_ns) for each read set of one point,
+    drawn by ``channel.read_sets`` a stack at a time and decoded by
+    ``channel.decode_read_sets``; when N distinct reads cannot come from the
+    ball, note the point as skipped and yield nothing.  A stack's sets are
+    drawn and decoded together, so each gets an equal share of their time,
+    which is 0 unless --timings is given."""
     size = combinatorics.ball_size(p)
     if N > size:
-        report.note(f"skipped: N={N} distinct reads cannot come from a ball of size {size}")
-        return None
-    sets = successes = longest = 0
+        report.note(_skip_note(*astuple(p), f"N={N} exceeds ball size {size}"))
+        return
     succeeded = entry.succeeded
-    stacks = channel.read_sets(x, p, N, args.reads, args.trials, args.seed, args.cap)
-    for out in channel.decode_read_sets(entry, plan, code, p, delta, a, stacks, args.cap):
+    start = time.monotonic_ns()
+    for stack in channel.read_sets(x, p, N, reads, args.trials, args.seed, args.cap):
+        decoded = channel.decode_read_sets(entry, plan, code, p, delta, a, (stack,), args.cap)
+        outputs = list(decoded)
+        share = (time.monotonic_ns() - start) // len(outputs) if args.timings else 0
+        for out in outputs:
+            yield out, succeeded(x, out), share
+        start = time.monotonic_ns()
+
+
+def _recon_row(args, algorithm: str, a: int, report: Report):
+    """The report row of a reconstruct or list run, holding the columns of
+    both commands, or None when its point is skipped (a run that is not
+    skipped decodes at least one set)."""
+    p = ChannelParams(*_channel_flags(args, single_value))
+    code = parse_code_spec(args.code, n=p.n)
+    delta = single_value("delta", args.delta) if args.delta else None
+    entry, plan, delta, N = _resolve_point(
+        algorithm, p, code_distance(code, p, cap=args.cap), delta, a, args.N
+    )
+    x = _transmitted_word(code, p.n, args.x)
+    sets = successes = longest = 0
+    for out, success, _ in _trials(args, report, entry, plan, code, p, delta, a, x, N, args.reads):
         sets += 1
-        successes += succeeded(x, out)
+        successes += success
         if len(out) > longest:
             longest = len(out)
     return dict(
-        alg=args.alg, code=args.code, n=n, t=t, kp=kp, km=km, delta=delta, a=a, N=N,
-        tau="" if plan.tau is None else plan.tau, sets=sets, success=successes,
-        fail=sets - successes, contains_x=successes, max_list=longest,
-        bound=entry.list_size_bound(p, delta, a), anchor=plan.anchor,
-    )
+        alg=args.alg, code=args.code, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus,
+        delta=delta, a=a, N=N, tau="" if plan.tau is None else plan.tau, sets=sets,
+        success=successes, fail=sets - successes, contains_x=successes,
+        max_list=longest, bound=entry.list_size_bound(p, delta, a), anchor=plan.anchor,
+    ) if sets else None
 
 
 def cmd_reconstruct(args) -> int:
@@ -412,66 +433,36 @@ def cmd_list(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    entry = reconstruction.ALGORITHMS[args.alg]
-    report = Report(
-        ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"],
-        args.format,
-        args.explain,
-    )
+    columns = ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"]
+    report = Report(columns, args.format, args.explain)
     given_delta = single_value("delta", args.delta) if args.delta else None
-    code_cache: dict[int, object] = {}
+    code_for = functools.cache(lambda n: parse_code_spec(args.code, n=n))
     trial_lines = []
     status = 0
-    for p, skip in _grid_params(args):
-        if p is None:
-            report.note(skip)
-            continue
-        point = (p.n, p.t, p.k_plus, p.k_minus)
-        if p.n not in code_cache:
-            code_cache[p.n] = parse_code_spec(args.code, n=p.n)
-        code = code_cache[p.n]
-        actual = code_distance(code, p, cap=args.cap)
-        delta = actual if given_delta is None else given_delta
-        if delta > actual:
-            report.note(_skip_note(
-                *point, f"delta={delta} exceeds the code's distance {actual}"
-            ))
-            continue
+    for p in _grid_params(args, report):
+        code = code_for(p.n)
+        distance = code_distance(code, p, cap=args.cap)
         try:
-            plan = entry.plan(p, delta, 0)
+            entry, plan, delta, N = _resolve_point(args.alg, p, distance, given_delta, 0, None)
         except ValueError as exc:
-            report.note(_skip_note(*point, exc))
-            continue
-        size = combinatorics.ball_size(p)
-        if plan.N > size:
-            report.note(_skip_note(*point, f"N={plan.N} exceeds ball size {size}"))
+            report.note(_skip_note(*astuple(p), exc))
             continue
         x = _transmitted_word(code, p.n)
-        stacks = channel.read_sets(x, p, plan.N, "random", args.trials, args.seed, args.cap)
-        successes = trial = 0
-        start = time.monotonic_ns()
-        for stack in stacks:
-            outputs = list(channel.decode_read_sets(
-                entry, plan, code, p, delta, 0, (stack,), args.cap
-            ))
-            # a stack's trials are drawn and decoded together: each gets an
-            # equal share of their time
-            elapsed = (time.monotonic_ns() - start) // len(outputs) if args.timings else 0
-            for out in outputs:
-                success = entry.succeeded(x, out)
-                successes += success
-                if not success:
-                    status = 1
-                trial_lines.append(channel.TrialRecord(
-                    channel.RNG_NAME, args.seed + trial, p, args.alg, plan.N,
-                    success, len(out), elapsed,
-                ).to_line())
-                trial += 1
-            start = time.monotonic_ns()
-        report.add(
-            alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=delta,
-            N=plan.N, trials=args.trials, success=successes,
-        )
+        trials = _trials(args, report, entry, plan, code, p, delta, 0, x, N, "random")
+        records = [
+            channel.TrialRecord(
+                channel.RNG_NAME, args.seed + i, p, args.alg, N, success, len(out), elapsed
+            )
+            for i, (out, success, elapsed) in enumerate(trials)
+        ]
+        if records:
+            successes = sum(record.success for record in records)
+            status |= successes < len(records)
+            trial_lines.extend(record.to_line() for record in records)
+            report.add(
+                alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=delta,
+                N=N, trials=args.trials, success=successes,
+            )
     if args.format == "records":
         notes = [f"# {note}" for note in report.notes]
         emit(report, args, "\n".join(trial_lines + notes) + "\n")
@@ -555,37 +546,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--code", required=True)
     sp.set_defaults(func=cmd_check_splitting)
 
-    sp = sub.add_parser("reconstruct", help="unique reconstruction trials")
-    common(sp, seed=True)
-    sp.add_argument("--alg", choices=("min", "majority"), required=True)
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--delta", help="code distance (computed when omitted)")
-    sp.add_argument("--x", help="transmitted codeword (default: the zero word, or the first "
-                    "codeword of an explicit code without it)")
-    sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
-                    default="random")
-    sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
-    sp.set_defaults(func=cmd_reconstruct)
-
-    sp = sub.add_parser("list", help="list-reconstruction trials")
-    common(sp, seed=True)
-    sp.add_argument("--alg", choices=("min", "majority", "sauer"), required=True)
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--delta", help="code distance (computed when omitted)")
-    sp.add_argument("--a", help="list exponent (default 0)")
-    sp.add_argument("--x", help="transmitted codeword (default: the zero word, or the first "
-                    "codeword of an explicit code without it)")
-    sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
-                    default="random")
-    sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
-    sp.set_defaults(func=cmd_list)
-
-    sp = sub.add_parser("simulate", help="seeded trial sweeps over a grid")
-    common(sp, seed=True)
-    sp.add_argument("--alg", choices=("min", "majority"), required=True)
-    sp.add_argument("--code", required=True)
-    sp.add_argument("--delta", help="code distance (computed when omitted)")
-    sp.set_defaults(func=cmd_simulate)
+    trial_commands = (
+        ("reconstruct", "unique reconstruction trials", ("min", "majority"), cmd_reconstruct),
+        ("list", "list-reconstruction trials", ("min", "majority", "sauer"), cmd_list),
+        ("simulate", "seeded trial sweeps over a grid", ("min", "majority"), cmd_simulate),
+    )
+    for name, help_text, algorithms, func in trial_commands:
+        sp = sub.add_parser(name, help=help_text)
+        common(sp, seed=True)
+        sp.add_argument("--alg", choices=algorithms, required=True)
+        sp.add_argument("--code", required=True)
+        sp.add_argument("--delta", help="code distance (computed when omitted)")
+        if name == "list":
+            sp.add_argument("--a", help="list exponent (default 0)")
+        if name != "simulate":
+            sp.add_argument("--x", help="transmitted codeword (default: the zero word, or "
+                            "the first codeword of an explicit code without it)")
+            sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
+                            default="random")
+            sp.add_argument("--N", type=positive_int,
+                            help="read count (default: formula value)")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("tandem", help="simplex reconstruction for duplications")
     common(sp, grids=False)

@@ -169,6 +169,15 @@ def check_partial_splitting(
     return len(leaders) == combinatorics.ball_size(p)
 
 
+def _distinct_multiples(spec: SplitterSpec, lo: int, hi: int) -> bool:
+    """Per coordinate i, the multiples a*s_i are distinct over a in [lo, hi)."""
+    g = spec.group
+    coefficients = range(lo, hi)
+    return all(
+        len({g.scale(a, si) for a in coefficients}) == len(coefficients) for si in spec.s
+    )
+
+
 def check_recon_N1(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
     """Radius-1 pairwise ball intersections of the lattice are <= 1 (k- >= 1).
 
@@ -178,12 +187,10 @@ def check_recon_N1(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
     """
     if not 1 <= k_minus <= k_plus:
         raise ValueError("needs 1 <= k_minus <= k_plus")
+    if not _distinct_multiples(spec, -k_minus, k_plus):
+        return False
     g = spec.group
-    for si in spec.s:
-        vals = [g.scale(a, si) for a in range(-k_minus, k_plus)]
-        if len(set(vals)) != len(vals):
-            return False
-    for (i, si), (j, sj) in combinations(enumerate(spec.s), 2):
+    for si, sj in combinations(spec.s, 2):
         for a in range(-k_minus, k_minus + 1):
             ga = g.scale(a, si)
             for b in range(-k_minus, k_minus + 1):
@@ -199,12 +206,7 @@ def check_recon_N1_asym(spec: SplitterSpec, k_plus: int) -> bool:
     per coordinate, a*s_i are distinct over a in [0, k+-1]."""
     if k_plus < 2:
         raise ValueError("needs k_plus >= 2 (k_plus = 1 is the trivial case)")
-    g = spec.group
-    for si in spec.s:
-        vals = [g.scale(a, si) for a in range(k_plus)]
-        if len(set(vals)) != len(vals):
-            return False
-    return True
+    return _distinct_multiples(spec, 0, k_plus)
 
 
 def check_recon_N2(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
@@ -212,12 +214,7 @@ def check_recon_N2(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
     per coordinate, a*s_i are distinct over a in [-k-, k+-2]."""
     if not 1 <= k_minus <= k_plus or k_plus + k_minus < 3:
         raise ValueError("needs 1 <= k_minus <= k_plus and k_plus + k_minus >= 3")
-    g = spec.group
-    for si in spec.s:
-        vals = [g.scale(a, si) for a in range(-k_minus, k_plus - 1)]
-        if len(set(vals)) != len(vals):
-            return False
-    return True
+    return _distinct_multiples(spec, -k_minus, k_plus - 1)
 
 
 def construct_N1_code(n: int, k_plus: int) -> SplitterSpec:

@@ -21,10 +21,10 @@ def run_cli(capsys, *argv):
 
 
 def test_parse_grid():
-    assert parse_grid("2") == [2]
-    assert parse_grid("1:3") == [1, 2, 3]
-    assert parse_grid("1,2,4") == [1, 2, 4]
-    assert parse_grid("1:2,5") == [1, 2, 5]
+    assert parse_grid("n", "2") == [2]
+    assert parse_grid("n", "1:3") == [1, 2, 3]
+    assert parse_grid("n", "1,2,4") == [1, 2, 4]
+    assert parse_grid("n", "1:2,5") == [1, 2, 5]
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -34,12 +34,28 @@ def test_parse_grid():
 ])
 def test_reversed_grid_range_is_one_error_line(argv, text, capsys):
     with pytest.raises(ValueError, match=text):
-        parse_grid(text)
+        parse_grid("n", text)
     code = main(argv.split())
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: range {text} ends below its start\n"
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    ("ball --n 3:1:2 --t 1 --kp 1", "n", "3:1:2"),
+    ("ball --n 1:x --t 1 --kp 1", "n", "1:x"),
+    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1,x", "kp", "x"),
+    ("reconstruct --alg min --code sum-mod:2 --n 4 --t 2:x --kp 1", "t", "2:x"),
+])
+def test_malformed_grid_value_is_one_error_line_naming_flag_and_value(argv, flag, text, capsys):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --{flag}: bad grid value {text!r} (expected A, A:B or a comma list)\n"
+    )
 
 
 def test_ball_example(capsys):
@@ -165,6 +181,26 @@ def test_simulate_records_deterministic(capsys):
     first = json.loads(out1.splitlines()[0])
     assert first["rng"] == "philox" and first["elapsed_ns"] == 0
     assert first["success"] is True
+
+
+def test_simulate_timings_fill_only_elapsed_ns(capsys):
+    argv = [
+        "simulate", "--alg", "majority", "--code", "sum-mod:3", "--n", "3:4",
+        "--t", "1", "--kp", "1", "--km", "1", "--trials", "3", "--seed", "2",
+        "--format", "records",
+    ]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0
+    plain = plain.splitlines()
+    assert len(plain) == 6
+    assert all(json.loads(line)["elapsed_ns"] == 0 for line in plain)
+    code, timed = run_cli(capsys, *argv, "--timings")
+    assert code == 0
+    timed = [json.loads(line) for line in timed.splitlines()]
+    assert all(record["elapsed_ns"] > 0 for record in timed)
+    # field for field, in the same order, once the timing is zeroed
+    zeroed = [json.dumps(dict(r, elapsed_ns=0), separators=(",", ":")) for r in timed]
+    assert zeroed == plain
 
 
 def test_explain_legend(capsys):
@@ -390,6 +426,19 @@ def test_transmitted_word_beyond_int64_safe_range_is_one_error_line(x, capsys):
 
 
 SIMPLEX = "m=2,r=3,delta=1\n3,0,0\n0,3,0\n0,0,3\n1,1,1\n"
+
+
+def test_simulate_on_a_code_without_a_distance_is_one_error_line(tmp_path, capsys):
+    # only a --delta above the distance or a channel the algorithm cannot
+    # handle is a skip note; a code with no channel distance is an error
+    f = tmp_path / "code.txt"
+    f.write_text(SIMPLEX, encoding="utf-8")
+    code = main(["simulate", "--alg", "min", "--code", f"simplex:@{f}",
+                 "--n", "3", "--t", "1", "--kp", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: cannot compute a distance for this code\n"
 
 
 @pytest.mark.parametrize("argv, flag, text", [

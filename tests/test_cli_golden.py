@@ -47,7 +47,7 @@ min  sum-mod:2  4  2  1   0   1      5       1     1        0
         0,
         """\
 alg  code  n  t  kp  km  delta  N  tau  sets  success  fail
-# skipped: N=37 distinct reads cannot come from a ball of size 33
+# skipped n=4 t=2 kp=1 km=1: N=37 exceeds ball size 33
 """,
     ),
     (
@@ -106,7 +106,7 @@ majority  explicit:@unique.txt  2  1  1   1   3      1       1     1        0
         0,
         """\
 alg  code  n  t  kp  km  delta  N  tau  sets  success  fail
-# skipped: N=5 distinct reads cannot come from a ball of size 3
+# skipped n=2 t=1 kp=1 km=0: N=5 exceeds ball size 3
 """,
     ),
     (
@@ -176,7 +176,7 @@ sauer  4  2  1   1   1      1  1  5     0           0         63     MISMATCH
         0,
         """\
 alg  n  t  kp  km  delta  a  N  sets  contains_x  max_list  bound  match
-# skipped: N=40 distinct reads cannot come from a ball of size 33
+# skipped n=4 t=2 kp=1 km=1: N=40 exceeds ball size 33
 """,
     ),
     (
@@ -266,8 +266,8 @@ majority  4  1  1   1   1      5  2       2
         0,
         """\
 alg  n  t  kp  km  delta  N  trials  success  anchor
-# skipped n=2 t=1 kp=1 km=0: delta=2 exceeds the code's distance 1
-# skipped n=3 t=1 kp=1 km=0: delta=2 exceeds the code's distance 1
+# skipped n=2 t=1 kp=1 km=0: --delta 2 exceeds the code's distance 1; the read-count guarantees assume delta <= distance
+# skipped n=3 t=1 kp=1 km=0: --delta 2 exceeds the code's distance 1; the read-count guarantees assume delta <= distance
 # anchor legend:
 """,
     ),
@@ -278,8 +278,8 @@ alg  n  t  kp  km  delta  N  trials  success  anchor
 n  t  kp  km  formula  brute  match
 2  1  1   0   1        1      MATCH
 2  2  1   0   2        2      MATCH
+# skipped n=2 t=0 kp=1 km=0: needs t >= 1
 # skipped n=2 t=3 kp=1 km=0: t must be in [0, n=2], got 3
-# skipped n=2 t=0: needs t >= 1
 """,
     ),
     (
