@@ -85,7 +85,7 @@ def parse_grid(flag: str, text: str) -> list[int]:
                 f"--{flag}: bad grid value {part!r} (expected A, A:B or a comma list)"
             )
         if bounds[-1] < bounds[0]:
-            raise ValueError(f"range {part} ends below its start")
+            raise ValueError(f"--{flag}: range {part} ends below its start")
         values.extend(range(bounds[0], bounds[-1] + 1))
     return values
 

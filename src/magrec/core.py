@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 Vec = tuple[int, ...]
 
 
@@ -112,6 +114,10 @@ class Code:
     order.  Results are memoized per handle, at most
     ``DECODE_MEMO_ENTRIES`` of them; ``_search`` computes a miss, by default
     with a scan of the window.
+
+    ``decode_rows(U, radius, params)`` decodes each row of an (M, n) int64
+    matrix alike into an (M, n) int64 matrix C and a found mask (a row of C
+    off the mask is no codeword), here by ``decode_within`` per row.
     """
 
     def contains(self, v: Vec) -> bool:
@@ -128,6 +134,14 @@ class Code:
             memo.clear()
         result = memo[key] = self._search(z, radius, params, cap)
         return result
+
+    def decode_rows(
+        self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
+    ) -> tuple[np.ndarray, np.ndarray]:
+        rows = U.tolist()
+        found = [self.decode_within(tuple(z), radius, params, cap) for z in rows]
+        C = np.array([z if c is None else c for z, c in zip(rows, found)], dtype=np.int64)
+        return C.reshape(U.shape), np.array([c is not None for c in found], dtype=bool)
 
     def _search(
         self, z: Vec, radius: int, params: ChannelParams, cap: int

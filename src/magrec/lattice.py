@@ -10,8 +10,8 @@ here is in fact cyclic).  The module provides:
 * the condition checkers for lattice codes whose radius-1 balls pairwise
   intersect in at most 1 (resp. 2) points,
 * the all-ones constructions attaining the group-order lower bounds,
-* ``LatticeCode``, whose bounded-radius decoder looks the syndrome up in
-  the same table, and
+* ``LatticeCode``, whose bounded-radius decoder looks the syndromes of a
+  whole matrix up in the same table, and
 * exact packing / intersection checks over the lattice differences
   (``max_pairwise_intersection_lattice``, ``packing_by_differences``) used
   to certify all of the above on small instances.
@@ -34,6 +34,7 @@ from magrec.core import (
     Code,
     EnumerationCapExceeded,
     Vec,
+    check_entries,
 )
 from magrec import combinatorics
 
@@ -133,17 +134,31 @@ def syndrome(spec: SplitterSpec, x: Vec) -> GroupElement:
     )
 
 
+def _syndrome_codes(spec: SplitterSpec, U: np.ndarray) -> np.ndarray:
+    """The syndrome of each row of the int64 matrix U as one mixed-radix
+    integer, moduli[0] the most significant digit.  Entries are reduced
+    modulo m first, so a sum stays below n * m**2: in int64 while that and
+    |G| are below 2**62, in Python ints (an object array) otherwise."""
+    moduli = spec.group.moduli
+    dtype = np.int64
+    if spec.n * max(moduli) ** 2 >= 2**62 or spec.group.order >= 2**62:
+        dtype, U = object, U.astype(object)
+    codes = 0
+    for form, m in zip(spec.forms, moduli):
+        codes = codes * m + (U % m).dot(np.array(form, dtype=dtype)) % m
+    return codes
+
+
 def _coset_leaders(
     spec: SplitterSpec, radius: int, k_plus: int, k_minus: int,
     cap: int = DEFAULT_ENUM_CAP,
-) -> dict[GroupElement, Vec]:
-    """Each syndrome taken on B(n, radius, k+, k-) -> its coset leader, the
-    lexicographically first vector of the ball with that syndrome."""
-    leaders: dict[GroupElement, Vec] = {}
-    # Python ints, so moduli of 2**62 or more are exact
-    for e in combinatorics.ball_matrix(spec.n, radius, k_plus, k_minus, cap=cap).tolist():
-        leaders.setdefault(syndrome(spec, e), tuple(e))
-    return leaders
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted syndrome codes taken on B(n, radius, k+, k-) and their
+    coset leaders: the first ball row (lexicographic order) with each code,
+    as ``np.unique`` returns first occurrences."""
+    ball = combinatorics.ball_matrix(spec.n, radius, k_plus, k_minus, cap=cap)
+    codes, first = np.unique(_syndrome_codes(spec, ball), return_index=True)
+    return codes, ball[first]
 
 
 def check_partial_splitting(
@@ -165,8 +180,7 @@ def check_partial_splitting(
     if t < 1:
         raise ValueError("t must be >= 1")
     p = ChannelParams(spec.n, t, k_plus, k_minus)
-    leaders = _coset_leaders(spec, t, k_plus, k_minus, cap=cap)
-    return len(leaders) == combinatorics.ball_size(p)
+    return len(_coset_leaders(spec, t, k_plus, k_minus, cap)[0]) == combinatorics.ball_size(p)
 
 
 def _distinct_multiples(spec: SplitterSpec, lo: int, hi: int) -> bool:
@@ -265,28 +279,37 @@ class LatticeCode(Code):
     z - e is a codeword iff e has the syndrome of z, so the lexicographically
     first e of the error ball with that syndrome (its coset leader) gives the
     codeword the window scan of ``Code`` would find first.  The handle keeps
-    one ``_coset_leaders`` table, for the last (radius, k+, k-) it decoded
-    at, rebuilt when that key changes; it holds at most min(|B|, |G|)
-    leaders.
+    one ``_coset_leaders`` table (sorted syndrome codes, leader matrix) for
+    the last (radius, k+, k-) it decoded at, rebuilt when that key changes.
+    ``decode_rows`` is one syndrome pass, one lookup and U - leaders, and
+    ``decode_within`` a call of it on one row below ``ENTRY_LIMIT``.
     """
 
     def __init__(self, spec: SplitterSpec):
         self.spec = spec
         self.n = spec.n
-        self._leaders: tuple[tuple[int, int, int], dict[GroupElement, Vec]] | None = None
+        self._leaders: tuple[tuple[int, int, int], np.ndarray, np.ndarray] | None = None
 
     def contains(self, v: Vec) -> bool:
         return syndrome(self.spec, v) == self.spec.group.identity
 
+    def decode_rows(
+        self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
+    ) -> tuple[np.ndarray, np.ndarray]:
+        key = (radius, params.k_plus, params.k_minus)
+        if self._leaders is None or self._leaders[0] != key:
+            self._leaders = (key, *_coset_leaders(self.spec, *key, cap=cap))
+        _, codes, leaders = self._leaders
+        syndromes = _syndrome_codes(self.spec, U)
+        at = np.searchsorted(codes, syndromes).clip(max=len(codes) - 1)
+        return U - leaders[at], codes[at] == syndromes
+
     def _search(
         self, z: Vec, radius: int, params: ChannelParams, cap: int
     ) -> Optional[Vec]:
-        key = (radius, params.k_plus, params.k_minus)
-        table = self._leaders
-        if table is None or table[0] != key:
-            table = self._leaders = (key, _coset_leaders(self.spec, *key, cap=cap))
-        e = table[1].get(syndrome(self.spec, z))
-        return None if e is None else tuple(zi - ei for zi, ei in zip(z, e))
+        check_entries(min(z), max(z))
+        C, found = self.decode_rows(np.array([z], dtype=np.int64), radius, params, cap)
+        return tuple(C[0].tolist()) if found[0] else None
 
 
 def _lattice_vectors_by_weight(

@@ -25,11 +25,11 @@ distinct reads, each set's rows in lexicographic order.  ``check_stack``
 checks a stack once; the minimum, the plurality vote, the anchors (each
 set's first read) and the cover check then run over all S sets at once,
 and every algorithm of ``ALGORITHMS`` decodes a whole stack into one output
-per set.  Erasure filling builds the candidates as int64 matrices of at
-most ``_CANDIDATE_BYTES``, and only ``Code.decode_within`` runs per
-candidate.  A ``ReadSet`` is a single
-(N, n) matrix, and the per-set procedures above decode it as a stack of
-one.
+per set.  Erasure filling builds the candidates of all sets of a stack as
+owner-tagged int64 blocks within ``_CANDIDATE_BYTES``, and each block is
+decoded by one ``Code.decode_rows`` call, a table lookup for lattice codes.
+A ``ReadSet`` is a single (N, n) matrix, and the per-set procedures above
+decode it as a stack of one.
 
 The vote compares twice a count minus N with the threshold tau = num/den
 as the integer test (2c - N) den > num: in int64 while N den and |num| stay
@@ -41,7 +41,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, groupby, product
+from operator import and_, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -180,18 +182,17 @@ def _unique(outputs: Outputs, failure: str) -> Vec:
     return out[0]
 
 
-def _decode_each(words, code: Code, delta: int, p: ChannelParams, cap: int) -> Outputs:
-    """Per word, the codeword it decodes to within radius delta - 1 as a
-    1-tuple, or () when it decodes to none."""
-    decode = code.decode_within
-    found = (decode(tuple(z), delta - 1, p, cap) for z in words)
-    return [() if c is None else (c,) for c in found]
+def _decode_each(words: np.ndarray, code: Code, delta: int, p: ChannelParams, cap: int) -> Outputs:
+    """Per row of ``words``, the codeword it decodes to within radius
+    delta - 1 as a 1-tuple, or () when it decodes to none."""
+    C, found = code.decode_rows(words, delta - 1, p, cap)
+    return [(tuple(c),) if ok else () for c, ok in zip(C.tolist(), found.tolist())]
 
 
 def _decode_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     """Per set: the componentwise minimum decoded within radius delta - 1."""
     _require_k_minus_zero(p)
-    return _decode_each(stack.min(axis=1).tolist(), code, delta, p, cap)
+    return _decode_each(stack.min(axis=1), code, delta, p, cap)
 
 
 def reconstruct_min(Y: ReadSet, code: Code, delta: int, cap: int = DEFAULT_ENUM_CAP) -> Vec:
@@ -266,19 +267,18 @@ def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
 def _candidates(
     words: np.ndarray, erased: np.ndarray, anchors: np.ndarray,
     shifts: np.ndarray, p: ChannelParams, cap: int,
-) -> list[Iterator[list[int]]]:
-    """Per set, an iterator over the rows u - e: u completes the set's word,
-    its erased coordinate i running over [anchor[i] - k+, anchor[i] + k-]
-    with the fills in lexicographic order, and e runs over the rows of
-    ``shifts``.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (owner, rows) of the rows u - e of every set, in set order:
+    u completes the set's word, its erased coordinate i running over
+    [anchor[i] - k+, anchor[i] + k-] with the fills in lexicographic order,
+    e runs over the rows of ``shifts``, and owner[r] is the set of row r.
 
     A set with m erasures has (k+ + k- + 1)^m * |shifts| rows; the largest
-    such count is charged against ``cap`` before any row is built.  Rows
-    are built as int64 matrices within ``_CANDIDATE_BYTES``: those of all
-    sets without erasures at once when they fit, the others a block of
-    fills at a time as the iterator is consumed.  The majority decoder
-    consumes the iterators side by side, so each set's blocks get an equal
-    share of the budget.
+    such count is charged against ``cap`` before any row is built.  A block
+    of B fills (fill j writes the base-q digits of j into the erased
+    columns) is charged four int64 matrices of its rows' shape (the rows,
+    and the residues, leaders and codewords of their decode) and eight of
+    shape (B, n), within ``_CANDIDATE_BYTES``.
     """
     q = p.magnitude_span + 1
     misses = erased.sum(axis=1)
@@ -287,39 +287,29 @@ def _candidates(
         raise EnumerationCapExceeded(
             f"{worst} erasure-fill candidates exceed enumeration cap {cap}"
         )
-    per_block = max(1, _CANDIDATE_BYTES // (8 * shifts.size))
-    out: list = [None] * len(words)
-    plain = np.flatnonzero(misses == 0)
-    if len(plain) <= per_block:
-        for s, rows in zip(plain.tolist(), (words[plain, None, :] - shifts).tolist()):
-            out[s] = iter(rows)
-    per_set = max(1, per_block // len(words))
-    for s in range(len(words)):
-        if out[s] is None:
-            cols = np.flatnonzero(erased[s])
-            out[s] = _filled(words[s], cols, anchors[s, cols] - p.k_plus, shifts, p, per_set)
-    return out
-
-
-def _filled(word, cols, low, shifts, p: ChannelParams, per_block: int) -> Iterator[list[int]]:
-    """The rows u - e of one set, ``per_block`` fills at a time: fill j
-    writes low plus the base-q digits of j, most significant first, into
-    the erased columns ``cols``."""
-    q = p.magnitude_span + 1
-    count = q ** len(cols)
-    place = q ** np.arange(len(cols) - 1, -1, -1)
-    for start in range(0, count, per_block):
-        digits = np.arange(start, min(count, start + per_block))[:, None] // place % q
-        fills = np.repeat(word[None], len(digits), axis=0)
-        fills[:, cols] = low + digits
-        yield from (fills[:, None, :] - shifts).reshape(-1, p.n).tolist()
+    per_block = max(1, _CANDIDATE_BYTES // (32 * (shifts.size + 2 * p.n)))
+    counts = q**misses
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if erasures := misses.any():
+        # the place value of an erased column: q to the erased columns after it
+        place = q ** (misses[:, None] - erased.cumsum(axis=1))
+    for start in range(0, total, per_block):
+        fill = np.arange(start, min(total, start + per_block))
+        owner = np.searchsorted(ends, fill, side="right")
+        fills = words[owner]
+        if erasures:
+            digits = (fill - (ends - counts)[owner])[:, None] // place[owner] % q
+            fills = np.where(erased[owner], anchors[owner] - p.k_plus + digits, fills)
+        yield owner.repeat(len(shifts)), (fills[:, None, :] - shifts).reshape(-1, p.n)
 
 
 def _covering(words, stack: np.ndarray, p: ChannelParams) -> np.ndarray:
     """Per set i, whether every read of stack[i] lies in
-    words[i] + B(n, t, k+, k-)."""
-    check_entries(min(map(min, words)), max(map(max, words)))
-    diff = stack - np.array(words, dtype=np.int64)[:, None, :]
+    words[i] + B(n, t, k+, k-); ``words`` is a matrix or a list of vectors."""
+    words = np.asarray(words)
+    check_entries(int(words.min()), int(words.max()))
+    diff = stack - words[:, None, :]
     inside = ((diff >= -p.k_minus) & (diff <= p.k_plus)).all(axis=(1, 2))
     return inside & ((diff != 0).sum(axis=2) <= p.t).all(axis=1)
 
@@ -331,32 +321,28 @@ def _covers(c: Vec, Y: ReadSet) -> bool:
 
 def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     """Per set: majority estimate, erasure filling, unique decode, and the
-    first decoded candidate whose ball covers every read of the set.
-
-    Each round decodes, for every set still open, its candidates in order up
-    to the next one that decodes, and checks those codewords in one cover
-    test over the stack.
-    """
+    first decoded candidate whose ball covers every read of the set.  Each
+    block of candidates is decoded at once; then each round checks, in one
+    cover test, the next decoded candidate of every set still open."""
     _require_k_minus_positive(p, "majority")
     best, keep = majority_votes(stack, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
-    decoded = [
-        (c for c in (code.decode_within(tuple(u), delta - 1, p, cap) for u in rows)
-         if c is not None)
-        for rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap)
-    ]
     outputs: Outputs = [()] * len(stack)
-    open_sets = range(len(stack))
-    while open_sets:
-        picks = [(s, c) for s in open_sets if (c := next(decoded[s], None)) is not None]
-        if not picks:
-            break
-        sets, words = zip(*picks)
-        covered = _covering(words, stack[list(sets)], p).tolist()
-        for s, c, ok in zip(sets, words, covered):
-            if ok:
-                outputs[s] = (c,)
-        open_sets = [s for s, ok in zip(sets, covered) if not ok]
+    is_open = np.ones(len(stack), dtype=bool)
+    for owner, rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap):
+        C, found = code.decode_rows(rows, delta - 1, p, cap)
+        found &= is_open[owner]
+        owner, C = owner[found], C[found]
+        while len(owner):
+            first = np.ones(len(owner), dtype=bool)
+            np.not_equal(owner[1:], owner[:-1], out=first[1:])
+            sets, words = owner[first], C[first]
+            covered = _covering(words, stack[sets], p)
+            for s, c in zip(sets[covered].tolist(), words[covered].tolist()):
+                outputs[s] = (tuple(c),)
+            is_open[sets[covered]] = False
+            rest = ~first & is_open[owner]
+            owner, C = owner[rest], C[rest]
     return outputs
 
 
@@ -388,12 +374,32 @@ def list_params_min(p: ChannelParams, delta: int, a: int) -> int:
     )
 
 
-def _decode_all(rows, code: Code, delta: int, p: ChannelParams, cap: int) -> tuple[Vec, ...]:
-    """The sorted distinct codewords the rows decode to within radius
-    delta - 1; decode failures are dropped."""
-    decode = code.decode_within
-    found = (decode(tuple(u), delta - 1, p, cap) for u in rows)
-    return tuple(sorted({c for c in found if c is not None}))
+def _decode_lists(
+    blocks, sets: int, code: Code, delta: int, p: ChannelParams, cap: int
+) -> Outputs:
+    """Per set, the sorted distinct codewords its rows decode to within
+    radius delta - 1, failures dropped; ``blocks`` yields the (owner, rows)
+    of ``sets`` sets in set order.  The (set, codeword) rows are kept
+    distinct by ``np.unique`` (the order of sorted tuples) until a block
+    ends past their set."""
+    outputs: Outputs = [()] * sets
+    tagged = np.zeros((0, p.n + 1), dtype=np.int64)
+    for owner, rows in blocks:
+        C, found = code.decode_rows(rows, delta - 1, p, cap)
+        hits = np.column_stack((owner[found], C[found]))
+        tagged = np.unique(np.concatenate((tagged, hits)), axis=0)
+        done = np.searchsorted(tagged[:, 0], owner[-1])
+        _store_lists(outputs, tagged[:done])
+        tagged = tagged[done:]
+    _store_lists(outputs, tagged)
+    return outputs
+
+
+def _store_lists(outputs: Outputs, tagged: np.ndarray) -> None:
+    """outputs[s] = the codewords of the rows (s, codeword) of ``tagged``."""
+    words = zip(tagged[:, 0].tolist(), map(tuple, tagged[:, 1:].tolist()))
+    for s, group in groupby(words, key=itemgetter(0)):
+        outputs[s] = tuple(c for _, c in group)
 
 
 def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
@@ -401,10 +407,8 @@ def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
     _require_k_minus_zero(p)
     shifts = ball_matrix(p.n, a, p.k_plus, 0, cap=cap)
     z = stack.min(axis=1)
-    return [
-        _decode_all(rows, code, delta, p, cap)
-        for rows in _candidates(z, np.zeros(z.shape, dtype=bool), z, shifts, p, cap)
-    ]
+    blocks = _candidates(z, np.zeros(z.shape, dtype=bool), z, shifts, p, cap)
+    return _decode_lists(blocks, len(z), code, delta, p, cap)
 
 
 def list_reconstruct_min(
@@ -445,10 +449,8 @@ def _decode_list_majority(
     _require_k_minus_positive(p, "majority list")
     best, keep = majority_votes(stack, tau)
     shifts = ball_matrix(p.n, a, p.k_plus, p.k_minus, cap=cap)
-    return [
-        _decode_all(rows, code, delta, p, cap)
-        for rows in _candidates(best, ~keep, stack[:, 0], shifts, p, cap)
-    ]
+    blocks = _candidates(best, ~keep, stack[:, 0], shifts, p, cap)
+    return _decode_lists(blocks, len(best), code, delta, p, cap)
 
 
 def list_reconstruct_majority(
@@ -470,11 +472,12 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     """A size-c coordinate set U such that every pattern over U is avoided
     coordinatewise by some member of S.
 
-    Brute force over all coordinate subsets (lexicographic order, first
-    witness wins) and all q^c patterns.  Such a U exists whenever
-    |S| > V_q(n, c - 1); absence therefore signals a violated precondition.
-    The worst-case scan, C(n, c) q^c |S| member tests, is charged against
-    ``cap`` before it starts.
+    Search over all coordinate subsets (lexicographic order, first witness
+    wins) and all q^c patterns, with one Python-int bitset per (coordinate,
+    value) of the members avoiding it: a pattern is avoided when the AND of
+    its c bitsets is nonzero.  Such a U exists whenever |S| > V_q(n, c - 1);
+    absence therefore signals a violated precondition.  The worst-case scan,
+    C(n, c) q^c |S| member tests, is charged against ``cap`` first.
     """
     members = sorted(set(tuple(v) for v in S))
     if not members:
@@ -493,15 +496,11 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
         raise EnumerationCapExceeded(
             f"{worst} coordinate-search member tests exceed enumeration cap {cap}"
         )
+    # avoid[i][x] has bit b set when member b has no x at coordinate i
+    avoid = [[int.from_bytes(np.packbits(col != x, bitorder="little").tobytes(), "little")
+              for x in range(q)] for col in np.array(members, dtype=np.int64).T]
     for U in combinations(range(n), c):
-        ok = True
-        for pattern in product(range(q), repeat=c):
-            if not any(
-                all(v[i] != pattern[j] for j, i in enumerate(U)) for v in members
-            ):
-                ok = False
-                break
-        if ok:
+        if all(reduce(and_, bitsets) for bitsets in product(*(avoid[i] for i in U))):
             return U
     raise ReconstructionError(
         "no witness coordinate set: |S| is too small for the requested size"
@@ -522,7 +521,9 @@ def _sauer_list(
     f = _list_excess(p, delta, a)
     lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
     U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, f - a, cap)
-    return _decode_all(_sauer_candidates(M, p, U, f, cap), code, delta, p, cap)
+    rows = _sauer_candidates(M, p, U, f, cap)
+    (out,) = _decode_lists([(np.zeros(len(rows), dtype=np.intp), rows)], 1, code, delta, p, cap)
+    return out
 
 
 def _decode_sauer(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
@@ -557,16 +558,16 @@ def list_reconstruct_sauer(
 def _sauer_candidates(
     M: np.ndarray, p: ChannelParams, U: tuple[int, ...], f: int,
     cap: int = DEFAULT_ENUM_CAP,
-) -> list[Vec]:
-    """Sorted candidates rep - e: rep is the first read (row of M) of each
-    pattern on U, and e in B(n, f, k+, k-) is nonzero on every coordinate
-    of U."""
+) -> np.ndarray:
+    """The distinct candidates rep - e as the rows of a matrix, sorted: rep
+    is the first read (row of M) of each pattern on U, and e in
+    B(n, f, k+, k-) is nonzero on every coordinate of U."""
     cols = list(U)
     shifts = ball_matrix(p.n, f, p.k_plus, p.k_minus, cap=cap)
     shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
     _, first = np.unique(M[:, cols], axis=0, return_index=True)
     candidates = (M[first, None, :] - shifts).reshape(-1, p.n)
-    return list(map(tuple, np.unique(candidates, axis=0).tolist()))
+    return np.unique(candidates, axis=0)
 
 
 def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:
@@ -687,7 +688,7 @@ def _plan_sauer(p: ChannelParams, delta: int, a: int) -> ReadPlan:
 
 
 def _decode_one_read(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
-    return _decode_each(stack[:, 0].tolist(), code, delta, p, cap)
+    return _decode_each(stack[:, 0], code, delta, p, cap)
 
 
 def _one(p: ChannelParams, delta: int, a: int) -> int:

@@ -20,7 +20,8 @@ library compares the size of its coset-leader table with the ball's.
 
 The read-set oracles are the tuple kernels the library ran before read sets
 became int64 matrices: per-read and per-column Python loops over sorted
-tuples.  The tandem oracles are the recursion and the per-set loop the
+tuples.  ``oracle_sauer_shelah_find`` is the member-by-member pattern scan
+the library ran before it kept one bitset per coordinate and value.  The tandem oracles are the recursion and the per-set loop the
 library ran before the upward ball became an int64 matrix and simplex read
 sets became stacks.
 """
@@ -304,6 +305,21 @@ def oracle_sauer_candidates(reads, U, f, kp, km):
             if all(z[i] != rep[i] for i in U):
                 out.add(z)
     return sorted(out)
+
+
+def oracle_sauer_shelah_find(S, q, c):
+    """The coordinate search ``sauer_shelah_find`` ran before it kept
+    bitsets: the first size-c coordinate set U, in ``combinations`` order,
+    such that every pattern over U is avoided coordinatewise by some member
+    of S, each pattern tested member by member; None when there is none."""
+    members = sorted(set(map(tuple, S)))
+    for U in combinations(range(len(members[0])), c):
+        if all(
+            any(all(v[i] != x for i, x in zip(U, pattern)) for v in members)
+            for pattern in product(range(q), repeat=c)
+        ):
+            return U
+    return None
 
 
 def oracle_adversarial_order(ball):

@@ -27,19 +27,19 @@ def test_parse_grid():
     assert parse_grid("n", "1:2,5") == [1, 2, 5]
 
 
-@pytest.mark.parametrize("argv, text", [
-    ("ball --n 3:1 --t 1 --kp 1", "3:1"),
-    ("intersect --n 3 --t 2:1 --kp 1", "2:1"),
-    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --km 1:0", "1:0"),
+@pytest.mark.parametrize("argv, flag, text", [
+    ("ball --n 3:1 --t 1 --kp 1", "n", "3:1"),
+    ("intersect --n 3 --t 2:1 --kp 1", "t", "2:1"),
+    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --km 1:0", "km", "1:0"),
 ])
-def test_reversed_grid_range_is_one_error_line(argv, text, capsys):
+def test_reversed_grid_range_is_one_error_line(argv, flag, text, capsys):
     with pytest.raises(ValueError, match=text):
-        parse_grid("n", text)
+        parse_grid(flag, text)
     code = main(argv.split())
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: range {text} ends below its start\n"
+    assert captured.err == f"error: --{flag}: range {text} ends below its start\n"
 
 
 @pytest.mark.parametrize("argv, flag, text", [

@@ -2,11 +2,12 @@ import random
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magrec import ChannelParams, EnumerationCapExceeded, lattice
+from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, lattice
 from magrec.lattice import (
     FiniteAbelianGroup,
     LatticeCode,
@@ -28,10 +29,12 @@ from magrec.lattice import (
 
 from helpers import (
     DIFFERENTIAL_CHANNELS,
+    brute_force_decode,
     differential_specs,
     oracle_ball_set,
     oracle_lattice_min_distance,
     oracle_lattice_vectors_by_weight,
+    oracle_lattice_window,
     oracle_max_pairwise_intersection,
     oracle_packing_by_window_pairs,
 )
@@ -205,7 +208,46 @@ def test_lattice_code_keeps_one_coset_leader_table():
             p = ChannelParams(3, 3, kp, km)
             assert code.decode_within(z, radius, p) == fresh[key].decode_within(z, radius, p)
             assert code._leaders[0] == key
-    assert code._leaders == fresh[keys[-1]]._leaders
+    # the table is (key, sorted syndrome codes, leader matrix)
+    mine, theirs = code._leaders, fresh[keys[-1]]._leaders
+    assert mine[0] == theirs[0]
+    assert all(np.array_equal(a, b) for a, b in zip(mine[1:], theirs[1:]))
+
+
+@pytest.mark.parametrize("text, python_ints", [
+    ("group=Z7; s=[1,2,3]", False),
+    ("group=Z4xZ3; s=[(1,0),(0,2),(1,1)]", False),
+    # n * m**2 >= 2**62: the syndrome kernel runs in Python ints
+    (f"group=Z{2**31 + 11}; s=[1,{2**31 + 10},2]", True),
+])
+def test_decode_rows_matches_decode_within_and_brute_force(text, python_ints):
+    spec = parse_splitter_spec(text)
+    # every decode window of z in [-2, 2]^n lies in [-4, 3]^n
+    members = oracle_lattice_window(spec, -4, 3)
+    explicit = ExplicitCode(members)
+    U = np.array(list(product(range(-2, 3), repeat=spec.n)), dtype=np.int64)
+    assert (lattice._syndrome_codes(spec, U).dtype == object) == python_ints
+    for kp, km in [(1, 0), (1, 1), (2, 1)]:
+        for radius in range(3):
+            p = ChannelParams(spec.n, radius, kp, km)
+            code = LatticeCode(spec)
+            C, found = code.decode_rows(U, radius, p)
+            assert C.shape == U.shape and C.dtype == np.int64 and found.dtype == bool
+            C_explicit, found_explicit = explicit.decode_rows(U, radius, p)
+            assert np.array_equal(found, found_explicit)
+            assert np.array_equal(C[found], C_explicit[found])
+            for z, c, ok in zip(U.tolist(), C.tolist(), found.tolist()):
+                expected = brute_force_decode(members, tuple(z), radius, p)
+                assert (tuple(c) if ok else None) == expected
+                assert LatticeCode(spec).decode_within(tuple(z), radius, p) == expected
+                assert ok or not code.contains(tuple(c))
+            # some rows have no codeword in their window
+            assert found.any() and (radius > 0 or not found.all())
+            empty = np.zeros((0, spec.n), dtype=np.int64)
+            C, found = code.decode_rows(empty, radius, p)
+            assert C.shape == (0, spec.n) and found.shape == (0,)
+            C, found = explicit.decode_rows(empty, radius, p)
+            assert C.shape == (0, spec.n) and found.shape == (0,)
 
 
 def test_lattice_density_window():

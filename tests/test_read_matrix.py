@@ -59,6 +59,7 @@ from helpers import (
     oracle_read_set,
     oracle_sauer_candidates,
     sampled_read_sets,
+    sub,
 )
 from strategies import channels
 
@@ -231,9 +232,8 @@ def test_sauer_shift_prefilter_matches_full_filter(case, data):
         st.sets(st.integers(0, p.n - 1), max_size=f)
     )))
     Y = ReadSet(reads, p)
-    assert _sauer_candidates(Y.matrix, p, U, f) == oracle_sauer_candidates(
-        reads, U, f, p.k_plus, p.k_minus
-    )
+    rows = _sauer_candidates(Y.matrix, p, U, f).tolist()
+    assert list(map(tuple, rows)) == oracle_sauer_candidates(reads, U, f, p.k_plus, p.k_minus)
 
 
 def test_syndrome_is_the_inline_modular_sum():
@@ -409,6 +409,117 @@ def oracle_unique_decode(alg, rows, tau, members, delta, p):
         if c is not None and oracle_covers(c, rows, p.t, p.k_plus, p.k_minus):
             return (c,)
     return ()
+
+
+def oracle_list_decode(alg, rows, tau, members, delta, a, p):
+    """The list machines on tuple rows: the oracle minimum (list-min) or
+    every erasure fill of the oracle vote in lexicographic order
+    (list-majority), minus every e of the oracle ball of radius a,
+    brute-force decoded; the distinct codewords, sorted."""
+    if alg == "list-min":
+        words = [oracle_componentwise_min(rows)]
+        shifts = oracle_ball(p.n, a, p.k_plus, 0)
+    else:
+        entries = oracle_majority_entries(rows, tau)
+        erased = [i for i, v in enumerate(entries) if v is ERASURE]
+        ranges = [range(rows[0][i] - p.k_plus, rows[0][i] + p.k_minus + 1) for i in erased]
+        words = []
+        for fill in product(*ranges):
+            u = list(entries)
+            for i, v in zip(erased, fill):
+                u[i] = v
+            words.append(tuple(u))
+        shifts = oracle_ball(p.n, a, p.k_plus, p.k_minus)
+    found = {brute_force_decode(members, sub(w, e), delta - 1, p) for w in words for e in shifts}
+    return tuple(sorted(found - {None}))
+
+
+def recording_candidates(blocks):
+    """A stand-in for ``reconstruction._candidates`` that appends each block
+    it yields, with the shift count it was built with, to ``blocks``."""
+    real = reconstruction._candidates
+
+    def candidates(words, erased, anchors, shifts, p, cap):
+        for owner, rows in real(words, erased, anchors, shifts, p, cap):
+            blocks.append((len(shifts), owner, rows))
+            yield owner, rows
+
+    return candidates
+
+
+@pytest.mark.parametrize("text", ["group=Z7; s=[1,2,3]", "group=Z2xZ3; s=[(1,0),(0,1),(1,2)]"])
+@pytest.mark.parametrize("alg", ["majority", "list-min", "list-majority"])
+def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg):
+    spec = parse_splitter_spec(text)
+    code = LatticeCode(spec)
+    p = ChannelParams(spec.n, 2, 1, 0 if alg == "list-min" else 1)
+    delta, a = (2, 0) if alg == "majority" else (1, 1)
+    # reads around a codeword and around a word that is none, so that some
+    # decodes fail; fills, shifts and decodes stay inside [-5, 6]^n
+    (near,) = channel.read_sets((0,) * p.n, p, 4, "random", 6, seed=5)
+    (far,) = channel.read_sets((1,) + (0,) * (p.n - 1), p, 4, "random", 6, seed=6)
+    stack = np.concatenate((near, far))
+    members = oracle_lattice_window(spec, -5, 6)
+    # 10**6 erases every coordinate, 2 some of them
+    taus = [None] if alg == "list-min" else [Fraction(0), Fraction(2), Fraction(10**6)]
+    if alg != "list-min":
+        assert any((~majority_votes(stack, tau)[1]).any() for tau in taus)
+    for tau in taus:
+        sets = [ReadSet(matrix, p) for matrix in stack]
+        if alg == "majority":
+            expected = [oracle_unique_decode(alg, Y.reads, tau, members, delta, p) for Y in sets]
+        else:
+            expected = [oracle_list_decode(alg, Y.reads, tau, members, delta, a, p) for Y in sets]
+        assert [decode_one_by_one(alg, Y, tau, code, delta, a) for Y in sets] == expected
+        for budget in (64, 2**10, 2**17):
+            blocks = []
+            with mock.patch.object(reconstruction, "_CANDIDATE_BYTES", budget), \
+                    mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
+                got = ALGORITHMS[alg].decode(stack, p, tau, code, delta, a, 10**7)
+            assert got == expected
+            # a block is charged four int64 matrices of its rows' shape, and
+            # only a block of a single fill may exceed the budget
+            for shift_count, owner, rows in blocks:
+                assert len(owner) == len(rows) and rows.dtype == np.int64
+                assert 4 * rows.nbytes <= budget or len(rows) == shift_count
+            assert len(blocks) > 1 or budget == 2**17
+
+
+def test_erasure_fills_past_the_cap_build_no_row():
+    p = ChannelParams(6, 2, 1, 1)
+    code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
+    (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 2, seed=3)
+    tau = Fraction(10**6)  # every coordinate erased: 3**6 fills per set
+    blocks = []
+    with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
+        # list-majority at a = 1 shifts each fill by the 13 rows of B(6, 1, 1, 1)
+        for alg, a, worst in (("majority", 0, 3**6), ("list-majority", 1, 13 * 3**6)):
+            decode = ALGORITHMS[alg].decode
+            with pytest.raises(EnumerationCapExceeded):
+                decode(stack, p, tau, code, 1, a, worst - 1)
+            assert blocks == []
+            assert all((0,) * 6 in out for out in decode(stack, p, tau, code, 1, a, worst))
+            assert blocks
+            blocks.clear()
+
+
+def test_candidate_blocks_bound_the_decode_memory():
+    # 4 sets of 3**6 fills, each shifted by 13 rows: 37908 candidate rows,
+    # 1.8 MB as one int64 matrix
+    p = ChannelParams(6, 2, 1, 1)
+    code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
+    (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
+    tau = Fraction(10**6)
+    decode = ALGORITHMS["list-majority"].decode
+    decode(stack, p, tau, code, 1, 1, 10**7)  # builds the cached balls and tables
+    tracemalloc.start()
+    try:
+        outputs = decode(stack, p, tau, code, 1, 1, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all((0,) * 6 in out for out in outputs)
+    assert peak < 4 * reconstruction._CANDIDATE_BYTES
 
 
 @CHECKS

@@ -1,10 +1,17 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from magrec import ChannelParams, ERASURE, ExplicitCode, ReconstructionError
+from magrec import (
+    ChannelParams,
+    ERASURE,
+    EnumerationCapExceeded,
+    ExplicitCode,
+    ReconstructionError,
+)
 from magrec.combinatorics import hamming_volume, in_ball
 from magrec.distances import code_min_distance
 from magrec.lattice import cyclic, LatticeCode, SplitterSpec
@@ -28,7 +35,7 @@ from magrec.reconstruction import (
     sauer_reads_required,
 )
 
-from helpers import add, oracle_ball
+from helpers import add, oracle_ball, oracle_sauer_shelah_find
 
 
 def sum_mod(n, m):
@@ -303,6 +310,29 @@ def test_sauer_shelah_find_succeeds_above_volume():
         assert len(U) == c
         for pattern in product(range(q), repeat=c):
             assert any(all(v[i] != pattern[j] for j, i in enumerate(U)) for v in S)
+
+
+def test_sauer_shelah_find_matches_the_member_scan():
+    rng = random.Random(13)
+    for _ in range(300):
+        q = rng.choice((2, 3))
+        n = rng.randint(1, 5)
+        c = rng.randint(0, n + 1)
+        space = list(product(range(q), repeat=n))
+        S = rng.sample(space, rng.randint(1, min(len(space), 40)))
+        expected = oracle_sauer_shelah_find(S, q, c)
+        if expected is None:
+            with pytest.raises(ReconstructionError):
+                sauer_shelah_find(S, q, c)
+        else:
+            assert sauer_shelah_find(S, q, c) == expected
+        if 1 <= c <= n:
+            # the worst-case scan is charged before it starts
+            worst = math.comb(n, c) * q**c * len(S)
+            with pytest.raises(EnumerationCapExceeded):
+                sauer_shelah_find(S, q, c, cap=worst - 1)
+            if expected is not None:
+                assert sauer_shelah_find(S, q, c, cap=worst) == expected
 
 
 def test_sauer_reads_required():
