@@ -522,8 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--explain", action="store_true", help="show formula anchors")
         sp.add_argument("--cap", type=int, default=10**7, help="enumeration cap")
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--trials", type=positive_int, default=10)
+            sp.add_argument("--seed", type=int, default=0, help="used by --reads random only")
+            sp.add_argument("--trials", type=positive_int, default=10,
+                            help="read sets per point, used by --reads random only")
             sp.add_argument("--timings", action="store_true",
                             help="include real elapsed_ns (breaks byte determinism)")
 

@@ -5,9 +5,10 @@ hashable): codewords, decoder inputs and outputs, and the reads a
 ``ReadSet`` hands back.  Inside, a read set is one (N, n) int64 matrix, so
 its entries, and those of the codewords compared with it, must stay below
 ``ENTRY_LIMIT`` in magnitude; ``check_entries`` rejects anything larger
-with a ValueError instead of letting int64 arithmetic wrap.  Everything in
-this package is a pure function over such values, so all of it is safe to
-call concurrently.
+with a ValueError instead of letting int64 arithmetic wrap; a code decodes
+Python-int rows past it exactly (``Code.decode_rows``).  Everything in this
+package is a pure function over such values, and a code handle reads its
+one cached table once per decode, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ class ReconstructionError(RuntimeError):
 
 
 DEFAULT_ENUM_CAP = 10**7
-
-#: Entries of one code handle's decode memo; a full memo is cleared.
-DECODE_MEMO_ENTRIES = 2**14
 
 #: Bound on the magnitude of read and codeword entries: the difference of
 #: two entries below it still fits in int64.
@@ -106,58 +104,41 @@ class EstimateWord:
 class Code:
     """A code over Z^n: membership test plus a bounded-radius unique decoder.
 
-    ``decode_within(z, radius, params)`` returns a codeword c with
-    z in c + B(n, radius, k_plus, k_minus), or None when no codeword lies in
-    the search window: the first c = z - e in the code, e running over the
-    error ball in lexicographic order, so the result is deterministic; when
-    the code corrects ``radius`` errors the result is independent of that
-    order.  Results are memoized per handle, at most
-    ``DECODE_MEMO_ENTRIES`` of them; ``_search`` computes a miss, by default
-    with a scan of the window.
+    ``decode_rows(U, radius, params)`` decodes each row z of an (M, n)
+    matrix U into an (M, n) matrix C and a found mask (a row of C off the
+    mask is no codeword): the first c = z - e in the code, e running over
+    the error ball B(n, radius, k_plus, k_minus) in lexicographic order, so
+    the result is deterministic; when the code corrects ``radius`` errors
+    it is independent of that order.  U is int64 when its entries are below
+    ``ENTRY_LIMIT`` in magnitude and Python ints (an object array)
+    otherwise; each subclass decodes both exactly.
 
-    ``decode_rows(U, radius, params)`` decodes each row of an (M, n) int64
-    matrix alike into an (M, n) int64 matrix C and a found mask (a row of C
-    off the mask is no codeword), here by ``decode_within`` per row.
+    ``decode_within(z, radius, params)`` is ``decode_rows`` on the one row
+    z: the codeword, or None when no codeword lies in the search window.
     """
 
     def contains(self, v: Vec) -> bool:
         raise NotImplementedError
 
-    def decode_within(
-        self, z: Vec, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
-    ) -> Optional[Vec]:
-        key = (z, radius, params.k_plus, params.k_minus)
-        memo = self._memo()
-        if key in memo:
-            return memo[key]
-        if len(memo) >= DECODE_MEMO_ENTRIES:
-            memo.clear()
-        result = memo[key] = self._search(z, radius, params, cap)
-        return result
-
     def decode_rows(
         self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> tuple[np.ndarray, np.ndarray]:
-        rows = U.tolist()
-        found = [self.decode_within(tuple(z), radius, params, cap) for z in rows]
-        C = np.array([z if c is None else c for z, c in zip(rows, found)], dtype=np.int64)
-        return C.reshape(U.shape), np.array([c is not None for c in found], dtype=bool)
+        raise NotImplementedError
 
-    def _search(
-        self, z: Vec, radius: int, params: ChannelParams, cap: int
+    def decode_within(
+        self, z: Vec, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> Optional[Vec]:
-        return _first_in_window(self.contains, z, radius, params, cap)
-
-    def _memo(self) -> dict:
-        memo = getattr(self, "_decode_memo", None)
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_decode_memo", memo)
-        return memo
+        safe = -ENTRY_LIMIT < min(z) and max(z) < ENTRY_LIMIT
+        U = np.array([z], dtype=np.int64 if safe else object)
+        C, found = self.decode_rows(U, radius, params, cap)
+        return tuple(C[0].tolist()) if found[0] else None
 
 
 class ExplicitCode(Code):
-    """A finite, explicitly listed code."""
+    """A finite, explicitly listed code.  z - e runs down the lexicographic
+    order as e runs up the ball's, so ``decode_rows`` tests the members (one
+    matrix, int64 below ``ENTRY_LIMIT`` and Python ints beyond) from the
+    largest down, each in one (M, n) comparison with every row unfound."""
 
     def __init__(self, members: Iterable[Vec]):
         members = [tuple(m) for m in members]
@@ -171,9 +152,27 @@ class ExplicitCode(Code):
         self.members: tuple[Vec, ...] = tuple(sorted(members))
         self.n = n
         self._set = frozenset(self.members)
+        safe = all(-ENTRY_LIMIT < x < ENTRY_LIMIT for m in members for x in m)
+        self._largest_first = np.array(self.members[::-1], dtype=np.int64 if safe else object)
 
     def contains(self, v: Vec) -> bool:
         return v in self._set
+
+    def decode_rows(
+        self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
+    ) -> tuple[np.ndarray, np.ndarray]:
+        C, found = U.copy(), np.zeros(len(U), dtype=bool)
+        todo = np.arange(len(U))
+        for c in self._largest_first:
+            if not len(todo):
+                break
+            e = U[todo] - c
+            hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=1)
+            hit &= (e != 0).sum(axis=1) <= radius
+            C[todo[hit]] = c
+            found[todo[hit]] = True
+            todo = todo[~hit]
+        return C, found
 
     def __len__(self) -> int:
         return len(self.members)
@@ -181,17 +180,3 @@ class ExplicitCode(Code):
     def __iter__(self):
         return iter(self.members)
 
-
-def _first_in_window(
-    contains, z: Vec, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
-) -> Optional[Vec]:
-    """First c = z - e with ``contains(c)``, e running over the error ball (at
-    most ``cap`` vectors) in lexicographic order; None when there is none."""
-    from magrec.combinatorics import ball_matrix  # combinatorics imports core
-
-    # Python ints, so z beyond int64 is exact
-    for e in ball_matrix(len(z), radius, params.k_plus, params.k_minus, cap=cap).tolist():
-        c = tuple(zi - ei for zi, ei in zip(z, e))
-        if contains(c):
-            return c
-    return None

@@ -15,6 +15,9 @@ here is in fact cyclic).  The module provides:
 * exact packing / intersection checks over the lattice differences
   (``max_pairwise_intersection_lattice``, ``packing_by_differences``) used
   to certify all of the above on small instances.
+
+One matrix kernel, ``_syndrome_codes``, computes every syndrome of the
+tables, the decoder and the shell scans, exact for a group of any order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, product
 from operator import mul
-from typing import Optional
 
 import numpy as np
 
@@ -34,14 +36,13 @@ from magrec.core import (
     Code,
     EnumerationCapExceeded,
     Vec,
-    check_entries,
 )
 from magrec import combinatorics
 
 GroupElement = tuple[int, ...]
 
-#: Bytes of gathered syndrome-table entries and found vectors one block of
-#: a lattice shell scan may hold (``_lattice_vectors_by_weight``).
+#: Bytes of vectors and their residues one block of a lattice shell scan
+#: may hold (``_lattice_vectors_by_weight``).
 _SCAN_BYTES = 128 * 2**10
 
 
@@ -135,10 +136,11 @@ def syndrome(spec: SplitterSpec, x: Vec) -> GroupElement:
 
 
 def _syndrome_codes(spec: SplitterSpec, U: np.ndarray) -> np.ndarray:
-    """The syndrome of each row of the int64 matrix U as one mixed-radix
-    integer, moduli[0] the most significant digit.  Entries are reduced
-    modulo m first, so a sum stays below n * m**2: in int64 while that and
-    |G| are below 2**62, in Python ints (an object array) otherwise."""
+    """The syndrome of each row of the matrix U (int64, or Python ints for
+    rows past int64) as one mixed-radix integer, moduli[0] the most
+    significant digit.  Entries are reduced modulo m first, so a sum stays
+    below n * m**2: in int64 while that and |G| are below 2**62 and U is
+    int64, in Python ints (an object array) otherwise."""
     moduli = spec.group.moduli
     dtype = np.int64
     if spec.n * max(moduli) ** 2 >= 2**62 or spec.group.order >= 2**62:
@@ -278,11 +280,11 @@ class LatticeCode(Code):
 
     z - e is a codeword iff e has the syndrome of z, so the lexicographically
     first e of the error ball with that syndrome (its coset leader) gives the
-    codeword the window scan of ``Code`` would find first.  The handle keeps
-    one ``_coset_leaders`` table (sorted syndrome codes, leader matrix) for
-    the last (radius, k+, k-) it decoded at, rebuilt when that key changes.
-    ``decode_rows`` is one syndrome pass, one lookup and U - leaders, and
-    ``decode_within`` a call of it on one row below ``ENTRY_LIMIT``.
+    first codeword of the window scan.  The handle keeps one
+    ``_coset_leaders`` table (sorted syndrome codes, leader matrix) for the
+    last (radius, k+, k-) it decoded at, rebuilt when that key changes.
+    ``decode_rows`` is one syndrome pass, one lookup and U - leaders, exact
+    in Python ints for rows or groups past int64.
     """
 
     def __init__(self, spec: SplitterSpec):
@@ -297,19 +299,15 @@ class LatticeCode(Code):
         self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> tuple[np.ndarray, np.ndarray]:
         key = (radius, params.k_plus, params.k_minus)
-        if self._leaders is None or self._leaders[0] != key:
-            self._leaders = (key, *_coset_leaders(self.spec, *key, cap=cap))
-        _, codes, leaders = self._leaders
+        # another thread may swap the handle's table at any time, so the
+        # table this call decodes with is bound once
+        table = self._leaders
+        if table is None or table[0] != key:
+            table = self._leaders = (key, *_coset_leaders(self.spec, *key, cap=cap))
+        _, codes, leaders = table
         syndromes = _syndrome_codes(self.spec, U)
         at = np.searchsorted(codes, syndromes).clip(max=len(codes) - 1)
         return U - leaders[at], codes[at] == syndromes
-
-    def _search(
-        self, z: Vec, radius: int, params: ChannelParams, cap: int
-    ) -> Optional[Vec]:
-        check_entries(min(z), max(z))
-        C, found = self.decode_rows(np.array([z], dtype=np.int64), radius, params, cap)
-        return tuple(C[0].tolist()) if found[0] else None
 
 
 def _lattice_vectors_by_weight(
@@ -322,30 +320,20 @@ def _lattice_vectors_by_weight(
 
     Before shell w its C(n, w) * (2 span)^w vectors are added to a running
     count, and EnumerationCapExceeded is raised once the count passes
-    ``cap``.  The shell is then scanned as int64 blocks: the rows of its
-    (2 span)^w x w grid of nonzero values, for a run of supports at once,
-    sum per-coordinate tables of v * s_i (reduced into the group) and keep
-    the rows whose syndrome is zero.  A block holds at most ``_SCAN_BYTES``
-    of gathered table entries and found vectors.  The tables are reduced,
-    so each sum stays below n * max(moduli), and a group for which that
-    reaches 2**62 is a ValueError.  The scan is lazy, so a caller that
-    breaks off is charged only up to the shell it breaks off in.
+    ``cap``.  The shell is then scanned as blocks: an int64 matrix of the
+    vectors of a run of supports, each support times the (2 span)^w grid of
+    nonzero values, of which the rows with a zero ``_syndrome_codes`` are
+    kept.  A block holds at most ``_SCAN_BYTES`` of vectors and residues;
+    the syndromes are exact for every group, in Python ints where int64
+    could wrap.  The scan is lazy, so a caller that breaks off is charged
+    only up to the shell it breaks off in.
     """
     n = spec.n
-    moduli = spec.group.moduli
-    if n * max(moduli) >= 2**62:
-        raise ValueError(
-            f"lattice scans sum syndromes in int64: n * max(moduli) = "
-            f"{n * max(moduli)} reaches 2**62"
-        )
     nonzero = [v for v in range(-span, span + 1) if v]
     base = len(nonzero)
     values = np.array(nonzero, dtype=np.int64)
-    tables = np.array(
-        [v * g % m for si in spec.s for v in nonzero for g, m in zip(si, moduli)],
-        dtype=np.int64,
-    ).reshape(n, base, len(moduli))
-    mod = np.array(moduli, dtype=np.int64)
+    unit = np.eye(n, dtype=np.int64)
+    block = max(1, _SCAN_BYTES // (16 * n))
     scanned = 0
     for w in range(1, min(max_weight, n) + 1):
         rows = base**w
@@ -357,20 +345,17 @@ def _lattice_vectors_by_weight(
             )
         if not rows:
             continue
-        block = max(1, _SCAN_BYTES // (8 * (w * len(moduli) + n)))
         # grid row r picks nonzero[j] at position k for the k-th base-2span
         # digit j of r: the meshgrid of w copies, ``indexing="ij"``
         digits = base ** np.arange(w - 1, -1, -1)
         supports = combinations(range(n), w)
         while chunk := list(islice(supports, max(1, block // rows))):
-            support = np.array(chunk)
+            # (S, w, n): the unit vectors of each support's coordinates
+            units = unit[np.array(chunk)]
             for lo in range(0, rows, block):
-                picks = np.arange(lo, min(rows, lo + block))[:, None] // digits % base
-                sums = tables[support[:, None, :], picks[None, :, :]].sum(axis=2)
-                s_hit, r_hit = np.nonzero(~(sums % mod).any(axis=2))
-                found = np.zeros((len(s_hit), n), dtype=np.int64)
-                found[np.arange(len(s_hit))[:, None], support[s_hit]] = values[picks[r_hit]]
-                for d in found.tolist():
+                grid = values[np.arange(lo, min(rows, lo + block))[:, None] // digits % base]
+                vectors = (grid @ units).reshape(-1, n)
+                for d in vectors[_syndrome_codes(spec, vectors) == 0].tolist():
                     yield w, tuple(d)
 
 

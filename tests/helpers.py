@@ -1,9 +1,10 @@
 """Brute-force oracles and test-only helpers used to check the library.
 
 The library's own oracles live here, not beside its fast paths:
-``brute_force_decode`` scans the decode window of a member set, as
-``Code`` does by default, and ``correction_capability_oracle`` checks that
-the radius-e balls around a code's words are pairwise disjoint.
+``brute_force_decode`` scans the decode window of a member set, the
+definition every ``Code.decode_rows`` meets, and
+``correction_capability_oracle`` checks that the radius-e balls around a
+code's words are pairwise disjoint.
 ``sampled_read_sets`` draws a seeded sub-sample of N-subsets of the ball
 into the channel's stacks, for exhaustive claims whose subset count is out
 of reach; the library's only read generator is ``channel.read_sets``.
@@ -13,9 +14,9 @@ deliberately avoiding the code paths under test (the library enumerates
 balls column by column into a cached int64 matrix and counts intersections
 with column operations; these oracles materialize full sets).  The lattice
 oracles scan the whole box [-(k+ + k-), k+ + k-]^n with inline modular sums,
-where the library scans weight shells as int64 blocks of syndrome-table
-sums (``oracle_lattice_vectors_by_weight`` is the tuple shell scan it ran
-before), and the splitting oracle keeps a seen-set of syndromes where the
+where the library scans weight shells as int64 blocks of vectors through
+its syndrome kernel (``oracle_lattice_vectors_by_weight`` is the tuple
+shell scan it ran before), and the splitting oracle keeps a seen-set of syndromes where the
 library compares the size of its coset-leader table with the ball's.
 
 The read-set oracles are the tuple kernels the library ran before read sets
@@ -35,14 +36,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from magrec.channel import _ball_and_shift, _stacks, rng_for
-from magrec.combinatorics import ball_vectors
-from magrec.core import (
-    ERASURE,
-    ChannelParams,
-    EnumerationCapExceeded,
-    Vec,
-    _first_in_window,
-)
+from magrec.combinatorics import ball_matrix, ball_vectors
+from magrec.core import ERASURE, ChannelParams, EnumerationCapExceeded, Vec
 
 
 def brute_force_decode(
@@ -54,7 +49,12 @@ def brute_force_decode(
     the tie-break when several codewords are in range.
     """
     members = frozenset(tuple(m) for m in code_members)
-    return _first_in_window(members.__contains__, z, radius, params)
+    # Python ints, so z beyond int64 is exact
+    for e in ball_matrix(len(z), radius, params.k_plus, params.k_minus).tolist():
+        c = tuple(zi - ei for zi, ei in zip(z, e))
+        if c in members:
+            return c
+    return None
 
 
 def correction_capability_oracle(

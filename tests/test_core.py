@@ -1,10 +1,11 @@
 import inspect
 import random
 
+import numpy as np
 import pytest
 
 import magrec
-from magrec import ChannelParams, core, ExplicitCode
+from magrec import ChannelParams, ExplicitCode, FiniteAbelianGroup, LatticeCode, SplitterSpec
 from magrec.combinatorics import ball_vectors, in_ball
 
 from helpers import (
@@ -13,6 +14,7 @@ from helpers import (
     correction_capability_oracle,
     oracle_ball,
     oracle_corrects,
+    sub,
 )
 
 
@@ -54,7 +56,10 @@ def test_decode_deterministic():
 
 def test_decode_contract_round_trip():
     # decoding a corrupted codeword returns a codeword whose ball contains
-    # the received vector; with enough distance it is the codeword itself
+    # the received vector; with enough distance it is the codeword itself.
+    # Every word, also one with no codeword in its window or several (a
+    # code that does not correct r errors), decodes as the window scan
+    # does, alone or in one matrix with the others
     rng = random.Random(20240817)
     for _ in range(200):
         n = rng.randint(1, 3)
@@ -75,6 +80,11 @@ def test_decode_contract_round_trip():
         assert in_ball(tuple(a - b for a, b in zip(z, got)), ChannelParams(n, r, kp, km))
         if len(members) > 1 and oracle_corrects(code.members, t, kp, km, r):
             assert got == c
+        words = [z] + [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(4)]
+        each = [code.decode_within(w, r, p) for w in words]
+        assert each == [brute_force_decode(members, w, r, p) for w in words]
+        C, found = code.decode_rows(np.array(words, dtype=np.int64), r, p)
+        assert [tuple(c) if ok else None for c, ok in zip(C.tolist(), found.tolist())] == each
 
 
 def test_explicit_code_validation():
@@ -107,22 +117,21 @@ def test_correction_oracle_matches_independent_oracle():
         )
 
 
-def test_decode_beyond_int64_is_exact():
+@pytest.mark.parametrize("z, word", [
+    ((2**70 + 1, 0), (2**70, 0)),
+    # int64 holds these words but not every difference with them
+    ((2**63 - 1, 0), (2**63 - 2, 0)),
+    ((2**62 + 1, 0), (2**62, 0)),
+])
+def test_decode_beyond_int64_is_exact(z, word):
     p = ChannelParams(2, 1, 1, 1)
-    members = [(2**70, 0), (0, 0)]
-    z = (2**70 + 1, 0)
-    assert ExplicitCode(members).decode_within(z, 1, p) == (2**70, 0)
-    assert brute_force_decode(members, z, 1, p) == (2**70, 0)
-
-
-def test_decode_memo_stays_within_its_bound():
-    p = ChannelParams(2, 1, 1, 1)
-    members = [(0, 0), (3, 1), (1, 4)]
-    code = ExplicitCode(members)
-    side = 1 + int(core.DECODE_MEMO_ENTRIES**0.5)  # side**2 distinct words
-    for z in [(i - 2, j - 2) for i in range(side) for j in range(side)]:
-        assert code.decode_within(z, 1, p) == ExplicitCode(members).decode_within(z, 1, p)
-        assert len(code._decode_memo) <= core.DECODE_MEMO_ENTRIES
+    members = [word, (0, 0)]
+    assert ExplicitCode(members).decode_within(z, 1, p) == word
+    assert brute_force_decode(members, z, 1, p) == word
+    # the lattice 3Z x 3Z: the members of z's window, one coordinate apart
+    code = LatticeCode(SplitterSpec(FiniteAbelianGroup((3, 3)), ((1, 0), (0, 1))))
+    window = [c for c in (sub(z, e) for e in oracle_ball(2, 1, 1, 1)) if code.contains(c)]
+    assert code.decode_within(z, 1, p) == brute_force_decode(window, z, 1, p) is not None
 
 
 def test_public_names():

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from unittest import mock
 
@@ -200,8 +201,7 @@ def test_lattice_code_keeps_one_coset_leader_table():
     code = LatticeCode(spec)
     keys = [(1, 1, 1), (1, 2, 0), (0, 1, 1)]  # (radius, k+, k-)
     fresh = {key: LatticeCode(spec) for key in keys}
-    # each new word misses the decode memo, so the table switches key on
-    # every call
+    # the table switches key on every call
     for z in product(range(-2, 3), repeat=3):
         for key in keys:
             radius, kp, km = key
@@ -212,6 +212,46 @@ def test_lattice_code_keeps_one_coset_leader_table():
     mine, theirs = code._leaders, fresh[keys[-1]]._leaders
     assert mine[0] == theirs[0]
     assert all(np.array_equal(a, b) for a, b in zip(mine[1:], theirs[1:]))
+
+
+def test_decode_rows_decodes_with_the_table_it_looked_up():
+    # a thread switch may come before any line of decode_rows: emulate one,
+    # deterministically, that swaps the handle's table to another key's
+    spec = spec1(7, (1, 2, 3))
+    p = ChannelParams(3, 3, 1, 1)
+    U = np.array(list(product(range(-2, 3), repeat=3)), dtype=np.int64)
+    other = LatticeCode(spec)
+    other.decode_rows(U, 0, p)
+    expected = LatticeCode(spec).decode_rows(U, 1, p)
+    code = LatticeCode(spec)
+
+    def swap(frame, event, arg):
+        if event == "line":
+            code._leaders = other._leaders
+        return swap
+
+    def calls(frame, event, arg):
+        return swap if frame.f_code is LatticeCode.decode_rows.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        C, found = code.decode_rows(U, 1, p)
+    finally:
+        sys.settrace(previous)
+    assert code._leaders is other._leaders
+    assert np.array_equal(found, expected[1]) and np.array_equal(C, expected[0])
+
+
+def test_cap_bounds_the_coset_leader_ball():
+    # the 7-vector ball B(3, 1, 1, 1) gives the coset leaders
+    spec = spec1(7, (1, 2, 3))
+    p = ChannelParams(3, 1, 1, 1)
+    U = np.array([[1, 0, 0], [0, 0, 0]], dtype=np.int64)
+    with pytest.raises(EnumerationCapExceeded):
+        LatticeCode(spec).decode_rows(U, 1, p, cap=6)
+    C, found = LatticeCode(spec).decode_rows(U, 1, p, cap=7)
+    assert C.tolist() == [[0, 0, 0], [0, 0, 0]] and found.all()
 
 
 @pytest.mark.parametrize("text, python_ints", [
@@ -337,13 +377,11 @@ def test_block_scan_matches_tuple_scan(case, budget):
         assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
 
 
-def test_block_scan_refuses_groups_past_int64():
-    spec = parse_splitter_spec(f"group=Z{2**61}; s=[1,2]")
-    with pytest.raises(ValueError, match="2\\*\\*62"):
-        lattice_min_distance(spec, 1, 1)
-    # the largest modulus for n = 2: every syndrome sum stays below 2**62
-    spec = parse_splitter_spec(f"group=Z{2**61 - 1}; s=[1,{2**61 - 3}]")
-    assert lattice_min_distance(spec, 1, 1) == oracle_lattice_min_distance(spec, 1, 1) == 2
+@pytest.mark.parametrize("modulus", [2**61, 2**70])
+def test_block_scan_past_int64_is_exact(modulus):
+    # n * m**2 >= 2**62: the syndromes are summed in Python ints
+    spec = parse_splitter_spec(f"group=Z{modulus}; s=[1,2]")
+    assert lattice_min_distance(spec, 1, 1) == oracle_lattice_min_distance(spec, 1, 1)
 
 
 def test_splitter_spec_parse_roundtrip():
