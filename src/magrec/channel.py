@@ -18,10 +18,17 @@ decodes it.
 
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
-generator name and seed.  ``read_sets`` draws random trial i from its own
-generator, seeded with ``seed + i``, so trial 1 of seed 0 replays trial 0 of
-seed 1; ``rng_for(seed, trial_index)`` spawns independent per-trial streams
-instead, and moving the trial loop onto it is ROADMAP item 7.
+generator name, the seed and the trial index.  A random-read command owns
+one generator, ``rng_for(seed)``, and trial i of it is a function of the
+seed, the ball size, N and i alone: trials own consecutive segments of that
+generator's stream, so neither the stack size nor the trial count changes
+trial i, and neighbouring seeds, being different Philox keys, share no
+trial.  Trials are drawn a block at a time.  When the ball exceeds N by at
+most ``_DENSE_SLACK`` rows, trial i keeps the N rows with the smallest keys
+in row i of ``rng_for(seed).random((trials, size))``, so row i of
+``rng_for(seed).random((i + 1, size))`` replays it alone; on a larger ball
+trial i is the i-th ``rng.choice(size, N, replace=False, shuffle=False)``
+of the command generator.  Either way it is a uniformly random N-subset.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,17 +57,19 @@ RNG_NAME = "philox"
 
 DEFAULT_SUBSET_CAP = 10**5
 
-#: Byte budget of one read-set stack.
+#: Byte budget of one read-set stack, and of one block of random keys.
 _STACK_BYTES = 128 * 2**10
 
+#: A random trial draws one key per ball row when the ball exceeds N by at
+#: most this many rows, and N indices with ``choice`` otherwise: a key costs
+#: about as much as a ``choice`` index, and a ``choice`` call about as much
+#: as this many keys (timeit crossover in CHANGES.md).
+_DENSE_SLACK = 1024
 
-def rng_for(seed: int, trial_index: Optional[int] = None) -> np.random.Generator:
-    """Philox generator for a seed, optionally split at a trial index."""
-    if trial_index is None:
-        ss = np.random.SeedSequence(entropy=seed)
-    else:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
-    return np.random.Generator(np.random.Philox(ss))
+
+def rng_for(seed: int) -> np.random.Generator:
+    """The Philox generator of a seed."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
 
 
 def _ball_and_shift(
@@ -81,24 +90,54 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
     return np.lexsort((-np.abs(ball).sum(axis=1), -np.count_nonzero(ball, axis=1)))
 
 
-def _draw(size: int, count: int, seed: int) -> np.ndarray:
-    """``count`` distinct indices below ``size`` from the generator of ``seed``."""
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    return rng_for(seed).choice(size, size=count, replace=False)
+def _per_stack(count: int, n: int) -> int:
+    """How many sets of ``count`` length-n reads fit in ``_STACK_BYTES``
+    (at least one)."""
+    if count < 1:
+        raise ValueError("read set must be nonempty")
+    return max(1, _STACK_BYTES // (8 * count * n))
+
+
+def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
+    """The index rows that ``rows`` yields, ``count`` each, as (S, count)
+    blocks of as many rows as one stack of length-n reads holds."""
+    rows, per_stack = iter(rows), _per_stack(count, n)
+    while block := list(islice(rows, per_stack)):
+        yield np.array(block, dtype=np.intp)
+
+
+def _random_blocks(
+    size: int, count: int, n: int, trials: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """(S, count) index blocks of ``trials`` random ``count``-subsets of
+    ``range(size)``, drawn from ``rng`` as the module docstring defines
+    them, S sets to a stack of length-n reads.  Dense keys are drawn in
+    blocks of at most ``_STACK_BYTES``, or of one trial's ``size`` keys
+    when those alone exceed it (then ``size <= count + _DENSE_SLACK``)."""
+    per_stack = _per_stack(count, n)
+    per_keys = max(1, _STACK_BYTES // (8 * size))
+    dense = size - count <= _DENSE_SLACK
+    for start in range(0, trials, per_stack):
+        stop = min(start + per_stack, trials)
+        if dense:
+            yield np.concatenate([
+                np.argpartition(rng.random((min(per_keys, stop - i), size)), count - 1,
+                                axis=1)[:, :count]
+                for i in range(start, stop, per_keys)
+            ])
+        else:
+            yield np.array([
+                rng.choice(size, count, replace=False, shuffle=False)
+                for _ in range(start, stop)
+            ])
 
 
 def _stacks(
-    ball: np.ndarray, shift: np.ndarray, count: int, draws: Iterator
+    ball: np.ndarray, shift: np.ndarray, blocks: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """The stacks of the read sets ``ball[row] + shift``, one per index row
-    that ``draws`` yields, each row sorted; a block holds as many sets as
-    fit in ``_STACK_BYTES``."""
-    if count < 1:
-        raise ValueError("read set must be nonempty")
-    per_stack = max(1, _STACK_BYTES // (8 * count * len(shift)))
-    while rows := list(islice(draws, per_stack)):
-        idx = np.array(rows, dtype=np.intp)
+    """The stack of the read sets ``ball[row] + shift`` of each (S, N) index
+    block, each row sorted (in place)."""
+    for idx in blocks:
         idx.sort(axis=1)
         stack = ball[idx]
         stack += shift
@@ -110,10 +149,11 @@ def read_sets(
     x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> Iterator[np.ndarray]:
-    """Stacks of N-read sets around x: ``trials`` random ones, trial i drawn
-    by the generator of ``seed + i``; the one adversarial set; or every
-    N-subset of the ball, in lexicographic subset order.  ``cap`` bounds the
-    ball and, for exhaustive reads, the subset count: past it
+    """Stacks of N-read sets around x: ``trials`` random ones, all drawn from
+    the one generator ``rng_for(seed)`` (trial i as the module docstring
+    defines it; the seed must fit in 64 bits); the one adversarial set; or
+    every N-subset of the ball, in lexicographic subset order.  ``cap``
+    bounds the ball and, for exhaustive reads, the subset count: past it
     EnumerationCapExceeded is raised."""
     if reads == "exhaustive":
         total = math.comb(ball_size(p), N)
@@ -122,21 +162,24 @@ def read_sets(
                 f"{total} subsets exceed the cap {cap}; "
                 "raise the cap or draw random reads"
             )
-    elif reads not in ("random", "adversarial"):
+    elif reads == "random":
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
+    elif reads != "adversarial":
         raise ValueError(
             f"reads must be random, adversarial or exhaustive, got {reads!r}"
         )
     ball, shift = _ball_and_shift(x, p, cap)
     size = len(ball)
     if reads == "exhaustive":
-        draws = combinations(range(size), N)
+        blocks = _row_blocks(combinations(range(size), N), N, p.n)
     elif N > size:
         raise ValueError(f"cannot draw {N} distinct reads from a ball of size {size}")
     elif reads == "random":
-        draws = (_draw(size, N, seed + i) for i in range(trials))
+        blocks = _random_blocks(size, N, p.n, trials, rng_for(seed))
     else:
-        draws = iter((_adversarial_order(ball)[:N],))
-    yield from _stacks(ball, shift, N, draws)
+        blocks = _row_blocks((_adversarial_order(ball)[:N],), N, p.n)
+    yield from _stacks(ball, shift, blocks)
 
 
 def generate_reads(
@@ -166,6 +209,7 @@ def exhaustive_read_sets(
 class TrialRecord:
     rng: str
     seed: int
+    trial: int
     params: ChannelParams
     algorithm: str
     N: int
@@ -177,6 +221,7 @@ class TrialRecord:
         obj = {
             "rng": self.rng,
             "seed": self.seed,
+            "trial": self.trial,
             "params": {
                 "n": self.params.n,
                 "t": self.params.t,
@@ -211,8 +256,8 @@ def run_trial(
     code: Code, algorithm: str, x: Vec, p: ChannelParams, N: int, delta: int,
     a: int = 0, reads: str = "random", seed: int = 0,
 ) -> TrialRecord:
-    """Generate N reads (``generate_reads``), run the selected algorithm,
-    compare with x.
+    """Generate N reads (``generate_reads``, trial 0 of ``seed``), run the
+    selected algorithm, compare with x.
 
     A ReconstructionError counts as an unsuccessful trial (that is the
     comparison outcome); genuine usage errors propagate.
@@ -227,5 +272,5 @@ def run_trial(
     elapsed = time.monotonic_ns() - start
     success = entry.succeeded(x, outputs)
     return TrialRecord(
-        RNG_NAME, seed, p, algorithm, len(Y), success, len(outputs), elapsed
+        RNG_NAME, seed, 0, p, algorithm, len(Y), success, len(outputs), elapsed
     )

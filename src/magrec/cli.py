@@ -451,7 +451,7 @@ def cmd_simulate(args) -> int:
         trials = _trials(args, report, entry, plan, code, p, delta, 0, x, N, "random")
         records = [
             channel.TrialRecord(
-                channel.RNG_NAME, args.seed + i, p, args.alg, N, success, len(out), elapsed
+                channel.RNG_NAME, args.seed, i, p, args.alg, N, success, len(out), elapsed
             )
             for i, (out, success, elapsed) in enumerate(trials)
         ]
@@ -522,7 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--explain", action="store_true", help="show formula anchors")
         sp.add_argument("--cap", type=int, default=10**7, help="enumeration cap")
         if seed:
-            sp.add_argument("--seed", type=int, default=0, help="used by --reads random only")
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed in [0, 2**64) of the one Philox generator all "
+                            "random read sets are drawn from; trial i depends only on "
+                            "it, the ball, N and i (used by --reads random only)")
             sp.add_argument("--trials", type=positive_int, default=10,
                             help="read sets per point, used by --reads random only")
             sp.add_argument("--timings", action="store_true",

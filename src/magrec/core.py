@@ -40,6 +40,10 @@ DEFAULT_ENUM_CAP = 10**7
 #: two entries below it still fits in int64.
 ENTRY_LIMIT = 2**62
 
+#: Byte budget of one (M, chunk, n) block of row-minus-member differences
+#: in ``ExplicitCode.decode_rows``.
+_MEMBER_BLOCK_BYTES = 128 * 2**10
+
 
 def check_entries(lo: int, hi: int) -> None:
     """Raise ValueError unless -ENTRY_LIMIT < lo and hi < ENTRY_LIMIT, where
@@ -138,7 +142,10 @@ class ExplicitCode(Code):
     """A finite, explicitly listed code.  z - e runs down the lexicographic
     order as e runs up the ball's, so ``decode_rows`` tests the members (one
     matrix, int64 below ``ENTRY_LIMIT`` and Python ints beyond) from the
-    largest down, each in one (M, n) comparison with every row unfound."""
+    largest down, a chunk at a time: every unfound row against every member
+    of the chunk in one (M, chunk, n) block of at most ``_MEMBER_BLOCK_BYTES``
+    (one member when M rows alone exceed it), each row taking its first
+    hit."""
 
     def __init__(self, members: Iterable[Vec]):
         members = [tuple(m) for m in members]
@@ -163,15 +170,18 @@ class ExplicitCode(Code):
     ) -> tuple[np.ndarray, np.ndarray]:
         C, found = U.copy(), np.zeros(len(U), dtype=bool)
         todo = np.arange(len(U))
-        for c in self._largest_first:
-            if not len(todo):
-                break
-            e = U[todo] - c
-            hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=1)
-            hit &= (e != 0).sum(axis=1) <= radius
-            C[todo[hit]] = c
-            found[todo[hit]] = True
-            todo = todo[~hit]
+        members, start = self._largest_first, 0
+        while len(todo) and start < len(members):
+            chunk = max(1, _MEMBER_BLOCK_BYTES // (8 * len(todo) * self.n))
+            block = members[start:start + chunk]
+            start += chunk
+            e = U[todo, None, :] - block
+            hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=2)
+            hit &= (e != 0).sum(axis=2) <= radius
+            rows = hit.any(axis=1)
+            C[todo[rows]] = block[hit[rows].argmax(axis=1)]
+            found[todo[rows]] = True
+            todo = todo[~rows]
         return C, found
 
     def __len__(self) -> int:

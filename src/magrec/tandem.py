@@ -207,7 +207,8 @@ def _read_set_stacks(
             raise EnumerationCapExceeded("subset count exceeds cap")
         for x, shift in shifts:
             subsets = combinations(range(len(shell)), count)
-            for stack in channel._stacks(shell, shift, count, subsets):
+            blocks = channel._row_blocks(subsets, count, len(shift))
+            for stack in channel._stacks(shell, shift, blocks):
                 yield x, stack
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.channel import _ball_and_shift, _stacks, rng_for
+from magrec.channel import _ball_and_shift, _row_blocks, _stacks, rng_for
 from magrec.combinatorics import ball_matrix, ball_vectors
 from magrec.core import ERASURE, ChannelParams, EnumerationCapExceeded, Vec
 
@@ -90,7 +90,7 @@ def sampled_read_sets(
     ball, shift = _ball_and_shift(x, p)
     rng = rng_for(seed)
     draws = (rng.choice(len(ball), size=count, replace=False) for _ in range(samples))
-    yield from _stacks(ball, shift, count, draws)
+    yield from _stacks(ball, shift, _row_blocks(draws, count, p.n))
 
 
 def oracle_ball(n: int, t: int, kp: int, km: int) -> list[tuple[int, ...]]:

@@ -82,7 +82,7 @@ def test_run_trial_clean_read():
     rec = run_trial(sum_mod(2, 2), "min", (0, 0), p, 1, delta=1, seed=4)
     assert rec.success
     assert rec.N == 1
-    assert rec.rng == "philox" and rec.seed == 4
+    assert rec.rng == "philox" and rec.seed == 4 and rec.trial == 0
 
 
 def test_run_trial_majority_and_list():
@@ -96,10 +96,10 @@ def test_run_trial_majority_and_list():
 
 def test_trial_record_round_trip():
     p = ChannelParams(2, 1, 1, 0)
-    rec = TrialRecord("philox", 7, p, "min", 2, True, 1, 0)
+    rec = TrialRecord("philox", 7, 3, p, "min", 2, True, 1, 0)
     line = rec.to_line()
     assert line == (
-        '{"rng":"philox","seed":7,"params":{"n":2,"t":1,"kp":1,"km":0},'
+        '{"rng":"philox","seed":7,"trial":3,"params":{"n":2,"t":1,"kp":1,"km":0},'
         '"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}'
     )
     obj = json.loads(line)

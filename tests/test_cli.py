@@ -183,6 +183,47 @@ def test_simulate_records_deterministic(capsys):
     assert first["success"] is True
 
 
+def test_simulate_records_name_the_seed_and_their_trial(capsys):
+    code, out = run_cli(
+        capsys, "simulate", "--alg", "majority", "--code", "sum-mod:3", "--n", "4:5",
+        "--t", "1", "--kp", "1", "--km", "1", "--trials", "3", "--seed", "9",
+        "--format", "records",
+    )
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["seed"], r["trial"]) for r in records] == [(9, i) for i in range(3)] * 2
+    assert all(list(r)[:3] == ["rng", "seed", "trial"] for r in records)
+
+
+@pytest.mark.parametrize("command", ["reconstruct --alg min", "list --alg min", "simulate --alg min"])
+def test_largest_seed_runs_every_trial(command, capsys):
+    # the one generator of a command takes any 64-bit seed; before, trial i
+    # was seeded seed + i, and the second trial of this seed failed
+    code, out = run_cli(
+        capsys, *command.split(), "--code", "sum-mod:2", "--n", "4", "--t", "2",
+        "--kp", "1", "--trials", "2", "--seed", str(2**64 - 1), "--format", "records",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    if command.startswith("simulate"):
+        assert [(r["trial"], r["success"]) for r in rows] == [(0, True), (1, True)]
+    else:
+        (row,) = rows
+        assert row["sets"] == row.get("success", row.get("contains_x")) == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_one_error_line(seed, capsys):
+    code = main(
+        f"reconstruct --alg min --code sum-mod:2 --n 4 --t 2 --kp 1 --trials 2 --seed {seed}"
+        .split()
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: seed must fit in 64 bits\n"
+
+
 def test_simulate_timings_fill_only_elapsed_ns(capsys):
     argv = [
         "simulate", "--alg", "majority", "--code", "sum-mod:3", "--n", "3:4",

@@ -1,7 +1,10 @@
 """Golden CLI output: exact stdout and exit code of `reconstruct`, `list`,
 `simulate` and grid runs, recorded before their algorithm dispatch moved
 into one registry, and of `tandem` runs, recorded before simplex read sets
-moved onto stacks.  Any difference here is a change in what a user sees."""
+moved onto stacks.  The random-read cases whose draws or records moved were
+re-recorded when a command's trials came to share one generator and each
+record named its trial.  Any difference here is a change in what a user
+sees."""
 
 import shlex
 
@@ -153,7 +156,7 @@ majority  4  2  1   1   1      0  29  3     3           1         81     MATCH
         0,
         """\
 alg    n  t  kp  km  delta  a  N  sets  contains_x  max_list  bound  match
-sauer  4  2  1   1   1      1  2  5     5           12        63     MATCH
+sauer  4  2  1   1   1      1  2  5     5           10        63     MATCH
 """,
     ),
     (
@@ -201,16 +204,16 @@ min  3  3  1   0   1      5  2       2
         "simulate --alg min --code sum-mod:2 --n 2:3 --t 1:3 --kp 1 --trials 2 --seed 5 --format records",
         0,
         """\
-{"rng":"philox","seed":5,"params":{"n":2,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":6,"params":{"n":2,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":5,"params":{"n":2,"t":2,"kp":1,"km":0},"algorithm":"min","N":3,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":6,"params":{"n":2,"t":2,"kp":1,"km":0},"algorithm":"min","N":3,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":5,"params":{"n":3,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":6,"params":{"n":3,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":5,"params":{"n":3,"t":2,"kp":1,"km":0},"algorithm":"min","N":4,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":6,"params":{"n":3,"t":2,"kp":1,"km":0},"algorithm":"min","N":4,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":5,"params":{"n":3,"t":3,"kp":1,"km":0},"algorithm":"min","N":5,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":6,"params":{"n":3,"t":3,"kp":1,"km":0},"algorithm":"min","N":5,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":0,"params":{"n":2,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":1,"params":{"n":2,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":0,"params":{"n":2,"t":2,"kp":1,"km":0},"algorithm":"min","N":3,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":1,"params":{"n":2,"t":2,"kp":1,"km":0},"algorithm":"min","N":3,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":0,"params":{"n":3,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":1,"params":{"n":3,"t":1,"kp":1,"km":0},"algorithm":"min","N":2,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":0,"params":{"n":3,"t":2,"kp":1,"km":0},"algorithm":"min","N":4,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":1,"params":{"n":3,"t":2,"kp":1,"km":0},"algorithm":"min","N":4,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":0,"params":{"n":3,"t":3,"kp":1,"km":0},"algorithm":"min","N":5,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":5,"trial":1,"params":{"n":3,"t":3,"kp":1,"km":0},"algorithm":"min","N":5,"success":true,"list_size":1,"elapsed_ns":0}
 # skipped n=2 t=3 kp=1 km=0: t must be in [0, n=2], got 3
 """,
     ),
@@ -241,10 +244,10 @@ majority  4  1  1   1   1      5  2       2
         "simulate --alg majority --code sum-mod:3 --n 3:4 --t 1:2 --kp 0:1 --km 0:1 --delta 1 --trials 2 --seed 4 --format records",
         0,
         """\
-{"rng":"philox","seed":4,"params":{"n":3,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":5,"params":{"n":3,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":4,"params":{"n":4,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
-{"rng":"philox","seed":5,"params":{"n":4,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":4,"trial":0,"params":{"n":3,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":4,"trial":1,"params":{"n":3,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":4,"trial":0,"params":{"n":4,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
+{"rng":"philox","seed":4,"trial":1,"params":{"n":4,"t":1,"kp":1,"km":1},"algorithm":"majority","N":5,"success":true,"list_size":1,"elapsed_ns":0}
 # skipped n=3 t=1 kp=0 km=0: k_plus + k_minus = 0 makes the channel trivial
 # skipped n=3 t=1 kp=0 km=1: need k_plus >= k_minus >= 0, got (0, 1)
 # skipped n=3 t=1 kp=1 km=0: majority reconstruction needs k_minus >= 1

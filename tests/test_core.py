@@ -1,11 +1,13 @@
 import inspect
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 import magrec
 from magrec import ChannelParams, ExplicitCode, FiniteAbelianGroup, LatticeCode, SplitterSpec
+from magrec import core
 from magrec.combinatorics import ball_vectors, in_ball
 
 from helpers import (
@@ -85,6 +87,29 @@ def test_decode_contract_round_trip():
         assert each == [brute_force_decode(members, w, r, p) for w in words]
         C, found = code.decode_rows(np.array(words, dtype=np.int64), r, p)
         assert [tuple(c) if ok else None for c, ok in zip(C.tolist(), found.tolist())] == each
+
+
+@pytest.mark.parametrize("offset", [0, 2**70], ids=["int64", "python-ints"])
+@pytest.mark.parametrize("budget", [1, 8 * 200 * 5 * 7, None], ids=["1", "7", "default"])
+def test_explicit_decode_of_a_large_code_matches_brute_force(offset, budget, monkeypatch):
+    # 1000 of the 3125 words of [-2, 2]^5, so most radius-2 windows hold
+    # several members and the first hit decides; member chunks of 1, of 7
+    # (while all 200 rows are unfound) and of the default budget; int64
+    # entries, and Python ints past it
+    if budget is not None:
+        monkeypatch.setattr(core, "_MEMBER_BLOCK_BYTES", budget)
+    rng = random.Random(1000)
+    p = ChannelParams(5, 2, 1, 1)
+    words = list(product(range(-2, 3), repeat=5))
+    members = [tuple(v + offset for v in w) for w in rng.sample(words, 1000)]
+    code = ExplicitCode(members)
+    rows = [tuple(rng.randint(-3, 3) + offset for _ in range(5)) for _ in range(200)]
+    U = np.array(rows, dtype=object if offset else np.int64)
+    C, found = code.decode_rows(U, 2, p)
+    got = [tuple(c) if ok else None for c, ok in zip(C.tolist(), found.tolist())]
+    want = [brute_force_decode(members, z, 2, p) for z in rows]
+    assert got == want
+    assert None in want and len(set(want)) > 100
 
 
 def test_explicit_code_validation():

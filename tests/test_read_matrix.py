@@ -3,6 +3,7 @@ syndrome-table decoder against the tuple kernels and brute-force oracles in
 ``helpers``, and of decoding a stack against decoding its sets one by one."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -27,6 +28,7 @@ from magrec.channel import (
     generate_reads,
     rng_for,
 )
+from magrec.combinatorics import ball_size
 from magrec.core import ENTRY_LIMIT
 from magrec.lattice import LatticeCode, parse_splitter_spec, syndrome
 from magrec.reconstruction import (
@@ -173,6 +175,28 @@ def test_transmitted_word_near_int64_limit_rejected():
     assert max(max(r) for r in Y.reads) == ENTRY_LIMIT - 1
 
 
+def drawn_trials(seed, size, count, trials):
+    """The sorted index rows of random trials 0, ..., trials - 1 of ``seed``
+    on a ball of ``size`` rows, by the definition of the ``channel``
+    docstring, drawn one trial at a time: the ``count`` smallest of ``size``
+    keys (argsort, not a partition, of one ``random(size)`` call per trial)
+    when the ball exceeds ``count`` by at most ``_DENSE_SLACK`` rows, else
+    one ``choice`` call per trial."""
+    rng = rng_for(seed)
+    if size - count <= channel._DENSE_SLACK:
+        picks = (np.argsort(rng.random(size), kind="stable")[:count] for _ in range(trials))
+    else:
+        picks = (
+            rng.choice(size, count, replace=False, shuffle=False) for _ in range(trials)
+        )
+    return [sorted(int(i) for i in pick) for pick in picks]
+
+
+#: ``_DENSE_SLACK`` of each branch: the small balls here draw keys at the
+#: default slack, and call ``choice`` at a slack of -1.
+BRANCHES = {"dense": channel._DENSE_SLACK, "sparse": -1}
+
+
 @CHECKS
 @given(channels(max_n=4), st.data())
 def test_generated_read_sets_match_tuple_built(p, data):
@@ -182,7 +206,7 @@ def test_generated_read_sets_match_tuple_built(p, data):
     count = data.draw(st.integers(1, len(ball)))
     seed = data.draw(st.integers(0, 2**32))
 
-    idx = rng_for(seed).choice(len(ball), size=count, replace=False)
+    (idx,) = drawn_trials(seed, len(ball), count, 1)
     Y = generate_reads(x, p, count, seed=seed)
     assert Y.reads == oracle_read_set([shifted[int(i)] for i in idx], p.n)
 
@@ -344,8 +368,11 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
     per_stack = data.draw(st.integers(1, 4))
     trials = data.draw(st.sampled_from([1, per_stack, per_stack + 1, 3 * per_stack - 1]))
     seed = data.draw(st.integers(0, 2**32))
-    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * count * p.n):
+    slack = data.draw(st.sampled_from(list(BRANCHES.values())))
+    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * count * p.n), \
+            mock.patch.object(channel, "_DENSE_SLACK", slack):
         random_stacks = list(channel.read_sets(x, p, count, "random", trials, seed))
+        want = drawn_trials(seed, len(ball), count, trials)
         sampled = list(sampled_read_sets(x, p, count, trials, seed))
         exhaustive = (
             list(channel.read_sets(x, p, count, "exhaustive"))
@@ -362,17 +389,114 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
     def flat(got):
         return [tuple(map(tuple, m)) for s in got for m in s.tolist()]
 
-    def drawn(rng):
-        return oracle_read_set(
-            [shifted[int(i)] for i in rng.choice(len(ball), size=count, replace=False)], p.n
-        )
+    def read_set(idx):
+        return oracle_read_set([shifted[int(i)] for i in idx], p.n)
 
-    assert flat(random_stacks) == [drawn(rng_for(seed + i)) for i in range(trials)]
+    assert flat(random_stacks) == [read_set(idx) for idx in want]
     rng = rng_for(seed)
-    assert flat(sampled) == [drawn(rng) for _ in range(trials)]
+    assert flat(sampled) == [
+        read_set(rng.choice(len(ball), size=count, replace=False)) for _ in range(trials)
+    ]
     if exhaustive is not None:
         assert all(len(s) <= per_stack for s in exhaustive)
         assert flat(exhaustive) == [oracle_read_set(c, p.n) for c in combinations(shifted, count)]
+
+
+def _index_rows(stacks, x, p):
+    """The ball row indices, in lexicographic ball order, of each read set of
+    ``stacks`` drawn around x."""
+    ball = oracle_ball(p.n, p.t, p.k_plus, p.k_minus)
+    position = {row: i for i, row in enumerate(ball)}
+    return [
+        tuple(position[tuple(v - c for v, c in zip(read, x))] for read in matrix)
+        for stack in stacks for matrix in stack.tolist()
+    ]
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_random_trials_are_uniform_over_the_subsets(name, monkeypatch):
+    # all 10 two-subsets of a 5-row ball, 20,000 trials at one seed: the
+    # chi-square statistic (9 degrees of freedom) stays below 27.88, its
+    # 0.1% tail
+    monkeypatch.setattr(channel, "_DENSE_SLACK", BRANCHES[name])
+    p = ChannelParams(4, 1, 1, 0)
+    trials = 20_000
+    stacks = channel.read_sets((0,) * 4, p, 2, "random", trials, seed=15)
+    counts = Counter(_index_rows(stacks, (0,) * 4, p))
+    assert sorted(counts) == list(combinations(range(5), 2))
+    expected = trials / 10
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 27.88
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_trial_i_depends_on_neither_the_stack_size_nor_the_trial_count(name, monkeypatch):
+    monkeypatch.setattr(channel, "_DENSE_SLACK", BRANCHES[name])
+    p, x, N, k = ChannelParams(5, 2, 1, 1), (1, 0, -2, 0, 3), 7, 40
+    size = len(oracle_ball(5, 2, 1, 1))
+
+    def trials(count):
+        return _index_rows(channel.read_sets(x, p, N, "random", count, seed=9), x, p)
+
+    full = trials(3 * k)
+    assert trials(k) == full[:k]
+    monkeypatch.setattr(channel, "_STACK_BYTES", 8 * N * p.n)
+    assert len(list(channel.read_sets(x, p, N, "random", 5, seed=9))) == 5
+    assert trials(3 * k) == full
+    assert [list(row) for row in full] == drawn_trials(9, size, N, 3 * k)
+    if name == "dense":
+        # the replay the docs give: trial i alone from i + 1 rows of keys
+        i = 2 * k + 1
+        keys = rng_for(9).random((i + 1, size))[i]
+        assert list(full[i]) == sorted(np.argsort(keys)[:N].tolist())
+
+
+def test_neighbouring_seeds_share_no_read_set():
+    # the recon-trials explicit point: delta = 2, N = 337 of 1161 reads
+    p, N = ChannelParams(10, 3, 1, 1), 337
+    x = (0,) * 10
+    draws = [
+        {s.tobytes() for stack in channel.read_sets(x, p, N, "random", 100, seed)
+         for s in stack}
+        for seed in (41, 42)
+    ]
+    assert len(draws[0]) == len(draws[1]) == 100
+    assert not draws[0] & draws[1]
+
+
+def test_sparse_draws_on_a_large_ball_stay_within_the_byte_bound():
+    p, N, trials = ChannelParams(13, 4, 1, 1), 10, 5000
+    size = ball_size(p)
+    assert size >= 10**4 and size - N > channel._DENSE_SLACK
+    blocks = list(channel._random_blocks(size, N, p.n, trials, rng_for(3)))
+    assert sum(map(len, blocks)) == trials
+    assert all(b.nbytes <= channel._STACK_BYTES // p.n for b in blocks)
+    sets = 0
+    for stack in channel.read_sets((0,) * 13, p, N, "random", trials, seed=3):
+        check_stack(stack, p)  # every set's reads distinct and sorted
+        sets += len(stack)
+    assert sets == trials
+
+
+class _KeySpy:
+    """A generator that records the shape of each ``random`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("size, N, n", [(64, 7, 7), (1161, 337, 10), (20_000, 19_000, 2)])
+def test_dense_key_blocks_stay_within_the_byte_bound(size, N, n):
+    spy = _KeySpy(rng_for(1))
+    trials = 300
+    blocks = list(channel._random_blocks(size, N, n, trials, spy))
+    assert sum(map(len, blocks)) == trials and spy.shapes
+    for rows, keys in spy.shapes:
+        assert keys == size
+        assert rows * size * 8 <= max(channel._STACK_BYTES, 8 * (N + channel._DENSE_SLACK))
 
 
 def decode_one_by_one(alg, Y, tau, code, delta, a):
