@@ -14,7 +14,8 @@ mode is one of the CLI's ``--reads`` words: "random", "adversarial"
 (heaviest errors first) or "exhaustive" (every N-subset of the ball).
 ``generate_reads(x, p, N, reads, seed)`` draws one random or adversarial
 set, and ``run_trial(code, algorithm, x, p, N, delta, a, reads, seed)``
-decodes it.
+decodes it.  ``score_sets`` scores the rows (set, codeword) that
+``decode_read_sets`` decodes a stack into: x on a set's list is success.
 
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
@@ -239,17 +240,24 @@ class TrialRecord:
 
 def decode_read_sets(
     entry: reconstruction.Algorithm, plan: reconstruction.ReadPlan, code: Code,
-    p: ChannelParams, delta: int, a: int, stacks: Iterable[np.ndarray],
+    p: ChannelParams, delta: int, a: int, stack: np.ndarray,
     cap: int = DEFAULT_ENUM_CAP,
-) -> Iterator[tuple[Vec, ...]]:
-    """The algorithm's output for each read set of each stack, in order; a
-    set it cannot decode gives the empty output.  Each stack is checked once
-    (``reconstruction.check_stack``) and decoded as a whole; ``cap`` bounds
-    the decoder's balls and erasure fills."""
-    decode = entry.decoder(plan)
-    for stack in stacks:
-        reconstruction.check_stack(stack, p)
-        yield from decode(stack, p, plan.tau, code, delta, a, cap)
+) -> reconstruction.Decoded:
+    """The algorithm's rows (owner, words) for one stack of read sets, which
+    is checked once (``reconstruction.check_stack``) and decoded as a whole;
+    a set it cannot decode owns no row.  ``cap`` bounds the decoder's balls
+    and erasure fills."""
+    reconstruction.check_stack(stack, p)
+    return entry.decoder(plan)(stack, p, plan.tau, code, delta, a, cap)
+
+
+def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.ndarray, ...]:
+    """Per set of a decoded stack of ``sets`` sets, its list size and
+    whether x is on its list, as two (sets,) arrays."""
+    owner, words = decoded
+    sizes = np.bincount(owner, minlength=sets)
+    hits = np.bincount(owner[(words == x).all(axis=1)], minlength=sets) > 0
+    return sizes, hits
 
 
 def run_trial(
@@ -268,9 +276,9 @@ def run_trial(
     plan = entry.plan(p, delta, a)
     Y = generate_reads(x, p, N, reads, seed)
     start = time.monotonic_ns()
-    (outputs,) = decode_read_sets(entry, plan, code, p, delta, a, (Y.stack,))
+    decoded = decode_read_sets(entry, plan, code, p, delta, a, Y.stack)
     elapsed = time.monotonic_ns() - start
-    success = entry.succeeded(x, outputs)
+    (size,), (success,) = score_sets(decoded, 1, x)
     return TrialRecord(
-        RNG_NAME, seed, 0, p, algorithm, len(Y), success, len(outputs), elapsed
+        RNG_NAME, seed, 0, p, algorithm, len(Y), bool(success), int(size), elapsed
     )

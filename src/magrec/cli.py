@@ -99,8 +99,13 @@ def single_value(flag: str, text: str) -> int:
     return values[0]
 
 
-def parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def parse_vector(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of --``flag``; a malformed value raises
+    ValueError naming the flag and the value."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--{flag}: bad vector {text!r} (expected comma-separated integers)")
 
 
 def load_vectors(path: str) -> list[tuple[int, ...]]:
@@ -274,8 +279,8 @@ def cmd_intersect(args) -> int:
 def cmd_distance(args) -> int:
     if not args.kp:
         raise ValueError("distance needs --kp")
-    x = parse_vector(args.x)
-    y = parse_vector(args.y)
+    x = parse_vector("x", args.x)
+    y = parse_vector("y", args.y)
     kp = single_value("kp", args.kp)
     km = single_value("km", args.km)
     report = Report(["x", "y", "kp", "km", "distance"], args.format, args.explain)
@@ -328,7 +333,7 @@ def _transmitted_word(code, n: int, text: str | None = None) -> tuple[int, ...]:
     """The codeword --x names, or by default the zero word, or the first
     codeword of an explicit code that does not contain zero."""
     if text:
-        x = parse_vector(text)
+        x = parse_vector("x", text)
         if not code.contains(x):
             raise ValueError(f"--x {text} is not a codeword")
         return x
@@ -357,24 +362,20 @@ def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: in
 
 def _trials(args, report: Report, entry, plan, code, p: ChannelParams, delta: int,
             a: int, x, N: int, reads: str):
-    """Yield (output, success, elapsed_ns) for each read set of one point,
-    drawn by ``channel.read_sets`` a stack at a time and decoded by
-    ``channel.decode_read_sets``; when N distinct reads cannot come from the
-    ball, note the point as skipped and yield nothing.  A stack's sets are
-    drawn and decoded together, so each gets an equal share of their time,
-    which is 0 unless --timings is given."""
+    """Yield (sizes, hits, share) for each stack of one point, drawn by
+    ``channel.read_sets``: the ``channel.score_sets`` of its
+    ``channel.decode_read_sets`` rows, and each set's equal share of the
+    elapsed ns (0 unless --timings is given).  When N distinct reads cannot
+    come from the ball, note the point as skipped and yield nothing."""
     size = combinatorics.ball_size(p)
     if N > size:
         report.note(_skip_note(*astuple(p), f"N={N} exceeds ball size {size}"))
         return
-    succeeded = entry.succeeded
     start = time.monotonic_ns()
     for stack in channel.read_sets(x, p, N, reads, args.trials, args.seed, args.cap):
-        decoded = channel.decode_read_sets(entry, plan, code, p, delta, a, (stack,), args.cap)
-        outputs = list(decoded)
-        share = (time.monotonic_ns() - start) // len(outputs) if args.timings else 0
-        for out in outputs:
-            yield out, succeeded(x, out), share
+        decoded = channel.decode_read_sets(entry, plan, code, p, delta, a, stack, args.cap)
+        share = (time.monotonic_ns() - start) // len(stack) if args.timings else 0
+        yield (*channel.score_sets(decoded, len(stack), x), share)
         start = time.monotonic_ns()
 
 
@@ -390,11 +391,10 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
     )
     x = _transmitted_word(code, p.n, args.x)
     sets = successes = longest = 0
-    for out, success, _ in _trials(args, report, entry, plan, code, p, delta, a, x, N, args.reads):
-        sets += 1
-        successes += success
-        if len(out) > longest:
-            longest = len(out)
+    for sizes, hits, _ in _trials(args, report, entry, plan, code, p, delta, a, x, N, args.reads):
+        sets += len(sizes)
+        successes += int(hits.sum())
+        longest = max(longest, int(sizes.max()))
     return dict(
         alg=args.alg, code=args.code, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus,
         delta=delta, a=a, N=N, tau="" if plan.tau is None else plan.tau, sets=sets,
@@ -449,12 +449,12 @@ def cmd_simulate(args) -> int:
             continue
         x = _transmitted_word(code, p.n)
         trials = _trials(args, report, entry, plan, code, p, delta, 0, x, N, "random")
-        records = [
-            channel.TrialRecord(
-                channel.RNG_NAME, args.seed, i, p, args.alg, N, success, len(out), elapsed
-            )
-            for i, (out, success, elapsed) in enumerate(trials)
-        ]
+        records = []
+        for sizes, hits, share in trials:
+            for size, hit in zip(sizes.tolist(), hits.tolist()):
+                records.append(channel.TrialRecord(
+                    channel.RNG_NAME, args.seed, len(records), p, args.alg, N, hit, size, share
+                ))
         if records:
             successes = sum(record.success for record in records)
             status |= successes < len(records)

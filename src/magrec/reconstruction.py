@@ -24,12 +24,13 @@ Read sets are decoded in stacks: an (S, N, n) int64 array of S sets of N
 distinct reads, each set's rows in lexicographic order.  ``check_stack``
 checks a stack once; the minimum, the plurality vote, the anchors (each
 set's first read) and the cover check then run over all S sets at once,
-and every algorithm of ``ALGORITHMS`` decodes a whole stack into one output
-per set.  Erasure filling builds the candidates of all sets of a stack as
-owner-tagged int64 blocks within ``_CANDIDATE_BYTES``, and each block is
-decoded by one ``Code.decode_rows`` call, a table lookup for lattice codes.
-A ``ReadSet`` is a single (N, n) matrix, and the per-set procedures above
-decode it as a stack of one.
+and every algorithm of ``ALGORITHMS`` decodes a whole stack into its
+``Decoded`` rows (set, codeword); a set owning no row failed, and x came
+back from a set exactly when (set, x) is a row.  Erasure filling builds the
+candidates of all sets of a stack as owner-tagged int64 blocks within
+``_CANDIDATE_BYTES``, and each block is decoded by one ``Code.decode_rows``
+call, a table lookup for lattice codes.  A ``ReadSet`` is a single (N, n)
+matrix, and the per-set procedures above decode it as a stack of one.
 
 The vote compares twice a count minus N with the threshold tau = num/den
 as the integer test (2c - N) den > num: in int64 while N den and |num| stay
@@ -42,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, groupby, product
-from operator import and_, itemgetter
+from itertools import combinations, product
+from operator import and_
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -64,9 +65,11 @@ from magrec.combinatorics import ball_matrix, binom, hamming_volume
 #: Byte budget of one block of candidate rows.
 _CANDIDATE_BYTES = 128 * 2**10
 
-#: The decoders' outputs, one per read set: a tuple of codewords, empty
-#: when the set could not be decoded.
-Outputs = list[tuple[Vec, ...]]
+#: A decoder's result for a stack: ``owner``, a (K,) intp array of set
+#: indices, and ``words``, the (K, n) int64 matrix of the distinct codewords
+#: found, rows sorted by set and then lexicographically; a unique decoder
+#: gives a set at most one row.
+Decoded = tuple[np.ndarray, np.ndarray]
 
 
 def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -173,20 +176,20 @@ def reads_required_min(p: ChannelParams, delta: int) -> int:
     return p.k_plus**delta * hamming_volume(p.k_plus + 1, p.n - delta, p.t - delta) + 1
 
 
-def _unique(outputs: Outputs, failure: str) -> Vec:
-    """The codeword a unique decoder found for a stack of one; raises
-    ReconstructionError(failure) when it found none."""
-    (out,) = outputs
-    if not out:
+def _rows(decoded: Decoded, failure: str = "") -> tuple[Vec, ...]:
+    """The codewords of a decoded stack of one, as tuples; a nonempty
+    ``failure`` is raised as a ReconstructionError when there are none."""
+    words = tuple(map(tuple, decoded[1].tolist()))
+    if failure and not words:
         raise ReconstructionError(failure)
-    return out[0]
+    return words
 
 
-def _decode_each(words: np.ndarray, code: Code, delta: int, p: ChannelParams, cap: int) -> Outputs:
-    """Per row of ``words``, the codeword it decodes to within radius
-    delta - 1 as a 1-tuple, or () when it decodes to none."""
+def _decode_each(words: np.ndarray, code: Code, delta: int, p: ChannelParams, cap: int) -> Decoded:
+    """Row i of ``words`` decoded within radius delta - 1, as the row
+    (i, codeword) when it decodes."""
     C, found = code.decode_rows(words, delta - 1, p, cap)
-    return [(tuple(c),) if ok else () for c, ok in zip(C.tolist(), found.tolist())]
+    return found.nonzero()[0], C[found]
 
 
 def _decode_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
@@ -203,10 +206,10 @@ def reconstruct_min(Y: ReadSet, code: Code, delta: int, cap: int = DEFAULT_ENUM_
     codeword; on fewer or inconsistent reads the decode fails and a
     ReconstructionError reports the violated precondition.
     """
-    return _unique(
+    return _rows(
         _decode_min(Y.stack, Y.params, None, code, delta, 0, cap),
         "decode failed: reads are not from a single codeword ball or too few",
-    )
+    )[0]
 
 
 def majority_threshold(p: ChannelParams, delta: int) -> tuple[int, Fraction]:
@@ -323,11 +326,12 @@ def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
     """Per set: majority estimate, erasure filling, unique decode, and the
     first decoded candidate whose ball covers every read of the set.  Each
     block of candidates is decoded at once; then each round checks, in one
-    cover test, the next decoded candidate of every set still open."""
+    cover test, the next decoded candidate of every set still open, and
+    closes the sets it covers."""
     _require_k_minus_positive(p, "majority")
     best, keep = majority_votes(stack, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
-    outputs: Outputs = [()] * len(stack)
+    chosen = np.zeros((len(stack), p.n), dtype=np.int64)
     is_open = np.ones(len(stack), dtype=bool)
     for owner, rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap):
         C, found = code.decode_rows(rows, delta - 1, p, cap)
@@ -338,12 +342,12 @@ def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
             np.not_equal(owner[1:], owner[:-1], out=first[1:])
             sets, words = owner[first], C[first]
             covered = _covering(words, stack[sets], p)
-            for s, c in zip(sets[covered].tolist(), words[covered].tolist()):
-                outputs[s] = (tuple(c),)
+            chosen[sets[covered]] = words[covered]
             is_open[sets[covered]] = False
             rest = ~first & is_open[owner]
             owner, C = owner[rest], C[rest]
-    return outputs
+    closed = (~is_open).nonzero()[0]
+    return closed, chosen[closed]
 
 
 def reconstruct_majority(
@@ -356,10 +360,10 @@ def reconstruct_majority(
     ball the unique covering candidate is the transmitted codeword; the
     candidate loop returns the first passing one, which is then unique.
     """
-    return _unique(
+    return _rows(
         _decode_majority(Y.stack, Y.params, tau, code, delta, 0, cap),
         "no candidate covers the reads: reads are not from a single codeword ball",
-    )
+    )[0]
 
 
 def list_params_min(p: ChannelParams, delta: int, a: int) -> int:
@@ -374,32 +378,23 @@ def list_params_min(p: ChannelParams, delta: int, a: int) -> int:
     )
 
 
-def _decode_lists(
-    blocks, sets: int, code: Code, delta: int, p: ChannelParams, cap: int
-) -> Outputs:
-    """Per set, the sorted distinct codewords its rows decode to within
-    radius delta - 1, failures dropped; ``blocks`` yields the (owner, rows)
-    of ``sets`` sets in set order.  The (set, codeword) rows are kept
-    distinct by ``np.unique`` (the order of sorted tuples) until a block
-    ends past their set."""
-    outputs: Outputs = [()] * sets
+def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) -> Decoded:
+    """The distinct rows (set, codeword) of the rows that ``blocks`` yields
+    as (owner, rows), in set order, decoded within radius delta - 1,
+    failures dropped.  The rows of a set are kept distinct by ``np.unique``
+    (the order of sorted tuples) until a block ends past the set."""
+    finished = []
     tagged = np.zeros((0, p.n + 1), dtype=np.int64)
     for owner, rows in blocks:
         C, found = code.decode_rows(rows, delta - 1, p, cap)
         hits = np.column_stack((owner[found], C[found]))
         tagged = np.unique(np.concatenate((tagged, hits)), axis=0)
         done = np.searchsorted(tagged[:, 0], owner[-1])
-        _store_lists(outputs, tagged[:done])
+        # a copy: a view would keep every block's whole array alive
+        finished.append(tagged[:done].copy())
         tagged = tagged[done:]
-    _store_lists(outputs, tagged)
-    return outputs
-
-
-def _store_lists(outputs: Outputs, tagged: np.ndarray) -> None:
-    """outputs[s] = the codewords of the rows (s, codeword) of ``tagged``."""
-    words = zip(tagged[:, 0].tolist(), map(tuple, tagged[:, 1:].tolist()))
-    for s, group in groupby(words, key=itemgetter(0)):
-        outputs[s] = tuple(c for _, c in group)
+    tagged = np.concatenate(finished + [tagged])
+    return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
 def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
@@ -408,7 +403,7 @@ def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
     shifts = ball_matrix(p.n, a, p.k_plus, 0, cap=cap)
     z = stack.min(axis=1)
     blocks = _candidates(z, np.zeros(z.shape, dtype=bool), z, shifts, p, cap)
-    return _decode_lists(blocks, len(z), code, delta, p, cap)
+    return _decode_lists(blocks, code, delta, p, cap)
 
 
 def list_reconstruct_min(
@@ -420,8 +415,7 @@ def list_reconstruct_min(
 
     Decode failures are dropped; the list is returned sorted.
     """
-    (out,) = _decode_list_min(Y.stack, Y.params, None, code, delta, a, cap)
-    return out
+    return _rows(_decode_list_min(Y.stack, Y.params, None, code, delta, a, cap))
 
 
 def list_params_general(p: ChannelParams, delta: int, a: int) -> tuple[int, Fraction]:
@@ -450,7 +444,7 @@ def _decode_list_majority(
     best, keep = majority_votes(stack, tau)
     shifts = ball_matrix(p.n, a, p.k_plus, p.k_minus, cap=cap)
     blocks = _candidates(best, ~keep, stack[:, 0], shifts, p, cap)
-    return _decode_lists(blocks, len(best), code, delta, p, cap)
+    return _decode_lists(blocks, code, delta, p, cap)
 
 
 def list_reconstruct_majority(
@@ -464,8 +458,7 @@ def list_reconstruct_majority(
     the list, and the list size is at most
     (k+ + k- + 1)^(2 t (delta + a)) * V(n, a).
     """
-    (out,) = _decode_list_majority(Y.stack, Y.params, tau, code, delta, a, cap)
-    return out
+    return _rows(_decode_list_majority(Y.stack, Y.params, tau, code, delta, a, cap))
 
 
 def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
@@ -513,29 +506,30 @@ def sauer_reads_required(p: ChannelParams, delta: int, a: int) -> int:
     return hamming_volume(p.magnitude_span + 1, p.n, f - 1 - a) + 1
 
 
-def _sauer_list(
-    M: np.ndarray, p: ChannelParams, code: Code, delta: int, a: int, cap: int
-) -> tuple[Vec, ...]:
-    """The Sauer list of one read set, given as its (N, n) matrix; raises
-    ReconstructionError when the coordinate search finds no witness."""
+def _sauer_list(M: np.ndarray, p: ChannelParams, delta: int, a: int, cap: int) -> np.ndarray:
+    """The candidates of the Sauer list of one read set, given as its (N, n)
+    matrix; raises ReconstructionError when the coordinate search finds no
+    witness."""
     f = _list_excess(p, delta, a)
     lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
     U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, f - a, cap)
-    rows = _sauer_candidates(M, p, U, f, cap)
-    (out,) = _decode_lists([(np.zeros(len(rows), dtype=np.intp), rows)], 1, code, delta, p, cap)
-    return out
+    return _sauer_candidates(M, p, U, f, cap)
 
 
 def _decode_sauer(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     """Per set: the Sauer list, empty where the coordinate search fails.
-    The search is combinatorial per set, so the sets go one by one."""
-    outputs: Outputs = []
-    for M in stack:
-        try:
-            outputs.append(_sauer_list(M, p, code, delta, a, cap))
-        except ReconstructionError:
-            outputs.append(())
-    return outputs
+    The search is combinatorial per set, so each set's candidates are built
+    alone, as one block of one ``_decode_lists`` pass over the stack."""
+
+    def blocks():
+        for s, M in enumerate(stack):
+            try:
+                rows = _sauer_list(M, p, delta, a, cap)
+            except ReconstructionError:
+                continue
+            yield np.full(len(rows), s, dtype=np.intp), rows
+
+    return _decode_lists(blocks(), code, delta, p, cap)
 
 
 def list_reconstruct_sauer(
@@ -552,7 +546,9 @@ def list_reconstruct_sauer(
     the transmitted codeword.  Needs |Y| > V(n, f - 1 - a); the list size is
     at most (k+ + k- + 1)^(2(f - a)) * V(n - f + a, a).
     """
-    return _sauer_list(Y.matrix, Y.params, code, delta, a, cap)
+    rows = _sauer_list(Y.matrix, Y.params, delta, a, cap)
+    owner = np.zeros(len(rows), dtype=np.intp)
+    return _rows(_decode_lists([(owner, rows)], code, delta, Y.params, cap))
 
 
 def _sauer_candidates(
@@ -646,25 +642,20 @@ ONE_READ = ReadPlan(1, None, "unique-decode")
 class Algorithm:
     """An entry of ``ALGORITHMS``: ``plan(p, delta, a)`` raises ValueError on
     a channel the algorithm cannot handle, and ``decoder(plan)(stack, p,
-    plan.tau, code, delta, a, cap)`` decodes a checked stack into one output
-    per read set: a tuple of at most ``list_size_bound(p, delta, a)``
-    codewords, empty where the set could not be decoded.  ``cap`` bounds
-    every ball and erasure-fill enumeration.
+    plan.tau, code, delta, a, cap)`` decodes a checked stack into its
+    ``Decoded`` rows, at most ``list_size_bound(p, delta, a)`` per read set
+    and none where the set could not be decoded.  ``cap`` bounds every ball
+    and erasure-fill enumeration.
     """
 
     plan: Callable[[ChannelParams, int, int], ReadPlan]
-    decode: Callable[..., Outputs]
-    is_list: bool
+    decode: Callable[..., Decoded]
     list_size_bound: Callable[[ChannelParams, int, int], int]
 
     def decoder(self, plan: ReadPlan):
         """``decode``, or under the one-read plan a radius-(delta - 1)
         decode of each set's anchor read."""
         return _decode_one_read if plan.anchor == ONE_READ.anchor else self.decode
-
-    def succeeded(self, x: Vec, outputs: tuple[Vec, ...]) -> bool:
-        """x is on the list, or for a unique decoder the only output."""
-        return x in outputs if self.is_list else outputs == (x,)
 
 
 def _plan_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
@@ -701,11 +692,11 @@ def _list_min_size_bound(p: ChannelParams, delta: int, a: int) -> int:
 
 #: Algorithm name -> read plan, decoder and list-size bound.
 ALGORITHMS: dict[str, Algorithm] = {
-    "min": Algorithm(_plan_min, _decode_min, False, _one),
-    "majority": Algorithm(_plan_majority, _decode_majority, False, _one),
-    "list-min": Algorithm(_plan_list_min, _decode_list_min, True, _list_min_size_bound),
+    "min": Algorithm(_plan_min, _decode_min, _one),
+    "majority": Algorithm(_plan_majority, _decode_majority, _one),
+    "list-min": Algorithm(_plan_list_min, _decode_list_min, _list_min_size_bound),
     "list-majority": Algorithm(
-        _plan_list_majority, _decode_list_majority, True, majority_list_size_bound
+        _plan_list_majority, _decode_list_majority, majority_list_size_bound
     ),
-    "list-sauer": Algorithm(_plan_sauer, _decode_sauer, True, sauer_list_size_bound),
+    "list-sauer": Algorithm(_plan_sauer, _decode_sauer, sauer_list_size_bound),
 }

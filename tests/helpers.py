@@ -5,9 +5,11 @@ The library's own oracles live here, not beside its fast paths:
 definition every ``Code.decode_rows`` meets, and
 ``correction_capability_oracle`` checks that the radius-e balls around a
 code's words are pairwise disjoint.
-``sampled_read_sets`` draws a seeded sub-sample of N-subsets of the ball
-into the channel's stacks, for exhaustive claims whose subset count is out
-of reach; the library's only read generator is ``channel.read_sets``.
+``sampled_read_sets`` names the seeded random read sets of
+``channel.read_sets``, the library's only read generator, as a sub-sample
+of N-subsets of the ball for exhaustive claims whose subset count is out of
+reach.  ``per_set`` turns a decoder's owner-tagged rows back into one tuple
+of codewords per set, the shape the tuple oracles compare.
 
 Everything else here is built from itertools primitives and set arithmetic only,
 deliberately avoiding the code paths under test (the library enumerates
@@ -35,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.channel import _ball_and_shift, _row_blocks, _stacks, rng_for
+from magrec.channel import read_sets
 from magrec.combinatorics import ball_matrix, ball_vectors
 from magrec.core import ERASURE, ChannelParams, EnumerationCapExceeded, Vec
 
@@ -84,13 +86,21 @@ def correction_capability_oracle(
 def sampled_read_sets(
     x: Vec, p: ChannelParams, count: int, samples: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """Stacks of a deterministic seeded sub-sample of N-subsets, all drawn
-    from the one generator of ``seed`` (with replacement over subsets;
-    duplicates are vanishingly rare when C(|ball|, N) is large)."""
-    ball, shift = _ball_and_shift(x, p)
-    rng = rng_for(seed)
-    draws = (rng.choice(len(ball), size=count, replace=False) for _ in range(samples))
-    yield from _stacks(ball, shift, _row_blocks(draws, count, p.n))
+    """Stacks of a deterministic seeded sub-sample of N-subsets: the
+    ``samples`` random read sets of ``seed`` (independent draws, so with
+    replacement over subsets; duplicates are vanishingly rare when
+    C(|ball|, N) is large)."""
+    return read_sets(x, p, count, "random", samples, seed)
+
+
+def per_set(decoded, sets: int) -> list[tuple[Vec, ...]]:
+    """The codewords of each of the ``sets`` sets of a decoded stack, as one
+    tuple per set in row order, empty where the set owns no row."""
+    owner, words = decoded
+    out: list[list[Vec]] = [[] for _ in range(sets)]
+    for s, word in zip(owner.tolist(), words.tolist()):
+        out[s].append(tuple(word))
+    return [tuple(words) for words in out]
 
 
 def oracle_ball(n: int, t: int, kp: int, km: int) -> list[tuple[int, ...]]:

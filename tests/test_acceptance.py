@@ -74,6 +74,7 @@ from magrec.tandem import (
 from helpers import (
     correction_capability_oracle,
     oracle_packing_by_window_pairs,
+    per_set,
     sampled_read_sets,
 )
 
@@ -235,10 +236,11 @@ def run_min_cell(code, p, delta, x, note):
     plan = entry.plan(p, delta, 0)
     if total <= SUBSET_CAP_C4:
         # every N-subset of x + B, in lexicographic subset order
-        stacks = read_sets(x, p, N, "exhaustive", cap=SUBSET_CAP_C4)
-        for i, out in enumerate(decode_read_sets(entry, plan, code, p, delta, 0, stacks)):
-            assert out == (x,), (note, i)
-            checked += 1
+        for stack in read_sets(x, p, N, "exhaustive", cap=SUBSET_CAP_C4):
+            decoded = decode_read_sets(entry, plan, code, p, delta, 0, stack)
+            for out in per_set(decoded, len(stack)):
+                assert out == (x,), (note, checked)
+                checked += 1
         assert checked == total
     else:
         # exact min-image check plus a deterministic sample of real subsets
@@ -248,7 +250,11 @@ def run_min_cell(code, p, delta, x, note):
             assert got == x, (note, z)
             checked += 1
         stacks = sampled_read_sets(x, p, N, 2000, seed=4_000_000)
-        outputs = list(decode_read_sets(entry, plan, code, p, delta, 0, stacks))
+        outputs = [
+            out
+            for stack in stacks
+            for out in per_set(decode_read_sets(entry, plan, code, p, delta, 0, stack), len(stack))
+        ]
         assert outputs == [(x,)] * 2000
     return N, total, checked
 
@@ -309,7 +315,7 @@ def check_majority_budgets(stacks, x, p, delta, tau, code):
         best, keep = majority_votes(stack, tau)
         assert (((best != x) & keep).sum(axis=1) <= delta - 1).all()
         assert ((~keep).sum(axis=1) <= 2 * p.t * delta).all()
-        outputs = list(decode_read_sets(entry, plan, code, p, delta, 0, (stack,)))
+        outputs = per_set(decode_read_sets(entry, plan, code, p, delta, 0, stack), len(stack))
         assert outputs == [(x,)] * len(stack)
         checked += len(stack)
     return checked
@@ -435,11 +441,12 @@ def test_criterion_06_list_guarantees():
         share = -(-per_cell // len(words))
         for word_index, x in enumerate(words):
             seed = 6_000_000 + 10 * cell_index + word_index
-            stacks = sampled_read_sets(x, p, N, share, seed=seed)
-            for L in decode_read_sets(entry, plan, code, p, delta, a, stacks):
-                assert x in L, (decoder, kp, km, n, t, delta, a, x)
-                assert len(L) <= bound, (decoder, len(L), bound)
-                ran += 1
+            for stack in sampled_read_sets(x, p, N, share, seed=seed):
+                decoded = decode_read_sets(entry, plan, code, p, delta, a, stack)
+                for L in per_set(decoded, len(stack)):
+                    assert x in L, (decoder, kp, km, n, t, delta, a, x)
+                    assert len(L) <= bound, (decoder, len(L), bound)
+                    ran += 1
     assert ran >= target_instances
     report(6, f"{ran} instances over {len(usable)} cells ({skips} vacuous skipped)", t0)
 

@@ -42,20 +42,28 @@ def test_reversed_grid_range_is_one_error_line(argv, flag, text, capsys):
     assert captured.err == f"error: --{flag}: range {text} ends below its start\n"
 
 
-@pytest.mark.parametrize("argv, flag, text", [
-    ("ball --n 3:1:2 --t 1 --kp 1", "n", "3:1:2"),
-    ("ball --n 1:x --t 1 --kp 1", "n", "1:x"),
-    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1,x", "kp", "x"),
-    ("reconstruct --alg min --code sum-mod:2 --n 4 --t 2:x --kp 1", "t", "2:x"),
+GRID = "grid value", "A, A:B or a comma list"
+VECTOR = "vector", "comma-separated integers"
+
+
+@pytest.mark.parametrize("argv, flag, text, kind", [
+    ("ball --n 3:1:2 --t 1 --kp 1", "n", "3:1:2", GRID),
+    ("ball --n 1:x --t 1 --kp 1", "n", "1:x", GRID),
+    ("simulate --alg min --code sum-mod:2 --n 2 --t 1 --kp 1,x", "kp", "x", GRID),
+    ("reconstruct --alg min --code sum-mod:2 --n 4 --t 2:x --kp 1", "t", "2:x", GRID),
+    ("distance --x 1,,2 --y 1,2,3 --kp 1", "x", "1,,2", VECTOR),
+    ("distance --x 1,2,3 --y 1,y,3 --kp 1", "y", "1,y,3", VECTOR),
+    ("reconstruct --alg min --code sum-mod:2 --n 2 --t 1 --kp 1 --x 0,", "x", "0,", VECTOR),
 ])
-def test_malformed_grid_value_is_one_error_line_naming_flag_and_value(argv, flag, text, capsys):
+def test_malformed_grid_value_is_one_error_line_naming_flag_and_value(
+    argv, flag, text, kind, capsys
+):
     code = main(argv.split())
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == (
-        f"error: --{flag}: bad grid value {text!r} (expected A, A:B or a comma list)\n"
-    )
+    what, expected = kind
+    assert captured.err == f"error: --{flag}: bad {what} {text!r} (expected {expected})\n"
 
 
 def test_ball_example(capsys):

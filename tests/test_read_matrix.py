@@ -27,6 +27,7 @@ from magrec.channel import (
     exhaustive_read_sets,
     generate_reads,
     rng_for,
+    score_sets,
 )
 from magrec.combinatorics import ball_size
 from magrec.core import ENTRY_LIMIT
@@ -60,6 +61,7 @@ from helpers import (
     oracle_majority_entries,
     oracle_read_set,
     oracle_sauer_candidates,
+    per_set,
     sampled_read_sets,
     sub,
 )
@@ -214,13 +216,9 @@ def test_generated_read_sets_match_tuple_built(p, data):
     Y = generate_reads(x, p, count, "adversarial")
     assert Y.reads == oracle_read_set([add(x, e) for e in heavy], p.n)
 
-    rng = rng_for(seed)
     expected = [
-        oracle_read_set(
-            [shifted[int(i)] for i in rng.choice(len(ball), size=count, replace=False)],
-            p.n,
-        )
-        for _ in range(3)
+        oracle_read_set([shifted[int(i)] for i in idx], p.n)
+        for idx in drawn_trials(seed, len(ball), count, 3)
     ]
     assert [
         tuple(map(tuple, matrix))
@@ -393,10 +391,7 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
         return oracle_read_set([shifted[int(i)] for i in idx], p.n)
 
     assert flat(random_stacks) == [read_set(idx) for idx in want]
-    rng = rng_for(seed)
-    assert flat(sampled) == [
-        read_set(rng.choice(len(ball), size=count, replace=False)) for _ in range(trials)
-    ]
+    assert flat(sampled) == [read_set(idx) for idx in want]
     if exhaustive is not None:
         assert all(len(s) <= per_stack for s in exhaustive)
         assert flat(exhaustive) == [oracle_read_set(c, p.n) for c in combinations(shifted, count)]
@@ -600,7 +595,7 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
             with mock.patch.object(reconstruction, "_CANDIDATE_BYTES", budget), \
                     mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
                 got = ALGORITHMS[alg].decode(stack, p, tau, code, delta, a, 10**7)
-            assert got == expected
+            assert per_set(got, len(stack)) == expected
             # a block is charged four int64 matrices of its rows' shape, and
             # only a block of a single fill may exceed the budget
             for shift_count, owner, rows in blocks:
@@ -622,7 +617,8 @@ def test_erasure_fills_past_the_cap_build_no_row():
             with pytest.raises(EnumerationCapExceeded):
                 decode(stack, p, tau, code, 1, a, worst - 1)
             assert blocks == []
-            assert all((0,) * 6 in out for out in decode(stack, p, tau, code, 1, a, worst))
+            decoded = decode(stack, p, tau, code, 1, a, worst)
+            assert all((0,) * 6 in out for out in per_set(decoded, len(stack)))
             assert blocks
             blocks.clear()
 
@@ -642,7 +638,7 @@ def test_candidate_blocks_bound_the_decode_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all((0,) * 6 in out for out in outputs)
+    assert all((0,) * 6 in out for out in per_set(outputs, len(stack)))
     assert peak < 4 * reconstruction._CANDIDATE_BYTES
 
 
@@ -670,12 +666,29 @@ def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
     # small candidate budgets split the erasure fills into many blocks
     budget = data.draw(st.sampled_from([8, 64, 2**17]))
     with mock.patch.object(reconstruction, "_CANDIDATE_BYTES", budget):
-        got = list(decode_read_sets(entry, plan, code, p, delta, a, stacks))
+        decoded = [decode_read_sets(entry, plan, code, p, delta, a, stack) for stack in stacks]
+        got = [out for d, stack in zip(decoded, stacks) for out in per_set(d, len(stack))]
         assert got == [decode_one_by_one(alg, Y, plan.tau, code, delta, a) for Y in sets]
     if alg in ("min", "majority"):
         assert got == [
             oracle_unique_decode(alg, Y.reads, plan.tau, code.members, delta, p) for Y in sets
         ]
+    for (owner, words), stack in zip(decoded, stacks):
+        assert owner.dtype == np.intp and words.dtype == np.int64
+        assert words.shape == (len(owner), p.n)
+        assert (owner[1:] >= owner[:-1]).all()
+        rows = list(zip(owner.tolist(), words.tolist()))
+        assert all(r < s for r, s in zip(rows, rows[1:]))
+        if not alg.startswith("list"):
+            assert (np.bincount(owner, minlength=len(stack)) <= 1).all()
+        outputs = per_set((owner, words), len(stack))
+        for c in (x, other):
+            sizes, hits = score_sets((owner, words), len(stack), c)
+            assert sizes.tolist() == [len(out) for out in outputs]
+            if alg.startswith("list"):
+                assert hits.tolist() == [c in out for out in outputs]
+            else:
+                assert hits.tolist() == [out == (c,) for out in outputs]
 
 
 def test_erasure_fill_product_respects_the_cap():
