@@ -267,8 +267,8 @@ def run_trial(
     """Generate N reads (``generate_reads``, trial 0 of ``seed``), run the
     selected algorithm, compare with x.
 
-    A ReconstructionError counts as an unsuccessful trial (that is the
-    comparison outcome); genuine usage errors propagate.
+    A read set the algorithm cannot decode is an unsuccessful trial (that
+    is the comparison outcome); genuine usage errors propagate.
     """
     if algorithm not in reconstruction.ALGORITHMS:
         raise ValueError(f"algorithm must be one of {tuple(reconstruction.ALGORITHMS)}")
