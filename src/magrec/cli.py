@@ -45,6 +45,8 @@ from magrec.core import (
     EnumerationCapExceeded,
     ExplicitCode,
     ReconstructionError,
+    parse_int,
+    payload_lines,
 )
 
 #: Internal anchor ids naming the formula behind each emitted value.
@@ -109,12 +111,8 @@ def parse_vector(flag: str, text: str) -> tuple[int, ...]:
 
 
 def load_vectors(path: str) -> list[tuple[int, ...]]:
-    out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(tuple(int(v) for v in line.split(",")))
-    return out
+    lines = payload_lines(Path(path).read_text(encoding="utf-8"), path)
+    return [tuple(parse_int(v, where) for v in line.split(",")) for where, line in lines]
 
 
 def parse_code_spec(text: str, n: int | None = None):
@@ -123,19 +121,17 @@ def parse_code_spec(text: str, n: int | None = None):
     if kind == "sum-mod":
         if n is None:
             raise ValueError("sum-mod codes need --n")
-        modulus = int(rest)
+        modulus = parse_int(rest, "--code")
         spec = lattice.SplitterSpec(lattice.cyclic(modulus), ((1,),) * n)
         return lattice.LatticeCode(spec)
     if kind == "splitter":
         return lattice.LatticeCode(lattice.parse_splitter_spec(rest))
-    if kind == "explicit":
+    if kind in ("explicit", "simplex"):
         if not rest.startswith("@"):
-            raise ValueError("explicit codes are loaded from a file: explicit:@FILE")
-        return ExplicitCode(load_vectors(rest[1:]))
-    if kind == "simplex":
-        if not rest.startswith("@"):
-            raise ValueError("simplex codes are loaded from a file: simplex:@FILE")
-        return tandem.parse_simplex_code(Path(rest[1:]).read_text(encoding="utf-8"))
+            raise ValueError(f"{kind} codes are loaded from a file: {kind}:@FILE")
+        if kind == "explicit":
+            return ExplicitCode(load_vectors(rest[1:]))
+        return tandem.parse_simplex_code(Path(rest[1:]).read_text(encoding="utf-8"), rest[1:])
     raise ValueError(f"unknown code spec {text!r}")
 
 

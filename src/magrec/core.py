@@ -14,7 +14,7 @@ one cached table once per decode, so all of it is safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -52,6 +52,22 @@ def check_entries(lo: int, hi: int) -> None:
         raise ValueError(
             f"entries in [{lo}, {hi}] exceed the int64-safe magnitude 2**62"
         )
+
+
+def parse_int(text: str, where: str) -> int:
+    """``int(text)``; a malformed integer is a ValueError naming ``where``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad integer {text.strip()!r}") from None
+
+
+def payload_lines(text: str, source: str) -> Iterator[tuple[str, str]]:
+    """(where, line) of each non-blank line of code file ``source``, ``#``
+    comments cut off; ``where`` names the file and line for ``parse_int``."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        if line := raw.split("#", 1)[0].strip():
+            yield f"{source} line {number}", line
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from magrec.core import (
     Code,
     EnumerationCapExceeded,
     Vec,
+    parse_int,
 )
 from magrec import combinatorics
 
@@ -415,7 +416,7 @@ def packing_by_differences(
 
 def parse_splitter_spec(text: str) -> SplitterSpec:
     """Parse ``group=Z4xZ3; s=[(1,0),(0,2),(1,1)]`` (rank-1 groups may list
-    bare integers: ``group=Z7; s=[1,2]``)."""
+    bare integers: ``group=Z7; s=[1,2]``); a bad integer names --code."""
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 2:
         raise ValueError(f"expected 'group=...; s=[...]', got {text!r}")
@@ -427,7 +428,7 @@ def parse_splitter_spec(text: str) -> SplitterSpec:
         token = token.strip()
         if not token.startswith("Z") or not token[1:].isdigit():
             raise ValueError(f"bad cyclic factor {token!r}")
-        moduli.append(int(token[1:]))
+        moduli.append(parse_int(token[1:], "--code"))
     group = FiniteAbelianGroup(tuple(moduli))
     if not spart.startswith("s=[") or not spart.endswith("]"):
         raise ValueError(f"missing 's=[...]' in {text!r}")
@@ -454,9 +455,9 @@ def parse_splitter_spec(text: str) -> SplitterSpec:
             token = token.strip()
             if not (token.startswith("(") and token.endswith(")")):
                 raise ValueError(f"bad group element {token!r}")
-            coords = [int(c) for c in token[1:-1].split(",")]
+            coords = [parse_int(c, "--code") for c in token[1:-1].split(",")]
             elems.append(group.element(coords))
     else:
         for token in body.split(","):
-            elems.append(group.element((int(token.strip()),) * 1))
+            elems.append(group.element((parse_int(token, "--code"),)))
     return SplitterSpec(group, tuple(elems))

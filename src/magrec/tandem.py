@@ -17,20 +17,22 @@ here work shell by shell.
 The error-ball enumerator (``combinatorics._lex_rows``, each excess costing
 itself) builds the excess vectors of B_t^+(0) as a lexicographically
 ordered int64 matrix; a shell w is a row of B_w^+(0) one coordinate shorter
-followed by the excess it leaves, so it depends only on (m + 1, w) and is
-built once for every codeword.  Read sets come in the channel's byte-bounded
-(S, N, m + 1) stacks: every N-subset of a shell, shifted by x.  The decode
-takes each set's componentwise minimum over the stack, decodes each distinct
-minimum once with ``SimplexCode.decode_upward`` and maps the result back to
-its sets.  Reads are int64, so x plus any excess must stay below 2**62
+followed by the excess it leaves, so it depends only on (m + 1, w).  A read
+set of x + shell has componentwise minimum x + z, z the minimum of its
+subset of the shell, so a command walks each shell once: it counts the
+distinct minima of the shell's N-subsets, taken in the channel's
+byte-bounded index blocks, and each codeword decodes x + z once per
+distinct z with ``SimplexCode.decode_upward``, the only decoder, weighted
+by that count.  x plus any excess must stay below 2**62
 (``core.check_entries``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -44,6 +46,8 @@ from magrec.core import (
     ReconstructionError,
     Vec,
     check_entries,
+    parse_int,
+    payload_lines,
 )
 
 
@@ -155,21 +159,6 @@ class SimplexCode:
         return None
 
 
-def decode_min_stack(
-    stack: np.ndarray, code: SimplexCode, delta: int
-) -> tuple[list[Optional[Vec]], np.ndarray]:
-    """Min-decode an (S, N, m + 1) stack of read sets: each set's
-    componentwise minimum, then a radius-(delta - 1) upward decode.
-
-    Sets often share their minimum, so each distinct minimum is decoded
-    once.  Returns the decodes of the distinct minima (None where the decode
-    fails) and, per set, the index of its minimum among them.
-    """
-    distinct, inverse = np.unique(stack.min(axis=1), axis=0, return_inverse=True)
-    decodes = [code.decode_upward(tuple(z), delta - 1) for z in distinct.tolist()]
-    return decodes, inverse.reshape(-1)
-
-
 def reconstruct_simplex_min(
     Y: Iterable[Vec], code: SimplexCode, delta: int
 ) -> Vec:
@@ -178,10 +167,10 @@ def reconstruct_simplex_min(
     Exact for constant-excess read sets of size >= reads_required_simplex.
     """
     reads = [tuple(y) for y in Y]
-    if not reads:
-        raise ValueError("read set must be nonempty")
+    if {len(y) for y in reads} != {code.m + 1}:
+        raise ValueError(f"read set must be nonempty, of length-{code.m + 1} reads")
     check_entries(min(map(min, reads)), max(map(max, reads)))
-    (c,), _ = decode_min_stack(np.array([reads], dtype=np.int64), code, delta)
+    c = code.decode_upward(tuple(map(min, zip(*reads))), delta - 1)
     if c is None:
         raise ReconstructionError(
             "upward decode failed: reads are not from one codeword's upward ball "
@@ -190,36 +179,37 @@ def reconstruct_simplex_min(
     return c
 
 
-def _read_set_stacks(
-    members: tuple[Vec, ...], t: int, count: int, cap: int
-) -> Iterator[tuple[Vec, np.ndarray]]:
-    """(x, stack) for every x in ``members``: stacks of every ``count``-subset
-    of each constant-excess shell of B_t^+(x), shell by shell, in
-    lexicographic subset order.  Each shell is built once, charged against
-    ``cap`` with its subset count, and shifted to each x."""
-    check_entries(min(map(min, members)), max(map(max, members)) + t)
-    shifts = [(x, np.array(x, dtype=np.int64)) for x in members]
+def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
+    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k that hold a
+    ``count``-subset, each charged against ``cap`` with its subset count."""
     for w in range(t + 1):
-        shell = _excess_shell(len(members[0]), w, cap)
-        if len(shell) < count:
-            continue
-        if math.comb(len(shell), count) > cap:
-            raise EnumerationCapExceeded("subset count exceeds cap")
-        for x, shift in shifts:
-            subsets = combinations(range(len(shell)), count)
-            blocks = channel._row_blocks(subsets, count, len(shift))
-            for stack in channel._stacks(shell, shift, blocks):
-                yield x, stack
+        shell = _excess_shell(k, w, cap)
+        if len(shell) >= count:
+            if math.comb(len(shell), count) > cap:
+                raise EnumerationCapExceeded("subset count exceeds cap")
+            yield shell
+
+
+def _shell_minima(shell: np.ndarray, count: int) -> Counter:
+    """How many ``count``-subsets of ``shell`` have each componentwise
+    minimum, one ``np.unique`` per byte-bounded ``channel._row_blocks`` block."""
+    minima: Counter = Counter()
+    subsets = combinations(range(len(shell)), count)
+    for idx in channel._row_blocks(subsets, count, shell.shape[1]):
+        rows, hits = np.unique(shell[idx].min(axis=1), axis=0, return_counts=True)
+        minima.update(dict(zip(map(tuple, rows.tolist()), hits.tolist())))
+    return minima
 
 
 def exhaustive_simplex_read_sets(
     x: Vec, t: int, count: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[tuple[Vec, ...]]:
     """All size-``count`` subsets of each constant-excess shell of B_t^+(x),
-    one by one; ``cap`` bounds each shell and each shell's subset count."""
-    for _, stack in _read_set_stacks((tuple(x),), t, count, cap):
-        for matrix in stack.tolist():
-            yield tuple(map(tuple, matrix))
+    one by one, in lexicographic subset order; ``cap`` bounds each shell and
+    each shell's subset count."""
+    shift = _shift(x, t)
+    for shell in _shells(len(x), t, count, cap):
+        yield from combinations(map(tuple, (shell + shift).tolist()), count)
 
 
 def simplex_min_counts(
@@ -227,15 +217,20 @@ def simplex_min_counts(
 ) -> tuple[int, int]:
     """(sets, successes) of min-decoding every size-``count`` subset of every
     constant-excess shell of every codeword's B_t^+(x); a set succeeds when
-    it decodes to its own codeword.  ``cap`` bounds each shell and each
+    it decodes to its own codeword.  x decodes x + z once per distinct
+    minimum z of a shell's subsets.  ``cap`` bounds each shell and each
     shell's subset count.
     """
+    check_entries(min(map(min, code.members)), max(map(max, code.members)) + t)
     sets = successes = 0
-    for x, stack in _read_set_stacks(code.members, t, count, cap):
-        decodes, inverse = decode_min_stack(stack, code, delta)
-        hits = np.array([c == x for c in decodes])
-        sets += len(stack)
-        successes += int(hits[inverse].sum())
+    for shell in _shells(code.m + 1, t, count, cap):
+        minima = _shell_minima(shell, count)
+        sets += len(code.members) * math.comb(len(shell), count)
+        for x in code.members:
+            successes += sum(
+                hits for z, hits in minima.items()
+                if code.decode_upward(tuple(a + b for a, b in zip(x, z)), delta - 1) == x
+            )
     return sets, successes
 
 
@@ -243,37 +238,29 @@ def greedy_simplex_code(m: int, r: int, delta: int) -> SimplexCode:
     """Greedy maximal code in the simplex with l1 distance >= 2 * delta,
     scanning simplex members in lexicographic order."""
     members: list[Vec] = []
-    for v in product(range(r + 1), repeat=m + 1):
-        if sum(v) != r:
-            continue
+    for v in map(tuple, _excess_shell(m + 1, r, DEFAULT_ENUM_CAP).tolist()):
         if all(l1_distance(v, c) >= 2 * delta for c in members):
             members.append(v)
     return SimplexCode(m, r, delta, tuple(members))
 
 
-def parse_simplex_code(text: str) -> SimplexCode:
+def parse_simplex_code(text: str, source: str = "simplex code") -> SimplexCode:
     """Parse the simplex code file format.
 
     UTF-8 text; ``#`` starts a comment; the first payload line is a header
     ``m=<int>,r=<int>,delta=<int>``; every later line is one codeword of
-    m + 1 comma-separated integers.
+    m + 1 comma-separated integers.  A bad integer names ``source``'s line.
     """
     header: Optional[dict[str, int]] = None
     members: list[Vec] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in payload_lines(text, source):
         if header is None:
-            fields = {}
-            for part in line.split(","):
-                key, _, value = part.partition("=")
-                fields[key.strip()] = int(value)
-            if set(fields) != {"m", "r", "delta"}:
+            pairs = (part.partition("=") for part in line.split(","))
+            header = {key.strip(): parse_int(value, where) for key, _, value in pairs}
+            if set(header) != {"m", "r", "delta"}:
                 raise ValueError(f"bad simplex header {line!r}")
-            header = fields
-            continue
-        members.append(tuple(int(v) for v in line.split(",")))
+        else:
+            members.append(tuple(parse_int(v, where) for v in line.split(",")))
     if header is None:
         raise ValueError("missing simplex header line 'm=,r=,delta='")
     return SimplexCode(header["m"], header["r"], header["delta"], tuple(members))

@@ -579,6 +579,27 @@ def test_tandem_reads_beyond_int64_safe_range_is_one_error_line(r, tmp_path, cap
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["reconstruct", "--alg", "min", "--code", "sum-mod:x", "--n", "3", "--t", "1",
+      "--kp", "1"], "--code: bad integer 'x'"),
+    (["check-splitting", "--code", "splitter:group=Z4; s=[1,x]", "--t", "1", "--kp", "1"],
+     "--code: bad integer 'x'"),
+    (["reconstruct", "--alg", "min", "--code", "explicit:@FILE", "--n", "3", "--t", "1",
+      "--kp", "1"], "FILE line 2: bad integer ''"),
+    (["tandem", "--code", "simplex:@FILE", "--t", "1"], "FILE line 3: bad integer 'x'"),
+])
+def test_malformed_code_integer_is_one_error_line_naming_its_source(
+    argv, where, tmp_path, capsys
+):
+    f = tmp_path / "code.txt"
+    f.write_text("# header\nm=2,r=3,delta=1\n3,0,x\n" if argv[0] == "tandem"
+                 else "0,0,0  # zero\n1,,2\n", encoding="utf-8")
+    assert main([a.replace("FILE", str(f)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where.replace('FILE', str(f))}\n"
+
+
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     from test_cli_golden import CASES
 

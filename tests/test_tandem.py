@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, Reconstruction
 from magrec.tandem import (
     SimplexCode,
     _excess_shell,
+    _shell_minima,
     exhaustive_simplex_read_sets,
     format_simplex_code,
     greedy_simplex_code,
@@ -93,6 +96,28 @@ def test_stack_counts_match_the_per_set_loop(data):
     assert got == oracle_simplex_counts(code, t, N, delta)
 
 
+def test_simplex_min_counts_decodes_each_shell_minimum_once_per_codeword():
+    # one set per stack: a per-stack decode would decode every set's minimum
+    code = greedy_simplex_code(2, 4, 1)
+    t, N, delta = 3, 2, 1
+    shells = [_excess_shell(3, w, DEFAULT_ENUM_CAP).tolist() for w in range(t + 1)]
+    minima = [
+        Counter(tuple(map(min, zip(*Y))) for Y in combinations(map(tuple, shell), N))
+        for shell in shells
+    ]
+    assert sum(map(len, minima)) < sum(math.comb(len(s), N) for s in shells)
+    decode = mock.Mock(side_effect=SimplexCode.decode_upward)
+    with (
+        mock.patch.object(channel, "_STACK_BYTES", 8 * N * 3),
+        mock.patch.object(SimplexCode, "decode_upward", lambda *a: decode(*a)),
+    ):
+        got = simplex_min_counts(code, t, N, delta)
+        for shell, counts in zip(shells, minima):
+            assert _shell_minima(np.array(shell), N) == counts
+    assert got == oracle_simplex_counts(code, t, N, delta)
+    assert decode.call_count == len(code.members) * sum(map(len, minima))
+
+
 def test_caps_and_int64_range():
     with pytest.raises(EnumerationCapExceeded):
         upward_ball((0, 0, 0), 2, cap=9)  # 10 vectors
@@ -129,6 +154,9 @@ def test_reconstruct_simplex_min_examples():
     assert reconstruct_simplex_min([(3, 1, 0)], code2, 2) == (3, 0, 0)
     with pytest.raises(ReconstructionError):
         reconstruct_simplex_min([(9, 9, 9)], code, 1)
+    for reads in ([], [(2, 1, 1), (1, 2)], [(2, 1), (1, 2)]):
+        with pytest.raises(ValueError, match="nonempty"):
+            reconstruct_simplex_min(reads, code, 1)
 
 
 def test_reconstruct_simplex_exhaustive_tiny():
