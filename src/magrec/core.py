@@ -54,6 +54,32 @@ def check_entries(lo: int, hi: int) -> None:
         )
 
 
+def _row_keys(M: np.ndarray) -> np.ndarray:
+    """One int64 key per row of the int64 matrix M, ordered like the rows
+    lexicographically: key i < key j exactly when row i < row j.  So a 1-D
+    ``np.unique`` of the keys, with M indexed by its first occurrences, gives
+    the distinct rows of M, sorted, with their first indices and counts, at a
+    fraction of the cost of ``np.unique`` over the rows.
+
+    When the column ranges multiply to less than 2**63 the key is the
+    mixed-radix number M - M.min(0), last column least significant;
+    otherwise it is the row's dense rank under a stable ``np.lexsort``."""
+    if not len(M):
+        return np.zeros(0, dtype=np.int64)
+    lo = M.min(axis=0)
+    place, size = [], 1
+    for low, high in zip(lo.tolist()[::-1], M.max(axis=0).tolist()[::-1]):
+        place.append(size)
+        size *= high - low + 1
+    if size < 2**63:
+        return (M - lo) @ np.array(place[::-1], dtype=np.int64)
+    order = np.lexsort(M.T[::-1])
+    rows = M[order]
+    ranks = np.empty(len(M), dtype=np.int64)
+    ranks[order] = np.concatenate(([0], (rows[1:] != rows[:-1]).any(axis=1).cumsum()))
+    return ranks
+
+
 def parse_int(text: str, where: str) -> int:
     """``int(text)``; a malformed integer is a ValueError naming ``where``."""
     try:

@@ -58,6 +58,7 @@ from magrec.core import (
     EstimateWord,
     ReconstructionError,
     Vec,
+    _row_keys,
     check_entries,
 )
 from magrec.combinatorics import ball_matrix, binom, hamming_volume
@@ -381,14 +382,17 @@ def list_params_min(p: ChannelParams, delta: int, a: int) -> int:
 def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) -> Decoded:
     """The distinct rows (set, codeword) of the rows that ``blocks`` yields
     as (owner, rows), in set order, decoded within radius delta - 1,
-    failures dropped.  The rows of a set are kept distinct by ``np.unique``
-    (the order of sorted tuples) until a block ends past the set."""
+    failures dropped.  The rows of a set are kept distinct, and in
+    lexicographic order, by a 1-D ``np.unique`` of their ``_row_keys`` until
+    a block ends past the set."""
     finished = []
     tagged = np.zeros((0, p.n + 1), dtype=np.int64)
     for owner, rows in blocks:
         C, found = code.decode_rows(rows, delta - 1, p, cap)
         hits = np.column_stack((owner[found], C[found]))
-        tagged = np.unique(np.concatenate((tagged, hits)), axis=0)
+        tagged = np.concatenate((tagged, hits))
+        _, first = np.unique(_row_keys(tagged), return_index=True)
+        tagged = tagged[first]
         done = np.searchsorted(tagged[:, 0], owner[-1])
         # a copy: a view would keep every block's whole array alive
         finished.append(tagged[:done].copy())
@@ -557,13 +561,16 @@ def _sauer_candidates(
 ) -> np.ndarray:
     """The distinct candidates rep - e as the rows of a matrix, sorted: rep
     is the first read (row of M) of each pattern on U, and e in
-    B(n, f, k+, k-) is nonzero on every coordinate of U."""
+    B(n, f, k+, k-) is nonzero on every coordinate of U.  Patterns and
+    candidates are told apart by a 1-D ``np.unique`` of their
+    ``_row_keys``."""
     cols = list(U)
     shifts = ball_matrix(p.n, f, p.k_plus, p.k_minus, cap=cap)
     shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
-    _, first = np.unique(M[:, cols], axis=0, return_index=True)
+    _, first = np.unique(_row_keys(M[:, cols]), return_index=True)
     candidates = (M[first, None, :] - shifts).reshape(-1, p.n)
-    return np.unique(candidates, axis=0)
+    _, first = np.unique(_row_keys(candidates), return_index=True)
+    return candidates[first]
 
 
 def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:

@@ -45,6 +45,7 @@ from magrec.core import (
     EnumerationCapExceeded,
     ReconstructionError,
     Vec,
+    _row_keys,
     check_entries,
     parse_int,
     payload_lines,
@@ -192,12 +193,14 @@ def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
 
 def _shell_minima(shell: np.ndarray, count: int) -> Counter:
     """How many ``count``-subsets of ``shell`` have each componentwise
-    minimum, one ``np.unique`` per byte-bounded ``channel._row_blocks`` block."""
+    minimum, one 1-D ``np.unique`` of the minima's ``_row_keys`` per
+    byte-bounded ``channel._row_blocks`` block."""
     minima: Counter = Counter()
     subsets = combinations(range(len(shell)), count)
     for idx in channel._row_blocks(subsets, count, shell.shape[1]):
-        rows, hits = np.unique(shell[idx].min(axis=1), axis=0, return_counts=True)
-        minima.update(dict(zip(map(tuple, rows.tolist()), hits.tolist())))
+        rows = shell[idx].min(axis=1)
+        _, first, hits = np.unique(_row_keys(rows), return_index=True, return_counts=True)
+        minima.update(dict(zip(map(tuple, rows[first].tolist()), hits.tolist())))
     return minima
 
 

@@ -1,9 +1,13 @@
 import inspect
 import random
 from itertools import product
+from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magrec
 from magrec import ChannelParams, ExplicitCode, FiniteAbelianGroup, LatticeCode, SplitterSpec
@@ -157,6 +161,68 @@ def test_decode_beyond_int64_is_exact(z, word):
     code = LatticeCode(SplitterSpec(FiniteAbelianGroup((3, 3)), ((1, 0), (0, 1))))
     window = [c for c in (sub(z, e) for e in oracle_ball(2, 1, 1, 1)) if code.contains(c)]
     assert code.decode_within(z, 1, p) == brute_force_decode(window, z, 1, p) is not None
+
+
+SAFE = 2**62 - 1
+I64 = np.iinfo(np.int64)
+
+#: Small entries, so rows tie often, plus the ends of the int64-safe range.
+KEY_ENTRIES = st.one_of(
+    st.integers(-2, 2), st.sampled_from([-SAFE, SAFE]), st.integers(-SAFE, SAFE)
+)
+
+
+@st.composite
+def key_matrices(draw):
+    """An int64 matrix whose rows repeat a few drawn rows."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(KEY_ENTRIES, min_size=n, max_size=n), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=15))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+def check_row_keys(M):
+    """``core._row_keys`` against ``np.unique(axis=0)``: keys order like the
+    rows, and the keyed unique gives the same rows, first indices and counts;
+    the lexsort fallback runs exactly when the column ranges multiply past
+    2**63."""
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        keys = core._row_keys(M)
+    spans = [int(hi) - int(lo) + 1 for lo, hi in zip(M.min(axis=0), M.max(axis=0))]
+    assert lexsort.call_count == (prod(spans) >= 2**63)
+    assert keys.dtype == np.int64 and keys.shape == (len(M),)
+    rows, keys = M.tolist(), keys.tolist()
+    for i, j in product(range(len(M)), repeat=2):
+        assert (keys[i] > keys[j]) - (keys[i] < keys[j]) == (rows[i] > rows[j]) - (rows[i] < rows[j])
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    want = np.unique(M, axis=0, return_index=True, return_counts=True)
+    for got, expected in zip((M[first], first, counts), want):
+        np.testing.assert_array_equal(got, expected)
+    return lexsort.call_count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(key_matrices())
+def test_row_keys_order_like_the_rows(M):
+    check_row_keys(M)
+
+
+@pytest.mark.parametrize("rows, fallback", [
+    ([[3, 1], [0, 2], [3, 1], [0, 2], [-1, 5]], False),
+    ([[4], [-2], [4], [0]], False),
+    ([[7, -3, 0, 2]], False),
+    ([[SAFE, -SAFE], [-SAFE, SAFE], [SAFE, -SAFE]], True),
+    ([[-SAFE, 1], [SAFE, 1], [0, 1], [-SAFE, 1]], False),
+    ([[0, SAFE, 0], [1, -SAFE, 2], [0, SAFE, 0], [1, 3, 1]], True),
+    ([[I64.min, I64.max], [I64.max, I64.min], [I64.min, I64.max], [0, 0]], True),
+], ids=["duplicates", "one-column", "one-row", "ranges-past-2**63",
+        "ranges-of-2**63-1", "three-columns-past-2**63", "int64-extremes"])
+def test_row_keys_examples(rows, fallback):
+    assert check_row_keys(np.array(rows, dtype=np.int64)) == fallback
+
+
+def test_row_keys_of_no_rows():
+    assert core._row_keys(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
 def test_public_names():

@@ -74,10 +74,17 @@ def test_upward_ball_shells_and_read_sets_match_the_recursion(x, t, data):
             list(y) for y in shell
         ]
     N = data.draw(st.integers(1, 4))
-    per_stack = data.draw(st.integers(1, 4))
-    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * N * len(x)):
-        got = list(exhaustive_simplex_read_sets(x, t, N))
+    got = list(exhaustive_simplex_read_sets(x, t, N))
     assert got == [Y for shell in shells for Y in combinations(shell, N)]
+    # a few sets per block, so the keyed counts of blocks whose minima span
+    # different ranges must add up
+    per_stack = data.draw(st.integers(1, 4))
+    for w in range(t + 1):
+        shell = _excess_shell(len(x), w, DEFAULT_ENUM_CAP)
+        with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * N * len(x)):
+            minima = _shell_minima(shell, N)
+        rows = map(tuple, shell.tolist())
+        assert minima == Counter(tuple(map(min, zip(*Y))) for Y in combinations(rows, N))
 
 
 @CHECKS
