@@ -5,9 +5,9 @@ reads each.  Each set is a sorted row of N indices into the cached matrix
 of the lexicographically ordered error ball (``ball_matrix``), and one
 gather of a block's (S, N) index matrix, shifted by the transmitted word x,
 builds the stack, so every set's rows come out distinct and in order.  A
-stack holds as many sets as fit in ``_STACK_BYTES`` (at least one), so its
-memory stays bounded whatever N, n and the trial count.  x is a tuple, and
-x plus any error must stay below ``ENTRY_LIMIT`` in magnitude.
+stack holds ``core.rows_per_block`` sets, so its memory stays bounded
+whatever N, n and the trial count.  x is a tuple, and x plus any error must
+stay below ``ENTRY_LIMIT`` in magnitude.
 
 Every generator takes the channel as one ``ChannelParams`` p, and the read
 mode is one of the CLI's ``--reads`` words: "random", "adversarial"
@@ -47,19 +47,15 @@ from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
     Code,
-    EnumerationCapExceeded,
     Vec,
+    charge,
     check_entries,
+    rows_per_block,
 )
 from magrec.combinatorics import ball_matrix, ball_size
 from magrec import reconstruction
 
 RNG_NAME = "philox"
-
-DEFAULT_SUBSET_CAP = 10**5
-
-#: Byte budget of one read-set stack, and of one block of random keys.
-_STACK_BYTES = 128 * 2**10
 
 #: A random trial draws one key per ball row when the ball exceeds N by at
 #: most this many rows, and N indices with ``choice`` otherwise: a key costs
@@ -92,11 +88,10 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
 
 
 def _per_stack(count: int, n: int) -> int:
-    """How many sets of ``count`` length-n reads fit in ``_STACK_BYTES``
-    (at least one)."""
+    """How many sets of ``count`` length-n reads one stack holds."""
     if count < 1:
         raise ValueError("read set must be nonempty")
-    return max(1, _STACK_BYTES // (8 * count * n))
+    return rows_per_block(8 * count * n)
 
 
 def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
@@ -112,11 +107,11 @@ def _random_blocks(
 ) -> Iterator[np.ndarray]:
     """(S, count) index blocks of ``trials`` random ``count``-subsets of
     ``range(size)``, drawn from ``rng`` as the module docstring defines
-    them, S sets to a stack of length-n reads.  Dense keys are drawn in
-    blocks of at most ``_STACK_BYTES``, or of one trial's ``size`` keys
-    when those alone exceed it (then ``size <= count + _DENSE_SLACK``)."""
+    them, S sets to a stack of length-n reads.  Dense keys (then ``size <=
+    count + _DENSE_SLACK``) are drawn in blocks of ``rows_per_block`` rows
+    of one trial's ``size`` keys."""
     per_stack = _per_stack(count, n)
-    per_keys = max(1, _STACK_BYTES // (8 * size))
+    per_keys = rows_per_block(8 * size)
     dense = size - count <= _DENSE_SLACK
     for start in range(0, trials, per_stack):
         stop = min(start + per_stack, trials)
@@ -148,7 +143,7 @@ def _stacks(
 
 def read_sets(
     x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
-    cap: int = DEFAULT_SUBSET_CAP,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> Iterator[np.ndarray]:
     """Stacks of N-read sets around x: ``trials`` random ones, all drawn from
     the one generator ``rng_for(seed)`` (trial i as the module docstring
@@ -157,12 +152,7 @@ def read_sets(
     bounds the ball and, for exhaustive reads, the subset count: past it
     EnumerationCapExceeded is raised."""
     if reads == "exhaustive":
-        total = math.comb(ball_size(p), N)
-        if total > cap:
-            raise EnumerationCapExceeded(
-                f"{total} subsets exceed the cap {cap}; "
-                "raise the cap or draw random reads"
-            )
+        charge(math.comb(ball_size(p), N), "exhaustive read sets", cap)
     elif reads == "random":
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
@@ -197,7 +187,7 @@ def generate_reads(
 
 
 def exhaustive_read_sets(
-    x: Vec, p: ChannelParams, count: int, cap: int = DEFAULT_SUBSET_CAP
+    x: Vec, p: ChannelParams, count: int, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[reconstruction.ReadSet]:
     """All C(|ball|, count) read sets, one by one, in lexicographic subset
     order; ``cap`` bounds both the subset count and the ball."""

@@ -41,6 +41,7 @@ from pathlib import Path
 
 from magrec import channel, combinatorics, distances, lattice, reconstruction, tandem
 from magrec.core import (
+    DEFAULT_ENUM_CAP,
     ChannelParams,
     EnumerationCapExceeded,
     ExplicitCode,
@@ -516,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the report to this file")
         sp.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
         sp.add_argument("--explain", action="store_true", help="show formula anchors")
-        sp.add_argument("--cap", type=int, default=10**7, help="enumeration cap")
+        sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
         if seed:
             sp.add_argument("--seed", type=int, default=0,
                             help="seed in [0, 2**64) of the one Philox generator all "

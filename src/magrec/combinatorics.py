@@ -31,8 +31,8 @@ import numpy as np
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
-    EnumerationCapExceeded,
     Vec,
+    charge,
 )
 
 #: Byte budget of the ball cache.  Each ball is charged its matrix's
@@ -117,10 +117,7 @@ def ball_matrix(
         if matrix is not None:
             _ball_cache.move_to_end(key)
     size = hamming_volume(k_plus + k_minus + 1, n, t) if matrix is None else len(matrix)
-    if size > cap:
-        raise EnumerationCapExceeded(
-            f"ball of size {size} exceeds enumeration cap {cap}"
-        )
+    charge(size, "ball vectors", cap)
     if matrix is not None:
         return matrix
     # at t = 0 only the zero entry fits, however large k+ and k- are

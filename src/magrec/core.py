@@ -9,6 +9,14 @@ with a ValueError instead of letting int64 arithmetic wrap; a code decodes
 Python-int rows past it exactly (``Code.decode_rows``).  Everything in this
 package is a pure function over such values, and a code handle reads its
 one cached table once per decode, so all of it is safe to call concurrently.
+
+The library's bounds live here.  Every loop whose work grows exponentially
+charges its count against an enumeration cap (``DEFAULT_ENUM_CAP`` unless
+given) with ``charge``, the one place that raises EnumerationCapExceeded,
+before it builds what it counts.  Every block of rows a loop builds at once (read
+stacks, random keys, erasure-fill candidates, member chunks, lattice scan
+blocks) holds ``rows_per_block(row_bytes)`` rows, at most ``BLOCK_BYTES``
+of them, or one row when a row alone exceeds it.
 """
 
 from __future__ import annotations
@@ -34,15 +42,28 @@ class ReconstructionError(RuntimeError):
     """
 
 
+#: Default bound on the size of every enumeration.
 DEFAULT_ENUM_CAP = 10**7
+
+#: Byte budget of one block of rows; see ``rows_per_block``.
+BLOCK_BYTES = 128 * 2**10
 
 #: Bound on the magnitude of read and codeword entries: the difference of
 #: two entries below it still fits in int64.
 ENTRY_LIMIT = 2**62
 
-#: Byte budget of one (M, chunk, n) block of row-minus-member differences
-#: in ``ExplicitCode.decode_rows``.
-_MEMBER_BLOCK_BYTES = 128 * 2**10
+
+def charge(count: int, what: str, cap: int) -> None:
+    """Raise EnumerationCapExceeded when an enumeration of ``count`` ``what``
+    would pass ``cap``."""
+    if count > cap:
+        raise EnumerationCapExceeded(f"{count} {what} exceed enumeration cap {cap}")
+
+
+def rows_per_block(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` (> 0) bytes fit in ``BLOCK_BYTES``, at
+    least one."""
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 def check_entries(lo: int, hi: int) -> None:
@@ -185,9 +206,8 @@ class ExplicitCode(Code):
     order as e runs up the ball's, so ``decode_rows`` tests the members (one
     matrix, int64 below ``ENTRY_LIMIT`` and Python ints beyond) from the
     largest down, a chunk at a time: every unfound row against every member
-    of the chunk in one (M, chunk, n) block of at most ``_MEMBER_BLOCK_BYTES``
-    (one member when M rows alone exceed it), each row taking its first
-    hit."""
+    of the chunk in one (M, chunk, n) block, each member charged its M rows
+    of differences (``rows_per_block``), each row taking its first hit."""
 
     def __init__(self, members: Iterable[Vec]):
         members = [tuple(m) for m in members]
@@ -214,7 +234,7 @@ class ExplicitCode(Code):
         todo = np.arange(len(U))
         members, start = self._largest_first, 0
         while len(todo) and start < len(members):
-            chunk = max(1, _MEMBER_BLOCK_BYTES // (8 * len(todo) * self.n))
+            chunk = rows_per_block(8 * len(todo) * self.n)
             block = members[start:start + chunk]
             start += chunk
             e = U[todo, None, :] - block

@@ -18,6 +18,8 @@ here is in fact cyclic).  The module provides:
 
 One matrix kernel, ``_syndrome_codes``, computes every syndrome of the
 tables, the decoder and the shell scans, exact for a group of any order.
+The shell scans charge each shell against the enumeration cap
+(``core.charge``) and build it in blocks of ``core.rows_per_block`` rows.
 """
 
 from __future__ import annotations
@@ -34,17 +36,14 @@ from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
     Code,
-    EnumerationCapExceeded,
     Vec,
+    charge,
     parse_int,
+    rows_per_block,
 )
 from magrec import combinatorics
 
 GroupElement = tuple[int, ...]
-
-#: Bytes of vectors and their residues one block of a lattice shell scan
-#: may hold (``_lattice_vectors_by_weight``).
-_SCAN_BYTES = 128 * 2**10
 
 
 @dataclass(frozen=True)
@@ -320,37 +319,33 @@ def _lattice_vectors_by_weight(
     ``product`` order of its nonzero values.
 
     Before shell w its C(n, w) * (2 span)^w vectors are added to a running
-    count, and EnumerationCapExceeded is raised once the count passes
-    ``cap``.  The shell is then scanned as blocks: an int64 matrix of the
-    vectors of a run of supports, each support times the (2 span)^w grid of
-    nonzero values, of which the rows with a zero ``_syndrome_codes`` are
-    kept.  A block holds at most ``_SCAN_BYTES`` of vectors and residues;
-    the syndromes are exact for every group, in Python ints where int64
-    could wrap.  The scan is lazy, so a caller that breaks off is charged
-    only up to the shell it breaks off in.
+    count, which is charged against ``cap`` (``core.charge``).  The shell is
+    then scanned as blocks: an int64 matrix of the vectors of a run of
+    supports, each support times the (2 span)^w grid of nonzero values, of
+    which the rows with a zero ``_syndrome_codes`` are kept.  A block holds
+    ``rows_per_block`` vectors, each charged 16 bytes a coordinate for the
+    vector and its residues; the syndromes are exact for every group, in
+    Python ints where int64 could wrap.  The scan is lazy, so a caller that
+    breaks off is charged only up to the shell it breaks off in.
     """
     n = spec.n
     nonzero = [v for v in range(-span, span + 1) if v]
     base = len(nonzero)
     values = np.array(nonzero, dtype=np.int64)
     unit = np.eye(n, dtype=np.int64)
-    block = max(1, _SCAN_BYTES // (16 * n))
+    block = rows_per_block(16 * n)
     scanned = 0
     for w in range(1, min(max_weight, n) + 1):
         rows = base**w
         scanned += math.comb(n, w) * rows
-        if scanned > cap:
-            raise EnumerationCapExceeded(
-                f"lattice scan through weight {w} covers {scanned} vectors, "
-                f"over the enumeration cap {cap}"
-            )
+        charge(scanned, f"lattice vectors through weight {w}", cap)
         if not rows:
             continue
         # grid row r picks nonzero[j] at position k for the k-th base-2span
         # digit j of r: the meshgrid of w copies, ``indexing="ij"``
         digits = base ** np.arange(w - 1, -1, -1)
         supports = combinations(range(n), w)
-        while chunk := list(islice(supports, max(1, block // rows))):
+        while chunk := list(islice(supports, rows_per_block(16 * n * rows))):
             # (S, w, n): the unit vectors of each support's coordinates
             units = unit[np.array(chunk)]
             for lo in range(0, rows, block):

@@ -27,19 +27,21 @@ set's first read) and the cover check then run over all S sets at once,
 and every algorithm of ``ALGORITHMS`` decodes a whole stack into its
 ``Decoded`` rows (set, codeword); a set owning no row failed, and x came
 back from a set exactly when (set, x) is a row.  Erasure filling builds the
-candidates of all sets of a stack as owner-tagged int64 blocks within
-``_CANDIDATE_BYTES``, and each block is decoded by one ``Code.decode_rows``
-call, a table lookup for lattice codes.  A ``ReadSet`` is a single (N, n)
+candidates of all sets of a stack as owner-tagged int64 blocks of
+``core.rows_per_block`` fills, and each block is decoded by one
+``Code.decode_rows`` call, a table lookup for lattice codes.  A ``ReadSet`` is a single (N, n)
 matrix, and the per-set procedures above decode it as a stack of one.
 
-The vote compares twice a count minus N with the threshold tau = num/den
-as the integer test (2c - N) den > num: in int64 while N den and |num| stay
-below 2**62, in Python ints otherwise.  The thresholds are generally
-non-integer, and a float comparison could misclassify boundary cases.
+The vote compares twice a count minus N, an integer in [-N, N], with the
+threshold tau as the int64 test 2c - N > floor(tau), floor(tau) clamped to
+[-N - 1, N]: an integer exceeds tau exactly when it exceeds floor(tau).
+The thresholds are generally non-integer, and a float comparison could
+misclassify boundary cases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -54,17 +56,15 @@ from magrec.core import (
     ERASURE,
     ChannelParams,
     Code,
-    EnumerationCapExceeded,
     EstimateWord,
     ReconstructionError,
     Vec,
     _row_keys,
+    charge,
     check_entries,
+    rows_per_block,
 )
 from magrec.combinatorics import ball_matrix, binom, hamming_volume
-
-#: Byte budget of one block of candidate rows.
-_CANDIDATE_BYTES = 128 * 2**10
 
 #: A decoder's result for a stack: ``owner``, a (K,) intp array of set
 #: indices, and ``words``, the (K, n) int64 matrix of the distinct codewords
@@ -248,11 +248,7 @@ def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     end = run_length.argmax(axis=2)[..., None]
     best = np.take_along_axis(columns, end, axis=2)[..., 0]
     counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
-    num, den = tau.numerator, tau.denominator
-    if N * den < 2**62 and abs(num) < 2**62:
-        return best, (2 * counts - N) * den > num
-    keep = [(2 * c - N) * den > num for c in counts.ravel().tolist()]
-    return best, np.array(keep, dtype=bool).reshape(counts.shape)
+    return best, 2 * counts - N > min(max(math.floor(tau), -N - 1), N)
 
 
 def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
@@ -282,16 +278,12 @@ def _candidates(
     of B fills (fill j writes the base-q digits of j into the erased
     columns) is charged four int64 matrices of its rows' shape (the rows,
     and the residues, leaders and codewords of their decode) and eight of
-    shape (B, n), within ``_CANDIDATE_BYTES``.
+    shape (B, n), within ``core.BLOCK_BYTES``.
     """
     q = p.magnitude_span + 1
     misses = erased.sum(axis=1)
-    worst = q ** int(misses.max()) * len(shifts)
-    if worst > cap:
-        raise EnumerationCapExceeded(
-            f"{worst} erasure-fill candidates exceed enumeration cap {cap}"
-        )
-    per_block = max(1, _CANDIDATE_BYTES // (32 * (shifts.size + 2 * p.n)))
+    charge(q ** int(misses.max()) * len(shifts), "erasure-fill candidates", cap)
+    per_block = rows_per_block(32 * (shifts.size + 2 * p.n))
     counts = q**misses
     ends = np.cumsum(counts)
     total = int(ends[-1])
@@ -488,11 +480,7 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
         return ()
     if c > n:
         raise ReconstructionError(f"no coordinate set of size {c} in length {n}")
-    worst = binom(n, c) * q**c * len(members)
-    if worst > cap:
-        raise EnumerationCapExceeded(
-            f"{worst} coordinate-search member tests exceed enumeration cap {cap}"
-        )
+    charge(binom(n, c) * q**c * len(members), "coordinate-search member tests", cap)
     # avoid[i][x] has bit b set when member b has no x at coordinate i
     avoid = [[int.from_bytes(np.packbits(col != x, bitorder="little").tobytes(), "little")
               for x in range(q)] for col in np.array(members, dtype=np.int64).T]

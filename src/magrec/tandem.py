@@ -23,8 +23,10 @@ subset of the shell, so a command walks each shell once: it counts the
 distinct minima of the shell's N-subsets, taken in the channel's
 byte-bounded index blocks, and each codeword decodes x + z once per
 distinct z with ``SimplexCode.decode_upward``, the only decoder, weighted
-by that count.  x plus any excess must stay below 2**62
-(``core.check_entries``).
+by that count, adding x + z in Python ints, so a code of any entries is
+counted exactly.  Where reads are built as int64 rows (``upward_ball``,
+``exhaustive_simplex_read_sets``, ``reconstruct_simplex_min``), x plus any
+excess must stay below 2**62 (``core.check_entries``).
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from magrec import channel
-from magrec.channel import DEFAULT_SUBSET_CAP
 from magrec.combinatorics import _lex_rows
 from magrec.core import (
     DEFAULT_ENUM_CAP,
-    EnumerationCapExceeded,
     ReconstructionError,
     Vec,
     _row_keys,
+    charge,
     check_entries,
     parse_int,
     payload_lines,
@@ -55,11 +56,6 @@ from magrec.core import (
 def is_simplex_member(v: Vec, m: int, r: int) -> bool:
     """Membership in the simplex: m + 1 non-negative entries summing to r."""
     return len(v) == m + 1 and all(x >= 0 for x in v) and sum(v) == r
-
-
-def _charge(what: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise EnumerationCapExceeded(f"{what} of size {size} exceeds cap {cap}")
 
 
 def _excess(k: int, t: int) -> np.ndarray:
@@ -80,7 +76,7 @@ def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:
     """
     if w < 0:
         raise ValueError("w must be >= 0")
-    _charge("upward shell", math.comb(k - 1 + w, k - 1), cap)
+    charge(math.comb(k - 1 + w, k - 1), "upward shell vectors", cap)
     prefix = _excess(k - 1, w)
     return np.column_stack((prefix, w - prefix.sum(axis=1)))
 
@@ -99,7 +95,7 @@ def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    _charge("upward ball", math.comb(len(x) + t, len(x)), cap)
+    charge(math.comb(len(x) + t, len(x)), "upward ball vectors", cap)
     return tuple(map(tuple, (_excess(len(x), t) + _shift(x, t)).tolist()))
 
 
@@ -186,8 +182,7 @@ def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
     for w in range(t + 1):
         shell = _excess_shell(k, w, cap)
         if len(shell) >= count:
-            if math.comb(len(shell), count) > cap:
-                raise EnumerationCapExceeded("subset count exceeds cap")
+            charge(math.comb(len(shell), count), "upward shell read sets", cap)
             yield shell
 
 
@@ -205,7 +200,7 @@ def _shell_minima(shell: np.ndarray, count: int) -> Counter:
 
 
 def exhaustive_simplex_read_sets(
-    x: Vec, t: int, count: int, cap: int = DEFAULT_SUBSET_CAP
+    x: Vec, t: int, count: int, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple[Vec, ...]]:
     """All size-``count`` subsets of each constant-excess shell of B_t^+(x),
     one by one, in lexicographic subset order; ``cap`` bounds each shell and
@@ -216,7 +211,7 @@ def exhaustive_simplex_read_sets(
 
 
 def simplex_min_counts(
-    code: SimplexCode, t: int, count: int, delta: int, cap: int = DEFAULT_SUBSET_CAP
+    code: SimplexCode, t: int, count: int, delta: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int]:
     """(sets, successes) of min-decoding every size-``count`` subset of every
     constant-excess shell of every codeword's B_t^+(x); a set succeeds when
@@ -224,7 +219,6 @@ def simplex_min_counts(
     minimum z of a shell's subsets.  ``cap`` bounds each shell and each
     shell's subset count.
     """
-    check_entries(min(map(min, code.members)), max(map(max, code.members)) + t)
     sets = successes = 0
     for shell in _shells(code.m + 1, t, count, cap):
         minima = _shell_minima(shell, count)

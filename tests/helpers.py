@@ -163,8 +163,7 @@ def oracle_lattice_vectors_by_weight(
         scanned += math.comb(n, w) * len(nonzero) ** w
         if scanned > cap:
             raise EnumerationCapExceeded(
-                f"lattice scan through weight {w} covers {scanned} vectors, "
-                f"over the enumeration cap {cap}"
+                f"{scanned} lattice vectors through weight {w} exceed enumeration cap {cap}"
             )
         for support in combinations(range(n), w):
             for picks in product(*(tables[i] for i in support)):

@@ -1,0 +1,134 @@
+"""The library's two bounds: every block of rows is sized by
+``core.rows_per_block`` against the one ``core.BLOCK_BYTES``, and every
+enumeration is charged against its cap by the one ``core.charge``."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+import pytest
+
+from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, LatticeCode, core
+from magrec import lattice, reconstruction
+from magrec.channel import read_sets
+from magrec.combinatorics import ball_matrix
+from magrec.lattice import parse_splitter_spec
+from magrec.reconstruction import ALGORITHMS, sauer_shelah_find
+from magrec.tandem import _excess_shell, exhaustive_simplex_read_sets, upward_ball
+
+from test_read_matrix import recording_candidates
+
+P = ChannelParams(6, 2, 1, 1)
+SPEC = "group=Z13; s=[1,2,3,4,5,6]"
+#: every coordinate's vote falls below it, so each set has 3**6 fills
+ERASE_ALL = Fraction(10**6)
+
+
+class _Members(np.ndarray):
+    """A member matrix that records the shape of each (M, chunk, n) block of
+    row-minus-member differences it is subtracted into."""
+
+    shapes: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [x.view(np.ndarray) if isinstance(x, _Members) else x for x in inputs]
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        if ufunc is np.subtract:
+            _Members.shapes.append(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("budget", [64, 2**12, 2**14])
+def test_one_budget_bounds_every_kind_of_block(budget, monkeypatch):
+    monkeypatch.setattr(core, "BLOCK_BYTES", budget)
+
+    # stacks: 8 N n bytes a set
+    stacks = list(read_sets((0,) * 6, P, 4, "random", 200, seed=3))
+    assert len(stacks) > 1 and sum(map(len, stacks)) == 200
+    assert all(s.nbytes <= budget or len(s) == 1 for s in stacks)
+
+    # erasure-fill candidates: 32 (|shifts| n + 2 n) bytes a fill
+    blocks = []
+    monkeypatch.setattr(reconstruction, "_candidates", recording_candidates(blocks))
+    code = LatticeCode(parse_splitter_spec(SPEC))
+    ALGORITHMS["majority"].decode(np.concatenate(stacks)[:2], P, ERASE_ALL, code, 1, 0, 10**7)
+    fills = [(len(rows) // shifts, 32 * (shifts + 2) * P.n) for shifts, _, rows in blocks]
+    assert len(fills) > 1 and sum(count for count, _ in fills) == 2 * 3**6
+    assert all(count * charge <= budget or count == 1 for count, charge in fills)
+
+    # explicit-code member chunks: 8 M n bytes a member, M rows still unfound
+    rng = random.Random(5)
+    members = rng.sample(list(product(range(-2, 3), repeat=5)), 200)
+    explicit = ExplicitCode(members)
+    explicit._largest_first = explicit._largest_first.view(_Members)
+    _Members.shapes.clear()
+    rows = np.array([[rng.randint(-3, 3) for _ in range(5)] for _ in range(30)])
+    explicit.decode_rows(rows, 1, ChannelParams(5, 1, 1, 1))
+    chunks = _Members.shapes
+    assert len(chunks) > 1 and all(n == 5 for _, _, n in chunks)
+    assert all(8 * M * chunk * n <= budget or chunk == 1 for M, chunk, n in chunks)
+
+    # lattice shell scan blocks: 16 n bytes a vector and its residues
+    scanned = []
+    syndromes = lattice._syndrome_codes
+
+    def syndrome_codes(spec, U):
+        scanned.append(len(U))
+        return syndromes(spec, U)
+
+    monkeypatch.setattr(lattice, "_syndrome_codes", syndrome_codes)
+    spec = parse_splitter_spec(SPEC)
+    list(lattice._lattice_vectors_by_weight(spec, 2, 2, 10**7))
+    assert len(scanned) > 1 and sum(scanned) == 6 * 4 + 15 * 4**2
+    assert all(16 * 6 * size <= budget or size == 1 for size in scanned)
+
+
+def _erasure_fills(cap):
+    (stack,) = read_sets((0,) * 6, P, 4, "random", 2, seed=3)
+    code = LatticeCode(parse_splitter_spec(SPEC))
+    return ALGORITHMS["majority"].decode(stack, P, ERASE_ALL, code, 1, 0, cap)
+
+
+#: name -> (count, what the count counts, the enumeration at a cap)
+ENUMERATIONS = {
+    "ball": (33, "ball vectors", lambda cap: ball_matrix(4, 2, 1, 1, cap)),
+    "erasure fills": (3**6, "erasure-fill candidates", _erasure_fills),
+    # C(2, 1) * 2 * 3 member tests; coordinate 0 is a witness
+    "coordinate search": (
+        12, "coordinate-search member tests",
+        lambda cap: sauer_shelah_find([(0, 0), (1, 1), (0, 1)], 2, 1, cap),
+    ),
+    # C(4, 2) pairs of the 4-vector ball
+    "exhaustive reads": (
+        6, "exhaustive read sets",
+        lambda cap: list(read_sets((0, 0, 0), ChannelParams(3, 1, 1, 0), 2, "exhaustive",
+                                   cap=cap)),
+    ),
+    # 2 * 2 vectors of weight 1 and 1 * 4 of weight 2
+    "lattice scan": (
+        8, "lattice vectors through weight 2",
+        lambda cap: list(lattice._lattice_vectors_by_weight(
+            parse_splitter_spec("group=Z13; s=[1,2]"), 1, 2, cap)),
+    ),
+    "upward shell": (6, "upward shell vectors", lambda cap: _excess_shell(3, 2, cap)),
+    "upward ball": (10, "upward ball vectors", lambda cap: upward_ball((0, 0, 0), 2, cap)),
+    # C(6, 3) triples of the last shell, which holds 6 vectors
+    "shell read sets": (
+        20, "upward shell read sets",
+        lambda cap: list(exhaustive_simplex_read_sets((0, 0, 0), 2, 3, cap)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATIONS)
+def test_every_enumeration_is_charged_by_the_one_cap_check(name):
+    count, what, enumerate_at = ENUMERATIONS[name]
+    with pytest.raises(EnumerationCapExceeded) as excinfo:
+        enumerate_at(count - 1)
+    assert str(excinfo.value) == f"{count} {what} exceed enumeration cap {count - 1}"
+    tb = excinfo.tb
+    while tb.tb_next:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code is core.charge.__code__
+    enumerate_at(count)

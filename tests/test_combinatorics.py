@@ -3,9 +3,8 @@ from itertools import product
 
 import pytest
 
-from magrec import ChannelParams
+from magrec import ChannelParams, EnumerationCapExceeded
 from magrec.combinatorics import (
-    EnumerationCapExceeded,
     binom,
     ball_size,
     ball_vectors,

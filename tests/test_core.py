@@ -101,7 +101,7 @@ def test_explicit_decode_of_a_large_code_matches_brute_force(offset, budget, mon
     # (while all 200 rows are unfound) and of the default budget; int64
     # entries, and Python ints past it
     if budget is not None:
-        monkeypatch.setattr(core, "_MEMBER_BLOCK_BYTES", budget)
+        monkeypatch.setattr(core, "BLOCK_BYTES", budget)
     rng = random.Random(1000)
     p = ChannelParams(5, 2, 1, 1)
     words = list(product(range(-2, 3), repeat=5))

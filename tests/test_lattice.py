@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, lattice
+from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, core, lattice
 from magrec.lattice import (
     FiniteAbelianGroup,
     LatticeCode,
@@ -373,7 +373,7 @@ def test_block_scan_matches_tuple_scan(case, budget):
     expected = _scan(oracle_lattice_vectors_by_weight, *case)
     assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
     # a budget of a few rows splits shells and supports across blocks
-    with mock.patch.object(lattice, "_SCAN_BYTES", budget):
+    with mock.patch.object(core, "BLOCK_BYTES", budget):
         assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
 
 

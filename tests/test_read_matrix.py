@@ -21,7 +21,7 @@ from magrec import (
     ExplicitCode,
     ReconstructionError,
 )
-from magrec import channel, reconstruction
+from magrec import channel, core, reconstruction
 from magrec.channel import (
     decode_read_sets,
     exhaustive_read_sets,
@@ -367,7 +367,7 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
     trials = data.draw(st.sampled_from([1, per_stack, per_stack + 1, 3 * per_stack - 1]))
     seed = data.draw(st.integers(0, 2**32))
     slack = data.draw(st.sampled_from(list(BRANCHES.values())))
-    with mock.patch.object(channel, "_STACK_BYTES", per_stack * 8 * count * p.n), \
+    with mock.patch.object(core, "BLOCK_BYTES", per_stack * 8 * count * p.n), \
             mock.patch.object(channel, "_DENSE_SLACK", slack):
         random_stacks = list(channel.read_sets(x, p, count, "random", trials, seed))
         want = drawn_trials(seed, len(ball), count, trials)
@@ -434,7 +434,7 @@ def test_trial_i_depends_on_neither_the_stack_size_nor_the_trial_count(name, mon
 
     full = trials(3 * k)
     assert trials(k) == full[:k]
-    monkeypatch.setattr(channel, "_STACK_BYTES", 8 * N * p.n)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * N * p.n)
     assert len(list(channel.read_sets(x, p, N, "random", 5, seed=9))) == 5
     assert trials(3 * k) == full
     assert [list(row) for row in full] == drawn_trials(9, size, N, 3 * k)
@@ -464,7 +464,7 @@ def test_sparse_draws_on_a_large_ball_stay_within_the_byte_bound():
     assert size >= 10**4 and size - N > channel._DENSE_SLACK
     blocks = list(channel._random_blocks(size, N, p.n, trials, rng_for(3)))
     assert sum(map(len, blocks)) == trials
-    assert all(b.nbytes <= channel._STACK_BYTES // p.n for b in blocks)
+    assert all(b.nbytes <= core.BLOCK_BYTES // p.n for b in blocks)
     sets = 0
     for stack in channel.read_sets((0,) * 13, p, N, "random", trials, seed=3):
         check_stack(stack, p)  # every set's reads distinct and sorted
@@ -491,7 +491,7 @@ def test_dense_key_blocks_stay_within_the_byte_bound(size, N, n):
     assert sum(map(len, blocks)) == trials and spy.shapes
     for rows, keys in spy.shapes:
         assert keys == size
-        assert rows * size * 8 <= max(channel._STACK_BYTES, 8 * (N + channel._DENSE_SLACK))
+        assert rows * size * 8 <= max(core.BLOCK_BYTES, 8 * (N + channel._DENSE_SLACK))
 
 
 def decode_one_by_one(alg, Y, tau, code, delta, a):
@@ -592,7 +592,7 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
         assert [decode_one_by_one(alg, Y, tau, code, delta, a) for Y in sets] == expected
         for budget in (64, 2**10, 2**17):
             blocks = []
-            with mock.patch.object(reconstruction, "_CANDIDATE_BYTES", budget), \
+            with mock.patch.object(core, "BLOCK_BYTES", budget), \
                     mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
                 got = ALGORITHMS[alg].decode(stack, p, tau, code, delta, a, 10**7)
             assert per_set(got, len(stack)) == expected
@@ -639,7 +639,7 @@ def test_candidate_blocks_bound_the_decode_memory():
     finally:
         tracemalloc.stop()
     assert all((0,) * 6 in out for out in per_set(outputs, len(stack)))
-    assert peak < 4 * reconstruction._CANDIDATE_BYTES
+    assert peak < 4 * core.BLOCK_BYTES
 
 
 @CHECKS
@@ -658,14 +658,14 @@ def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
     N = data.draw(st.integers(1, min(plan.N, len(oracle_ball(p.n, p.t, p.k_plus, p.k_minus)))))
     trials = data.draw(st.integers(1, 8))
     seed = data.draw(st.integers(0, 2**32))
-    with mock.patch.object(channel, "_STACK_BYTES", 5 * 8 * N * p.n):
+    with mock.patch.object(core, "BLOCK_BYTES", 5 * 8 * N * p.n):
         # each stack holds sets read around x, then sets read around other
         around = [list(channel.read_sets(c, p, N, "random", trials, seed)) for c in (x, other)]
     stacks = [np.concatenate(pair) for pair in zip(*around)]
     sets = [ReadSet(matrix, p) for stack in stacks for matrix in stack]
     # small candidate budgets split the erasure fills into many blocks
     budget = data.draw(st.sampled_from([8, 64, 2**17]))
-    with mock.patch.object(reconstruction, "_CANDIDATE_BYTES", budget):
+    with mock.patch.object(core, "BLOCK_BYTES", budget):
         decoded = [decode_read_sets(entry, plan, code, p, delta, a, stack) for stack in stacks]
         got = [out for d, stack in zip(decoded, stacks) for out in per_set(d, len(stack))]
         assert got == [decode_one_by_one(alg, Y, plan.tau, code, delta, a) for Y in sets]
