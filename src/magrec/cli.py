@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every numeric claim a subcommand prints can be cross-checked against a
-brute-force oracle with --oracle; a mismatch is the headline failure mode
-and exits nonzero.  Output is deterministic for fixed flags and seed
-(timings are zeroed unless --timings is given).
+Every formula ``ball``, ``intersect`` and ``check-splitting`` print can be
+cross-checked against a brute-force oracle with --oracle; a mismatch is the
+headline failure mode and exits nonzero.  Each command takes only the flags
+it reads, so any other flag exits 2.  Output is deterministic for fixed
+flags and seed (``simulate`` zeroes its timings unless --timings is given).
 
 Code mini-language for --code:
 
@@ -458,7 +459,7 @@ def cmd_simulate(args) -> int:
             trial_lines.extend(record.to_line() for record in records)
             report.add(
                 alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=delta,
-                N=N, trials=args.trials, success=successes,
+                N=N, trials=args.trials, success=successes, anchor=plan.anchor,
             )
     if args.format == "records":
         notes = [f"# {note}" for note in report.notes]
@@ -496,87 +497,84 @@ def positive_int(text: str) -> int:
     return value
 
 
+#: The argparse keywords of each flag that several commands take.
+FLAGS = {
+    "n": dict(help="length grid, e.g. 4 or 2:5 or 2,4"),
+    "t": dict(help="error-count grid"),
+    "kp": dict(help="k+ grid"),
+    "km": dict(default="0", help="k- grid (default 0)"),
+    "format": dict(choices=("table", "records"), default="table"),
+    "out": dict(help="write the report to this file"),
+    "oracle": dict(action="store_true", help="run brute-force cross-checks"),
+    "explain": dict(action="store_true", help="show formula anchors"),
+    "cap": dict(type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap"),
+    "code": dict(required=True),
+    "seed": dict(type=int, default=0,
+                 help="seed in [0, 2**64) of the one Philox generator all random read "
+                 "sets are drawn from; trial i depends only on it, the ball, N and i "
+                 "(used by --reads random only)"),
+    "trials": dict(type=positive_int, default=10,
+                   help="read sets per point, used by --reads random only"),
+    "delta": dict(help="code distance (computed when omitted)"),
+    "x": dict(help="transmitted codeword (default: the zero word, or the first "
+              "codeword of an explicit code without it)"),
+    "reads": dict(choices=("random", "exhaustive", "adversarial"), default="random"),
+    "N": dict(type=positive_int, help="read count (default: formula value)"),
+}
+
+GRID = ("n", "t", "kp", "km")
+REPORT = ("format", "out", "explain")
+TRIALS = (*GRID, *REPORT, "cap", "seed", "trials", "code", "delta")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call.  Reusing it
-    is safe: ``prog`` is fixed, no default is mutable and no action
-    appends, so ``parse_args`` leaves nothing behind for the next call."""
+    """The one parser of the process, built on the first call.  Each command
+    takes only the flags its ``cmd_*`` function reads, and its --alg choices
+    are the names of ``reconstruction.ALGORITHMS``.  Reusing the parser is
+    safe: ``prog`` is fixed, no default is mutable and no action appends,
+    so ``parse_args`` leaves nothing behind for the next call."""
     parser = argparse.ArgumentParser(
         prog="magrec",
         description="limited-magnitude reconstruction: formulas, oracles, trials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    unique = [name for name in reconstruction.ALGORITHMS if not name.startswith("list-")]
+    listed = [name.removeprefix("list-") for name in reconstruction.ALGORITHMS
+              if name.startswith("list-")]
 
-    def common(sp, *, grids=True, seed=False):
-        if grids:
-            sp.add_argument("--n", help="length grid, e.g. 4 or 2:5 or 2,4")
-            sp.add_argument("--t", help="error-count grid")
-            sp.add_argument("--kp", help="k+ grid")
-            sp.add_argument("--km", default="0", help="k- grid (default 0)")
-        sp.add_argument("--format", choices=("table", "records"), default="table")
-        sp.add_argument("--out", help="write the report to this file")
-        sp.add_argument("--oracle", action="store_true", help="run brute-force cross-checks")
-        sp.add_argument("--explain", action="store_true", help="show formula anchors")
-        sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0,
-                            help="seed in [0, 2**64) of the one Philox generator all "
-                            "random read sets are drawn from; trial i depends only on "
-                            "it, the ball, N and i (used by --reads random only)")
-            sp.add_argument("--trials", type=positive_int, default=10,
-                            help="read sets per point, used by --reads random only")
-            sp.add_argument("--timings", action="store_true",
-                            help="include real elapsed_ns (breaks byte determinism)")
-
-    sp = sub.add_parser("ball", help="error-ball sizes")
-    common(sp)
-    sp.set_defaults(func=cmd_ball)
-
-    sp = sub.add_parser("intersect", help="worst-case two-ball intersections")
-    common(sp)
-    sp.set_defaults(func=cmd_intersect)
-
-    sp = sub.add_parser("distance", help="channel distance between two vectors")
-    common(sp)
-    sp.add_argument("--x", required=True, help="comma-separated vector")
-    sp.add_argument("--y", required=True, help="comma-separated vector")
-    sp.set_defaults(func=cmd_distance)
-
-    sp = sub.add_parser("check-splitting", help="partial splitting test")
-    common(sp)
-    sp.add_argument("--code", required=True)
-    sp.set_defaults(func=cmd_check_splitting)
-
-    trial_commands = (
-        ("reconstruct", "unique reconstruction trials", ("min", "majority"), cmd_reconstruct),
-        ("list", "list-reconstruction trials", ("min", "majority", "sauer"), cmd_list),
-        ("simulate", "seeded trial sweeps over a grid", ("min", "majority"), cmd_simulate),
-    )
-    for name, help_text, algorithms, func in trial_commands:
+    def command(name, help_text, func, flags, **own):
+        """Add subcommand ``name`` with the FLAGS entries named in ``flags``,
+        then each flag of ``own`` with its own keywords."""
         sp = sub.add_parser(name, help=help_text)
-        common(sp, seed=True)
-        sp.add_argument("--alg", choices=algorithms, required=True)
-        sp.add_argument("--code", required=True)
-        sp.add_argument("--delta", help="code distance (computed when omitted)")
-        if name == "list":
-            sp.add_argument("--a", help="list exponent (default 0)")
-        if name != "simulate":
-            sp.add_argument("--x", help="transmitted codeword (default: the zero word, or "
-                            "the first codeword of an explicit code without it)")
-            sp.add_argument("--reads", choices=("random", "exhaustive", "adversarial"),
-                            default="random")
-            sp.add_argument("--N", type=positive_int,
-                            help="read count (default: formula value)")
+        for flag, kwargs in [*((flag, FLAGS[flag]) for flag in flags), *own.items()]:
+            sp.add_argument(f"--{flag}", **kwargs)
         sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("tandem", help="simplex reconstruction for duplications")
-    common(sp, grids=False)
-    sp.add_argument("--code", required=True, help="simplex:@FILE")
-    sp.add_argument("--t", required=True, help="duplication count bound")
-    sp.add_argument("--delta", help="reconstruction distance (default: file header)")
-    sp.add_argument("--N", type=positive_int, help="read count (default: formula value)")
-    sp.set_defaults(func=cmd_tandem)
-
+    command("ball", "error-ball sizes", cmd_ball, (*GRID, *REPORT, "oracle", "cap"))
+    command("intersect", "worst-case two-ball intersections", cmd_intersect,
+            (*GRID, *REPORT, "oracle", "cap"))
+    command("distance", "channel distance between two vectors", cmd_distance,
+            ("kp", "km", *REPORT), x=dict(required=True, help="comma-separated vector"),
+            y=dict(required=True, help="comma-separated vector"))
+    command("check-splitting", "partial splitting test", cmd_check_splitting,
+            (*GRID, *REPORT, "oracle", "cap", "code"))
+    # _trials reads --timings, which only simulate's per-trial records keep
+    command("reconstruct", "unique reconstruction trials", cmd_reconstruct,
+            (*TRIALS, "x", "reads", "N"), alg=dict(choices=unique, required=True)
+            ).set_defaults(timings=False)
+    command("list", "list-reconstruction trials", cmd_list,
+            (*TRIALS, "x", "reads", "N"), alg=dict(choices=listed, required=True),
+            a=dict(help="list exponent (default 0)")).set_defaults(timings=False)
+    command("simulate", "seeded trial sweeps over a grid", cmd_simulate, TRIALS,
+            alg=dict(choices=unique, required=True),
+            timings=dict(action="store_true",
+                         help="include real elapsed_ns (breaks byte determinism)"))
+    command("tandem", "simplex reconstruction for duplications", cmd_tandem,
+            (*REPORT, "cap", "N"), code=dict(required=True, help="simplex:@FILE"),
+            t=dict(required=True, help="duplication count bound"),
+            delta=dict(help="reconstruction distance (default: file header)"))
     return parser
 
 

@@ -73,9 +73,6 @@ class FiniteAbelianGroup:
             raise ValueError("coordinate count must match moduli")
         return tuple(c % m for c, m in zip(coords, self.moduli))
 
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
     def scale(self, k: int, g: GroupElement) -> GroupElement:
         """k-fold sum of g, extended to k <= 0 in the natural way."""
         return tuple((k * x) % m for x, m in zip(g, self.moduli))
@@ -283,8 +280,9 @@ class LatticeCode(Code):
     first codeword of the window scan.  The handle keeps one
     ``_coset_leaders`` table (sorted syndrome codes, leader matrix) for the
     last (radius, k+, k-) it decoded at, rebuilt when that key changes.
-    ``decode_rows`` is one syndrome pass, one lookup and U - leaders, exact
-    in Python ints for rows or groups past int64.
+    Every call charges the decode ball against ``cap``, whether its table is
+    cached or not.  ``decode_rows`` is one syndrome pass, one lookup and
+    U - leaders, exact in Python ints for rows or groups past int64.
     """
 
     def __init__(self, spec: SplitterSpec):
@@ -299,6 +297,8 @@ class LatticeCode(Code):
         self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> tuple[np.ndarray, np.ndarray]:
         key = (radius, params.k_plus, params.k_minus)
+        size = combinatorics.hamming_volume(params.magnitude_span + 1, self.n, radius)
+        charge(size, "ball vectors", cap)
         # another thread may swap the handle's table at any time, so the
         # table this call decodes with is bound once
         table = self._leaders

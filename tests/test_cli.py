@@ -1,3 +1,4 @@
+import argparse
 import ast
 import inspect
 import json
@@ -609,9 +610,9 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     from test_cli_golden import CASES
 
     argv, status, stdout = CASES[0]
-    assert "--explain" not in argv and "--oracle" not in argv and "--out" not in argv
+    assert "--explain" not in argv and "--out" not in argv
     target = tmp_path / "report.txt"
-    assert main([*argv.split(), "--oracle", "--explain", "--out", str(target)]) == status
+    assert main([*argv.split(), "--explain", "--out", str(target)]) == status
     assert "anchor legend" in target.read_text(encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main([*argv.split(), "--format", "bogus"])
@@ -648,3 +649,77 @@ def test_lattice_scan_past_int64_matches_its_oracle(capsys):
     )
     assert code == 0
     assert out.splitlines()[1].split()[-1] == "MATCH"
+
+
+def _subparsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_command_flags():
+    # each command takes only the flags its cmd_* function reads: edit this
+    # table with them
+    report, grid = ["--explain", "--format", "--out"], ["--km", "--kp", "--n", "--t"]
+    trials = [*grid, *report, "--alg", "--cap", "--code", "--delta", "--seed", "--trials"]
+    expected = {
+        "ball": [*grid, *report, "--cap", "--oracle"],
+        "intersect": [*grid, *report, "--cap", "--oracle"],
+        "distance": ["--km", "--kp", *report, "--x", "--y"],
+        "check-splitting": [*grid, *report, "--cap", "--code", "--oracle"],
+        "reconstruct": [*trials, "--N", "--reads", "--x"],
+        "list": [*trials, "--N", "--a", "--reads", "--x"],
+        "simulate": [*trials, "--timings"],
+        "tandem": [*report, "--N", "--cap", "--code", "--delta", "--t"],
+    }
+    commands = _subparsers(cli.build_parser())
+    flags = {
+        name: sorted(s for a in sp._actions for s in a.option_strings if s.startswith("--")
+                     and s != "--help")
+        for name, sp in commands.items()
+    }
+    assert flags == {name: sorted(f) for name, f in expected.items()}
+    assert sum(map(len, flags.values())) == 90
+    alg = {name: sp._option_string_actions["--alg"].choices
+           for name, sp in commands.items() if "--alg" in sp._option_string_actions}
+    unique = [name for name in ALGORITHMS if not name.startswith("list-")]
+    listed = [name[len("list-"):] for name in ALGORITHMS if name.startswith("list-")]
+    assert alg == {"reconstruct": unique, "list": listed, "simulate": unique}
+    assert unique == ["min", "majority"] and listed == ["min", "majority", "sauer"]
+
+
+def test_alg_choices_follow_the_registry(monkeypatch):
+    monkeypatch.setitem(ALGORITHMS, "cover", ALGORITHMS["min"])
+    monkeypatch.setitem(ALGORITHMS, "list-cover", ALGORITHMS["list-min"])
+    commands = _subparsers(cli.build_parser.__wrapped__())
+    choices = {name: commands[name]._option_string_actions["--alg"].choices
+               for name in ("reconstruct", "list", "simulate")}
+    assert choices == {
+        "reconstruct": ["min", "majority", "cover"],
+        "list": ["min", "majority", "sauer", "cover"],
+        "simulate": ["min", "majority", "cover"],
+    }
+
+
+RECONSTRUCT = "reconstruct --alg min --code sum-mod:2 --n 3 --t 1 --kp 1"
+DISTANCE = "distance --x 3,0 --y 0,0 --kp 2 --km 1"
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (RECONSTRUCT, "--oracle"),
+    (RECONSTRUCT, "--timings"),
+    (RECONSTRUCT.replace("reconstruct", "list"), "--oracle"),
+    (RECONSTRUCT.replace("reconstruct", "list"), "--timings"),
+    (RECONSTRUCT.replace("reconstruct", "simulate"), "--oracle"),
+    ("tandem --code simplex:@code.txt --t 2", "--oracle"),
+    (DISTANCE, "--oracle"),
+    (DISTANCE, "--n 1:9"),
+    (DISTANCE, "--t 7"),
+    (DISTANCE, "--cap 1"),
+])
+def test_a_flag_the_command_does_not_read_exits_two(argv, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), *unread.split()])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unread}\n" in captured.err

@@ -3,8 +3,9 @@
 into one registry, and of `tandem` runs, recorded before simplex read sets
 moved onto stacks.  The random-read cases whose draws or records moved were
 re-recorded when a command's trials came to share one generator and each
-record named its trial.  Any difference here is a change in what a user
-sees."""
+record named its trial.  The ``simulate --explain`` case with a point that
+runs was added when simulate rows came to carry their anchor.  Any
+difference here is a change in what a user sees."""
 
 import shlex
 
@@ -272,6 +273,16 @@ alg  n  t  kp  km  delta  N  trials  success  anchor
 # skipped n=2 t=1 kp=1 km=0: --delta 2 exceeds the code's distance 1; the read-count guarantees assume delta <= distance
 # skipped n=3 t=1 kp=1 km=0: --delta 2 exceeds the code's distance 1; the read-count guarantees assume delta <= distance
 # anchor legend:
+""",
+    ),
+    (
+        "simulate --alg min --code sum-mod:2 --n 3 --t 1 --kp 1 --trials 2 --explain",
+        0,
+        """\
+alg  n  t  kp  km  delta  N  trials  success  anchor
+min  3  1  1   0   1      2  2       2        reads-min
+# anchor legend:
+#   reads-min: k+^d * V_{k++1}(n-d,t-d) + 1
 """,
     ),
     (

@@ -49,7 +49,7 @@ def test_group_basics():
     g = FiniteAbelianGroup((2, 3))
     assert g.order == 6
     assert g.identity == (0, 0)
-    assert g.add((1, 2), (1, 2)) == (0, 1)
+    assert g.element((3, -1)) == (1, 2)
     assert g.scale(-1, (1, 1)) == (1, 2)
     assert len(list(g.elements())) == 6
     with pytest.raises(ValueError):
@@ -252,6 +252,19 @@ def test_cap_bounds_the_coset_leader_ball():
         LatticeCode(spec).decode_rows(U, 1, p, cap=6)
     C, found = LatticeCode(spec).decode_rows(U, 1, p, cap=7)
     assert C.tolist() == [[0, 0, 0], [0, 0, 0]] and found.all()
+
+
+def test_cap_bounds_a_decode_with_a_cached_table():
+    # a handle whose table is cached charges its decode ball like a fresh one
+    spec = lattice.parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]")
+    p = ChannelParams(6, 2, 1, 1)
+    U = np.array([[1, 1, 0, 0, 0, 0]], dtype=np.int64)
+    code = LatticeCode(spec)
+    assert code.decode_rows(U, 2, p, cap=10**7)[1].all()
+    err = "73 ball vectors exceed enumeration cap 5"
+    for handle in (LatticeCode(spec), code):
+        with pytest.raises(EnumerationCapExceeded, match=err):
+            handle.decode_rows(U, 2, p, cap=5)
 
 
 @pytest.mark.parametrize("text, python_ints", [
