@@ -26,7 +26,6 @@ from magrec.combinatorics import (
     ball_size,
     binom,
     hamming_volume,
-    in_ball,
     intersection_bounds,
     intersection_exact,
     max_intersection_of_code,
@@ -35,8 +34,6 @@ from magrec.combinatorics import (
 from magrec.distances import (
     DistanceComponents,
     code_min_distance,
-    count_greater,
-    distance_asymmetric,
     distance_components,
     distance_general,
 )

@@ -17,6 +17,13 @@ set, and ``run_trial(code, algorithm, x, p, N, delta, a, reads, seed)``
 decodes it.  ``score_sets`` scores the rows (set, codeword) that
 ``decode_read_sets`` decodes a stack into: x on a set's list is success.
 
+A decoder that reads only each set's componentwise minimum (``min`` and
+``list-min``) needs no enumeration of the exhaustive sets: on a k- = 0
+ball, ``minimum_sets`` hands out each distinct minimum x + z once, as a
+one-read set, with the exact number of N-subsets whose minimum it is, in
+Python ints.  It charges the cap the same C(|ball|, N) subsets as
+``read_sets`` does, so the cap bounds the same points either way.
+
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
 generator name, the seed and the trial index.  A random-read command owns
@@ -52,7 +59,7 @@ from magrec.core import (
     check_entries,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, ball_size
+from magrec.combinatorics import ball_matrix, ball_size, minimum_counts
 from magrec import reconstruction
 
 RNG_NAME = "philox"
@@ -171,6 +178,24 @@ def read_sets(
     else:
         blocks = _row_blocks((_adversarial_order(ball)[:N],), N, p.n)
     yield from _stacks(ball, shift, blocks)
+
+
+def minimum_sets(
+    x: Vec, p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """What a decoder that reads only each set's componentwise minimum sees
+    of every N-subset of the k- = 0 ball around x: pairs (stack, counts) of
+    the distinct minima x + z, each a one-read set, in the ball's order, and
+    for each the number of N-subsets with that minimum
+    (``combinatorics.minimum_counts``), an object array of Python ints.  A
+    stack holds as many one-read sets as ``_per_stack`` allows.  ``cap``
+    bounds the ball and is charged the C(|ball|, N) subsets the counts stand
+    for, as ``read_sets`` charges exhaustive reads."""
+    charge(math.comb(ball_size(p), N), "exhaustive read sets", cap)
+    ball, shift = _ball_and_shift(x, p, cap)
+    counts = np.array(minimum_counts(p, N, cap), dtype=object)
+    for idx in _row_blocks(counts.nonzero()[0][:, None], 1, p.n):
+        yield next(_stacks(ball, shift, [idx])), counts[idx[:, 0]]
 
 
 def generate_reads(

@@ -40,6 +40,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from magrec import channel, combinatorics, distances, lattice, reconstruction, tandem
 from magrec.core import (
     DEFAULT_ENUM_CAP,
@@ -360,20 +362,32 @@ def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: in
 
 def _trials(args, report: Report, entry, plan, code, p: ChannelParams, delta: int,
             a: int, x, N: int, reads: str):
-    """Yield (sizes, hits, share) for each stack of one point, drawn by
-    ``channel.read_sets``: the ``channel.score_sets`` of its
-    ``channel.decode_read_sets`` rows, and each set's equal share of the
-    elapsed ns (0 unless --timings is given).  When N distinct reads cannot
-    come from the ball, note the point as skipped and yield nothing."""
+    """Yield (weights, sizes, hits, share) for each stack of one point: how
+    many read sets each of its sets stands for, the ``channel.score_sets``
+    of its ``channel.decode_read_sets`` rows, and each set's equal share of
+    the elapsed ns (0 unless --timings is given).  Exhaustive reads of an
+    algorithm that reads only each set's minimum
+    (``Algorithm.reads_minimum``) come from ``channel.minimum_sets``, one
+    set per distinct minimum weighted by its count of read sets; all other
+    stacks come from ``channel.read_sets``, each set weighing 1.  When N
+    distinct reads cannot come from the ball, note the point as skipped and
+    yield nothing."""
     size = combinatorics.ball_size(p)
     if N > size:
         report.note(_skip_note(*astuple(p), f"N={N} exceeds ball size {size}"))
         return
+    if reads == "exhaustive" and entry.reads_minimum(plan):
+        stacks = channel.minimum_sets(x, p, N, args.cap)
+    else:
+        stacks = (
+            (stack, np.ones(len(stack), dtype=np.int64))
+            for stack in channel.read_sets(x, p, N, reads, args.trials, args.seed, args.cap)
+        )
     start = time.monotonic_ns()
-    for stack in channel.read_sets(x, p, N, reads, args.trials, args.seed, args.cap):
+    for stack, weights in stacks:
         decoded = channel.decode_read_sets(entry, plan, code, p, delta, a, stack, args.cap)
         share = (time.monotonic_ns() - start) // len(stack) if args.timings else 0
-        yield (*channel.score_sets(decoded, len(stack), x), share)
+        yield (weights, *channel.score_sets(decoded, len(stack), x), share)
         start = time.monotonic_ns()
 
 
@@ -389,9 +403,11 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
     )
     x = _transmitted_word(code, p.n, args.x)
     sets = successes = longest = 0
-    for sizes, hits, _ in _trials(args, report, entry, plan, code, p, delta, a, x, N, args.reads):
-        sets += len(sizes)
-        successes += int(hits.sum())
+    for weights, sizes, hits, _ in _trials(
+        args, report, entry, plan, code, p, delta, a, x, N, args.reads
+    ):
+        sets += int(weights.sum())
+        successes += int(weights[hits].sum())
         longest = max(longest, int(sizes.max()))
     return dict(
         alg=args.alg, code=args.code, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus,
@@ -448,7 +464,7 @@ def cmd_simulate(args) -> int:
         x = _transmitted_word(code, p.n)
         trials = _trials(args, report, entry, plan, code, p, delta, 0, x, N, "random")
         records = []
-        for sizes, hits, share in trials:
+        for _, sizes, hits, share in trials:
             for size, hit in zip(sizes.tolist(), hits.tolist()):
                 records.append(channel.TrialRecord(
                     channel.RNG_NAME, args.seed, len(records), p, args.alg, N, hit, size, share

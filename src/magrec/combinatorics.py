@@ -14,7 +14,9 @@ Every ball is one read-only int64 matrix with rows in lexicographic order
 builds the tandem module's upward balls) and kept in an LRU cache keyed by
 (n, t, k+, k-) that charges each ball its ``nbytes`` against
 ``BALL_CACHE_BYTES``.  ``ball_vectors`` is a tuple copy of it, made on
-every call, for the oracles.
+every call, for the oracles.  ``minimum_counts`` counts, per row z of a
+k- = 0 ball, the N-subsets of the ball whose componentwise minimum is z, by
+Möbius inversion rather than by enumerating the subsets.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -25,6 +27,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
     Vec,
+    _row_keys,
     charge,
 )
 
@@ -140,18 +144,49 @@ def ball_vectors(
     return tuple(map(tuple, ball_matrix(n, t, k_plus, k_minus, cap).tolist()))
 
 
-def in_ball(v: Vec, p: ChannelParams) -> bool:
-    """Membership test of a length-n vector in B(n, t, k+, k-); O(n), no
-    enumeration."""
-    weight = 0
-    for x in v:
-        if x:
-            if not -p.k_minus <= x <= p.k_plus:
-                return False
-            weight += 1
-            if weight > p.t:
-                return False
-    return True
+def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
+    """Per row z of the k- = 0 ball ``ball_matrix``, the number of N-subsets
+    of the ball whose componentwise minimum is z, as Python ints, counted
+    without enumerating a subset; ``cap`` bounds the ball.
+
+    Möbius inversion on the product of chains [0, k+]^n gives count(z) =
+    sum over S ⊆ [n] of (-1)^|S| C(U(z + 1_S), N), where U(y), the number
+    of rows >= y, is the product of k+ - y_i + 1 over supp y times
+    tail(|supp y|), tail(r) = sum_{j <= t - r} C(n - r, j) k+^j (0 for
+    r > t).  Grouping S by how many a_v of the c_v coordinates of value v
+    in z it raises, and how many j of the n - s zero coordinates (s =
+    |supp z|), leaves prod_v (c_v + 1) * (n - s + 1) terms:
+
+        count(z) = sum (-1)^(|a| + j) prod_v C(c_v, a_v) C(n - s, j)
+                   C(prod_v (k+ - v + 1)^(c_v - a_v) (k+ - v)^a_v k+^j tail(s + j), N).
+
+    It depends on the multiplicities c_v alone, so each distinct class of
+    rows is counted once.
+    """
+    if p.k_minus:
+        raise ValueError("minimum counts need a k- = 0 channel")
+    n, t, kp = p.n, p.t, p.k_plus
+    ball = ball_matrix(n, t, kp, 0, cap=cap)
+    tail = [sum(math.comb(n - r, j) * kp**j for j in range(t - r + 1)) for r in range(n + 1)]
+
+    def count(mult: list[int]) -> int:
+        s, total = sum(mult), 0
+        for raised in product(*(range(c + 1) for c in mult)):
+            ways = above = 1
+            for v, (c, a) in enumerate(zip(mult, raised), 1):
+                ways *= math.comb(c, a)
+                above *= (kp - v + 1) ** (c - a) * (kp - v) ** a
+            total += (-1) ** sum(raised) * ways * sum(
+                (-1) ** j * math.comb(n - s, j) * math.comb(above * kp**j * tail[s + j], N)
+                for j in range(n - s + 1)
+            )
+        return total
+
+    # a row's class: how often each value 1..k+ occurs in it
+    mults = np.column_stack([(ball == v).sum(axis=1) for v in range(1, kp + 1)])
+    _, first, rows = np.unique(_row_keys(mults), return_index=True, return_inverse=True)
+    per_class = [count(mult) for mult in mults[first].tolist()]
+    return [per_class[c] for c in rows.tolist()]
 
 
 def intersection_exact(

@@ -1,8 +1,8 @@
-"""The two channel distances and the minimum distance of an explicit code.
+"""The channel distance and the minimum distance of an explicit code.
 
-``distance_asymmetric`` handles the k- = 0 channel; ``distance_general``
-handles k- >= 1 and specializes to the former at k- = 0.  Neither satisfies
-the triangle inequality, so nothing here (or anywhere downstream) assumes
+``distance_general`` handles every channel; at k- = 0 it is the asymmetric
+distance, the larger one-sided disagreement count.  It does not satisfy the
+triangle inequality, so nothing here (or anywhere downstream) assumes
 metric axioms.  Values live on [0, n+1]; n+1 is an ordinary integer encoding
 "out of magnitude range", since every use is an order comparison.
 """
@@ -13,23 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from magrec.core import Vec
-
-
-def count_greater(x: Vec, y: Vec) -> int:
-    """Number of coordinates where x exceeds y."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(1 for a, b in zip(x, y) if a > b)
-
-
-def distance_asymmetric(x: Vec, y: Vec, k_plus: int) -> int:
-    """Distance for the k- = 0 channel: n+1 when some |x[i]-y[i]| exceeds
-    k_plus, otherwise the larger one-sided disagreement count."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if any(abs(a - b) > k_plus for a, b in zip(x, y)):
-        return len(x) + 1
-    return max(count_greater(x, y), count_greater(y, x))
 
 
 @dataclass(frozen=True)
@@ -79,7 +62,8 @@ def distance_general(x: Vec, y: Vec, k_plus: int, k_minus: int) -> int:
         ceil(max(n_small - |m_forward - m_backward|, 0) / 2)
         + max(m_forward, m_backward) + n_large.
 
-    At k- = 0 this coincides with ``distance_asymmetric`` pointwise.
+    At k- = 0 this is n+1 when some |x[i]-y[i]| exceeds k+, and otherwise
+    the larger one-sided disagreement count.
     """
     if k_minus < 0 or k_plus < k_minus:
         raise ValueError("need k_plus >= k_minus >= 0")

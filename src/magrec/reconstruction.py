@@ -640,17 +640,25 @@ class Algorithm:
     plan.tau, code, delta, a, cap)`` decodes a checked stack into its
     ``Decoded`` rows, at most ``list_size_bound(p, delta, a)`` per read set
     and none where the set could not be decoded.  ``cap`` bounds every ball
-    and erasure-fill enumeration.
+    and erasure-fill enumeration.  ``minimum_only`` marks a ``decode`` that
+    reads only each set's componentwise minimum.
     """
 
     plan: Callable[[ChannelParams, int, int], ReadPlan]
     decode: Callable[..., Decoded]
     list_size_bound: Callable[[ChannelParams, int, int], int]
+    minimum_only: bool = False
 
     def decoder(self, plan: ReadPlan):
         """``decode``, or under the one-read plan a radius-(delta - 1)
         decode of each set's anchor read."""
         return _decode_one_read if plan.anchor == ONE_READ.anchor else self.decode
+
+    def reads_minimum(self, plan: ReadPlan) -> bool:
+        """Whether ``decoder(plan)`` reads only each set's componentwise
+        minimum, so decoding that minimum as a one-read set gives the set's
+        rows; never under the one-read plan, whose anchor is no minimum."""
+        return self.minimum_only and plan.anchor != ONE_READ.anchor
 
 
 def _plan_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
@@ -685,11 +693,14 @@ def _list_min_size_bound(p: ChannelParams, delta: int, a: int) -> int:
     return hamming_volume(p.k_plus + 1, p.n, a)
 
 
-#: Algorithm name -> read plan, decoder and list-size bound.
+#: Algorithm name -> read plan, decoder, list-size bound and whether the
+#: decoder reads only each set's minimum.
 ALGORITHMS: dict[str, Algorithm] = {
-    "min": Algorithm(_plan_min, _decode_min, _one),
+    "min": Algorithm(_plan_min, _decode_min, _one, minimum_only=True),
     "majority": Algorithm(_plan_majority, _decode_majority, _one),
-    "list-min": Algorithm(_plan_list_min, _decode_list_min, _list_min_size_bound),
+    "list-min": Algorithm(
+        _plan_list_min, _decode_list_min, _list_min_size_bound, minimum_only=True
+    ),
     "list-majority": Algorithm(
         _plan_list_majority, _decode_list_majority, majority_list_size_bound
     ),

@@ -19,12 +19,14 @@ itself) builds the excess vectors of B_t^+(0) as a lexicographically
 ordered int64 matrix; a shell w is a row of B_w^+(0) one coordinate shorter
 followed by the excess it leaves, so it depends only on (m + 1, w).  A read
 set of x + shell has componentwise minimum x + z, z the minimum of its
-subset of the shell, so a command walks each shell once: it counts the
-distinct minima of the shell's N-subsets, taken in the channel's
-byte-bounded index blocks, and each codeword decodes x + z once per
-distinct z with ``SimplexCode.decode_upward``, the only decoder, weighted
-by that count, adding x + z in Python ints, so a code of any entries is
-counted exactly.  Where reads are built as int64 rows (``upward_ball``,
+subset of the shell, and the shell's N-subsets with minimum z are counted
+in closed form by Möbius inversion (``_shell_minimum_count``), a count
+that depends on |z| alone, so no subset is enumerated.  Each codeword
+decodes x + z once per distinct z with ``SimplexCode.decode_upward``, the
+only decoder, weighted by the sets of all shells with that minimum, adding
+x + z in Python ints, so a code of any entries is counted exactly.  The
+cap is still charged every shell and every shell's subset count.  Where
+reads are built as int64 rows (``upward_ball``,
 ``exhaustive_simplex_read_sets``, ``reconstruct_simplex_min``), x plus any
 excess must stay below 2**62 (``core.check_entries``).
 """
@@ -32,20 +34,17 @@ excess must stay below 2**62 (``core.check_entries``).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec import channel
 from magrec.combinatorics import _lex_rows
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     ReconstructionError,
     Vec,
-    _row_keys,
     charge,
     check_entries,
     parse_int,
@@ -177,26 +176,28 @@ def reconstruct_simplex_min(
 
 
 def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
-    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k that hold a
-    ``count``-subset, each charged against ``cap`` with its subset count."""
+    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k, each charged
+    against ``cap`` with its vectors and, when it holds a ``count``-subset,
+    with its subset count."""
     for w in range(t + 1):
         shell = _excess_shell(k, w, cap)
         if len(shell) >= count:
             charge(math.comb(len(shell), count), "upward shell read sets", cap)
-            yield shell
+        yield shell
 
 
-def _shell_minima(shell: np.ndarray, count: int) -> Counter:
-    """How many ``count``-subsets of ``shell`` have each componentwise
-    minimum, one 1-D ``np.unique`` of the minima's ``_row_keys`` per
-    byte-bounded ``channel._row_blocks`` block."""
-    minima: Counter = Counter()
-    subsets = combinations(range(len(shell)), count)
-    for idx in channel._row_blocks(subsets, count, shell.shape[1]):
-        rows = shell[idx].min(axis=1)
-        _, first, hits = np.unique(_row_keys(rows), return_index=True, return_counts=True)
-        minima.update(dict(zip(map(tuple, rows[first].tolist()), hits.tolist())))
-    return minima
+def _shell_minimum_count(m: int, gap: int, count: int) -> int:
+    """How many ``count``-subsets of a weight-w shell in Z^(m + 1) have
+    componentwise minimum z, for any z >= 0 with gap = w - |z| >= 0.
+
+    The shell has C(m + w - |y|, m) rows >= y (none when |y| > w), so
+    Möbius inversion over the coordinates raised above z gives
+    sum_j (-1)^j C(m + 1, j) C(C(m + gap - j, m), count), j <= gap.
+    """
+    return sum(
+        (-1) ** j * math.comb(m + 1, j) * math.comb(math.comb(m + gap - j, m), count)
+        for j in range(min(m + 1, gap) + 1)
+    )
 
 
 def exhaustive_simplex_read_sets(
@@ -215,20 +216,33 @@ def simplex_min_counts(
 ) -> tuple[int, int]:
     """(sets, successes) of min-decoding every size-``count`` subset of every
     constant-excess shell of every codeword's B_t^+(x); a set succeeds when
-    it decodes to its own codeword.  x decodes x + z once per distinct
-    minimum z of a shell's subsets.  ``cap`` bounds each shell and each
-    shell's subset count.
+    it decodes to its own codeword.
+
+    A set's minimum is x + z, and ``_shell_minimum_count`` counts the sets
+    of each shell with minimum z, so no subset is enumerated: each codeword
+    decodes x + z once per z of B_t^+(0) that is some set's minimum,
+    weighted by the sets of all shells with that minimum.  ``cap`` is
+    charged each shell and each shell's subset count.
     """
-    sets = successes = 0
-    for shell in _shells(code.m + 1, t, count, cap):
-        minima = _shell_minima(shell, count)
-        sets += len(code.members) * math.comb(len(shell), count)
-        for x in code.members:
-            successes += sum(
-                hits for z, hits in minima.items()
-                if code.decode_upward(tuple(a + b for a, b in zip(x, z)), delta - 1) == x
-            )
-    return sets, successes
+    if count < 1:
+        raise ValueError("read set must be nonempty")
+    sets, shells = 0, []
+    weight = [0] * (t + 1)  # per excess |z|: the sets of all shells with minimum z
+    for w, shell in enumerate(_shells(code.m + 1, t, count, cap)):
+        sets += math.comb(len(shell), count)
+        shells.append(shell)
+        for level in range(w + 1):
+            weight[level] += _shell_minimum_count(code.m, w - level, count)
+    minima = [
+        (z, weight[level])
+        for level, shell in enumerate(shells) if weight[level]
+        for z in shell.tolist()
+    ]
+    successes = sum(
+        hits for x in code.members for z, hits in minima
+        if code.decode_upward(tuple(a + b for a, b in zip(x, z)), delta - 1) == x
+    )
+    return len(code.members) * sets, successes
 
 
 def greedy_simplex_code(m: int, r: int, delta: int) -> SimplexCode:

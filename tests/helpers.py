@@ -8,7 +8,10 @@ code's words are pairwise disjoint.
 ``sampled_read_sets`` names the seeded random read sets of
 ``channel.read_sets``, the library's only read generator, as a sub-sample
 of N-subsets of the ball for exhaustive claims whose subset count is out of
-reach.  ``per_set`` turns a decoder's owner-tagged rows back into one tuple
+reach.  ``oracle_exhaustive_totals`` decodes every N-subset one stack at a
+time, the oracle of the CLI's per-minimum counts.  ``in_ball``,
+``count_greater`` and ``distance_asymmetric`` are the scalar membership
+test and k- = 0 distance that only the tests call.  ``per_set`` turns a decoder's owner-tagged rows back into one tuple
 of codewords per set, the shape the tuple oracles compare.
 
 Everything else here is built from itertools primitives and set arithmetic only,
@@ -37,9 +40,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.channel import read_sets
+from magrec.channel import decode_read_sets, read_sets, score_sets
 from magrec.combinatorics import ball_matrix, ball_vectors
 from magrec.core import ERASURE, ChannelParams, EnumerationCapExceeded, Vec
+from magrec.reconstruction import ALGORITHMS
 
 
 def brute_force_decode(
@@ -93,6 +97,25 @@ def sampled_read_sets(
     return read_sets(x, p, count, "random", samples, seed)
 
 
+def oracle_exhaustive_totals(
+    algorithm: str, code, x: Vec, p: ChannelParams, N: int, delta: int, a: int = 0,
+) -> tuple[int, int, int]:
+    """(sets, successes, longest list) of decoding every N-subset of the
+    ball around x with ``ALGORITHMS[algorithm]``: the enumeration, stack by
+    stack, that the CLI ran for ``--reads exhaustive`` before it counted
+    read sets per minimum.  x on a set's list is a success."""
+    entry = ALGORITHMS[algorithm]
+    plan = entry.plan(p, delta, a)
+    sets = successes = longest = 0
+    for stack in read_sets(x, p, N, "exhaustive", cap=10**9):
+        decoded = decode_read_sets(entry, plan, code, p, delta, a, stack)
+        sizes, hits = score_sets(decoded, len(stack), x)
+        sets += len(stack)
+        successes += int(hits.sum())
+        longest = max(longest, int(sizes.max()))
+    return sets, successes, longest
+
+
 def per_set(decoded, sets: int) -> list[tuple[Vec, ...]]:
     """The codewords of each of the ``sets`` sets of a decoded stack, as one
     tuple per set in row order, empty where the set owns no row."""
@@ -101,6 +124,38 @@ def per_set(decoded, sets: int) -> list[tuple[Vec, ...]]:
     for s, word in zip(owner.tolist(), words.tolist()):
         out[s].append(tuple(word))
     return [tuple(words) for words in out]
+
+
+def in_ball(v: Vec, p: ChannelParams) -> bool:
+    """Membership test of a length-n vector in B(n, t, k+, k-); O(n), no
+    enumeration."""
+    weight = 0
+    for x in v:
+        if x:
+            if not -p.k_minus <= x <= p.k_plus:
+                return False
+            weight += 1
+            if weight > p.t:
+                return False
+    return True
+
+
+def count_greater(x: Vec, y: Vec) -> int:
+    """Number of coordinates where x exceeds y."""
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    return sum(1 for a, b in zip(x, y) if a > b)
+
+
+def distance_asymmetric(x: Vec, y: Vec, k_plus: int) -> int:
+    """Distance for the k- = 0 channel: n+1 when some |x[i]-y[i]| exceeds
+    k_plus, otherwise the larger one-sided disagreement count; the oracle
+    of ``distance_general`` at k- = 0."""
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if any(abs(a - b) > k_plus for a, b in zip(x, y)):
+        return len(x) + 1
+    return max(count_greater(x, y), count_greater(y, x))
 
 
 def oracle_ball(n: int, t: int, kp: int, km: int) -> list[tuple[int, ...]]:

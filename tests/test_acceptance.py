@@ -33,11 +33,7 @@ from magrec.combinatorics import (
     intersection_exact,
     max_intersection_whole_space,
 )
-from magrec.distances import (
-    code_min_distance,
-    distance_asymmetric,
-    distance_general,
-)
+from magrec.distances import code_min_distance, distance_general
 from magrec.lattice import (
     FiniteAbelianGroup,
     LatticeCode,
@@ -73,6 +69,7 @@ from magrec.tandem import (
 
 from helpers import (
     correction_capability_oracle,
+    distance_asymmetric,
     oracle_packing_by_window_pairs,
     per_set,
     sampled_read_sets,

@@ -1,12 +1,13 @@
-"""Property tests of the ball cache, the intersection count, the splitting
-test and the lattice shell scans against the brute-force oracles in
-``helpers``."""
+"""Property tests of the ball cache, the per-minimum subset counts, the
+intersection count, the splitting test and the lattice shell scans against
+the brute-force oracles in ``helpers``."""
 
-from collections import OrderedDict
-from itertools import product
+import math
+from collections import Counter, OrderedDict
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magrec import ChannelParams, EnumerationCapExceeded
@@ -16,6 +17,7 @@ from magrec.combinatorics import (
     ball_size,
     ball_vectors,
     intersection_exact,
+    minimum_counts,
 )
 from magrec.lattice import (
     FiniteAbelianGroup,
@@ -47,6 +49,24 @@ def splitters(draw, max_n=3):
     n = draw(st.integers(1, max_n))
     element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
     return SplitterSpec(FiniteAbelianGroup(moduli), tuple(draw(element) for _ in range(n)))
+
+
+@CHECKS
+@given(channels(max_n=4, max_km=0), st.data())
+def test_minimum_counts_match_a_counter_of_the_subsets(p, data):
+    ball = oracle_ball(p.n, p.t, p.k_plus, 0)
+    N = data.draw(st.integers(1, len(ball)))
+    assume(math.comb(len(ball), N) <= 3000)
+    minima = Counter(tuple(map(min, zip(*S))) for S in combinations(ball, N))
+    counts = minimum_counts(p, N)
+    # a count per row of the ball, in its order, and 0 where no set has it
+    assert len(counts) == len(ball)
+    assert {z: c for z, c in zip(ball, counts) if c} == minima
+
+
+def test_minimum_counts_need_a_k_minus_zero_channel():
+    with pytest.raises(ValueError, match="k- = 0"):
+        minimum_counts(ChannelParams(2, 1, 1, 1), 1)
 
 
 @CHECKS

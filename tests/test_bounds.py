@@ -2,6 +2,7 @@
 ``core.rows_per_block`` against the one ``core.BLOCK_BYTES``, and every
 enumeration is charged against its cap by the one ``core.charge``."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,11 +12,17 @@ import pytest
 
 from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, LatticeCode, core
 from magrec import lattice, reconstruction
-from magrec.channel import read_sets
+from magrec.channel import minimum_sets, read_sets
 from magrec.combinatorics import ball_matrix
 from magrec.lattice import parse_splitter_spec
 from magrec.reconstruction import ALGORITHMS, sauer_shelah_find
-from magrec.tandem import _excess_shell, exhaustive_simplex_read_sets, upward_ball
+from magrec.tandem import (
+    _excess_shell,
+    exhaustive_simplex_read_sets,
+    greedy_simplex_code,
+    simplex_min_counts,
+    upward_ball,
+)
 
 from test_read_matrix import recording_candidates
 
@@ -47,6 +54,11 @@ def test_one_budget_bounds_every_kind_of_block(budget, monkeypatch):
     stacks = list(read_sets((0,) * 6, P, 4, "random", 200, seed=3))
     assert len(stacks) > 1 and sum(map(len, stacks)) == 200
     assert all(s.nbytes <= budget or len(s) == 1 for s in stacks)
+
+    # minimum stacks: 8 n bytes a one-read set, one per distinct minimum
+    minima = list(minimum_sets((0,) * 6, ChannelParams(6, 2, 1, 0), 3))
+    assert sum(int(counts.sum()) for _, counts in minima) == math.comb(22, 3)
+    assert all(s.shape[1] == 1 and (s.nbytes <= budget or len(s) == 1) for s, _ in minima)
 
     # erasure-fill candidates: 32 (|shifts| n + 2 n) bytes a fill
     blocks = []
@@ -111,12 +123,22 @@ ENUMERATIONS = {
         lambda cap: list(lattice._lattice_vectors_by_weight(
             parse_splitter_spec("group=Z13; s=[1,2]"), 1, 2, cap)),
     ),
+    # the same count when the pairs are counted per minimum
+    "exhaustive minima": (
+        6, "exhaustive read sets",
+        lambda cap: list(minimum_sets((0, 0, 0), ChannelParams(3, 1, 1, 0), 2, cap)),
+    ),
     "upward shell": (6, "upward shell vectors", lambda cap: _excess_shell(3, 2, cap)),
     "upward ball": (10, "upward ball vectors", lambda cap: upward_ball((0, 0, 0), 2, cap)),
     # C(6, 3) triples of the last shell, which holds 6 vectors
     "shell read sets": (
         20, "upward shell read sets",
         lambda cap: list(exhaustive_simplex_read_sets((0, 0, 0), 2, 3, cap)),
+    ),
+    # the same triples, counted per minimum for a code in that simplex
+    "counted shell read sets": (
+        20, "upward shell read sets",
+        lambda cap: simplex_min_counts(greedy_simplex_code(2, 2, 1), 2, 3, 1, cap),
     ),
 }
 

@@ -9,10 +9,10 @@ from magrec.channel import (
     generate_reads,
     run_trial,
 )
-from magrec.combinatorics import ball_size, in_ball
+from magrec.combinatorics import ball_size
 from magrec.lattice import LatticeCode, SplitterSpec, cyclic
 
-from helpers import sampled_read_sets
+from helpers import in_ball, sampled_read_sets
 
 
 def sum_mod(n, m):

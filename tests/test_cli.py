@@ -1,11 +1,18 @@
 import argparse
 import ast
+import contextlib
+import dataclasses
 import inspect
+import io
 import json
+import math
 from collections import OrderedDict
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from magrec import ChannelParams, cli, combinatorics
 from magrec.cli import main, parse_code_spec, parse_grid
@@ -13,6 +20,8 @@ from magrec.reconstruction import ALGORITHMS
 from magrec.lattice import LatticeCode
 from magrec.core import ExplicitCode
 from magrec.tandem import SimplexCode
+
+from helpers import oracle_exhaustive_totals
 
 
 def run_cli(capsys, *argv):
@@ -341,6 +350,127 @@ def test_exhaustive_cap_error_names_only_what_the_user_can_change(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "sampled_read_sets" not in captured.err
+
+
+def _records(argv):
+    """(exit code, the one record) of a CLI run with --format records."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "records"])
+    return code, json.loads(out.getvalue().splitlines()[0])
+
+
+def _enumerating(*names):
+    """The registry with ``names`` marked as reading more than each set's
+    minimum, so exhaustive reads enumerate every set."""
+    return mock.patch.dict(ALGORITHMS, {
+        name: dataclasses.replace(ALGORITHMS[name], minimum_only=False) for name in names
+    })
+
+
+def _check_exhaustive_row(argv, algorithm, code, x, p, N, delta, a=0):
+    """The exhaustive row of ``argv`` against the enumerating oracle's
+    totals, and byte for byte against the CLI's own enumerating path."""
+    status, row = _records(argv)
+    sets, successes, longest = oracle_exhaustive_totals(algorithm, code, x, p, N, delta, a)
+    assert row["sets"] == sets
+    if algorithm.startswith("list-"):
+        assert (row["contains_x"], row["max_list"]) == (successes, longest)
+        assert status == (successes < sets or longest > row["bound"])
+    else:
+        assert (row["success"], row["fail"]) == (successes, sets - successes)
+        assert status == (successes < sets)
+    with _enumerating(algorithm):
+        assert _records(argv) == (status, row)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_exhaustive_minimum_rows_equal_the_enumerating_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    p = ChannelParams(n, data.draw(st.integers(1, n)), data.draw(st.integers(1, 3)), 0)
+    size = combinatorics.ball_size(p)
+    # read counts below the formula's leave sets that fail, up to N = |B|
+    N = data.draw(st.integers(1, size))
+    assume(math.comb(size, N) <= 2000)
+    M = data.draw(st.integers(2, 4))
+    word = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    x = (word[0] - sum(word) % M, *word[1:])
+    argv = ["--code", f"sum-mod:{M}", "--n", str(n), "--t", str(p.t), "--kp", str(p.k_plus),
+            "--reads", "exhaustive", "--N", str(N), "--x=" + ",".join(map(str, x)),
+            "--cap", str(10**9)]
+    code = parse_code_spec(f"sum-mod:{M}", n)
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, p.t - 1))
+        _check_exhaustive_row(["list", "--alg", "min", "--delta", "1", "--a", str(a), *argv],
+                              "list-min", code, x, p, N, 1, a)
+    else:
+        # at the code's distance, which may exceed t (the one-read plan)
+        delta = cli.code_distance(code, p, 10**9)
+        _check_exhaustive_row(["reconstruct", "--alg", "min", *argv],
+                              "min", code, x, p, N, delta)
+
+
+@pytest.mark.parametrize("alg, N, a", [
+    ("min", 3, 0), ("min", 5, 0), ("min", 26, 0),
+    ("list-min", 1, 1), ("list-min", 2, 1), ("list-min", 26, 0),
+])
+def test_exhaustive_minimum_rows_of_an_explicit_code(alg, N, a, tmp_path):
+    # the words are at distance 2 under k+ = 1, so min plans N = 5 and
+    # list-min at a = 1 plans N = 2; the ball holds 26 vectors
+    f = tmp_path / "code.txt"
+    f.write_text("0,0,0,0,0\n1,1,0,0,1\n1,1,1,1,1\n", encoding="utf-8")
+    p, x = ChannelParams(5, 3, 1, 0), (1, 1, 0, 0, 1)
+    code = parse_code_spec(f"explicit:@{f}")
+    command = ["reconstruct", "--alg", "min"] if alg == "min" else [
+        "list", "--alg", "min", "--a", str(a)]
+    argv = [*command, "--code", f"explicit:@{f}", "--n", "5", "--t", "3", "--kp", "1",
+            "--reads", "exhaustive", "--N", str(N), "--x", "1,1,0,0,1"]
+    _check_exhaustive_row(argv, alg, code, x, p, N, 2, a)
+
+
+def test_the_one_read_plan_stays_on_the_anchor_path(tmp_path, monkeypatch):
+    # distance 4 > t: one read decodes, and with --N 3 each set's anchor,
+    # not its minimum, is decoded
+    f = tmp_path / "code.txt"
+    f.write_text("0,0,0\n2,2,2\n", encoding="utf-8")
+    code = parse_code_spec(f"explicit:@{f}")
+    p = ChannelParams(3, 1, 2, 0)
+    assert not ALGORITHMS["min"].reads_minimum(ALGORITHMS["min"].plan(p, 4, 0))
+    monkeypatch.setattr(cli.channel, "minimum_sets", mock.Mock(side_effect=AssertionError))
+    argv = ["reconstruct", "--alg", "min", "--code", f"explicit:@{f}", "--n", "3",
+            "--t", "1", "--kp", "2", "--reads", "exhaustive", "--N", "3", "--x", "2,2,2"]
+    _check_exhaustive_row(argv, "min", code, (2, 2, 2), p, 3, 4)
+    assert _records(argv)[1]["N"] == 3
+
+
+def test_each_distinct_minimum_decodes_once(monkeypatch):
+    # 8008 sets of the 16-row ball: no more rows than the ball has
+    handed = []
+    decode_rows = LatticeCode.decode_rows
+
+    def counting(self, U, *args):
+        handed.append(len(U))
+        return decode_rows(self, U, *args)
+
+    monkeypatch.setattr(LatticeCode, "decode_rows", counting)
+    argv = "reconstruct --alg min --code sum-mod:2 --n 5 --t 2 --kp 1 --reads exhaustive"
+    status, row = _records(argv.split())
+    assert (status, row["sets"], row["fail"]) == (0, 8008, 0)
+    assert 0 < sum(handed) <= combinatorics.ball_size(ChannelParams(5, 2, 1, 0)) == 16
+
+
+@pytest.mark.parametrize("N, fail", [(None, 0), (46, 10)])
+def test_the_paper_point_holds_for_every_read_set(N, fail):
+    # all C(176, 47) sets of n=10, t=3, k+=1 decode at the planned N = 47,
+    # and exactly 10 of the C(176, 46) fail one read below: the read count
+    # is tight, shown over every read set
+    argv = ["reconstruct", "--alg", "min", "--code", "sum-mod:2", "--n", "10", "--t", "3",
+            "--kp", "1", "--reads", "exhaustive", "--cap", str(10**44)]
+    status, row = _records(argv + (["--N", str(N)] if N else []))
+    assert row["N"] == (N or 47)
+    assert row["sets"] == math.comb(176, row["N"]) and row["sets"] > 2**63
+    assert (row["fail"], status) == (fail, int(fail > 0))
 
 
 def test_list_counts_failed_sauer_sets(capsys):

@@ -9,15 +9,14 @@ from magrec.combinatorics import (
     ball_size,
     ball_vectors,
     hamming_volume,
-    in_ball,
     intersection_bounds,
     intersection_exact,
     max_intersection_of_code,
     max_intersection_whole_space,
 )
-from magrec.distances import distance_asymmetric, distance_general
+from magrec.distances import distance_general
 
-from helpers import oracle_ball, oracle_intersection
+from helpers import distance_asymmetric, in_ball, oracle_ball, oracle_intersection
 
 
 def test_binom_conventions():

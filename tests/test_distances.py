@@ -4,15 +4,14 @@ from itertools import combinations
 import pytest
 
 from magrec import ChannelParams
-from magrec.distances import (
-    code_min_distance,
+from magrec.distances import code_min_distance, distance_components, distance_general
+
+from helpers import (
+    correction_capability_oracle,
     count_greater,
     distance_asymmetric,
-    distance_components,
-    distance_general,
+    oracle_corrects,
 )
-
-from helpers import correction_capability_oracle, oracle_corrects
 
 
 def test_count_greater():

@@ -12,7 +12,7 @@ from magrec import (
     ExplicitCode,
     ReconstructionError,
 )
-from magrec.combinatorics import hamming_volume, in_ball
+from magrec.combinatorics import hamming_volume
 from magrec.distances import code_min_distance
 from magrec.lattice import cyclic, LatticeCode, SplitterSpec
 from magrec.reconstruction import (
@@ -35,7 +35,7 @@ from magrec.reconstruction import (
     sauer_reads_required,
 )
 
-from helpers import add, oracle_ball, oracle_sauer_shelah_find
+from helpers import add, in_ball, oracle_ball, oracle_sauer_shelah_find
 
 
 def sum_mod(n, m):

@@ -3,17 +3,16 @@ from collections import Counter
 from itertools import combinations, product
 from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magrec import core
 from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, ReconstructionError
 from magrec.tandem import (
     SimplexCode,
+    _excess,
     _excess_shell,
-    _shell_minima,
+    _shell_minimum_count,
     exhaustive_simplex_read_sets,
     format_simplex_code,
     greedy_simplex_code,
@@ -76,53 +75,49 @@ def test_upward_ball_shells_and_read_sets_match_the_recursion(x, t, data):
     N = data.draw(st.integers(1, 4))
     got = list(exhaustive_simplex_read_sets(x, t, N))
     assert got == [Y for shell in shells for Y in combinations(shell, N)]
-    # a few sets per block, so the keyed counts of blocks whose minima span
-    # different ranges must add up
-    per_stack = data.draw(st.integers(1, 4))
-    for w in range(t + 1):
-        shell = _excess_shell(len(x), w, DEFAULT_ENUM_CAP)
-        with mock.patch.object(core, "BLOCK_BYTES", per_stack * 8 * N * len(x)):
-            minima = _shell_minima(shell, N)
-        rows = map(tuple, shell.tolist())
-        assert minima == Counter(tuple(map(min, zip(*Y))) for Y in combinations(rows, N))
+
+
+@CHECKS
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 6))
+def test_shell_minimum_counts_match_a_counter_of_the_subsets(m, w, N):
+    shell = list(map(tuple, _excess_shell(m + 1, w, DEFAULT_ENUM_CAP).tolist()))
+    assume(math.comb(len(shell), N) <= 3000)
+    minima = Counter(tuple(map(min, zip(*Y))) for Y in combinations(shell, N))
+    # every z >= 0 with |z| <= w is counted, and 0 where no set has minimum z
+    counted = {
+        z: _shell_minimum_count(m, w - sum(z), N)
+        for z in map(tuple, _excess(m + 1, w).tolist())
+    }
+    assert {z: c for z, c in counted.items() if c} == minima
 
 
 @CHECKS
 @given(st.data())
-def test_stack_counts_match_the_per_set_loop(data):
+def test_simplex_counts_match_the_per_set_loop(data):
     m = data.draw(st.integers(1, 3))
     code = greedy_simplex_code(m, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2)))
     t = data.draw(st.integers(1, 3 if m < 3 else 2))
     delta = data.draw(st.integers(1, t))
     # read counts below the formula's leave sets that fail to decode
     N = data.draw(st.integers(1, reads_required_simplex(m, t, delta) + 1))
-    # a few sets per stack, so stacks split inside a shell
-    per_stack = data.draw(st.integers(1, 5))
-    with mock.patch.object(core, "BLOCK_BYTES", per_stack * 8 * N * (m + 1)):
-        got = simplex_min_counts(code, t, N, delta)
+    got = simplex_min_counts(code, t, N, delta)
     assert got == oracle_simplex_counts(code, t, N, delta)
 
 
-def test_simplex_min_counts_decodes_each_shell_minimum_once_per_codeword():
-    # one set per stack: a per-stack decode would decode every set's minimum
+def test_simplex_min_counts_decodes_each_distinct_minimum_once_per_codeword():
     code = greedy_simplex_code(2, 4, 1)
     t, N, delta = 3, 2, 1
     shells = [_excess_shell(3, w, DEFAULT_ENUM_CAP).tolist() for w in range(t + 1)]
-    minima = [
-        Counter(tuple(map(min, zip(*Y))) for Y in combinations(map(tuple, shell), N))
+    minima = set().union(*(
+        {tuple(map(min, zip(*Y))) for Y in combinations(map(tuple, shell), N)}
         for shell in shells
-    ]
-    assert sum(map(len, minima)) < sum(math.comb(len(s), N) for s in shells)
+    ))
+    assert len(minima) < sum(math.comb(len(s), N) for s in shells)
     decode = mock.Mock(side_effect=SimplexCode.decode_upward)
-    with (
-        mock.patch.object(core, "BLOCK_BYTES", 8 * N * 3),
-        mock.patch.object(SimplexCode, "decode_upward", lambda *a: decode(*a)),
-    ):
+    with mock.patch.object(SimplexCode, "decode_upward", lambda *a: decode(*a)):
         got = simplex_min_counts(code, t, N, delta)
-        for shell, counts in zip(shells, minima):
-            assert _shell_minima(np.array(shell), N) == counts
     assert got == oracle_simplex_counts(code, t, N, delta)
-    assert decode.call_count == len(code.members) * sum(map(len, minima))
+    assert decode.call_count == len(code.members) * len(minima)
 
 
 def test_caps_and_int64_range():
