@@ -120,7 +120,9 @@ def load_vectors(path: str) -> list[tuple[int, ...]]:
 
 
 def parse_code_spec(text: str, n: int | None = None):
-    """Resolve a --code value into a code handle (or SimplexCode)."""
+    """Resolve a --code value into a code handle (or SimplexCode).  A
+    ``splitter:`` or ``explicit:`` code has its own length, which a given
+    --n must equal."""
     kind, _, rest = text.partition(":")
     if kind == "sum-mod":
         if n is None:
@@ -129,14 +131,18 @@ def parse_code_spec(text: str, n: int | None = None):
         spec = lattice.SplitterSpec(lattice.cyclic(modulus), ((1,),) * n)
         return lattice.LatticeCode(spec)
     if kind == "splitter":
-        return lattice.LatticeCode(lattice.parse_splitter_spec(rest))
-    if kind in ("explicit", "simplex"):
+        code = lattice.LatticeCode(lattice.parse_splitter_spec(rest))
+    elif kind in ("explicit", "simplex"):
         if not rest.startswith("@"):
             raise ValueError(f"{kind} codes are loaded from a file: {kind}:@FILE")
-        if kind == "explicit":
-            return ExplicitCode(load_vectors(rest[1:]))
-        return tandem.parse_simplex_code(Path(rest[1:]).read_text(encoding="utf-8"), rest[1:])
-    raise ValueError(f"unknown code spec {text!r}")
+        if kind == "simplex":
+            return tandem.parse_simplex_code(Path(rest[1:]).read_text(encoding="utf-8"), rest[1:])
+        code = ExplicitCode(load_vectors(rest[1:]))
+    else:
+        raise ValueError(f"unknown code spec {text!r}")
+    if n is not None and n != code.n:
+        raise ValueError(f"--n {n} does not match the code's length {code.n}")
+    return code
 
 
 def code_distance(code, p: ChannelParams, cap: int) -> int:

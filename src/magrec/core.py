@@ -13,10 +13,10 @@ one cached table once per decode, so all of it is safe to call concurrently.
 The library's bounds live here.  Every loop whose work grows exponentially
 charges its count against an enumeration cap (``DEFAULT_ENUM_CAP`` unless
 given) with ``charge``, the one place that raises EnumerationCapExceeded,
-before it builds what it counts.  Every block of rows a loop builds at once (read
-stacks, random keys, erasure-fill candidates, member chunks, lattice scan
-blocks) holds ``rows_per_block(row_bytes)`` rows, at most ``BLOCK_BYTES``
-of them, or one row when a row alone exceeds it.
+before it builds what it counts.  Every block of rows a loop builds at
+once (read stacks, random keys, erasure-fill candidates, member chunks)
+holds ``rows_per_block(row_bytes)`` rows, at most ``BLOCK_BYTES`` of them,
+or one row when a row alone exceeds it.
 """
 
 from __future__ import annotations

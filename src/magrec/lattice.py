@@ -17,17 +17,17 @@ here is in fact cyclic).  The module provides:
   to certify all of the above on small instances.
 
 One matrix kernel, ``_syndrome_codes``, computes every syndrome of the
-tables, the decoder and the shell scans, exact for a group of any order.
-The shell scans charge each shell against the enumeration cap
-(``core.charge``) and build it in blocks of ``core.rows_per_block`` rows.
+tables, the decoder and the packing check, exact for a group of any order,
+and every vector set it is applied to is a ``combinatorics.ball_matrix``,
+charged against the enumeration cap before it is built.  The minimum
+distance is read off the splitting test, radius by radius.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from operator import mul
 
 import numpy as np
@@ -39,7 +39,6 @@ from magrec.core import (
     Vec,
     charge,
     parse_int,
-    rows_per_block,
 )
 from magrec import combinatorics
 
@@ -310,77 +309,24 @@ class LatticeCode(Code):
         return U - leaders[at], codes[at] == syndromes
 
 
-def _lattice_vectors_by_weight(
-    spec: SplitterSpec, span: int, max_weight: int, cap: int
-):
-    """Yield (w, d) for each nonzero lattice vector d in [-span, span]^n with
-    wt(d) <= max_weight, shell by shell in increasing weight w, each shell
-    support by support (in ``combinations`` order) and each support in
-    ``product`` order of its nonzero values.
-
-    Before shell w its C(n, w) * (2 span)^w vectors are added to a running
-    count, which is charged against ``cap`` (``core.charge``).  The shell is
-    then scanned as blocks: an int64 matrix of the vectors of a run of
-    supports, each support times the (2 span)^w grid of nonzero values, of
-    which the rows with a zero ``_syndrome_codes`` are kept.  A block holds
-    ``rows_per_block`` vectors, each charged 16 bytes a coordinate for the
-    vector and its residues; the syndromes are exact for every group, in
-    Python ints where int64 could wrap.  The scan is lazy, so a caller that
-    breaks off is charged only up to the shell it breaks off in.
-    """
-    n = spec.n
-    nonzero = [v for v in range(-span, span + 1) if v]
-    base = len(nonzero)
-    values = np.array(nonzero, dtype=np.int64)
-    unit = np.eye(n, dtype=np.int64)
-    block = rows_per_block(16 * n)
-    scanned = 0
-    for w in range(1, min(max_weight, n) + 1):
-        rows = base**w
-        scanned += math.comb(n, w) * rows
-        charge(scanned, f"lattice vectors through weight {w}", cap)
-        if not rows:
-            continue
-        # grid row r picks nonzero[j] at position k for the k-th base-2span
-        # digit j of r: the meshgrid of w copies, ``indexing="ij"``
-        digits = base ** np.arange(w - 1, -1, -1)
-        supports = combinations(range(n), w)
-        while chunk := list(islice(supports, rows_per_block(16 * n * rows))):
-            # (S, w, n): the unit vectors of each support's coordinates
-            units = unit[np.array(chunk)]
-            for lo in range(0, rows, block):
-                grid = values[np.arange(lo, min(rows, lo + block))[:, None] // digits % base]
-                vectors = (grid @ units).reshape(-1, n)
-                for d in vectors[_syndrome_codes(spec, vectors) == 0].tolist():
-                    yield w, tuple(d)
-
-
 def lattice_min_distance(
     spec: SplitterSpec, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
 ) -> int:
     """Exact minimum general distance of the lattice code.
 
-    Distances are translation invariant and exceed the finite range only
-    through the n+1 encoding, so the minimum over all codeword pairs equals
-    the minimum of d(0, d) over nonzero lattice vectors d in the box
-    [-(k+ + k-), k+ + k-]^n, or n+1 if the box holds none.
-
-    The box is scanned in shells of increasing weight.  Every d in it has
-    d(0, d) >= (n_small + m_forward + m_backward) / 2 + n_large >= wt(d) / 2,
-    so the scan ends at the first lattice vector of a shell w with
-    ceil(w / 2) >= best: no vector of that shell or a later one can do
-    better.  Raises EnumerationCapExceeded when the shells it reaches hold
-    more than ``cap`` vectors.
+    A code corrects r errors exactly when its distance is at least r + 1,
+    and a lattice corrects r errors exactly when it packs the radius-r ball,
+    which is the splitting test.  So the distance is the first r in 1..n at
+    which ``check_partial_splitting`` fails, or n + 1 (the encoding of a
+    distance past the finite range) when none does.  Raises
+    EnumerationCapExceeded when a ball it tests holds more than ``cap``
+    vectors, and ValueError on a channel that ``ChannelParams`` rejects.
     """
-    from magrec.distances import distance_general
-
-    zero = (0,) * spec.n
-    best = spec.n + 1
-    for w, d in _lattice_vectors_by_weight(spec, k_plus + k_minus, spec.n, cap):
-        if -(-w // 2) >= best:
-            break
-        best = min(best, distance_general(zero, d, k_plus, k_minus))
-    return best
+    return next(
+        (r for r in range(1, spec.n + 1)
+         if not check_partial_splitting(spec, k_plus, k_minus, r, cap)),
+        spec.n + 1,
+    )
 
 
 def max_pairwise_intersection_lattice(
@@ -389,15 +335,19 @@ def max_pairwise_intersection_lattice(
     """Exact max over codeword pairs of |(x+B) ∩ (y+B)|.
 
     A common point x + e = y + e' needs the center difference d = e' - e,
-    so d lies in [-(k+ + k-), k+ + k-]^n and wt(d) <= 2t.  Scanning the
-    lattice vectors of those weight shells (``cap`` bounds their size) is
-    therefore exhaustive over all pairs of the (infinite) lattice.
+    so d lies in [-(k+ + k-), k+ + k-]^n and wt(d) <= 2t: d is a row of the
+    ball B(n, min(2t, n), k+ + k-, k+ + k-), of which ``cap`` bounds the
+    size.  Its nonzero rows with the identity syndrome are therefore every
+    difference of lattice points whose balls can meet.
     """
+    span = p.magnitude_span
+    box = combinatorics.ball_matrix(spec.n, min(2 * p.t, spec.n), span, span, cap)
+    differences = box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)]
     zero = (0,) * spec.n
-    best = 0
-    for _, d in _lattice_vectors_by_weight(spec, p.magnitude_span, 2 * p.t, cap):
-        best = max(best, combinatorics.intersection_exact(zero, d, p, cap=cap))
-    return best
+    return max(
+        (combinatorics.intersection_exact(zero, d, p, cap=cap) for d in differences.tolist()),
+        default=0,
+    )
 
 
 def packing_by_differences(

@@ -19,10 +19,10 @@ deliberately avoiding the code paths under test (the library enumerates
 balls column by column into a cached int64 matrix and counts intersections
 with column operations; these oracles materialize full sets).  The lattice
 oracles scan the whole box [-(k+ + k-), k+ + k-]^n with inline modular sums,
-where the library scans weight shells as int64 blocks of vectors through
-its syndrome kernel (``oracle_lattice_vectors_by_weight`` is the tuple
-shell scan it ran before), and the splitting oracle keeps a seen-set of syndromes where the
-library compares the size of its coset-leader table with the ball's.
+where the library reads the distance off its splitting test and takes the
+lattice differences from a cached ball matrix through its syndrome kernel,
+and the splitting oracle keeps a seen-set of syndromes where the library
+compares the size of its coset-leader table with the ball's.
 
 The read-set oracles are the tuple kernels the library ran before read sets
 became int64 matrices: per-read and per-column Python loops over sorted
@@ -42,7 +42,7 @@ import numpy as np
 
 from magrec.channel import decode_read_sets, read_sets, score_sets
 from magrec.combinatorics import ball_matrix, ball_vectors
-from magrec.core import ERASURE, ChannelParams, EnumerationCapExceeded, Vec
+from magrec.core import ERASURE, ChannelParams, Vec
 from magrec.reconstruction import ALGORITHMS
 
 
@@ -194,40 +194,6 @@ def oracle_lattice_box(spec, span):
             for j, m in enumerate(moduli)
         )
     ]
-
-
-def oracle_lattice_vectors_by_weight(
-    spec: SplitterSpec, span: int, max_weight: int, cap: int
-):
-    """Yield (w, d) for each nonzero lattice vector d in [-span, span]^n with
-    wt(d) <= max_weight, shell by shell in increasing weight w: the tuple
-    scan the library ran before it scanned shells as int64 blocks.
-
-    Syndromes are summed from per-coordinate tables of v * s_i built once.
-    Before shell w its C(n, w) * (2 span)^w vectors are added to a running
-    count, and EnumerationCapExceeded is raised once the count passes
-    ``cap``.  The scan is lazy, so a caller that breaks off is charged only
-    up to the shell it breaks off in.
-    """
-    n = spec.n
-    moduli = spec.group.moduli
-    nonzero = [v for v in range(-span, span + 1) if v]
-    tables = [[(v, spec.group.scale(v, si)) for v in nonzero] for si in spec.s]
-    scanned = 0
-    for w in range(1, min(max_weight, n) + 1):
-        scanned += math.comb(n, w) * len(nonzero) ** w
-        if scanned > cap:
-            raise EnumerationCapExceeded(
-                f"{scanned} lattice vectors through weight {w} exceed enumeration cap {cap}"
-            )
-        for support in combinations(range(n), w):
-            for picks in product(*(tables[i] for i in support)):
-                sums = zip(*(g for _, g in picks))
-                if all(sum(col) % m == 0 for col, m in zip(sums, moduli)):
-                    d = [0] * n
-                    for i, (v, _) in zip(support, picks):
-                        d[i] = v
-                    yield w, tuple(d)
 
 
 def oracle_lattice_min_distance(spec, kp, km) -> int:

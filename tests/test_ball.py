@@ -1,6 +1,6 @@
 """Property tests of the ball cache, the per-minimum subset counts, the
-intersection count, the splitting test and the lattice shell scans against
-the brute-force oracles in ``helpers``."""
+intersection count, the splitting test, and the lattice distance and
+packing check against the brute-force oracles in ``helpers``."""
 
 import math
 from collections import Counter, OrderedDict

@@ -81,20 +81,6 @@ def test_one_budget_bounds_every_kind_of_block(budget, monkeypatch):
     assert len(chunks) > 1 and all(n == 5 for _, _, n in chunks)
     assert all(8 * M * chunk * n <= budget or chunk == 1 for M, chunk, n in chunks)
 
-    # lattice shell scan blocks: 16 n bytes a vector and its residues
-    scanned = []
-    syndromes = lattice._syndrome_codes
-
-    def syndrome_codes(spec, U):
-        scanned.append(len(U))
-        return syndromes(spec, U)
-
-    monkeypatch.setattr(lattice, "_syndrome_codes", syndrome_codes)
-    spec = parse_splitter_spec(SPEC)
-    list(lattice._lattice_vectors_by_weight(spec, 2, 2, 10**7))
-    assert len(scanned) > 1 and sum(scanned) == 6 * 4 + 15 * 4**2
-    assert all(16 * 6 * size <= budget or size == 1 for size in scanned)
-
 
 def _erasure_fills(cap):
     (stack,) = read_sets((0,) * 6, P, 4, "random", 2, seed=3)
@@ -117,11 +103,11 @@ ENUMERATIONS = {
         lambda cap: list(read_sets((0, 0, 0), ChannelParams(3, 1, 1, 0), 2, "exhaustive",
                                    cap=cap)),
     ),
-    # 2 * 2 vectors of weight 1 and 1 * 4 of weight 2
+    # the box ball B(2, 2, 1, 1) of the lattice differences: 3**2 vectors
     "lattice scan": (
-        8, "lattice vectors through weight 2",
-        lambda cap: list(lattice._lattice_vectors_by_weight(
-            parse_splitter_spec("group=Z13; s=[1,2]"), 1, 2, cap)),
+        9, "ball vectors",
+        lambda cap: lattice.max_pairwise_intersection_lattice(
+            parse_splitter_spec("group=Z13; s=[1,2]"), ChannelParams(2, 1, 1, 0), cap),
     ),
     # the same count when the pairs are counted per minimum
     "exhaustive minima": (

@@ -304,6 +304,9 @@ def test_code_spec_parsing(tmp_path):
         parse_code_spec("mystery:1")
     with pytest.raises(ValueError):
         parse_code_spec("sum-mod:2")  # needs n
+    with pytest.raises(ValueError, match="^--n 3 does not match the code's length 2$"):
+        parse_code_spec(f"explicit:@{f}", n=3)
+    assert parse_code_spec(f"explicit:@{f}", n=2).n == 2
 
 
 def test_bad_flags(capsys):
@@ -324,21 +327,43 @@ def test_enumeration_cap_is_one_error_line(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    # the lattice scans honour --cap too
+    # the lattice checks honour --cap too: the packing oracle's box ball
+    # B(2, 2, 2, 2) holds 5**2 vectors
     code = main([
         "check-splitting", "--code", "splitter:group=Z7; s=[1,2]",
         "--kp", "1", "--km", "1", "--t", "1", "--oracle", "--cap", "10",
     ])
     assert code == 1
-    err = "error: 24 lattice vectors through weight 2 exceed enumeration cap 10\n"
+    err = "error: 25 ball vectors exceed enumeration cap 10\n"
     assert capsys.readouterr().err == err
+    # the distance's first splitting test, on B(6, 1, 1, 1) of 1 + 6 * 2 vectors
     code = main([
         "reconstruct", "--alg", "min", "--code", "sum-mod:3",
         "--n", "6", "--t", "2", "--kp", "1", "--km", "1", "--cap", "10",
     ])
     assert code == 1
-    err = "error: 24 lattice vectors through weight 1 exceed enumeration cap 10\n"
+    err = "error: 13 ball vectors exceed enumeration cap 10\n"
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", [
+    "check-splitting", "reconstruct --alg min", "list --alg min", "simulate --alg min",
+])
+@pytest.mark.parametrize("kind", ["splitter", "explicit"])
+def test_n_that_disagrees_with_the_code_is_one_error_line(command, kind, tmp_path, capsys):
+    # both codes have length 5; a sum-mod code takes its length from --n
+    f = tmp_path / "code.txt"
+    f.write_text("0,0,0,0,0\n1,1,-1,0,0\n", encoding="utf-8")
+    code = {"splitter": "splitter:group=Z13; s=[1,2,3,4,5]", "explicit": f"explicit:@{f}"}
+    argv = [*command.split(), "--code", code[kind], "--n", "4", "--t", "1", "--kp", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n 4 does not match the code's length 5\n"
+    # at its own length the code gets past the check
+    argv[argv.index("--n") + 1] = "5"
+    main(argv)
+    assert "--n" not in capsys.readouterr().err
 
 
 def test_exhaustive_cap_error_names_only_what_the_user_can_change(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, core, lattice
+from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, combinatorics, lattice
 from magrec.lattice import (
     FiniteAbelianGroup,
     LatticeCode,
@@ -33,8 +33,8 @@ from helpers import (
     brute_force_decode,
     differential_specs,
     oracle_ball_set,
+    oracle_lattice_box,
     oracle_lattice_min_distance,
-    oracle_lattice_vectors_by_weight,
     oracle_lattice_window,
     oracle_max_pairwise_intersection,
     oracle_packing_by_window_pairs,
@@ -320,12 +320,15 @@ def test_lattice_min_distance():
     # doubled integer lattice via Z2 x Z2 with unit splitters
     g = FiniteAbelianGroup((2, 2))
     spec = SplitterSpec(g, ((1, 0), (0, 1)))
-    assert lattice_min_distance(spec, 1, 0) == 3  # n + 1: nothing in range
+    assert lattice_min_distance(spec, 1, 0) == 3  # n + 1: every radius packs
     assert lattice_min_distance(spec, 2, 0) == 1
-    # with nothing in range every shell is scanned: 4 + 4 vectors at (1, 0)
-    assert lattice_min_distance(spec, 1, 0, cap=8) == 3
-    with pytest.raises(EnumerationCapExceeded):
-        lattice_min_distance(spec, 1, 0, cap=7)
+    # when every radius packs, the last ball tested is B(2, 2, 1, 0), 4 vectors
+    assert lattice_min_distance(spec, 1, 0, cap=4) == 3
+    with pytest.raises(EnumerationCapExceeded, match="^4 ball vectors exceed enumeration cap 3$"):
+        lattice_min_distance(spec, 1, 0, cap=3)
+    # the channel is checked by ChannelParams, as for the splitting test
+    with pytest.raises(ValueError):
+        lattice_min_distance(spec, 1, 2)
 
 
 def test_lattice_min_distance_matches_box_scan():
@@ -356,38 +359,44 @@ def test_max_pairwise_intersection_matches_box_scan():
 
 
 @st.composite
-def shell_scans(draw):
-    """(spec, span, max_weight, cap) over a cyclic or product group; the cap
-    is either out of reach or small enough to stop the scan at some shell."""
+def lattice_channels(draw):
+    """(spec, k+, k-) for a splitter over a cyclic or product group, with
+    zero entries allowed, at k+ <= 3."""
     moduli = draw(st.one_of(
         st.tuples(st.integers(2, 13)),
         st.sampled_from([(4, 3), (2, 2), (3, 3), (2, 3, 2)]),
     ))
     n = draw(st.integers(1, 4))
     s = tuple(tuple(draw(st.integers(0, m - 1)) for m in moduli) for _ in range(n))
-    spec = SplitterSpec(FiniteAbelianGroup(moduli), s)
-    cap = draw(st.one_of(st.just(10**7), st.integers(0, 600)))
-    return spec, draw(st.integers(1, 3)), draw(st.integers(1, n)), cap
-
-
-def _scan(scanner, *args):
-    """Everything the scan yields, then the cap message it stops with."""
-    out = []
-    try:
-        out.extend(scanner(*args))
-    except EnumerationCapExceeded as exc:
-        out.append(str(exc))
-    return out
+    kp = draw(st.integers(1, 3))
+    return SplitterSpec(FiniteAbelianGroup(moduli), s), kp, draw(st.integers(0, kp))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(shell_scans(), st.integers(1, 300))
-def test_block_scan_matches_tuple_scan(case, budget):
-    expected = _scan(oracle_lattice_vectors_by_weight, *case)
-    assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
-    # a budget of a few rows splits shells and supports across blocks
-    with mock.patch.object(core, "BLOCK_BYTES", budget):
-        assert _scan(lattice._lattice_vectors_by_weight, *case) == expected
+@given(lattice_channels())
+def test_distance_is_the_first_radius_that_does_not_split(case):
+    spec, kp, km = case
+    assert lattice_min_distance(spec, kp, km) == oracle_lattice_min_distance(spec, kp, km)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lattice_channels(), st.integers(1, 2))
+def test_max_intersection_scans_every_close_lattice_difference(case, t):
+    spec, kp, km = case
+    t = min(t, spec.n)
+    p = ChannelParams(spec.n, t, kp, km)
+    with mock.patch.object(
+        combinatorics, "intersection_exact", wraps=combinatorics.intersection_exact
+    ) as intersection:
+        best = max_pairwise_intersection_lattice(spec, p)
+    assert best == oracle_max_pairwise_intersection(spec, t, kp, km)
+    # one intersection per nonzero lattice vector of the box of weight <= 2t
+    differences = [call.args[1] for call in intersection.call_args_list]
+    expected = {
+        d for d in oracle_lattice_box(spec, kp + km) if sum(map(bool, d)) <= 2 * t
+    }
+    assert set(map(tuple, differences)) == expected
+    assert len(differences) == len(expected)
 
 
 @pytest.mark.parametrize("modulus", [2**61, 2**70])
@@ -395,6 +404,10 @@ def test_block_scan_past_int64_is_exact(modulus):
     # n * m**2 >= 2**62: the syndromes are summed in Python ints
     spec = parse_splitter_spec(f"group=Z{modulus}; s=[1,2]")
     assert lattice_min_distance(spec, 1, 1) == oracle_lattice_min_distance(spec, 1, 1)
+    p = ChannelParams(2, 1, 1, 1)
+    assert max_pairwise_intersection_lattice(spec, p) == (
+        oracle_max_pairwise_intersection(spec, 1, 1, 1)
+    )
 
 
 def test_splitter_spec_parse_roundtrip():
