@@ -43,7 +43,6 @@ from magrec.lattice import (
     SplitterSpec,
     check_partial_splitting,
     check_recon_N1,
-    check_recon_N1_asym,
     check_recon_N2,
     construct_N1_code,
     construct_N2_code,

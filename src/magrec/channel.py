@@ -84,7 +84,7 @@ def _ball_and_shift(
     if len(x) != p.n:
         raise ValueError(f"x has length {len(x)}, the channel has n={p.n}")
     check_entries(min(x) - p.k_minus, max(x) + p.k_plus)
-    ball = ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=cap)
+    ball = ball_matrix(p, cap)
     return ball, np.array(x, dtype=np.int64)
 
 

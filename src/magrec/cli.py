@@ -149,7 +149,7 @@ def code_distance(code, p: ChannelParams, cap: int) -> int:
     if isinstance(code, lattice.LatticeCode):
         return lattice.lattice_min_distance(code.spec, p.k_plus, p.k_minus, cap=cap)
     if isinstance(code, ExplicitCode):
-        return distances.code_min_distance(code.members, p.k_plus, p.k_minus)
+        return distances.code_min_distance(code.members, p)
     raise ValueError("cannot compute a distance for this code")
 
 
@@ -255,7 +255,7 @@ def cmd_ball(args) -> int:
         row = dict(n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, anchor="ball-size")
         row["size"] = combinatorics.ball_size(p)
         if args.oracle:
-            ball = combinatorics.ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=args.cap)
+            ball = combinatorics.ball_matrix(p, args.cap)
             status |= _oracle_cells(row, "size", brute=len(ball))
         report.add(**row)
     emit(report, args)
@@ -289,8 +289,9 @@ def cmd_distance(args) -> int:
     y = parse_vector("y", args.y)
     kp = single_value("kp", args.kp)
     km = single_value("km", args.km)
+    p = ChannelParams(len(x), 0, kp, km)
     report = Report(["x", "y", "kp", "km", "distance"], args.format, args.explain)
-    d = distances.distance_general(x, y, kp, km)
+    d = distances.distance_general(x, y, p)
     report.add(
         x=",".join(map(str, x)),
         y=",".join(map(str, y)),
@@ -300,7 +301,7 @@ def cmd_distance(args) -> int:
         anchor="distance-asym" if km == 0 else "distance-general",
     )
     if args.explain:
-        c = distances.distance_components(x, y, kp, km)
+        c = distances.distance_components(x, y, p)
         report.note(
             f"components: n_small={c.n_small} n_large={c.n_large} "
             f"m_forward={c.m_forward} m_backward={c.m_backward} exceeds={c.exceeds}"
@@ -323,12 +324,12 @@ def cmd_check_splitting(args) -> int:
     )
     kp = single_value("kp", args.kp)
     km = single_value("km", args.km)
-    t = single_value("t", args.t)
-    row = dict(spec=str(spec), kp=kp, km=km, t=t, anchor="splitting-test")
-    row["splitting"] = lattice.check_partial_splitting(spec, kp, km, t, cap=args.cap)
+    p = ChannelParams(spec.n, single_value("t", args.t), kp, km)
+    row = dict(spec=str(spec), kp=p.k_plus, km=p.k_minus, t=p.t, anchor="splitting-test")
+    row["splitting"] = lattice.check_partial_splitting(spec, p, args.cap)
     status = 0
     if args.oracle:
-        packs = lattice.packing_by_differences(spec, kp, km, t, cap=args.cap)
+        packs = lattice.max_pairwise_intersection_lattice(spec, p, args.cap) == 0
         status = _oracle_cells(row, "splitting", packing=packs)
     report.add(**row)
     emit(report, args)

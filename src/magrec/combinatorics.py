@@ -9,14 +9,17 @@ of Z^n, and the closed-form bound pair that sandwiches the intersection
 size when the centers are at a known distance (``intersection_bounds(p,
 delta)``, one pair for k- = 0 and one for k- >= 1).
 
-Every ball is one read-only int64 matrix with rows in lexicographic order
-(``ball_matrix``), built by the one enumerator ``_lex_rows`` (which also
+Every function of a channel takes it as one ``ChannelParams`` p.  Every
+ball is one read-only int64 matrix with rows in lexicographic order
+(``ball_matrix(p)``), built by the one enumerator ``_lex_rows`` (which also
 builds the tandem module's upward balls) and kept in an LRU cache keyed by
-(n, t, k+, k-) that charges each ball its ``nbytes`` against
-``BALL_CACHE_BYTES``.  ``ball_vectors`` is a tuple copy of it, made on
-every call, for the oracles.  ``minimum_counts`` counts, per row z of a
-k- = 0 ball, the N-subsets of the ball whose componentwise minimum is z, by
-Möbius inversion rather than by enumerating the subsets.
+p, that is by (n, t, k+, k-), that charges each ball its ``nbytes`` against
+``BALL_CACHE_BYTES``.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of
+it, made on every call, for the oracles; it keeps separate arguments
+because ``perfbench/tracing.py`` reads them by position.  ``minimum_counts``
+counts, per row z of a k- = 0 ball, the N-subsets of the ball whose
+componentwise minimum is z, by Möbius inversion rather than by enumerating
+the subsets.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -44,7 +47,7 @@ from magrec.core import (
 #: larger than the budget is returned but not kept.
 BALL_CACHE_BYTES = 16 * 2**20
 
-_ball_cache: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
+_ball_cache: OrderedDict[ChannelParams, np.ndarray] = OrderedDict()
 _ball_lock = threading.Lock()
 
 
@@ -106,31 +109,28 @@ def _lex_rows(values, cost, k: int, budget: int) -> np.ndarray:
     return matrix
 
 
-def ball_matrix(
-    n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
-) -> np.ndarray:
-    """B(n, t, k+, k-) as a read-only (|B|, n) int64 matrix with rows in
-    lexicographic order, from the ball cache (enumerated on a miss).
+def ball_matrix(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """The ball B(n, t, k+, k-) of p as a read-only (|B|, n) int64 matrix
+    with rows in lexicographic order, from the ball cache (enumerated on a
+    miss).
 
     Raises EnumerationCapExceeded when the ball holds more than ``cap``
     vectors, checked before a miss enumerates anything.
     """
-    key = (n, t, k_plus, k_minus)
     with _ball_lock:
-        matrix = _ball_cache.get(key)
+        matrix = _ball_cache.get(p)
         if matrix is not None:
-            _ball_cache.move_to_end(key)
-    size = hamming_volume(k_plus + k_minus + 1, n, t) if matrix is None else len(matrix)
-    charge(size, "ball vectors", cap)
+            _ball_cache.move_to_end(p)
+    charge(ball_size(p) if matrix is None else len(matrix), "ball vectors", cap)
     if matrix is not None:
         return matrix
     # at t = 0 only the zero entry fits, however large k+ and k- are
-    values = np.arange(-k_minus, k_plus + 1) if t else np.zeros(1, dtype=np.int64)
-    matrix = _lex_rows(values, values != 0, n, t)
+    values = np.arange(-p.k_minus, p.k_plus + 1) if p.t else np.zeros(1, dtype=np.int64)
+    matrix = _lex_rows(values, values != 0, p.n, p.t)
     matrix.flags.writeable = False
     if matrix.nbytes <= BALL_CACHE_BYTES:
         with _ball_lock:
-            _ball_cache[key] = matrix
+            _ball_cache[p] = matrix
             used = sum(m.nbytes for m in _ball_cache.values())
             while used > BALL_CACHE_BYTES:
                 used -= _ball_cache.popitem(last=False)[1].nbytes
@@ -140,8 +140,9 @@ def ball_matrix(
 def ball_vectors(
     n: int, t: int, k_plus: int, k_minus: int, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[Vec, ...]:
-    """``ball_matrix`` as a tuple of vectors, made afresh on every call."""
-    return tuple(map(tuple, ball_matrix(n, t, k_plus, k_minus, cap).tolist()))
+    """``ball_matrix`` of ChannelParams(n, t, k+, k-) as a tuple of vectors,
+    made afresh on every call."""
+    return tuple(map(tuple, ball_matrix(ChannelParams(n, t, k_plus, k_minus), cap).tolist()))
 
 
 def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
@@ -166,7 +167,7 @@ def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> lis
     if p.k_minus:
         raise ValueError("minimum counts need a k- = 0 channel")
     n, t, kp = p.n, p.t, p.k_plus
-    ball = ball_matrix(n, t, kp, 0, cap=cap)
+    ball = ball_matrix(p, cap)
     tail = [sum(math.comb(n - r, j) * kp**j for j in range(t - r + 1)) for r in range(n + 1)]
 
     def count(mult: list[int]) -> int:
@@ -200,7 +201,7 @@ def intersection_exact(
     """
     if len(x) != len(y) or len(x) != p.n:
         raise ValueError("centers must both have length n")
-    ball = ball_matrix(p.n, p.t, p.k_plus, p.k_minus, cap=cap)
+    ball = ball_matrix(p, cap)
     d = [a - b for a, b in zip(x, y)]
     if any(abs(v) > p.magnitude_span for v in d):
         return 0

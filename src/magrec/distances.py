@@ -4,7 +4,8 @@
 distance, the larger one-sided disagreement count.  It does not satisfy the
 triangle inequality, so nothing here (or anywhere downstream) assumes
 metric axioms.  Values live on [0, n+1]; n+1 is an ordinary integer encoding
-"out of magnitude range", since every use is an order comparison.
+"out of magnitude range", since every use is an order comparison.  Each
+function takes the channel as one ``ChannelParams`` p and reads no p.t.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from magrec.core import Vec
+from magrec.core import ChannelParams, Vec
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,10 @@ class DistanceComponents:
     exceeds: bool
 
 
-def distance_components(x: Vec, y: Vec, k_plus: int, k_minus: int) -> DistanceComponents:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    span = k_plus + k_minus
+def distance_components(x: Vec, y: Vec, p: ChannelParams) -> DistanceComponents:
+    if not len(x) == len(y) == p.n:
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}, channel n={p.n}")
+    k_plus, k_minus, span = p.k_plus, p.k_minus, p.magnitude_span
     n_small = n_large = m_fwd = m_bwd = 0
     exceeds = False
     for a, b in zip(x, y):
@@ -54,7 +55,7 @@ def distance_components(x: Vec, y: Vec, k_plus: int, k_minus: int) -> DistanceCo
     return DistanceComponents(n_small, n_large, m_fwd, m_bwd, exceeds)
 
 
-def distance_general(x: Vec, y: Vec, k_plus: int, k_minus: int) -> int:
+def distance_general(x: Vec, y: Vec, p: ChannelParams) -> int:
     """Distance capturing correction of (k+, k-)-limited-magnitude errors.
 
     n+1 when some coordinate difference exceeds k+ + k-; otherwise
@@ -63,23 +64,18 @@ def distance_general(x: Vec, y: Vec, k_plus: int, k_minus: int) -> int:
         + max(m_forward, m_backward) + n_large.
 
     At k- = 0 this is n+1 when some |x[i]-y[i]| exceeds k+, and otherwise
-    the larger one-sided disagreement count.
+    the larger one-sided disagreement count.  It reads no t.
     """
-    if k_minus < 0 or k_plus < k_minus:
-        raise ValueError("need k_plus >= k_minus >= 0")
-    c = distance_components(x, y, k_plus, k_minus)
+    c = distance_components(x, y, p)
     if c.exceeds:
-        return len(x) + 1
+        return p.n + 1
     half = max(c.n_small - abs(c.m_forward - c.m_backward), 0)
     return -(-half // 2) + max(c.m_forward, c.m_backward) + c.n_large
 
 
-def code_min_distance(code_members, k_plus: int, k_minus: int) -> int:
-    """Minimum pairwise general distance over distinct codewords."""
-    members = sorted(tuple(m) for m in code_members)
-    if len(members) < 2:
-        raise ValueError("need at least 2 codewords")
+def code_min_distance(code_members, p: ChannelParams) -> int:
+    """Minimum pairwise general distance over distinct codewords; n+1 (no
+    distance within n) for a code of fewer than two."""
     return min(
-        distance_general(a, b, k_plus, k_minus) for a, b in combinations(members, 2)
+        (distance_general(a, b, p) for a, b in combinations(code_members, 2)), default=p.n + 1
     )
-

@@ -12,9 +12,15 @@ here is in fact cyclic).  The module provides:
 * the all-ones constructions attaining the group-order lower bounds,
 * ``LatticeCode``, whose bounded-radius decoder looks the syndromes of a
   whole matrix up in the same table, and
-* exact packing / intersection checks over the lattice differences
-  (``max_pairwise_intersection_lattice``, ``packing_by_differences``) used
-  to certify all of the above on small instances.
+* the exact intersection check over the lattice differences,
+  ``max_pairwise_intersection_lattice``, which certifies all of the above
+  on small instances (the packing is its value 0).
+
+Every function of a channel takes it as one ``ChannelParams`` p whose n is
+the splitter's length.  The radius-1 statements (``check_recon_N1``,
+``check_recon_N2``, the constructions and ``min_group_order_bound``) need
+p.t = 1, and each is certified by ``max_pairwise_intersection_lattice``
+with the same p.
 
 One matrix kernel, ``_syndrome_codes``, computes every syndrome of the
 tables, the decoder and the packing check, exact for a group of any order,
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -75,9 +81,6 @@ class FiniteAbelianGroup:
     def scale(self, k: int, g: GroupElement) -> GroupElement:
         """k-fold sum of g, extended to k <= 0 in the natural way."""
         return tuple((k * x) % m for x, m in zip(g, self.moduli))
-
-    def elements(self):
-        return (tuple(c) for c in product(*(range(m) for m in self.moduli)))
 
     def __str__(self) -> str:
         return "x".join(f"Z{m}" for m in self.moduli)
@@ -148,23 +151,23 @@ def _syndrome_codes(spec: SplitterSpec, U: np.ndarray) -> np.ndarray:
 
 
 def _coset_leaders(
-    spec: SplitterSpec, radius: int, k_plus: int, k_minus: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    spec: SplitterSpec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted syndrome codes taken on B(n, radius, k+, k-) and their
-    coset leaders: the first ball row (lexicographic order) with each code,
-    as ``np.unique`` returns first occurrences."""
-    ball = combinatorics.ball_matrix(spec.n, radius, k_plus, k_minus, cap=cap)
+    """The sorted syndrome codes taken on the ball B(n, t, k+, k-) of p and
+    their coset leaders: the first ball row (lexicographic order) with each
+    code, as ``np.unique`` returns first occurrences."""
+    ball = combinatorics.ball_matrix(p, cap)
     codes, first = np.unique(_syndrome_codes(spec, ball), return_index=True)
     return codes, ball[first]
 
 
+def _check_length(spec: SplitterSpec, p: ChannelParams) -> None:
+    if p.n != spec.n:
+        raise ValueError(f"the channel has n={p.n}, the splitter n={spec.n}")
+
+
 def check_partial_splitting(
-    spec: SplitterSpec,
-    k_plus: int,
-    k_minus: int,
-    t: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    spec: SplitterSpec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
 ) -> bool:
     """True iff all products e . s over coefficient vectors e with entries in
     [-k-, k+], 1 <= wt(e) <= t, are pairwise distinct and non-identity;
@@ -173,12 +176,28 @@ def check_partial_splitting(
     The zero vector has the identity syndrome, so that holds exactly when
     the |B| vectors of the ball have |B| distinct syndromes, that is when
     every vector of the ball is its own coset leader.  Raises ValueError at
-    t < 1 and on a channel that ``ChannelParams`` rejects.
+    t < 1 and when p.n is not the splitter's length.
     """
-    if t < 1:
+    if p.t < 1:
         raise ValueError("t must be >= 1")
-    p = ChannelParams(spec.n, t, k_plus, k_minus)
-    return len(_coset_leaders(spec, t, k_plus, k_minus, cap)[0]) == combinatorics.ball_size(p)
+    _check_length(spec, p)
+    return len(_coset_leaders(spec, p, cap)[0]) == combinatorics.ball_size(p)
+
+
+def _radius_one(p: ChannelParams, target: int) -> None:
+    """Raise ValueError unless p is a channel of the radius-1 statements for
+    pairwise intersections at most ``target``: t = 1, and k+ >= 2 at k- = 0
+    for target 1, k- >= 1 and k+ + k- >= 3 for target 2."""
+    if p.t != 1:
+        raise ValueError(f"radius-1 statements need t = 1, got t={p.t}")
+    if target == 1:
+        if not p.k_minus and p.k_plus < 2:
+            raise ValueError("needs k_plus >= 2 at k_minus = 0 (k_plus = 1 is the trivial case)")
+    elif target == 2:
+        if p.k_minus < 1 or p.magnitude_span < 3:
+            raise ValueError("needs k_minus >= 1 and k_plus + k_minus >= 3")
+    else:
+        raise ValueError(f"unsupported target {target}; only 1 and 2 are known")
 
 
 def _distinct_multiples(spec: SplitterSpec, lo: int, hi: int) -> bool:
@@ -190,84 +209,64 @@ def _distinct_multiples(spec: SplitterSpec, lo: int, hi: int) -> bool:
     )
 
 
-def check_recon_N1(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
-    """Radius-1 pairwise ball intersections of the lattice are <= 1 (k- >= 1).
+def check_recon_N1(spec: SplitterSpec, p: ChannelParams) -> bool:
+    """Radius-1 pairwise ball intersections of the lattice are <= 1 (t = 1).
 
     Implemented as the flat pairwise-distinctness form: per coordinate the
     products a*s_i over a in [-k-, k+-1] are distinct, and across coordinates
-    a*s_i != b*s_j for a, b in [-k-, k-] not both zero.
+    a*s_i != b*s_j for a, b in [-k-, k-] not both zero.  At k- = 0 the
+    second condition is empty and k+ must be at least 2.
     """
-    if not 1 <= k_minus <= k_plus:
-        raise ValueError("needs 1 <= k_minus <= k_plus")
-    if not _distinct_multiples(spec, -k_minus, k_plus):
-        return False
-    g = spec.group
-    for si, sj in combinations(spec.s, 2):
-        for a in range(-k_minus, k_minus + 1):
-            ga = g.scale(a, si)
-            for b in range(-k_minus, k_minus + 1):
-                if a == 0 and b == 0:
-                    continue
-                if ga == g.scale(b, sj):
-                    return False
-    return True
+    _radius_one(p, 1)
+    _check_length(spec, p)
+    g, small = spec.group, range(-p.k_minus, p.k_minus + 1)
+    return _distinct_multiples(spec, -p.k_minus, p.k_plus) and not any(
+        g.scale(a, si) == g.scale(b, sj)
+        for si, sj in combinations(spec.s, 2) for a in small for b in small if a or b
+    )
 
 
-def check_recon_N1_asym(spec: SplitterSpec, k_plus: int) -> bool:
-    """Radius-1 pairwise ball intersections are <= 1 when k- = 0:
-    per coordinate, a*s_i are distinct over a in [0, k+-1]."""
-    if k_plus < 2:
-        raise ValueError("needs k_plus >= 2 (k_plus = 1 is the trivial case)")
-    return _distinct_multiples(spec, 0, k_plus)
+def check_recon_N2(spec: SplitterSpec, p: ChannelParams) -> bool:
+    """Radius-1 pairwise ball intersections are <= 2 (t = 1, k- >= 1,
+    k+ + k- >= 3): per coordinate, a*s_i are distinct over a in [-k-, k+-2]."""
+    _radius_one(p, 2)
+    _check_length(spec, p)
+    return _distinct_multiples(spec, -p.k_minus, p.k_plus - 1)
 
 
-def check_recon_N2(spec: SplitterSpec, k_plus: int, k_minus: int) -> bool:
-    """Radius-1 pairwise ball intersections are <= 2 (k- >= 1, k+ + k- >= 3):
-    per coordinate, a*s_i are distinct over a in [-k-, k+-2]."""
-    if not 1 <= k_minus <= k_plus or k_plus + k_minus < 3:
-        raise ValueError("needs 1 <= k_minus <= k_plus and k_plus + k_minus >= 3")
-    return _distinct_multiples(spec, -k_minus, k_plus - 1)
+def construct_N1_code(p: ChannelParams) -> SplitterSpec:
+    """All-ones splitter of length n over Z_{k+}: the sum-of-entries-mod-k+
+    lattice, for a k- = 0 channel with t = 1.
 
-
-def construct_N1_code(n: int, k_plus: int) -> SplitterSpec:
-    """All-ones splitter over Z_{k+}: the sum-of-entries-mod-k+ lattice.
-
-    Its radius-1 intersections are <= 1 for the k- = 0 channel and its group
-    order meets the lower bound k+ with equality.
+    Its radius-1 intersections are <= 1 and its group order meets the lower
+    bound k+ with equality.
     """
-    if k_plus < 2:
-        raise ValueError("needs k_plus >= 2")
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return SplitterSpec(cyclic(k_plus), ((1,),) * n)
+    _radius_one(p, 1)
+    if p.k_minus:
+        raise ValueError("the all-ones N1 code needs k_minus = 0")
+    return SplitterSpec(cyclic(p.k_plus), ((1,),) * p.n)
 
 
-def construct_N2_code(n: int, k_plus: int, k_minus: int) -> SplitterSpec:
-    """All-ones splitter over Z_{k+ + k- - 1}; radius-1 intersections <= 2,
-    group order meets the lower bound k+ + k- - 1 with equality."""
-    if not 1 <= k_minus <= k_plus or k_plus + k_minus < 3:
-        raise ValueError("needs 1 <= k_minus <= k_plus and k_plus + k_minus >= 3")
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    return SplitterSpec(cyclic(k_plus + k_minus - 1), ((1,),) * n)
+def construct_N2_code(p: ChannelParams) -> SplitterSpec:
+    """All-ones splitter of length n over Z_{k+ + k- - 1}; radius-1
+    intersections <= 2, group order meets the lower bound k+ + k- - 1 with
+    equality."""
+    _radius_one(p, 2)
+    return SplitterSpec(cyclic(p.magnitude_span - 1), ((1,),) * p.n)
 
 
-def min_group_order_bound(k_plus: int, k_minus: int, n: int, target_n: int) -> int:
-    """Lower bound on |Z^n / lattice| for codes with radius-1 pairwise
-    intersections bounded by target_n (1 or 2)."""
-    if target_n == 1:
-        if k_minus == 0:
-            if k_plus < 2:
-                raise ValueError("k- = 0 bound needs k_plus >= 2")
-            return k_plus
-        if k_plus > k_minus:
-            return max(2 * n * k_minus + 1, k_plus + k_minus)
-        return max(n * (k_plus + k_minus - 1) + 1, k_plus + k_minus)
-    if target_n == 2:
-        if not 1 <= k_minus <= k_plus or k_plus + k_minus < 3:
-            raise ValueError("target 2 needs 1 <= k- <= k+ and k+ + k- >= 3")
+def min_group_order_bound(p: ChannelParams, target: int) -> int:
+    """Lower bound on |Z^n / lattice| for codes whose radius-1 balls (t = 1)
+    pairwise intersect in at most ``target`` (1 or 2) points."""
+    _radius_one(p, target)
+    n, k_plus, k_minus = p.n, p.k_plus, p.k_minus
+    if target == 2:
         return k_plus + k_minus - 1
-    raise ValueError(f"unsupported target {target_n}; only 1 and 2 are known")
+    if not k_minus:
+        return k_plus
+    if k_plus > k_minus:
+        return max(2 * n * k_minus + 1, k_plus + k_minus)
+    return max(n * (k_plus + k_minus - 1) + 1, k_plus + k_minus)
 
 
 class LatticeCode(Code):
@@ -278,7 +277,8 @@ class LatticeCode(Code):
     first e of the error ball with that syndrome (its coset leader) gives the
     first codeword of the window scan.  The handle keeps one
     ``_coset_leaders`` table (sorted syndrome codes, leader matrix) for the
-    last (radius, k+, k-) it decoded at, rebuilt when that key changes.
+    last decode ball ChannelParams(n, radius, k+, k-), rebuilt when that
+    ball changes.
     Every call charges the decode ball against ``cap``, whether its table is
     cached or not.  ``decode_rows`` is one syndrome pass, one lookup and
     U - leaders, exact in Python ints for rows or groups past int64.
@@ -287,7 +287,7 @@ class LatticeCode(Code):
     def __init__(self, spec: SplitterSpec):
         self.spec = spec
         self.n = spec.n
-        self._leaders: tuple[tuple[int, int, int], np.ndarray, np.ndarray] | None = None
+        self._leaders: tuple[ChannelParams, np.ndarray, np.ndarray] | None = None
 
     def contains(self, v: Vec) -> bool:
         return syndrome(self.spec, v) == self.spec.group.identity
@@ -295,14 +295,13 @@ class LatticeCode(Code):
     def decode_rows(
         self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> tuple[np.ndarray, np.ndarray]:
-        key = (radius, params.k_plus, params.k_minus)
-        size = combinatorics.hamming_volume(params.magnitude_span + 1, self.n, radius)
-        charge(size, "ball vectors", cap)
+        key = ChannelParams(self.n, radius, params.k_plus, params.k_minus)
+        charge(combinatorics.ball_size(key), "ball vectors", cap)
         # another thread may swap the handle's table at any time, so the
         # table this call decodes with is bound once
         table = self._leaders
         if table is None or table[0] != key:
-            table = self._leaders = (key, *_coset_leaders(self.spec, *key, cap=cap))
+            table = self._leaders = (key, *_coset_leaders(self.spec, key, cap))
         _, codes, leaders = table
         syndromes = _syndrome_codes(self.spec, U)
         at = np.searchsorted(codes, syndromes).clip(max=len(codes) - 1)
@@ -321,10 +320,12 @@ def lattice_min_distance(
     distance past the finite range) when none does.  Raises
     EnumerationCapExceeded when a ball it tests holds more than ``cap``
     vectors, and ValueError on a channel that ``ChannelParams`` rejects.
+    It keeps k+ and k- as arguments because ``perfbench/tracing.py`` reads
+    them by position.
     """
     return next(
         (r for r in range(1, spec.n + 1)
-         if not check_partial_splitting(spec, k_plus, k_minus, r, cap)),
+         if not check_partial_splitting(spec, ChannelParams(spec.n, r, k_plus, k_minus), cap)),
         spec.n + 1,
     )
 
@@ -340,23 +341,15 @@ def max_pairwise_intersection_lattice(
     size.  Its nonzero rows with the identity syndrome are therefore every
     difference of lattice points whose balls can meet.
     """
+    _check_length(spec, p)
     span = p.magnitude_span
-    box = combinatorics.ball_matrix(spec.n, min(2 * p.t, spec.n), span, span, cap)
+    box = combinatorics.ball_matrix(ChannelParams(p.n, min(2 * p.t, p.n), span, span), cap)
     differences = box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)]
-    zero = (0,) * spec.n
+    zero = (0,) * p.n
     return max(
         (combinatorics.intersection_exact(zero, d, p, cap=cap) for d in differences.tolist()),
         default=0,
     )
-
-
-def packing_by_differences(
-    spec: SplitterSpec, k_plus: int, k_minus: int, t: int, cap: int = DEFAULT_ENUM_CAP
-) -> bool:
-    """True iff the radius-t balls around lattice points are pairwise disjoint."""
-    return max_pairwise_intersection_lattice(
-        spec, ChannelParams(spec.n, t, k_plus, k_minus), cap
-    ) == 0
 
 
 def parse_splitter_spec(text: str) -> SplitterSpec:

@@ -151,8 +151,7 @@ def _check_delta(p: ChannelParams, delta: int) -> None:
 def _list_excess(p: ChannelParams, delta: int, a: int) -> int:
     """The excess error count f = t - delta + 1 of list decoding, after
     checking 1 <= delta <= t and 0 <= a <= f - 1."""
-    if not 1 <= delta <= p.t:
-        raise ValueError(f"need 1 <= delta <= t, got delta={delta}, t={p.t}")
+    _check_delta(p, delta)
     f = p.t - delta + 1
     if not 0 <= a <= f - 1:
         raise ValueError(f"need 0 <= a <= f-1, got a={a}, f={f}")
@@ -396,7 +395,7 @@ def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) ->
 def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     """Per set: decode every vector of z - B(n, a, k+, 0), z the minimum."""
     _require_k_minus_zero(p)
-    shifts = ball_matrix(p.n, a, p.k_plus, 0, cap=cap)
+    shifts = ball_matrix(ChannelParams(p.n, a, p.k_plus, 0), cap)
     z = stack.min(axis=1)
     blocks = _candidates(z, np.zeros(z.shape, dtype=bool), z, shifts, p, cap)
     return _decode_lists(blocks, code, delta, p, cap)
@@ -438,7 +437,7 @@ def _decode_list_majority(
     of candidate - B(n, a, k+, k-)."""
     _require_k_minus_positive(p, "majority list")
     best, keep = majority_votes(stack, tau)
-    shifts = ball_matrix(p.n, a, p.k_plus, p.k_minus, cap=cap)
+    shifts = ball_matrix(ChannelParams(p.n, a, p.k_plus, p.k_minus), cap)
     blocks = _candidates(best, ~keep, stack[:, 0], shifts, p, cap)
     return _decode_lists(blocks, code, delta, p, cap)
 
@@ -553,7 +552,7 @@ def _sauer_candidates(
     candidates are told apart by a 1-D ``np.unique`` of their
     ``_row_keys``."""
     cols = list(U)
-    shifts = ball_matrix(p.n, f, p.k_plus, p.k_minus, cap=cap)
+    shifts = ball_matrix(ChannelParams(p.n, f, p.k_plus, p.k_minus), cap)
     shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
     _, first = np.unique(_row_keys(M[:, cols]), return_index=True)
     candidates = (M[first, None, :] - shifts).reshape(-1, p.n)
@@ -603,7 +602,9 @@ def adversarial_instance(p: ChannelParams, e: int, a: int) -> tuple[ReadSet, tup
     if e < 0 or e + a > n:
         raise ValueError("weight e + a must fit in n")
 
-    reads = ball_matrix(n, f - a, p.k_plus - 1, p.k_minus)
+    # B(n, f - a, k+ - 1, k-): the rows of the channel's ball with no entry k+
+    ball = ball_matrix(ChannelParams(n, f - a, p.k_plus, p.k_minus))
+    reads = ball[(ball < p.k_plus).all(axis=1)]
     weight = e + a
     max_shared = weight - (e + 1)  # |A & B| <= this keeps Hamming distance >= 2e+2
     code: list[Vec] = []

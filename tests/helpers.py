@@ -56,7 +56,8 @@ def brute_force_decode(
     """
     members = frozenset(tuple(m) for m in code_members)
     # Python ints, so z beyond int64 is exact
-    for e in ball_matrix(len(z), radius, params.k_plus, params.k_minus).tolist():
+    ball = ball_matrix(ChannelParams(len(z), radius, params.k_plus, params.k_minus))
+    for e in ball.tolist():
         c = tuple(zi - ei for zi, ei in zip(z, e))
         if c in members:
             return c
@@ -200,9 +201,9 @@ def oracle_lattice_min_distance(spec, kp, km) -> int:
     """Minimum of d(0, d) over the box's lattice vectors, n + 1 if none."""
     from magrec.distances import distance_general
 
-    zero = (0,) * spec.n
+    zero, p = (0,) * spec.n, ChannelParams(spec.n, 0, kp, km)
     return min(
-        (distance_general(zero, d, kp, km) for d in oracle_lattice_box(spec, kp + km)),
+        (distance_general(zero, d, p) for d in oracle_lattice_box(spec, kp + km)),
         default=spec.n + 1,
     )
 

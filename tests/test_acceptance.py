@@ -39,7 +39,7 @@ from magrec.lattice import (
     LatticeCode,
     SplitterSpec,
     check_partial_splitting,
-    check_recon_N1_asym,
+    check_recon_N1,
     check_recon_N2,
     construct_N1_code,
     construct_N2_code,
@@ -47,7 +47,6 @@ from magrec.lattice import (
     lattice_min_distance,
     max_pairwise_intersection_lattice,
     min_group_order_bound,
-    packing_by_differences,
 )
 from magrec.reconstruction import (
     ALGORITHMS,
@@ -148,7 +147,7 @@ def test_criterion_02_intersection_bounds_sandwich():
                     if km == 0:
                         d = distance_asymmetric(x, y, kp)
                     else:
-                        d = distance_general(x, y, kp, km)
+                        d = distance_general(x, y, p)
                     if d > t:
                         continue
                     b = intersection_bounds(p, d)
@@ -170,7 +169,7 @@ def test_criterion_03_distance_iff_correction():
         members = set()
         while len(members) < size:
             members.add(tuple(rng.randint(0, 3) for _ in range(n)))
-        dmin = code_min_distance(members, kp, km)
+        dmin = code_min_distance(members, ChannelParams(n, 0, kp, km))
         for e in range(min(2, n) + 1):
             p = ChannelParams(n, max(e, 1), kp, km)
             assert correction_capability_oracle(members, p, e) == (dmin >= e + 1)
@@ -334,7 +333,7 @@ def test_criterion_05_majority_budgets():
             )
             continue
         code = ExplicitCode([(0, 0, 0, 0), (1, 1, -1, 0)])
-        assert code_min_distance(code.members, kp, km) == delta
+        assert code_min_distance(code.members, p) == delta
         # deterministic sub-sample per transmitted codeword: 50k seeded
         # subsets plus structured extremes (C(33, 17) ~ 1.1e9 is far beyond
         # exhaustion); the explicit code has no translation symmetry, so
@@ -369,7 +368,7 @@ def test_criterion_05_majority_budgets():
     p1 = ChannelParams(4, 1, 1, 1)
     N1, tau1 = majority_threshold(p1, 1)
     code1 = ExplicitCode([(0, 0, 0, 0), (1, -1, 0, 0)])
-    assert code_min_distance(code1.members, 1, 1) == 1
+    assert code_min_distance(code1.members, p1) == 1
     x = (0, 0, 0, 0)
     # every N1-subset of the ball, in lexicographic subset order
     stacks = read_sets(x, p1, N1, "exhaustive")
@@ -429,7 +428,7 @@ def test_criterion_06_list_guarantees():
             words = [(0,) * n]
         else:
             code = ExplicitCode([(0,) * n, _delta2_word(n, kp, km)])
-            assert code_min_distance(code.members, kp, km) == delta
+            assert code_min_distance(code.members, p) == delta
             words = list(code.members)
         entry = ALGORITHMS[f"list-{decoder}"]
         plan = entry.plan(p, delta, a)
@@ -452,26 +451,26 @@ def test_criterion_07_lattice_constructions():
     t0 = time.time()
     built = 0
     for kp in (2, 3, 4):
-        spec = construct_N1_code(3, kp)
-        assert check_recon_N1_asym(spec, kp)
-        assert spec.group.order == kp == min_group_order_bound(kp, 0, 3, 1)
+        p = ChannelParams(3, 1, kp, 0)
+        spec = construct_N1_code(p)
+        assert check_recon_N1(spec, p)
+        assert spec.group.order == kp == min_group_order_bound(p, 1)
         for n in (1, 2, 3):
-            spec_n = construct_N1_code(n, kp)
             p = ChannelParams(n, 1, kp, 0)
-            assert max_pairwise_intersection_lattice(spec_n, p) <= 1
+            assert max_pairwise_intersection_lattice(construct_N1_code(p), p) <= 1
         built += 1
     for kp in (2, 3, 4):
         for km in range(1, kp + 1):
             if kp + km < 3:
                 continue
-            spec = construct_N2_code(3, kp, km)
-            assert check_recon_N2(spec, kp, km)
+            p = ChannelParams(3, 1, kp, km)
+            spec = construct_N2_code(p)
+            assert check_recon_N2(spec, p)
             assert spec.group.order == kp + km - 1
-            assert spec.group.order == min_group_order_bound(kp, km, 3, 2)
+            assert spec.group.order == min_group_order_bound(p, 2)
             for n in (1, 2, 3):
-                spec_n = construct_N2_code(n, kp, km)
                 p = ChannelParams(n, 1, kp, km)
-                assert max_pairwise_intersection_lattice(spec_n, p) <= 2
+                assert max_pairwise_intersection_lattice(construct_N2_code(p), p) <= 2
             built += 1
     report(7, f"{built} constructions at their group-order bounds", t0)
 
@@ -491,15 +490,17 @@ def test_criterion_08_splitting_iff_packing():
                 spec = SplitterSpec(cyclic(order), tuple((v,) for v in s))
                 for kp, km in channel_grid(3):
                     for t in range(1, n + 1):
-                        split = check_partial_splitting(spec, kp, km, t)
-                        packs = packing_by_differences(spec, kp, km, t)
+                        p = ChannelParams(n, t, kp, km)
+                        split = check_partial_splitting(spec, p)
+                        packs = max_pairwise_intersection_lattice(spec, p) == 0
                         assert split == packs, (order, s, kp, km, t)
                         agreements += 1
     # spot-check the difference oracle against the literal window-pair scan
     for order in (2, 3, 5, 8):
         for s in [(1,), (1, 1), (1, 2), (0, 1)]:
             spec = SplitterSpec(cyclic(order), tuple((v,) for v in s))
-            assert packing_by_differences(spec, 1, 1, 1) == (
+            p = ChannelParams(spec.n, 1, 1, 1)
+            assert (max_pairwise_intersection_lattice(spec, p) == 0) == (
                 oracle_packing_by_window_pairs(spec, 1, 1, 1)
             )
     report(8, f"{agreements} splitting/packing agreements, exact", t0)
@@ -538,11 +539,12 @@ def test_criterion_10_adversarial_lower_bound():
                         f = t - e
                         if not 0 <= a <= f or t > n:
                             continue
-                        Y, C = adversarial_instance(ChannelParams(n, t, kp, km), e, a)
+                        p = ChannelParams(n, t, kp, km)
+                        Y, C = adversarial_instance(p, e, a)
                         assert len(Y) == hamming_volume(kp + km, n, f - a)
                         assert len(C) >= adversarial_code_size_bound(n, e, a)
                         if len(C) >= 2:
-                            assert code_min_distance(C, kp, km) >= e + 1
+                            assert code_min_distance(C, p) >= e + 1
                         ball = set(ball_vectors(n, t, kp, km))
                         for c in C:
                             for y in Y.reads:

@@ -73,7 +73,7 @@ def test_minimum_counts_need_a_k_minus_zero_channel():
 @given(channels())
 def test_ball_matrix_matches_oracle(p):
     expected = oracle_ball(p.n, p.t, p.k_plus, p.k_minus)
-    matrix = ball_matrix(p.n, p.t, p.k_plus, p.k_minus)
+    matrix = ball_matrix(p)
     assert len(matrix) == ball_size(p) == len(expected)
     assert matrix.tolist() == [list(e) for e in expected]  # lexicographic order
     assert not matrix.flags.writeable
@@ -107,7 +107,8 @@ def test_intersection_exact_matches_oracle(p, data):
 def test_check_partial_splitting_matches_seen_set_oracle(spec, channel, data):
     t = data.draw(st.integers(1, spec.n))
     kp, km = channel.k_plus, channel.k_minus
-    assert check_partial_splitting(spec, kp, km, t) == oracle_partial_splitting(
+    p = ChannelParams(spec.n, t, kp, km)
+    assert check_partial_splitting(spec, p) == oracle_partial_splitting(
         spec, kp, km, t
     )
 
@@ -146,52 +147,55 @@ def test_ball_cache_stays_within_its_budget(small_cache):
     for n in range(1, 8):
         for t in range(n + 1):
             for kp, km in [(1, 0), (1, 1), (2, 1)]:
-                ball_matrix(n, t, kp, km)
+                ball_matrix(ChannelParams(n, t, kp, km))
                 assert charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
     assert small_cache  # the smaller balls are kept
     last = next(reversed(small_cache))
-    assert ball_matrix(*last) is small_cache[last]  # a hit
+    assert ball_matrix(last) is small_cache[last]  # a hit
 
 
 def test_ball_over_the_budget_is_returned_but_not_kept(small_cache):
-    kept = ball_matrix(3, 1, 1, 1)
-    big = ball_matrix(8, 8, 1, 1)  # 3^8 rows, over 0.4 MiB
+    p = ChannelParams(3, 1, 1, 1)
+    kept = ball_matrix(p)
+    big = ball_matrix(ChannelParams(8, 8, 1, 1))  # 3^8 rows, over 0.4 MiB
     assert big.shape == (3**8, 8)
-    assert list(small_cache) == [(3, 1, 1, 1)]
-    assert ball_matrix(3, 1, 1, 1) is kept
+    assert list(small_cache) == [p]
+    assert ball_matrix(ChannelParams(3, 1, 1, 1)) is kept
 
 
 @pytest.mark.parametrize("key", [(6, 3, 2, 1), (3, 1, 300, 7)])
 def test_ball_is_charged_exactly_its_matrix_bytes(key, fresh_cache, monkeypatch):
-    other = (2, 1, 1, 0)
+    key, other, last = ChannelParams(*key), ChannelParams(2, 1, 1, 0), ChannelParams(1, 1, 1, 0)
     monkeypatch.setattr(
-        combinatorics, "BALL_CACHE_BYTES", ball_matrix(*key).nbytes + ball_matrix(*other).nbytes
+        combinatorics, "BALL_CACHE_BYTES", ball_matrix(key).nbytes + ball_matrix(other).nbytes
     )
     fresh_cache.clear()
-    matrix = ball_matrix(*key)
-    ball_matrix(*other)
+    matrix = ball_matrix(key)
+    ball_matrix(other)
     assert list(fresh_cache) == [key, other]  # both fit exactly
     assert fresh_cache[key] is matrix and not matrix.flags.writeable
-    ball_matrix(1, 1, 1, 0)  # 16 bytes more drops the oldest
-    assert list(fresh_cache) == [other, (1, 1, 1, 0)]
+    ball_matrix(last)  # 16 bytes more drops the oldest
+    assert list(fresh_cache) == [other, last]
 
 
 def test_ball_cache_hit_is_the_same_array_and_vectors_are_a_fresh_copy(fresh_cache):
-    matrix = ball_matrix(4, 2, 1, 1)
-    assert ball_matrix(4, 2, 1, 1) is matrix
+    p = ChannelParams(4, 2, 1, 1)
+    matrix = ball_matrix(p)
+    assert ball_matrix(ChannelParams(4, 2, 1, 1)) is matrix
     rows = ball_vectors(4, 2, 1, 1)
     assert rows == tuple(map(tuple, matrix.tolist()))
     assert ball_vectors(4, 2, 1, 1) is not rows
-    assert list(fresh_cache) == [(4, 2, 1, 1)]
+    assert list(fresh_cache) == [p]
 
 
 def test_radius_zero_ball_of_any_magnitude_is_the_zero_row(fresh_cache):
-    assert ball_matrix(2, 0, 10**12, 10**12).tolist() == [[0, 0]]
+    assert ball_matrix(ChannelParams(2, 0, 10**12, 10**12)).tolist() == [[0, 0]]
 
 
 def test_cache_hit_past_the_cap_raises(small_cache):
     assert len(ball_vectors(3, 1, 1, 1)) == 7
-    for fetch in (ball_vectors, ball_matrix):
+    p = ChannelParams(3, 1, 1, 1)
+    for fetch in (lambda cap: ball_vectors(3, 1, 1, 1, cap), lambda cap: ball_matrix(p, cap)):
         with pytest.raises(EnumerationCapExceeded):
-            fetch(3, 1, 1, 1, cap=6)
-    assert len(ball_matrix(3, 1, 1, 1, cap=7)) == 7
+            fetch(6)
+    assert len(ball_matrix(p, cap=7)) == 7

@@ -90,7 +90,7 @@ def _erasure_fills(cap):
 
 #: name -> (count, what the count counts, the enumeration at a cap)
 ENUMERATIONS = {
-    "ball": (33, "ball vectors", lambda cap: ball_matrix(4, 2, 1, 1, cap)),
+    "ball": (33, "ball vectors", lambda cap: ball_matrix(ChannelParams(4, 2, 1, 1), cap)),
     "erasure fills": (3**6, "erasure-fill candidates", _erasure_fills),
     # C(2, 1) * 2 * 3 member tests; coordinate 0 is a witness
     "coordinate search": (

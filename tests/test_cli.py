@@ -139,6 +139,32 @@ def test_distance_records(capsys):
     assert rec["distance"] == 2
 
 
+def test_distance_of_a_trivial_channel_is_one_error_line(capsys):
+    # the distance builds its channel like every other command
+    code = main(["distance", "--x", "1,2", "--y", "0,0", "--kp", "0", "--km", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: k_plus + k_minus = 0 makes the channel trivial\n"
+
+
+def test_one_codeword_explicit_code_decodes_every_set(tmp_path, capsys):
+    # a code of one word has no distance within n: n + 1, the one-read plan
+    f = tmp_path / "one.txt"
+    f.write_text("0,0,0\n", encoding="utf-8")
+    records = {}
+    for command in ("reconstruct", "simulate"):
+        code, out = run_cli(
+            capsys, command, "--alg", "majority", "--code", f"explicit:@{f}",
+            "--n", "3", "--t", "1", "--kp", "1", "--km", "1", "--format", "records",
+        )
+        assert code == 0
+        records[command] = [json.loads(line) for line in out.splitlines()]
+    (row,) = records["reconstruct"]
+    assert (row["delta"], row["N"], row["sets"], row["fail"]) == (4, 1, 10, 0)
+    assert [rec["success"] for rec in records["simulate"]] == [True] * 10
+
+
 def test_check_splitting(capsys):
     code, out = run_cli(
         capsys, "check-splitting", "--code", "splitter:group=Z7; s=[1,2]",

@@ -170,7 +170,7 @@ def test_bounds_sandwich_seeded():
         if x == y:
             continue
         p = ChannelParams(n, t, kp, km)
-        d = distance_asymmetric(x, y, kp) if km == 0 else distance_general(x, y, kp, km)
+        d = distance_asymmetric(x, y, kp) if km == 0 else distance_general(x, y, p)
         if d > t:
             continue
         b = intersection_bounds(p, d)

@@ -238,7 +238,7 @@ def test_public_names():
         "FiniteAbelianGroup", "IntersectionBounds", "LatticeCode", "ReadSet",
         "ReconstructionError", "SimplexCode", "SplitterSpec", "Vec",
         "adversarial_instance", "ball_matrix", "ball_size", "binom",
-        "check_partial_splitting", "check_recon_N1", "check_recon_N1_asym",
+        "check_partial_splitting", "check_recon_N1",
         "check_recon_N2", "code_min_distance", "construct_N1_code",
         "construct_N2_code", "cyclic", "distance_components",
         "distance_general", "hamming_volume", "intersection_bounds", "intersection_exact", "lattice_min_distance",

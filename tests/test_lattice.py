@@ -15,7 +15,6 @@ from magrec.lattice import (
     SplitterSpec,
     check_partial_splitting,
     check_recon_N1,
-    check_recon_N1_asym,
     check_recon_N2,
     construct_N1_code,
     construct_N2_code,
@@ -23,7 +22,6 @@ from magrec.lattice import (
     lattice_min_distance,
     max_pairwise_intersection_lattice,
     min_group_order_bound,
-    packing_by_differences,
     parse_splitter_spec,
     syndrome,
 )
@@ -51,7 +49,6 @@ def test_group_basics():
     assert g.identity == (0, 0)
     assert g.element((3, -1)) == (1, 2)
     assert g.scale(-1, (1, 1)) == (1, 2)
-    assert len(list(g.elements())) == 6
     with pytest.raises(ValueError):
         FiniteAbelianGroup((1,))
 
@@ -67,24 +64,30 @@ def test_syndrome_examples():
 
 
 def test_check_partial_splitting_examples():
-    assert check_partial_splitting(spec1(7, (1, 2)), 1, 1, 1)
-    assert not check_partial_splitting(spec1(2, (1, 1)), 1, 0, 2)
+    assert check_partial_splitting(spec1(7, (1, 2)), ChannelParams(2, 1, 1, 1))
+    assert not check_partial_splitting(spec1(2, (1, 1)), ChannelParams(2, 2, 1, 0))
     # a single coordinate splits Z_{k+ + k- + 1} with s = (1)
     for kp, km in [(1, 0), (1, 1), (2, 1)]:
-        assert check_partial_splitting(spec1(kp + km + 1, (1,)), kp, km, 1)
+        assert check_partial_splitting(spec1(kp + km + 1, (1,)), ChannelParams(1, 1, kp, km))
 
 
-def test_check_partial_splitting_validates_the_channel_like_channel_params():
-    # (k+, k-, t): k+ below k-, a trivial channel, t past n
+def test_lattice_checks_need_the_splitters_length_and_their_radius():
     spec = spec1(7, (1, 2))
-    for kp, km, t in [(0, 1, 1), (1, 2, 1), (0, 0, 1), (1, 0, 3)]:
-        with pytest.raises(ValueError) as got:
-            check_partial_splitting(spec, kp, km, t)
-        with pytest.raises(ValueError) as want:
-            ChannelParams(spec.n, t, kp, km)
-        assert str(got.value) == str(want.value)
     with pytest.raises(ValueError, match="t must be >= 1"):
-        check_partial_splitting(spec, 1, 1, 0)
+        check_partial_splitting(spec, ChannelParams(2, 0, 1, 1))
+    # a channel of another length than the splitter's
+    p = ChannelParams(3, 1, 2, 1)
+    for check in (check_partial_splitting, check_recon_N1, check_recon_N2,
+                  max_pairwise_intersection_lattice):
+        with pytest.raises(ValueError, match="the channel has n=3, the splitter n=2"):
+            check(spec, p)
+    # the radius-1 statements need t = 1
+    p = ChannelParams(2, 2, 2, 1)
+    for call in (lambda: check_recon_N1(spec, p), lambda: check_recon_N2(spec, p),
+                 lambda: construct_N1_code(p), lambda: construct_N2_code(p),
+                 lambda: min_group_order_bound(p, 1)):
+        with pytest.raises(ValueError, match="need t = 1, got t=2"):
+            call()
 
 
 def test_splitting_iff_packing_small():
@@ -96,93 +99,99 @@ def test_splitting_iff_packing_small():
             for s in pool[:12]:
                 for kp, km in [(1, 0), (2, 0), (1, 1), (2, 1)]:
                     for t in range(1, n + 1):
-                        spec = spec1(m, s) if n == 1 else SplitterSpec(
-                            cyclic(m), tuple((v,) for v in s)
-                        )
-                        split = check_partial_splitting(spec, kp, km, t)
-                        assert split == packing_by_differences(spec, kp, km, t)
+                        spec = spec1(m, s)
+                        p = ChannelParams(n, t, kp, km)
+                        split = check_partial_splitting(spec, p)
+                        assert split == (max_pairwise_intersection_lattice(spec, p) == 0)
 
 
 def test_packing_oracles_agree():
     for m in (2, 3, 4, 5, 7):
         for s in [(1,), (1, 1), (1, 2), (2, 3)]:
             for kp, km in [(1, 0), (1, 1), (2, 1)]:
-                spec = SplitterSpec(cyclic(m), tuple((v,) for v in s))
-                assert packing_by_differences(spec, kp, km, 1) == (
+                spec = spec1(m, s)
+                p = ChannelParams(spec.n, 1, kp, km)
+                assert (max_pairwise_intersection_lattice(spec, p) == 0) == (
                     oracle_packing_by_window_pairs(spec, kp, km, 1)
                 )
 
 
 def test_check_recon_N1_examples():
-    assert check_recon_N1(spec1(5, (1,)), 2, 1)
-    assert not check_recon_N1(spec1(2, (1, 1)), 1, 1)
+    assert check_recon_N1(spec1(5, (1,)), ChannelParams(1, 1, 2, 1))
+    assert not check_recon_N1(spec1(2, (1, 1)), ChannelParams(2, 1, 1, 1))
     # minimal cyclic order passing at (k+, k-) = (2, 1), n = 1 is the
     # group-order bound max(2*1*1+1, 3) = 3
-    orders = [m for m in range(2, 8) if check_recon_N1(spec1(m, (1,)), 2, 1)]
-    assert min(orders) == min_group_order_bound(2, 1, 1, 1) == 3
+    p = ChannelParams(1, 1, 2, 1)
+    orders = [m for m in range(2, 8) if check_recon_N1(spec1(m, (1,)), p)]
+    assert min(orders) == min_group_order_bound(p, 1) == 3
+    # k- = 0: per coordinate, a*s_i are distinct over a in [0, k+-1]
+    assert check_recon_N1(spec1(3, (1,) * 3), ChannelParams(3, 1, 3, 0))
+    assert not check_recon_N1(spec1(2, (1,)), ChannelParams(1, 1, 3, 0))
+    assert check_recon_N1(spec1(2, (1,) * 4), ChannelParams(4, 1, 2, 0))
+    with pytest.raises(ValueError, match="k_plus >= 2 at k_minus = 0"):
+        check_recon_N1(spec1(2, (1,)), ChannelParams(1, 1, 1, 0))
 
 
 def test_check_recon_N1_matches_bruteforce_intersections():
     rng = random.Random(102)
     for m in range(2, 12):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             pool = list(product(range(m), repeat=n))
             rng.shuffle(pool)
             for s in pool[:8]:
-                spec = SplitterSpec(cyclic(m), tuple((v,) for v in s))
-                for kp, km in [(2, 1), (2, 2), (3, 1)]:
+                spec = spec1(m, s)
+                for kp, km in [(2, 0), (3, 0), (4, 0), (2, 1), (2, 2), (3, 1)]:
                     p = ChannelParams(n, 1, kp, km)
                     max_inter = max_pairwise_intersection_lattice(spec, p)
-                    assert check_recon_N1(spec, kp, km) == (max_inter <= 1)
-                    assert check_recon_N2(spec, kp, km) == (max_inter <= 2)
-
-
-def test_check_recon_N1_asym_examples():
-    assert check_recon_N1_asym(SplitterSpec(cyclic(3), ((1,),) * 3), 3)
-    assert not check_recon_N1_asym(spec1(2, (1,)), 3)
-    assert check_recon_N1_asym(SplitterSpec(cyclic(2), ((1,),) * 4), 2)
+                    assert check_recon_N1(spec, p) == (max_inter <= 1)
+                    if km:
+                        assert check_recon_N2(spec, p) == (max_inter <= 2)
 
 
 def test_check_recon_N2_examples():
     # recomputed by direct residue evaluation: over Z_2 with s = (1),
     # [-1, 0] maps to {1, 0} (distinct) but [-1, 1] collides at 1 = -1
-    assert check_recon_N2(spec1(2, (1,)), 2, 1)
-    assert not check_recon_N2(spec1(2, (1,)), 3, 1)
-    assert check_recon_N2(spec1(4, (1,)), 3, 2)
+    assert check_recon_N2(spec1(2, (1,)), ChannelParams(1, 1, 2, 1))
+    assert not check_recon_N2(spec1(2, (1,)), ChannelParams(1, 1, 3, 1))
+    assert check_recon_N2(spec1(4, (1,)), ChannelParams(1, 1, 3, 2))
 
 
 def test_constructions():
     for kp in (2, 3, 4):
-        spec = construct_N1_code(3, kp)
-        assert spec.group.order == kp == min_group_order_bound(kp, 0, 3, 1)
-        assert check_recon_N1_asym(spec, kp)
         p = ChannelParams(3, 1, kp, 0)
+        spec = construct_N1_code(p)
+        assert spec.group.order == kp == min_group_order_bound(p, 1)
+        assert check_recon_N1(spec, p)
         assert max_pairwise_intersection_lattice(spec, p) <= 1
     for kp in (2, 3):
         for km in range(1, kp + 1):
             if kp + km < 3:
                 continue
-            spec = construct_N2_code(2, kp, km)
-            assert spec.group.order == kp + km - 1 == min_group_order_bound(kp, km, 2, 2)
-            assert check_recon_N2(spec, kp, km)
             p = ChannelParams(2, 1, kp, km)
+            spec = construct_N2_code(p)
+            assert spec.group.order == kp + km - 1 == min_group_order_bound(p, 2)
+            assert check_recon_N2(spec, p)
             assert max_pairwise_intersection_lattice(spec, p) <= 2
 
 
 def test_construction_preconditions():
     with pytest.raises(ValueError):
-        construct_N1_code(3, 1)
+        construct_N1_code(ChannelParams(3, 1, 1, 0))
+    with pytest.raises(ValueError, match="k_minus = 0"):
+        construct_N1_code(ChannelParams(3, 1, 2, 1))
     with pytest.raises(ValueError):
-        construct_N2_code(3, 1, 1)
+        construct_N2_code(ChannelParams(3, 1, 1, 1))
 
 
 def test_min_group_order_bound_examples():
-    assert min_group_order_bound(2, 1, 3, 1) == 7
-    assert min_group_order_bound(2, 2, 2, 1) == 7
-    assert min_group_order_bound(3, 0, 1, 1) == 3
-    assert min_group_order_bound(3, 1, 5, 2) == 3
+    assert min_group_order_bound(ChannelParams(3, 1, 2, 1), 1) == 7
+    assert min_group_order_bound(ChannelParams(2, 1, 2, 2), 1) == 7
+    assert min_group_order_bound(ChannelParams(1, 1, 3, 0), 1) == 3
+    assert min_group_order_bound(ChannelParams(5, 1, 3, 1), 2) == 3
     with pytest.raises(ValueError):
-        min_group_order_bound(2, 1, 3, 3)
+        min_group_order_bound(ChannelParams(3, 1, 2, 1), 3)
+    with pytest.raises(ValueError, match="k_plus >= 2 at k_minus = 0"):
+        min_group_order_bound(ChannelParams(3, 1, 1, 0), 1)
 
 
 def test_lattice_code_contains_and_decodes():
@@ -199,7 +208,7 @@ def test_lattice_code_contains_and_decodes():
 def test_lattice_code_keeps_one_coset_leader_table():
     spec = spec1(7, (1, 2, 3))
     code = LatticeCode(spec)
-    keys = [(1, 1, 1), (1, 2, 0), (0, 1, 1)]  # (radius, k+, k-)
+    keys = [(1, 1, 1), (1, 2, 0), (0, 1, 1)]  # (radius, k+, k-) of the decode ball
     fresh = {key: LatticeCode(spec) for key in keys}
     # the table switches key on every call
     for z in product(range(-2, 3), repeat=3):
@@ -207,7 +216,7 @@ def test_lattice_code_keeps_one_coset_leader_table():
             radius, kp, km = key
             p = ChannelParams(3, 3, kp, km)
             assert code.decode_within(z, radius, p) == fresh[key].decode_within(z, radius, p)
-            assert code._leaders[0] == key
+            assert code._leaders[0] == ChannelParams(3, *key)
     # the table is (key, sorted syndrome codes, leader matrix)
     mine, theirs = code._leaders, fresh[keys[-1]]._leaders
     assert mine[0] == theirs[0]
@@ -434,7 +443,7 @@ def test_splitter_spec_parse_errors():
 
 def test_constructed_lattice_balls_disjointness_against_sets():
     # independent set-based check of the N1 construction at one point
-    spec = construct_N1_code(2, 3)
+    spec = construct_N1_code(ChannelParams(2, 1, 3, 0))
     code = LatticeCode(spec)
     members = [v for v in product(range(-6, 7), repeat=2) if code.contains(v)]
     worst = 0

@@ -171,7 +171,7 @@ def test_majority_estimate_examples():
 def test_reconstruct_majority_trivial_and_error():
     p = ChannelParams(4, 2, 1, 1)
     code = ExplicitCode([(0, 0, 0, 0), (1, 1, -1, 0)])
-    assert code_min_distance(code.members, 1, 1) == 2
+    assert code_min_distance(code.members, p) == 2
     # erasure-free estimate equal to a codeword: single candidate wins
     Y = ReadSet(((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)), p)
     got = reconstruct_majority(Y, Fraction(-1), code, 2)
@@ -212,7 +212,7 @@ def test_list_reconstruct_min_examples():
     # below the unique-reconstruction count, the list still contains x
     p = ChannelParams(2, 2, 1, 0)
     code = ExplicitCode([(0, 0), (0, -1)])
-    delta = code_min_distance(code.members, 1, 0)
+    delta = code_min_distance(code.members, p)
     assert delta == 1
     N = list_params_min(p, delta, 1)
     assert N == 2 < reads_required_min(p, delta)
@@ -373,7 +373,7 @@ def test_adversarial_instance_examples():
 
 def test_adversarial_instance_corrects_e():
     Y, C = adversarial_instance(ChannelParams(10, 2, 2, 1), 1, 1)
-    assert code_min_distance(C, 2, 1) >= 2  # corrects e = 1 errors
+    assert code_min_distance(C, Y.params) >= 2  # corrects e = 1 errors
     assert len(C) >= adversarial_code_size_bound(10, 1, 1)
     p = Y.params
     for c in C:
