@@ -275,7 +275,7 @@ def cmd_intersect(args) -> int:
         row["formula"] = combinatorics.max_intersection_whole_space(p)
         if args.oracle:
             zero = (0,) * p.n
-            brute = combinatorics.intersection_exact(zero, (1,) + zero[1:], p, cap=args.cap)
+            brute = combinatorics.intersection_exact(zero, (1,) + zero[1:], p)
             status |= _oracle_cells(row, "formula", brute=brute)
         report.add(**row)
     emit(report, args)
@@ -420,7 +420,7 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
         alg=args.alg, code=args.code, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus,
         delta=delta, a=a, N=N, tau="" if plan.tau is None else plan.tau, sets=sets,
         success=successes, fail=sets - successes, contains_x=successes,
-        max_list=longest, bound=entry.list_size_bound(p, delta, a), anchor=plan.anchor,
+        max_list=longest, bound=entry.bound(plan, p, delta, a), anchor=plan.anchor,
     ) if sets else None
 
 
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("ball", "error-ball sizes", cmd_ball, (*GRID, *REPORT, "oracle", "cap"))
     command("intersect", "worst-case two-ball intersections", cmd_intersect,
-            (*GRID, *REPORT, "oracle", "cap"))
+            (*GRID, *REPORT, "oracle"))
     command("distance", "channel distance between two vectors", cmd_distance,
             ("kp", "km", *REPORT), x=dict(required=True, help="comma-separated vector"),
             y=dict(required=True, help="comma-separated vector"))

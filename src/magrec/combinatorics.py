@@ -7,7 +7,10 @@ exact enumeration of such balls, the exact size of the intersection of two
 translated balls, the closed form for the worst-case intersection over all
 of Z^n, and the closed-form bound pair that sandwiches the intersection
 size when the centers are at a known distance (``intersection_bounds(p,
-delta)``, one pair for k- = 0 and one for k- >= 1).
+delta)``, one pair for k- = 0 and one for k- >= 1).  The intersection size
+(``intersection_exact``) is a product over the coordinates of the center
+difference, with no ball built, and depends only on the multiset of that
+difference's entries.
 
 Every function of a channel takes it as one ``ChannelParams`` p.  Every
 ball is one read-only int64 matrix with rows in lexicographic order
@@ -30,7 +33,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -190,26 +193,49 @@ def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> lis
     return [per_class[c] for c in rows.tolist()]
 
 
-def intersection_exact(
-    x: Vec, y: Vec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
-) -> int:
-    """|(x + B) ∩ (y + B)|: the rows e of the ball matrix with (x - y) + e
-    itself in the ball, counted with column operations.
+def intersection_exact(x: Vec, y: Vec, p: ChannelParams) -> int:
+    """|(x + B) ∩ (y + B)|, counted from the multiset of entries of d = x - y.
 
-    A point x + e lies in y + B iff (x - y) + e is a ball element.  No such
-    e exists when some |x_i - y_i| exceeds k+ + k-.
+    A point x + e lies in y + B iff e and d + e are both in B.  Per
+    coordinate, the entries a in [-k-, k+] with a + d_i in [-k-, k+] split
+    into four counts c_uv by (a != 0, a + d_i != 0), and in the product of
+    c_00 + c_10 u + c_01 v + c_11 uv over the coordinates the coefficient
+    of u^i v^j counts the e with wt(e) = i and wt(d + e) = j.  The
+    intersection is the sum of the coefficients of degree at most t in each
+    variable.  A zero d_i contributes 1 + (k+ + k-) uv, so the zeros are
+    applied at the end as binomial sums along the diagonal and only the
+    wt(d) nonzero entries are multiplied in: O(n t^2) exact integer
+    operations, and no ball is built.  No e exists when some |d_i| exceeds
+    k+ + k-.
     """
     if len(x) != len(y) or len(x) != p.n:
         raise ValueError("centers must both have length n")
-    ball = ball_matrix(p, cap)
     d = [a - b for a, b in zip(x, y)]
-    if any(abs(v) > p.magnitude_span for v in d):
+    span = p.magnitude_span
+    if any(abs(v) > span for v in d):
         return 0
-    # compare the ball with bounds shifted by -d, so no |B| x n int64 copy
-    # of it is made: -k- - d <= e <= k+ - d, and e != -d in at most t places
-    d = np.array(d, dtype=np.int64)
-    inside = ((ball >= -p.k_minus - d) & (ball <= p.k_plus - d)).all(axis=1)
-    return int((inside & ((ball != -d).sum(axis=1) <= p.t)).sum())
+    # poly[i + 1][j + 1]: the coefficient of u^i v^j over the nonzero d_i so
+    # far, behind a zero row and column so that no shifted read needs a test
+    size = p.t + 2
+    poly = [[0] * size for _ in range(size)]
+    poly[1][1] = 1
+    for v in filter(None, d):
+        into = int(-p.k_minus <= v <= p.k_plus)  # a = 0, a + d_i != 0
+        out = int(-p.k_minus <= -v <= p.k_plus)  # a = -d_i != 0, a + d_i = 0
+        rest = span + 1 - abs(v) - into - out
+        poly = [[0] * size] + [
+            [0] + [into * here[j - 1] + out * above[j] + rest * above[j - 1]
+                   for j in range(1, size)]
+            for above, here in zip(poly, poly[1:])
+        ]
+    # the zero d_i raise both weights by the same count r, in C(zeros, r)
+    # span^r ways, so a coefficient of degree (i, j) takes r <= t - max(i, j)
+    zeros = d.count(0)
+    within = list(accumulate(math.comb(zeros, r) * span**r for r in range(p.t + 1)))
+    return sum(
+        c * within[p.t - max(i, j)]
+        for i, row in enumerate(poly[1:]) for j, c in enumerate(row[1:]) if c
+    )
 
 
 def max_intersection_whole_space(p: ChannelParams) -> int:
@@ -261,13 +287,11 @@ def intersection_bounds(p: ChannelParams, delta: int) -> IntersectionBounds:
     return IntersectionBounds(lower, upper)
 
 
-def max_intersection_of_code(
-    code_members, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
-) -> int:
+def max_intersection_of_code(code_members, p: ChannelParams) -> int:
     """Maximum pairwise ball intersection over distinct codewords.
 
-    Intersections are translation invariant, so pairs are deduplicated by
-    their difference vector.
+    Intersections are translation invariant and depend only on the multiset
+    of the difference's entries, so each sorted difference is counted once.
     """
     members = sorted(tuple(m) for m in code_members)
     if len(members) < 2:
@@ -277,9 +301,9 @@ def max_intersection_of_code(
     best = 0
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            d = tuple(u - v for u, v in zip(a, b))
+            d = tuple(sorted(u - v for u, v in zip(a, b)))
             if d not in seen:
-                seen[d] = intersection_exact(zero, d, p, cap=cap)
+                seen[d] = intersection_exact(zero, d, p)
             if seen[d] > best:
                 best = seen[d]
     return best

@@ -12,9 +12,10 @@ here is in fact cyclic).  The module provides:
 * the all-ones constructions attaining the group-order lower bounds,
 * ``LatticeCode``, whose bounded-radius decoder looks the syndromes of a
   whole matrix up in the same table, and
-* the exact intersection check over the lattice differences,
-  ``max_pairwise_intersection_lattice``, which certifies all of the above
-  on small instances (the packing is its value 0).
+* the exact intersection check over the lattice differences, one count
+  per multiset of entries, ``max_pairwise_intersection_lattice``, which
+  certifies all of the above on small instances (the packing is its value
+  0).
 
 Every function of a channel takes it as one ``ChannelParams`` p whose n is
 the splitter's length.  The radius-1 statements (``check_recon_N1``,
@@ -43,6 +44,7 @@ from magrec.core import (
     ChannelParams,
     Code,
     Vec,
+    _row_keys,
     charge,
     parse_int,
 )
@@ -339,15 +341,18 @@ def max_pairwise_intersection_lattice(
     so d lies in [-(k+ + k-), k+ + k-]^n and wt(d) <= 2t: d is a row of the
     ball B(n, min(2t, n), k+ + k-, k+ + k-), of which ``cap`` bounds the
     size.  Its nonzero rows with the identity syndrome are therefore every
-    difference of lattice points whose balls can meet.
+    difference of lattice points whose balls can meet.  The intersection
+    depends only on the multiset of d's entries, so the rows are sorted and
+    ``intersection_exact`` counts each distinct sorted row once.
     """
     _check_length(spec, p)
     span = p.magnitude_span
     box = combinatorics.ball_matrix(ChannelParams(p.n, min(2 * p.t, p.n), span, span), cap)
-    differences = box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)]
+    differences = np.sort(box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)], axis=1)
+    _, first = np.unique(_row_keys(differences), return_index=True)
     zero = (0,) * p.n
     return max(
-        (combinatorics.intersection_exact(zero, d, p, cap=cap) for d in differences.tolist()),
+        (combinatorics.intersection_exact(zero, d, p) for d in differences[first].tolist()),
         default=0,
     )
 

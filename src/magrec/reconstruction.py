@@ -655,6 +655,11 @@ class Algorithm:
         decode of each set's anchor read."""
         return _decode_one_read if plan.anchor == ONE_READ.anchor else self.decode
 
+    def bound(self, plan: ReadPlan, p: ChannelParams, delta: int, a: int) -> int:
+        """``list_size_bound``, or 1 under the one-read plan, which decodes
+        one read into at most one word."""
+        return 1 if plan.anchor == ONE_READ.anchor else self.list_size_bound(p, delta, a)
+
     def reads_minimum(self, plan: ReadPlan) -> bool:
         """Whether ``decoder(plan)`` reads only each set's componentwise
         minimum, so decoding that minimum as a one-read set gives the set's
@@ -670,15 +675,29 @@ def _plan_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
     return ONE_READ if delta > p.t else ReadPlan(*majority_threshold(p, delta), "majority-reads")
 
 
+def _list_one_read(a: int) -> ReadPlan:
+    """``ONE_READ`` for a list algorithm at delta > t, where one read lists
+    one word, so a must be 0."""
+    if a:
+        raise ValueError(f"need a = 0 at delta > t (one read decodes), got a={a}")
+    return ONE_READ
+
+
 def _plan_list_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    if delta > p.t:
+        return _list_one_read(a)
     return ReadPlan(list_params_min(p, delta, a), None, "list-reads-min")
 
 
 def _plan_list_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    if delta > p.t:
+        return _list_one_read(a)
     return ReadPlan(*list_params_general(p, delta, a), "list-reads-majority")
 
 
 def _plan_sauer(p: ChannelParams, delta: int, a: int) -> ReadPlan:
+    if delta > p.t:
+        return _list_one_read(a)
     return ReadPlan(sauer_reads_required(p, delta, a), None, "sauer-reads")
 
 

@@ -17,7 +17,8 @@ of codewords per set, the shape the tuple oracles compare.
 Everything else here is built from itertools primitives and set arithmetic only,
 deliberately avoiding the code paths under test (the library enumerates
 balls column by column into a cached int64 matrix and counts intersections
-with column operations; these oracles materialize full sets).  The lattice
+as a product over the coordinates of the center difference, with no ball
+built; these oracles materialize full sets).  The lattice
 oracles scan the whole box [-(k+ + k-), k+ + k-]^n with inline modular sums,
 where the library reads the distance off its splitting test and takes the
 lattice differences from a cached ball matrix through its syndrome kernel,

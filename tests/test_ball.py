@@ -92,11 +92,15 @@ def test_lex_rows_is_the_cost_filtered_product():
 
 
 @CHECKS
-@given(channels(max_n=4), st.data())
+@given(channels(max_n=6), st.data())
 def test_intersection_exact_matches_oracle(p, data):
-    # centers up to 6 apart in an entry, often beyond k+ + k- of each other
-    center = st.tuples(*[st.integers(-3, 3)] * p.n)
-    x, y = data.draw(center), data.draw(center)
+    # entries of the centers up to 2(k+ + k-) + 1 apart; half the draws keep
+    # every entry within k+ + k-, where the intersection can be nonzero
+    far = 2 * p.magnitude_span + 1
+    reach = data.draw(st.sampled_from([p.magnitude_span, far]))
+    x = data.draw(st.tuples(*[st.integers(-far, far)] * p.n))
+    d = data.draw(st.tuples(*[st.integers(-reach, reach)] * p.n))
+    y = tuple(a + b for a, b in zip(x, d))
     assert intersection_exact(x, y, p) == oracle_intersection(
         x, y, p.t, p.k_plus, p.k_minus
     )

@@ -165,6 +165,42 @@ def test_one_codeword_explicit_code_decodes_every_set(tmp_path, capsys):
     assert [rec["success"] for rec in records["simulate"]] == [True] * 10
 
 
+def test_list_commands_run_the_one_read_plan_past_t(tmp_path, capsys):
+    # distance 2 > t = 1 (and n + 1 for a one-word code): one read, one word
+    f = tmp_path / "one.txt"
+    f.write_text("0,0,0\n", encoding="utf-8")
+    runs = [
+        ("majority", "splitter:group=Z13; s=[1,2,3,4,5,6]", "6", 2),
+        ("sauer", f"explicit:@{f}", "3", 4),
+    ]
+    for alg, spec, n, delta in runs:
+        code, out = run_cli(
+            capsys, "list", "--alg", alg, "--code", spec, "--n", n, "--t", "1",
+            "--kp", "1", "--km", "1", "--format", "records",
+        )
+        assert code == 0
+        (row,) = map(json.loads, out.splitlines())
+        assert (row["delta"], row["N"], row["max_list"], row["bound"]) == (delta, 1, 1, 1)
+        assert row["match"] == "MATCH"
+    # a > 0 lists nothing more under one read: still an error
+    code = main(["list", "--alg", "sauer", "--code", f"explicit:@{f}", "--n", "3",
+                 "--t", "1", "--kp", "1", "--km", "1", "--a", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: need a = 0 at delta > t (one read decodes), got a=1\n"
+    )
+
+
+def test_intersect_oracle_past_the_default_cap(capsys):
+    # the exact count builds no ball, so no cap applies
+    code, out = run_cli(
+        capsys, "intersect", "--n", "40", "--t", "20", "--kp", "3", "--km", "3", "--oracle",
+    )
+    assert code == 0
+    row = out.splitlines()[1].split()
+    assert row[4] == row[5] == "295892263903763880460612554" and row[6] == "MATCH"
+
+
 def test_check_splitting(capsys):
     code, out = run_cli(
         capsys, "check-splitting", "--code", "splitter:group=Z7; s=[1,2]",
@@ -844,7 +880,7 @@ def test_command_flags():
     trials = [*grid, *report, "--alg", "--cap", "--code", "--delta", "--seed", "--trials"]
     expected = {
         "ball": [*grid, *report, "--cap", "--oracle"],
-        "intersect": [*grid, *report, "--cap", "--oracle"],
+        "intersect": [*grid, *report, "--oracle"],
         "distance": ["--km", "--kp", *report, "--x", "--y"],
         "check-splitting": [*grid, *report, "--cap", "--code", "--oracle"],
         "reconstruct": [*trials, "--N", "--reads", "--x"],
@@ -859,7 +895,7 @@ def test_command_flags():
         for name, sp in commands.items()
     }
     assert flags == {name: sorted(f) for name, f in expected.items()}
-    assert sum(map(len, flags.values())) == 90
+    assert sum(map(len, flags.values())) == 89
     alg = {name: sp._option_string_actions["--alg"].choices
            for name, sp in commands.items() if "--alg" in sp._option_string_actions}
     unique = [name for name in ALGORITHMS if not name.startswith("list-")]
@@ -896,6 +932,7 @@ DISTANCE = "distance --x 3,0 --y 0,0 --kp 2 --km 1"
     (DISTANCE, "--n 1:9"),
     (DISTANCE, "--t 7"),
     (DISTANCE, "--cap 1"),
+    ("intersect --n 2 --t 1 --kp 1", "--cap 10"),
 ])
 def test_a_flag_the_command_does_not_read_exits_two(argv, unread, capsys):
     with pytest.raises(SystemExit) as exc:

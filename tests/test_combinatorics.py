@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -107,6 +107,14 @@ def test_intersection_translation_invariance():
         assert shifted == intersection_exact(x, y, p)
 
 
+def test_whole_space_max_past_int64_and_the_default_cap():
+    # the ball holds about 6.0e26 vectors, far past DEFAULT_ENUM_CAP
+    p = ChannelParams(40, 20, 3, 3)
+    e1 = (1,) + (0,) * 39
+    assert intersection_exact((0,) * 40, e1, p) == max_intersection_whole_space(p)
+    assert max_intersection_whole_space(p) == 295892263903763880460612554
+
+
 def test_max_intersection_whole_space_examples():
     assert max_intersection_whole_space(ChannelParams(2, 1, 1, 1)) == 2
     assert max_intersection_whole_space(ChannelParams(2, 2, 1, 0)) == 2
@@ -208,3 +216,20 @@ def test_max_intersection_of_code():
     )
     with pytest.raises(ValueError):
         max_intersection_of_code({(0, 0)}, ChannelParams(2, 1, 1, 0))
+
+
+def test_max_intersection_of_code_against_pairwise_oracle():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        t = rng.randint(1, n)
+        kp = rng.randint(1, 3)
+        km = rng.randint(0, kp)
+        size = rng.randint(2, 6)
+        code = {tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(size)}
+        if len(code) < 2:
+            continue
+        expected = max(
+            oracle_intersection(a, b, t, kp, km) for a, b in combinations(code, 2)
+        )
+        assert max_intersection_of_code(code, ChannelParams(n, t, kp, km)) == expected

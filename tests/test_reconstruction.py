@@ -16,6 +16,8 @@ from magrec.combinatorics import hamming_volume
 from magrec.distances import code_min_distance
 from magrec.lattice import cyclic, LatticeCode, SplitterSpec
 from magrec.reconstruction import (
+    ALGORITHMS,
+    ONE_READ,
     ReadSet,
     adversarial_code_size_bound,
     adversarial_instance,
@@ -402,3 +404,16 @@ def test_soundness_outputs_cover_reads():
         got = reconstruct_majority(Y, tau, code, 2)
         for y in Y.reads:
             assert in_ball(tuple(a - b for a, b in zip(y, got)), p)
+
+
+@pytest.mark.parametrize("name", ["list-min", "list-majority", "list-sauer"])
+def test_list_plans_read_once_past_t(name):
+    # as for min and majority: a distance past t decodes one read into one word
+    entry = ALGORITHMS[name]
+    p = ChannelParams(4, 1, 2, 0 if name == "list-min" else 1)
+    plan = entry.plan(p, 2, 0)
+    assert plan == ONE_READ and entry.bound(plan, p, 2, 0) == 1
+    with pytest.raises(ValueError, match="need a = 0 at delta > t"):
+        entry.plan(p, 2, 1)
+    plan = entry.plan(p, 1, 0)
+    assert plan != ONE_READ and entry.bound(plan, p, 1, 0) == entry.list_size_bound(p, 1, 0)
