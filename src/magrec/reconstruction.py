@@ -460,29 +460,41 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     """A size-c coordinate set U such that every pattern over U is avoided
     coordinatewise by some member of S.
 
-    Search over all coordinate subsets (lexicographic order, first witness
-    wins) and all q^c patterns, with one Python-int bitset per (coordinate,
-    value) of the members avoiding it: a pattern is avoided when the AND of
-    its c bitsets is nonzero.  Such a U exists whenever |S| > V_q(n, c - 1);
-    absence therefore signals a violated precondition.  The worst-case scan,
-    C(n, c) q^c |S| member tests, is charged against ``cap`` first.
+    S is an (|S|, n) int64 matrix with one member per row, or any iterable
+    of length-n vectors, converted to one once; a repeated member counts
+    once (a 1-D ``np.unique`` of the ``_row_keys``).  Search over all
+    coordinate subsets (lexicographic order, first witness wins) and all
+    q^c patterns, with one Python-int bitset per (coordinate, value) of the
+    members avoiding it, packed from one (n, q, |S|) mask: a pattern is
+    avoided when the AND of its c bitsets is nonzero.  Such a U exists
+    whenever |S| > V_q(n, c - 1); absence therefore signals a violated
+    precondition.  The worst-case scan, C(n, c) q^c |S| member tests over
+    the distinct members, is charged against ``cap`` first.
     """
-    members = sorted(set(tuple(v) for v in S))
-    if not members:
+    if not isinstance(S, np.ndarray):
+        rows = [tuple(v) for v in S]
+        if len({len(v) for v in rows}) > 1:
+            raise ValueError("vectors in S must share one length")
+        try:
+            S = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"entries must lie in [0, {q - 1}]") from None
+    if not len(S):
         raise ValueError("S must be nonempty")
-    n = len(members[0])
-    if any(len(v) != n for v in members):
-        raise ValueError("vectors in S must share one length")
-    if any(not 0 <= x < q for v in members for x in v):
+    if S.size and (S.min() < 0 or S.max() >= q):
         raise ValueError(f"entries must lie in [0, {q - 1}]")
+    n = S.shape[1]
     if c == 0:
         return ()
     if c > n:
         raise ReconstructionError(f"no coordinate set of size {c} in length {n}")
+    _, first = np.unique(_row_keys(S), return_index=True)
+    members = S[first]
     charge(binom(n, c) * q**c * len(members), "coordinate-search member tests", cap)
     # avoid[i][x] has bit b set when member b has no x at coordinate i
-    avoid = [[int.from_bytes(np.packbits(col != x, bitorder="little").tobytes(), "little")
-              for x in range(q)] for col in np.array(members, dtype=np.int64).T]
+    mask = members.T[:, None, :] != np.arange(q)[:, None]
+    avoid = [[int.from_bytes(bits.tobytes(), "little") for bits in row]
+             for row in np.packbits(mask, axis=2, bitorder="little")]
     for U in combinations(range(n), c):
         if all(reduce(and_, bitsets) for bitsets in product(*(avoid[i] for i in U))):
             return U
@@ -503,7 +515,7 @@ def _sauer_list(M: np.ndarray, p: ChannelParams, delta: int, a: int, cap: int) -
     witness."""
     f = _list_excess(p, delta, a)
     lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
-    U = sauer_shelah_find((M - lows).tolist(), p.magnitude_span + 1, f - a, cap)
+    U = sauer_shelah_find(M - lows, p.magnitude_span + 1, f - a, cap)
     return _sauer_candidates(M, p, U, f, cap)
 
 

@@ -21,14 +21,18 @@ followed by the excess it leaves, so it depends only on (m + 1, w).  A read
 set of x + shell has componentwise minimum x + z, z the minimum of its
 subset of the shell, and the shell's N-subsets with minimum z are counted
 in closed form by Möbius inversion (``_shell_minimum_count``), a count
-that depends on |z| alone, so no subset is enumerated.  Each codeword
-decodes x + z once per distinct z with ``SimplexCode.decode_upward``, the
-only decoder, weighted by the sets of all shells with that minimum, adding
-x + z in Python ints, so a code of any entries is counted exactly.  The
-cap is still charged every shell and every shell's subset count.  Where
-reads are built as int64 rows (``upward_ball``,
-``exhaustive_simplex_read_sets``, ``reconstruct_simplex_min``), x plus any
-excess must stay below 2**62 (``core.check_entries``).
+that depends on |z| alone, so no subset is enumerated.  The rows x + z,
+one per codeword x and distinct z, are built a block of codewords at a
+time and decoded by ``SimplexCode.decode_rows``, the only decoder, which
+tests each row against every member at once; the rows that decode to their
+own x are counted per excess |z| and weighted by the sets of all shells
+with that minimum, in Python ints.  The rows are int64 while r + t stays
+below 2**62 and Python ints (an object array) past it, so a code of any
+entries is counted exactly.  The cap is still charged every shell and
+every shell's subset count.  Where reads are built as int64 rows
+(``upward_ball``, ``exhaustive_simplex_read_sets``,
+``reconstruct_simplex_min``), x plus any excess must stay below 2**62
+(``core.check_entries``).
 """
 
 from __future__ import annotations
@@ -43,18 +47,20 @@ import numpy as np
 from magrec.combinatorics import _lex_rows
 from magrec.core import (
     DEFAULT_ENUM_CAP,
+    ENTRY_LIMIT,
     ReconstructionError,
     Vec,
     charge,
     check_entries,
     parse_int,
     payload_lines,
+    rows_per_block,
 )
 
 
 def is_simplex_member(v: Vec, m: int, r: int) -> bool:
     """Membership in the simplex: m + 1 non-negative entries summing to r."""
-    return len(v) == m + 1 and all(x >= 0 for x in v) and sum(v) == r
+    return len(v) == m + 1 and min(v, default=0) >= 0 and sum(v) == r
 
 
 def _excess(k: int, t: int) -> np.ndarray:
@@ -105,8 +111,10 @@ def reads_required_simplex(m: int, t: int, delta: int) -> int:
     return math.comb(m + t - delta, m) + 1
 
 
-def l1_distance(a: Vec, b: Vec) -> int:
-    return sum(abs(x - y) for x, y in zip(a, b))
+def _l1_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The l1 distance of each row of A to each row of B, as an (|A|, |B|)
+    matrix; in Python ints when either is an object array."""
+    return np.abs(A[:, None, :] - B).sum(axis=2)
 
 
 @dataclass(frozen=True)
@@ -134,25 +142,52 @@ class SimplexCode:
             raise ValueError("duplicate codewords")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
-        for a, b in combinations(members, 2):
-            d = l1_distance(a, b)
-            if d < 2 * self.delta:
+        # entries lie in [0, r], so below ENTRY_LIMIT int64 holds every row
+        # sum and every l1 distance (at most 2r)
+        M = np.array(members, dtype=np.int64 if self.r < ENTRY_LIMIT else object)
+        step = rows_per_block(8 * M.size)
+        for start in range(0, len(M), step):
+            d = _l1_distances(M[start:start + step], M)
+            # the pairs i < j, in row-major order, which is combinations order
+            rows = np.arange(start, start + len(d))[:, None]
+            close = (d < 2 * self.delta) & (np.arange(len(M)) > rows)
+            if close.any():
+                i, j = np.unravel_index(close.argmax(), close.shape)
                 raise ValueError(
-                    f"l1 distance {d} between {a} and {b} is below 2*delta = "
-                    f"{2 * self.delta}"
+                    f"l1 distance {d[i, j]} between {members[start + i]} and {members[j]} "
+                    f"is below 2*delta = {2 * self.delta}"
                 )
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_matrix", M)
+
+    def decode_rows(self, U: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """(first, found): for each row z of U, ``members[first]`` is the
+        first member c, in sorted order, with z >= c componentwise and
+        |z| - r <= radius, where ``found`` is set (off it, no member is).
+
+        Unique whenever radius <= delta - 1.  U is int64 when the absolute
+        sum of each row is below ``ENTRY_LIMIT`` and Python ints (an object
+        array) otherwise; the members are one matrix, int64 below
+        ``ENTRY_LIMIT`` and Python ints past it.  Each block of
+        ``rows_per_block`` rows is tested against every member at once.
+        """
+        M = self._matrix
+        first = np.zeros(len(U), dtype=np.intp)
+        found = np.zeros(len(U), dtype=bool)
+        step = rows_per_block(8 * M.size)
+        for start in range(0, len(U), step):
+            block = U[start:start + step]
+            hit = (block[:, None, :] >= M).all(axis=2)
+            first[start:start + step] = hit.argmax(axis=1)
+            found[start:start + step] = hit.any(axis=1) & (block.sum(axis=1) <= self.r + radius)
+        return first, found
 
     def decode_upward(self, z: Vec, radius: int) -> Optional[Vec]:
-        """The codeword c with z in its radius-``radius`` upward ball, if any.
-
-        Unique whenever radius <= delta - 1; members are scanned in sorted
-        order so the result is deterministic regardless.
-        """
-        for c in self.members:
-            if all(zi >= ci for zi, ci in zip(z, c)) and sum(z) - sum(c) <= radius:
-                return c
-        return None
+        """``decode_rows`` on the one row z: the codeword c with z in its
+        radius-``radius`` upward ball, or None."""
+        safe = sum(map(abs, z)) < ENTRY_LIMIT
+        first, found = self.decode_rows(np.array([z], dtype=np.int64 if safe else object), radius)
+        return self.members[first[0]] if found[0] else None
 
 
 def reconstruct_simplex_min(
@@ -219,10 +254,12 @@ def simplex_min_counts(
     it decodes to its own codeword.
 
     A set's minimum is x + z, and ``_shell_minimum_count`` counts the sets
-    of each shell with minimum z, so no subset is enumerated: each codeword
-    decodes x + z once per z of B_t^+(0) that is some set's minimum,
-    weighted by the sets of all shells with that minimum.  ``cap`` is
-    charged each shell and each shell's subset count.
+    of each shell with minimum z, so no subset is enumerated: the rows
+    x + z, one per codeword x and z of B_t^+(0) that is some set's minimum,
+    are decoded a block of codewords at a time by ``decode_rows``; the rows
+    that decode to their own x are counted per excess |z| and weighted by
+    the sets of all shells with that minimum.  ``cap`` is charged each
+    shell and each shell's subset count.
     """
     if count < 1:
         raise ValueError("read set must be nonempty")
@@ -233,26 +270,33 @@ def simplex_min_counts(
         shells.append(shell)
         for level in range(w + 1):
             weight[level] += _shell_minimum_count(code.m, w - level, count)
-    minima = [
-        (z, weight[level])
-        for level, shell in enumerate(shells) if weight[level]
-        for z in shell.tolist()
-    ]
-    successes = sum(
-        hits for x in code.members for z, hits in minima
-        if code.decode_upward(tuple(a + b for a, b in zip(x, z)), delta - 1) == x
-    )
-    return len(code.members) * sets, successes
+    sets *= len(code.members)
+    if not any(weight):
+        return sets, 0
+    Z = np.concatenate([shell for shell, hits in zip(shells, weight) if hits])
+    level = Z.sum(axis=1)
+    # x + z sums to at most r + t, so int64 rows stay exact below ENTRY_LIMIT
+    Z = Z.astype(object) if code.r + t >= ENTRY_LIMIT else Z
+    X, hits = code._matrix, np.zeros(t + 1, dtype=np.int64)
+    step = rows_per_block(8 * Z.size)  # codewords per block of x + z rows
+    for start in range(0, len(X), step):
+        block = X[start:start + step]
+        rows = (block[:, None, :] + Z).reshape(-1, code.m + 1)
+        first, found = code.decode_rows(rows, delta - 1)
+        own = found & (first == np.arange(start, start + len(block)).repeat(len(Z)))
+        hits += np.bincount(np.tile(level, len(block))[own], minlength=t + 1)
+    return sets, sum(h * w for h, w in zip(hits.tolist(), weight))
 
 
 def greedy_simplex_code(m: int, r: int, delta: int) -> SimplexCode:
     """Greedy maximal code in the simplex with l1 distance >= 2 * delta,
     scanning simplex members in lexicographic order."""
-    members: list[Vec] = []
-    for v in map(tuple, _excess_shell(m + 1, r, DEFAULT_ENUM_CAP).tolist()):
-        if all(l1_distance(v, c) >= 2 * delta for c in members):
-            members.append(v)
-    return SimplexCode(m, r, delta, tuple(members))
+    simplex = _excess_shell(m + 1, r, DEFAULT_ENUM_CAP)
+    chosen: list[int] = []
+    for i in range(len(simplex)):
+        if (_l1_distances(simplex[i:i + 1], simplex[chosen]) >= 2 * delta).all():
+            chosen.append(i)
+    return SimplexCode(m, r, delta, tuple(map(tuple, simplex[chosen].tolist())))
 
 
 def parse_simplex_code(text: str, source: str = "simplex code") -> SimplexCode:

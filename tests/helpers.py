@@ -30,7 +30,9 @@ became int64 matrices: per-read and per-column Python loops over sorted
 tuples.  ``oracle_sauer_shelah_find`` is the member-by-member pattern scan
 the library ran before it kept one bitset per coordinate and value.  The tandem oracles are the recursion and the per-set loop the
 library ran before the upward ball became an int64 matrix and simplex read
-sets became stacks.
+sets became stacks, with ``oracle_decode_upward``, the member-by-member
+scan the library ran before a simplex code decoded rows as one matrix, and
+``l1_distance``, the distance its validation took one pair at a time.
 """
 
 from __future__ import annotations
@@ -401,10 +403,24 @@ def oracle_upward_ball(x, t):
     return out
 
 
+def l1_distance(a, b) -> int:
+    return sum(abs(x - y) for x, y in zip(a, b))
+
+
+def oracle_decode_upward(code, z, radius):
+    """The upward decode member by member: the first member c, in sorted
+    order, with z >= c componentwise and |z| - r <= radius; None when there
+    is none."""
+    for c in sorted(code.members):
+        if all(a >= b for a, b in zip(z, c)) and sum(z) - code.r <= radius:
+            return c
+    return None
+
+
 def oracle_simplex_counts(code, t, N, delta):
     """(sets, successes) of the per-set tandem loop: for each codeword x and
     each shell w of its upward ball, every N-subset as a tuple of reads, its
-    componentwise minimum and one upward decode."""
+    componentwise minimum and one member-by-member upward decode."""
     sets = successes = 0
     for x in code.members:
         for w in range(t + 1):
@@ -412,5 +428,5 @@ def oracle_simplex_counts(code, t, N, delta):
             for Y in combinations(shell, N):
                 z = oracle_componentwise_min(Y)
                 sets += 1
-                successes += code.decode_upward(z, delta - 1) == x
+                successes += oracle_decode_upward(code, z, delta - 1) == x
     return sets, successes

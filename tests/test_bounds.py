@@ -17,6 +17,7 @@ from magrec.combinatorics import ball_matrix
 from magrec.lattice import parse_splitter_spec
 from magrec.reconstruction import ALGORITHMS, sauer_shelah_find
 from magrec.tandem import (
+    SimplexCode,
     _excess_shell,
     exhaustive_simplex_read_sets,
     greedy_simplex_code,
@@ -34,14 +35,16 @@ ERASE_ALL = Fraction(10**6)
 
 class _Members(np.ndarray):
     """A member matrix that records the shape of each (M, chunk, n) block of
-    row-minus-member differences it is subtracted into."""
+    row-minus-member differences it is subtracted into, or of row-member
+    comparisons it is compared with."""
 
     shapes: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         inputs = [x.view(np.ndarray) if isinstance(x, _Members) else x for x in inputs]
         out = getattr(ufunc, method)(*inputs, **kwargs)
-        if ufunc is np.subtract:
+        # a row block compared with the members reaches here reflected
+        if ufunc in (np.subtract, np.less_equal):
             _Members.shapes.append(out.shape)
         return out
 
@@ -80,6 +83,26 @@ def test_one_budget_bounds_every_kind_of_block(budget, monkeypatch):
     chunks = _Members.shapes
     assert len(chunks) > 1 and all(n == 5 for _, _, n in chunks)
     assert all(8 * M * chunk * n <= budget or chunk == 1 for M, chunk, n in chunks)
+
+    # simplex decoding: the x + z rows of whole codewords, 8 |Z| (m + 1)
+    # bytes a codeword, for the 15 minima z of excess <= 2 (two distinct
+    # reads of a shell have a lower minimum), each row tested against every
+    # member at once, 8 |members| (m + 1) bytes a row
+    simplex = greedy_simplex_code(3, 6, 1)
+    object.__setattr__(simplex, "_matrix", simplex._matrix.view(_Members))
+    _Members.shapes.clear()
+    rows, decode_rows = [], SimplexCode.decode_rows
+    monkeypatch.setattr(
+        SimplexCode, "decode_rows", lambda code, U, radius: (
+            rows.append(len(U)) or decode_rows(code, U, radius)
+        )
+    )
+    simplex_min_counts(simplex, 3, 2, 1)
+    assert len(rows) > 1 and sum(rows) == 84 * 15
+    assert all(8 * count * 4 <= budget or count == 15 for count in rows)
+    blocks = _Members.shapes
+    assert len(blocks) > len(rows) and all(shape[1:] == (84, 4) for shape in blocks)
+    assert all(8 * M * 84 * 4 <= budget or M == 1 for M, _, _ in blocks)
 
 
 def _erasure_fills(cap):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from magrec import (
@@ -293,8 +294,10 @@ def test_sauer_shelah_find_examples():
     assert sauer_shelah_find({(0, 0)}, 2, 0) == ()
     with pytest.raises(ReconstructionError):
         sauer_shelah_find({(0,)}, 3, 1)
-    with pytest.raises(ValueError):
-        sauer_shelah_find({(0, 3)}, 3, 1)  # entry out of range
+    # entries out of range, as tuples (past int64 too) and as a matrix
+    for S in ({(0, 3)}, {(0, 2**64)}, {(-(2**64), 0)}, np.array([[0, 3]]), np.array([[-1, 0]])):
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 2\]"):
+            sauer_shelah_find(S, 3, 1)
 
 
 def test_sauer_shelah_find_succeeds_above_volume():
@@ -335,6 +338,29 @@ def test_sauer_shelah_find_matches_the_member_scan():
                 sauer_shelah_find(S, q, c, cap=worst - 1)
             if expected is not None:
                 assert sauer_shelah_find(S, q, c, cap=worst) == expected
+
+
+def test_sauer_shelah_find_on_a_matrix_with_repeated_rows():
+    rng = random.Random(31)
+    for _ in range(200):
+        q = rng.choice((2, 3))
+        n = rng.randint(1, 5)
+        c = rng.randint(1, n)
+        S = rng.sample(list(product(range(q), repeat=n)), rng.randint(1, min(q**n, 30)))
+        rows = S + rng.choices(S, k=rng.randint(1, 20))
+        rng.shuffle(rows)
+        M = np.array(rows, dtype=np.int64)
+        expected = oracle_sauer_shelah_find(S, q, c)
+        # the cap counts the distinct members, not the rows
+        worst = math.comb(n, c) * q**c * len(S)
+        with pytest.raises(EnumerationCapExceeded):
+            sauer_shelah_find(M, q, c, cap=worst - 1)
+        if expected is None:
+            with pytest.raises(ReconstructionError):
+                sauer_shelah_find(M, q, c, cap=worst)
+        else:
+            assert sauer_shelah_find(M, q, c, cap=worst) == expected
+            assert sauer_shelah_find(set(S), q, c) == expected
 
 
 def test_sauer_reads_required():

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from itertools import combinations, product
 from unittest import mock
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from magrec import core
 from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, ReconstructionError
 from magrec.tandem import (
     SimplexCode,
@@ -16,7 +20,6 @@ from magrec.tandem import (
     exhaustive_simplex_read_sets,
     format_simplex_code,
     greedy_simplex_code,
-    l1_distance,
     parse_simplex_code,
     reads_required_simplex,
     reconstruct_simplex_min,
@@ -24,7 +27,7 @@ from magrec.tandem import (
     upward_ball,
 )
 
-from helpers import oracle_simplex_counts, oracle_upward_ball
+from helpers import l1_distance, oracle_decode_upward, oracle_simplex_counts, oracle_upward_ball
 
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -113,11 +116,86 @@ def test_simplex_min_counts_decodes_each_distinct_minimum_once_per_codeword():
         for shell in shells
     ))
     assert len(minima) < sum(math.comb(len(s), N) for s in shells)
-    decode = mock.Mock(side_effect=SimplexCode.decode_upward)
-    with mock.patch.object(SimplexCode, "decode_upward", lambda *a: decode(*a)):
+    rows = []
+
+    def decode_rows(self, U, radius):
+        rows.extend(map(tuple, U.tolist()))
+        return decode(self, U, radius)
+
+    decode = SimplexCode.decode_rows
+    with mock.patch.object(SimplexCode, "decode_rows", decode_rows):
         got = simplex_min_counts(code, t, N, delta)
     assert got == oracle_simplex_counts(code, t, N, delta)
-    assert decode.call_count == len(code.members) * len(minima)
+    # one row x + z per codeword x and distinct minimum z, nothing else
+    assert Counter(rows) == Counter(
+        tuple(a + b for a, b in zip(x, z)) for x in code.members for z in minima
+    )
+    assert len(rows) == len(code.members) * len(minima)
+
+
+def random_simplex_code(rng, m, r, delta, size):
+    """A simplex code of at most ``size`` members drawn from the weight-r
+    simplex, greedily kept at l1 distance >= 2 delta."""
+    members = []
+    for _ in range(size):
+        cuts = sorted(rng.randint(0, r) for _ in range(m))
+        v = tuple(b - a for a, b in zip([0, *cuts], [*cuts, r]))
+        if all(l1_distance(v, c) >= 2 * delta for c in members):
+            members.append(v)
+    return SimplexCode(m, r, delta, tuple(members))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("r", [6, 2**62 - 3, 2**63 + 5])
+def test_decode_rows_matches_the_member_scan(seed, r, monkeypatch):
+    rng = random.Random(seed)
+    m, delta = rng.randint(1, 3), rng.randint(1, 2)
+    code = random_simplex_code(rng, m, r, delta, 12)
+    # rows near the members and off them: above, below and far from each
+    U = [
+        tuple(max(0, x + rng.randint(-1, 2)) for x in rng.choice(code.members))
+        for _ in range(60)
+    ] + [tuple(rng.randint(0, 7) for _ in range(m + 1)) for _ in range(10)]
+    # a few rows per block, so the blocks split the rows
+    monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 8 * len(code.members) * (m + 1))
+    big = max(map(max, U)) * (m + 1) >= core.ENTRY_LIMIT
+    for radius in range(3):
+        first, found = code.decode_rows(np.array(U, dtype=object if big else np.int64), radius)
+        got = [code.members[i] if hit else None for i, hit in zip(first.tolist(), found)]
+        assert got == [oracle_decode_upward(code, z, radius) for z in U]
+        assert [code.decode_upward(z, radius) for z in U] == got
+    assert None in got and any(got)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_validation_matches_the_pairwise_loop(seed, monkeypatch):
+    rng = random.Random(seed)
+    m, r, delta = rng.randint(1, 3), rng.randint(3, 7), rng.randint(1, 3)
+    members = list(greedy_simplex_code(m, r, delta).members)
+    # plant a member one unit from a random one: too close when delta > 1
+    v = list(rng.choice(members))
+    i = rng.choice([k for k in range(m + 1) if v[k]])
+    j = rng.choice([k for k in range(m + 1) if k != i])
+    v[i], v[j] = v[i] - 1, v[j] + 1
+    members = list({*members, tuple(v)})
+    rng.shuffle(members)
+    # one row per block, so any violating pair lies across a block boundary
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * len(members) * (m + 1))
+    close = [
+        (a, b) for a, b in combinations(sorted(members), 2)
+        if l1_distance(a, b) < 2 * delta
+    ]
+    if close:
+        a, b = close[0]
+        message = (
+            f"l1 distance {l1_distance(a, b)} between {a} and {b} is below "
+            f"2*delta = {2 * delta}"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            SimplexCode(m, r, delta, tuple(members))
+        assert str(excinfo.value) == message
+    else:
+        assert SimplexCode(m, r, delta, tuple(members)).members == tuple(sorted(members))
 
 
 def test_caps_and_int64_range():
