@@ -4,11 +4,10 @@ from collections import Counter
 from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-
-import numpy as np
 
 from magrec import core
 from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, ReconstructionError
