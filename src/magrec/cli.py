@@ -177,16 +177,10 @@ class Report:
         if self.fmt == "records":
             import json
 
-            def jval(v):
-                if isinstance(v, Fraction):
-                    return _rat(v)
-                return v
-
+            # a Fraction, which JSON cannot hold, is rendered as "p/q"
             lines = [
-                json.dumps(
-                    {c: jval(r.get(c, "")) for c in self.columns},
-                    separators=(",", ":"),
-                )
+                json.dumps({c: r.get(c, "") for c in self.columns}, separators=(",", ":"),
+                           default=_rat)
                 for r in self.rows
             ]
             lines.extend(f"# {note}" for note in self.notes)

@@ -22,7 +22,8 @@ it, made on every call, for the oracles; it keeps separate arguments
 because ``perfbench/tracing.py`` reads them by position.  ``minimum_counts``
 counts, per row z of a k- = 0 ball, the N-subsets of the ball whose
 componentwise minimum is z, by Möbius inversion rather than by enumerating
-the subsets.
+the subsets.  ``max_intersection_of_code`` counts one intersection per
+``distances.difference_classes`` row.
 
 All arithmetic is exact integer arithmetic.
 """
@@ -44,6 +45,7 @@ from magrec.core import (
     _row_keys,
     charge,
 )
+from magrec.distances import difference_classes
 
 #: Byte budget of the ball cache.  Each ball is charged its matrix's
 #: ``nbytes``; least recently used balls are dropped first, and a ball
@@ -288,22 +290,10 @@ def intersection_bounds(p: ChannelParams, delta: int) -> IntersectionBounds:
 
 
 def max_intersection_of_code(code_members, p: ChannelParams) -> int:
-    """Maximum pairwise ball intersection over distinct codewords.
-
-    Intersections are translation invariant and depend only on the multiset
-    of the difference's entries, so each sorted difference is counted once.
-    """
-    members = sorted(tuple(m) for m in code_members)
+    """Maximum ball intersection over pairs of distinct codewords, one per
+    ``distances.difference_classes`` row; 0 when there is none."""
+    members = list(code_members)
     if len(members) < 2:
         raise ValueError("need at least 2 codewords")
-    zero = (0,) * p.n
-    seen: dict[Vec, int] = {}
-    best = 0
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            d = tuple(sorted(u - v for u, v in zip(a, b)))
-            if d not in seen:
-                seen[d] = intersection_exact(zero, d, p)
-            if seen[d] > best:
-                best = seen[d]
-    return best
+    classes = difference_classes(members, p).tolist()
+    return max((intersection_exact((0,) * p.n, d, p) for d in classes), default=0)

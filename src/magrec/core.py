@@ -76,10 +76,10 @@ def check_entries(lo: int, hi: int) -> None:
 
 
 def _row_keys(M: np.ndarray) -> np.ndarray:
-    """One int64 key per row of the int64 matrix M, ordered like the rows
-    lexicographically: key i < key j exactly when row i < row j.  So a 1-D
-    ``np.unique`` of the keys, with M indexed by its first occurrences, gives
-    the distinct rows of M, sorted, with their first indices and counts, at a
+    """One key per row of the integer matrix M (int64 or object), ordered
+    like the rows lexicographically: key i < key j exactly when row i < row
+    j.  So a 1-D ``np.unique`` of the keys gives the distinct rows of M
+    (``distinct_rows``), sorted, with their first indices and counts, at a
     fraction of the cost of ``np.unique`` over the rows.
 
     When the column ranges multiply to less than 2**63 the key is the
@@ -99,6 +99,11 @@ def _row_keys(M: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(M), dtype=np.int64)
     ranks[order] = np.concatenate(([0], (rows[1:] != rows[:-1]).any(axis=1).cumsum()))
     return ranks
+
+
+def distinct_rows(M: np.ndarray) -> np.ndarray:
+    """The distinct rows of M, sorted, by a 1-D ``np.unique`` of ``_row_keys``."""
+    return M[np.unique(_row_keys(M), return_index=True)[1]]
 
 
 def parse_int(text: str, where: str) -> int:

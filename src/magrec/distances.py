@@ -1,4 +1,4 @@
-"""The channel distance and the minimum distance of an explicit code.
+"""Channel distance, difference classes and minimum distance of a code.
 
 ``distance_general`` handles every channel; at k- = 0 it is the asymmetric
 distance, the larger one-sided disagreement count.  It does not satisfy the
@@ -6,14 +6,19 @@ triangle inequality, so nothing here (or anywhere downstream) assumes
 metric axioms.  Values live on [0, n+1]; n+1 is an ordinary integer encoding
 "out of magnitude range", since every use is an order comparison.  Each
 function takes the channel as one ``ChannelParams`` p and reads no p.t.
+
+``difference_classes`` decides, in one place, which pairs of a code the
+pair scans (``code_min_distance``, ``max_intersection_of_code``, the lattice
+scan) evaluate: one per sorted difference within k+ + k-.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from magrec.core import ChannelParams, Vec
+import numpy as np
+
+from magrec.core import ChannelParams, ExplicitCode, Vec, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,28 @@ def distance_general(x: Vec, y: Vec, p: ChannelParams) -> int:
     return -(-half // 2) + max(c.m_forward, c.m_backward) + c.n_large
 
 
+def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
+    """The distinct sorted differences y - x of members x < y with every
+    entry in [-(k+ + k-), k+ + k-], as sorted rows: the only pairs within
+    distance n or with meeting balls.  Each row of the ``ExplicitCode``
+    matrix is subtracted from the later (smaller) ones at once.  A repeated
+    member, or one of length other than p.n, is a ValueError."""
+    members = [tuple(m) for m in code_members]
+    for m in members:
+        if len(m) != p.n:
+            raise ValueError(f"length mismatch: {len(members[0])} vs {len(m)}, channel n={p.n}")
+    M = ExplicitCode(members)._largest_first if members else np.zeros((0, p.n), dtype=np.int64)
+    classes = M[:0]
+    for i in range(len(M) - 1):
+        D = M[i] - M[i + 1:]
+        D = np.sort(D[(abs(D) <= p.magnitude_span).all(axis=1)], axis=1)
+        if len(D):
+            classes = distinct_rows(np.concatenate((classes, D)))
+    return classes
+
+
 def code_min_distance(code_members, p: ChannelParams) -> int:
-    """Minimum pairwise general distance over distinct codewords; n+1 (no
-    distance within n) for a code of fewer than two."""
-    return min(
-        (distance_general(a, b, p) for a, b in combinations(code_members, 2)), default=p.n + 1
-    )
+    """Minimum general distance over pairs of distinct codewords, one per
+    ``difference_classes`` row; n+1 (no distance within n) when none."""
+    classes = difference_classes(code_members, p).tolist()
+    return min((distance_general((0,) * p.n, d, p) for d in classes), default=p.n + 1)

@@ -12,10 +12,11 @@ here is in fact cyclic).  The module provides:
 * the all-ones constructions attaining the group-order lower bounds,
 * ``LatticeCode``, whose bounded-radius decoder looks the syndromes of a
   whole matrix up in the same table, and
-* the exact intersection check over the lattice differences, one count
-  per multiset of entries, ``max_pairwise_intersection_lattice``, which
-  certifies all of the above on small instances (the packing is its value
-  0).
+* the exact intersection check over the lattice differences,
+  ``max_pairwise_intersection_lattice``, one count per class as
+  ``distances.difference_classes`` decides them (sorted rows, made distinct
+  by ``core.distinct_rows``), which certifies all of the above on small
+  instances (the packing is its value 0).
 
 Every function of a channel takes it as one ``ChannelParams`` p whose n is
 the splitter's length.  The radius-1 statements (``check_recon_N1``,
@@ -32,6 +33,7 @@ distance is read off the splitting test, radius by radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -44,8 +46,8 @@ from magrec.core import (
     ChannelParams,
     Code,
     Vec,
-    _row_keys,
     charge,
+    distinct_rows,
     parse_int,
 )
 from magrec import combinatorics
@@ -65,10 +67,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for m in self.moduli:
-            out *= m
-        return out
+        return math.prod(self.moduli)
 
     @property
     def identity(self) -> GroupElement:
@@ -349,12 +348,9 @@ def max_pairwise_intersection_lattice(
     span = p.magnitude_span
     box = combinatorics.ball_matrix(ChannelParams(p.n, min(2 * p.t, p.n), span, span), cap)
     differences = np.sort(box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)], axis=1)
-    _, first = np.unique(_row_keys(differences), return_index=True)
     zero = (0,) * p.n
-    return max(
-        (combinatorics.intersection_exact(zero, d, p) for d in differences[first].tolist()),
-        default=0,
-    )
+    classes = distinct_rows(differences).tolist()
+    return max((combinatorics.intersection_exact(zero, d, p) for d in classes), default=0)
 
 
 def parse_splitter_spec(text: str) -> SplitterSpec:

@@ -62,6 +62,7 @@ from magrec.core import (
     _row_keys,
     charge,
     check_entries,
+    distinct_rows,
     rows_per_block,
 )
 from magrec.combinatorics import ball_matrix, binom, hamming_volume
@@ -373,17 +374,14 @@ def list_params_min(p: ChannelParams, delta: int, a: int) -> int:
 def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) -> Decoded:
     """The distinct rows (set, codeword) of the rows that ``blocks`` yields
     as (owner, rows), in set order, decoded within radius delta - 1,
-    failures dropped.  The rows of a set are kept distinct, and in
-    lexicographic order, by a 1-D ``np.unique`` of their ``_row_keys`` until
-    a block ends past the set."""
+    failures dropped.  The rows of a set are kept distinct and sorted by
+    ``distinct_rows`` until a block ends past the set."""
     finished = []
     tagged = np.zeros((0, p.n + 1), dtype=np.int64)
     for owner, rows in blocks:
         C, found = code.decode_rows(rows, delta - 1, p, cap)
         hits = np.column_stack((owner[found], C[found]))
-        tagged = np.concatenate((tagged, hits))
-        _, first = np.unique(_row_keys(tagged), return_index=True)
-        tagged = tagged[first]
+        tagged = distinct_rows(np.concatenate((tagged, hits)))
         done = np.searchsorted(tagged[:, 0], owner[-1])
         # a copy: a view would keep every block's whole array alive
         finished.append(tagged[:done].copy())
@@ -462,14 +460,14 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
 
     S is an (|S|, n) int64 matrix with one member per row, or any iterable
     of length-n vectors, converted to one once; a repeated member counts
-    once (a 1-D ``np.unique`` of the ``_row_keys``).  Search over all
-    coordinate subsets (lexicographic order, first witness wins) and all
-    q^c patterns, with one Python-int bitset per (coordinate, value) of the
-    members avoiding it, packed from one (n, q, |S|) mask: a pattern is
-    avoided when the AND of its c bitsets is nonzero.  Such a U exists
-    whenever |S| > V_q(n, c - 1); absence therefore signals a violated
-    precondition.  The worst-case scan, C(n, c) q^c |S| member tests over
-    the distinct members, is charged against ``cap`` first.
+    once (``distinct_rows``).  Search over all coordinate subsets
+    (lexicographic order, first witness wins) and all q^c patterns, with
+    one Python-int bitset per (coordinate, value) of the members avoiding
+    it, packed from one (n, q, |S|) mask: a pattern is avoided when the AND
+    of its c bitsets is nonzero.  Such a U exists whenever |S| >
+    V_q(n, c - 1); absence therefore signals a violated precondition.  The
+    worst-case scan, C(n, c) q^c |S| member tests over the distinct
+    members, is charged against ``cap`` first.
     """
     if not isinstance(S, np.ndarray):
         rows = [tuple(v) for v in S]
@@ -488,8 +486,7 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
         return ()
     if c > n:
         raise ReconstructionError(f"no coordinate set of size {c} in length {n}")
-    _, first = np.unique(_row_keys(S), return_index=True)
-    members = S[first]
+    members = distinct_rows(S)
     charge(binom(n, c) * q**c * len(members), "coordinate-search member tests", cap)
     # avoid[i][x] has bit b set when member b has no x at coordinate i
     mask = members.T[:, None, :] != np.arange(q)[:, None]
@@ -560,16 +557,14 @@ def _sauer_candidates(
 ) -> np.ndarray:
     """The distinct candidates rep - e as the rows of a matrix, sorted: rep
     is the first read (row of M) of each pattern on U, and e in
-    B(n, f, k+, k-) is nonzero on every coordinate of U.  Patterns and
-    candidates are told apart by a 1-D ``np.unique`` of their
-    ``_row_keys``."""
+    B(n, f, k+, k-) is nonzero on every coordinate of U.  Patterns are told
+    apart by a 1-D ``np.unique`` of their ``_row_keys``, candidates by
+    ``distinct_rows``."""
     cols = list(U)
     shifts = ball_matrix(ChannelParams(p.n, f, p.k_plus, p.k_minus), cap)
     shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
     _, first = np.unique(_row_keys(M[:, cols]), return_index=True)
-    candidates = (M[first, None, :] - shifts).reshape(-1, p.n)
-    _, first = np.unique(_row_keys(candidates), return_index=True)
-    return candidates[first]
+    return distinct_rows((M[first, None, :] - shifts).reshape(-1, p.n))
 
 
 def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:

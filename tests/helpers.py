@@ -33,6 +33,9 @@ library ran before the upward ball became an int64 matrix and simplex read
 sets became stacks, with ``oracle_decode_upward``, the member-by-member
 scan the library ran before a simplex code decoded rows as one matrix, and
 ``l1_distance``, the distance its validation took one pair at a time.
+``oracle_pair_classes`` takes the difference of every pair of a code one at
+a time, where ``distances.difference_classes`` subtracts one member from the
+later ones at once and keeps each class once.
 """
 
 from __future__ import annotations
@@ -179,6 +182,22 @@ def oracle_ball_set(center, t, kp, km):
 
 def oracle_intersection(x, y, t, kp, km) -> int:
     return len(oracle_ball_set(x, t, kp, km) & oracle_ball_set(y, t, kp, km))
+
+
+def random_code(rng, size: int, n: int, lo: int, hi: int) -> list[Vec]:
+    """``size`` distinct words of [lo, hi]^n drawn by ``rng``, sorted."""
+    code: set[Vec] = set()
+    while len(code) < size:
+        code.add(tuple(rng.randint(lo, hi) for _ in range(n)))
+    return sorted(code)
+
+
+def oracle_pair_classes(code, span: int) -> list[Vec]:
+    """The sorted difference b - a of every pair a < b of ``code`` with no
+    entry past ``span`` in magnitude, one per pair, from a plain
+    ``combinations`` loop."""
+    differences = (sub(b, a) for a, b in combinations(sorted(code), 2))
+    return [tuple(sorted(d)) for d in differences if max(map(abs, d)) <= span]
 
 
 def oracle_corrects(code, t, kp, km, e) -> bool:

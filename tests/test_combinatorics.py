@@ -1,9 +1,10 @@
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
-from magrec import ChannelParams, EnumerationCapExceeded
+from magrec import ChannelParams, EnumerationCapExceeded, combinatorics
 from magrec.combinatorics import (
     binom,
     ball_size,
@@ -16,7 +17,14 @@ from magrec.combinatorics import (
 )
 from magrec.distances import distance_general
 
-from helpers import distance_asymmetric, in_ball, oracle_ball, oracle_intersection
+from helpers import (
+    distance_asymmetric,
+    in_ball,
+    oracle_ball,
+    oracle_intersection,
+    oracle_pair_classes,
+    random_code,
+)
 
 
 def test_binom_conventions():
@@ -216,6 +224,57 @@ def test_max_intersection_of_code():
     )
     with pytest.raises(ValueError):
         max_intersection_of_code({(0, 0)}, ChannelParams(2, 1, 1, 0))
+    # a word of another length is an error, not cut to the channel's length
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3, channel n=2"):
+        max_intersection_of_code([(0, 0), (1, 0, 0)], ChannelParams(2, 1, 1, 1))
+
+
+def test_max_intersection_of_code_rejects_repeated_codewords():
+    # a repeated word is no pair of distinct codewords, whose balls would
+    # meet in all |B| = 5 points
+    with pytest.raises(ValueError, match="duplicate codewords"):
+        max_intersection_of_code([(0, 0), (0, 0), (3, 0)], ChannelParams(2, 1, 1, 1))
+
+
+# (size, n, lo, hi, t, k+, k-): sparse codes over [-20, 20]^n, and dense
+# ones in which most pairs lie within k+ + k-
+CODES = [
+    (1000, 6, -20, 20, 2, 1, 1),
+    (300, 4, -6, 6, 2, 2, 0),
+    (150, 6, 0, 2, 2, 1, 1),
+    (120, 4, 0, 3, 3, 2, 1),
+    (60, 3, 0, 3, 1, 1, 0),
+]
+
+
+@pytest.mark.parametrize("size, n, lo, hi, t, kp, km", CODES)
+def test_max_intersection_of_code_matches_the_pair_loop(size, n, lo, hi, t, kp, km):
+    code = random_code(random.Random(size), size, n, lo, hi)
+    p = ChannelParams(n, t, kp, km)
+    expected = max(intersection_exact(a, b, p) for a, b in combinations(code, 2))
+    assert max_intersection_of_code(code, p) == expected
+
+
+def test_max_intersection_of_code_counts_each_close_class_once():
+    for size, n, lo, hi, t, kp, km in CODES[1:]:
+        code = random_code(random.Random(size), size, n, lo, hi)
+        p = ChannelParams(n, t, kp, km)
+        with mock.patch.object(
+            combinatorics, "intersection_exact", wraps=combinatorics.intersection_exact
+        ) as intersection:
+            max_intersection_of_code(code, p)
+        counted = sorted(tuple(call.args[1]) for call in intersection.call_args_list)
+        # once per class within k+ + k-, and never on a pair past it
+        assert counted == sorted(set(oracle_pair_classes(code, kp + km)))
+
+
+def test_max_intersection_of_code_past_int64_is_exact():
+    code = {(0, 0), (2**70, 0), (2**70 + 1, 1)}
+    p = ChannelParams(2, 1, 1, 1)
+    expected = max(intersection_exact(a, b, p) for a, b in combinations(code, 2))
+    assert max_intersection_of_code(code, p) == expected == oracle_intersection(
+        (0, 0), (1, 1), 1, 1, 1
+    )
 
 
 def test_max_intersection_of_code_against_pairwise_oracle():

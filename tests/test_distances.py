@@ -1,16 +1,25 @@
 import random
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from magrec import ChannelParams
-from magrec.distances import code_min_distance, distance_components, distance_general
+from magrec import ChannelParams, distances
+from magrec.distances import (
+    code_min_distance,
+    difference_classes,
+    distance_components,
+    distance_general,
+)
 
 from helpers import (
     correction_capability_oracle,
     count_greater,
     distance_asymmetric,
     oracle_corrects,
+    oracle_pair_classes,
+    random_code,
 )
 
 
@@ -88,6 +97,75 @@ def test_code_min_distance():
     # fewer than two codewords: n + 1, no distance within n
     assert code_min_distance({(0, 0)}, p) == 3
     assert code_min_distance(set(), p) == 3
+
+
+def test_code_min_distance_rejects_ragged_and_repeated_codewords():
+    p = channel(2, 1, 1)
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3, channel n=2"):
+        code_min_distance([(0, 0), (1, 0, 0)], p)
+    # a repeated word is no pair of distinct codewords
+    with pytest.raises(ValueError, match="duplicate codewords"):
+        code_min_distance([(0, 0), (0, 0), (3, 0)], p)
+
+
+# (size, n, lo, hi, k+, k-): sparse codes over [-20, 20]^n, and dense ones
+# in which most pairs lie within k+ + k-
+CODES = [
+    (1000, 6, -20, 20, 1, 1),
+    (300, 4, -6, 6, 2, 0),
+    (250, 6, 0, 2, 1, 1),
+    (120, 4, 0, 3, 2, 1),
+    (60, 3, 0, 3, 1, 0),
+]
+
+
+@pytest.mark.parametrize("size, n, lo, hi, kp, km", CODES[1:])
+def test_difference_classes_match_the_pair_loop(size, n, lo, hi, kp, km):
+    code = random_code(random.Random(size), size, n, lo, hi)
+    p = channel(n, kp, km)
+    shuffled = random.Random(size + 1).sample(code, size)
+    with mock.patch.object(distances, "distinct_rows", wraps=distances.distinct_rows) as dedup:
+        classes = difference_classes(shuffled, p)
+    assert classes.tolist() == [list(d) for d in sorted(set(oracle_pair_classes(code, kp + km)))]
+    # one member's differences at a time: no dedup holds more than the
+    # classes and the later members
+    assert all(len(call.args[0]) <= len(classes) + size - 1 for call in dedup.call_args_list)
+
+
+@pytest.mark.parametrize("size, n, lo, hi, kp, km", CODES)
+def test_code_min_distance_matches_the_pair_loop(size, n, lo, hi, kp, km):
+    code = random_code(random.Random(size), size, n, lo, hi)
+    p = channel(n, kp, km)
+    expected = min(distance_general(a, b, p) for a, b in combinations(code, 2))
+    assert code_min_distance(code, p) == expected
+
+
+def test_code_min_distance_evaluates_each_close_class_once():
+    for size, n, lo, hi, kp, km in CODES[1:]:
+        code = random_code(random.Random(size), size, n, lo, hi)
+        p = channel(n, kp, km)
+        with mock.patch.object(
+            distances, "distance_general", wraps=distances.distance_general
+        ) as distance:
+            code_min_distance(code, p)
+        evaluated = sorted(tuple(call.args[1]) for call in distance.call_args_list)
+        # once per class within k+ + k-, and never on a pair past it
+        assert evaluated == sorted(set(oracle_pair_classes(code, kp + km)))
+
+
+def test_difference_classes_past_int64_are_exact():
+    # members past ENTRY_LIMIT are subtracted as Python ints
+    code = {(0, 0), (2**70, 0), (2**70 + 1, 1)}
+    p = channel(2, 1, 1)
+    classes = difference_classes(code, p)
+    assert classes.tolist() == [[1, 1]]
+    expected = min(distance_general(a, b, p) for a, b in combinations(code, 2))
+    assert code_min_distance(code, p) == expected == 1
+    # within int64 the differences of entries near ENTRY_LIMIT do not wrap
+    top = 2**62 - 1
+    code = {(top, 0), (-top, 0), (top, 1)}
+    assert difference_classes(code, p).tolist() == [[0, 1]]
+    assert difference_classes(code, p).dtype == np.int64
 
 
 def test_correction_oracle_examples():
