@@ -149,7 +149,7 @@ def code_distance(code, p: ChannelParams, cap: int) -> int:
     if isinstance(code, lattice.LatticeCode):
         return lattice.lattice_min_distance(code.spec, p.k_plus, p.k_minus, cap=cap)
     if isinstance(code, ExplicitCode):
-        return distances.code_min_distance(code.members, p)
+        return distances.code_min_distance(code, p)
     raise ValueError("cannot compute a distance for this code")
 
 

@@ -82,13 +82,22 @@ def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
     """The distinct sorted differences y - x of members x < y with every
     entry in [-(k+ + k-), k+ + k-], as sorted rows: the only pairs within
     distance n or with meeting balls.  Each row of the ``ExplicitCode``
-    matrix is subtracted from the later (smaller) ones at once.  A repeated
-    member, or one of length other than p.n, is a ValueError."""
-    members = [tuple(m) for m in code_members]
-    for m in members:
-        if len(m) != p.n:
-            raise ValueError(f"length mismatch: {len(members[0])} vs {len(m)}, channel n={p.n}")
-    M = ExplicitCode(members)._largest_first if members else np.zeros((0, p.n), dtype=np.int64)
+    matrix is subtracted from the later (smaller) ones at once.
+    ``code_members`` is an ``ExplicitCode``, whose matrix is reused, or any
+    iterable of vectors.  A repeated member, or one of length other than
+    p.n, is a ValueError."""
+    if isinstance(code_members, ExplicitCode):
+        if code_members.n != p.n:
+            raise ValueError(f"length mismatch: code n={code_members.n}, channel n={p.n}")
+        M = code_members._largest_first
+    else:
+        members = [tuple(m) for m in code_members]
+        for m in members:
+            if len(m) != p.n:
+                raise ValueError(
+                    f"length mismatch: {len(members[0])} vs {len(m)}, channel n={p.n}"
+                )
+        M = ExplicitCode(members)._largest_first if members else np.zeros((0, p.n), dtype=np.int64)
     classes = M[:0]
     for i in range(len(M) - 1):
         D = M[i] - M[i + 1:]
@@ -100,6 +109,7 @@ def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
 
 def code_min_distance(code_members, p: ChannelParams) -> int:
     """Minimum general distance over pairs of distinct codewords, one per
-    ``difference_classes`` row; n+1 (no distance within n) when none."""
+    ``difference_classes`` row; n+1 (no distance within n) when none.
+    ``code_members`` is an ``ExplicitCode`` or an iterable of vectors."""
     classes = difference_classes(code_members, p).tolist()
     return min((distance_general((0,) * p.n, d, p) for d in classes), default=p.n + 1)

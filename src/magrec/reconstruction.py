@@ -235,19 +235,35 @@ def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     the smallest) and whether it is kept: twice its count minus N exceeds
     tau.  Both are (S, n) arrays.
 
-    Each column is sorted, so a value's count is the length of its run; the
-    first longest run holds the smallest most frequent value.  The work
-    does not depend on how far apart a column's values are.
+    Values are taken as offsets from each set's anchor read.  When the
+    offsets of the whole stack span at most N values, as they do for reads
+    of one ball (at most 2(k+ + k-) + 1), one ``np.bincount`` over (set,
+    coordinate, offset) counts every value, in a table no larger than the
+    stack, and the first largest bin holds the smallest most frequent
+    value.  A wider stack (a caller's own reads) sorts each column instead,
+    and a value's count is the length of its run; the first longest run
+    holds the smallest most frequent value, and the work does not depend on
+    how far apart the values are.
     """
-    N = stack.shape[1]
-    columns = np.sort(stack.transpose(0, 2, 1), axis=2)
-    pos = np.arange(N)
-    new_run = np.ones(columns.shape, dtype=bool)
-    np.not_equal(columns[..., 1:], columns[..., :-1], out=new_run[..., 1:])
-    run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=2)
-    end = run_length.argmax(axis=2)[..., None]
-    best = np.take_along_axis(columns, end, axis=2)[..., 0]
-    counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
+    S, N, n = stack.shape
+    anchors = stack[:, :1]
+    off = stack - anchors  # below 2**63 in magnitude: entries are under 2**62
+    lo = int(off.min())
+    width = int(off.max()) - lo + 1
+    if width <= N:
+        off += np.arange(S * n).reshape(S, 1, n) * width - lo  # the bin of each entry
+        bins = np.bincount(off.ravel(), minlength=S * n * width).reshape(S, n, width)
+        best = anchors[:, 0] + (bins.argmax(axis=2) + lo)
+        counts = bins.max(axis=2)
+    else:
+        columns = np.sort(stack.transpose(0, 2, 1), axis=2)
+        pos = np.arange(N)
+        new_run = np.ones(columns.shape, dtype=bool)
+        np.not_equal(columns[..., 1:], columns[..., :-1], out=new_run[..., 1:])
+        run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=2)
+        end = run_length.argmax(axis=2)[..., None]
+        best = np.take_along_axis(columns, end, axis=2)[..., 0]
+        counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
     return best, 2 * counts - N > min(max(math.floor(tau), -N - 1), N)
 
 
@@ -317,28 +333,33 @@ def _covers(c: Vec, Y: ReadSet) -> bool:
 
 def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     """Per set: majority estimate, erasure filling, unique decode, and the
-    first decoded candidate whose ball covers every read of the set.  Each
-    block of candidates is decoded at once; then each round checks, in one
-    cover test, the next decoded candidate of every set still open, and
-    closes the sets it covers."""
+    first decoded candidate, in fill order, whose ball covers every read of
+    the set.  Each block of candidates is decoded at once, and its decoded
+    candidates of sets still open are cover-tested at once, in chunks of
+    ``rows_per_block(8 N n)`` candidates (each gathers its set's N reads);
+    each set closes on its first covering row."""
     _require_k_minus_positive(p, "majority")
     best, keep = majority_votes(stack, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
     chosen = np.zeros((len(stack), p.n), dtype=np.int64)
     is_open = np.ones(len(stack), dtype=bool)
+    chunk = rows_per_block(8 * stack[0].size)
     for owner, rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap):
         C, found = code.decode_rows(rows, delta - 1, p, cap)
         found &= is_open[owner]
+        if not found.any():
+            continue
         owner, C = owner[found], C[found]
-        while len(owner):
-            first = np.ones(len(owner), dtype=bool)
-            np.not_equal(owner[1:], owner[:-1], out=first[1:])
-            sets, words = owner[first], C[first]
-            covered = _covering(words, stack[sets], p)
-            chosen[sets[covered]] = words[covered]
-            is_open[sets[covered]] = False
-            rest = ~first & is_open[owner]
-            owner, C = owner[rest], C[rest]
+        covered = np.concatenate([
+            _covering(C[i:i + chunk], stack[owner[i:i + chunk]], p)
+            for i in range(0, len(owner), chunk)
+        ])
+        owner, C = owner[covered], C[covered]
+        # owner is sorted: a set's first covering row starts its run
+        first = np.ones(len(owner), dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=first[1:])
+        chosen[owner[first]] = C[first]
+        is_open[owner] = False
     closed = (~is_open).nonzero()[0]
     return closed, chosen[closed]
 

@@ -165,6 +165,28 @@ def test_one_codeword_explicit_code_decodes_every_set(tmp_path, capsys):
     assert [rec["success"] for rec in records["simulate"]] == [True] * 10
 
 
+def test_reconstruct_on_an_explicit_code_builds_it_once(tmp_path, capsys):
+    # the code distance reuses the member matrix of the code it is given
+    f = tmp_path / "two.txt"
+    f.write_text("0,0,0,0\n1,1,-1,0\n", encoding="utf-8")
+    real, builds = ExplicitCode.__init__, []
+
+    def counting_init(self, members):
+        builds.append(1)
+        real(self, members)
+
+    with mock.patch.object(ExplicitCode, "__init__", counting_init):
+        code, out = run_cli(
+            capsys, "reconstruct", "--alg", "majority", "--code", f"explicit:@{f}",
+            "--n", "4", "--t", "2", "--kp", "1", "--km", "1", "--trials", "3",
+            "--format", "records",
+        )
+    assert code == 0
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert (row["delta"], row["fail"]) == (2, 0)
+    assert len(builds) == 1
+
+
 def test_list_commands_run_the_one_read_plan_past_t(tmp_path, capsys):
     # distance 2 > t = 1 (and n + 1 for a one-word code): one read, one word
     f = tmp_path / "one.txt"

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from magrec import ChannelParams, distances
+from magrec import ChannelParams, ExplicitCode, distances
 from magrec.distances import (
     code_min_distance,
     difference_classes,
@@ -151,6 +151,21 @@ def test_code_min_distance_evaluates_each_close_class_once():
         evaluated = sorted(tuple(call.args[1]) for call in distance.call_args_list)
         # once per class within k+ + k-, and never on a pair past it
         assert evaluated == sorted(set(oracle_pair_classes(code, kp + km)))
+
+
+@pytest.mark.parametrize("size, n, lo, hi, kp, km", CODES[1:])
+def test_difference_classes_of_an_explicit_code_reuse_its_matrix(size, n, lo, hi, kp, km):
+    members = random_code(random.Random(size), size, n, lo, hi)
+    code = ExplicitCode(members)
+    p = channel(n, kp, km)
+    with mock.patch.object(ExplicitCode, "__init__") as build:
+        classes = difference_classes(code, p)
+        distance = code_min_distance(code, p)
+    build.assert_not_called()
+    assert classes.tolist() == difference_classes(members, p).tolist()
+    assert distance == code_min_distance(members, p)
+    with pytest.raises(ValueError, match=f"length mismatch: code n={n}, channel n={n + 1}"):
+        difference_classes(code, channel(n + 1, kp, km))
 
 
 def test_difference_classes_past_int64_are_exact():

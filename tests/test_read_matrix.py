@@ -642,6 +642,104 @@ def test_candidate_blocks_bound_the_decode_memory():
     assert peak < 4 * core.BLOCK_BYTES
 
 
+def test_majority_blocks_bound_the_decode_memory():
+    # 4 sets of 3**6 fills each, every coordinate erased
+    p = ChannelParams(6, 2, 1, 1)
+    code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
+    (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
+    tau = Fraction(10**6)
+    assert not majority_votes(stack, tau)[1].any()
+    decode = ALGORITHMS["majority"].decode
+    decode(stack, p, tau, code, 1, 0, 10**7)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        owner, words = decode(stack, p, tau, code, 1, 0, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert owner.tolist() == [0, 1, 2, 3]
+    assert peak < 4 * core.BLOCK_BYTES
+
+
+def test_majority_cover_tests_once_per_chunk_of_each_block():
+    # every coordinate erased: 3**6 fills per set, and at delta = 2 the
+    # radius-1 decode of the perfect Z13 code finds a word for every fill,
+    # so each set has hundreds of decoded candidates to cover-test
+    p = ChannelParams(6, 2, 1, 1)
+    code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
+    (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
+    tau = Fraction(10**6)
+    blocks = []
+    with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
+            mock.patch.object(reconstruction, "_covering", wraps=_covering) as covering:
+        owner, words = ALGORITHMS["majority"].decode(stack, p, tau, code, 2, 0, 10**7)
+    chunk = core.rows_per_block(8 * stack[0].size)
+    assert covering.call_count <= sum(-(-len(rows) // chunk) for _, _, rows in blocks)
+    assert owner.tolist() == [0, 1, 2, 3]
+    for word, rows in zip(words.tolist(), stack.tolist()):
+        assert code.contains(tuple(word))
+        assert oracle_covers(word, rows, p.t, p.k_plus, p.k_minus)
+
+
+@st.composite
+def vote_stacks(draw):
+    """A stack of sets read from one ball (offsets within 2(k+ + k-) + 1
+    values of the anchor, and N at least that) or of sets of N reads spread
+    past N values."""
+    p = draw(channels(max_n=4, max_kp=2, max_km=2))
+    assume(p.k_minus >= 1)
+    ball = oracle_ball(p.n, p.t, p.k_plus, p.k_minus)
+    one_ball = draw(st.booleans())
+    lo = 2 * p.magnitude_span + 1 if one_ball else 2
+    assume(lo <= len(ball))
+    N = draw(st.integers(lo, min(12, len(ball))))
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        if one_ball:
+            x = draw(st.tuples(*[st.integers(-5, 5)] * p.n))
+            picks = st.lists(st.sampled_from(ball), min_size=N, max_size=N, unique=True)
+            rows = [add(x, e) for e in draw(picks)]
+        else:
+            row = st.tuples(*[st.integers(-50, 50)] * p.n)
+            rows = draw(st.lists(row, min_size=N, max_size=N, unique=True))
+        sets.append(oracle_read_set(rows, p.n))
+    stack = np.array(sets, dtype=np.int64)
+    offsets = stack - stack[:, :1]
+    assume((int(offsets.max()) - int(offsets.min()) + 1 <= N) == one_ball)
+    return stack, sets
+
+
+@CHECKS
+@given(vote_stacks(), st.data())
+def test_majority_votes_count_and_sort_branches_match_the_oracle(case, data):
+    stack, sets = case
+    # thresholds at a margin of some set (erased), just below it (kept) and
+    # between margins; ties go to the smallest value
+    m = data.draw(st.sampled_from([m for rows in sets for m in margins(rows)]))
+    for tau in (Fraction(m), Fraction(m - 1), Fraction(2 * m - 1, 2), Fraction(2 * m + 1, 2)):
+        best, keep = majority_votes(stack, tau)
+        assert [
+            tuple(v if k else ERASURE for v, k in zip(word, kept))
+            for word, kept in zip(best.tolist(), keep.tolist())
+        ] == [oracle_majority_entries(rows, tau) for rows in sets]
+    lowest = Fraction(-len(stack[0]) - 1)  # keeps every coordinate
+    best, _ = majority_votes(stack, lowest)
+    assert [tuple(word) for word in best.tolist()] == [
+        oracle_majority_entries(rows, lowest) for rows in sets
+    ]
+
+
+def test_majority_votes_break_ties_toward_the_smallest_value_in_both_branches():
+    # offsets within 3 values of 4 reads: the count branch; 0 and 100 tie
+    # in the wide set: the sort branch
+    narrow = np.array([[[0, 2], [0, 3], [1, 2], [1, 3]]], dtype=np.int64)
+    wide = np.array([[[0, 9], [0, 100], [100, 9], [100, 100]]], dtype=np.int64)
+    for stack, expected in ((narrow, [[0, 2]]), (wide, [[0, 9]])):
+        best, keep = majority_votes(stack, Fraction(-1))
+        assert best.tolist() == expected and keep.all()
+        assert not majority_votes(stack, Fraction(0))[1].any()
+
+
 @CHECKS
 @given(channels(max_n=4, max_kp=2, max_km=1), st.sampled_from(sorted(ALGORITHMS)), st.data())
 def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
