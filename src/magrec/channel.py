@@ -14,8 +14,9 @@ mode is one of the CLI's ``--reads`` words: "random", "adversarial"
 (heaviest errors first) or "exhaustive" (every N-subset of the ball).
 ``generate_reads(x, p, N, reads, seed)`` draws one random or adversarial
 set, and ``run_trial(code, algorithm, x, p, N, delta, a, reads, seed)``
-decodes it.  ``score_sets`` scores the rows (set, codeword) that
-``decode_read_sets`` decodes a stack into: x on a set's list is success.
+decodes it under ``reconstruction.read_plan(algorithm, p, delta, a)``.
+``score_sets`` scores the rows (set, codeword) that ``decode_read_sets(plan,
+code, stack)`` decodes a stack into: x on a set's list is success.
 
 A decoder that reads only each set's componentwise minimum (``min`` and
 ``list-min``) needs no enumeration of the exhaustive sets: on a k- = 0
@@ -254,16 +255,15 @@ class TrialRecord:
 
 
 def decode_read_sets(
-    entry: reconstruction.Algorithm, plan: reconstruction.ReadPlan, code: Code,
-    p: ChannelParams, delta: int, a: int, stack: np.ndarray,
+    plan: reconstruction.ReadPlan, code: Code, stack: np.ndarray,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> reconstruction.Decoded:
-    """The algorithm's rows (owner, words) for one stack of read sets, which
-    is checked once (``reconstruction.check_stack``) and decoded as a whole;
-    a set it cannot decode owns no row.  ``cap`` bounds the decoder's balls
+    """The plan's rows (owner, words) for one stack of read sets, which is
+    checked once (``reconstruction.check_stack``) and decoded as a whole; a
+    set it cannot decode owns no row.  ``cap`` bounds the decoder's balls
     and erasure fills."""
-    reconstruction.check_stack(stack, p)
-    return entry.decoder(plan)(stack, p, plan.tau, code, delta, a, cap)
+    reconstruction.check_stack(stack, plan.p)
+    return plan.decode(stack, code, cap)
 
 
 def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.ndarray, ...]:
@@ -285,13 +285,10 @@ def run_trial(
     A read set the algorithm cannot decode is an unsuccessful trial (that
     is the comparison outcome); genuine usage errors propagate.
     """
-    if algorithm not in reconstruction.ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {tuple(reconstruction.ALGORITHMS)}")
-    entry = reconstruction.ALGORITHMS[algorithm]
-    plan = entry.plan(p, delta, a)
+    plan = reconstruction.read_plan(algorithm, p, delta, a)
     Y = generate_reads(x, p, N, reads, seed)
     start = time.monotonic_ns()
-    decoded = decode_read_sets(entry, plan, code, p, delta, a, Y.stack)
+    decoded = decode_read_sets(plan, code, Y.stack)
     elapsed = time.monotonic_ns() - start
     (size,), (success,) = score_sets(decoded, 1, x)
     return TrialRecord(

@@ -22,9 +22,11 @@ Only ``ball``, ``intersect`` and ``simulate`` sweep --n, --t, --kp and --km;
 every other flag takes one value and a range or list there is an error.
 A point that cannot run is noted as ``skipped n=.. t=.. kp=.. km=..:
 <reason>``, never silently dropped.  ``reconstruct``, ``list`` and
-``simulate`` resolve a point and run its trials in one loop; a --delta above
-the code's distance, or a channel the algorithm cannot handle, is an error
-in the first two and a skip note in ``simulate``.  Records mode emits one
+``simulate`` resolve a point into its ``reconstruction.read_plan`` and run
+its trials in one loop; a --delta above the code's distance, or a channel
+the algorithm cannot handle, is an error in the first two and a skip note
+in ``simulate``, and a ``tandem`` --delta above the file header's is an
+error too.  Records mode emits one
 JSON object per line with a fixed, documented field order; rationals are
 rendered as ``p/q``.
 """
@@ -344,40 +346,38 @@ def _transmitted_word(code, n: int, text: str | None = None) -> tuple[int, ...]:
     return x
 
 
-def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: int, N):
-    """The ``ALGORITHMS`` entry of ``algorithm``, its plan at p, delta (the
-    code's ``distance`` unless --delta gave one) and N (the plan's unless
-    --N gave one).  A --delta above the distance, or a channel the
-    algorithm cannot handle, raises ValueError."""
-    if delta is None:
-        delta = distance
-    elif delta > distance:
-        raise ValueError(
-            f"--delta {delta} exceeds the code's distance {distance}; the "
-            f"read-count guarantees assume delta <= distance"
-        )
-    entry = reconstruction.ALGORITHMS[algorithm]
-    plan = entry.plan(p, delta, a)
-    return entry, plan, delta, N or plan.N
+def _given_delta(delta, distance: int) -> int:
+    """--delta's value, or the code's ``distance`` when ``delta`` is None; a
+    --delta above the distance raises ValueError."""
+    if delta is not None and delta > distance:
+        raise ValueError(f"--delta {delta} exceeds the code's distance {distance}; the "
+                         f"read-count guarantees assume delta <= distance")
+    return distance if delta is None else delta
 
 
-def _trials(args, report: Report, entry, plan, code, p: ChannelParams, delta: int,
-            a: int, x, N: int, reads: str):
-    """Yield (weights, sizes, hits, share) for each stack of one point: how
-    many read sets each of its sets stands for, the ``channel.score_sets``
-    of its ``channel.decode_read_sets`` rows, and each set's equal share of
-    the elapsed ns (0 unless --timings is given).  Exhaustive reads of an
-    algorithm that reads only each set's minimum
-    (``Algorithm.reads_minimum``) come from ``channel.minimum_sets``, one
-    set per distinct minimum weighted by its count of read sets; all other
-    stacks come from ``channel.read_sets``, each set weighing 1.  When N
-    distinct reads cannot come from the ball, note the point as skipped and
-    yield nothing."""
+def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: int):
+    """The ``reconstruction.read_plan`` of ``algorithm`` at p, a and delta
+    (the code's ``distance`` unless --delta gave one).  A --delta above the
+    distance, or a channel the algorithm cannot handle, raises ValueError."""
+    return reconstruction.read_plan(algorithm, p, _given_delta(delta, distance), a)
+
+
+def _trials(args, report: Report, plan, code, x, N: int, reads: str):
+    """Yield (weights, sizes, hits, share) for each stack of N-read sets
+    around x at ``plan``'s point: how many read sets each set stands for,
+    the ``channel.score_sets`` of its ``channel.decode_read_sets`` rows, and
+    each set's equal share of the elapsed ns (0 unless --timings is given).
+    Exhaustive reads under a ``ReadPlan.minimum_only`` plan come from
+    ``channel.minimum_sets``, one set per distinct minimum weighted by its
+    count of read sets; all other stacks come from ``channel.read_sets``,
+    each set weighing 1.  When N distinct reads cannot come from the ball,
+    note the point as skipped and yield nothing."""
+    p = plan.p
     size = combinatorics.ball_size(p)
     if N > size:
         report.note(_skip_note(*astuple(p), f"N={N} exceeds ball size {size}"))
         return
-    if reads == "exhaustive" and entry.reads_minimum(plan):
+    if reads == "exhaustive" and plan.minimum_only:
         stacks = channel.minimum_sets(x, p, N, args.cap)
     else:
         stacks = (
@@ -386,7 +386,7 @@ def _trials(args, report: Report, entry, plan, code, p: ChannelParams, delta: in
         )
     start = time.monotonic_ns()
     for stack, weights in stacks:
-        decoded = channel.decode_read_sets(entry, plan, code, p, delta, a, stack, args.cap)
+        decoded = channel.decode_read_sets(plan, code, stack, args.cap)
         share = (time.monotonic_ns() - start) // len(stack) if args.timings else 0
         yield (weights, *channel.score_sets(decoded, len(stack), x), share)
         start = time.monotonic_ns()
@@ -399,22 +399,19 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
     p = ChannelParams(*_channel_flags(args, single_value))
     code = parse_code_spec(args.code, n=p.n)
     delta = single_value("delta", args.delta) if args.delta else None
-    entry, plan, delta, N = _resolve_point(
-        algorithm, p, code_distance(code, p, cap=args.cap), delta, a, args.N
-    )
+    plan = _resolve_point(algorithm, p, code_distance(code, p, cap=args.cap), delta, a)
+    N = args.N or plan.N
     x = _transmitted_word(code, p.n, args.x)
     sets = successes = longest = 0
-    for weights, sizes, hits, _ in _trials(
-        args, report, entry, plan, code, p, delta, a, x, N, args.reads
-    ):
+    for weights, sizes, hits, _ in _trials(args, report, plan, code, x, N, args.reads):
         sets += int(weights.sum())
         successes += int(weights[hits].sum())
         longest = max(longest, int(sizes.max()))
     return dict(
         alg=args.alg, code=args.code, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus,
-        delta=delta, a=a, N=N, tau="" if plan.tau is None else plan.tau, sets=sets,
-        success=successes, fail=sets - successes, contains_x=successes,
-        max_list=longest, bound=entry.bound(plan, p, delta, a), anchor=plan.anchor,
+        delta=plan.delta, a=plan.a, N=N, tau="" if plan.tau is None else plan.tau,
+        sets=sets, success=successes, fail=sets - successes, contains_x=successes,
+        max_list=longest, bound=plan.bound, anchor=plan.anchor,
     ) if sets else None
 
 
@@ -458,25 +455,25 @@ def cmd_simulate(args) -> int:
         code = code_for(p.n)
         distance = code_distance(code, p, cap=args.cap)
         try:
-            entry, plan, delta, N = _resolve_point(args.alg, p, distance, given_delta, 0, None)
+            plan = _resolve_point(args.alg, p, distance, given_delta, 0)
         except ValueError as exc:
             report.note(_skip_note(*astuple(p), exc))
             continue
         x = _transmitted_word(code, p.n)
-        trials = _trials(args, report, entry, plan, code, p, delta, 0, x, N, "random")
         records = []
-        for _, sizes, hits, share in trials:
+        for _, sizes, hits, share in _trials(args, report, plan, code, x, plan.N, "random"):
             for size, hit in zip(sizes.tolist(), hits.tolist()):
                 records.append(channel.TrialRecord(
-                    channel.RNG_NAME, args.seed, len(records), p, args.alg, N, hit, size, share
+                    channel.RNG_NAME, args.seed, len(records), p, args.alg, plan.N, hit, size,
+                    share,
                 ))
         if records:
             successes = sum(record.success for record in records)
             status |= successes < len(records)
             trial_lines.extend(record.to_line() for record in records)
             report.add(
-                alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=delta,
-                N=N, trials=args.trials, success=successes, anchor=plan.anchor,
+                alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=plan.delta,
+                N=plan.N, trials=args.trials, success=successes, anchor=plan.anchor,
             )
     if args.format == "records":
         notes = [f"# {note}" for note in report.notes]
@@ -491,7 +488,7 @@ def cmd_tandem(args) -> int:
     if not isinstance(code, tandem.SimplexCode):
         raise ValueError("tandem needs --code simplex:@FILE")
     t = single_value("t", args.t)
-    delta = single_value("delta", args.delta) if args.delta else code.delta
+    delta = _given_delta(single_value("delta", args.delta) if args.delta else None, code.delta)
     N = args.N or tandem.reads_required_simplex(code.m, t, delta)
     report = Report(
         ["m", "r", "t", "delta", "N", "sets", "success", "fail"],
@@ -591,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("tandem", "simplex reconstruction for duplications", cmd_tandem,
             (*REPORT, "cap", "N"), code=dict(required=True, help="simplex:@FILE"),
             t=dict(required=True, help="duplication count bound"),
-            delta=dict(help="reconstruction distance (default: file header)"))
+            delta=dict(help="reconstruction distance, at most the file header's "
+                       "(default: the header's)"))
     return parser
 
 

@@ -20,13 +20,17 @@ distance delta and, for the list family, the list exponent a:
 of the wrong k- sign for its machine, on delta outside [1, t] and on a
 outside [0, f - 1], f = t - delta + 1 being the excess error count.
 
+``read_plan(name, p, delta, a)`` resolves an ``ALGORITHMS`` entry into its
+``ReadPlan`` (N, tau, anchor, decoder, list-size bound), and alone applies
+the one-read rule: past t each set's first read is decoded.
+
 Read sets are decoded in stacks: an (S, N, n) int64 array of S sets of N
 distinct reads, each set's rows in lexicographic order.  ``check_stack``
 checks a stack once; the minimum, the plurality vote, the anchors (each
 set's first read) and the cover check then run over all S sets at once,
-and every algorithm of ``ALGORITHMS`` decodes a whole stack into its
-``Decoded`` rows (set, codeword); a set owning no row failed, and x came
-back from a set exactly when (set, x) is a row.  Erasure filling builds the
+and ``ReadPlan.decode`` decodes a whole stack into its ``Decoded`` rows
+(set, codeword); a set owning no row failed, and x came back from a set
+exactly when (set, x) is a row.  Erasure filling builds the
 candidates of all sets of a stack as owner-tagged int64 blocks of
 ``core.rows_per_block`` fills, and each block is decoded by one
 ``Code.decode_rows`` call, a table lookup for lattice codes.  A ``ReadSet`` is a single (N, n)
@@ -648,109 +652,75 @@ def adversarial_instance(p: ChannelParams, e: int, a: int) -> tuple[ReadSet, tup
     return ReadSet(reads, p), tuple(code)
 
 
-class ReadPlan(NamedTuple):
-    """Read count N, vote threshold tau (None outside the majority family)
-    and the anchor id of the formula behind N."""
-
-    N: int
-    tau: Optional[Fraction]
-    anchor: str
-
-
-#: A code distance beyond t means unique decoding of a single read covers
-#: every error pattern; the multi-read formulas only apply at delta <= t.
-ONE_READ = ReadPlan(1, None, "unique-decode")
-
-
 @dataclass(frozen=True)
 class Algorithm:
-    """An entry of ``ALGORITHMS``: ``plan(p, delta, a)`` raises ValueError on
-    a channel the algorithm cannot handle, and ``decoder(plan)(stack, p,
-    plan.tau, code, delta, a, cap)`` decodes a checked stack into its
-    ``Decoded`` rows, at most ``list_size_bound(p, delta, a)`` per read set
-    and none where the set could not be decoded.  ``cap`` bounds every ball
-    and erasure-fill enumeration.  ``minimum_only`` marks a ``decode`` that
-    reads only each set's componentwise minimum.
-    """
+    """An entry of ``ALGORITHMS``: ``reads(p, delta, a)`` is the (N, tau) of
+    the formula ``anchor`` names (tau None outside the majority family), and
+    raises ValueError on a channel the algorithm cannot handle; ``decode(stack,
+    p, tau, code, delta, a, cap)`` gives at most ``list_size_bound(p, delta,
+    a)`` rows per set of a checked stack; ``minimum_only`` marks a ``decode``
+    that reads only each set's componentwise minimum."""
 
-    plan: Callable[[ChannelParams, int, int], ReadPlan]
+    reads: Callable[[ChannelParams, int, int], tuple[int, Optional[Fraction]]]
+    anchor: str
     decode: Callable[..., Decoded]
     list_size_bound: Callable[[ChannelParams, int, int], int]
     minimum_only: bool = False
 
-    def decoder(self, plan: ReadPlan):
-        """``decode``, or under the one-read plan a radius-(delta - 1)
-        decode of each set's anchor read."""
-        return _decode_one_read if plan.anchor == ONE_READ.anchor else self.decode
 
-    def bound(self, plan: ReadPlan, p: ChannelParams, delta: int, a: int) -> int:
-        """``list_size_bound``, or 1 under the one-read plan, which decodes
-        one read into at most one word."""
-        return 1 if plan.anchor == ONE_READ.anchor else self.list_size_bound(p, delta, a)
+class ReadPlan(NamedTuple):
+    """An algorithm at channel p, distance delta and list exponent a, as
+    ``read_plan`` resolves it: N, tau and anchor, the decoder, the list-size
+    bound and whether the decoder reads only each set's minimum."""
 
-    def reads_minimum(self, plan: ReadPlan) -> bool:
-        """Whether ``decoder(plan)`` reads only each set's componentwise
-        minimum, so decoding that minimum as a one-read set gives the set's
-        rows; never under the one-read plan, whose anchor is no minimum."""
-        return self.minimum_only and plan.anchor != ONE_READ.anchor
+    p: ChannelParams
+    delta: int
+    a: int
+    N: int
+    tau: Optional[Fraction]
+    anchor: str
+    decoder: Callable[..., Decoded]
+    bound: int
+    minimum_only: bool
 
-
-def _plan_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    return ONE_READ if delta > p.t else ReadPlan(reads_required_min(p, delta), None, "reads-min")
-
-
-def _plan_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    return ONE_READ if delta > p.t else ReadPlan(*majority_threshold(p, delta), "majority-reads")
-
-
-def _list_one_read(a: int) -> ReadPlan:
-    """``ONE_READ`` for a list algorithm at delta > t, where one read lists
-    one word, so a must be 0."""
-    if a:
-        raise ValueError(f"need a = 0 at delta > t (one read decodes), got a={a}")
-    return ONE_READ
-
-
-def _plan_list_min(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    if delta > p.t:
-        return _list_one_read(a)
-    return ReadPlan(list_params_min(p, delta, a), None, "list-reads-min")
-
-
-def _plan_list_majority(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    if delta > p.t:
-        return _list_one_read(a)
-    return ReadPlan(*list_params_general(p, delta, a), "list-reads-majority")
-
-
-def _plan_sauer(p: ChannelParams, delta: int, a: int) -> ReadPlan:
-    if delta > p.t:
-        return _list_one_read(a)
-    return ReadPlan(sauer_reads_required(p, delta, a), None, "sauer-reads")
+    def decode(self, stack: np.ndarray, code: Code, cap: int = DEFAULT_ENUM_CAP) -> Decoded:
+        """The ``Decoded`` rows of a checked stack, ``cap`` bounding each enumeration."""
+        return self.decoder(stack, self.p, self.tau, code, self.delta, self.a, cap)
 
 
 def _decode_one_read(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     return _decode_each(stack[:, 0], code, delta, p, cap)
 
 
-def _one(p: ChannelParams, delta: int, a: int) -> int:
-    return 1
+def read_plan(name: str, p: ChannelParams, delta: int, a: int = 0) -> ReadPlan:
+    """The plan of ``ALGORITHMS[name]`` at p, delta and a; an unknown name
+    raises ValueError.  Past t one read decoded within radius delta - 1
+    covers every error pattern, so every algorithm reads once and lists at
+    most one word there, and a list algorithm needs a = 0.  Otherwise the
+    entry's formulas plan, raising ValueError where they do."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
+    if delta > p.t:
+        if a and name.startswith("list-"):
+            raise ValueError(f"need a = 0 at delta > t (one read decodes), got a={a}")
+        return ReadPlan(p, delta, a, 1, None, "unique-decode", _decode_one_read, 1, False)
+    entry = ALGORITHMS[name]
+    return ReadPlan(p, delta, a, *entry.reads(p, delta, a), entry.anchor, entry.decode,
+                    entry.list_size_bound(p, delta, a), entry.minimum_only)
 
 
-def _list_min_size_bound(p: ChannelParams, delta: int, a: int) -> int:
-    return hamming_volume(p.k_plus + 1, p.n, a)
-
-
-#: Algorithm name -> read plan, decoder, list-size bound and whether the
-#: decoder reads only each set's minimum.
+#: Algorithm name -> read formula, anchor, decoder, list-size bound and
+#: whether the decoder reads only each set's minimum.
 ALGORITHMS: dict[str, Algorithm] = {
-    "min": Algorithm(_plan_min, _decode_min, _one, minimum_only=True),
-    "majority": Algorithm(_plan_majority, _decode_majority, _one),
-    "list-min": Algorithm(
-        _plan_list_min, _decode_list_min, _list_min_size_bound, minimum_only=True
-    ),
-    "list-majority": Algorithm(
-        _plan_list_majority, _decode_list_majority, majority_list_size_bound
-    ),
-    "list-sauer": Algorithm(_plan_sauer, _decode_sauer, sauer_list_size_bound),
+    "min": Algorithm(lambda p, d, a: (reads_required_min(p, d), None), "reads-min",
+                     _decode_min, lambda p, d, a: 1, minimum_only=True),
+    "majority": Algorithm(lambda p, d, a: majority_threshold(p, d), "majority-reads",
+                          _decode_majority, lambda p, d, a: 1),
+    "list-min": Algorithm(lambda p, d, a: (list_params_min(p, d, a), None), "list-reads-min",
+                          _decode_list_min, lambda p, d, a: hamming_volume(p.k_plus + 1, p.n, a),
+                          minimum_only=True),
+    "list-majority": Algorithm(list_params_general, "list-reads-majority",
+                               _decode_list_majority, majority_list_size_bound),
+    "list-sauer": Algorithm(lambda p, d, a: (sauer_reads_required(p, d, a), None), "sauer-reads",
+                            _decode_sauer, sauer_list_size_bound),
 }

@@ -49,7 +49,7 @@ import numpy as np
 from magrec.channel import decode_read_sets, read_sets, score_sets
 from magrec.combinatorics import ball_matrix, ball_vectors
 from magrec.core import ERASURE, ChannelParams, Vec
-from magrec.reconstruction import ALGORITHMS
+from magrec.reconstruction import read_plan
 
 
 def brute_force_decode(
@@ -108,14 +108,14 @@ def oracle_exhaustive_totals(
     algorithm: str, code, x: Vec, p: ChannelParams, N: int, delta: int, a: int = 0,
 ) -> tuple[int, int, int]:
     """(sets, successes, longest list) of decoding every N-subset of the
-    ball around x with ``ALGORITHMS[algorithm]``: the enumeration, stack by
-    stack, that the CLI ran for ``--reads exhaustive`` before it counted
-    read sets per minimum.  x on a set's list is a success."""
-    entry = ALGORITHMS[algorithm]
-    plan = entry.plan(p, delta, a)
+    ball around x under ``read_plan(algorithm, p, delta, a)``: the
+    enumeration, stack by stack, that the CLI ran for ``--reads exhaustive``
+    before it counted read sets per minimum.  x on a set's list is a
+    success."""
+    plan = read_plan(algorithm, p, delta, a)
     sets = successes = longest = 0
     for stack in read_sets(x, p, N, "exhaustive", cap=10**9):
-        decoded = decode_read_sets(entry, plan, code, p, delta, a, stack)
+        decoded = decode_read_sets(plan, code, stack)
         sizes, hits = score_sets(decoded, len(stack), x)
         sets += len(stack)
         successes += int(hits.sum())

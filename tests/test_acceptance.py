@@ -49,13 +49,13 @@ from magrec.lattice import (
     min_group_order_bound,
 )
 from magrec.reconstruction import (
-    ALGORITHMS,
     ReadSet,
     adversarial_code_size_bound,
     adversarial_instance,
     list_params_general,
     majority_threshold,
     majority_votes,
+    read_plan,
     reads_required_min,
     sauer_reads_required,
 )
@@ -228,12 +228,11 @@ def run_min_cell(code, p, delta, x, note):
     assert N <= len(ball), f"vacuous cell {note}"
     total = math.comb(len(ball), N)
     checked = 0
-    entry = ALGORITHMS["min"]
-    plan = entry.plan(p, delta, 0)
+    plan = read_plan("min", p, delta)
     if total <= SUBSET_CAP_C4:
         # every N-subset of x + B, in lexicographic subset order
         for stack in read_sets(x, p, N, "exhaustive", cap=SUBSET_CAP_C4):
-            decoded = decode_read_sets(entry, plan, code, p, delta, 0, stack)
+            decoded = decode_read_sets(plan, code, stack)
             for out in per_set(decoded, len(stack)):
                 assert out == (x,), (note, checked)
                 checked += 1
@@ -249,7 +248,7 @@ def run_min_cell(code, p, delta, x, note):
         outputs = [
             out
             for stack in stacks
-            for out in per_set(decode_read_sets(entry, plan, code, p, delta, 0, stack), len(stack))
+            for out in per_set(decode_read_sets(plan, code, stack), len(stack))
         ]
         assert outputs == [(x,)] * 2000
     return N, total, checked
@@ -303,15 +302,14 @@ def check_majority_budgets(stacks, x, p, delta, tau, code):
     """Per read set of each stack: at most delta - 1 kept coordinates
     disagree with x, at most 2 t delta are erased, and the majority decoder
     returns x.  Returns the number of sets checked."""
-    entry = ALGORITHMS["majority"]
-    plan = entry.plan(p, delta, 0)
+    plan = read_plan("majority", p, delta)
     assert plan.tau == tau
     checked = 0
     for stack in stacks:
         best, keep = majority_votes(stack, tau)
         assert (((best != x) & keep).sum(axis=1) <= delta - 1).all()
         assert ((~keep).sum(axis=1) <= 2 * p.t * delta).all()
-        outputs = per_set(decode_read_sets(entry, plan, code, p, delta, 0, stack), len(stack))
+        outputs = per_set(decode_read_sets(plan, code, stack), len(stack))
         assert outputs == [(x,)] * len(stack)
         checked += len(stack)
     return checked
@@ -430,15 +428,14 @@ def test_criterion_06_list_guarantees():
             code = ExplicitCode([(0,) * n, _delta2_word(n, kp, km)])
             assert code_min_distance(code.members, p) == delta
             words = list(code.members)
-        entry = ALGORITHMS[f"list-{decoder}"]
-        plan = entry.plan(p, delta, a)
+        plan = read_plan(f"list-{decoder}", p, delta, a)
         assert plan.N == N
-        bound = entry.list_size_bound(p, delta, a)
+        bound = plan.bound
         share = -(-per_cell // len(words))
         for word_index, x in enumerate(words):
             seed = 6_000_000 + 10 * cell_index + word_index
             for stack in sampled_read_sets(x, p, N, share, seed=seed):
-                decoded = decode_read_sets(entry, plan, code, p, delta, a, stack)
+                decoded = decode_read_sets(plan, code, stack)
                 for L in per_set(decoded, len(stack)):
                     assert x in L, (decoder, kp, km, n, t, delta, a, x)
                     assert len(L) <= bound, (decoder, len(L), bound)

@@ -92,6 +92,9 @@ def test_run_trial_majority_and_list():
     assert rec.success and rec.algorithm == "majority"
     rec = run_trial(code, "list-sauer", (0, 0, 0), p, 2, delta=1, a=0, seed=8)
     assert rec.success and rec.list_size >= 1
+    # an unknown name is refused by the one plan lookup, before any read
+    with pytest.raises(ValueError, match=r"^algorithm must be one of \('min', "):
+        run_trial(code, "cover", (0, 0, 0), p, 5, delta=1)
 
 
 def test_trial_record_round_trip():

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from magrec import ChannelParams, cli, combinatorics
 from magrec.cli import main, parse_code_spec, parse_grid
-from magrec.reconstruction import ALGORITHMS
+from magrec.reconstruction import ALGORITHMS, read_plan
 from magrec.lattice import LatticeCode
 from magrec.core import ExplicitCode
-from magrec.tandem import SimplexCode
+from magrec.tandem import SimplexCode, format_simplex_code, greedy_simplex_code
 
 from helpers import oracle_exhaustive_totals
 
@@ -545,7 +545,7 @@ def test_the_one_read_plan_stays_on_the_anchor_path(tmp_path, monkeypatch):
     f.write_text("0,0,0\n2,2,2\n", encoding="utf-8")
     code = parse_code_spec(f"explicit:@{f}")
     p = ChannelParams(3, 1, 2, 0)
-    assert not ALGORITHMS["min"].reads_minimum(ALGORITHMS["min"].plan(p, 4, 0))
+    assert not read_plan("min", p, 4).minimum_only
     monkeypatch.setattr(cli.channel, "minimum_sets", mock.Mock(side_effect=AssertionError))
     argv = ["reconstruct", "--alg", "min", "--code", f"explicit:@{f}", "--n", "3",
             "--t", "1", "--kp", "2", "--reads", "exhaustive", "--N", "3", "--x", "2,2,2"]
@@ -810,6 +810,22 @@ def test_tandem_cap_bounds_the_shells(tmp_path, capsys):
     assert main(argv + ["--cap", "10"]) == 0
 
 
+def test_tandem_delta_above_the_header_is_an_error(tmp_path, capsys):
+    # the code decodes uniquely up to its header's delta = 1; at --delta 2
+    # decoding is not unique, and 720 of the 6300 sets would fail
+    f = tmp_path / "code.txt"
+    f.write_text(format_simplex_code(greedy_simplex_code(2, 6, 1)), encoding="utf-8")
+    argv = ["tandem", "--code", f"simplex:@{f}", "--t", "3"]
+    assert main(argv + ["--delta", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --delta 2 exceeds the code's distance 1; the read-count guarantees "
+        "assume delta <= distance\n"
+    )
+    assert main(argv + ["--delta", "1"]) == 0
+
+
 @pytest.mark.parametrize("r", [4, 2**62 - 1, 2**63])
 def test_tandem_counts_a_code_beyond_int64_like_a_small_one(r, tmp_path, capsys):
     # the walk adds a codeword and a shell minimum in Python ints, so a code
@@ -872,10 +888,10 @@ def test_anchor_ids_are_the_emitted_ones():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
     planned = set()
-    for entry in ALGORITHMS.values():
+    for name in ALGORITHMS:
         for km, delta in product((0, 1), (1, 3)):
             try:
-                planned.add(entry.plan(ChannelParams(6, 2, 1, km), delta, 1).anchor)
+                planned.add(read_plan(name, ChannelParams(6, 2, 1, km), delta, 1).anchor)
             except ValueError:
                 pass
     assert set(cli.ANCHORS) == literal | planned

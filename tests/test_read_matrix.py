@@ -44,6 +44,7 @@ from magrec.reconstruction import (
     list_reconstruct_sauer,
     majority_estimate,
     majority_votes,
+    read_plan,
     reconstruct_majority,
     reconstruct_min,
 )
@@ -749,8 +750,7 @@ def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
     x = data.draw(st.tuples(*[st.integers(-2, 2)] * p.n))
     other = add(x, data.draw(st.tuples(*[st.integers(-2, 2)] * p.n)))
     code = ExplicitCode({x, other})
-    entry = ALGORITHMS[alg]
-    plan = entry.plan(p, delta, a)
+    plan = read_plan(alg, p, delta, a)
     # fewer reads than the plan's as well, so that decodes fail and votes
     # erase
     N = data.draw(st.integers(1, min(plan.N, len(oracle_ball(p.n, p.t, p.k_plus, p.k_minus)))))
@@ -764,7 +764,7 @@ def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
     # small candidate budgets split the erasure fills into many blocks
     budget = data.draw(st.sampled_from([8, 64, 2**17]))
     with mock.patch.object(core, "BLOCK_BYTES", budget):
-        decoded = [decode_read_sets(entry, plan, code, p, delta, a, stack) for stack in stacks]
+        decoded = [decode_read_sets(plan, code, stack) for stack in stacks]
         got = [out for d, stack in zip(decoded, stacks) for out in per_set(d, len(stack))]
         assert got == [decode_one_by_one(alg, Y, plan.tau, code, delta, a) for Y in sets]
     if alg in ("min", "majority"):

@@ -18,7 +18,6 @@ from magrec.distances import code_min_distance
 from magrec.lattice import cyclic, LatticeCode, SplitterSpec
 from magrec.reconstruction import (
     ALGORITHMS,
-    ONE_READ,
     ReadSet,
     adversarial_code_size_bound,
     adversarial_instance,
@@ -30,6 +29,7 @@ from magrec.reconstruction import (
     majority_estimate,
     majority_list_size_bound,
     majority_threshold,
+    read_plan,
     reads_required_min,
     reconstruct_majority,
     reconstruct_min,
@@ -436,10 +436,152 @@ def test_soundness_outputs_cover_reads():
 def test_list_plans_read_once_past_t(name):
     # as for min and majority: a distance past t decodes one read into one word
     entry = ALGORITHMS[name]
+    one_read = (1, None, "unique-decode")
     p = ChannelParams(4, 1, 2, 0 if name == "list-min" else 1)
-    plan = entry.plan(p, 2, 0)
-    assert plan == ONE_READ and entry.bound(plan, p, 2, 0) == 1
+    plan = read_plan(name, p, 2, 0)
+    assert (plan.N, plan.tau, plan.anchor) == one_read and plan.bound == 1
     with pytest.raises(ValueError, match="need a = 0 at delta > t"):
-        entry.plan(p, 2, 1)
-    plan = entry.plan(p, 1, 0)
-    assert plan != ONE_READ and entry.bound(plan, p, 1, 0) == entry.list_size_bound(p, 1, 0)
+        read_plan(name, p, 2, 1)
+    plan = read_plan(name, p, 1, 0)
+    assert (plan.N, plan.tau, plan.anchor) != one_read
+    assert plan.bound == entry.list_size_bound(p, 1, 0)
+
+
+#: The formula plans at n = 4, k+ = 2 over k- in {0, 1, 2}, t <= 3, delta in
+#: 1..t and a in 0..2, as (name, k-, t, delta, a): (N, tau, bound), pinned
+#: as literals rather than recomputed from the formulas.  A unique algorithm
+#: ignores a and is listed at a = 0; every other point with delta <= t raises
+#: ValueError.
+FORMULA_PLANS = {
+    # min
+    ("min", 0, 1, 1, 0): (3, None, 1),
+    ("min", 0, 2, 1, 0): (15, None, 1),
+    ("min", 0, 2, 2, 0): (5, None, 1),
+    ("min", 0, 3, 1, 0): (39, None, 1),
+    ("min", 0, 3, 2, 0): (21, None, 1),
+    ("min", 0, 3, 3, 0): (9, None, 1),
+    # majority
+    ("majority", 1, 1, 1, 0): (10, "-4", 1),
+    ("majority", 1, 2, 1, 0): (118, "-58", 1),
+    ("majority", 1, 2, 2, 0): (82, "9", 1),
+    ("majority", 1, 3, 1, 0): (604, "-382", 1),
+    ("majority", 1, 3, 2, 0): (1054, "63", 1),
+    ("majority", 1, 3, 3, 0): (730, "784/3", 1),
+    ("majority", 2, 1, 1, 0): (17, "-9", 1),
+    ("majority", 2, 2, 1, 0): (273, "-169", 1),
+    ("majority", 2, 2, 2, 0): (257, "16", 1),
+    ("majority", 2, 3, 1, 0): (1809, "-1321", 1),
+    ("majority", 2, 3, 2, 0): (4353, "144", 1),
+    ("majority", 2, 3, 3, 0): (4097, "4225/3", 1),
+    # list-min
+    ("list-min", 0, 1, 1, 0): (3, None, 1),
+    ("list-min", 0, 2, 1, 0): (15, None, 1),
+    ("list-min", 0, 2, 1, 1): (5, None, 9),
+    ("list-min", 0, 2, 2, 0): (5, None, 1),
+    ("list-min", 0, 3, 1, 0): (39, None, 1),
+    ("list-min", 0, 3, 1, 1): (21, None, 9),
+    ("list-min", 0, 3, 1, 2): (9, None, 33),
+    ("list-min", 0, 3, 2, 0): (21, None, 1),
+    ("list-min", 0, 3, 2, 1): (9, None, 9),
+    ("list-min", 0, 3, 3, 0): (9, None, 1),
+    # list-majority
+    ("list-majority", 1, 1, 1, 0): (10, "-4", 16),
+    ("list-majority", 1, 2, 1, 0): (91, "-31", 256),
+    ("list-majority", 1, 2, 1, 1): (28, "9", 851968),
+    ("list-majority", 1, 2, 2, 0): (28, "9", 65536),
+    ("list-majority", 1, 3, 1, 0): (334, "-112", 4096),
+    ("list-majority", 1, 3, 1, 1): (190, "63", 218103808),
+    ("list-majority", 1, 3, 1, 2): (82, "136/3", 4604204941312),
+    ("list-majority", 1, 3, 2, 0): (190, "63", 16777216),
+    ("list-majority", 1, 3, 2, 1): (82, "136/3", 893353197568),
+    ("list-majority", 1, 3, 3, 0): (82, "136/3", 68719476736),
+    ("list-majority", 2, 1, 1, 0): (17, "-9", 25),
+    ("list-majority", 2, 2, 1, 0): (209, "-105", 625),
+    ("list-majority", 2, 2, 1, 1): (65, "16", 6640625),
+    ("list-majority", 2, 2, 2, 0): (65, "16", 390625),
+    ("list-majority", 2, 3, 1, 0): (977, "-489", 15625),
+    ("list-majority", 2, 3, 1, 1): (577, "144", 4150390625),
+    ("list-majority", 2, 3, 1, 2): (257, "385/3", 431060791015625),
+    ("list-majority", 2, 3, 2, 0): (577, "144", 244140625),
+    ("list-majority", 2, 3, 2, 1): (257, "385/3", 64849853515625),
+    ("list-majority", 2, 3, 3, 0): (257, "385/3", 3814697265625),
+    # list-sauer
+    ("list-sauer", 0, 1, 1, 0): (2, None, 9),
+    ("list-sauer", 0, 2, 1, 0): (10, None, 81),
+    ("list-sauer", 0, 2, 1, 1): (2, None, 63),
+    ("list-sauer", 0, 2, 2, 0): (2, None, 9),
+    ("list-sauer", 0, 3, 1, 0): (34, None, 729),
+    ("list-sauer", 0, 3, 1, 1): (10, None, 405),
+    ("list-sauer", 0, 3, 1, 2): (2, None, 171),
+    ("list-sauer", 0, 3, 2, 0): (10, None, 81),
+    ("list-sauer", 0, 3, 2, 1): (2, None, 63),
+    ("list-sauer", 0, 3, 3, 0): (2, None, 9),
+    ("list-sauer", 1, 1, 1, 0): (2, None, 16),
+    ("list-sauer", 1, 2, 1, 0): (14, None, 256),
+    ("list-sauer", 1, 2, 1, 1): (2, None, 160),
+    ("list-sauer", 1, 2, 2, 0): (2, None, 16),
+    ("list-sauer", 1, 3, 1, 0): (68, None, 4096),
+    ("list-sauer", 1, 3, 1, 1): (14, None, 1792),
+    ("list-sauer", 1, 3, 1, 2): (2, None, 592),
+    ("list-sauer", 1, 3, 2, 0): (14, None, 256),
+    ("list-sauer", 1, 3, 2, 1): (2, None, 160),
+    ("list-sauer", 1, 3, 3, 0): (2, None, 16),
+    ("list-sauer", 2, 1, 1, 0): (2, None, 25),
+    ("list-sauer", 2, 2, 1, 0): (18, None, 625),
+    ("list-sauer", 2, 2, 1, 1): (2, None, 325),
+    ("list-sauer", 2, 2, 2, 0): (2, None, 25),
+    ("list-sauer", 2, 3, 1, 0): (114, None, 15625),
+    ("list-sauer", 2, 3, 1, 1): (18, None, 5625),
+    ("list-sauer", 2, 3, 1, 2): (2, None, 1525),
+    ("list-sauer", 2, 3, 2, 0): (18, None, 625),
+    ("list-sauer", 2, 3, 2, 1): (2, None, 325),
+    ("list-sauer", 2, 3, 3, 0): (2, None, 25),
+}
+
+#: The anchor of each formula and whether its decoder reads only the minimum.
+FORMULA_ROWS = {
+    "min": ("reads-min", True),
+    "majority": ("majority-reads", False),
+    "list-min": ("list-reads-min", True),
+    "list-majority": ("list-reads-majority", False),
+    "list-sauer": ("sauer-reads", False),
+}
+
+
+def test_read_plan_table():
+    raised = 0
+    for name, km, t in product(ALGORITHMS, (0, 1, 2), range(4)):
+        p = ChannelParams(4, t, 2, km)
+        listed = name.startswith("list-")
+        for delta, a in product(range(1, t + 2), range(3)):
+            key = (name, km, t, delta, a if listed else 0)
+            if delta > t:
+                # one read lists one word, so a list algorithm needs a = 0
+                expected = None if listed and a else (1, None, "unique-decode", 1, False)
+            elif key in FORMULA_PLANS:
+                N, tau, bound = FORMULA_PLANS[key]
+                anchor, minimum_only = FORMULA_ROWS[name]
+                tau = None if tau is None else Fraction(tau)
+                expected = (N, tau, anchor, bound, minimum_only)
+            else:
+                expected = None
+            if expected is None:
+                with pytest.raises(ValueError):
+                    read_plan(name, p, delta, a)
+                raised += 1
+                continue
+            plan = read_plan(name, p, delta, a)
+            assert (plan.p, plan.delta, plan.a) == (p, delta, a)
+            assert (plan.N, plan.tau, plan.anchor, plan.bound, plan.minimum_only) == expected, key
+    assert raised == 228
+    # min has no formula at k- >= 1, yet past t it reads once
+    with pytest.raises(ValueError, match="k_minus = 0"):
+        read_plan("min", ChannelParams(4, 1, 2, 1), 1)
+    assert read_plan("min", ChannelParams(4, 1, 2, 1), 2).anchor == "unique-decode"
+
+
+def test_read_plan_names_the_registry_on_an_unknown_name():
+    names = "('min', 'majority', 'list-min', 'list-majority', 'list-sauer')"
+    with pytest.raises(ValueError) as raised:
+        read_plan("cover", ChannelParams(4, 1, 1, 0), 1)
+    assert str(raised.value) == f"algorithm must be one of {names}"
