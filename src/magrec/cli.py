@@ -18,6 +18,9 @@ Code mini-language for --code:
 Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single value
 ``2``, a range ``1:3`` (inclusive, its end not below its start), or a comma
 list ``1,2,4``; any other value is an error naming the flag and the value.
+Each grid flag's value count, and the product of those counts, is charged
+against --cap (the default cap where a command has none) before any value
+is built, and a flag that takes one value is checked before it is built.
 Only ``ball``, ``intersect`` and ``simulate`` sweep --n, --t, --kp and --km;
 every other flag takes one value and a range or list there is an error.
 A point that cannot run is noted as ``skipped n=.. t=.. kp=.. km=..:
@@ -35,11 +38,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from dataclasses import astuple
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +55,7 @@ from magrec.core import (
     EnumerationCapExceeded,
     ExplicitCode,
     ReconstructionError,
+    charge,
     parse_int,
     payload_lines,
 )
@@ -78,10 +83,11 @@ def _rat(x) -> str:
     return str(x)
 
 
-def parse_grid(flag: str, text: str) -> list[int]:
-    """The values of grid flag --``flag``; a malformed value, or a range whose
-    end is below its start, raises ValueError instead of giving no values."""
-    values: list[int] = []
+def _grid_ranges(flag: str, text: str) -> list[range]:
+    """The ranges of grid flag --``flag``, none of them built; a malformed
+    value, or a range whose end is below its start, raises ValueError
+    instead of giving no values."""
+    ranges = []
     for part in text.split(","):
         part = part.strip()
         try:
@@ -94,17 +100,32 @@ def parse_grid(flag: str, text: str) -> list[int]:
             )
         if bounds[-1] < bounds[0]:
             raise ValueError(f"--{flag}: range {part} ends below its start")
-        values.extend(range(bounds[0], bounds[-1] + 1))
-    return values
+        ranges.append(range(bounds[0], bounds[-1] + 1))
+    return ranges
+
+
+def _grid_size(ranges: list[range]) -> int:
+    """How many values ``ranges`` hold."""
+    return sum(r.stop - r.start for r in ranges)
+
+
+def parse_grid(flag: str, text: str, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
+    """The values of grid flag --``flag``, their count charged against
+    ``cap`` before any is built; a malformed value, or a range whose end is
+    below its start, raises ValueError instead of giving no values."""
+    ranges = _grid_ranges(flag, text)
+    charge(_grid_size(ranges), f"values of --{flag}", cap)
+    return list(chain.from_iterable(ranges))
 
 
 def single_value(flag: str, text: str) -> int:
     """The one value of a grid flag that takes a single value here; a range
-    or list raises ValueError instead of being cut to its first value."""
-    values = parse_grid(flag, text)
-    if len(values) != 1:
+    or list raises ValueError, without being built, instead of being cut to
+    its first value."""
+    ranges = _grid_ranges(flag, text)
+    if _grid_size(ranges) != 1:
         raise ValueError(f"--{flag} takes one value here, got {text}")
-    return values[0]
+    return ranges[0].start
 
 
 def parse_vector(flag: str, text: str) -> tuple[int, ...]:
@@ -226,8 +247,17 @@ def _channel_flags(args, parse) -> list:
 
 def _grid_params(args, report: Report):
     """Yield the ChannelParams of each point of the flag grids, in grid
-    order; a point that violates a precondition is noted as skipped."""
-    for point in product(*_channel_flags(args, parse_grid)):
+    order; a point that violates a precondition is noted as skipped.  Each
+    flag's value count, then the point count, is charged against --cap
+    (``DEFAULT_ENUM_CAP`` for a command without it) before any value is
+    built."""
+    cap = getattr(args, "cap", DEFAULT_ENUM_CAP)
+    grids = _channel_flags(args, _grid_ranges)
+    sizes = list(map(_grid_size, grids))
+    for flag, size in zip(GRID, sizes):
+        charge(size, f"values of --{flag}", cap)
+    charge(math.prod(sizes), "points of the --n, --t, --kp and --km grid", cap)
+    for point in product(*map(chain.from_iterable, grids)):
         try:
             p = ChannelParams(*point)
         except ValueError as exc:

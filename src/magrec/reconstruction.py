@@ -237,17 +237,25 @@ def majority_threshold(p: ChannelParams, delta: int) -> tuple[int, Fraction]:
 def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     """Per set and coordinate, the most frequent value (ties broken toward
     the smallest) and whether it is kept: twice its count minus N exceeds
-    tau.  Both are (S, n) arrays.
+    tau.  Both are (S, n) arrays; ``_vote_table`` computes them."""
+    return _vote_table(stack, tau)[:2]
+
+
+def _vote_table(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
+    """``majority_votes`` of the stack, followed by each set's least and
+    largest value per coordinate: four (S, n) arrays.
 
     Values are taken as offsets from each set's anchor read.  When the
     offsets of the whole stack span at most N values, as they do for reads
     of one ball (at most 2(k+ + k-) + 1), one ``np.bincount`` over (set,
     coordinate, offset) counts every value, in a table no larger than the
-    stack, and the first largest bin holds the smallest most frequent
-    value.  A wider stack (a caller's own reads) sorts each column instead,
-    and a value's count is the length of its run; the first longest run
-    holds the smallest most frequent value, and the work does not depend on
-    how far apart the values are.
+    stack: the first largest bin holds the smallest most frequent value,
+    and the first and last nonzero bins the least and largest values.  A
+    wider stack (a caller's own reads) sorts each column instead, and a
+    value's count is the length of its run; the first longest run holds
+    the smallest most frequent value, the column's ends its least and
+    largest values, and the work does not depend on how far apart the
+    values are.
     """
     S, N, n = stack.shape
     anchors = stack[:, :1]
@@ -257,8 +265,12 @@ def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
     if width <= N:
         off += np.arange(S * n).reshape(S, 1, n) * width - lo  # the bin of each entry
         bins = np.bincount(off.ravel(), minlength=S * n * width).reshape(S, n, width)
-        best = anchors[:, 0] + (bins.argmax(axis=2) + lo)
+        base = anchors[:, 0] + lo
+        best = base + bins.argmax(axis=2)
         counts = bins.max(axis=2)
+        seen = bins != 0
+        least = base + seen.argmax(axis=2)
+        largest = base + (width - 1 - seen[..., ::-1].argmax(axis=2))
     else:
         columns = np.sort(stack.transpose(0, 2, 1), axis=2)
         pos = np.arange(N)
@@ -268,7 +280,8 @@ def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
         end = run_length.argmax(axis=2)[..., None]
         best = np.take_along_axis(columns, end, axis=2)[..., 0]
         counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
-    return best, 2 * counts - N > min(max(math.floor(tau), -N - 1), N)
+        least, largest = columns[..., 0], columns[..., -1]
+    return best, 2 * counts - N > min(max(math.floor(tau), -N - 1), N), least, largest
 
 
 def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
@@ -320,14 +333,43 @@ def _candidates(
         yield owner.repeat(len(shifts)), (fills[:, None, :] - shifts).reshape(-1, p.n)
 
 
+def _cover_rows(
+    words: np.ndarray, owner: np.ndarray, stack: np.ndarray,
+    least: np.ndarray, largest: np.ndarray, p: ChannelParams,
+) -> np.ndarray:
+    """Per row i of the int64 matrix ``words``, whether every read of set
+    owner[i] of ``stack`` lies in words[i] + B(n, t, k+, k-), where least
+    and largest are the (S, n) least and largest values of each set per
+    coordinate.
+
+    A ball covers a set exactly when the set's values lie in the box
+    [c - k-, c + k+] in every coordinate and every read differs from c in
+    at most t coordinates.  The box test compares the ranges, an (|words|,
+    n) test; only the rows that pass it gather their set's reads for the
+    weight test, in chunks of ``rows_per_block(8 N n)`` rows.  The
+    differences stay below 2**63 (entries are under 2**62), and NumPy
+    compares them with k+ and k- exactly, however large."""
+    check_entries(int(words.min()), int(words.max()))
+    covered = ((largest[owner] - words <= p.k_plus)
+               & (words - least[owner] <= p.k_minus)).all(axis=1)
+    rows = covered.nonzero()[0]
+    chunk = rows_per_block(8 * stack[0].size)
+    for i in range(0, len(rows), chunk):
+        part = rows[i:i + chunk]
+        wrong = stack[owner[part]] != words[part, None, :]
+        # at most n < 256 coordinates of a read differ: a uint8 count holds them
+        errors = (np.einsum("ijk->ij", wrong.view(np.uint8)) if p.n < 256
+                  else wrong.sum(axis=2))
+        covered[part] = (errors <= p.t).all(axis=1)
+    return covered
+
+
 def _covering(words, stack: np.ndarray, p: ChannelParams) -> np.ndarray:
     """Per set i, whether every read of stack[i] lies in
     words[i] + B(n, t, k+, k-); ``words`` is a matrix or a list of vectors."""
     words = np.asarray(words)
-    check_entries(int(words.min()), int(words.max()))
-    diff = stack - words[:, None, :]
-    inside = ((diff >= -p.k_minus) & (diff <= p.k_plus)).all(axis=(1, 2))
-    return inside & ((diff != 0).sum(axis=2) <= p.t).all(axis=1)
+    return _cover_rows(words, np.arange(len(words)), stack,
+                       stack.min(axis=1), stack.max(axis=1), p)
 
 
 def _covers(c: Vec, Y: ReadSet) -> bool:
@@ -339,25 +381,22 @@ def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
     """Per set: majority estimate, erasure filling, unique decode, and the
     first decoded candidate, in fill order, whose ball covers every read of
     the set.  Each block of candidates is decoded at once, and its decoded
-    candidates of sets still open are cover-tested at once, in chunks of
-    ``rows_per_block(8 N n)`` candidates (each gathers its set's N reads);
-    each set closes on its first covering row."""
+    candidates of sets still open are cover-tested at once by
+    ``_cover_rows``, against the least and largest values per coordinate
+    that the vote's table already holds; each set closes on its first
+    covering row."""
     _require_k_minus_positive(p, "majority")
-    best, keep = majority_votes(stack, tau)
+    best, keep, least, largest = _vote_table(stack, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
     chosen = np.zeros((len(stack), p.n), dtype=np.int64)
     is_open = np.ones(len(stack), dtype=bool)
-    chunk = rows_per_block(8 * stack[0].size)
     for owner, rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap):
         C, found = code.decode_rows(rows, delta - 1, p, cap)
         found &= is_open[owner]
         if not found.any():
             continue
         owner, C = owner[found], C[found]
-        covered = np.concatenate([
-            _covering(C[i:i + chunk], stack[owner[i:i + chunk]], p)
-            for i in range(0, len(owner), chunk)
-        ])
+        covered = _cover_rows(C, owner, stack, least, largest, p)
         owner, C = owner[covered], C[covered]
         # owner is sorted: a set's first covering row starts its run
         first = np.ones(len(owner), dtype=bool)

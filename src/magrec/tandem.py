@@ -28,8 +28,9 @@ tests each row against every member at once; the rows that decode to their
 own x are counted per excess |z| and weighted by the sets of all shells
 with that minimum, in Python ints.  The rows are int64 while r + t stays
 below 2**62 and Python ints (an object array) past it, so a code of any
-entries is counted exactly.  The cap is still charged every shell and
-every shell's subset count.  Where reads are built as int64 rows
+entries is counted exactly.  The cap is charged the whole upward ball
+before its first shell is built, then every shell and every shell's subset
+count.  Where reads are built as int64 rows
 (``upward_ball``, ``exhaustive_simplex_read_sets``,
 ``reconstruct_simplex_min``), x plus any excess must stay below 2**62
 (``core.check_entries``).
@@ -211,9 +212,12 @@ def reconstruct_simplex_min(
 
 
 def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
-    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k, each charged
-    against ``cap`` with its vectors and, when it holds a ``count``-subset,
-    with its subset count."""
+    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k.  The whole
+    ball, C(k + t, k) vectors, is charged against ``cap`` before the first
+    shell is built, since a caller may keep every shell; then each shell is
+    charged with its vectors and, when it holds a ``count``-subset, with
+    its subset count."""
+    charge(math.comb(k + t, k), "upward ball vectors", cap)
     for w in range(t + 1):
         shell = _excess_shell(k, w, cap)
         if len(shell) >= count:
@@ -239,8 +243,8 @@ def exhaustive_simplex_read_sets(
     x: Vec, t: int, count: int, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple[Vec, ...]]:
     """All size-``count`` subsets of each constant-excess shell of B_t^+(x),
-    one by one, in lexicographic subset order; ``cap`` bounds each shell and
-    each shell's subset count."""
+    one by one, in lexicographic subset order; ``cap`` bounds the ball, each
+    shell and each shell's subset count."""
     shift = _shift(x, t)
     for shell in _shells(len(x), t, count, cap):
         yield from combinations(map(tuple, (shell + shift).tolist()), count)
@@ -258,8 +262,8 @@ def simplex_min_counts(
     x + z, one per codeword x and z of B_t^+(0) that is some set's minimum,
     are decoded a block of codewords at a time by ``decode_rows``; the rows
     that decode to their own x are counted per excess |z| and weighted by
-    the sets of all shells with that minimum.  ``cap`` is charged each
-    shell and each shell's subset count.
+    the sets of all shells with that minimum.  ``cap`` is charged the whole
+    ball B_t^+(0) first, then each shell and each shell's subset count.
     """
     if count < 1:
         raise ValueError("read set must be nonempty")

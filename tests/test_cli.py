@@ -52,6 +52,35 @@ def test_reversed_grid_range_is_one_error_line(argv, flag, text, capsys):
     assert captured.err == f"error: --{flag}: range {text} ends below its start\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("ball --n 1:1000000000000000 --t 1 --kp 1",
+     "1000000000000000 values of --n exceed enumeration cap 10000000"),
+    ("intersect --n 1:1000000000000000 --t 1 --kp 1",
+     "1000000000000000 values of --n exceed enumeration cap 10000000"),
+    ("reconstruct --alg majority --code sum-mod:3 --n 4 --t 2 --kp 1 --km 1 "
+     "--delta 1:1000000000000000", "--delta takes one value here, got 1:1000000000000000"),
+    ("ball --n 1:4000 --t 1:4000 --kp 1",
+     "16000000 points of the --n, --t, --kp and --km grid exceed enumeration cap 10000000"),
+    ("ball --n 1:3 --t 1 --kp 1 --cap 2", "3 values of --n exceed enumeration cap 2"),
+    ("ball --n 1:3 --t 1:2 --kp 1 --cap 5",
+     "6 points of the --n, --t, --kp and --km grid exceed enumeration cap 5"),
+])
+def test_huge_grid_is_counted_before_it_is_built(argv, message, capsys):
+    # a grid of 10**15 values would need 8 PB as a list: it must be refused
+    # from its count, with one error: line naming the flag
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_grid_at_the_cap_runs():
+    with pytest.raises(cli.EnumerationCapExceeded):
+        parse_grid("n", "1:3,7", cap=3)
+    assert parse_grid("n", "1:3,7", cap=4) == [1, 2, 3, 7]
+    assert main("ball --n 1:3 --t 1:2 --kp 1 --cap 6".split()) == 0
+
+
 GRID = "grid value", "A, A:B or a comma list"
 VECTOR = "vector", "comma-separated integers"
 
@@ -799,15 +828,36 @@ def test_cap_bounds_the_sauer_search(capsys):
 
 def test_tandem_cap_bounds_the_shells(tmp_path, capsys):
     # t = 3 shells of the m = 2 simplex hold 1, 3, 6 and 10 vectors; with
-    # N = 10 only the last has a subset, but every shell is charged
+    # N = 10 only the last has a subset, but the whole ball of 20 vectors is
+    # charged before any shell is built
     f = tmp_path / "code.txt"
     f.write_text(SIMPLEX, encoding="utf-8")
     argv = ["tandem", "--code", f"simplex:@{f}", "--t", "3", "--N", "10"]
     assert main(argv + ["--cap", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 6 upward shell vectors exceed enumeration cap 5\n"
-    assert main(argv + ["--cap", "10"]) == 0
+    assert captured.err == "error: 20 upward ball vectors exceed enumeration cap 5\n"
+    assert main(argv + ["--cap", "19"]) == 1
+    capsys.readouterr()
+    assert main(argv + ["--cap", "20"]) == 0
+
+
+@pytest.mark.parametrize("t", [1000, 100000])
+def test_tandem_charges_the_whole_ball_before_any_shell(t, tmp_path, capsys):
+    # the shells of t = 1000 hold C(1003, 3) vectors, 4 GB of int64 rows
+    # kept together; the ball's count must refuse them before the first
+    # shell is built
+    f = tmp_path / "code.txt"
+    f.write_text(SIMPLEX, encoding="utf-8")
+    built = mock.Mock(side_effect=AssertionError("a shell was built"))
+    with mock.patch("magrec.tandem._excess_shell", built):
+        assert main(["tandem", "--code", f"simplex:@{f}", "--t", str(t)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {math.comb(t + 3, 3)} upward ball vectors exceed enumeration cap 10000000\n"
+    )
+    assert not built.called
 
 
 def test_tandem_delta_above_the_header_is_an_error(tmp_path, capsys):

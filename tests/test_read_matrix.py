@@ -35,9 +35,11 @@ from magrec.lattice import LatticeCode, parse_splitter_spec, syndrome
 from magrec.reconstruction import (
     ALGORITHMS,
     ReadSet,
+    _cover_rows,
     _covering,
     _covers,
     _sauer_candidates,
+    _vote_table,
     check_stack,
     list_reconstruct_majority,
     list_reconstruct_min,
@@ -624,9 +626,10 @@ def test_erasure_fills_past_the_cap_build_no_row():
             blocks.clear()
 
 
-def test_candidate_blocks_bound_the_decode_memory():
+def test_candidate_blocks_bound_the_decode_memory(monkeypatch):
     # 4 sets of 3**6 fills, each shifted by 13 rows: 37908 candidate rows,
-    # 1.8 MB as one int64 matrix
+    # 1.8 MB as one int64 matrix, which must not fit in 4 budgets
+    monkeypatch.setattr(core, "BLOCK_BYTES", 2**17)
     p = ChannelParams(6, 2, 1, 1)
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
     (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
@@ -643,8 +646,10 @@ def test_candidate_blocks_bound_the_decode_memory():
     assert peak < 4 * core.BLOCK_BYTES
 
 
-def test_majority_blocks_bound_the_decode_memory():
-    # 4 sets of 3**6 fills each, every coordinate erased
+def test_majority_blocks_bound_the_decode_memory(monkeypatch):
+    # 4 sets of 3**6 fills each, every coordinate erased, at a budget that
+    # all of them together would pass 4 times over
+    monkeypatch.setattr(core, "BLOCK_BYTES", 2**17)
     p = ChannelParams(6, 2, 1, 1)
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
     (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
@@ -672,10 +677,10 @@ def test_majority_cover_tests_once_per_chunk_of_each_block():
     tau = Fraction(10**6)
     blocks = []
     with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
-            mock.patch.object(reconstruction, "_covering", wraps=_covering) as covering:
+            mock.patch.object(reconstruction, "_cover_rows", wraps=_cover_rows) as covering:
         owner, words = ALGORITHMS["majority"].decode(stack, p, tau, code, 2, 0, 10**7)
     chunk = core.rows_per_block(8 * stack[0].size)
-    assert covering.call_count <= sum(-(-len(rows) // chunk) for _, _, rows in blocks)
+    assert 1 <= covering.call_count <= sum(-(-len(rows) // chunk) for _, _, rows in blocks)
     assert owner.tolist() == [0, 1, 2, 3]
     for word, rows in zip(words.tolist(), stack.tolist()):
         assert code.contains(tuple(word))
@@ -728,6 +733,65 @@ def test_majority_votes_count_and_sort_branches_match_the_oracle(case, data):
     assert [tuple(word) for word in best.tolist()] == [
         oracle_majority_entries(rows, lowest) for rows in sets
     ]
+
+
+def cover_words(data, stack, least, largest, p):
+    """One candidate word per set: a read moved by up to 3 per coordinate
+    (mostly outside the set's box), or a word inside the box
+    [largest - k+, least + k-], within 3 of its top, wherever that box is
+    nonempty."""
+    words = []
+    for rows, lo, hi in zip(stack.tolist(), least.tolist(), largest.tolist()):
+        if data.draw(st.booleans()):
+            step = data.draw(st.tuples(*[st.integers(-3, 3)] * p.n))
+            words.append(add(data.draw(st.sampled_from(rows)), step))
+        else:
+            words.append(tuple(
+                data.draw(st.integers(max(h - p.k_plus, l + p.k_minus - 3), l + p.k_minus))
+                if h - p.k_plus <= l + p.k_minus else data.draw(st.integers(l - 1, h + 1))
+                for l, h in zip(lo, hi)
+            ))
+    return words
+
+
+@CHECKS
+@given(vote_stacks(), st.data())
+def test_vote_table_ranges_and_the_range_cover_match_the_oracle(case, data):
+    stack, sets = case
+    best, keep, least, largest = _vote_table(stack, Fraction(0))
+    votes = majority_votes(stack, Fraction(0))
+    assert best.tolist() == votes[0].tolist() and keep.tolist() == votes[1].tolist()
+    assert least.tolist() == stack.min(axis=1).tolist()
+    assert largest.tolist() == stack.max(axis=1).tolist()
+    n = stack.shape[2]
+    km = data.draw(st.integers(0, 2))
+    for kp in (data.draw(st.integers(max(km, 1), 3)), 2**70):
+        p = ChannelParams(n, data.draw(st.integers(0, n)), kp, km)
+        words = cover_words(data, stack, least, largest, p)
+        expected = [oracle_covers(w, rows, p.t, p.k_plus, p.k_minus)
+                    for w, rows in zip(words, sets)]
+        # each word against every set, through the decoder's kernel
+        owner = np.repeat(np.arange(len(stack)), len(words))
+        rows = np.array(words * len(stack), dtype=np.int64)
+        assert _cover_rows(rows, owner, stack, least, largest, p).tolist() == [
+            oracle_covers(w, sets[s], p.t, p.k_plus, p.k_minus)
+            for s, w in zip(owner.tolist(), rows.tolist())
+        ]
+        assert _covering(words, stack, p).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_range_cover_counts_every_differing_coordinate(n):
+    # reads differing from the word in t and in t + 1 coordinates, t + 1 up
+    # to 256: a uint8 count of 256 would wrap to 0
+    t = min(n, 256) - 1
+    p = ChannelParams(n, t, 1, 1)
+    word = np.zeros((1, n), dtype=np.int64)
+    for errors, covered in ((t, True), (t + 1, False)):
+        stack = np.zeros((1, 2, n), dtype=np.int64)
+        stack[0, 1, :errors] = 1
+        assert _covering(word, stack, p).tolist() == [covered]
+        assert oracle_covers(word[0].tolist(), stack[0].tolist(), t, 1, 1) == covered
 
 
 def test_majority_votes_break_ties_toward_the_smallest_value_in_both_branches():
