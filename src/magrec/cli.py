@@ -83,7 +83,7 @@ def _rat(x) -> str:
     return str(x)
 
 
-def _grid_ranges(flag: str, text: str) -> list[range]:
+def parse_grid(flag: str, text: str) -> list[range]:
     """The ranges of grid flag --``flag``, none of them built; a malformed
     value, or a range whose end is below its start, raises ValueError
     instead of giving no values."""
@@ -109,20 +109,11 @@ def _grid_size(ranges: list[range]) -> int:
     return sum(r.stop - r.start for r in ranges)
 
 
-def parse_grid(flag: str, text: str, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
-    """The values of grid flag --``flag``, their count charged against
-    ``cap`` before any is built; a malformed value, or a range whose end is
-    below its start, raises ValueError instead of giving no values."""
-    ranges = _grid_ranges(flag, text)
-    charge(_grid_size(ranges), f"values of --{flag}", cap)
-    return list(chain.from_iterable(ranges))
-
-
 def single_value(flag: str, text: str) -> int:
     """The one value of a grid flag that takes a single value here; a range
     or list raises ValueError, without being built, instead of being cut to
     its first value."""
-    ranges = _grid_ranges(flag, text)
+    ranges = parse_grid(flag, text)
     if _grid_size(ranges) != 1:
         raise ValueError(f"--{flag} takes one value here, got {text}")
     return ranges[0].start
@@ -252,7 +243,7 @@ def _grid_params(args, report: Report):
     (``DEFAULT_ENUM_CAP`` for a command without it) before any value is
     built."""
     cap = getattr(args, "cap", DEFAULT_ENUM_CAP)
-    grids = _channel_flags(args, _grid_ranges)
+    grids = _channel_flags(args, parse_grid)
     sizes = list(map(_grid_size, grids))
     for flag, size in zip(GRID, sizes):
         charge(size, f"values of --{flag}", cap)

@@ -234,16 +234,12 @@ def majority_threshold(p: ChannelParams, delta: int) -> tuple[int, Fraction]:
     return N, tau
 
 
-def majority_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, np.ndarray]:
+def majority_votes(stack: np.ndarray, tau, *, ranges: bool = False) -> tuple[np.ndarray, ...]:
     """Per set and coordinate, the most frequent value (ties broken toward
     the smallest) and whether it is kept: twice its count minus N exceeds
-    tau.  Both are (S, n) arrays; ``_vote_table`` computes them."""
-    return _vote_table(stack, tau)[:2]
-
-
-def _vote_table(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
-    """``majority_votes`` of the stack, followed by each set's least and
-    largest value per coordinate: four (S, n) arrays.
+    tau.  Both are (S, n) arrays.  With ``ranges``, each set's least and
+    largest value per coordinate follow, two more (S, n) arrays read off
+    the same table.
 
     Values are taken as offsets from each set's anchor read.  When the
     offsets of the whole stack span at most N values, as they do for reads
@@ -268,9 +264,10 @@ def _vote_table(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
         base = anchors[:, 0] + lo
         best = base + bins.argmax(axis=2)
         counts = bins.max(axis=2)
-        seen = bins != 0
-        least = base + seen.argmax(axis=2)
-        largest = base + (width - 1 - seen[..., ::-1].argmax(axis=2))
+        if ranges:
+            seen = bins != 0
+            least = base + seen.argmax(axis=2)
+            largest = base + (width - 1 - seen[..., ::-1].argmax(axis=2))
     else:
         columns = np.sort(stack.transpose(0, 2, 1), axis=2)
         pos = np.arange(N)
@@ -281,7 +278,8 @@ def _vote_table(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
         best = np.take_along_axis(columns, end, axis=2)[..., 0]
         counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
         least, largest = columns[..., 0], columns[..., -1]
-    return best, 2 * counts - N > min(max(math.floor(tau), -N - 1), N), least, largest
+    keep = 2 * counts - N > min(max(math.floor(tau), -N - 1), N)
+    return (best, keep, least, largest) if ranges else (best, keep)
 
 
 def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
@@ -386,7 +384,7 @@ def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: in
     that the vote's table already holds; each set closes on its first
     covering row."""
     _require_k_minus_positive(p, "majority")
-    best, keep, least, largest = _vote_table(stack, tau)
+    best, keep, least, largest = majority_votes(stack, tau, ranges=True)
     zero = np.zeros((1, p.n), dtype=np.int64)
     chosen = np.zeros((len(stack), p.n), dtype=np.int64)
     is_open = np.ones(len(stack), dtype=bool)

@@ -7,7 +7,7 @@ import io
 import json
 import math
 from collections import OrderedDict
-from itertools import product
+from itertools import chain, product
 from unittest import mock
 
 import pytest
@@ -30,11 +30,15 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def grid_values(flag, text):
+    return list(chain.from_iterable(parse_grid(flag, text)))
+
+
 def test_parse_grid():
-    assert parse_grid("n", "2") == [2]
-    assert parse_grid("n", "1:3") == [1, 2, 3]
-    assert parse_grid("n", "1,2,4") == [1, 2, 4]
-    assert parse_grid("n", "1:2,5") == [1, 2, 5]
+    assert grid_values("n", "2") == [2]
+    assert grid_values("n", "1:3") == [1, 2, 3]
+    assert grid_values("n", "1,2,4") == [1, 2, 4]
+    assert grid_values("n", "1:2,5") == [1, 2, 5]
 
 
 @pytest.mark.parametrize("argv, flag, text", [
@@ -74,10 +78,10 @@ def test_huge_grid_is_counted_before_it_is_built(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
-def test_grid_at_the_cap_runs():
-    with pytest.raises(cli.EnumerationCapExceeded):
-        parse_grid("n", "1:3,7", cap=3)
-    assert parse_grid("n", "1:3,7", cap=4) == [1, 2, 3, 7]
+def test_grid_at_the_cap_runs(capsys):
+    assert main("ball --n 1:3,7 --t 1 --kp 1 --cap 3".split()) == 1
+    assert capsys.readouterr().err == "error: 4 values of --n exceed enumeration cap 3\n"
+    assert main("ball --n 1:3,7 --t 1 --kp 1 --cap 4".split()) == 0
     assert main("ball --n 1:3 --t 1:2 --kp 1 --cap 6".split()) == 0
 
 

@@ -39,7 +39,6 @@ from magrec.reconstruction import (
     _covering,
     _covers,
     _sauer_candidates,
-    _vote_table,
     check_stack,
     list_reconstruct_majority,
     list_reconstruct_min,
@@ -667,24 +666,29 @@ def test_majority_blocks_bound_the_decode_memory(monkeypatch):
     assert peak < 4 * core.BLOCK_BYTES
 
 
-def test_majority_cover_tests_once_per_chunk_of_each_block():
+def test_majority_cover_tests_once_per_block():
     # every coordinate erased: 3**6 fills per set, and at delta = 2 the
     # radius-1 decode of the perfect Z13 code finds a word for every fill,
-    # so each set has hundreds of decoded candidates to cover-test
+    # so each set has hundreds of decoded candidates to cover-test.  Sets
+    # of all 73 reads of the ball gather more rows per block than one chunk
+    # holds, so a kernel call per chunk would pass the first bound only
     p = ChannelParams(6, 2, 1, 1)
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
-    (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
     tau = Fraction(10**6)
-    blocks = []
-    with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
-            mock.patch.object(reconstruction, "_cover_rows", wraps=_cover_rows) as covering:
-        owner, words = ALGORITHMS["majority"].decode(stack, p, tau, code, 2, 0, 10**7)
-    chunk = core.rows_per_block(8 * stack[0].size)
-    assert 1 <= covering.call_count <= sum(-(-len(rows) // chunk) for _, _, rows in blocks)
-    assert owner.tolist() == [0, 1, 2, 3]
-    for word, rows in zip(words.tolist(), stack.tolist()):
-        assert code.contains(tuple(word))
-        assert oracle_covers(word, rows, p.t, p.k_plus, p.k_minus)
+    for N in (4, 73):
+        (stack,) = channel.read_sets((0,) * 6, p, N, "random", 4, seed=3)
+        blocks = []
+        with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
+                mock.patch.object(reconstruction, "_cover_rows", wraps=_cover_rows) as covering:
+            owner, words = ALGORITHMS["majority"].decode(stack, p, tau, code, 2, 0, 10**7)
+        chunk = core.rows_per_block(8 * stack[0].size)
+        assert 1 <= covering.call_count <= sum(-(-len(rows) // chunk) for _, _, rows in blocks)
+        # one kernel call per block of decoded candidates, which chunks inside it
+        assert covering.call_count <= len(blocks)
+        assert owner.tolist() == [0, 1, 2, 3]
+        for word, rows in zip(words.tolist(), stack.tolist()):
+            assert code.contains(tuple(word))
+            assert oracle_covers(word, rows, p.t, p.k_plus, p.k_minus)
 
 
 @st.composite
@@ -758,7 +762,7 @@ def cover_words(data, stack, least, largest, p):
 @given(vote_stacks(), st.data())
 def test_vote_table_ranges_and_the_range_cover_match_the_oracle(case, data):
     stack, sets = case
-    best, keep, least, largest = _vote_table(stack, Fraction(0))
+    best, keep, least, largest = majority_votes(stack, Fraction(0), ranges=True)
     votes = majority_votes(stack, Fraction(0))
     assert best.tolist() == votes[0].tolist() and keep.tolist() == votes[1].tolist()
     assert least.tolist() == stack.min(axis=1).tolist()
