@@ -386,12 +386,13 @@ def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: in
 def _trials(args, report: Report, plan, code, x, N: int, reads: str):
     """Yield (weights, sizes, hits, share) for each stack of N-read sets
     around x at ``plan``'s point: how many read sets each set stands for,
-    the ``channel.score_sets`` of its ``channel.decode_read_sets`` rows, and
-    each set's equal share of the elapsed ns (0 unless --timings is given).
+    the ``channel.score_sets`` of its ``ReadPlan.decode`` rows, and each
+    set's equal share of the elapsed ns (0 unless --timings is given).
     Exhaustive reads under a ``ReadPlan.minimum_only`` plan come from
     ``channel.minimum_sets``, one set per distinct minimum weighted by its
     count of read sets; all other stacks come from ``channel.read_sets``,
-    each set weighing 1.  When N distinct reads cannot come from the ball,
+    each set weighing 1.  Both check each stack as they build it, so it is
+    decoded as it comes.  When N distinct reads cannot come from the ball,
     note the point as skipped and yield nothing."""
     p = plan.p
     size = combinatorics.ball_size(p)
@@ -407,7 +408,7 @@ def _trials(args, report: Report, plan, code, x, N: int, reads: str):
         )
     start = time.monotonic_ns()
     for stack, weights in stacks:
-        decoded = channel.decode_read_sets(plan, code, stack, args.cap)
+        decoded = plan.decode(stack, code, args.cap)
         share = (time.monotonic_ns() - start) // len(stack) if args.timings else 0
         yield (weights, *channel.score_sets(decoded, len(stack), x), share)
         start = time.monotonic_ns()

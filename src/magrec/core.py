@@ -78,6 +78,22 @@ def check_entries(lo: int, hi: int) -> None:
         )
 
 
+def _column_reduce(M: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(M, axis=0)`` of the nonempty (R, n) matrix M, ``reduce``
+    being ``np.minimum.reduce`` or ``np.maximum.reduce``, in flat passes:
+    runs of 64 rows reduce as one (R // 64, 64 n) matrix, whose 64 partial
+    rows then fold with the tail.  An axis-0 reduction of a tall, narrow
+    matrix pays numpy's per-row cost on each of its R rows (about 4 times
+    slower at (3749, 8))."""
+    R, n = M.shape
+    head = R - R % 64
+    folded = M[head:]
+    if head:
+        runs = reduce(M[:head].reshape(head // 64, 64 * n), axis=0)
+        folded = np.concatenate((runs.reshape(64, n), folded))
+    return reduce(folded, axis=0)
+
+
 def _row_keys(M: np.ndarray) -> np.ndarray:
     """One key per row of the integer matrix M (int64 or object), ordered
     like the rows lexicographically: key i < key j exactly when row i < row
@@ -87,12 +103,13 @@ def _row_keys(M: np.ndarray) -> np.ndarray:
 
     When the column ranges multiply to less than 2**63 the key is the
     mixed-radix number M - M.min(0), last column least significant;
-    otherwise it is the row's dense rank under a stable ``np.lexsort``."""
+    otherwise it is the row's dense rank under a stable ``np.lexsort``.  The
+    column ranges come from ``_column_reduce``'s flat passes."""
     if not len(M):
         return np.zeros(0, dtype=np.int64)
-    lo = M.min(axis=0)
+    lo, hi = _column_reduce(M, np.minimum.reduce), _column_reduce(M, np.maximum.reduce)
     place, size = [], 1
-    for low, high in zip(lo.tolist()[::-1], M.max(axis=0).tolist()[::-1]):
+    for low, high in zip(lo.tolist()[::-1], hi.tolist()[::-1]):
         place.append(size)
         size *= high - low + 1
     if size < 2**63:

@@ -226,6 +226,30 @@ def test_row_keys_of_no_rows():
     assert core._row_keys(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("R", [1, 63, 64, 65, 129, 4000])
+@pytest.mark.parametrize("n", [0, 1, 11])
+@pytest.mark.parametrize("kind", ["int64", "python-ints"])
+def test_column_ranges_match_the_axis_reductions(R, n, kind):
+    # the flat passes over runs of 64 rows give _row_keys the column minima
+    # and maxima of M.min(axis=0) and M.max(axis=0); the last row, in the
+    # tail unless 64 divides R, holds each column's strict extreme.  Rows
+    # repeat, so distinct_rows keeps fewer than R of them
+    rng = np.random.default_rng(R * 100 + n)
+    pool = rng.integers(-5, 6, (7, n)) + rng.choice([-(SAFE - 10), 0, SAFE - 10], (7, n))
+    M = pool[rng.integers(0, 7, R)]
+    M[-1] = SAFE
+    M[-1, ::2] = -SAFE
+    if kind == "python-ints":
+        M = M.astype(object) * 2**70 + 1
+    for reduce, want in ((np.minimum.reduce, M.min(axis=0)), (np.maximum.reduce, M.max(axis=0))):
+        got = core._column_reduce(M, reduce)
+        assert got.dtype == M.dtype and got.tolist() == want.tolist()
+    rows = core.distinct_rows(M).tolist()
+    if kind == "int64":
+        assert rows == np.unique(M, axis=0).tolist()
+    assert rows == [list(row) for row in sorted(set(map(tuple, M.tolist())))]
+
+
 def test_public_names():
     # the exports change only on purpose: edit this list with them
     names = sorted(

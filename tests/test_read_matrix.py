@@ -475,14 +475,15 @@ def test_sparse_draws_on_a_large_ball_stay_within_the_byte_bound():
 
 
 class _KeySpy:
-    """A generator that records the shape of each ``random`` call."""
+    """A generator whose bit generator records the size of each
+    ``random_raw`` call."""
 
     def __init__(self, rng):
-        self.rng, self.shapes = rng, []
+        self.bit_generator, self.sizes, self._raw = self, [], rng.bit_generator.random_raw
 
-    def random(self, shape):
-        self.shapes.append(shape)
-        return self.rng.random(shape)
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self._raw(size)
 
 
 @pytest.mark.parametrize("size, N, n", [(64, 7, 7), (1161, 337, 10), (20_000, 19_000, 2)])
@@ -490,10 +491,94 @@ def test_dense_key_blocks_stay_within_the_byte_bound(size, N, n):
     spy = _KeySpy(rng_for(1))
     trials = 300
     blocks = list(channel._random_blocks(size, N, n, trials, spy))
-    assert sum(map(len, blocks)) == trials and spy.shapes
-    for rows, keys in spy.shapes:
-        assert keys == size
+    assert sum(map(len, blocks)) == trials and spy.sizes
+    for raw in spy.sizes:
+        rows, keys = divmod(raw, size)
+        assert keys == 0
         assert rows * size * 8 <= max(core.BLOCK_BYTES, 8 * (N + channel._DENSE_SLACK))
+
+
+@pytest.mark.parametrize("size, N", [(64, 7), (73, 17), (1161, 337)])
+@pytest.mark.parametrize("seed", [0, 1, 77, 2**64 - 1])
+def test_raw_keys_replay_the_float_keys(size, N, seed, monkeypatch):
+    # the keys are random_raw's words shifted right by 11 bits: each row
+    # keeps the N indices of the smallest floats of random((trials, size)),
+    # and stacks of 3 sets split the draw across many key blocks
+    assert size - N <= channel._DENSE_SLACK
+    trials, n = 40, 10
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * max(3 * N * n, 5 * size))
+    blocks = list(channel._random_blocks(size, N, n, trials, rng_for(seed)))
+    assert len(blocks) > 1
+    keys = rng_for(seed).random((trials, size))
+    want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :N], axis=1)
+    np.testing.assert_array_equal(np.sort(np.concatenate(blocks), axis=1), want)
+
+
+def _stacks_of_every_mode(x, p, N, seed):
+    """Every stack ``channel.read_sets`` builds around x in each read mode,
+    and the stacks of ``minimum_sets`` on a k- = 0 channel."""
+    stacks = [
+        *channel.read_sets(x, p, N, "random", 7, seed),
+        *channel.read_sets(x, p, N, "adversarial"),
+    ]
+    if comb(ball_size(p), N) <= 500:
+        stacks += channel.read_sets(x, p, N, "exhaustive")
+        if p.k_minus == 0:
+            stacks += [stack for stack, _ in channel.minimum_sets(x, p, N)]
+    return stacks
+
+
+@CHECKS
+@given(channels(max_n=4), st.data())
+def test_every_built_stack_passes_the_stack_check(p, data):
+    x = data.draw(st.tuples(*[st.integers(-5, 5)] * p.n))
+    N = data.draw(st.integers(1, ball_size(p)))
+    seed = data.draw(st.integers(0, 2**32))
+    slack = data.draw(st.sampled_from(list(BRANCHES.values())))
+    with mock.patch.object(core, "BLOCK_BYTES", 3 * 8 * N * p.n), \
+            mock.patch.object(channel, "_DENSE_SLACK", slack):
+        stacks = _stacks_of_every_mode(x, p, N, seed)
+    for stack in stacks:
+        assert check_stack(stack, p) is stack
+
+
+def test_a_ball_out_of_order_fails_the_build_check(monkeypatch):
+    # swapping two ball rows breaks the order every set's rows inherit
+    p, x = ChannelParams(3, 2, 1, 0), (0, 1, -1)
+    ball = channel.ball_matrix(p)
+    mutant = ball.copy()
+    mutant[[2, 5]] = ball[[5, 2]]
+    monkeypatch.setattr(channel, "ball_matrix", lambda *args: mutant)
+    for build in (
+        lambda: channel.read_sets(x, p, len(ball), "random", 3, seed=1),
+        lambda: channel.read_sets(x, p, len(ball), "adversarial"),
+        lambda: channel.read_sets(x, p, len(ball) - 1, "exhaustive"),
+        lambda: channel.minimum_sets(x, p, 2),
+    ):
+        with pytest.raises(ValueError, match="rows sorted"):
+            next(build())
+
+
+def test_a_repeated_read_fails_the_build_check(monkeypatch):
+    # an index drawn twice would repeat a read in its set
+    p, x = ChannelParams(3, 2, 1, 1), (0, 1, -1)
+    monkeypatch.setattr(channel, "_adversarial_order", lambda ball: np.zeros(len(ball), int))
+    with pytest.raises(ValueError, match="distinct"):
+        next(channel.read_sets(x, p, 4, "adversarial"))
+
+
+@pytest.mark.parametrize("reads", ["random", "adversarial", "exhaustive"])
+def test_read_counts_below_one_are_refused_before_the_cap(reads):
+    # cap 0 would refuse any charge, so the ValueError comes first
+    p, x = ChannelParams(3, 1, 1, 0), (0, 0, 0)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="read set must be nonempty"):
+            next(channel.read_sets(x, p, N, reads, cap=0))
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        next(channel.read_sets(x, p, 2, reads, trials=-5, cap=0))
+    if reads == "exhaustive":
+        with pytest.raises(ValueError, match="read set must be nonempty"):
+            next(channel.minimum_sets(x, p, -1, cap=0))
 
 
 def decode_one_by_one(alg, Y, tau, code, delta, a):
