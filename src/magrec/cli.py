@@ -133,15 +133,17 @@ def load_vectors(path: str) -> list[tuple[int, ...]]:
     return [tuple(parse_int(v, where) for v in line.split(",")) for where, line in lines]
 
 
-def parse_code_spec(text: str, n: int | None = None):
+def parse_code_spec(text: str, n: int | None = None, cap: int = DEFAULT_ENUM_CAP):
     """Resolve a --code value into a code handle (or SimplexCode).  A
     ``splitter:`` or ``explicit:`` code has its own length, which a given
-    --n must equal."""
+    --n must equal; a ``sum-mod:`` splitter's n entries are charged against
+    ``cap`` before they are built."""
     kind, _, rest = text.partition(":")
     if kind == "sum-mod":
         if n is None:
             raise ValueError("sum-mod codes need --n")
         modulus = parse_int(rest, "--code")
+        charge(n, "splitter entries", cap)
         spec = lattice.SplitterSpec(lattice.cyclic(modulus), ((1,),) * n)
         return lattice.LatticeCode(spec)
     if kind == "splitter":
@@ -291,6 +293,7 @@ def cmd_intersect(args) -> int:
         row = dict(n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, anchor="whole-space-max")
         row["formula"] = combinatorics.max_intersection_whole_space(p)
         if args.oracle:
+            charge(p.n, "entries of the zero word", DEFAULT_ENUM_CAP)
             zero = (0,) * p.n
             brute = combinatorics.intersection_exact(zero, (1,) + zero[1:], p)
             status |= _oracle_cells(row, "formula", brute=brute)
@@ -330,7 +333,7 @@ def cmd_distance(args) -> int:
 def cmd_check_splitting(args) -> int:
     if not (args.t and args.kp):
         raise ValueError("check-splitting needs --t and --kp")
-    code = parse_code_spec(args.code, n=single_value("n", args.n) if args.n else None)
+    code = parse_code_spec(args.code, single_value("n", args.n) if args.n else None, args.cap)
     if not isinstance(code, lattice.LatticeCode):
         raise ValueError("check-splitting needs a lattice code")
     spec = code.spec
@@ -376,13 +379,6 @@ def _given_delta(delta, distance: int) -> int:
     return distance if delta is None else delta
 
 
-def _resolve_point(algorithm: str, p: ChannelParams, distance: int, delta, a: int):
-    """The ``reconstruction.read_plan`` of ``algorithm`` at p, a and delta
-    (the code's ``distance`` unless --delta gave one).  A --delta above the
-    distance, or a channel the algorithm cannot handle, raises ValueError."""
-    return reconstruction.read_plan(algorithm, p, _given_delta(delta, distance), a)
-
-
 def _trials(args, report: Report, plan, code, x, N: int, reads: str):
     """Yield (weights, sizes, hits, share) for each stack of N-read sets
     around x at ``plan``'s point: how many read sets each set stands for,
@@ -419,9 +415,10 @@ def _recon_row(args, algorithm: str, a: int, report: Report):
     both commands, or None when its point is skipped (a run that is not
     skipped decodes at least one set)."""
     p = ChannelParams(*_channel_flags(args, single_value))
-    code = parse_code_spec(args.code, n=p.n)
+    code = parse_code_spec(args.code, p.n, args.cap)
     delta = single_value("delta", args.delta) if args.delta else None
-    plan = _resolve_point(algorithm, p, code_distance(code, p, cap=args.cap), delta, a)
+    distance = code_distance(code, p, cap=args.cap)
+    plan = reconstruction.read_plan(algorithm, p, _given_delta(delta, distance), a)
     N = args.N or plan.N
     x = _transmitted_word(code, p.n, args.x)
     sets = successes = longest = 0
@@ -470,14 +467,14 @@ def cmd_simulate(args) -> int:
     columns = ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"]
     report = Report(columns, args.format, args.explain)
     given_delta = single_value("delta", args.delta) if args.delta else None
-    code_for = functools.cache(lambda n: parse_code_spec(args.code, n=n))
+    code_for = functools.cache(lambda n: parse_code_spec(args.code, n, args.cap))
     trial_lines = []
     status = 0
     for p in _grid_params(args, report):
         code = code_for(p.n)
         distance = code_distance(code, p, cap=args.cap)
         try:
-            plan = _resolve_point(args.alg, p, distance, given_delta, 0)
+            plan = reconstruction.read_plan(args.alg, p, _given_delta(given_delta, distance), 0)
         except ValueError as exc:
             report.note(_skip_note(*astuple(p), exc))
             continue
@@ -518,10 +515,15 @@ def cmd_tandem(args) -> int:
         args.explain,
     )
     sets, successes = tandem.simplex_min_counts(code, t, N, delta, args.cap)
-    report.add(
-        m=code.m, r=code.r, t=t, delta=delta, N=N,
-        sets=sets, success=successes, fail=sets - successes, anchor="simplex-reads",
-    )
+    shell = math.comb(code.m + t, code.m)  # the outermost shell is the largest
+    if N > shell:
+        report.note(f"skipped m={code.m} r={code.r} t={t} delta={delta}: "
+                    f"N={N} exceeds the largest shell size {shell}")
+    else:
+        report.add(
+            m=code.m, r=code.r, t=t, delta=delta, N=N,
+            sets=sets, success=successes, fail=sets - successes, anchor="simplex-reads",
+        )
     emit(report, args)
     return 1 if sets > successes else 0
 
@@ -620,8 +622,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ReconstructionError, EnumerationCapExceeded, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ReconstructionError, EnumerationCapExceeded, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the refused size; Python's names nothing
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

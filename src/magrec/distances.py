@@ -7,9 +7,11 @@ metric axioms.  Values live on [0, n+1]; n+1 is an ordinary integer encoding
 "out of magnitude range", since every use is an order comparison.  Each
 function takes the channel as one ``ChannelParams`` p and reads no p.t.
 
-``difference_classes`` decides, in one place, which pairs of a code the
-pair scans (``code_min_distance``, ``max_intersection_of_code``, the lattice
-scan) evaluate: one per sorted difference within k+ + k-.
+``difference_classes`` decides, in one place, which pairs of an explicit
+code the pair scans (``code_min_distance``, ``max_intersection_of_code``)
+evaluate: one per sorted difference within k+ + k-.  The lattice scan,
+``lattice.max_pairwise_intersection_lattice``, sorts its own difference rows
+and makes them distinct with ``core.distinct_rows``.
 """
 
 from __future__ import annotations

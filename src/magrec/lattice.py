@@ -13,10 +13,9 @@ here is in fact cyclic).  The module provides:
 * ``LatticeCode``, whose bounded-radius decoder looks the syndromes of a
   whole matrix up in the same table, and
 * the exact intersection check over the lattice differences,
-  ``max_pairwise_intersection_lattice``, one count per class as
-  ``distances.difference_classes`` decides them (sorted rows, made distinct
-  by ``core.distinct_rows``), which certifies all of the above on small
-  instances (the packing is its value 0).
+  ``max_pairwise_intersection_lattice``, one count per distinct sorted
+  difference row (``core.distinct_rows``), which certifies all of the
+  above on small instances (the packing is its value 0).
 
 Every function of a channel takes it as one ``ChannelParams`` p whose n is
 the splitter's length.  The radius-1 statements (``check_recon_N1``,
@@ -34,6 +33,7 @@ distance is read off the splitting test, radius by radius.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -356,47 +356,18 @@ def max_pairwise_intersection_lattice(
 def parse_splitter_spec(text: str) -> SplitterSpec:
     """Parse ``group=Z4xZ3; s=[(1,0),(0,2),(1,1)]`` (rank-1 groups may list
     bare integers: ``group=Z7; s=[1,2]``); a bad integer names --code."""
-    parts = [p.strip() for p in text.split(";")]
-    if len(parts) != 2:
+    match = re.fullmatch(r"\s*group=([^;]*);\s*s=\[([^;]*)\]\s*", text)
+    if match is None:
         raise ValueError(f"expected 'group=...; s=[...]', got {text!r}")
-    gpart, spart = parts
-    if not gpart.startswith("group="):
-        raise ValueError(f"missing 'group=' in {text!r}")
-    moduli = []
-    for token in gpart[len("group=") :].split("x"):
-        token = token.strip()
-        if not token.startswith("Z") or not token[1:].isdigit():
-            raise ValueError(f"bad cyclic factor {token!r}")
-        moduli.append(parse_int(token[1:], "--code"))
-    group = FiniteAbelianGroup(tuple(moduli))
-    if not spart.startswith("s=[") or not spart.endswith("]"):
-        raise ValueError(f"missing 's=[...]' in {text!r}")
-    body = spart[len("s=[") : -1].strip()
-    if not body:
-        raise ValueError("splitter vector must be nonempty")
-    elems: list[GroupElement] = []
-    if "(" in body:
-        depth = 0
-        token = ""
-        tokens = []
-        for ch in body:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                tokens.append(token)
-                token = ""
-            else:
-                token += ch
-        tokens.append(token)
-        for token in tokens:
-            token = token.strip()
-            if not (token.startswith("(") and token.endswith(")")):
-                raise ValueError(f"bad group element {token!r}")
-            coords = [parse_int(c, "--code") for c in token[1:-1].split(",")]
-            elems.append(group.element(coords))
+    factors = [re.fullmatch(r"\s*Z(\d+)\s*", token) for token in match[1].split("x")]
+    if not all(factors):
+        raise ValueError(f"bad group {match[1].strip()!r}")
+    group = FiniteAbelianGroup(tuple(parse_int(f[1], "--code") for f in factors))
+    body = match[2].strip()
+    if not body.startswith("("):
+        elems = [[token] for token in body.split(",")] if body else []
+    elif body.endswith(")"):
+        elems = [e.split(",") for e in re.split(r"\)\s*,\s*\(", body[1:-1])]
     else:
-        for token in body.split(","):
-            elems.append(group.element((parse_int(token, "--code"),)))
-    return SplitterSpec(group, tuple(elems))
+        raise ValueError(f"bad group element list {body!r}")
+    return SplitterSpec(group, tuple(tuple(parse_int(c, "--code") for c in e) for e in elems))

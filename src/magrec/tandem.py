@@ -216,7 +216,9 @@ def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
     ball, C(k + t, k) vectors, is charged against ``cap`` before the first
     shell is built, since a caller may keep every shell; then each shell is
     charged with its vectors and, when it holds a ``count``-subset, with
-    its subset count."""
+    its subset count.  A t below 0 is a ValueError."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     charge(math.comb(k + t, k), "upward ball vectors", cap)
     for w in range(t + 1):
         shell = _excess_shell(k, w, cap)

@@ -6,8 +6,13 @@ import inspect
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from collections import OrderedDict
 from itertools import chain, product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -892,6 +897,55 @@ def test_tandem_counts_a_code_beyond_int64_like_a_small_one(r, tmp_path, capsys)
     assert captured.err == ""
     row = dict(zip(*(line.split() for line in captured.out.splitlines())))
     assert (row["r"], row["sets"], row["success"], row["fail"]) == (str(r), "2", "2", "0")
+
+
+def test_tandem_below_zero_t_is_one_error_line(tmp_path, capsys):
+    f = tmp_path / "code.txt"
+    f.write_text(SIMPLEX, encoding="utf-8")
+    assert main(["tandem", "--code", f"simplex:@{f}", "--t", "-1", "--N", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t must be >= 0\n"
+
+
+def test_tandem_notes_an_N_past_every_shell_as_skipped(tmp_path, capsys):
+    # the t = 2 shells of the m = 2 simplex hold 1, 3 and 6 vectors
+    f = tmp_path / "code.txt"
+    f.write_text(SIMPLEX, encoding="utf-8")
+    argv = ["tandem", "--code", f"simplex:@{f}", "--t", "2", "--N"]
+    assert main(argv + ["100000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == [
+        "# skipped m=2 r=3 t=2 delta=1: N=100000 exceeds the largest shell size 6"
+    ]
+    assert main(argv + ["6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "intersect --n 99999999999999999999 --t 1 --kp 1 --oracle",
+    "reconstruct --alg min --code sum-mod:2 --n 99999999999999999999 --t 1 --kp 1",
+    "ball --n 4000 --t 2 --kp 1 --oracle",
+    "check-splitting --code sum-mod:3 --n 200000 --t 1 --kp 1",
+    "reconstruct --alg min --code sum-mod:2 --n 30000000 --t 1 --kp 1",
+])
+def test_a_huge_n_is_one_error_line(argv):
+    # the first two would overflow a tuple's length, the middle two pass the
+    # row cap with a ball matrix of hundreds of GiB, and the last asks for
+    # 3e7 splitter entries; under a 2 GB address-space limit a build that
+    # gets through fails at once instead of filling the machine's memory
+    limit = 2 * 10**9
+    done = subprocess.run(
+        [sys.executable, "-m", "magrec.cli", *argv.split()],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv, where", [

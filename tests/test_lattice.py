@@ -431,6 +431,38 @@ def test_splitter_spec_parse_roundtrip():
     assert parse_splitter_spec(str(spec)) == spec
 
 
+@st.composite
+def splitter_texts(draw):
+    """(text, spec): a spec of 1-3 cyclic factors and its text, with random
+    spaces around every token; a rank-1 group lists bare integers or
+    1-tuples."""
+    moduli = draw(st.lists(st.integers(2, 60), min_size=1, max_size=3))
+    rank = len(moduli)
+    elems = draw(st.lists(st.lists(st.integers(-100, 100), min_size=rank, max_size=rank),
+                          min_size=1, max_size=6))
+    spaces = st.text(alphabet=" \t", max_size=2)
+
+    def pad(token):
+        return draw(spaces) + token + draw(spaces)
+
+    bare = rank == 1 and draw(st.booleans())
+    group = "x".join(pad(f"Z{m}") for m in moduli)
+    items = ",".join(
+        pad(str(e[0])) if bare else pad("(" + ",".join(pad(str(c)) for c in e) + ")")
+        for e in elems
+    )
+    text = pad("group=" + group) + ";" + pad("s=[" + pad(items) + "]")
+    return text, SplitterSpec(FiniteAbelianGroup(tuple(moduli)), tuple(map(tuple, elems)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(splitter_texts())
+def test_splitter_spec_text_round_trips(case):
+    text, spec = case
+    assert parse_splitter_spec(text) == spec
+    assert parse_splitter_spec(str(spec)) == spec
+
+
 def test_splitter_spec_parse_errors():
     for bad in [
         "group=Z4",
@@ -438,6 +470,17 @@ def test_splitter_spec_parse_errors():
         "group=Q8; s=[1]",
         "group=Z4; s=[]",
         "group=Z4xZ3; s=[1,2,3]",
+        "group=Z4xZ3; s=[(1,0),2]",
+        "group=Z4xZ3; s=[(1,(0)),(2,3)]",
+        "group=Z4xZ3; s=[(1,0)(2,0)]",
+        "group=Z4xZ3; s=[()]",
+        "group=Z4xZ3; s=[(1,0),]",
+        "group=; s=[1]",
+        "group=Z4; s=[1]x",
+        "group=Z4; s=[1];",
+        "group=Z\u00b2; s=[1]",
+        "group=Z4xZ3; s=[(1,0),(2)]",
+        "group=Z1; s=[1]",
     ]:
         with pytest.raises(ValueError):
             parse_splitter_spec(bad)

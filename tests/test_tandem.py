@@ -218,6 +218,17 @@ def test_caps_and_int64_range():
         upward_ball((big, 0), 1)
 
 
+def test_shell_walks_refuse_t_below_zero():
+    # below zero there is no shell, which counted as zero sets and no reads
+    for walk in (
+        lambda: simplex_min_counts(greedy_simplex_code(2, 3, 1), -1, 3, 1),
+        lambda: list(exhaustive_simplex_read_sets((0, 0, 0), -1, 1)),
+        lambda: upward_ball((0, 0, 0), -1),
+    ):
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            walk()
+
+
 def test_reads_required_simplex():
     assert reads_required_simplex(2, 2, 2) == 2
     assert reads_required_simplex(2, 2, 1) == 4
