@@ -1,18 +1,26 @@
-"""Channel simulation: read sets in stacks, the decode loop, trial records.
+"""Channel simulation: read sets in blocks, the decode loop, trial records.
 
-Read sets come in stacks: read-only (S, N, n) int64 arrays of S sets of N
-reads each.  Each set is a sorted row of N indices into the cached matrix
-of the lexicographically ordered error ball (``ball_matrix``), shifted once
-by the transmitted word x, and one gather of a block's (S, N) index matrix
-from that shifted ball builds the stack.  The stack is checked where it is
-built: the shifted ball once per call (``reconstruction.check_stack``: its
-rows distinct and in order), then each index row strictly increasing, so
-every set's rows are distinct and in order, which is what ``check_stack``
-would prove of the stack at many times the cost.  The CLI decodes these
-stacks as built; ``decode_read_sets`` checks a stack from anywhere else.  A
-stack holds ``core.rows_per_block`` sets, so its memory stays bounded
-whatever N, n and the trial count.  x is a tuple, and x plus any error must
-stay below ``ENTRY_LIMIT`` in magnitude.
+Read sets come in blocks (``reconstruction.ReadBlock``) of S sets of N
+reads each, drawn from the cached matrix of the lexicographically ordered
+error ball (``ball_matrix``), shifted once by the transmitted word x and
+checked once per call (``reconstruction.check_stack``: its rows distinct
+and in order).  ``read_blocks`` hands them out, and ``read_sets`` the
+read-only (S, N, n) int64 stack of each.  A dense random draw (below) keeps
+each set as a row of a boolean indicator over the ball, marking N rows by
+construction; over a ball with a one-hot matrix
+(``combinatorics.ball_one_hot``) the block is that indicator, as float32,
+and the decoders read its sets off one count table without gathering a
+stack.  Every other set is a row of N indices into the ball: exhaustive and
+adversarial reads, a sparse random draw, and a dense one over a ball too
+large for its one-hot matrix.  Each index row, sorted, must strictly
+increase, and one gather of the block's rows from the shifted ball builds
+its stack; so every set's rows are distinct and in order, which is what
+``check_stack`` would prove of the stack at many times the cost.  The CLI
+decodes these blocks as built; ``decode_read_sets`` checks a stack from
+anywhere else.  A block holds ``core.rows_per_block`` sets, each charged
+its stack and, drawn as an indicator, its indicator row, so its memory
+stays bounded whatever N, n and the trial count.  x is a tuple, and x plus
+any error must stay below ``ENTRY_LIMIT`` in magnitude.
 
 Every generator takes the channel as one ``ChannelParams`` p, and the read
 mode is one of the CLI's ``--reads`` words: "random", "adversarial"
@@ -20,22 +28,23 @@ mode is one of the CLI's ``--reads`` words: "random", "adversarial"
 ``generate_reads(x, p, N, reads, seed)`` draws one random or adversarial
 set, and ``run_trial(code, algorithm, x, p, N, delta, a, reads, seed)``
 decodes it under ``reconstruction.read_plan(algorithm, p, delta, a)``.
-``score_sets`` scores the rows (set, codeword) that ``decode_read_sets(plan,
-code, stack)`` decodes a stack into: x on a set's list is success.
+``score_sets`` scores the rows (set, codeword) that ``plan.decode(block,
+code)`` or ``decode_read_sets(plan, code, stack)`` decode a block or a
+stack into: x on a set's list is success.
 
 A decoder that reads only each set's componentwise minimum (``min`` and
 ``list-min``) needs no enumeration of the exhaustive sets: on a k- = 0
 ball, ``minimum_sets`` hands out each distinct minimum x + z once, as a
 one-read set, with the exact number of N-subsets whose minimum it is, in
 Python ints.  It charges the cap the same C(|ball|, N) subsets as
-``read_sets`` does, so the cap bounds the same points either way.
+``read_blocks`` does, so the cap bounds the same points either way.
 
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
 generator name, the seed and the trial index.  A random-read command owns
 one generator, ``rng_for(seed)``, and trial i of it is a function of the
 seed, the ball size, N and i alone: trials own consecutive segments of that
-generator's stream, so neither the stack size nor the trial count changes
+generator's stream, so neither the block size nor the trial count changes
 trial i, and neighbouring seeds, being different Philox keys, share no
 trial.  Trials are drawn a block at a time.  When the ball exceeds N by at
 most ``_DENSE_SLACK`` rows, trial i keeps the N rows with the smallest keys
@@ -43,7 +52,11 @@ in row i of ``rng_for(seed).random((trials, size))``, so row i of
 ``rng_for(seed).random((i + 1, size))`` replays it alone.  The keys are
 drawn as the generator's raw 64-bit words shifted right by 11 bits, which
 ``random`` scales by 2**-53 into its floats: the same stream, ordered the
-same way, ties included, at less cost.  On a larger ball
+same way, ties included, at less cost.  A row marks its keys at most its
+N-th smallest (one ``np.partition``, no index sort); a row with a tie there
+marks more, and keeps the N that ``np.argpartition`` picks instead, so
+every set is the one an ``np.argpartition`` of the keys gives.  On a
+larger ball
 trial i is the i-th ``rng.choice(size, N, replace=False, shuffle=False)``
 of the command generator.  Either way it is a uniformly random N-subset.
 """
@@ -68,8 +81,9 @@ from magrec.core import (
     check_entries,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, ball_size, minimum_counts
+from magrec.combinatorics import ball_matrix, ball_one_hot, ball_size, minimum_counts
 from magrec import reconstruction
+from magrec.reconstruction import ReadBlock
 
 RNG_NAME = "philox"
 
@@ -103,16 +117,19 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
     return np.lexsort((-np.abs(ball).sum(axis=1), -np.count_nonzero(ball, axis=1)))
 
 
-def _per_stack(count: int, n: int) -> int:
-    """How many sets of ``count`` (>= 1) length-n reads one stack holds."""
-    return rows_per_block(8 * count * n)
+def _per_block(count: int, n: int, size: int = 0) -> int:
+    """How many sets of ``count`` (>= 1) length-n reads one block holds:
+    each set is charged its (count, n) int64 stack, or, drawn as an
+    indicator row over a ball of ``size`` rows, that row as float32 when
+    it is larger."""
+    return rows_per_block(max(8 * count * n, 4 * size))
 
 
 def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
     """The index rows that ``rows`` yields, ``count`` each, as (S, count)
-    blocks of as many rows as one stack of length-n reads holds."""
-    rows, per_stack = iter(rows), _per_stack(count, n)
-    while block := list(islice(rows, per_stack)):
+    blocks of as many rows as one block of length-n reads holds."""
+    rows, per_block = iter(rows), _per_block(count, n)
+    while block := list(islice(rows, per_block)):
         yield np.array(block, dtype=np.intp)
 
 
@@ -125,25 +142,38 @@ def _keys(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
     return keys.reshape(rows, size)
 
 
+def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+    """Per row of ``keys``, the boolean indicator of the positions of its
+    ``count`` smallest keys: those at most the count-th smallest.  A row
+    with a tie there indicates more; it takes the set that
+    ``np.argpartition(keys, count - 1, axis=1)[:, :count]`` picks."""
+    ind = keys <= np.partition(keys, count - 1, axis=1)[:, count - 1:count]
+    if np.count_nonzero(ind) > len(ind) * count:
+        for i in (ind.view(np.uint8).sum(axis=1, dtype=np.intp) > count).nonzero()[0]:
+            ind[i] = False
+            ind[i, np.argpartition(keys[i], count - 1)[:count]] = True
+    return ind
+
+
 def _random_blocks(
     size: int, count: int, n: int, trials: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """(S, count) index blocks of ``trials`` random ``count``-subsets of
-    ``range(size)``, drawn from ``rng`` as the module docstring defines
-    them, S sets to a stack of length-n reads.  Dense keys (then ``size <=
-    count + _DENSE_SLACK``) are drawn in blocks of ``rows_per_block`` rows
-    of one trial's ``size`` keys."""
-    per_stack = _per_stack(count, n)
+    """Blocks of ``trials`` random ``count``-subsets of ``range(size)``,
+    drawn from ``rng`` as the module docstring defines them, as many to a
+    block of length-n reads as ``_per_block`` allows.  Dense keys (then
+    ``size <= count + _DENSE_SLACK``) are drawn in blocks of
+    ``rows_per_block`` rows of one trial's ``size`` keys, and each block is
+    an (S, size) boolean indicator (``_smallest``); otherwise each block is
+    an (S, count) matrix of indices."""
     per_keys = rows_per_block(8 * size)
     dense = size - count <= _DENSE_SLACK
-    for start in range(0, trials, per_stack):
-        stop = min(start + per_stack, trials)
+    per_block = _per_block(count, n, size if dense else 0)
+    for start in range(0, trials, per_block):
+        stop = min(start + per_block, trials)
         if dense:
-            yield np.concatenate([
-                np.argpartition(_keys(rng, min(per_keys, stop - i), size), count - 1,
-                                axis=1)[:, :count]
-                for i in range(start, stop, per_keys)
-            ])
+            parts = [_smallest(_keys(rng, min(per_keys, stop - i), size), count)
+                     for i in range(start, stop, per_keys)]
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
         else:
             yield np.array([
                 rng.choice(size, count, replace=False, shuffle=False)
@@ -151,38 +181,50 @@ def _random_blocks(
             ])
 
 
-def _stacks(
-    p: ChannelParams, ball: np.ndarray, shift: np.ndarray, blocks: Iterable[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """The stack of the read sets ``ball[row] + shift`` of each (S, N) index
-    block, each row sorted (in place), gathered by one ``np.take`` from the
-    ball shifted once (``np.take`` gathers rows about twice as fast as
-    fancy indexing).
+def _blocks(
+    p: ChannelParams, ball: np.ndarray, shift: np.ndarray, N: int, sets: Iterable[np.ndarray]
+) -> Iterator[ReadBlock]:
+    """The ``ReadBlock`` of the read sets ``ball[row] + shift`` of each
+    block of ``sets``: (S, N) index rows or an (S, |ball|) boolean
+    indicator of N rows each (``_smallest``).  The ball is shifted once and
+    checked once (``reconstruction.check_stack``: rows distinct and in
+    order).
 
-    The shifted ball is checked once (``reconstruction.check_stack``) and
-    each sorted index row must strictly increase, so every stack passes
-    ``check_stack`` by construction; ValueError otherwise."""
+    An indicator over a ball with a one-hot matrix
+    (``combinatorics.ball_one_hot``) becomes a block drawn from the ball,
+    as float32, and no stack is gathered.  Otherwise the index rows (an
+    indicator's, in order), sorted in place, must strictly increase, and
+    gather the block's stack by one ``np.take`` (about twice as fast as
+    fancy indexing).  Either way every set holds N distinct reads in order,
+    so the block's stack passes ``check_stack`` by construction; ValueError
+    otherwise."""
     shifted = reconstruction.check_stack((ball + shift)[None], p)[0]
-    for idx in blocks:
-        idx.sort(axis=1)
-        if not (idx[:, 1:] > idx[:, :-1]).all():
+    for rows in sets:
+        if rows.dtype == bool:
+            if (hot := ball_one_hot(p)) is not None:
+                drawn = (N, shifted, shift - p.k_minus, rows.astype(np.float32), hot)
+                yield ReadBlock(p, drawn=drawn)
+                continue
+            rows = rows.nonzero()[1].reshape(len(rows), N)
+        rows.sort(axis=1)
+        if not (rows[:, 1:] > rows[:, :-1]).all():
             raise ValueError("reads must be distinct, and a matrix's rows sorted")
-        stack = np.take(shifted, idx, axis=0)
+        stack = np.take(shifted, rows, axis=0)
         stack.flags.writeable = False
-        yield stack
+        yield ReadBlock(p, stack)
 
 
-def read_sets(
+def read_blocks(
     x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
     cap: int = DEFAULT_ENUM_CAP,
-) -> Iterator[np.ndarray]:
-    """Stacks of N-read sets around x: ``trials`` random ones, all drawn from
-    the one generator ``rng_for(seed)`` (trial i as the module docstring
-    defines it; the seed must fit in 64 bits); the one adversarial set; or
-    every N-subset of the ball, in lexicographic subset order.  ``cap``
-    bounds the ball and, for exhaustive reads, the subset count: past it
-    EnumerationCapExceeded is raised.  N and ``trials`` below 1 raise
-    ValueError before anything is charged."""
+) -> Iterator[ReadBlock]:
+    """Blocks of N-read sets around x: ``trials`` random ones, all drawn
+    from the one generator ``rng_for(seed)`` (trial i as the module
+    docstring defines it; the seed must fit in 64 bits); the one adversarial
+    set; or every N-subset of the ball, in lexicographic subset order.
+    ``cap`` bounds the ball and, for exhaustive reads, the subset count:
+    past it EnumerationCapExceeded is raised.  N and ``trials`` below 1
+    raise ValueError before anything is charged."""
     if N < 1:
         raise ValueError("read set must be nonempty")
     if trials < 1:
@@ -199,35 +241,44 @@ def read_sets(
     ball, shift = _ball_and_shift(x, p, cap)
     size = len(ball)
     if reads == "exhaustive":
-        blocks = _row_blocks(combinations(range(size), N), N, p.n)
+        sets = _row_blocks(combinations(range(size), N), N, p.n)
     elif N > size:
         raise ValueError(f"cannot draw {N} distinct reads from a ball of size {size}")
     elif reads == "random":
-        blocks = _random_blocks(size, N, p.n, trials, rng_for(seed))
+        sets = _random_blocks(size, N, p.n, trials, rng_for(seed))
     else:
-        blocks = _row_blocks((_adversarial_order(ball)[:N],), N, p.n)
-    yield from _stacks(p, ball, shift, blocks)
+        sets = _row_blocks((_adversarial_order(ball)[:N],), N, p.n)
+    yield from _blocks(p, ball, shift, N, sets)
+
+
+def read_sets(
+    x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> Iterator[np.ndarray]:
+    """The stacks of the ``read_blocks`` of the same arguments."""
+    for block in read_blocks(x, p, N, reads, trials, seed, cap):
+        yield block.stack
 
 
 def minimum_sets(
     x: Vec, p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[ReadBlock, np.ndarray]]:
     """What a decoder that reads only each set's componentwise minimum sees
-    of every N-subset of the k- = 0 ball around x: pairs (stack, counts) of
+    of every N-subset of the k- = 0 ball around x: pairs (block, counts) of
     the distinct minima x + z, each a one-read set, in the ball's order, and
     for each the number of N-subsets with that minimum
     (``combinatorics.minimum_counts``), an object array of Python ints.  A
-    stack holds as many one-read sets as ``_per_stack`` allows.  ``cap``
+    block holds as many one-read sets as ``_per_block`` allows.  ``cap``
     bounds the ball and is charged the C(|ball|, N) subsets the counts stand
-    for, as ``read_sets`` charges exhaustive reads."""
+    for, as ``read_blocks`` charges exhaustive reads."""
     if N < 1:
         raise ValueError("read set must be nonempty")
     charge(math.comb(ball_size(p), N), "exhaustive read sets", cap)
     ball, shift = _ball_and_shift(x, p, cap)
     counts = np.array(minimum_counts(p, N, cap), dtype=object)
-    blocks = list(_row_blocks(counts.nonzero()[0][:, None], 1, p.n))
-    for idx, stack in zip(blocks, _stacks(p, ball, shift, blocks)):
-        yield stack, counts[idx[:, 0]]
+    sets = list(_row_blocks(counts.nonzero()[0][:, None], 1, p.n))
+    for idx, block in zip(sets, _blocks(p, ball, shift, 1, sets)):
+        yield block, counts[idx[:, 0]]
 
 
 def generate_reads(
@@ -291,12 +342,12 @@ def decode_read_sets(
 ) -> reconstruction.Decoded:
     """The plan's rows (owner, words) for one stack of read sets from
     anywhere, which is checked once (``reconstruction.check_stack``) and
-    decoded as a whole; a set it cannot decode owns no row.  ``cap`` bounds
-    the decoder's balls and erasure fills.  A stack of ``read_sets`` or
-    ``minimum_sets`` was checked as it was built, and ``plan.decode`` takes
-    it as it is."""
+    decoded as a whole, as one ``ReadBlock``; a set it cannot decode owns
+    no row.  ``cap`` bounds the decoder's balls and erasure fills.  A block
+    of ``read_blocks`` or ``minimum_sets`` was checked as it was built, and
+    ``plan.decode`` takes it as it is."""
     reconstruction.check_stack(stack, plan.p)
-    return plan.decode(stack, code, cap)
+    return plan.decode(ReadBlock(plan.p, stack), code, cap)
 
 
 def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.ndarray, ...]:

@@ -15,9 +15,12 @@ Code mini-language for --code:
                       integers, ``#`` comments;
 * ``simplex:@FILE``   same, preceded by a header line ``m=,r=,delta=``.
 
-Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single value
-``2``, a range ``1:3`` (inclusive, its end not below its start), or a comma
-list ``1,2,4``; any other value is an error naming the flag and the value.
+Every integer, in a flag or a code, is ASCII decimal digits with an
+optional sign (``core.parse_int``): ``1_0`` and non-ASCII digits are
+errors.  Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single
+value ``2``, a range ``1:3`` (inclusive, its end not below its start), or a
+comma list ``1,2,4``; any other value is an error naming the flag and the
+value.
 Each grid flag's value count, and the product of those counts, is charged
 against --cap (the default cap where a command has none) before any value
 is built, and a flag that takes one value is checked before it is built.
@@ -91,7 +94,7 @@ def parse_grid(flag: str, text: str) -> list[range]:
     for part in text.split(","):
         part = part.strip()
         try:
-            bounds = [int(v) for v in part.split(":")]
+            bounds = [parse_int(v, f"--{flag}") for v in part.split(":")]
         except ValueError:
             bounds = []
         if not 1 <= len(bounds) <= 2:
@@ -123,7 +126,7 @@ def parse_vector(flag: str, text: str) -> tuple[int, ...]:
     """The comma-separated integers of --``flag``; a malformed value raises
     ValueError naming the flag and the value."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(parse_int(v, f"--{flag}") for v in text.split(","))
     except ValueError:
         raise ValueError(f"--{flag}: bad vector {text!r} (expected comma-separated integers)")
 
@@ -333,6 +336,11 @@ def cmd_distance(args) -> int:
 def cmd_check_splitting(args) -> int:
     if not (args.t and args.kp):
         raise ValueError("check-splitting needs --t and --kp")
+    # the flags are checked before the code is built, which may take long
+    t, kp, km = (single_value(flag, getattr(args, flag)) for flag in ("t", "kp", "km"))
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    ChannelParams(t, t, kp, km)  # k+ and k- as the channel checks them
     code = parse_code_spec(args.code, single_value("n", args.n) if args.n else None, args.cap)
     if not isinstance(code, lattice.LatticeCode):
         raise ValueError("check-splitting needs a lattice code")
@@ -342,9 +350,7 @@ def cmd_check_splitting(args) -> int:
         args.format,
         args.explain,
     )
-    kp = single_value("kp", args.kp)
-    km = single_value("km", args.km)
-    p = ChannelParams(spec.n, single_value("t", args.t), kp, km)
+    p = ChannelParams(spec.n, t, kp, km)
     row = dict(spec=str(spec), kp=p.k_plus, km=p.k_minus, t=p.t, anchor="splitting-test")
     row["splitting"] = lattice.check_partial_splitting(spec, p, args.cap)
     status = 0
@@ -380,14 +386,14 @@ def _given_delta(delta, distance: int) -> int:
 
 
 def _trials(args, report: Report, plan, code, x, N: int, reads: str):
-    """Yield (weights, sizes, hits, share) for each stack of N-read sets
+    """Yield (weights, sizes, hits, share) for each block of N-read sets
     around x at ``plan``'s point: how many read sets each set stands for,
     the ``channel.score_sets`` of its ``ReadPlan.decode`` rows, and each
     set's equal share of the elapsed ns (0 unless --timings is given).
     Exhaustive reads under a ``ReadPlan.minimum_only`` plan come from
     ``channel.minimum_sets``, one set per distinct minimum weighted by its
-    count of read sets; all other stacks come from ``channel.read_sets``,
-    each set weighing 1.  Both check each stack as they build it, so it is
+    count of read sets; all other blocks come from ``channel.read_blocks``,
+    each set weighing 1.  Both check each block as they build it, so it is
     decoded as it comes.  When N distinct reads cannot come from the ball,
     note the point as skipped and yield nothing."""
     p = plan.p
@@ -396,17 +402,17 @@ def _trials(args, report: Report, plan, code, x, N: int, reads: str):
         report.note(_skip_note(*astuple(p), f"N={N} exceeds ball size {size}"))
         return
     if reads == "exhaustive" and plan.minimum_only:
-        stacks = channel.minimum_sets(x, p, N, args.cap)
+        blocks = channel.minimum_sets(x, p, N, args.cap)
     else:
-        stacks = (
-            (stack, np.ones(len(stack), dtype=np.int64))
-            for stack in channel.read_sets(x, p, N, reads, args.trials, args.seed, args.cap)
+        blocks = (
+            (block, np.ones(len(block), dtype=np.int64))
+            for block in channel.read_blocks(x, p, N, reads, args.trials, args.seed, args.cap)
         )
     start = time.monotonic_ns()
-    for stack, weights in stacks:
-        decoded = plan.decode(stack, code, args.cap)
-        share = (time.monotonic_ns() - start) // len(stack) if args.timings else 0
-        yield (weights, *channel.score_sets(decoded, len(stack), x), share)
+    for block, weights in blocks:
+        decoded = plan.decode(block, code, args.cap)
+        share = (time.monotonic_ns() - start) // len(block) if args.timings else 0
+        yield (weights, *channel.score_sets(decoded, len(block), x), share)
         start = time.monotonic_ns()
 
 
@@ -528,8 +534,13 @@ def cmd_tandem(args) -> int:
     return 1 if sets > successes else 0
 
 
+def integer(text: str) -> int:
+    """An integer flag's value (``parse_int``)."""
+    return parse_int(text, "integer")
+
+
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -545,9 +556,9 @@ FLAGS = {
     "out": dict(help="write the report to this file"),
     "oracle": dict(action="store_true", help="run brute-force cross-checks"),
     "explain": dict(action="store_true", help="show formula anchors"),
-    "cap": dict(type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap"),
+    "cap": dict(type=integer, default=DEFAULT_ENUM_CAP, help="enumeration cap"),
     "code": dict(required=True),
-    "seed": dict(type=int, default=0,
+    "seed": dict(type=integer, default=0,
                  help="seed in [0, 2**64) of the one Philox generator all random read "
                  "sets are drawn from; trial i depends only on it, the ball, N and i "
                  "(used by --reads random only)"),

@@ -17,7 +17,10 @@ ball is one read-only int64 matrix with rows in lexicographic order
 (``ball_matrix(p)``), built by the one enumerator ``_lex_rows`` (which also
 builds the tandem module's upward balls) and kept in an LRU cache keyed by
 p, that is by (n, t, k+, k-), that charges each ball its ``nbytes`` against
-``BALL_CACHE_BYTES``.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of
+``BALL_CACHE_BYTES``.  ``ball_one_hot(p)`` is the ball's one-hot float32
+matrix, by which an indicator of sets of ball rows counts each set's
+values; it is charged against ``core.BLOCK_BYTES`` and kept for the latest
+few channels.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of
 it, made on every call, for the oracles; it keeps separate arguments
 because ``perfbench/tracing.py`` reads them by position.  ``minimum_counts``
 counts, per row z of a k- = 0 ball, the N-subsets of the ball whose
@@ -25,11 +28,13 @@ componentwise minimum is z, by Möbius inversion rather than by enumerating
 the subsets.  ``max_intersection_of_code`` counts one intersection per
 ``distances.difference_classes`` row.
 
-All arithmetic is exact integer arithmetic.
+All arithmetic is exact integer arithmetic (the one-hot matrix holds 0 and
+1, whose float32 sums are exact below 2**24).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -38,6 +43,7 @@ from itertools import accumulate, product
 
 import numpy as np
 
+from magrec import core
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
@@ -140,6 +146,35 @@ def ball_matrix(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
             while used > BALL_CACHE_BYTES:
                 used -= _ball_cache.popitem(last=False)[1].nbytes
     return matrix
+
+
+def ball_one_hot(p: ChannelParams) -> np.ndarray | None:
+    """The one-hot matrix H of the ball of p: a read-only (|B|, n (k+ + k-
+    + 1)) float32 0/1 matrix whose row r has its 1 of coordinate i in
+    column i (k+ + k- + 1) + e_i + k-, e being row r of ``ball_matrix(p)``.
+    An (S, |B|) indicator of sets of ball rows times H counts each set's
+    rows by coordinate and value.  H is charged against ``core.BLOCK_BYTES``:
+    None when it is larger.  Either answer is kept for the latest
+    ``_ONE_HOT_KEPT`` pairs of channel and budget."""
+    return _one_hot(p, core.BLOCK_BYTES)
+
+
+#: How many answers ``ball_one_hot`` keeps, each matrix within its
+#: ``core.BLOCK_BYTES``.
+_ONE_HOT_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_ONE_HOT_KEPT)
+def _one_hot(p: ChannelParams, budget: int) -> np.ndarray | None:
+    q = p.magnitude_span + 1
+    if 4 * ball_size(p) * p.n * q > budget:
+        return None
+    ball = ball_matrix(p)
+    hot = np.zeros((len(ball), p.n, q), dtype=np.float32)
+    np.put_along_axis(hot, (ball + p.k_minus)[..., None], 1, axis=2)
+    hot = hot.reshape(len(ball), -1)
+    hot.flags.writeable = False
+    return hot
 
 
 def ball_vectors(

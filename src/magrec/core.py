@@ -14,13 +14,16 @@ The library's bounds live here.  Every loop whose work grows exponentially
 charges its count against an enumeration cap (``DEFAULT_ENUM_CAP`` unless
 given) with ``charge``, the one place that raises EnumerationCapExceeded,
 before it builds what it counts.  Every block of rows a loop builds at
-once (read stacks, random keys, erasure-fill candidates, member chunks)
-holds ``rows_per_block(row_bytes)`` rows, at most ``BLOCK_BYTES`` of them,
-or one row when a row alone exceeds it.
+once (read stacks and indicators, random keys, erasure-fill candidates,
+member chunks) holds ``rows_per_block(row_bytes)`` rows, at most
+``BLOCK_BYTES`` of them, or one row when a row alone exceeds it.  Integers
+are read from text by ``parse_int`` alone: ASCII decimal digits with an
+optional sign.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -126,12 +129,22 @@ def distinct_rows(M: np.ndarray) -> np.ndarray:
     return M[np.unique(_row_keys(M), return_index=True)[1]]
 
 
+#: An integer as the CLI and the code files write it: ASCII decimal digits
+#: with an optional sign.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_int(text: str, where: str) -> int:
-    """``int(text)``; a malformed integer is a ValueError naming ``where``."""
+    """The integer ``text`` writes in ASCII decimal digits, with an optional
+    sign and the surrounding whitespace that ``int`` allows; anything else,
+    such as ``1_0`` or a non-ASCII digit, is a ValueError naming
+    ``where``."""
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{where}: bad integer {text.strip()!r}") from None
+        if _DECIMAL.fullmatch(text.strip()):
+            return int(text)
+    except ValueError:  # past int's digit limit
+        pass
+    raise ValueError(f"{where}: bad integer {text.strip()!r}")
 
 
 def payload_lines(text: str, source: str) -> Iterator[tuple[str, str]]:

@@ -24,17 +24,25 @@ outside [0, f - 1], f = t - delta + 1 being the excess error count.
 ``ReadPlan`` (N, tau, anchor, decoder, list-size bound), and alone applies
 the one-read rule: past t each set's first read is decoded.
 
-Read sets are decoded in stacks: an (S, N, n) int64 array of S sets of N
-distinct reads, each set's rows in lexicographic order.  ``check_stack``
-checks a stack once; the minimum, the plurality vote, the anchors (each
-set's first read) and the cover check then run over all S sets at once,
-and ``ReadPlan.decode`` decodes a whole stack into its ``Decoded`` rows
-(set, codeword); a set owning no row failed, and x came back from a set
-exactly when (set, x) is a row.  Erasure filling builds the
-candidates of all sets of a stack as owner-tagged int64 blocks of
-``core.rows_per_block`` fills, and each block is decoded by one
-``Code.decode_rows`` call, a table lookup for lattice codes.  A ``ReadSet`` is a single (N, n)
-matrix, and the per-set procedures above decode it as a stack of one.
+Read sets are decoded in blocks (``ReadBlock``) of S sets of N distinct
+reads.  A block drawn from a ball holds each set as an indicator row over
+the shifted ball, and one count table, the indicators times the ball's
+one-hot matrix, gives every vote, range and minimum; any other block holds
+a stack, an (S, N, n) int64 array, each set's rows in lexicographic order,
+which ``check_stack`` checks once.  The minimum, the plurality vote, the
+anchors (each set's first read) and the cover check run over all S sets
+at once, and ``ReadPlan.decode`` decodes a whole block into its
+``Decoded`` rows (set, codeword); a set owning no row failed, and x came
+back from a set exactly when (set, x) is a row.  A block of at least
+``_CLASS_MIN`` sets decodes each distinct decoder input once (``_classes``):
+each distinct minimum, or, for the majority family, each distinct triple
+of kept values, erased coordinates and anchor values on them, and fans
+the result out to its sets (``_fan_out``); the majority cover test stays
+per set.  Erasure filling builds the candidates of all inputs of a block
+as owner-tagged int64 blocks of ``core.rows_per_block`` fills, and each
+block is decoded by one ``Code.decode_rows`` call, a table lookup for
+lattice codes.  A ``ReadSet`` is a single (N, n) matrix, and the per-set
+procedures above decode it as a block of one.
 
 The vote compares twice a count minus N, an integer in [-N, N], with the
 threshold tau as the int64 test 2c - N > floor(tau), floor(tau) clamped to
@@ -98,6 +106,69 @@ def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
     return stack
 
 
+class ReadBlock:
+    """S sets of N distinct reads each, as the decoders take them.
+
+    A block drawn from a ball (``channel.read_blocks``) holds ``ind``, an
+    (S, |B|) float32 0/1 indicator of each set's rows in ``ball``, the
+    shifted ball x + B(n, t, k+, k-) in lexicographic order, and ``hot``,
+    the ball's one-hot matrix (``combinatorics.ball_one_hot``).  Its count
+    table ``ind @ hot`` counts, per set, coordinate and error value, the
+    set's reads with that value there: its bin j of coordinate i stands for
+    the value ``base[i] + j``, base = x - k-.  Votes, ranges and minima are
+    read off that one table, exactly (float32 sums of 0/1 products below
+    2**24), each set's anchor (its first read) is its first indicated row,
+    and the (S, N, n) ``stack`` is gathered only when asked for.  Any other
+    block holds a checked stack and reads all of these off it."""
+
+    __slots__ = ("p", "N", "ball", "base", "ind", "hot", "_stack")
+
+    def __init__(self, p: ChannelParams, stack: Optional[np.ndarray] = None, *, drawn=None) -> None:
+        """A block of a checked stack, or, with ``drawn`` = (N, ball, base,
+        ind, hot), a block drawn from a ball."""
+        self.p, self._stack = p, stack
+        if drawn is None:
+            self.N, self.ball, self.base, self.ind, self.hot = stack.shape[1], None, None, None, None
+        else:
+            self.N, self.ball, self.base, self.ind, self.hot = drawn
+
+    def __len__(self) -> int:
+        return len(self._stack if self.ind is None else self.ind)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The (S, N, n) read-only int64 stack of the sets."""
+        if self._stack is None:
+            rows = self.ind.nonzero()[1]  # row-major: each set's rows in order
+            stack = np.take(self.ball, rows, axis=0).reshape(len(self), self.N, self.p.n)
+            stack.flags.writeable = False
+            self._stack = stack
+        return self._stack
+
+    @property
+    def anchors(self) -> np.ndarray:
+        """Each set's first read, an (S, n) matrix."""
+        if self.ind is None:
+            return self._stack[:, 0]
+        return self.ball[self.ind.argmax(axis=1)]
+
+    def _table(self) -> np.ndarray:
+        return (self.ind @ self.hot).reshape(len(self), self.p.n, -1)
+
+    def votes(self, tau) -> tuple[np.ndarray, ...]:
+        """``majority_votes(stack, tau, ranges=True)`` of the block's stack."""
+        if self.ind is None:
+            return majority_votes(self._stack, tau, ranges=True)
+        return _table_votes(self._table(), self.base, self.N, tau)
+
+    @property
+    def minimum(self) -> np.ndarray:
+        """Each set's componentwise minimum, an (S, n) matrix."""
+        if self.ind is None:
+            return self._stack.min(axis=1)
+        return self.base + (self._table() != 0).argmax(axis=2)
+
+
 class ReadSet:
     """Distinct channel outputs assumed to come from one codeword's ball.
 
@@ -145,6 +216,11 @@ class ReadSet:
         """The reads as a stack of one."""
         return self.matrix[None]
 
+    @property
+    def block(self) -> ReadBlock:
+        """The reads as a block of one."""
+        return ReadBlock(self.params, self.stack)
+
 
 def _check_delta(p: ChannelParams, delta: int) -> None:
     if not 1 <= delta <= p.t:
@@ -190,17 +266,76 @@ def _rows(decoded: Decoded, failure: str = "") -> tuple[Vec, ...]:
     return words
 
 
+#: A block of fewer sets decodes each set's input as it is: finding the
+#: distinct inputs costs a block 20 to 40 us, more than it saves in a few
+#: sets (the exhaustive reads of sum-mod:3 at n = 3, t = 1, k+ = k- = 1, in
+#: blocks of 21 sets, decoded 10% slower by class).
+_CLASS_MIN = 32
+
+#: A drawn block's weight test marks the far ball rows of each (word, set)
+#: pair while the pairs span at most this many ball entries, about 25 us of
+#: work; past that it marks them once per distinct word, which costs about
+#: 25 us to find, and tests every pair with one product of the marks and the
+#: indicators.
+_PAIR_CELLS = 2**14
+
+
+def _classes(*parts: np.ndarray, fewest: Optional[int] = None) -> tuple:
+    """(first, inverse) of the rows of the matrices ``parts`` side by side:
+    the index of the first row of each distinct row, in the rows'
+    lexicographic order, and per row its class, the position of its row
+    among the first ones; by a stable sort of their ``_row_keys``.  Rows
+    that are all distinct, or fewer than ``fewest`` (by default
+    ``_CLASS_MIN``) of them, are each their own class: (slice(None),
+    None)."""
+    rows = len(parts[0])
+    if rows < (_CLASS_MIN if fewest is None else fewest):
+        return slice(None), None
+    keys = _row_keys(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    new = np.ones(rows, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if new.all():
+        return slice(None), None
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
+def _spread(classes: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, at) pairing each entry i of ``classes`` with the positions
+    starts[c] .. starts[c] + sizes[c] - 1 of its class c = classes[i]: row
+    repeats i, in order, and ``at`` runs over those positions."""
+    per = sizes[classes]
+    row = np.repeat(np.arange(len(classes)), per)
+    return row, np.arange(len(row)) + np.repeat(starts[classes] - (np.cumsum(per) - per), per)
+
+
+def _fan_out(decoded: Decoded, inverse: Optional[np.ndarray]) -> Decoded:
+    """The rows of a decode by class, each class's rows given to every set
+    of it: set s owns the rows of class inverse[s], in their order (class s
+    when ``inverse`` is None)."""
+    if inverse is None:
+        return decoded
+    owner, words = decoded
+    sizes = np.bincount(owner, minlength=int(inverse.max()) + 1)
+    sets, at = _spread(inverse, sizes, np.cumsum(sizes) - sizes)
+    return sets, words[at]
+
+
 def _decode_each(words: np.ndarray, code: Code, delta: int, p: ChannelParams, cap: int) -> Decoded:
     """Row i of ``words`` decoded within radius delta - 1, as the row
-    (i, codeword) when it decodes."""
-    C, found = code.decode_rows(words, delta - 1, p, cap)
-    return found.nonzero()[0], C[found]
+    (i, codeword) when it decodes; each distinct row is decoded once."""
+    first, inverse = _classes(words)
+    C, found = code.decode_rows(words[first], delta - 1, p, cap)
+    return _fan_out((found.nonzero()[0], C[found]), inverse)
 
 
-def _decode_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+def _decode_min(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
     """Per set: the componentwise minimum decoded within radius delta - 1."""
     _require_k_minus_zero(p)
-    return _decode_each(stack.min(axis=1), code, delta, p, cap)
+    return _decode_each(block.minimum, code, delta, p, cap)
 
 
 def reconstruct_min(Y: ReadSet, code: Code, delta: int, cap: int = DEFAULT_ENUM_CAP) -> Vec:
@@ -212,7 +347,7 @@ def reconstruct_min(Y: ReadSet, code: Code, delta: int, cap: int = DEFAULT_ENUM_
     ReconstructionError reports the violated precondition.
     """
     return _rows(
-        _decode_min(Y.stack, Y.params, None, code, delta, 0, cap),
+        _decode_min(Y.block, Y.params, None, code, delta, 0, cap),
         "decode failed: reads are not from a single codeword ball or too few",
     )[0]
 
@@ -234,6 +369,42 @@ def majority_threshold(p: ChannelParams, delta: int) -> tuple[int, Fraction]:
     return N, tau
 
 
+def _kept(counts: np.ndarray, N: int, tau) -> np.ndarray:
+    """Whether twice each count minus N exceeds tau."""
+    return 2 * counts - N > min(max(math.floor(tau), -N - 1), N)
+
+
+def _table_votes(bins: np.ndarray, base: np.ndarray, N: int, tau) -> tuple[np.ndarray, ...]:
+    """(best, keep, least, largest) of an (S, n, w) count table of sets of N
+    reads whose bin j of coordinate i counts the value base[..., i] + j: the
+    first largest bin holds the smallest most frequent value, and the first
+    and last nonzero bins the least and largest values."""
+    seen = bins != 0
+    return (
+        base + bins.argmax(axis=2),
+        _kept(bins.max(axis=2), N, tau),
+        base + seen.argmax(axis=2),
+        base + (bins.shape[2] - 1 - seen[..., ::-1].argmax(axis=2)),
+    )
+
+
+def _sorted_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
+    """(best, keep, least, largest) of a stack by sorting each column: a
+    value's count is the length of its run, the first longest run holds the
+    smallest most frequent value, and the column's ends its least and
+    largest values."""
+    N = stack.shape[1]
+    columns = np.sort(stack.transpose(0, 2, 1), axis=2)
+    pos = np.arange(N)
+    new_run = np.ones(columns.shape, dtype=bool)
+    np.not_equal(columns[..., 1:], columns[..., :-1], out=new_run[..., 1:])
+    run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=2)
+    end = run_length.argmax(axis=2)[..., None]
+    best = np.take_along_axis(columns, end, axis=2)[..., 0]
+    counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
+    return best, _kept(counts, N, tau), columns[..., 0], columns[..., -1]
+
+
 def majority_votes(stack: np.ndarray, tau, *, ranges: bool = False) -> tuple[np.ndarray, ...]:
     """Per set and coordinate, the most frequent value (ties broken toward
     the smallest) and whether it is kept: twice its count minus N exceeds
@@ -245,13 +416,10 @@ def majority_votes(stack: np.ndarray, tau, *, ranges: bool = False) -> tuple[np.
     offsets of the whole stack span at most N values, as they do for reads
     of one ball (at most 2(k+ + k-) + 1), one ``np.bincount`` over (set,
     coordinate, offset) counts every value, in a table no larger than the
-    stack: the first largest bin holds the smallest most frequent value,
-    and the first and last nonzero bins the least and largest values.  A
-    wider stack (a caller's own reads) sorts each column instead, and a
-    value's count is the length of its run; the first longest run holds
-    the smallest most frequent value, the column's ends its least and
-    largest values, and the work does not depend on how far apart the
-    values are.
+    stack (``_table_votes``).  A wider stack (a caller's own reads) sorts
+    each column instead (``_sorted_votes``), and the work does not depend
+    on how far apart the values are.  A block drawn from a ball votes off
+    its own count table (``ReadBlock.votes``).
     """
     S, N, n = stack.shape
     anchors = stack[:, :1]
@@ -261,25 +429,10 @@ def majority_votes(stack: np.ndarray, tau, *, ranges: bool = False) -> tuple[np.
     if width <= N:
         off += np.arange(S * n).reshape(S, 1, n) * width - lo  # the bin of each entry
         bins = np.bincount(off.ravel(), minlength=S * n * width).reshape(S, n, width)
-        base = anchors[:, 0] + lo
-        best = base + bins.argmax(axis=2)
-        counts = bins.max(axis=2)
-        if ranges:
-            seen = bins != 0
-            least = base + seen.argmax(axis=2)
-            largest = base + (width - 1 - seen[..., ::-1].argmax(axis=2))
+        votes = _table_votes(bins, anchors[:, 0] + lo, N, tau)
     else:
-        columns = np.sort(stack.transpose(0, 2, 1), axis=2)
-        pos = np.arange(N)
-        new_run = np.ones(columns.shape, dtype=bool)
-        np.not_equal(columns[..., 1:], columns[..., :-1], out=new_run[..., 1:])
-        run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=2)
-        end = run_length.argmax(axis=2)[..., None]
-        best = np.take_along_axis(columns, end, axis=2)[..., 0]
-        counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
-        least, largest = columns[..., 0], columns[..., -1]
-    keep = 2 * counts - N > min(max(math.floor(tau), -N - 1), N)
-    return (best, keep, least, largest) if ranges else (best, keep)
+        votes = _sorted_votes(stack, tau)
+    return votes if ranges else votes[:2]
 
 
 def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
@@ -331,34 +484,62 @@ def _candidates(
         yield owner.repeat(len(shifts)), (fills[:, None, :] - shifts).reshape(-1, p.n)
 
 
+def _errors(wrong: np.ndarray) -> np.ndarray:
+    """How many coordinates differ, per row of the boolean ``wrong`` along
+    its last axis; a uint8 count holds fewer than 256 of them."""
+    if wrong.shape[-1] < 256:
+        return np.einsum("...k->...", wrong.view(np.uint8))
+    return wrong.sum(axis=-1)
+
+
 def _cover_rows(
-    words: np.ndarray, owner: np.ndarray, stack: np.ndarray,
+    words: np.ndarray, owner: np.ndarray, block: ReadBlock,
     least: np.ndarray, largest: np.ndarray, p: ChannelParams,
 ) -> np.ndarray:
     """Per row i of the int64 matrix ``words``, whether every read of set
-    owner[i] of ``stack`` lies in words[i] + B(n, t, k+, k-), where least
+    owner[i] of ``block`` lies in words[i] + B(n, t, k+, k-), where least
     and largest are the (S, n) least and largest values of each set per
     coordinate.
 
     A ball covers a set exactly when the set's values lie in the box
     [c - k-, c + k+] in every coordinate and every read differs from c in
     at most t coordinates.  The box test compares the ranges, an (|words|,
-    n) test; only the rows that pass it gather their set's reads for the
-    weight test, in chunks of ``rows_per_block(8 N n)`` rows.  The
-    differences stay below 2**63 (entries are under 2**62), and NumPy
+    n) test; only the rows that pass it take the weight test.  A block
+    drawn from a ball marks the ball rows that differ from the row's word
+    in more than t coordinates, and a row passes when its set's indicator
+    meets none of them: per row up to ``_PAIR_CELLS`` cells, and otherwise
+    once per distinct word, in chunks of words, with one product of the
+    marks and the indicators testing every row.  Any other block gathers
+    each row's set of reads, in chunks of ``rows_per_block(8 N n)`` rows.
+    The differences stay below 2**63 (entries are under 2**62), and NumPy
     compares them with k+ and k- exactly, however large."""
     check_entries(int(words.min()), int(words.max()))
     covered = ((largest[owner] - words <= p.k_plus)
                & (words - least[owner] <= p.k_minus)).all(axis=1)
     rows = covered.nonzero()[0]
-    chunk = rows_per_block(8 * stack[0].size)
-    for i in range(0, len(rows), chunk):
-        part = rows[i:i + chunk]
-        wrong = stack[owner[part]] != words[part, None, :]
-        # at most n < 256 coordinates of a read differ: a uint8 count holds them
-        errors = (np.einsum("ijk->ij", wrong.view(np.uint8)) if p.n < 256
-                  else wrong.sum(axis=2))
-        covered[part] = (errors <= p.t).all(axis=1)
+    if block.ind is None:
+        stack = block.stack
+        chunk = rows_per_block(8 * stack[0].size)
+        for i in range(0, len(rows), chunk):
+            part = rows[i:i + chunk]
+            covered[part] = (_errors(stack[owner[part]] != words[part, None, :]) <= p.t).all(axis=1)
+        return covered
+    ball = block.ball
+    if len(rows) * ball.size <= _PAIR_CELLS:
+        far = _errors(ball != words[rows, None, :]) > p.t
+        covered[rows] = ~np.logical_and(far, block.ind[owner[rows]]).any(axis=1)
+        return covered
+    first, word = _classes(words[rows], fewest=0)
+    tested = words[rows][first]
+    if word is None:
+        word = np.arange(len(rows))
+    # (chunk, |B|) marks by the (|B|, S) indicators: a (chunk, S) product
+    chunk = rows_per_block(max(ball.size, 4 * (len(ball) + len(block))))
+    for i in range(0, len(tested), chunk):
+        far = _errors(ball != tested[i:i + chunk, None, :]) > p.t
+        met = far.astype(np.float32) @ block.ind.T
+        part = (word >= i) & (word < i + chunk)
+        covered[rows[part]] = met[word[part] - i, owner[rows[part]]] == 0
     return covered
 
 
@@ -366,7 +547,7 @@ def _covering(words, stack: np.ndarray, p: ChannelParams) -> np.ndarray:
     """Per set i, whether every read of stack[i] lies in
     words[i] + B(n, t, k+, k-); ``words`` is a matrix or a list of vectors."""
     words = np.asarray(words)
-    return _cover_rows(words, np.arange(len(words)), stack,
+    return _cover_rows(words, np.arange(len(words)), ReadBlock(p, stack),
                        stack.min(axis=1), stack.max(axis=1), p)
 
 
@@ -375,32 +556,55 @@ def _covers(c: Vec, Y: ReadSet) -> bool:
     return bool(_covering([c], Y.stack, Y.params)[0])
 
 
-def _decode_majority(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+def _fill_classes(block: ReadBlock, tau) -> tuple:
+    """(first, inverse, best, erased, anchors, least, largest) of a block's
+    sets: their votes, ranges and anchors, and their classes (``_classes``)
+    by erasure-fill input, since sets with equal kept values, erased
+    coordinates and anchor values there have equal fills."""
+    best, keep, least, largest = block.votes(tau)
+    anchors = block.anchors
+    first, inverse = _classes(np.where(keep, best, anchors), keep)
+    return first, inverse, best, ~keep, anchors, least, largest
+
+
+def _decode_majority(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
+                     cap: int):
     """Per set: majority estimate, erasure filling, unique decode, and the
     first decoded candidate, in fill order, whose ball covers every read of
-    the set.  Each block of candidates is decoded at once, and its decoded
-    candidates of sets still open are cover-tested at once by
-    ``_cover_rows``, against the least and largest values per coordinate
-    that the vote's table already holds; each set closes on its first
-    covering row."""
+    the set.  The fills are built and decoded once per class of equal fill
+    input (``_fill_classes``); each block of them is decoded at once, and
+    its decoded candidates are cover-tested at once by ``_cover_rows``
+    against every set of their class still open, with the least and largest
+    values per coordinate that the vote's table already holds; each set
+    closes on its first covering row."""
     _require_k_minus_positive(p, "majority")
-    best, keep, least, largest = majority_votes(stack, tau, ranges=True)
+    first, inverse, best, erased, anchors, least, largest = _fill_classes(block, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
-    chosen = np.zeros((len(stack), p.n), dtype=np.int64)
-    is_open = np.ones(len(stack), dtype=bool)
-    for owner, rows in _candidates(best, ~keep, stack[:, 0], zero, p, cap):
+    chosen = np.zeros((len(block), p.n), dtype=np.int64)
+    is_open = np.ones(len(block), dtype=bool)
+    for owner, rows in _candidates(best[first], erased[first], anchors[first], zero, p, cap):
         C, found = code.decode_rows(rows, delta - 1, p, cap)
-        found &= is_open[owner]
+        if inverse is None:
+            found &= is_open[owner]
         if not found.any():
             continue
-        owner, C = owner[found], C[found]
-        covered = _cover_rows(C, owner, stack, least, largest, p)
-        owner, C = owner[covered], C[covered]
-        # owner is sorted: a set's first covering row starts its run
-        first = np.ones(len(owner), dtype=bool)
-        np.not_equal(owner[1:], owner[:-1], out=first[1:])
-        chosen[owner[first]] = C[first]
-        is_open[owner] = False
+        # each open set paired with the decoded rows of its class, in set
+        # order and then in fill order
+        sets, words = owner[found], C[found]
+        if inverse is not None:
+            sizes = np.bincount(sets, minlength=len(first))
+            open_sets = is_open.nonzero()[0]
+            pick, row = _spread(inverse[open_sets], sizes, np.cumsum(sizes) - sizes)
+            if not len(pick):  # every set of these rows' classes has closed
+                continue
+            sets, words = open_sets[pick], words[row]
+        covered = _cover_rows(words, sets, block, least, largest, p)
+        sets, words = sets[covered], words[covered]
+        # a set's first covering row starts its run
+        head = np.ones(len(sets), dtype=bool)
+        np.not_equal(sets[1:], sets[:-1], out=head[1:])
+        chosen[sets[head]] = words[head]
+        is_open[sets] = False
     closed = (~is_open).nonzero()[0]
     return closed, chosen[closed]
 
@@ -416,7 +620,7 @@ def reconstruct_majority(
     candidate loop returns the first passing one, which is then unique.
     """
     return _rows(
-        _decode_majority(Y.stack, Y.params, tau, code, delta, 0, cap),
+        _decode_majority(Y.block, Y.params, tau, code, delta, 0, cap),
         "no candidate covers the reads: reads are not from a single codeword ball",
     )[0]
 
@@ -452,13 +656,17 @@ def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) ->
     return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
-def _decode_list_min(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
-    """Per set: decode every vector of z - B(n, a, k+, 0), z the minimum."""
+def _decode_list_min(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
+                     cap: int):
+    """Per set: decode every vector of z - B(n, a, k+, 0), z the minimum,
+    once per distinct minimum."""
     _require_k_minus_zero(p)
     shifts = ball_matrix(ChannelParams(p.n, a, p.k_plus, 0), cap)
-    z = stack.min(axis=1)
+    z = block.minimum
+    first, inverse = _classes(z)
+    z = z[first]
     blocks = _candidates(z, np.zeros(z.shape, dtype=bool), z, shifts, p, cap)
-    return _decode_lists(blocks, code, delta, p, cap)
+    return _fan_out(_decode_lists(blocks, code, delta, p, cap), inverse)
 
 
 def list_reconstruct_min(
@@ -470,7 +678,7 @@ def list_reconstruct_min(
 
     Decode failures are dropped; the list is returned sorted.
     """
-    return _rows(_decode_list_min(Y.stack, Y.params, None, code, delta, a, cap))
+    return _rows(_decode_list_min(Y.block, Y.params, None, code, delta, a, cap))
 
 
 def list_params_general(p: ChannelParams, delta: int, a: int) -> tuple[int, Fraction]:
@@ -491,15 +699,16 @@ def list_params_general(p: ChannelParams, delta: int, a: int) -> tuple[int, Frac
 
 
 def _decode_list_majority(
-    stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int
+    block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int
 ):
     """Per set: majority estimate, erasure filling, then decode every vector
-    of candidate - B(n, a, k+, k-)."""
+    of candidate - B(n, a, k+, k-), once per class of equal fill input
+    (``_fill_classes``)."""
     _require_k_minus_positive(p, "majority list")
-    best, keep = majority_votes(stack, tau)
+    first, inverse, best, erased, anchors, _, _ = _fill_classes(block, tau)
     shifts = ball_matrix(ChannelParams(p.n, a, p.k_plus, p.k_minus), cap)
-    blocks = _candidates(best, ~keep, stack[:, 0], shifts, p, cap)
-    return _decode_lists(blocks, code, delta, p, cap)
+    blocks = _candidates(best[first], erased[first], anchors[first], shifts, p, cap)
+    return _fan_out(_decode_lists(blocks, code, delta, p, cap), inverse)
 
 
 def list_reconstruct_majority(
@@ -513,7 +722,7 @@ def list_reconstruct_majority(
     the list, and the list size is at most
     (k+ + k- + 1)^(2 t (delta + a)) * V(n, a).
     """
-    return _rows(_decode_list_majority(Y.stack, Y.params, tau, code, delta, a, cap))
+    return _rows(_decode_list_majority(Y.block, Y.params, tau, code, delta, a, cap))
 
 
 def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
@@ -578,13 +787,15 @@ def _sauer_list(M: np.ndarray, p: ChannelParams, delta: int, a: int, cap: int) -
     return _sauer_candidates(M, p, U, f, cap)
 
 
-def _decode_sauer(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
+def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
+                  cap: int):
     """Per set: the Sauer list, empty where the coordinate search fails.
     The search is combinatorial per set, so each set's candidates are built
-    alone, as one block of one ``_decode_lists`` pass over the stack."""
+    alone, from its matrix in the block's stack, as one block of one
+    ``_decode_lists`` pass over the block."""
 
     def blocks():
-        for s, M in enumerate(stack):
+        for s, M in enumerate(block.stack):
             try:
                 rows = _sauer_list(M, p, delta, a, cap)
             except ReconstructionError:
@@ -693,9 +904,9 @@ def adversarial_instance(p: ChannelParams, e: int, a: int) -> tuple[ReadSet, tup
 class Algorithm:
     """An entry of ``ALGORITHMS``: ``reads(p, delta, a)`` is the (N, tau) of
     the formula ``anchor`` names (tau None outside the majority family), and
-    raises ValueError on a channel the algorithm cannot handle; ``decode(stack,
+    raises ValueError on a channel the algorithm cannot handle; ``decode(block,
     p, tau, code, delta, a, cap)`` gives at most ``list_size_bound(p, delta,
-    a)`` rows per set of a checked stack; ``minimum_only`` marks a ``decode``
+    a)`` rows per set of a ``ReadBlock``; ``minimum_only`` marks a ``decode``
     that reads only each set's componentwise minimum."""
 
     reads: Callable[[ChannelParams, int, int], tuple[int, Optional[Fraction]]]
@@ -720,13 +931,14 @@ class ReadPlan(NamedTuple):
     bound: int
     minimum_only: bool
 
-    def decode(self, stack: np.ndarray, code: Code, cap: int = DEFAULT_ENUM_CAP) -> Decoded:
-        """The ``Decoded`` rows of a checked stack, ``cap`` bounding each enumeration."""
-        return self.decoder(stack, self.p, self.tau, code, self.delta, self.a, cap)
+    def decode(self, block: ReadBlock, code: Code, cap: int = DEFAULT_ENUM_CAP) -> Decoded:
+        """The ``Decoded`` rows of a block, ``cap`` bounding each enumeration."""
+        return self.decoder(block, self.p, self.tau, code, self.delta, self.a, cap)
 
 
-def _decode_one_read(stack, p: ChannelParams, tau, code: Code, delta: int, a: int, cap: int):
-    return _decode_each(stack[:, 0], code, delta, p, cap)
+def _decode_one_read(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
+                     cap: int):
+    return _decode_each(block.anchors, code, delta, p, cap)
 
 
 def read_plan(name: str, p: ChannelParams, delta: int, a: int = 0) -> ReadPlan:

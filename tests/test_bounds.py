@@ -12,10 +12,10 @@ import pytest
 
 from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, LatticeCode, core
 from magrec import lattice, reconstruction
-from magrec.channel import minimum_sets, read_sets
+from magrec.channel import minimum_sets, read_blocks, read_sets
 from magrec.combinatorics import ball_matrix
 from magrec.lattice import parse_splitter_spec
-from magrec.reconstruction import ALGORITHMS, sauer_shelah_find
+from magrec.reconstruction import ALGORITHMS, ReadBlock, sauer_shelah_find
 from magrec.tandem import (
     SimplexCode,
     _excess_shell,
@@ -53,21 +53,29 @@ class _Members(np.ndarray):
 def test_one_budget_bounds_every_kind_of_block(budget, monkeypatch):
     monkeypatch.setattr(core, "BLOCK_BYTES", budget)
 
-    # stacks: 8 N n bytes a set
+    # random blocks: 8 N n bytes a set, or 4 |B| for its indicator row over
+    # the ball when larger (|B| = 73 here), and so are their stacks; a set
+    # is drawn as an indicator only when the ball's one-hot matrix, 4 |B|
+    # n (k+ + k- + 1) bytes, fits in the budget too
+    blocks = list(read_blocks((0,) * 6, P, 4, "random", 200, seed=3))
+    assert len(blocks) > 1 and sum(map(len, blocks)) == 200
+    assert all((b.ind is not None) == (4 * 73 * 6 * 3 <= budget) for b in blocks)
+    assert all(b.ind is None or b.ind.nbytes <= budget or len(b) == 1 for b in blocks)
     stacks = list(read_sets((0,) * 6, P, 4, "random", 200, seed=3))
-    assert len(stacks) > 1 and sum(map(len, stacks)) == 200
+    assert [len(s) for s in stacks] == [len(b) for b in blocks]
     assert all(s.nbytes <= budget or len(s) == 1 for s in stacks)
 
-    # minimum stacks: 8 n bytes a one-read set, one per distinct minimum
+    # minimum blocks: 8 n bytes a one-read set, one per distinct minimum
     minima = list(minimum_sets((0,) * 6, ChannelParams(6, 2, 1, 0), 3))
     assert sum(int(counts.sum()) for _, counts in minima) == math.comb(22, 3)
-    assert all(s.shape[1] == 1 and (s.nbytes <= budget or len(s) == 1) for s, _ in minima)
+    assert all(b.N == 1 and (b.stack.nbytes <= budget or len(b) == 1) for b, _ in minima)
 
     # erasure-fill candidates: 32 (|shifts| n + 2 n) bytes a fill
     blocks = []
     monkeypatch.setattr(reconstruction, "_candidates", recording_candidates(blocks))
     code = LatticeCode(parse_splitter_spec(SPEC))
-    ALGORITHMS["majority"].decode(np.concatenate(stacks)[:2], P, ERASE_ALL, code, 1, 0, 10**7)
+    two = ReadBlock(P, np.concatenate(stacks)[:2])
+    ALGORITHMS["majority"].decode(two, P, ERASE_ALL, code, 1, 0, 10**7)
     fills = [(len(rows) // shifts, 32 * (shifts + 2) * P.n) for shifts, _, rows in blocks]
     assert len(fills) > 1 and sum(count for count, _ in fills) == 2 * 3**6
     assert all(count * charge <= budget or count == 1 for count, charge in fills)
@@ -108,7 +116,7 @@ def test_one_budget_bounds_every_kind_of_block(budget, monkeypatch):
 def _erasure_fills(cap):
     (stack,) = read_sets((0,) * 6, P, 4, "random", 2, seed=3)
     code = LatticeCode(parse_splitter_spec(SPEC))
-    return ALGORITHMS["majority"].decode(stack, P, ERASE_ALL, code, 1, 0, cap)
+    return ALGORITHMS["majority"].decode(ReadBlock(P, stack), P, ERASE_ALL, code, 1, 0, cap)
 
 
 #: name -> (count, what the count counts, the enumeration at a cap)

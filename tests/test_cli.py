@@ -969,6 +969,51 @@ def test_malformed_code_integer_is_one_error_line_naming_its_source(
     assert captured.err == f"error: {where.replace('FILE', str(f))}\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("ball --n 1_0 --t 3 --kp 1", "error: --n: bad grid value '1_0'"),
+    ("ball --n 10 --t \u0663 --kp 1", "error: --t: bad grid value '\u0663'"),
+    ("ball --n 3 --t 1 --kp 1:\u00b2", "error: --kp: bad grid value '1:\u00b2'"),
+    ("distance --x 1_0,2 --y 1,2 --kp 1", "error: --x: bad vector '1_0,2'"),
+    ("reconstruct --alg min --code sum-mod:2 --n 4 --t 1 --kp 1 --trials 1_0",
+     "invalid positive_int value: '1_0'"),
+    ("reconstruct --alg min --code sum-mod:2 --n 4 --t 1 --kp 1 --seed 1_0",
+     "invalid integer value: '1_0'"),
+    ("ball --n 3 --t 1 --kp 1 --cap \u0661\u0660\u0660", "invalid integer value"),
+    ("check-splitting --code splitter:group=Z7;s=[1_0] --t 1 --kp 1",
+     "error: --code: bad integer '1_0'"),
+])
+def test_integers_are_ascii_decimal(argv, line, capsys):
+    # int() would read each of these as a number: 1_0 as 10, an Arabic-Indic
+    # three as 3
+    with contextlib.suppress(SystemExit):
+        assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert line in captured.err
+
+
+def test_decimal_integers_keep_their_sign_and_spaces(capsys):
+    assert [cli.parse_int(text, "x") for text in ("7", " +7\t", "-0007", " -3 ")] == [7, 7, -7, -3]
+    for text in ("", "+", "1_0", "\u0663", "1.0", "0x1", "1 2", "9" * 5000):
+        with pytest.raises(ValueError, match="x: bad integer"):
+            cli.parse_int(text, "x")
+    code, out = run_cli(capsys, "ball", "--n", " 3 ", "--t", "+1", "--kp", "1", "--cap", " 10")
+    assert code == 0 and out.splitlines()[1].split()[:5] == ["3", "1", "1", "0", "4"]
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--t", "0", "--kp", "1"], "error: t must be >= 1"),
+    (["--t", "1", "--kp", "1", "--km", "2"], "error: need k_plus >= k_minus >= 0, got (1, 2)"),
+    (["--t", "1:2", "--kp", "1"], "error: --t takes one value here, got 1:2"),
+])
+def test_check_splitting_checks_its_flags_before_building_the_code(flags, line, monkeypatch,
+                                                                    capsys):
+    monkeypatch.setattr(cli, "parse_code_spec", mock.Mock(side_effect=AssertionError))
+    assert main(["check-splitting", "--code", "sum-mod:3", "--n", "3000000", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     from test_cli_golden import CASES
 

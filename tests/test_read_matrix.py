@@ -34,6 +34,7 @@ from magrec.core import ENTRY_LIMIT
 from magrec.lattice import LatticeCode, parse_splitter_spec, syndrome
 from magrec.reconstruction import (
     ALGORITHMS,
+    ReadBlock,
     ReadSet,
     _cover_rows,
     _covering,
@@ -379,7 +380,10 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
             if comb(len(ball), count) <= 500 else None
         )
 
-    sizes = [per_stack] * (trials // per_stack) + [trials % per_stack] * (trials % per_stack > 0)
+    # a dense draw's set is also charged its float32 indicator row over the ball
+    row_bytes = 8 * count * p.n if slack < 0 else max(8 * count * p.n, 4 * len(ball))
+    per_block = max(1, per_stack * 8 * count * p.n // row_bytes)
+    sizes = [per_block] * (trials // per_block) + [trials % per_block] * (trials % per_block > 0)
     for got in (random_stacks, sampled):
         assert [len(s) for s in got] == sizes
         for s in got:
@@ -508,10 +512,10 @@ def test_raw_keys_replay_the_float_keys(size, N, seed, monkeypatch):
     trials, n = 40, 10
     monkeypatch.setattr(core, "BLOCK_BYTES", 8 * max(3 * N * n, 5 * size))
     blocks = list(channel._random_blocks(size, N, n, trials, rng_for(seed)))
-    assert len(blocks) > 1
+    assert len(blocks) > 1 and all(b.dtype == bool for b in blocks)
     keys = rng_for(seed).random((trials, size))
     want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :N], axis=1)
-    np.testing.assert_array_equal(np.sort(np.concatenate(blocks), axis=1), want)
+    np.testing.assert_array_equal(np.concatenate(blocks).nonzero()[1].reshape(trials, N), want)
 
 
 def _stacks_of_every_mode(x, p, N, seed):
@@ -524,7 +528,7 @@ def _stacks_of_every_mode(x, p, N, seed):
     if comb(ball_size(p), N) <= 500:
         stacks += channel.read_sets(x, p, N, "exhaustive")
         if p.k_minus == 0:
-            stacks += [stack for stack, _ in channel.minimum_sets(x, p, N)]
+            stacks += [block.stack for block, _ in channel.minimum_sets(x, p, N)]
     return stacks
 
 
@@ -681,7 +685,7 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
             blocks = []
             with mock.patch.object(core, "BLOCK_BYTES", budget), \
                     mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
-                got = ALGORITHMS[alg].decode(stack, p, tau, code, delta, a, 10**7)
+                got = ALGORITHMS[alg].decode(ReadBlock(p, stack), p, tau, code, delta, a, 10**7)
             assert per_set(got, len(stack)) == expected
             # a block is charged four int64 matrices of its rows' shape, and
             # only a block of a single fill may exceed the budget
@@ -694,7 +698,7 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
 def test_erasure_fills_past_the_cap_build_no_row():
     p = ChannelParams(6, 2, 1, 1)
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
-    (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 2, seed=3)
+    block = ReadBlock(p, next(channel.read_sets((0,) * 6, p, 4, "random", 2, seed=3)))
     tau = Fraction(10**6)  # every coordinate erased: 3**6 fills per set
     blocks = []
     with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
@@ -702,10 +706,10 @@ def test_erasure_fills_past_the_cap_build_no_row():
         for alg, a, worst in (("majority", 0, 3**6), ("list-majority", 1, 13 * 3**6)):
             decode = ALGORITHMS[alg].decode
             with pytest.raises(EnumerationCapExceeded):
-                decode(stack, p, tau, code, 1, a, worst - 1)
+                decode(block, p, tau, code, 1, a, worst - 1)
             assert blocks == []
-            decoded = decode(stack, p, tau, code, 1, a, worst)
-            assert all((0,) * 6 in out for out in per_set(decoded, len(stack)))
+            decoded = decode(block, p, tau, code, 1, a, worst)
+            assert all((0,) * 6 in out for out in per_set(decoded, len(block)))
             assert blocks
             blocks.clear()
 
@@ -717,12 +721,13 @@ def test_candidate_blocks_bound_the_decode_memory(monkeypatch):
     p = ChannelParams(6, 2, 1, 1)
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
     (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
+    block = ReadBlock(p, stack)
     tau = Fraction(10**6)
     decode = ALGORITHMS["list-majority"].decode
-    decode(stack, p, tau, code, 1, 1, 10**7)  # builds the cached balls and tables
+    decode(block, p, tau, code, 1, 1, 10**7)  # builds the cached balls and tables
     tracemalloc.start()
     try:
-        outputs = decode(stack, p, tau, code, 1, 1, 10**7)
+        outputs = decode(block, p, tau, code, 1, 1, 10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -739,11 +744,12 @@ def test_majority_blocks_bound_the_decode_memory(monkeypatch):
     (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
     tau = Fraction(10**6)
     assert not majority_votes(stack, tau)[1].any()
+    block = ReadBlock(p, stack)
     decode = ALGORITHMS["majority"].decode
-    decode(stack, p, tau, code, 1, 0, 10**7)  # builds the cached tables
+    decode(block, p, tau, code, 1, 0, 10**7)  # builds the cached tables
     tracemalloc.start()
     try:
-        owner, words = decode(stack, p, tau, code, 1, 0, 10**7)
+        owner, words = decode(block, p, tau, code, 1, 0, 10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -765,7 +771,8 @@ def test_majority_cover_tests_once_per_block():
         blocks = []
         with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
                 mock.patch.object(reconstruction, "_cover_rows", wraps=_cover_rows) as covering:
-            owner, words = ALGORITHMS["majority"].decode(stack, p, tau, code, 2, 0, 10**7)
+            owner, words = ALGORITHMS["majority"].decode(ReadBlock(p, stack), p, tau, code, 2, 0,
+                                                         10**7)
         chunk = core.rows_per_block(8 * stack[0].size)
         assert 1 <= covering.call_count <= sum(-(-len(rows) // chunk) for _, _, rows in blocks)
         # one kernel call per block of decoded candidates, which chunks inside it
@@ -862,7 +869,7 @@ def test_vote_table_ranges_and_the_range_cover_match_the_oracle(case, data):
         # each word against every set, through the decoder's kernel
         owner = np.repeat(np.arange(len(stack)), len(words))
         rows = np.array(words * len(stack), dtype=np.int64)
-        assert _cover_rows(rows, owner, stack, least, largest, p).tolist() == [
+        assert _cover_rows(rows, owner, ReadBlock(p, stack), least, largest, p).tolist() == [
             oracle_covers(w, sets[s], p.t, p.k_plus, p.k_minus)
             for s, w in zip(owner.tolist(), rows.tolist())
         ]
