@@ -285,13 +285,13 @@ def generate_reads(
     x: Vec, p: ChannelParams, N: int, reads: str = "random", seed: int = 0,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> reconstruction.ReadSet:
-    """One set of N distinct reads from the ball around x, the ``read_sets``
+    """One set of N distinct reads from the ball around x, the ``read_blocks``
     set of the same ``reads`` mode ("random" or "adversarial") and seed; a
     ball of more than ``cap`` vectors raises EnumerationCapExceeded."""
     if reads == "exhaustive":
         raise ValueError("generate_reads draws one read set; use exhaustive_read_sets")
-    (stack,) = read_sets(x, p, N, reads, 1, seed, cap)
-    return reconstruction.ReadSet(stack[0], p)
+    (block,) = read_blocks(x, p, N, reads, 1, seed, cap)
+    return reconstruction.ReadSet(block.stack[0], p)
 
 
 def exhaustive_read_sets(
@@ -299,8 +299,8 @@ def exhaustive_read_sets(
 ) -> Iterator[reconstruction.ReadSet]:
     """All C(|ball|, count) read sets, one by one, in lexicographic subset
     order; ``cap`` bounds both the subset count and the ball."""
-    for stack in read_sets(x, p, count, "exhaustive", cap=cap):
-        for matrix in stack:
+    for block in read_blocks(x, p, count, "exhaustive", cap=cap):
+        for matrix in block.stack:
             yield reconstruction.ReadSet(matrix, p)
 
 

@@ -148,26 +148,17 @@ def ball_matrix(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=16)
 def ball_one_hot(p: ChannelParams) -> np.ndarray | None:
     """The one-hot matrix H of the ball of p: a read-only (|B|, n (k+ + k-
     + 1)) float32 0/1 matrix whose row r has its 1 of coordinate i in
     column i (k+ + k- + 1) + e_i + k-, e being row r of ``ball_matrix(p)``.
     An (S, |B|) indicator of sets of ball rows times H counts each set's
-    rows by coordinate and value.  H is charged against ``core.BLOCK_BYTES``:
-    None when it is larger.  Either answer is kept for the latest
-    ``_ONE_HOT_KEPT`` pairs of channel and budget."""
-    return _one_hot(p, core.BLOCK_BYTES)
-
-
-#: How many answers ``ball_one_hot`` keeps, each matrix within its
-#: ``core.BLOCK_BYTES``.
-_ONE_HOT_KEPT = 16
-
-
-@functools.lru_cache(maxsize=_ONE_HOT_KEPT)
-def _one_hot(p: ChannelParams, budget: int) -> np.ndarray | None:
+    rows by coordinate and value.  H is charged against ``core.BLOCK_BYTES``
+    at the first call for p: None when it is larger.  Either answer is kept
+    for the latest 16 channels."""
     q = p.magnitude_span + 1
-    if 4 * ball_size(p) * p.n * q > budget:
+    if 4 * ball_size(p) * p.n * q > core.BLOCK_BYTES:
         return None
     ball = ball_matrix(p)
     hot = np.zeros((len(ball), p.n, q), dtype=np.float32)

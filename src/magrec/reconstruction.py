@@ -273,23 +273,23 @@ def _rows(decoded: Decoded, failure: str = "") -> tuple[Vec, ...]:
 _CLASS_MIN = 32
 
 #: A drawn block's weight test marks the far ball rows of each (word, set)
-#: pair while the pairs span at most this many ball entries, about 25 us of
-#: work; past that it marks them once per distinct word, which costs about
-#: 25 us to find, and tests every pair with one product of the marks and the
-#: indicators.
+#: pair while the pairs span at most this many ball entries, and otherwise
+#: marks them once per distinct word, found by a sort.  On a 2-CPU Xeon a
+#: block of 3 majority sets (72 to 1314 cells) takes about 44 us a call by
+#: pair and 97 us by word, and a block of 24 to 800 sets (278640 cells and
+#: more) 7 times as long by pair as by word.
 _PAIR_CELLS = 2**14
 
 
-def _classes(*parts: np.ndarray, fewest: Optional[int] = None) -> tuple:
+def _classes(*parts: np.ndarray) -> tuple:
     """(first, inverse) of the rows of the matrices ``parts`` side by side:
     the index of the first row of each distinct row, in the rows'
     lexicographic order, and per row its class, the position of its row
     among the first ones; by a stable sort of their ``_row_keys``.  Rows
-    that are all distinct, or fewer than ``fewest`` (by default
-    ``_CLASS_MIN``) of them, are each their own class: (slice(None),
-    None)."""
+    that are all distinct, or fewer than ``_CLASS_MIN`` of them, are each
+    their own class: (slice(None), None)."""
     rows = len(parts[0])
-    if rows < (_CLASS_MIN if fewest is None else fewest):
+    if rows < _CLASS_MIN:
         return slice(None), None
     keys = _row_keys(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
     order = keys.argsort(kind="stable")
@@ -529,10 +529,9 @@ def _cover_rows(
         far = _errors(ball != words[rows, None, :]) > p.t
         covered[rows] = ~np.logical_and(far, block.ind[owner[rows]]).any(axis=1)
         return covered
-    first, word = _classes(words[rows], fewest=0)
-    tested = words[rows][first]
-    if word is None:
-        word = np.arange(len(rows))
+    tested = words[rows]
+    _, first, word = np.unique(_row_keys(tested), return_index=True, return_inverse=True)
+    tested = tested[first]
     # (chunk, |B|) marks by the (|B|, S) indicators: a (chunk, S) product
     chunk = rows_per_block(max(ball.size, 4 * (len(ball) + len(block))))
     for i in range(0, len(tested), chunk):
@@ -567,6 +566,29 @@ def _fill_classes(block: ReadBlock, tau) -> tuple:
     return first, inverse, best, ~keep, anchors, least, largest
 
 
+def _class_pairs(
+    classes: np.ndarray, words: np.ndarray, inverse: np.ndarray, is_open: np.ndarray, n: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pieces (sets, words) of the pairs of each open set s with the rows
+    of ``words`` of its class, those r with classes[r] = inverse[s], in set
+    order and then in row order (``_spread``).  A piece holds the pairs of
+    the sets whose pairs start in one run of ``rows_per_block(32 n)``: a
+    pair is charged four int64 rows of length n (its word, and the bounds
+    and differences of the box test), and a piece has fewer than two runs
+    of pairs when no set has a run of rows."""
+    sizes = np.bincount(classes, minlength=len(inverse))  # classes <= sets
+    offsets = np.cumsum(sizes) - sizes
+    open_sets = is_open.nonzero()[0]
+    per = sizes[inverse[open_sets]]
+    starts = np.cumsum(per) - per
+    run = rows_per_block(32 * n)
+    cuts = np.searchsorted(starts, np.arange(run, int(per.sum()), run)).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(open_sets)]):
+        pick, row = _spread(inverse[open_sets[lo:hi]], sizes, offsets)
+        if len(pick):  # some set of these rows' classes is open
+            yield open_sets[lo:hi][pick], words[row]
+
+
 def _decode_majority(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
                      cap: int):
     """Per set: majority estimate, erasure filling, unique decode, and the
@@ -574,9 +596,10 @@ def _decode_majority(block: ReadBlock, p: ChannelParams, tau, code: Code, delta:
     the set.  The fills are built and decoded once per class of equal fill
     input (``_fill_classes``); each block of them is decoded at once, and
     its decoded candidates are cover-tested at once by ``_cover_rows``
-    against every set of their class still open, with the least and largest
-    values per coordinate that the vote's table already holds; each set
-    closes on its first covering row."""
+    against every set of their class still open (``_class_pairs``, in
+    pieces of whole sets), with the least and largest values per coordinate
+    that the vote's table already holds; each set closes on its first
+    covering row."""
     _require_k_minus_positive(p, "majority")
     first, inverse, best, erased, anchors, least, largest = _fill_classes(block, tau)
     zero = np.zeros((1, p.n), dtype=np.int64)
@@ -588,23 +611,17 @@ def _decode_majority(block: ReadBlock, p: ChannelParams, tau, code: Code, delta:
             found &= is_open[owner]
         if not found.any():
             continue
-        # each open set paired with the decoded rows of its class, in set
-        # order and then in fill order
-        sets, words = owner[found], C[found]
+        pieces = [(owner[found], C[found])]
         if inverse is not None:
-            sizes = np.bincount(sets, minlength=len(first))
-            open_sets = is_open.nonzero()[0]
-            pick, row = _spread(inverse[open_sets], sizes, np.cumsum(sizes) - sizes)
-            if not len(pick):  # every set of these rows' classes has closed
-                continue
-            sets, words = open_sets[pick], words[row]
-        covered = _cover_rows(words, sets, block, least, largest, p)
-        sets, words = sets[covered], words[covered]
-        # a set's first covering row starts its run
-        head = np.ones(len(sets), dtype=bool)
-        np.not_equal(sets[1:], sets[:-1], out=head[1:])
-        chosen[sets[head]] = words[head]
-        is_open[sets] = False
+            pieces = _class_pairs(owner[found], C[found], inverse, is_open, p.n)
+        for sets, words in pieces:
+            covered = _cover_rows(words, sets, block, least, largest, p)
+            sets, words = sets[covered], words[covered]
+            # a set's first covering row starts its run
+            head = np.ones(len(sets), dtype=bool)
+            np.not_equal(sets[1:], sets[:-1], out=head[1:])
+            chosen[sets[head]] = words[head]
+            is_open[sets] = False
     closed = (~is_open).nonzero()[0]
     return closed, chosen[closed]
 

@@ -1,6 +1,7 @@
 """Read blocks drawn from a ball: indicator rows, one count table, and each
 distinct decoder input decoded once."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -73,9 +74,11 @@ def test_block_decode_matches_the_gathered_stack_row_for_row(case, reads, data):
         plan = plan._replace(tau=Fraction(10**6))
     trials = data.draw(st.integers(1, 40))
     seed = data.draw(st.integers(0, 2**32))
-    # small class and cell bounds send small blocks down the class paths, and
-    # a small decode budget splits the erasure fills into many blocks, so
-    # that every set of a class can close before its class's last block
+    # small class and cell bounds send small blocks down the class path and
+    # the per-word cover test, and a small decode budget splits the erasure
+    # fills into many blocks, and their pairs of sets and decoded rows into
+    # many pieces, so that every set of a class can close before its
+    # class's last block
     fewest = data.draw(st.sampled_from([reconstruction._CLASS_MIN, 2]))
     cells = data.draw(st.sampled_from([reconstruction._PAIR_CELLS, 0]))
     budget = data.draw(st.sampled_from([core.BLOCK_BYTES, 2**10]))
@@ -172,3 +175,28 @@ def test_a_hundred_sets_with_one_minimum_decode_one_row():
         assert all(x in out for out in per_set((owner, words), 100))
         # list-min decodes x - e for the 5 rows e of B(4, 1, 1, 0), once
         assert rows == ([1] if name == "min" else [5])
+
+
+def test_class_pairs_bound_the_decode_memory():
+    # every coordinate erased, so a set's class is its anchor: about 110 of
+    # 2000 sets share the ball's first row, and at delta = 2 every fill of
+    # their class decodes, so each fill block pairs every one of them with
+    # each of its 1820 decoded rows, 9 MB as one (pairs, n) int64 matrix;
+    # so for the drawn block and for a block of its stack
+    p = ChannelParams(6, 2, 1, 1)
+    code = LatticeCode(SplitterSpec(cyclic(13), tuple((s,) for s in range(1, 7))))
+    tau = Fraction(10**6)
+    (drawn,) = read_blocks((0,) * 6, p, 4, "random", 2000, seed=3)
+    assert drawn.ind is not None and len(drawn) >= reconstruction._CLASS_MIN
+    assert np.bincount(drawn.ind.argmax(axis=1)).max() > 100
+    decode = ALGORITHMS["majority"].decode
+    for block in (drawn, ReadBlock(p, drawn.stack)):
+        decode(block, p, tau, code, 2, 0, 10**7)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            owner, words = decode(block, p, tau, code, 2, 0, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert owner.tolist() == list(range(2000))
+        assert peak < 4 * core.BLOCK_BYTES
