@@ -23,7 +23,6 @@ optional sign.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -129,22 +128,19 @@ def distinct_rows(M: np.ndarray) -> np.ndarray:
     return M[np.unique(_row_keys(M), return_index=True)[1]]
 
 
-#: An integer as the CLI and the code files write it: ASCII decimal digits
-#: with an optional sign.
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-
-
 def parse_int(text: str, where: str) -> int:
     """The integer ``text`` writes in ASCII decimal digits, with an optional
     sign and the surrounding whitespace that ``int`` allows; anything else,
     such as ``1_0`` or a non-ASCII digit, is a ValueError naming
     ``where``."""
-    try:
-        if _DECIMAL.fullmatch(text.strip()):
-            return int(text)
-    except ValueError:  # past int's digit limit
-        pass
-    raise ValueError(f"{where}: bad integer {text.strip()!r}")
+    number = text.strip()
+    digits = number[1:] if number[:1] in "+-" else number
+    if digits.isascii() and digits.isdigit():  # ASCII digits are 0-9 alone
+        try:
+            return int(number)
+        except ValueError:  # past int's digit limit
+            pass
+    raise ValueError(f"{where}: bad integer {number!r}")
 
 
 def payload_lines(text: str, source: str) -> Iterator[tuple[str, str]]:
