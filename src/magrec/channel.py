@@ -2,25 +2,24 @@
 
 Read sets come in blocks (``reconstruction.ReadBlock``) of S sets of N
 reads each, drawn from the cached matrix of the lexicographically ordered
-error ball (``ball_matrix``), shifted once by the transmitted word x and
-checked once per call (``reconstruction.check_stack``: its rows distinct
-and in order).  ``read_blocks`` hands them out, and ``read_sets`` the
-read-only (S, N, n) int64 stack of each.  A dense random draw (below) keeps
-each set as a row of a boolean indicator over the ball, marking N rows by
-construction; over a ball with a one-hot matrix
-(``combinatorics.ball_one_hot``) the block is that indicator, as float32,
-and the decoders read its sets off one count table without gathering a
-stack.  Every other set is a row of N indices into the ball: exhaustive and
-adversarial reads, a sparse random draw, and a dense one over a ball too
-large for its one-hot matrix.  Each index row, sorted, must strictly
-increase, and one gather of the block's rows from the shifted ball builds
-its stack; so every set's rows are distinct and in order, which is what
-``check_stack`` would prove of the stack at many times the cost.  The CLI
-decodes these blocks as built; ``decode_read_sets`` checks a stack from
-anywhere else.  A block holds ``core.rows_per_block`` sets, each charged
-its stack and, drawn as an indicator, its indicator row, so its memory
-stays bounded whatever N, n and the trial count.  x is a tuple, and x plus
-any error must stay below ``ENTRY_LIMIT`` in magnitude.
+error ball (``ball_matrix``, whose order is checked once, when it is
+enumerated), shifted once per call by the transmitted word x.
+``read_blocks`` hands them out, and ``read_sets`` the read-only (S, N, n)
+int64 stack of each.  Every block is built by the one trusted constructor
+``ReadBlock.of_ball``, from rows of the shifted ball: a dense random draw
+(below) keeps each set as a row of a boolean indicator over the ball,
+marking N rows by construction, and every other set is a row of N indices
+into the ball (exhaustive and adversarial reads, a sparse random draw).
+``of_ball`` keeps an indicator over a ball with a one-hot matrix as it is,
+and otherwise checks that each sorted index row strictly increases and
+gathers the block's stack; so every set's rows are distinct and in order,
+which is what ``core.check_stack`` would prove of the stack at many times
+the cost.  The CLI decodes these blocks as built; ``decode_read_sets``
+decodes a stack from anywhere else, which ``ReadBlock``'s constructor
+checks.  A block holds ``core.rows_per_block`` sets, each charged its
+stack and, drawn as an indicator, its indicator row, so its memory stays
+bounded whatever N, n and the trial count.  x is a tuple, and x plus any
+error must stay below ``ENTRY_LIMIT`` in magnitude.
 
 Every generator takes the channel as one ``ChannelParams`` p, and the read
 mode is one of the CLI's ``--reads`` words: "random", "adversarial"
@@ -81,7 +80,7 @@ from magrec.core import (
     check_entries,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, ball_one_hot, ball_size, minimum_counts
+from magrec.combinatorics import ball_matrix, ball_size, minimum_counts
 from magrec import reconstruction
 from magrec.reconstruction import ReadBlock
 
@@ -101,14 +100,15 @@ def rng_for(seed: int) -> np.random.Generator:
 
 def _ball_and_shift(
     x: Vec, p: ChannelParams, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ball matrix of p (at most ``cap`` rows) and x as an int64 row,
-    after checking that x plus any error stays within the int64-safe range."""
+) -> tuple[np.ndarray, ...]:
+    """The ball matrix of p (at most ``cap`` rows), the ball shifted by x,
+    and x as an int64 row, after checking that x plus any error stays
+    within the int64-safe range."""
     if len(x) != p.n:
         raise ValueError(f"x has length {len(x)}, the channel has n={p.n}")
     check_entries(min(x) - p.k_minus, max(x) + p.k_plus)
-    ball = ball_matrix(p, cap)
-    return ball, np.array(x, dtype=np.int64)
+    ball, shift = ball_matrix(p, cap), np.array(x, dtype=np.int64)
+    return ball, ball + shift, shift
 
 
 def _adversarial_order(ball: np.ndarray) -> np.ndarray:
@@ -181,39 +181,6 @@ def _random_blocks(
             ])
 
 
-def _blocks(
-    p: ChannelParams, ball: np.ndarray, shift: np.ndarray, N: int, sets: Iterable[np.ndarray]
-) -> Iterator[ReadBlock]:
-    """The ``ReadBlock`` of the read sets ``ball[row] + shift`` of each
-    block of ``sets``: (S, N) index rows or an (S, |ball|) boolean
-    indicator of N rows each (``_smallest``).  The ball is shifted once and
-    checked once (``reconstruction.check_stack``: rows distinct and in
-    order).
-
-    An indicator over a ball with a one-hot matrix
-    (``combinatorics.ball_one_hot``) becomes a block drawn from the ball,
-    as float32, and no stack is gathered.  Otherwise the index rows (an
-    indicator's, in order), sorted in place, must strictly increase, and
-    gather the block's stack by one ``np.take`` (about twice as fast as
-    fancy indexing).  Either way every set holds N distinct reads in order,
-    so the block's stack passes ``check_stack`` by construction; ValueError
-    otherwise."""
-    shifted = reconstruction.check_stack((ball + shift)[None], p)[0]
-    for rows in sets:
-        if rows.dtype == bool:
-            if (hot := ball_one_hot(p)) is not None:
-                drawn = (N, shifted, shift - p.k_minus, rows.astype(np.float32), hot)
-                yield ReadBlock(p, drawn=drawn)
-                continue
-            rows = rows.nonzero()[1].reshape(len(rows), N)
-        rows.sort(axis=1)
-        if not (rows[:, 1:] > rows[:, :-1]).all():
-            raise ValueError("reads must be distinct, and a matrix's rows sorted")
-        stack = np.take(shifted, rows, axis=0)
-        stack.flags.writeable = False
-        yield ReadBlock(p, stack)
-
-
 def read_blocks(
     x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
     cap: int = DEFAULT_ENUM_CAP,
@@ -238,7 +205,7 @@ def read_blocks(
         raise ValueError(
             f"reads must be random, adversarial or exhaustive, got {reads!r}"
         )
-    ball, shift = _ball_and_shift(x, p, cap)
+    ball, shifted, shift = _ball_and_shift(x, p, cap)
     size = len(ball)
     if reads == "exhaustive":
         sets = _row_blocks(combinations(range(size), N), N, p.n)
@@ -248,7 +215,8 @@ def read_blocks(
         sets = _random_blocks(size, N, p.n, trials, rng_for(seed))
     else:
         sets = _row_blocks((_adversarial_order(ball)[:N],), N, p.n)
-    yield from _blocks(p, ball, shift, N, sets)
+    for rows in sets:
+        yield ReadBlock.of_ball(p, shifted, shift, N, rows)
 
 
 def read_sets(
@@ -274,11 +242,10 @@ def minimum_sets(
     if N < 1:
         raise ValueError("read set must be nonempty")
     charge(math.comb(ball_size(p), N), "exhaustive read sets", cap)
-    ball, shift = _ball_and_shift(x, p, cap)
+    _, shifted, shift = _ball_and_shift(x, p, cap)
     counts = np.array(minimum_counts(p, N, cap), dtype=object)
-    sets = list(_row_blocks(counts.nonzero()[0][:, None], 1, p.n))
-    for idx, block in zip(sets, _blocks(p, ball, shift, 1, sets)):
-        yield block, counts[idx[:, 0]]
+    for rows in _row_blocks(counts.nonzero()[0][:, None], 1, p.n):
+        yield ReadBlock.of_ball(p, shifted, shift, 1, rows), counts[rows[:, 0]]
 
 
 def generate_reads(
@@ -341,12 +308,11 @@ def decode_read_sets(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> reconstruction.Decoded:
     """The plan's rows (owner, words) for one stack of read sets from
-    anywhere, which is checked once (``reconstruction.check_stack``) and
-    decoded as a whole, as one ``ReadBlock``; a set it cannot decode owns
-    no row.  ``cap`` bounds the decoder's balls and erasure fills.  A block
-    of ``read_blocks`` or ``minimum_sets`` was checked as it was built, and
-    ``plan.decode`` takes it as it is."""
-    reconstruction.check_stack(stack, plan.p)
+    anywhere, decoded as a whole, as one ``ReadBlock`` (whose constructor
+    checks the stack); a set it cannot decode owns no row.  ``cap`` bounds
+    the decoder's balls and erasure fills.  A block of ``read_blocks`` or
+    ``minimum_sets`` is valid as built, and ``plan.decode`` takes it as it
+    is."""
     return plan.decode(ReadBlock(plan.p, stack), code, cap)
 
 

@@ -15,9 +15,10 @@ difference's entries.
 Every function of a channel takes it as one ``ChannelParams`` p.  Every
 ball is one read-only int64 matrix with rows in lexicographic order
 (``ball_matrix(p)``), built by the one enumerator ``_lex_rows`` (which also
-builds the tandem module's upward balls) and kept in an LRU cache keyed by
-p, that is by (n, t, k+, k-), that charges each ball its ``nbytes`` against
-``BALL_CACHE_BYTES``.  ``ball_one_hot(p)`` is the ball's one-hot float32
+builds the tandem module's upward balls), its rows checked distinct and in
+order once, as it is enumerated (``core.check_stack``), and kept in an LRU
+cache keyed by p, that is by (n, t, k+, k-), that charges each ball its
+``nbytes`` against ``BALL_CACHE_BYTES``.  ``ball_one_hot(p)`` is the ball's one-hot float32
 matrix, by which an indicator of sets of ball rows counts each set's
 values; it is charged against ``core.BLOCK_BYTES`` and kept for the latest
 few channels.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of
@@ -123,7 +124,8 @@ def _lex_rows(values, cost, k: int, budget: int) -> np.ndarray:
 def ball_matrix(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """The ball B(n, t, k+, k-) of p as a read-only (|B|, n) int64 matrix
     with rows in lexicographic order, from the ball cache (enumerated on a
-    miss).
+    miss, and its order checked then by ``core.check_stack``, so that the
+    read sets drawn from it need no check of their own).
 
     Raises EnumerationCapExceeded when the ball holds more than ``cap``
     vectors, checked before a miss enumerates anything.
@@ -137,7 +139,7 @@ def ball_matrix(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
         return matrix
     # at t = 0 only the zero entry fits, however large k+ and k- are
     values = np.arange(-p.k_minus, p.k_plus + 1) if p.t else np.zeros(1, dtype=np.int64)
-    matrix = _lex_rows(values, values != 0, p.n, p.t)
+    matrix = core.check_stack(_lex_rows(values, values != 0, p.n, p.t)[None], p)[0]
     matrix.flags.writeable = False
     if matrix.nbytes <= BALL_CACHE_BYTES:
         with _ball_lock:

@@ -5,7 +5,11 @@ hashable): codewords, decoder inputs and outputs, and the reads a
 ``ReadSet`` hands back.  Inside, a read set is one (N, n) int64 matrix, so
 its entries, and those of the codewords compared with it, must stay below
 ``ENTRY_LIMIT`` in magnitude; ``check_entries`` rejects anything larger
-with a ValueError instead of letting int64 arithmetic wrap; a code decodes
+with a ValueError instead of letting int64 arithmetic wrap, and
+``check_stack`` checks a stack of read sets (rows distinct, in order and
+in range), run by ``reconstruction.ReadBlock``'s constructor on the stack
+it is given and by ``combinatorics.ball_matrix`` on each ball it
+enumerates, whose order every drawn set inherits; a code decodes
 Python-int rows past it exactly (``Code.decode_rows``).  Everything in this
 package is a pure function over such values, and a code handle reads its
 one cached table once per decode, so all of it is safe to call concurrently.
@@ -78,6 +82,26 @@ def check_entries(lo: int, hi: int) -> None:
         raise ValueError(
             f"entries in [{lo}, {hi}] exceed the int64-safe magnitude 2**62"
         )
+
+
+def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """``stack`` itself, after checking that it is an (S, N, n) int64 array of
+    nonempty read sets, each of distinct rows in lexicographic order, with
+    entries below ``ENTRY_LIMIT`` in magnitude; raises ValueError otherwise.
+
+    Rows are sorted and distinct when the first nonzero entry of each
+    difference of consecutive rows is positive.
+    """
+    if stack.size == 0:
+        raise ValueError("read set must be nonempty")
+    if stack.dtype != np.int64 or stack.ndim != 3 or stack.shape[2] != params.n:
+        raise ValueError(f"reads must form an (N, n={params.n}) int64 matrix")
+    check_entries(int(stack.min()), int(stack.max()))
+    # consecutive row differences, one per line; no wrap below 2**62
+    step = (stack[:, 1:] - stack[:, :-1]).reshape(-1, params.n)
+    if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
+        raise ValueError("reads must be distinct, and a matrix's rows sorted")
+    return stack
 
 
 def _column_reduce(M: np.ndarray, reduce) -> np.ndarray:

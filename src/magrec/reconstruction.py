@@ -25,13 +25,16 @@ outside [0, f - 1], f = t - delta + 1 being the excess error count.
 the one-read rule: past t each set's first read is decoded.
 
 Read sets are decoded in blocks (``ReadBlock``) of S sets of N distinct
-reads.  A block drawn from a ball holds each set as an indicator row over
-the shifted ball, and one count table, the indicators times the ball's
-one-hot matrix, gives every vote, range and minimum; any other block holds
-a stack, an (S, N, n) int64 array, each set's rows in lexicographic order,
-which ``check_stack`` checks once.  The minimum, the plurality vote, the
-anchors (each set's first read) and the cover check run over all S sets
-at once, and ``ReadPlan.decode`` decodes a whole block into its
+reads, valid by construction: ``ReadBlock(p, stack)`` checks its stack
+(``core.check_stack``), and ``ReadBlock.of_ball``, the one trusted
+constructor, builds the channel's blocks from a ball whose order was
+checked when it was enumerated.  A block drawn as indicator rows over the
+shifted ball reads every vote, range and minimum off one count table, the
+indicators times the ball's one-hot matrix; any other block holds a
+stack, an (S, N, n) int64 array, each set's rows in lexicographic order,
+and votes by sorting each column (``majority_votes``).  The minimum, the
+plurality vote, the anchors (each set's first read) and the cover check
+run over all S sets at once, and ``ReadPlan.decode`` decodes a whole block into its
 ``Decoded`` rows (set, codeword); a set owning no row failed, and x came
 back from a set exactly when (set, x) is a row.  A block of at least
 ``_CLASS_MIN`` sets decodes each distinct decoder input once (``_classes``):
@@ -74,10 +77,11 @@ from magrec.core import (
     _row_keys,
     charge,
     check_entries,
+    check_stack,
     distinct_rows,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, binom, hamming_volume
+from magrec.combinatorics import ball_matrix, ball_one_hot, binom, hamming_volume
 
 #: A decoder's result for a stack: ``owner``, a (K,) intp array of set
 #: indices, and ``words``, the (K, n) int64 matrix of the distinct codewords
@@ -86,51 +90,59 @@ from magrec.combinatorics import ball_matrix, binom, hamming_volume
 Decoded = tuple[np.ndarray, np.ndarray]
 
 
-def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """``stack`` itself, after checking that it is an (S, N, n) int64 array of
-    nonempty read sets, each of distinct rows in lexicographic order, with
-    entries below ``ENTRY_LIMIT`` in magnitude; raises ValueError otherwise.
-
-    Rows are sorted and distinct when the first nonzero entry of each
-    difference of consecutive rows is positive.
-    """
-    if stack.size == 0:
-        raise ValueError("read set must be nonempty")
-    if stack.dtype != np.int64 or stack.ndim != 3 or stack.shape[2] != params.n:
-        raise ValueError(f"reads must form an (N, n={params.n}) int64 matrix")
-    check_entries(int(stack.min()), int(stack.max()))
-    # consecutive row differences, one per line; no wrap below 2**62
-    step = (stack[:, 1:] - stack[:, :-1]).reshape(-1, params.n)
-    if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
-        raise ValueError("reads must be distinct, and a matrix's rows sorted")
-    return stack
-
-
 class ReadBlock:
-    """S sets of N distinct reads each, as the decoders take them.
+    """S sets of N distinct reads each, as the decoders take them, valid by
+    construction: ``ReadBlock(p, stack)`` checks its stack, and
+    ``ReadBlock.of_ball`` draws its sets from a checked ball.
 
-    A block drawn from a ball (``channel.read_blocks``) holds ``ind``, an
-    (S, |B|) float32 0/1 indicator of each set's rows in ``ball``, the
-    shifted ball x + B(n, t, k+, k-) in lexicographic order, and ``hot``,
-    the ball's one-hot matrix (``combinatorics.ball_one_hot``).  Its count
-    table ``ind @ hot`` counts, per set, coordinate and error value, the
-    set's reads with that value there: its bin j of coordinate i stands for
-    the value ``base[i] + j``, base = x - k-.  Votes, ranges and minima are
-    read off that one table, exactly (float32 sums of 0/1 products below
-    2**24), each set's anchor (its first read) is its first indicated row,
-    and the (S, N, n) ``stack`` is gathered only when asked for.  Any other
-    block holds a checked stack and reads all of these off it."""
+    A block drawn as an indicator over a ball with a one-hot matrix holds
+    ``ind``, an (S, |B|) float32 0/1 indicator of each set's rows in
+    ``ball``, the shifted ball x + B(n, t, k+, k-) in lexicographic order,
+    and ``hot``, the ball's one-hot matrix (``combinatorics.ball_one_hot``).
+    Its count table ``ind @ hot`` counts, per set, coordinate and error
+    value, the set's reads with that value there: its bin j of coordinate i
+    stands for the value ``base[i] + j``, base = x - k-.  Votes, ranges and
+    minima are read off that one table, exactly (float32 sums of 0/1
+    products below 2**24), each set's anchor (its first read) is its first
+    indicated row, and the (S, N, n) ``stack`` is gathered only when asked
+    for.  Any other block holds a stack and reads all of these off it."""
 
-    __slots__ = ("p", "N", "ball", "base", "ind", "hot", "_stack")
+    ball = base = ind = hot = None  # a block drawn as an indicator sets them
 
-    def __init__(self, p: ChannelParams, stack: Optional[np.ndarray] = None, *, drawn=None) -> None:
-        """A block of a checked stack, or, with ``drawn`` = (N, ball, base,
-        ind, hot), a block drawn from a ball."""
-        self.p, self._stack = p, stack
-        if drawn is None:
-            self.N, self.ball, self.base, self.ind, self.hot = stack.shape[1], None, None, None, None
-        else:
-            self.N, self.ball, self.base, self.ind, self.hot = drawn
+    def __init__(self, p: ChannelParams, stack: np.ndarray) -> None:
+        """A block of ``stack``, an (S, N, n) int64 array of sets of distinct
+        reads in lexicographic order (``check_stack``; ValueError otherwise)."""
+        self.p, self.N, self._stack = p, check_stack(stack, p).shape[1], stack
+
+    @classmethod
+    def of_ball(
+        cls, p: ChannelParams, shifted_ball: np.ndarray, x: np.ndarray, N: int, rows: np.ndarray
+    ) -> ReadBlock:
+        """The block of the sets ``shifted_ball[row]``, for each row of
+        ``rows``: an (S, |B|) boolean indicator of N rows each, or (S, N)
+        index rows.  ``shifted_ball`` is ``ball_matrix(p) + x``, x an int64
+        row, whose order ``ball_matrix`` checked as it enumerated it.
+
+        An indicator over a ball with a one-hot matrix is kept, as float32.
+        Otherwise the index rows (an indicator's, in order), sorted in
+        place, must strictly increase (ValueError otherwise), and gather the
+        block's stack by one ``np.take`` (about twice as fast as fancy
+        indexing).  Either way every set holds N distinct reads in the
+        ball's order, as ``check_stack`` requires."""
+        block = cls.__new__(cls)
+        block.p, block.N, block._stack = p, N, None
+        if rows.dtype == bool:
+            if (hot := ball_one_hot(p)) is not None:
+                block.ball, block.base, block.hot = shifted_ball, x - p.k_minus, hot
+                block.ind = rows.astype(np.float32)
+                return block
+            rows = rows.nonzero()[1].reshape(len(rows), N)
+        rows.sort(axis=1)
+        if not (rows[:, 1:] > rows[:, :-1]).all():
+            raise ValueError("reads must be distinct, and a matrix's rows sorted")
+        block._stack = np.take(shifted_ball, rows, axis=0)
+        block._stack.flags.writeable = False
+        return block
 
     def __len__(self) -> int:
         return len(self._stack if self.ind is None else self.ind)
@@ -158,7 +170,7 @@ class ReadBlock:
     def votes(self, tau) -> tuple[np.ndarray, ...]:
         """``majority_votes(stack, tau, ranges=True)`` of the block's stack."""
         if self.ind is None:
-            return majority_votes(self._stack, tau, ranges=True)
+            return _sorted_votes(self._stack, tau)
         return _table_votes(self._table(), self.base, self.N, tau)
 
     @property
@@ -180,10 +192,12 @@ class ReadSet:
     ``reads`` is an iterable of vectors, which are sorted, or an int64
     matrix, which must already hold distinct rows in lexicographic order
     (one set of a ``channel`` stack is one) and is taken over, not copied.
-    Entries must stay below ``ENTRY_LIMIT`` in magnitude.
+    Entries must stay below ``ENTRY_LIMIT`` in magnitude.  ``block``, the
+    reads as a ``ReadBlock`` of one set, is built (and so checked) once, by
+    the constructor.
     """
 
-    __slots__ = ("matrix", "params")
+    __slots__ = ("matrix", "params", "block")
 
     def __init__(self, reads, params: ChannelParams) -> None:
         if isinstance(reads, np.ndarray):
@@ -195,10 +209,10 @@ class ReadSet:
                 raise ValueError("read entries exceed the int64 range") from None
             except ValueError:
                 raise ValueError("every read must have length n") from None
-        check_stack(matrix[None], params)
-        matrix.flags.writeable = False
-        self.matrix = matrix
-        self.params = params
+        stack = matrix[None]
+        self.block = ReadBlock(params, stack)
+        matrix.flags.writeable = stack.flags.writeable = False
+        self.matrix, self.params = matrix, params
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -214,12 +228,7 @@ class ReadSet:
     @property
     def stack(self) -> np.ndarray:
         """The reads as a stack of one."""
-        return self.matrix[None]
-
-    @property
-    def block(self) -> ReadBlock:
-        """The reads as a block of one."""
-        return ReadBlock(self.params, self.stack)
+        return self.block.stack
 
 
 def _check_delta(p: ChannelParams, delta: int) -> None:
@@ -407,31 +416,11 @@ def _sorted_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
 
 def majority_votes(stack: np.ndarray, tau, *, ranges: bool = False) -> tuple[np.ndarray, ...]:
     """Per set and coordinate, the most frequent value (ties broken toward
-    the smallest) and whether it is kept: twice its count minus N exceeds
-    tau.  Both are (S, n) arrays.  With ``ranges``, each set's least and
-    largest value per coordinate follow, two more (S, n) arrays read off
-    the same table.
-
-    Values are taken as offsets from each set's anchor read.  When the
-    offsets of the whole stack span at most N values, as they do for reads
-    of one ball (at most 2(k+ + k-) + 1), one ``np.bincount`` over (set,
-    coordinate, offset) counts every value, in a table no larger than the
-    stack (``_table_votes``).  A wider stack (a caller's own reads) sorts
-    each column instead (``_sorted_votes``), and the work does not depend
-    on how far apart the values are.  A block drawn from a ball votes off
-    its own count table (``ReadBlock.votes``).
-    """
-    S, N, n = stack.shape
-    anchors = stack[:, :1]
-    off = stack - anchors  # below 2**63 in magnitude: entries are under 2**62
-    lo = int(off.min())
-    width = int(off.max()) - lo + 1
-    if width <= N:
-        off += np.arange(S * n).reshape(S, 1, n) * width - lo  # the bin of each entry
-        bins = np.bincount(off.ravel(), minlength=S * n * width).reshape(S, n, width)
-        votes = _table_votes(bins, anchors[:, 0] + lo, N, tau)
-    else:
-        votes = _sorted_votes(stack, tau)
+    the smallest) and whether it is kept, twice its count minus N exceeding
+    tau, as two (S, n) arrays, by sorting each column (``_sorted_votes``);
+    with ``ranges``, each set's least and largest value per coordinate
+    follow.  A block drawn as an indicator votes off its count table."""
+    votes = _sorted_votes(stack, tau)
     return votes if ranges else votes[:2]
 
 

@@ -27,13 +27,15 @@ CHECKS = settings(max_examples=120, deadline=None, derandomize=True, database=No
 def drawn_block(p: ChannelParams, x, stack: np.ndarray) -> ReadBlock:
     """The block drawn from the ball around x whose sets are those of
     ``stack``: their indicator rows over the shifted ball."""
-    shifted = ball_matrix(p) + np.array(x, dtype=np.int64)
+    shift = np.array(x, dtype=np.int64)
+    shifted = ball_matrix(p) + shift
     row = {r: i for i, r in enumerate(map(tuple, shifted.tolist()))}
-    ind = np.zeros((len(stack), len(shifted)), dtype=np.float32)
+    ind = np.zeros((len(stack), len(shifted)), dtype=bool)
     for s, matrix in enumerate(stack.tolist()):
-        ind[s, [row[tuple(r)] for r in matrix]] = 1
-    base = np.array(x, dtype=np.int64) - p.k_minus
-    return ReadBlock(p, drawn=(stack.shape[1], shifted, base, ind, ball_one_hot(p)))
+        ind[s, [row[tuple(r)] for r in matrix]] = True
+    block = ReadBlock.of_ball(p, shifted, shift, stack.shape[1], ind)
+    assert block.ind is not None and block.hot is ball_one_hot(p)
+    return block
 
 
 def same_rows(a, b) -> bool:

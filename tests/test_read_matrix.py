@@ -3,7 +3,7 @@ syndrome-table decoder against the tuple kernels and brute-force oracles in
 ``helpers``, and of decoding a stack against decoding its sets one by one."""
 
 import tracemalloc
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -21,7 +21,7 @@ from magrec import (
     ExplicitCode,
     ReconstructionError,
 )
-from magrec import channel, core, reconstruction
+from magrec import channel, combinatorics, core, reconstruction
 from magrec.channel import (
     decode_read_sets,
     exhaustive_read_sets,
@@ -157,16 +157,26 @@ def test_read_entries_outside_int64_safe_range_rejected(entry):
 
 
 def test_read_matrix_must_be_sorted_distinct_int64():
+    # a ReadSet, and a ReadBlock of the set as a stack of one, refuse it
+    # with check_stack's message
     p = ChannelParams(2, 1, 1, 1)
-    for bad in (
-        np.array([[1, 0], [0, 0]], dtype=np.int64),  # not sorted
-        np.array([[0, 0], [0, 0]], dtype=np.int64),  # not distinct
-        np.array([[0, 0], [0, 1]], dtype=np.int32),
-        np.array([[0, 0, 0]], dtype=np.int64),
-        np.zeros((0, 2), dtype=np.int64),
+    for bad, message in (
+        (np.array([[1, 0], [0, 0]], dtype=np.int64), "rows sorted"),
+        (np.array([[0, 0], [0, 0]], dtype=np.int64), "distinct"),
+        (np.array([[0, 0], [0, 1]], dtype=np.int32), "int64 matrix"),
+        (np.array([[0, 0, 0]], dtype=np.int64), "int64 matrix"),
+        (np.zeros((0, 2), dtype=np.int64), "nonempty"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             ReadSet(bad, p)
+        with pytest.raises(ValueError, match=message):
+            ReadBlock(p, bad[None])
+    # a set out of order in a stack whose first set is in order, and a
+    # stack of the wrong rank
+    good = np.array([[[0, 0], [0, 1]], [[0, 1], [0, 0]]], dtype=np.int64)
+    for bad, message in ((good, "rows sorted"), (good[0], "int64 matrix")):
+        with pytest.raises(ValueError, match=message):
+            ReadBlock(p, bad)
 
 
 def test_transmitted_word_near_int64_limit_rejected():
@@ -547,12 +557,20 @@ def test_every_built_stack_passes_the_stack_check(p, data):
 
 
 def test_a_ball_out_of_order_fails_the_build_check(monkeypatch):
-    # swapping two ball rows breaks the order every set's rows inherit
+    # swapping two rows of the enumerator's output breaks the order every
+    # set's rows inherit; the ball is checked as it is enumerated, so the
+    # cache is emptied for the mutant to be enumerated by each build
     p, x = ChannelParams(3, 2, 1, 0), (0, 1, -1)
     ball = channel.ball_matrix(p)
-    mutant = ball.copy()
-    mutant[[2, 5]] = ball[[5, 2]]
-    monkeypatch.setattr(channel, "ball_matrix", lambda *args: mutant)
+    lex_rows = combinatorics._lex_rows
+
+    def mutant(*args):
+        rows = lex_rows(*args)
+        rows[[2, 5]] = rows[[5, 2]]
+        return rows
+
+    monkeypatch.setattr(combinatorics, "_lex_rows", mutant)
+    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
     for build in (
         lambda: channel.read_sets(x, p, len(ball), "random", 3, seed=1),
         lambda: channel.read_sets(x, p, len(ball), "adversarial"),
@@ -561,6 +579,33 @@ def test_a_ball_out_of_order_fails_the_build_check(monkeypatch):
     ):
         with pytest.raises(ValueError, match="rows sorted"):
             next(build())
+
+
+def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
+    # the ball's order is checked as it is enumerated, and every set drawn
+    # from it inherits that order, so later calls at the point check nothing
+    p, x = ChannelParams(4, 2, 1, 0), (0, 1, -1, 2)
+    check, checked = core.check_stack, []
+
+    def spy(stack, params):
+        checked.append(stack.shape)
+        return check(stack, params)
+
+    monkeypatch.setattr(core, "check_stack", spy)
+    monkeypatch.setattr(reconstruction, "check_stack", spy)
+    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
+    size = len(channel.ball_matrix(p))
+    assert checked == [(1, size, 4)]
+    checked.clear()
+    builds = [channel.read_sets(x, p, size - 2, "random", 40, seed=5),  # indicator rows
+              channel.read_sets(x, p, size - 2, "adversarial"),
+              channel.read_sets(x, p, 2, "exhaustive"),
+              channel.minimum_sets(x, p, 3)]
+    for blocks in builds:
+        assert list(blocks)
+    monkeypatch.setattr(channel, "_DENSE_SLACK", -1)  # random index rows
+    assert list(channel.read_sets(x, p, size - 2, "random", 40, seed=5))
+    assert checked == []
 
 
 def test_a_repeated_read_fails_the_build_check(monkeypatch):
