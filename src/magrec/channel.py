@@ -14,12 +14,13 @@ into the ball (exhaustive and adversarial reads, a sparse random draw).
 and otherwise checks that each sorted index row strictly increases and
 gathers the block's stack; so every set's rows are distinct and in order,
 which is what ``core.check_stack`` would prove of the stack at many times
-the cost.  The CLI decodes these blocks as built; ``decode_read_sets``
-decodes a stack from anywhere else, which ``ReadBlock``'s constructor
-checks.  A block holds ``core.rows_per_block`` sets, each charged its
-stack and, drawn as an indicator, its indicator row, so its memory stays
-bounded whatever N, n and the trial count.  x is a tuple, and x plus any
-error must stay below ``ENTRY_LIMIT`` in magnitude.
+the cost.  The CLI decodes these blocks as built; a stack from anywhere
+else becomes a block by ``ReadBlock(p, stack)``, which checks it, as
+``ReadSet`` builds its block of one.  A block holds
+``core.rows_per_block`` sets, each charged its stack and, drawn as an
+indicator, its indicator row, so its memory stays bounded whatever N, n
+and the trial count.  x is a tuple, and x plus any error must stay below
+``ENTRY_LIMIT`` in magnitude.
 
 Every generator takes the channel as one ``ChannelParams`` p, and the read
 mode is one of the CLI's ``--reads`` words: "random", "adversarial"
@@ -28,8 +29,7 @@ mode is one of the CLI's ``--reads`` words: "random", "adversarial"
 set, and ``run_trial(code, algorithm, x, p, N, delta, a, reads, seed)``
 decodes it under ``reconstruction.read_plan(algorithm, p, delta, a)``.
 ``score_sets`` scores the rows (set, codeword) that ``plan.decode(block,
-code)`` or ``decode_read_sets(plan, code, stack)`` decode a block or a
-stack into: x on a set's list is success.
+code)`` decodes a block into: x on a set's list is success.
 
 A decoder that reads only each set's componentwise minimum (``min`` and
 ``list-min``) needs no enumeration of the exhaustive sets: on a k- = 0
@@ -303,19 +303,6 @@ class TrialRecord:
         return json.dumps(obj, separators=(",", ":"))
 
 
-def decode_read_sets(
-    plan: reconstruction.ReadPlan, code: Code, stack: np.ndarray,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> reconstruction.Decoded:
-    """The plan's rows (owner, words) for one stack of read sets from
-    anywhere, decoded as a whole, as one ``ReadBlock`` (whose constructor
-    checks the stack); a set it cannot decode owns no row.  ``cap`` bounds
-    the decoder's balls and erasure fills.  A block of ``read_blocks`` or
-    ``minimum_sets`` is valid as built, and ``plan.decode`` takes it as it
-    is."""
-    return plan.decode(ReadBlock(plan.p, stack), code, cap)
-
-
 def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.ndarray, ...]:
     """Per set of a decoded stack of ``sets`` sets, its list size and
     whether x is on its list, as two (sets,) arrays."""
@@ -338,7 +325,7 @@ def run_trial(
     plan = reconstruction.read_plan(algorithm, p, delta, a)
     Y = generate_reads(x, p, N, reads, seed)
     start = time.monotonic_ns()
-    decoded = decode_read_sets(plan, code, Y.stack)
+    decoded = plan.decode(Y.block, code)
     elapsed = time.monotonic_ns() - start
     (size,), (success,) = score_sets(decoded, 1, x)
     return TrialRecord(

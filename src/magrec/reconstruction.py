@@ -32,11 +32,11 @@ checked when it was enumerated.  A block drawn as indicator rows over the
 shifted ball reads every vote, range and minimum off one count table, the
 indicators times the ball's one-hot matrix; any other block holds a
 stack, an (S, N, n) int64 array, each set's rows in lexicographic order,
-and votes by sorting each column (``majority_votes``).  The minimum, the
+and votes by sorting each column (``_sorted_votes``).  The minimum, the
 plurality vote, the anchors (each set's first read) and the cover check
-run over all S sets at once, and ``ReadPlan.decode`` decodes a whole block into its
-``Decoded`` rows (set, codeword); a set owning no row failed, and x came
-back from a set exactly when (set, x) is a row.  A block of at least
+run over all S sets at once, and ``ReadPlan.decode`` decodes a whole block
+into its ``Decoded`` rows (set, codeword); a set owning no row failed, and
+x came back from a set exactly when (set, x) is a row.  A block of at least
 ``_CLASS_MIN`` sets decodes each distinct decoder input once (``_classes``):
 each distinct minimum, or, for the majority family, each distinct triple
 of kept values, erased coordinates and anchor values on them, and fans
@@ -168,7 +168,11 @@ class ReadBlock:
         return (self.ind @ self.hot).reshape(len(self), self.p.n, -1)
 
     def votes(self, tau) -> tuple[np.ndarray, ...]:
-        """``majority_votes(stack, tau, ranges=True)`` of the block's stack."""
+        """(best, keep, least, largest), four (S, n) arrays: per set and
+        coordinate the most frequent value (ties toward the smallest),
+        whether twice its count minus N exceeds tau, and the least and
+        largest values; off an indicator's count table, else by
+        ``_sorted_votes``."""
         if self.ind is None:
             return _sorted_votes(self._stack, tau)
         return _table_votes(self._table(), self.base, self.N, tau)
@@ -224,11 +228,6 @@ class ReadSet:
     @property
     def anchor(self) -> Vec:
         return tuple(self.matrix[0].tolist())
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The reads as a stack of one."""
-        return self.block.stack
 
 
 def _check_delta(p: ChannelParams, delta: int) -> None:
@@ -414,16 +413,6 @@ def _sorted_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
     return best, _kept(counts, N, tau), columns[..., 0], columns[..., -1]
 
 
-def majority_votes(stack: np.ndarray, tau, *, ranges: bool = False) -> tuple[np.ndarray, ...]:
-    """Per set and coordinate, the most frequent value (ties broken toward
-    the smallest) and whether it is kept, twice its count minus N exceeding
-    tau, as two (S, n) arrays, by sorting each column (``_sorted_votes``);
-    with ``ranges``, each set's least and largest value per coordinate
-    follow.  A block drawn as an indicator votes off its count table."""
-    votes = _sorted_votes(stack, tau)
-    return votes if ranges else votes[:2]
-
-
 def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
     """Per-coordinate plurality vote with margin threshold tau.
 
@@ -431,7 +420,7 @@ def majority_estimate(Y: ReadSet, tau: Fraction) -> EstimateWord:
     smallest) when twice its count minus N exceeds tau, and is erased
     otherwise.
     """
-    best, keep = majority_votes(Y.stack, tau)
+    best, keep = Y.block.votes(tau)[:2]
     return EstimateWord(tuple(
         v if k else ERASURE for v, k in zip(best[0].tolist(), keep[0].tolist())
     ))
@@ -531,17 +520,12 @@ def _cover_rows(
     return covered
 
 
-def _covering(words, stack: np.ndarray, p: ChannelParams) -> np.ndarray:
-    """Per set i, whether every read of stack[i] lies in
-    words[i] + B(n, t, k+, k-); ``words`` is a matrix or a list of vectors."""
-    words = np.asarray(words)
-    return _cover_rows(words, np.arange(len(words)), ReadBlock(p, stack),
-                       stack.min(axis=1), stack.max(axis=1), p)
-
-
 def _covers(c: Vec, Y: ReadSet) -> bool:
     """Every read lies in c + B(n, t, k+, k-)."""
-    return bool(_covering([c], Y.stack, Y.params)[0])
+    M = Y.matrix
+    return bool(_cover_rows(np.asarray([c]), np.zeros(1, dtype=np.intp), Y.block,
+                            M.min(axis=0, keepdims=True), M.max(axis=0, keepdims=True),
+                            Y.params)[0])
 
 
 def _fill_classes(block: ReadBlock, tau) -> tuple:

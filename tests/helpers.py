@@ -46,10 +46,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.channel import decode_read_sets, read_sets, score_sets
+from magrec.channel import read_sets, score_sets
 from magrec.combinatorics import ball_matrix, ball_vectors
 from magrec.core import ERASURE, ChannelParams, Vec
-from magrec.reconstruction import read_plan
+from magrec.reconstruction import ReadBlock, read_plan
 
 
 def brute_force_decode(
@@ -115,7 +115,7 @@ def oracle_exhaustive_totals(
     plan = read_plan(algorithm, p, delta, a)
     sets = successes = longest = 0
     for stack in read_sets(x, p, N, "exhaustive", cap=10**9):
-        decoded = decode_read_sets(plan, code, stack)
+        decoded = plan.decode(ReadBlock(plan.p, stack), code)
         sizes, hits = score_sets(decoded, len(stack), x)
         sets += len(stack)
         successes += int(hits.sum())

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from magrec import ChannelParams, ExplicitCode
-from magrec.channel import decode_read_sets, read_sets, rng_for
+from magrec.channel import read_sets, rng_for
 from magrec.combinatorics import (
     ball_size,
     ball_vectors,
@@ -49,12 +49,13 @@ from magrec.lattice import (
     min_group_order_bound,
 )
 from magrec.reconstruction import (
+    ReadBlock,
     ReadSet,
+    _sorted_votes,
     adversarial_code_size_bound,
     adversarial_instance,
     list_params_general,
     majority_threshold,
-    majority_votes,
     read_plan,
     reads_required_min,
     sauer_reads_required,
@@ -232,7 +233,7 @@ def run_min_cell(code, p, delta, x, note):
     if total <= SUBSET_CAP_C4:
         # every N-subset of x + B, in lexicographic subset order
         for stack in read_sets(x, p, N, "exhaustive", cap=SUBSET_CAP_C4):
-            decoded = decode_read_sets(plan, code, stack)
+            decoded = plan.decode(ReadBlock(plan.p, stack), code)
             for out in per_set(decoded, len(stack)):
                 assert out == (x,), (note, checked)
                 checked += 1
@@ -248,7 +249,7 @@ def run_min_cell(code, p, delta, x, note):
         outputs = [
             out
             for stack in stacks
-            for out in per_set(decode_read_sets(plan, code, stack), len(stack))
+            for out in per_set(plan.decode(ReadBlock(plan.p, stack), code), len(stack))
         ]
         assert outputs == [(x,)] * 2000
     return N, total, checked
@@ -306,10 +307,10 @@ def check_majority_budgets(stacks, x, p, delta, tau, code):
     assert plan.tau == tau
     checked = 0
     for stack in stacks:
-        best, keep = majority_votes(stack, tau)
+        best, keep = _sorted_votes(stack, tau)[:2]
         assert (((best != x) & keep).sum(axis=1) <= delta - 1).all()
         assert ((~keep).sum(axis=1) <= 2 * p.t * delta).all()
-        outputs = per_set(decode_read_sets(plan, code, stack), len(stack))
+        outputs = per_set(plan.decode(ReadBlock(plan.p, stack), code), len(stack))
         assert outputs == [(x,)] * len(stack)
         checked += len(stack)
     return checked
@@ -435,7 +436,7 @@ def test_criterion_06_list_guarantees():
         for word_index, x in enumerate(words):
             seed = 6_000_000 + 10 * cell_index + word_index
             for stack in sampled_read_sets(x, p, N, share, seed=seed):
-                decoded = decode_read_sets(plan, code, stack)
+                decoded = plan.decode(ReadBlock(plan.p, stack), code)
                 for L in per_set(decoded, len(stack)):
                     assert x in L, (decoder, kp, km, n, t, delta, a, x)
                     assert len(L) <= bound, (decoder, len(L), bound)

@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magrec import ChannelParams, ExplicitCode, LatticeCode, channel, core, reconstruction
-from magrec.channel import decode_read_sets, read_blocks, rng_for
+from magrec.channel import read_blocks, rng_for
 from magrec.combinatorics import ball_matrix, ball_one_hot, ball_size
 from magrec.lattice import SplitterSpec, cyclic
-from magrec.reconstruction import ALGORITHMS, ReadBlock, ReadSet, majority_votes, read_plan
+from magrec.reconstruction import ALGORITHMS, ReadBlock, ReadSet, read_plan
 
 from helpers import add, per_set
 from strategies import channels
@@ -94,7 +94,7 @@ def test_block_decode_matches_the_gathered_stack_row_for_row(case, reads, data):
                 assert block.ind is not None
                 assert (block._stack is None) == (name != "list-sauer")
             stack = block.stack
-            assert same_rows(got, decode_read_sets(plan, code, stack))
+            assert same_rows(got, plan.decode(ReadBlock(plan.p, stack), code))
             assert same_rows(got, plan.decode(drawn_block(p, x, stack), code))
             sets = [ReadSet(matrix, p) for matrix in stack]
             assert per_set(got, len(stack)) == [
@@ -118,10 +118,7 @@ def test_the_count_table_gives_the_sort_branch_votes(p, data):
     stack = block.stack
     m = data.draw(st.integers(-N - 2, N + 2))
     for tau in (Fraction(m), Fraction(2 * m + 1, 2)):
-        votes = block.votes(tau)
-        for got, want in zip(votes, reconstruction._sorted_votes(stack, tau)):
-            assert got.tolist() == want.tolist()
-        for got, want in zip(votes, majority_votes(stack, tau, ranges=True)):
+        for got, want in zip(block.votes(tau), reconstruction._sorted_votes(stack, tau)):
             assert got.tolist() == want.tolist()
     assert block.minimum.tolist() == stack.min(axis=1).tolist()
     assert block.anchors.tolist() == stack[:, 0].tolist()

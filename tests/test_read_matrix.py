@@ -23,7 +23,6 @@ from magrec import (
 )
 from magrec import channel, combinatorics, core, reconstruction
 from magrec.channel import (
-    decode_read_sets,
     exhaustive_read_sets,
     generate_reads,
     rng_for,
@@ -37,15 +36,14 @@ from magrec.reconstruction import (
     ReadBlock,
     ReadSet,
     _cover_rows,
-    _covering,
     _covers,
     _sauer_candidates,
+    _sorted_votes,
     check_stack,
     list_reconstruct_majority,
     list_reconstruct_min,
     list_reconstruct_sauer,
     majority_estimate,
-    majority_votes,
     read_plan,
     reconstruct_majority,
     reconstruct_min,
@@ -319,6 +317,16 @@ def stacks(draw, entries=ENTRIES):
     return p, [oracle_read_set(rows, p.n) for rows in sets]
 
 
+def covering(words, stack: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """Per set i, whether every read of stack[i] lies in
+    words[i] + B(n, t, k+, k-), by the decoder's kernel ``_cover_rows``
+    with the ranges taken from the stack; ``words`` is a matrix or a list
+    of vectors."""
+    words = np.asarray(words)
+    return _cover_rows(words, np.arange(len(words)), ReadBlock(p, stack),
+                       stack.min(axis=1), stack.max(axis=1), p)
+
+
 @CHECKS
 @given(stacks(), st.data())
 def test_stack_kernels_match_tuple_oracles(case, data):
@@ -336,7 +344,7 @@ def test_stack_kernels_match_tuple_oracles(case, data):
         Fraction(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 3))),
     ]
     for tau in taus:
-        best, keep = majority_votes(stack, tau)
+        best, keep = _sorted_votes(stack, tau)[:2]
         assert [
             tuple(v if k else ERASURE for v, k in zip(word, kept))
             for word, kept in zip(best.tolist(), keep.tolist())
@@ -348,9 +356,9 @@ def test_stack_kernels_match_tuple_oracles(case, data):
     ]
     if max(abs(v) for w in words for v in w) >= ENTRY_LIMIT:
         with pytest.raises(ValueError):
-            _covering(words, stack, p)
+            covering(words, stack, p)
     else:
-        assert _covering(words, stack, p).tolist() == [
+        assert covering(words, stack, p).tolist() == [
             oracle_covers(w, rows, p.t, p.k_plus, p.k_minus) for w, rows in zip(words, sets)
         ]
 
@@ -581,10 +589,8 @@ def test_a_ball_out_of_order_fails_the_build_check(monkeypatch):
             next(build())
 
 
-def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
-    # the ball's order is checked as it is enumerated, and every set drawn
-    # from it inherits that order, so later calls at the point check nothing
-    p, x = ChannelParams(4, 2, 1, 0), (0, 1, -1, 2)
+def spy_on_check_stack(monkeypatch) -> list:
+    """The shapes of the stacks that ``check_stack`` checks from now on."""
     check, checked = core.check_stack, []
 
     def spy(stack, params):
@@ -593,6 +599,14 @@ def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
 
     monkeypatch.setattr(core, "check_stack", spy)
     monkeypatch.setattr(reconstruction, "check_stack", spy)
+    return checked
+
+
+def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
+    # the ball's order is checked as it is enumerated, and every set drawn
+    # from it inherits that order, so later calls at the point check nothing
+    p, x = ChannelParams(4, 2, 1, 0), (0, 1, -1, 2)
+    checked = spy_on_check_stack(monkeypatch)
     monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
     size = len(channel.ball_matrix(p))
     assert checked == [(1, size, 4)]
@@ -606,6 +620,17 @@ def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
     monkeypatch.setattr(channel, "_DENSE_SLACK", -1)  # random index rows
     assert list(channel.read_sets(x, p, size - 2, "random", 40, seed=5))
     assert checked == []
+
+
+def test_a_trial_checks_its_read_set_once(monkeypatch):
+    # generate_reads builds the set's block of one, whose constructor checks
+    # it, and run_trial decodes that block as it is
+    p, x = ChannelParams(4, 2, 1, 1), (0,) * 4
+    code = LatticeCode(parse_splitter_spec("group=Z3; s=[1,1,1,1]"))
+    channel.run_trial(code, "majority", x, p, 8, 1)  # the ball and tables, cached
+    checked = spy_on_check_stack(monkeypatch)
+    channel.run_trial(code, "majority", x, p, 8, 1)
+    assert checked == [(1, 8, 4)]
 
 
 def test_a_repeated_read_fails_the_build_check(monkeypatch):
@@ -718,7 +743,7 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
     # 10**6 erases every coordinate, 2 some of them
     taus = [None] if alg == "list-min" else [Fraction(0), Fraction(2), Fraction(10**6)]
     if alg != "list-min":
-        assert any((~majority_votes(stack, tau)[1]).any() for tau in taus)
+        assert any((~_sorted_votes(stack, tau)[1]).any() for tau in taus)
     for tau in taus:
         sets = [ReadSet(matrix, p) for matrix in stack]
         if alg == "majority":
@@ -788,7 +813,7 @@ def test_majority_blocks_bound_the_decode_memory(monkeypatch):
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
     (stack,) = channel.read_sets((0,) * 6, p, 4, "random", 4, seed=3)
     tau = Fraction(10**6)
-    assert not majority_votes(stack, tau)[1].any()
+    assert not _sorted_votes(stack, tau)[1].any()
     block = ReadBlock(p, stack)
     decode = ALGORITHMS["majority"].decode
     decode(block, p, tau, code, 1, 0, 10**7)  # builds the cached tables
@@ -864,13 +889,13 @@ def test_majority_votes_count_and_sort_branches_match_the_oracle(case, data):
     # between margins; ties go to the smallest value
     m = data.draw(st.sampled_from([m for rows in sets for m in margins(rows)]))
     for tau in (Fraction(m), Fraction(m - 1), Fraction(2 * m - 1, 2), Fraction(2 * m + 1, 2)):
-        best, keep = majority_votes(stack, tau)
+        best, keep = _sorted_votes(stack, tau)[:2]
         assert [
             tuple(v if k else ERASURE for v, k in zip(word, kept))
             for word, kept in zip(best.tolist(), keep.tolist())
         ] == [oracle_majority_entries(rows, tau) for rows in sets]
     lowest = Fraction(-len(stack[0]) - 1)  # keeps every coordinate
-    best, _ = majority_votes(stack, lowest)
+    best = _sorted_votes(stack, lowest)[0]
     assert [tuple(word) for word in best.tolist()] == [
         oracle_majority_entries(rows, lowest) for rows in sets
     ]
@@ -899,9 +924,8 @@ def cover_words(data, stack, least, largest, p):
 @given(vote_stacks(), st.data())
 def test_vote_table_ranges_and_the_range_cover_match_the_oracle(case, data):
     stack, sets = case
-    best, keep, least, largest = majority_votes(stack, Fraction(0), ranges=True)
-    votes = majority_votes(stack, Fraction(0))
-    assert best.tolist() == votes[0].tolist() and keep.tolist() == votes[1].tolist()
+    votes = _sorted_votes(stack, Fraction(0))
+    least, largest = votes[2:]
     assert least.tolist() == stack.min(axis=1).tolist()
     assert largest.tolist() == stack.max(axis=1).tolist()
     n = stack.shape[2]
@@ -911,14 +935,17 @@ def test_vote_table_ranges_and_the_range_cover_match_the_oracle(case, data):
         words = cover_words(data, stack, least, largest, p)
         expected = [oracle_covers(w, rows, p.t, p.k_plus, p.k_minus)
                     for w, rows in zip(words, sets)]
+        # the block of the stack votes as its kernel does
+        block = ReadBlock(p, stack)
+        assert [v.tolist() for v in block.votes(Fraction(0))] == [v.tolist() for v in votes]
         # each word against every set, through the decoder's kernel
         owner = np.repeat(np.arange(len(stack)), len(words))
         rows = np.array(words * len(stack), dtype=np.int64)
-        assert _cover_rows(rows, owner, ReadBlock(p, stack), least, largest, p).tolist() == [
+        assert _cover_rows(rows, owner, block, least, largest, p).tolist() == [
             oracle_covers(w, sets[s], p.t, p.k_plus, p.k_minus)
             for s, w in zip(owner.tolist(), rows.tolist())
         ]
-        assert _covering(words, stack, p).tolist() == expected
+        assert covering(words, stack, p).tolist() == expected
 
 
 @pytest.mark.parametrize("n", [255, 256, 300])
@@ -931,19 +958,28 @@ def test_range_cover_counts_every_differing_coordinate(n):
     for errors, covered in ((t, True), (t + 1, False)):
         stack = np.zeros((1, 2, n), dtype=np.int64)
         stack[0, 1, :errors] = 1
-        assert _covering(word, stack, p).tolist() == [covered]
+        assert covering(word, stack, p).tolist() == [covered]
         assert oracle_covers(word[0].tolist(), stack[0].tolist(), t, 1, 1) == covered
 
 
 def test_majority_votes_break_ties_toward_the_smallest_value_in_both_branches():
-    # offsets within 3 values of 4 reads: the count branch; 0 and 100 tie
-    # in the wide set: the sort branch
+    # every value is read twice of 4 times in its coordinate, and a tie goes
+    # to the smallest: in the column sort of a stack, and in the count table
+    # of the narrow set drawn from the ball around (0, 2); no small ball
+    # holds the wide set, which only the sort votes.  A margin of 0 is kept
+    # at tau = -1 and erased at tau = 0
+    p, x = ChannelParams(2, 2, 1, 1), np.array([0, 2], dtype=np.int64)
     narrow = np.array([[[0, 2], [0, 3], [1, 2], [1, 3]]], dtype=np.int64)
     wide = np.array([[[0, 9], [0, 100], [100, 9], [100, 100]]], dtype=np.int64)
-    for stack, expected in ((narrow, [[0, 2]]), (wide, [[0, 9]])):
-        best, keep = majority_votes(stack, Fraction(-1))
-        assert best.tolist() == expected and keep.all()
-        assert not majority_votes(stack, Fraction(0))[1].any()
+    ind = np.zeros((1, 9), dtype=bool)
+    ind[0, [4, 5, 7, 8]] = True  # rows of the ball x + {-1, 0, 1}^2
+    drawn = ReadBlock.of_ball(p, combinatorics.ball_matrix(p) + x, x, 4, ind)
+    assert drawn.ind is not None and drawn.stack.tolist() == narrow.tolist()
+    for tau, kept in ((Fraction(-1), True), (Fraction(0), False)):
+        for (best, keep, *_), expected in ((_sorted_votes(narrow, tau), [[0, 2]]),
+                                           (drawn.votes(tau), [[0, 2]]),
+                                           (_sorted_votes(wide, tau), [[0, 9]])):
+            assert best.tolist() == expected and keep.tolist() == [[kept, kept]]
 
 
 @CHECKS
@@ -969,7 +1005,7 @@ def test_decoding_a_stack_matches_decoding_its_sets(p, alg, data):
     # small candidate budgets split the erasure fills into many blocks
     budget = data.draw(st.sampled_from([8, 64, 2**17]))
     with mock.patch.object(core, "BLOCK_BYTES", budget):
-        decoded = [decode_read_sets(plan, code, stack) for stack in stacks]
+        decoded = [plan.decode(ReadBlock(plan.p, stack), code) for stack in stacks]
         got = [out for d, stack in zip(decoded, stacks) for out in per_set(d, len(stack))]
         assert got == [decode_one_by_one(alg, Y, plan.tau, code, delta, a) for Y in sets]
     if alg in ("min", "majority"):
