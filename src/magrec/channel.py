@@ -14,9 +14,10 @@ into the ball (exhaustive and adversarial reads, a sparse random draw).
 and otherwise checks that each sorted index row strictly increases and
 gathers the block's stack; so every set's rows are distinct and in order,
 which is what ``core.check_stack`` would prove of the stack at many times
-the cost.  The CLI decodes these blocks as built; a stack from anywhere
+the cost.  The CLI decodes these blocks as built, and ``generate_reads``
+hands its block of one to ``ReadSet`` as it is; a stack from anywhere
 else becomes a block by ``ReadBlock(p, stack)``, which checks it, as
-``ReadSet`` builds its block of one.  A block holds
+``ReadSet`` builds its block of one from a matrix.  A block holds
 ``core.rows_per_block`` sets, each charged its stack and, drawn as an
 indicator, its indicator row, so its memory stays bounded whatever N, n
 and the trial count.  x is a tuple, and x plus any error must stay below
@@ -258,7 +259,7 @@ def generate_reads(
     if reads == "exhaustive":
         raise ValueError("generate_reads draws one read set; use exhaustive_read_sets")
     (block,) = read_blocks(x, p, N, reads, 1, seed, cap)
-    return reconstruction.ReadSet(block.stack[0], p)
+    return reconstruction.ReadSet(block, p)
 
 
 def exhaustive_read_sets(
@@ -273,6 +274,11 @@ def exhaustive_read_sets(
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial of ``run_trial`` or ``simulate``: the generator and seed,
+    the trial index, the point, the algorithm and read count, whether x was
+    on the list, the list size and the decode time.  ``to_line`` renders it
+    as ``record_lines`` renders each trial of a point."""
+
     rng: str
     seed: int
     trial: int
@@ -284,23 +290,30 @@ class TrialRecord:
     elapsed_ns: int
 
     def to_line(self) -> str:
-        obj = {
-            "rng": self.rng,
-            "seed": self.seed,
-            "trial": self.trial,
-            "params": {
-                "n": self.params.n,
-                "t": self.params.t,
-                "kp": self.params.k_plus,
-                "km": self.params.k_minus,
-            },
-            "algorithm": self.algorithm,
-            "N": self.N,
-            "success": self.success,
-            "list_size": self.list_size,
-            "elapsed_ns": self.elapsed_ns,
-        }
-        return json.dumps(obj, separators=(",", ":"))
+        """The record as one JSON line (``record_lines``)."""
+        return record_lines(self.rng, self.seed, self.params, self.algorithm, self.N, self.trial,
+                            [self.success], [self.list_size], self.elapsed_ns)[0]
+
+
+def record_lines(
+    rng: str, seed: int, p: ChannelParams, algorithm: str, N: int, first: int,
+    success: Iterable[bool], list_size: Iterable[int], elapsed_ns: int,
+) -> list[str]:
+    """The JSON lines of the trial records first, first + 1, ... at one
+    point, one per pair of ``success`` and ``list_size``, all taking
+    ``elapsed_ns``: each is the ``json.dumps`` of the record's object with
+    separators "," and ":", rendered from one %-template of the fields that
+    vary, with the strings written by ``json.dumps`` and the ints as ``str``
+    writes them, as ``json.dumps`` does."""
+    text = lambda value: json.dumps(value).replace("%", "%%")
+    template = (
+        f'{{"rng":{text(rng)},"seed":{seed},"trial":%d,"params":{{"n":{p.n},"t":{p.t},'
+        f'"kp":{p.k_plus},"km":{p.k_minus}}},"algorithm":{text(algorithm)},"N":{N},'
+        f'"success":%s,"list_size":%d,"elapsed_ns":{elapsed_ns}}}'
+    )
+    words = ("false", "true")
+    return [template % (first + i, words[hit], size)
+            for i, (hit, size) in enumerate(zip(success, list_size))]
 
 
 def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.ndarray, ...]:
@@ -308,7 +321,7 @@ def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.n
     whether x is on its list, as two (sets,) arrays."""
     owner, words = decoded
     sizes = np.bincount(owner, minlength=sets)
-    hits = np.bincount(owner[(words == x).all(axis=1)], minlength=sets) > 0
+    hits = np.bincount(owner[reconstruction._errors(words != x) == 0], minlength=sets) > 0
     return sizes, hits
 
 

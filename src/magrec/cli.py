@@ -485,17 +485,14 @@ def cmd_simulate(args) -> int:
             report.note(_skip_note(*astuple(p), exc))
             continue
         x = _transmitted_word(code, p.n)
-        records = []
+        lines, successes = [], 0
         for _, sizes, hits, share in _trials(args, report, plan, code, x, plan.N, "random"):
-            for size, hit in zip(sizes.tolist(), hits.tolist()):
-                records.append(channel.TrialRecord(
-                    channel.RNG_NAME, args.seed, len(records), p, args.alg, plan.N, hit, size,
-                    share,
-                ))
-        if records:
-            successes = sum(record.success for record in records)
-            status |= successes < len(records)
-            trial_lines.extend(record.to_line() for record in records)
+            successes += int(hits.sum())
+            lines += channel.record_lines(channel.RNG_NAME, args.seed, p, args.alg, plan.N,
+                                          len(lines), hits.tolist(), sizes.tolist(), share)
+        if lines:
+            status |= successes < len(lines)
+            trial_lines += lines
             report.add(
                 alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=plan.delta,
                 N=plan.N, trials=args.trials, success=successes, anchor=plan.anchor,

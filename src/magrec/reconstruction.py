@@ -41,10 +41,15 @@ x came back from a set exactly when (set, x) is a row.  A block of at least
 each distinct minimum, or, for the majority family, each distinct triple
 of kept values, erased coordinates and anchor values on them, and fans
 the result out to its sets (``_fan_out``); the majority cover test stays
-per set.  Erasure filling builds the candidates of all inputs of a block
-as owner-tagged int64 blocks of ``core.rows_per_block`` fills, and each
-block is decoded by one ``Code.decode_rows`` call, a table lookup for
-lattice codes.  A ``ReadSet`` is a single (N, n) matrix, and the per-set
+per set.  The majority decoder and ``list-min`` build the candidates of
+all inputs of a block as owner-tagged int64 blocks of
+``core.rows_per_block`` fills (``_candidates``), and each block is decoded
+by one ``Code.decode_rows`` call, a table lookup for lattice codes.  The
+majority list decoder builds each candidate's mixed-radix row key instead
+(``_fill_keys``): fills of many inputs share rows, so it decodes only the
+distinct rows of each block of keys and dedupes (set, codeword) pairs by
+one sort (``_decode_fills``), and it builds rows only where the keys would
+pass 2**63.  A ``ReadSet`` is a single (N, n) matrix, and the per-set
 procedures above decode it as a block of one.
 
 The vote compares twice a count minus N, an integer in [-N, N], with the
@@ -193,17 +198,23 @@ class ReadSet:
     read serves as the anchor wherever a procedure needs one, which keeps
     every algorithm here deterministic.
 
-    ``reads`` is an iterable of vectors, which are sorted, or an int64
+    ``reads`` is an iterable of vectors, which are sorted, an int64
     matrix, which must already hold distinct rows in lexicographic order
-    (one set of a ``channel`` stack is one) and is taken over, not copied.
-    Entries must stay below ``ENTRY_LIMIT`` in magnitude.  ``block``, the
-    reads as a ``ReadBlock`` of one set, is built (and so checked) once, by
-    the constructor.
+    (one set of a ``channel`` stack is one) and is taken over, not copied,
+    or a ``ReadBlock`` of one set, valid by construction, which is kept as
+    it is.  Entries must stay below ``ENTRY_LIMIT`` in magnitude.
+    ``block``, the reads as a ``ReadBlock`` of one set, is built (and so
+    checked) once, by the constructor, unless it was given.
     """
 
     __slots__ = ("matrix", "params", "block")
 
     def __init__(self, reads, params: ChannelParams) -> None:
+        if isinstance(reads, ReadBlock):
+            if len(reads) != 1:
+                raise ValueError(f"a read set is a block of one set, got {len(reads)}")
+            self.block, self.matrix, self.params = reads, reads.stack[0], params
+            return
         if isinstance(reads, np.ndarray):
             matrix = reads
         else:
@@ -289,6 +300,14 @@ _CLASS_MIN = 32
 _PAIR_CELLS = 2**14
 
 
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted 1-D array ``values`` starts a run
+    of equal entries."""
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
+
+
 def _classes(*parts: np.ndarray) -> tuple:
     """(first, inverse) of the rows of the matrices ``parts`` side by side:
     the index of the first row of each distinct row, in the rows'
@@ -301,9 +320,7 @@ def _classes(*parts: np.ndarray) -> tuple:
         return slice(None), None
     keys = _row_keys(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
     order = keys.argsort(kind="stable")
-    keys = keys[order]
-    new = np.ones(rows, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    new = _starts(keys[order])
     if new.all():
         return slice(None), None
     inverse = np.empty(rows, dtype=np.intp)
@@ -329,7 +346,7 @@ def _fan_out(decoded: Decoded, inverse: Optional[np.ndarray]) -> Decoded:
     owner, words = decoded
     sizes = np.bincount(owner, minlength=int(inverse.max()) + 1)
     sets, at = _spread(inverse, sizes, np.cumsum(sizes) - sizes)
-    return sets, words[at]
+    return sets, np.take(words, at, axis=0)
 
 
 def _decode_each(words: np.ndarray, code: Code, delta: int, p: ChannelParams, cap: int) -> Decoded:
@@ -388,9 +405,10 @@ def _table_votes(bins: np.ndarray, base: np.ndarray, N: int, tau) -> tuple[np.nd
     first largest bin holds the smallest most frequent value, and the first
     and last nonzero bins the least and largest values."""
     seen = bins != 0
+    best = bins.argmax(axis=2)
     return (
-        base + bins.argmax(axis=2),
-        _kept(bins.max(axis=2), N, tau),
+        base + best,
+        _kept(np.take_along_axis(bins, best[..., None], axis=2)[..., 0], N, tau),
         base + seen.argmax(axis=2),
         base + (bins.shape[2] - 1 - seen[..., ::-1].argmax(axis=2)),
     )
@@ -434,6 +452,10 @@ def _candidates(
     u completes the set's word, its erased coordinate i running over
     [anchor[i] - k+, anchor[i] + k-] with the fills in lexicographic order,
     e runs over the rows of ``shifts``, and owner[r] is the set of row r.
+    The majority decoder tests these rows in fill order, and ``list-min``
+    decodes its few rows (one input per distinct minimum, no erasure) so
+    faster than by key; the majority list decoder takes their keys
+    (``_fill_keys``) and these rows only where the keys pass 2**63.
 
     A set with m erasures has (k+ + k- + 1)^m * |shifts| rows; the largest
     such count is charged against ``cap`` before any row is built.  A block
@@ -590,9 +612,7 @@ def _decode_majority(block: ReadBlock, p: ChannelParams, tau, code: Code, delta:
         for sets, words in pieces:
             covered = _cover_rows(words, sets, block, least, largest, p)
             sets, words = sets[covered], words[covered]
-            # a set's first covering row starts its run
-            head = np.ones(len(sets), dtype=bool)
-            np.not_equal(sets[1:], sets[:-1], out=head[1:])
+            head = _starts(sets)  # a set's first covering row starts its run
             chosen[sets[head]] = words[head]
             is_open[sets] = False
     closed = (~is_open).nonzero()[0]
@@ -646,10 +666,136 @@ def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) ->
     return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
+def _fill_keys(
+    words: np.ndarray, erased: np.ndarray, anchors: np.ndarray, shifts: np.ndarray,
+    p: ChannelParams, cap: int,
+) -> Optional[tuple]:
+    """(lo, place, blocks) of the rows u - e that ``_candidates`` builds
+    from the same arguments, as mixed-radix keys: row r has the key (r -
+    lo) . place, lo the least value of each column over all the rows and
+    place the column's place value, the product of the later columns'
+    ranges, so keys order like rows.  None when the ranges multiply past
+    2**63.
+
+    A key is linear in its row: the key of u - e is base + digits . radix -
+    key(e), base the key of the class's least fill and radix the place
+    values of its erased columns.  So the sets of each erasure count m take
+    their fills' offsets from one product of their (sets, m) radix and the
+    (m, fills) digit grid.  ``blocks`` yields (owner, keys) of at most
+    ``rows_per_block(48)`` keys (a key is charged six int64 words), or of
+    one fill's.  The fill count is charged against ``cap`` as
+    ``_candidates`` charges it, before any key is built."""
+    q = p.magnitude_span + 1
+    misses = erased.sum(axis=1)
+    charge(q ** int(misses.max()) * len(shifts), "erasure-fill candidates", cap)
+    low = np.where(erased, anchors - p.k_plus, words)
+    lo = low.min(axis=0) - shifts.max(axis=0)
+    hi = np.where(erased, anchors + p.k_minus, words).max(axis=0) - shifts.min(axis=0)
+    place, size = [], 1
+    for low_i, high_i in zip(lo.tolist()[::-1], hi.tolist()[::-1]):
+        place.append(size)
+        size *= high_i - low_i + 1
+    if size >= 2**63:
+        return None
+    place = np.array(place[::-1], dtype=np.int64)
+    base, shift_keys = (low - lo) @ place, shifts @ place
+    per_block = rows_per_block(48)
+
+    def pieces():
+        for m in np.bincount(misses).nonzero()[0].tolist():
+            sets = (misses == m).nonzero()[0]
+            radix = place[erased[sets].nonzero()[1]].reshape(len(sets), m)
+            fills = q**m
+            step = min(fills, max(1, per_block // len(shifts)))
+            for j in range(0, fills, step):
+                # the digits of fills j, j + 1, ..., first erased column first
+                grid = np.arange(j, min(fills, j + step)) // q ** np.arange(m)[::-1, None] % q
+                per = max(1, per_block // (grid.shape[1] * len(shifts)))
+                for c in range(0, len(sets), per):
+                    keys = (base[sets[c:c + per], None] + radix[c:c + per] @ grid)[..., None]
+                    yield sets[c:c + per], (keys - shift_keys).reshape(-1)
+
+    def blocks():
+        held, total = [], 0
+        for sets, keys in pieces():
+            if held and total + len(keys) > per_block:
+                block, held, total = tuple(map(np.concatenate, zip(*held))), [], 0
+                yield block
+            held.append((sets.repeat(len(keys) // len(sets)), keys))
+            total += len(keys)
+        yield tuple(map(np.concatenate, zip(*held)))
+
+    return lo, place, blocks()
+
+
+def _decode_fills(
+    words: np.ndarray, erased: np.ndarray, anchors: np.ndarray, shifts: np.ndarray,
+    code: Code, delta: int, p: ChannelParams, cap: int,
+) -> Decoded:
+    """The distinct rows (set, codeword) of the rows u - e that
+    ``_candidates`` builds from the same arguments, decoded within radius
+    delta - 1, failures dropped, in set and then codeword order.
+
+    Per block of ``_fill_keys``: the keys are sorted, and each distinct key
+    is turned back into its row and decoded once, ``rows_per_block(32 n)``
+    rows to a ``Code.decode_rows`` call.  The codewords found are ranked by
+    their row keys, and the block's (set, rank) pairs made distinct by one
+    sort.  The rows of each further block are merged in by
+    ``distinct_rows``.  Where the keys would pass 2**63 the rows themselves
+    are built and decoded (``_candidates``, ``_decode_lists``)."""
+    frame = _fill_keys(words, erased, anchors, shifts, p, cap)
+    if frame is None:
+        return _decode_lists(_candidates(words, erased, anchors, shifts, p, cap),
+                             code, delta, p, cap)
+    lo, place, blocks = frame
+    ranges = place[:-1] // place[1:]  # of every column but the first
+    step = rows_per_block(32 * p.n)
+
+    def decode(owner, keys):
+        order = keys.argsort()
+        new = _starts(keys[order])
+        group = np.empty(len(keys), dtype=np.intp)
+        group[order] = new.cumsum() - 1
+        keys = keys[order[new]]
+        found, hit = [], np.zeros(len(keys), dtype=bool)
+        for i in range(0, len(keys), step):
+            # a column's digit is key // place less its range times the
+            # quotient of the column before
+            rows = keys[i:i + step, None] // place
+            rows[:, 1:] -= rows[:, :-1] * ranges
+            C, hit[i:i + step] = code.decode_rows(rows + lo, delta - 1, p, cap)
+            found.append(C[hit[i:i + step]])
+        found = np.concatenate(found)
+        row_keys = _row_keys(found)
+        order = row_keys.argsort()
+        new = _starts(row_keys[order])
+        word = np.full(len(keys), -1, dtype=np.intp)
+        word[hit.nonzero()[0][order]] = new.cumsum() - 1
+        word = word[group]
+        kept = word >= 0
+        ranks = max(1, int(new.sum()))
+        pair = np.sort(owner[kept] * ranks + word[kept])
+        pair = pair[_starts(pair)]
+        return pair // ranks, np.take(found[order[new]], pair % ranks, axis=0)
+
+    decoded = None
+    for block in blocks:
+        part = decode(*block)
+        if decoded is not None:
+            tagged = distinct_rows(np.concatenate((np.column_stack(decoded), np.column_stack(part))))
+            part = tagged[:, 0].astype(np.intp), tagged[:, 1:]
+        decoded = part
+    return decoded
+
+
 def _decode_list_min(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
                      cap: int):
     """Per set: decode every vector of z - B(n, a, k+, 0), z the minimum,
-    once per distinct minimum."""
+    once per distinct minimum.  The rows are built (``_candidates``) and
+    collected by ``_decode_lists``: a block of the recon-trials list-min
+    point holds about 30 distinct minima of 8 rows each, too few for the
+    keys of ``_decode_fills`` to pay (0.59 against 0.48 ms a 1000-set
+    block, in-process on a 2-CPU Xeon)."""
     _require_k_minus_zero(p)
     shifts = ball_matrix(ChannelParams(p.n, a, p.k_plus, 0), cap)
     z = block.minimum
@@ -693,12 +839,15 @@ def _decode_list_majority(
 ):
     """Per set: majority estimate, erasure filling, then decode every vector
     of candidate - B(n, a, k+, k-), once per class of equal fill input
-    (``_fill_classes``)."""
+    (``_fill_classes``), by the candidates' row keys (``_decode_fills``):
+    the classes' fills share most of their rows (a 250-set block of the
+    recon-trials point holds 9000 to 11000 fills and 1800 to 2200 distinct
+    rows), and each distinct row is decoded once per block of keys."""
     _require_k_minus_positive(p, "majority list")
     first, inverse, best, erased, anchors, _, _ = _fill_classes(block, tau)
     shifts = ball_matrix(ChannelParams(p.n, a, p.k_plus, p.k_minus), cap)
-    blocks = _candidates(best[first], erased[first], anchors[first], shifts, p, cap)
-    return _fan_out(_decode_lists(blocks, code, delta, p, cap), inverse)
+    decoded = _decode_fills(best[first], erased[first], anchors[first], shifts, code, delta, p, cap)
+    return _fan_out(decoded, inverse)
 
 
 def list_reconstruct_majority(

@@ -1,18 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magrec import ChannelParams, EnumerationCapExceeded
 from magrec.channel import (
+    RNG_NAME,
     TrialRecord,
     exhaustive_read_sets,
     generate_reads,
+    record_lines,
     run_trial,
 )
+from magrec.reconstruction import ALGORITHMS
 from magrec.combinatorics import ball_size
 from magrec.lattice import LatticeCode, SplitterSpec, cyclic
 
 from helpers import in_ball, sampled_read_sets
+from strategies import channels
 
 
 def sum_mod(n, m):
@@ -95,6 +101,39 @@ def test_run_trial_majority_and_list():
     # an unknown name is refused by the one plan lookup, before any read
     with pytest.raises(ValueError, match=r"^algorithm must be one of \('min', "):
         run_trial(code, "cover", (0, 0, 0), p, 5, delta=1)
+
+
+def dumped(record: TrialRecord) -> str:
+    """The record's line as ``json.dumps`` writes its object."""
+    p = record.params
+    obj = {
+        "rng": record.rng, "seed": record.seed, "trial": record.trial,
+        "params": {"n": p.n, "t": p.t, "kp": p.k_plus, "km": p.k_minus},
+        "algorithm": record.algorithm, "N": record.N, "success": record.success,
+        "list_size": record.list_size, "elapsed_ns": record.elapsed_ns,
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+COUNTS = st.integers(0, 2**70)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**64 - 1), channels(), st.sampled_from(sorted(ALGORITHMS)), COUNTS, COUNTS,
+    st.lists(st.tuples(st.booleans(), COUNTS), min_size=1, max_size=5), st.integers(1, 2**40),
+)
+def test_records_render_as_json_dumps_writes_them(seed, p, algorithm, first, elapsed, trials, N):
+    records = [TrialRecord(RNG_NAME, seed, first + i, p, algorithm, N, hit, size, elapsed)
+               for i, (hit, size) in enumerate(trials)]
+    hits, sizes = zip(*trials)
+    lines = record_lines(RNG_NAME, seed, p, algorithm, N, first, hits, sizes, elapsed)
+    assert lines == [record.to_line() for record in records]
+    assert lines == [dumped(record) for record in records]
+    for line, record in zip(lines, records):
+        obj = json.loads(line)
+        q = obj.pop("params")
+        assert TrialRecord(params=ChannelParams(q["n"], q["t"], q["kp"], q["km"]), **obj) == record
 
 
 def test_trial_record_round_trip():

@@ -3,6 +3,7 @@ distinct decoder input decoded once."""
 
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb
 from unittest import mock
 
@@ -11,15 +12,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magrec import ChannelParams, ExplicitCode, LatticeCode, channel, core, reconstruction
+from magrec import ERASURE, ChannelParams, ExplicitCode, LatticeCode, channel, core, reconstruction
 from magrec.channel import read_blocks, rng_for
 from magrec.combinatorics import ball_matrix, ball_one_hot, ball_size
 from magrec.lattice import SplitterSpec, cyclic
 from magrec.reconstruction import ALGORITHMS, ReadBlock, ReadSet, read_plan
 
-from helpers import add, per_set
+from helpers import add, oracle_majority_entries, per_set
 from strategies import channels
-from test_read_matrix import decode_one_by_one, oracle_unique_decode
+from test_read_matrix import (
+    decode_one_by_one,
+    oracle_unique_decode,
+    recording_decode_rows,
+    recording_fill_keys,
+)
 
 CHECKS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -199,3 +205,69 @@ def test_class_pairs_bound_the_decode_memory():
             tracemalloc.stop()
         assert owner.tolist() == list(range(2000))
         assert peak < 4 * core.BLOCK_BYTES
+
+
+def test_fills_whose_keys_pass_2_63_decode_by_rows_and_match_the_sets():
+    # sets around 0 and around (300,) * 8 spread each column over about 306
+    # values, and 306**8 > 2**63, so the block's fills fall back to rows;
+    # each set alone spans at most 5 values a column and decodes by keys
+    p = ChannelParams(8, 2, 1, 1)
+    code = LatticeCode(SplitterSpec(cyclic(3), ((1,),) * 8))
+    far = (300,) * 8
+    assert code.contains(far)
+    plan = read_plan("list-majority", p, 1, 1)
+    (near_sets,) = channel.read_sets((0,) * 8, p, plan.N, "random", 20, seed=7)
+    (far_sets,) = channel.read_sets(far, p, plan.N, "random", 20, seed=8)
+    stack = np.concatenate((near_sets, far_sets))
+    assert len(stack) >= reconstruction._CLASS_MIN
+    assert (~reconstruction._sorted_votes(stack, plan.tau)[1]).any()  # some fills
+    keyed = []
+    with mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)):
+        got = plan.decode(ReadBlock(p, stack), code)
+        assert keyed == []
+        want = [decode_one_by_one("list-majority", ReadSet(matrix, p), plan.tau, code,
+                                  plan.delta, plan.a) for matrix in stack]
+        assert len(keyed) >= len(stack)
+    assert per_set(got, len(stack)) == want
+    assert all(x in out for x, out in zip([(0,) * 8] * 20 + [far] * 20, want))
+    # and the rows path itself, set by set
+    for matrix, out in zip(stack, want):
+        first, _, best, erased, anchors, _, _ = reconstruction._fill_classes(
+            ReadBlock(p, matrix[None]), plan.tau)
+        shifts = ball_matrix(ChannelParams(8, 1, 1, 1))
+        rows = reconstruction._candidates(best, erased, anchors, shifts, p, 10**7)
+        assert per_set(reconstruction._decode_lists(rows, code, 1, p, 10**7), 1) == [out]
+
+
+def test_a_block_decodes_each_distinct_fill_row_once():
+    # the recon-trials list-majority point: 250 sets of 9 reads, whose
+    # thousands of erasure fills hold far fewer distinct rows; a = 0, so a
+    # fill is its one row
+    p = ChannelParams(6, 2, 1, 1)
+    code = LatticeCode(SplitterSpec(cyclic(13), tuple((s,) for s in range(1, 7))))
+    plan = read_plan("list-majority", p, 2, 0)
+    (block,) = read_blocks((0,) * 6, p, plan.N, "random", 250, seed=36)
+    fills, inputs = [], set()  # sets with one fill input share their fills
+    for rows in block.stack.tolist():
+        entries = oracle_majority_entries(rows, plan.tau)
+        erased = [i for i, v in enumerate(entries) if v is ERASURE]
+        ranges = [range(rows[0][i] - p.k_plus, rows[0][i] + p.k_minus + 1) for i in erased]
+        if (entries, tuple(ranges)) in inputs:
+            continue
+        inputs.add((entries, tuple(ranges)))
+        for fill in product(*ranges):
+            u = list(entries)
+            for i, v in zip(erased, fill):
+                u[i] = v
+            fills.append(tuple(u))
+    distinct = set(fills)
+    assert len(fills) > 3 * len(distinct)
+    calls, keyed = [], []
+    with recording_decode_rows(code, calls), \
+            mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)):
+        got = plan.decode(block, code)
+    # one block of keys at the default budget, each distinct row decoded once
+    assert len(keyed) == 1 and keyed[0][2] == len(fills)
+    seen = [row for U in calls for row in map(tuple, U.tolist())]
+    assert len(seen) == len(distinct) and set(seen) == distinct
+    assert all((0,) * 6 in out for out in per_set(got, len(block)))

@@ -622,15 +622,22 @@ def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
     assert checked == []
 
 
-def test_a_trial_checks_its_read_set_once(monkeypatch):
-    # generate_reads builds the set's block of one, whose constructor checks
-    # it, and run_trial decodes that block as it is
+def test_a_trial_checks_no_read_set(monkeypatch):
+    # generate_reads hands the block of one that read_blocks drew, valid by
+    # construction, to ReadSet as it is, and run_trial decodes that block
     p, x = ChannelParams(4, 2, 1, 1), (0,) * 4
     code = LatticeCode(parse_splitter_spec("group=Z3; s=[1,1,1,1]"))
     channel.run_trial(code, "majority", x, p, 8, 1)  # the ball and tables, cached
     checked = spy_on_check_stack(monkeypatch)
-    channel.run_trial(code, "majority", x, p, 8, 1)
-    assert checked == [(1, 8, 4)]
+    record = channel.run_trial(code, "majority", x, p, 8, 1)
+    assert checked == []
+    Y = generate_reads(x, p, 8, seed=0)
+    assert checked == [] and record.N == len(Y) == 8
+    # a matrix is still checked once, and a block of more than one set refused
+    assert ReadSet(Y.matrix, p).matrix is Y.matrix and checked == [(1, 8, 4)]
+    (block,) = channel.read_blocks(x, p, 8, "random", 2, seed=0)
+    with pytest.raises(ValueError, match="block of one set"):
+        ReadSet(block, p)
 
 
 def test_a_repeated_read_fails_the_build_check(monkeypatch):
@@ -727,6 +734,42 @@ def recording_candidates(blocks):
     return candidates
 
 
+def recording_fill_keys(blocks):
+    """A stand-in for ``reconstruction._fill_keys`` that appends, for each
+    block (owner, keys) it yields, the shift count it was built with, the
+    owner's length and the keys' length and dtype to ``blocks`` (not the
+    arrays, which would stay alive), and appends nothing when the keys
+    would pass 2**63."""
+    real = reconstruction._fill_keys
+
+    def fill_keys(words, erased, anchors, shifts, p, cap):
+        frame = real(words, erased, anchors, shifts, p, cap)
+        if frame is None:
+            return None
+        lo, place, keyed = frame
+
+        def recorded():
+            for owner, keys in keyed:
+                blocks.append((len(shifts), len(owner), len(keys), keys.dtype))
+                yield owner, keys
+
+        return lo, place, recorded()
+
+    return fill_keys
+
+
+def recording_decode_rows(code, calls):
+    """Patch ``code.decode_rows`` to append each row block it is given to
+    ``calls``."""
+    real = code.decode_rows
+
+    def decode_rows(U, radius, params, cap=core.DEFAULT_ENUM_CAP):
+        calls.append(U.copy())
+        return real(U, radius, params, cap)
+
+    return mock.patch.object(code, "decode_rows", decode_rows)
+
+
 @pytest.mark.parametrize("text", ["group=Z7; s=[1,2,3]", "group=Z2xZ3; s=[(1,0),(0,1),(1,2)]"])
 @pytest.mark.parametrize("alg", ["majority", "list-min", "list-majority"])
 def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg):
@@ -752,17 +795,27 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
             expected = [oracle_list_decode(alg, Y.reads, tau, members, delta, a, p) for Y in sets]
         assert [decode_one_by_one(alg, Y, tau, code, delta, a) for Y in sets] == expected
         for budget in (64, 2**10, 2**17):
-            blocks = []
+            blocks, keyed, calls = [], [], []
             with mock.patch.object(core, "BLOCK_BYTES", budget), \
-                    mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
+                    mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
+                    mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)), \
+                    recording_decode_rows(code, calls):
                 got = ALGORITHMS[alg].decode(ReadBlock(p, stack), p, tau, code, delta, a, 10**7)
             assert per_set(got, len(stack)) == expected
-            # a block is charged four int64 matrices of its rows' shape, and
-            # only a block of a single fill may exceed the budget
+            # list-majority decodes keys, the others rows
+            assert (keyed and not blocks) if alg == "list-majority" else (blocks and not keyed)
+            # a block of rows is charged four int64 matrices of its shape, a
+            # block of keys six int64 words a key, and only a block of a
+            # single fill may exceed the budget
             for shift_count, owner, rows in blocks:
                 assert len(owner) == len(rows) and rows.dtype == np.int64
                 assert 4 * rows.nbytes <= budget or len(rows) == shift_count
-            assert len(blocks) > 1 or budget == 2**17
+            for shift_count, owners, keys, dtype in keyed:
+                assert owners == keys and dtype == np.int64
+                assert 48 * keys <= budget or keys == shift_count
+            # the keyed path decodes rows_per_block(32 n) rows to a call
+            assert not keyed or all(4 * U.nbytes <= budget or len(U) == 1 for U in calls)
+            assert len(blocks + keyed) > 1 or budget == 2**17
 
 
 def test_erasure_fills_past_the_cap_build_no_row():
@@ -770,18 +823,20 @@ def test_erasure_fills_past_the_cap_build_no_row():
     code = LatticeCode(parse_splitter_spec("group=Z13; s=[1,2,3,4,5,6]"))
     block = ReadBlock(p, next(channel.read_sets((0,) * 6, p, 4, "random", 2, seed=3)))
     tau = Fraction(10**6)  # every coordinate erased: 3**6 fills per set
-    blocks = []
-    with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)):
+    blocks, keyed = [], []
+    with mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
+            mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)):
         # list-majority at a = 1 shifts each fill by the 13 rows of B(6, 1, 1, 1)
-        for alg, a, worst in (("majority", 0, 3**6), ("list-majority", 1, 13 * 3**6)):
+        for alg, a, worst, built in (("majority", 0, 3**6, blocks),
+                                     ("list-majority", 1, 13 * 3**6, keyed)):
             decode = ALGORITHMS[alg].decode
             with pytest.raises(EnumerationCapExceeded):
                 decode(block, p, tau, code, 1, a, worst - 1)
-            assert blocks == []
+            assert blocks == [] and keyed == []
             decoded = decode(block, p, tau, code, 1, a, worst)
             assert all((0,) * 6 in out for out in per_set(decoded, len(block)))
-            assert blocks
-            blocks.clear()
+            assert built and len(blocks + keyed) == len(built)
+            built.clear()
 
 
 def test_candidate_blocks_bound_the_decode_memory(monkeypatch):
@@ -795,14 +850,19 @@ def test_candidate_blocks_bound_the_decode_memory(monkeypatch):
     tau = Fraction(10**6)
     decode = ALGORITHMS["list-majority"].decode
     decode(block, p, tau, code, 1, 1, 10**7)  # builds the cached balls and tables
-    tracemalloc.start()
-    try:
-        outputs = decode(block, p, tau, code, 1, 1, 10**7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    keyed = []
+    with mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)):
+        tracemalloc.start()
+        try:
+            outputs = decode(block, p, tau, code, 1, 1, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert all((0,) * 6 in out for out in per_set(outputs, len(stack)))
     assert peak < 4 * core.BLOCK_BYTES
+    # the keys of every fill and shift, streamed in blocks of the budget
+    assert sum(keys for _, _, keys, _ in keyed) == 4 * 13 * 3**6
+    assert len(keyed) > 1 and all(48 * keys <= core.BLOCK_BYTES for _, _, keys, _ in keyed)
 
 
 def test_majority_blocks_bound_the_decode_memory(monkeypatch):
