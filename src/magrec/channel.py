@@ -36,8 +36,8 @@ A decoder that reads only each set's componentwise minimum (``min`` and
 ``list-min``) needs no enumeration of the exhaustive sets: on a k- = 0
 ball, ``minimum_sets`` hands out each distinct minimum x + z once, as a
 one-read set, with the exact number of N-subsets whose minimum it is, in
-Python ints.  It charges the cap the same C(|ball|, N) subsets as
-``read_blocks`` does, so the cap bounds the same points either way.
+Python ints.  It charges the cap what it builds, the ball, and no subset
+count, since it enumerates no subset.
 
 Randomness comes from numpy's Philox counter-based generator (a published,
 splittable algorithm); every artifact that depends on randomness records the
@@ -238,11 +238,9 @@ def minimum_sets(
     for each the number of N-subsets with that minimum
     (``combinatorics.minimum_counts``), an object array of Python ints.  A
     block holds as many one-read sets as ``_per_block`` allows.  ``cap``
-    bounds the ball and is charged the C(|ball|, N) subsets the counts stand
-    for, as ``read_blocks`` charges exhaustive reads."""
+    bounds the ball; no subset is enumerated, so none is charged."""
     if N < 1:
         raise ValueError("read set must be nonempty")
-    charge(math.comb(ball_size(p), N), "exhaustive read sets", cap)
     _, shifted, shift = _ball_and_shift(x, p, cap)
     counts = np.array(minimum_counts(p, N, cap), dtype=object)
     for rows in _row_blocks(counts.nonzero()[0][:, None], 1, p.n):

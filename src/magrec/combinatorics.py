@@ -51,6 +51,7 @@ from magrec.core import (
     Vec,
     _row_keys,
     charge,
+    group_keys,
 )
 from magrec.distances import difference_classes
 
@@ -218,7 +219,7 @@ def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> lis
 
     # a row's class: how often each value 1..k+ occurs in it
     mults = np.column_stack([(ball == v).sum(axis=1) for v in range(1, kp + 1)])
-    _, first, rows = np.unique(_row_keys(mults), return_index=True, return_inverse=True)
+    first, rows = group_keys(_row_keys(mults))
     per_class = [count(mult) for mult in mults[first].tolist()]
     return [per_class[c] for c in rows.tolist()]
 

@@ -23,6 +23,10 @@ member chunks) holds ``rows_per_block(row_bytes)`` rows, at most
 ``BLOCK_BYTES`` of them, or one row when a row alone exceeds it.  Integers
 are read from text by ``parse_int`` alone: ASCII decimal digits with an
 optional sign.
+
+Rows are keyed and grouped here alone: ``_row_keys`` maps rows to keys that
+order like them, in the mixed-radix frame of ``radix_places`` where it fits
+int64 (``key_rows`` inverts it), and ``group_keys`` is the one grouping sort.
 """
 
 from __future__ import annotations
@@ -120,26 +124,58 @@ def _column_reduce(M: np.ndarray, reduce) -> np.ndarray:
     return reduce(folded, axis=0)
 
 
-def _row_keys(M: np.ndarray) -> np.ndarray:
-    """One key per row of the integer matrix M (int64 or object), ordered
-    like the rows lexicographically: key i < key j exactly when row i < row
-    j.  So a 1-D ``np.unique`` of the keys gives the distinct rows of M
-    (``distinct_rows``), sorted, with their first indices and counts, at a
-    fraction of the cost of ``np.unique`` over the rows.
-
-    When the column ranges multiply to less than 2**63 the key is the
-    mixed-radix number M - M.min(0), last column least significant;
-    otherwise it is the row's dense rank under a stable ``np.lexsort``.  The
-    column ranges come from ``_column_reduce``'s flat passes."""
-    if not len(M):
-        return np.zeros(0, dtype=np.int64)
-    lo, hi = _column_reduce(M, np.minimum.reduce), _column_reduce(M, np.maximum.reduce)
+def radix_places(lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 place value of each column of rows within [lo, hi], the
+    product of the later columns' ranges, so that the keys (M - lo) @ place
+    order like the rows M; None when the ranges multiply to 2**63 or more."""
     place, size = [], 1
     for low, high in zip(lo.tolist()[::-1], hi.tolist()[::-1]):
         place.append(size)
         size *= high - low + 1
-    if size < 2**63:
-        return (M - lo) @ np.array(place[::-1], dtype=np.int64)
+    return np.array(place[::-1], dtype=np.int64) if size < 2**63 else None
+
+
+def key_rows(keys: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """The rows M whose keys (M - lo) @ place are ``keys``: a column's digit
+    is key // place less its range times the quotient of the column before."""
+    rows = keys[:, None] // place
+    rows[:, 1:] -= rows[:, :-1] * (place[:-1] // place[1:])
+    return rows + lo
+
+
+def _starts(values: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``values``, sorted along its last axis, starts
+    a run of equal entries there."""
+    new = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[..., 1:], values[..., :-1], out=new[..., 1:])
+    return new
+
+
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the 1-D array ``keys``, int64 or Python ints, as
+    ``np.unique(keys, return_index=True, return_inverse=True)`` gives them,
+    from one default ``argsort`` (``np.unique`` and a stable sort run merge
+    sorts, 3 times slower at 10k keys): a run of equal keys is first at its
+    least index."""
+    order = keys.argsort()
+    new = _starts(keys[order])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return np.minimum.reduceat(order, new.nonzero()[0]) if len(keys) else order, inverse
+
+
+def _row_keys(M: np.ndarray) -> np.ndarray:
+    """One key per row of the integer matrix M (int64 or object), ordered
+    like the rows lexicographically: key i < key j exactly when row i < row
+    j, so that ``group_keys`` of the keys groups the rows.  The key is (M -
+    lo) @ ``radix_places(lo, hi)``, lo and hi the column ranges from
+    ``_column_reduce``'s flat passes, where that fits int64, and otherwise
+    the row's dense rank under a stable ``np.lexsort``."""
+    if not len(M):
+        return np.zeros(0, dtype=np.int64)
+    lo, hi = _column_reduce(M, np.minimum.reduce), _column_reduce(M, np.maximum.reduce)
+    if (place := radix_places(lo, hi)) is not None:
+        return (M - lo) @ place
     order = np.lexsort(M.T[::-1])
     rows = M[order]
     ranks = np.empty(len(M), dtype=np.int64)
@@ -148,8 +184,8 @@ def _row_keys(M: np.ndarray) -> np.ndarray:
 
 
 def distinct_rows(M: np.ndarray) -> np.ndarray:
-    """The distinct rows of M, sorted, by a 1-D ``np.unique`` of ``_row_keys``."""
-    return M[np.unique(_row_keys(M), return_index=True)[1]]
+    """The distinct rows of M, sorted, by ``group_keys`` of ``_row_keys``."""
+    return M[group_keys(_row_keys(M))[0]]
 
 
 def parse_int(text: str, where: str) -> int:

@@ -48,6 +48,7 @@ from magrec.core import (
     Vec,
     charge,
     distinct_rows,
+    group_keys,
     parse_int,
 )
 from magrec import combinatorics
@@ -156,10 +157,11 @@ def _coset_leaders(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sorted syndrome codes taken on the ball B(n, t, k+, k-) of p and
     their coset leaders: the first ball row (lexicographic order) with each
-    code, as ``np.unique`` returns first occurrences."""
+    code (``group_keys``)."""
     ball = combinatorics.ball_matrix(p, cap)
-    codes, first = np.unique(_syndrome_codes(spec, ball), return_index=True)
-    return codes, ball[first]
+    codes = _syndrome_codes(spec, ball)
+    first = group_keys(codes)[0]
+    return codes[first], ball[first]
 
 
 def _check_length(spec: SplitterSpec, p: ChannelParams) -> None:

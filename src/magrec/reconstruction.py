@@ -80,10 +80,14 @@ from magrec.core import (
     ReconstructionError,
     Vec,
     _row_keys,
+    _starts,
     charge,
     check_entries,
     check_stack,
     distinct_rows,
+    group_keys,
+    key_rows,
+    radix_places,
     rows_per_block,
 )
 from magrec.combinatorics import ball_matrix, ball_one_hot, binom, hamming_volume
@@ -300,32 +304,15 @@ _CLASS_MIN = 32
 _PAIR_CELLS = 2**14
 
 
-def _starts(values: np.ndarray) -> np.ndarray:
-    """Whether each entry of the sorted 1-D array ``values`` starts a run
-    of equal entries."""
-    new = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    return new
-
-
 def _classes(*parts: np.ndarray) -> tuple:
-    """(first, inverse) of the rows of the matrices ``parts`` side by side:
-    the index of the first row of each distinct row, in the rows'
-    lexicographic order, and per row its class, the position of its row
-    among the first ones; by a stable sort of their ``_row_keys``.  Rows
-    that are all distinct, or fewer than ``_CLASS_MIN`` of them, are each
-    their own class: (slice(None), None)."""
-    rows = len(parts[0])
-    if rows < _CLASS_MIN:
+    """``group_keys`` of the ``_row_keys`` of the rows of the matrices
+    ``parts`` side by side, or (slice(None), None), each row its own class,
+    when the rows are all distinct or fewer than ``_CLASS_MIN``."""
+    if len(parts[0]) < _CLASS_MIN:
         return slice(None), None
-    keys = _row_keys(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
-    order = keys.argsort(kind="stable")
-    new = _starts(keys[order])
-    if new.all():
-        return slice(None), None
-    inverse = np.empty(rows, dtype=np.intp)
-    inverse[order] = new.cumsum() - 1
-    return order[new], inverse
+    first, inverse = group_keys(_row_keys(np.concatenate(parts, axis=1)
+                                          if len(parts) > 1 else parts[0]))
+    return (slice(None), None) if len(first) == len(inverse) else (first, inverse)
 
 
 def _spread(classes: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -422,9 +409,7 @@ def _sorted_votes(stack: np.ndarray, tau) -> tuple[np.ndarray, ...]:
     N = stack.shape[1]
     columns = np.sort(stack.transpose(0, 2, 1), axis=2)
     pos = np.arange(N)
-    new_run = np.ones(columns.shape, dtype=bool)
-    np.not_equal(columns[..., 1:], columns[..., :-1], out=new_run[..., 1:])
-    run_length = pos + 1 - np.maximum.accumulate(np.where(new_run, pos, 0), axis=2)
+    run_length = pos + 1 - np.maximum.accumulate(np.where(_starts(columns), pos, 0), axis=2)
     end = run_length.argmax(axis=2)[..., None]
     best = np.take_along_axis(columns, end, axis=2)[..., 0]
     counts = np.take_along_axis(run_length, end, axis=2)[..., 0]
@@ -530,7 +515,7 @@ def _cover_rows(
         covered[rows] = ~np.logical_and(far, block.ind[owner[rows]]).any(axis=1)
         return covered
     tested = words[rows]
-    _, first, word = np.unique(_row_keys(tested), return_index=True, return_inverse=True)
+    first, word = group_keys(_row_keys(tested))
     tested = tested[first]
     # (chunk, |B|) marks by the (|B|, S) indicators: a (chunk, S) product
     chunk = rows_per_block(max(ball.size, 4 * (len(ball) + len(block))))
@@ -691,13 +676,8 @@ def _fill_keys(
     low = np.where(erased, anchors - p.k_plus, words)
     lo = low.min(axis=0) - shifts.max(axis=0)
     hi = np.where(erased, anchors + p.k_minus, words).max(axis=0) - shifts.min(axis=0)
-    place, size = [], 1
-    for low_i, high_i in zip(lo.tolist()[::-1], hi.tolist()[::-1]):
-        place.append(size)
-        size *= high_i - low_i + 1
-    if size >= 2**63:
+    if (place := radix_places(lo, hi)) is None:
         return None
-    place = np.array(place[::-1], dtype=np.int64)
     base, shift_keys = (low - lo) @ place, shifts @ place
     per_block = rows_per_block(48)
 
@@ -736,56 +716,43 @@ def _decode_fills(
     ``_candidates`` builds from the same arguments, decoded within radius
     delta - 1, failures dropped, in set and then codeword order.
 
-    Per block of ``_fill_keys``: the keys are sorted, and each distinct key
-    is turned back into its row and decoded once, ``rows_per_block(32 n)``
-    rows to a ``Code.decode_rows`` call.  The codewords found are ranked by
-    their row keys, and the block's (set, rank) pairs made distinct by one
-    sort.  The rows of each further block are merged in by
-    ``distinct_rows``.  Where the keys would pass 2**63 the rows themselves
-    are built and decoded (``_candidates``, ``_decode_lists``)."""
+    Per block of ``_fill_keys``, each distinct key is turned back into its
+    row (``key_rows``) and decoded once, ``rows_per_block(32 n)`` rows to a
+    ``Code.decode_rows`` call, and the (set, codeword) pairs are made
+    distinct by one sort of (set, codeword rank); the blocks' pairs are
+    merged once (``distinct_rows``).  Where the keys would pass 2**63 the
+    rows are built and decoded (``_candidates``, ``_decode_lists``)."""
     frame = _fill_keys(words, erased, anchors, shifts, p, cap)
     if frame is None:
         return _decode_lists(_candidates(words, erased, anchors, shifts, p, cap),
                              code, delta, p, cap)
     lo, place, blocks = frame
-    ranges = place[:-1] // place[1:]  # of every column but the first
     step = rows_per_block(32 * p.n)
 
     def decode(owner, keys):
-        order = keys.argsort()
-        new = _starts(keys[order])
-        group = np.empty(len(keys), dtype=np.intp)
-        group[order] = new.cumsum() - 1
-        keys = keys[order[new]]
+        first, group = group_keys(keys)
+        keys = keys[first]
         found, hit = [], np.zeros(len(keys), dtype=bool)
         for i in range(0, len(keys), step):
-            # a column's digit is key // place less its range times the
-            # quotient of the column before
-            rows = keys[i:i + step, None] // place
-            rows[:, 1:] -= rows[:, :-1] * ranges
-            C, hit[i:i + step] = code.decode_rows(rows + lo, delta - 1, p, cap)
+            C, hit[i:i + step] = code.decode_rows(key_rows(keys[i:i + step], lo, place),
+                                                  delta - 1, p, cap)
             found.append(C[hit[i:i + step]])
         found = np.concatenate(found)
-        row_keys = _row_keys(found)
-        order = row_keys.argsort()
-        new = _starts(row_keys[order])
+        first, rank = group_keys(_row_keys(found))
         word = np.full(len(keys), -1, dtype=np.intp)
-        word[hit.nonzero()[0][order]] = new.cumsum() - 1
+        word[hit] = rank
         word = word[group]
         kept = word >= 0
-        ranks = max(1, int(new.sum()))
+        ranks = max(1, len(first))
         pair = np.sort(owner[kept] * ranks + word[kept])
         pair = pair[_starts(pair)]
-        return pair // ranks, np.take(found[order[new]], pair % ranks, axis=0)
+        return pair // ranks, np.take(found[first], pair % ranks, axis=0)
 
-    decoded = None
-    for block in blocks:
-        part = decode(*block)
-        if decoded is not None:
-            tagged = distinct_rows(np.concatenate((np.column_stack(decoded), np.column_stack(part))))
-            part = tagged[:, 0].astype(np.intp), tagged[:, 1:]
-        decoded = part
-    return decoded
+    parts = [decode(*block) for block in blocks]
+    if len(parts) == 1:
+        return parts[0]
+    tagged = distinct_rows(np.concatenate([np.column_stack(part) for part in parts]))
+    return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
 def _decode_list_min(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
@@ -970,12 +937,12 @@ def _sauer_candidates(
     """The distinct candidates rep - e as the rows of a matrix, sorted: rep
     is the first read (row of M) of each pattern on U, and e in
     B(n, f, k+, k-) is nonzero on every coordinate of U.  Patterns are told
-    apart by a 1-D ``np.unique`` of their ``_row_keys``, candidates by
+    apart by ``group_keys`` of their ``_row_keys``, candidates by
     ``distinct_rows``."""
     cols = list(U)
     shifts = ball_matrix(ChannelParams(p.n, f, p.k_plus, p.k_minus), cap)
     shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
-    _, first = np.unique(_row_keys(M[:, cols]), return_index=True)
+    first = group_keys(_row_keys(M[:, cols]))[0]
     return distinct_rows((M[first, None, :] - shifts).reshape(-1, p.n))
 
 

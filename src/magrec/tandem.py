@@ -29,7 +29,8 @@ own x are counted per excess |z| and weighted by the sets of all shells
 with that minimum, in Python ints.  The rows are int64 while r + t stays
 below 2**62 and Python ints (an object array) past it, so a code of any
 entries is counted exactly.  The cap is charged the whole upward ball
-before its first shell is built, then every shell and every shell's subset
+before its first shell is built, then every shell, and, where the subsets
+are enumerated (``exhaustive_simplex_read_sets``), every shell's subset
 count.  Where reads are built as int64 rows
 (``upward_ball``, ``exhaustive_simplex_read_sets``,
 ``reconstruct_simplex_min``), x plus any excess must stay below 2**62
@@ -211,20 +212,16 @@ def reconstruct_simplex_min(
     return c
 
 
-def _shells(k: int, t: int, count: int, cap: int) -> Iterator[np.ndarray]:
+def _shells(k: int, t: int, cap: int) -> Iterator[np.ndarray]:
     """The constant-excess shells w = 0..t of B_t^+(0) in Z^k.  The whole
     ball, C(k + t, k) vectors, is charged against ``cap`` before the first
     shell is built, since a caller may keep every shell; then each shell is
-    charged with its vectors and, when it holds a ``count``-subset, with
-    its subset count.  A t below 0 is a ValueError."""
+    charged with its vectors.  A t below 0 is a ValueError."""
     if t < 0:
         raise ValueError("t must be >= 0")
     charge(math.comb(k + t, k), "upward ball vectors", cap)
     for w in range(t + 1):
-        shell = _excess_shell(k, w, cap)
-        if len(shell) >= count:
-            charge(math.comb(len(shell), count), "upward shell read sets", cap)
-        yield shell
+        yield _excess_shell(k, w, cap)
 
 
 def _shell_minimum_count(m: int, gap: int, count: int) -> int:
@@ -248,7 +245,8 @@ def exhaustive_simplex_read_sets(
     one by one, in lexicographic subset order; ``cap`` bounds the ball, each
     shell and each shell's subset count."""
     shift = _shift(x, t)
-    for shell in _shells(len(x), t, count, cap):
+    for shell in _shells(len(x), t, cap):
+        charge(math.comb(len(shell), count), "upward shell read sets", cap)
         yield from combinations(map(tuple, (shell + shift).tolist()), count)
 
 
@@ -265,13 +263,14 @@ def simplex_min_counts(
     are decoded a block of codewords at a time by ``decode_rows``; the rows
     that decode to their own x are counted per excess |z| and weighted by
     the sets of all shells with that minimum.  ``cap`` is charged the whole
-    ball B_t^+(0) first, then each shell and each shell's subset count.
+    ball B_t^+(0) first, then each shell; the subsets are not built, so
+    their count is not charged.
     """
     if count < 1:
         raise ValueError("read set must be nonempty")
     sets, shells = 0, []
     weight = [0] * (t + 1)  # per excess |z|: the sets of all shells with minimum z
-    for w, shell in enumerate(_shells(code.m + 1, t, count, cap)):
+    for w, shell in enumerate(_shells(code.m + 1, t, cap)):
         sets += math.comb(len(shell), count)
         shells.append(shell)
         for level in range(w + 1):

@@ -140,9 +140,9 @@ ENUMERATIONS = {
         lambda cap: lattice.max_pairwise_intersection_lattice(
             parse_splitter_spec("group=Z13; s=[1,2]"), ChannelParams(2, 1, 1, 0), cap),
     ),
-    # the same count when the pairs are counted per minimum
+    # pairs counted per minimum are not built: only the 4-vector ball is
     "exhaustive minima": (
-        6, "exhaustive read sets",
+        4, "ball vectors",
         lambda cap: list(minimum_sets((0, 0, 0), ChannelParams(3, 1, 1, 0), 2, cap)),
     ),
     "upward shell": (6, "upward shell vectors", lambda cap: _excess_shell(3, 2, cap)),
@@ -152,9 +152,10 @@ ENUMERATIONS = {
         20, "upward shell read sets",
         lambda cap: list(exhaustive_simplex_read_sets((0, 0, 0), 2, 3, cap)),
     ),
-    # the same triples, counted per minimum for a code in that simplex
+    # the same triples, counted per minimum for a code in that simplex, are
+    # not built: only the upward ball of C(5, 3) vectors is
     "counted shell read sets": (
-        20, "upward shell read sets",
+        10, "upward ball vectors",
         lambda cap: simplex_min_counts(greedy_simplex_code(2, 2, 1), 2, 3, 1, cap),
     ),
 }

@@ -6,13 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magrec
 from magrec import ChannelParams, ExplicitCode, FiniteAbelianGroup, LatticeCode, SplitterSpec
-from magrec import core
-from magrec.combinatorics import ball_vectors
+from magrec import core, lattice
+from magrec.combinatorics import ball_matrix, ball_vectors
 
 from helpers import (
     add,
@@ -248,6 +248,91 @@ def test_column_ranges_match_the_axis_reductions(R, n, kind):
     if kind == "int64":
         assert rows == np.unique(M, axis=0).tolist()
     assert rows == [list(row) for row in sorted(set(map(tuple, M.tolist())))]
+
+
+def check_group_keys(keys):
+    """``core.group_keys`` against ``np.unique``: the same first indices, in
+    key order, and the same inverse, both intp arrays."""
+    first, inverse = core.group_keys(keys)
+    _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
+    for got, want in ((first, want_first), (inverse, want_inverse)):
+        assert got.dtype == np.intp and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+
+@st.composite
+def tied_keys(draw, entries, dtype):
+    """A 1-D ``dtype`` array of keys drawn from a pool of at most five, so
+    that most keys tie."""
+    pool = draw(st.lists(entries, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[i] for i in picks], dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tied_keys(st.one_of(st.integers(-2, 2), st.integers(I64.min, I64.max)), np.int64))
+@example(np.array([], dtype=np.int64))
+@example(np.array([7]))
+def test_group_keys_match_unique_on_int64_keys(keys):
+    check_group_keys(keys)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_keys(st.one_of(st.integers(-2, 2), st.integers(-2**80, 2**80),
+                           st.sampled_from([2**63, -2**63 - 1])), object))
+@example(np.array([], dtype=object))
+@example(np.array([2**70]))
+def test_group_keys_match_unique_on_python_int_keys(keys):
+    check_group_keys(keys)
+
+
+@pytest.mark.parametrize("modulus", [2**61, 2**70])
+def test_group_keys_match_unique_on_syndrome_codes(modulus):
+    # n * m**2 >= 2**62: the codes are Python ints, and the 63 vectors of
+    # the ball take fewer distinct codes than that
+    spec = lattice.parse_splitter_spec(f"group=Z{modulus}; s=[1,2,3]")
+    codes = lattice._syndrome_codes(spec, ball_matrix(ChannelParams(3, 3, 1, 1)))
+    assert codes.dtype == object and len(set(codes.tolist())) < len(codes)
+    check_group_keys(codes)
+
+
+@st.composite
+def framed_matrices(draw):
+    """(M, lo, ranges): an int64 matrix whose column i lies in [lo[i], lo[i]
+    + ranges[i]), the ranges multiplying to less than 2**63."""
+    n = draw(st.integers(1, 5))
+    ranges = []
+    for _ in range(n):
+        ranges.append(draw(st.integers(1, min(2**40, (2**63 - 1) // prod(ranges)))))
+    lo = np.array(draw(st.lists(st.integers(-SAFE, SAFE), min_size=n, max_size=n)))
+    digits = draw(st.lists(st.tuples(*(st.integers(0, r - 1) for r in ranges)), max_size=10))
+    return np.array(digits, dtype=np.int64).reshape(-1, n) + lo, lo, ranges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(framed_matrices())
+def test_key_rows_invert_the_radix_keys(frame):
+    M, lo, ranges = frame
+    place = core.radix_places(lo, lo + np.array(ranges) - 1)
+    assert place.dtype == np.int64
+    np.testing.assert_array_equal(core.key_rows((M - lo) @ place, lo, place), M)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(1, 2**21), st.sampled_from([1, 2, 2**31, 2**32])),
+                min_size=1, max_size=6),
+       st.integers(-2**62, 0))
+@example([2**63], -2**62)
+@example([2**63 - 1], -2**62)
+@example([2**32, 2**31], 0)
+@example([2**32, 2**31 - 1], 0)
+@example([7**2 * 73 * 127, 337 * 92737 * 649657], 0)  # 2**63 - 1
+def test_radix_places_are_none_at_2_to_the_63(ranges, low):
+    place = core.radix_places(np.full(len(ranges), low),
+                              np.array([low + r - 1 for r in ranges]))
+    assert (place is None) == (prod(ranges) >= 2**63)
+    if place is not None:
+        assert place.tolist() == [prod(ranges[i + 1:]) for i in range(len(ranges))]
 
 
 def test_public_names():

@@ -799,11 +799,16 @@ def test_lattice_stacks_with_erasures_match_their_sets_and_the_oracles(text, alg
             with mock.patch.object(core, "BLOCK_BYTES", budget), \
                     mock.patch.object(reconstruction, "_candidates", recording_candidates(blocks)), \
                     mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)), \
+                    mock.patch.object(reconstruction, "distinct_rows",
+                                      wraps=reconstruction.distinct_rows) as merges, \
                     recording_decode_rows(code, calls):
                 got = ALGORITHMS[alg].decode(ReadBlock(p, stack), p, tau, code, delta, a, 10**7)
             assert per_set(got, len(stack)) == expected
             # list-majority decodes keys, the others rows
             assert (keyed and not blocks) if alg == "list-majority" else (blocks and not keyed)
+            # the pairs of several blocks of keys are merged once, not once a block
+            if alg == "list-majority":
+                assert merges.call_count == (len(keyed) > 1)
             # a block of rows is charged four int64 matrices of its shape, a
             # block of keys six int64 words a key, and only a block of a
             # single fill may exceed the budget
