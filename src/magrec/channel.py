@@ -1,4 +1,4 @@
-"""Channel simulation: read sets in blocks, the decode loop, trial records.
+"""Channel simulation: read sets in blocks, one decoded trial, trial records.
 
 Read sets come in blocks (``reconstruction.ReadBlock``) of S sets of N
 reads each, drawn from the cached matrix of the lexicographically ordered
@@ -14,12 +14,12 @@ into the ball (exhaustive and adversarial reads, a sparse random draw).
 and otherwise checks that each sorted index row strictly increases and
 gathers the block's stack; so every set's rows are distinct and in order,
 which is what ``core.check_stack`` would prove of the stack at many times
-the cost.  The CLI decodes these blocks as built, and ``generate_reads``
-hands its block of one to ``ReadSet`` as it is; a stack from anywhere
-else becomes a block by ``ReadBlock(p, stack)``, which checks it, as
-``ReadSet`` builds its block of one from a matrix.  A block holds
-``core.rows_per_block`` sets, each charged its stack and, drawn as an
-indicator, its indicator row, so its memory stays bounded whatever N, n
+the cost.  The CLI's decode loop, ``cli._trials``, decodes these blocks as
+built, and ``generate_reads`` hands its block of one to ``ReadSet`` as it
+is; a stack from anywhere else becomes a block by ``ReadBlock(p, stack)``,
+which checks it, as ``ReadSet`` builds its block of one from a matrix.  A
+block holds ``core.rows_per_block`` sets, each charged its stack and, drawn
+as an indicator, its row of keys, so its memory stays bounded whatever N, n
 and the trial count.  x is a tuple, and x plus any error must stay below
 ``ENTRY_LIMIT`` in magnitude.
 
@@ -121,9 +121,10 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
 def _per_block(count: int, n: int, size: int = 0) -> int:
     """How many sets of ``count`` (>= 1) length-n reads one block holds:
     each set is charged its (count, n) int64 stack, or, drawn as an
-    indicator row over a ball of ``size`` rows, that row as float32 when
-    it is larger."""
-    return rows_per_block(max(8 * count * n, 4 * size))
+    indicator row over a ball of ``size`` rows, its row of ``size`` 8-byte
+    keys when that is larger (which also bounds the indicator's float32
+    row)."""
+    return rows_per_block(max(8 * count * n, 8 * size))
 
 
 def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
@@ -162,19 +163,16 @@ def _random_blocks(
     """Blocks of ``trials`` random ``count``-subsets of ``range(size)``,
     drawn from ``rng`` as the module docstring defines them, as many to a
     block of length-n reads as ``_per_block`` allows.  Dense keys (then
-    ``size <= count + _DENSE_SLACK``) are drawn in blocks of
-    ``rows_per_block`` rows of one trial's ``size`` keys, and each block is
-    an (S, size) boolean indicator (``_smallest``); otherwise each block is
-    an (S, count) matrix of indices."""
-    per_keys = rows_per_block(8 * size)
+    ``size <= count + _DENSE_SLACK``) are drawn a block at a time, one
+    trial's ``size`` keys a row, and each block is an (S, size) boolean
+    indicator (``_smallest``); otherwise each block is an (S, count) matrix
+    of indices."""
     dense = size - count <= _DENSE_SLACK
     per_block = _per_block(count, n, size if dense else 0)
     for start in range(0, trials, per_block):
         stop = min(start + per_block, trials)
         if dense:
-            parts = [_smallest(_keys(rng, min(per_keys, stop - i), size), count)
-                     for i in range(start, stop, per_keys)]
-            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+            yield _smallest(_keys(rng, stop - start, size), count)
         else:
             yield np.array([
                 rng.choice(size, count, replace=False, shuffle=False)

@@ -16,18 +16,21 @@ Every function of a channel takes it as one ``ChannelParams`` p.  Every
 ball is one read-only int64 matrix with rows in lexicographic order
 (``ball_matrix(p)``), built by the one enumerator ``_lex_rows`` (which also
 builds the tandem module's upward balls), its rows checked distinct and in
-order once, as it is enumerated (``core.check_stack``), and kept in an LRU
-cache keyed by p, that is by (n, t, k+, k-), that charges each ball its
-``nbytes`` against ``BALL_CACHE_BYTES``.  ``ball_one_hot(p)`` is the ball's one-hot float32
-matrix, by which an indicator of sets of ball rows counts each set's
-values; it is charged against ``core.BLOCK_BYTES`` and kept for the latest
-few channels.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of
-it, made on every call, for the oracles; it keeps separate arguments
+order once, as it is enumerated (``core.check_stack``).  ``ball_one_hot(p)``
+is the ball's one-hot float32 matrix, by which an indicator of sets of ball
+rows counts each set's values, or None when it is larger than
+``core.BLOCK_BYTES``.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of the
+ball, made on every call, for the oracles; it keeps separate arguments
 because ``perfbench/tracing.py`` reads them by position.  ``minimum_counts``
 counts, per row z of a k- = 0 ball, the N-subsets of the ball whose
 componentwise minimum is z, by Möbius inversion rather than by enumerating
 the subsets.  ``max_intersection_of_code`` counts one intersection per
 ``distances.difference_classes`` row.
+
+One locked LRU cache, ``cached(key, build)``, keeps the balls (key p), their
+one-hot matrices (key ("one-hot", p)) and the lattice coset-leader tables
+(key (spec, p)) under the one budget ``BALL_CACHE_BYTES``; its byte total
+moves by each entry kept or dropped, and a caller reads an entry once.
 
 All arithmetic is exact integer arithmetic (the one-hot matrix holds 0 and
 1, whose float32 sums are exact below 2**24).
@@ -35,8 +38,8 @@ All arithmetic is exact integer arithmetic (the one-hot matrix holds 0 and
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -55,13 +58,38 @@ from magrec.core import (
 )
 from magrec.distances import difference_classes
 
-#: Byte budget of the ball cache.  Each ball is charged its matrix's
-#: ``nbytes``; least recently used balls are dropped first, and a ball
-#: larger than the budget is returned but not kept.
+#: Byte budget of the one cache of derived tables (``cached``); an entry
+#: larger than it is returned but not kept.
 BALL_CACHE_BYTES = 16 * 2**20
 
-_ball_cache: OrderedDict[ChannelParams, np.ndarray] = OrderedDict()
-_ball_lock = threading.Lock()
+#: key -> (read-only array or tuple of arrays, its bytes), oldest first
+_cache: OrderedDict = OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
+
+
+def cached(key, build):
+    """The entry of ``key``, or ``build()``'s array (or tuple of arrays),
+    made read-only and kept when its bytes (with an object array's Python
+    ints) fit, dropping the least recently used entries past the budget."""
+    global _cache_bytes
+    with _cache_lock:
+        if (entry := _cache.get(key)) is not None:
+            _cache.move_to_end(key)
+            return entry[0]
+    value = build()
+    arrays = value if isinstance(value, tuple) else (value,)
+    for a in arrays:
+        a.flags.writeable = False
+    size = sum(a.nbytes + (sum(map(sys.getsizeof, a.flat)) if a.dtype == object else 0)
+               for a in arrays)
+    if size <= BALL_CACHE_BYTES:
+        with _cache_lock:
+            _cache_bytes += size - _cache.pop(key, (value, 0))[1]  # a racing thread's entry
+            _cache[key] = value, size
+            while _cache_bytes > BALL_CACHE_BYTES:
+                _cache_bytes -= _cache.popitem(last=False)[1][1]
+    return value
 
 
 def binom(m: int, i: int) -> int:
@@ -124,51 +152,32 @@ def _lex_rows(values, cost, k: int, budget: int) -> np.ndarray:
 
 def ball_matrix(p: ChannelParams, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """The ball B(n, t, k+, k-) of p as a read-only (|B|, n) int64 matrix
-    with rows in lexicographic order, from the ball cache (enumerated on a
-    miss, and its order checked then by ``core.check_stack``, so that the
-    read sets drawn from it need no check of their own).
+    with rows in lexicographic order, cached (enumerated on a miss, and its
+    order checked then by ``core.check_stack``, so that the read sets drawn
+    from it need no check of their own).  Raises EnumerationCapExceeded,
+    before the lookup, when the ball holds more than ``cap`` vectors."""
+    charge(ball_size(p), "ball vectors", cap)
 
-    Raises EnumerationCapExceeded when the ball holds more than ``cap``
-    vectors, checked before a miss enumerates anything.
-    """
-    with _ball_lock:
-        matrix = _ball_cache.get(p)
-        if matrix is not None:
-            _ball_cache.move_to_end(p)
-    charge(ball_size(p) if matrix is None else len(matrix), "ball vectors", cap)
-    if matrix is not None:
-        return matrix
-    # at t = 0 only the zero entry fits, however large k+ and k- are
-    values = np.arange(-p.k_minus, p.k_plus + 1) if p.t else np.zeros(1, dtype=np.int64)
-    matrix = core.check_stack(_lex_rows(values, values != 0, p.n, p.t)[None], p)[0]
-    matrix.flags.writeable = False
-    if matrix.nbytes <= BALL_CACHE_BYTES:
-        with _ball_lock:
-            _ball_cache[p] = matrix
-            used = sum(m.nbytes for m in _ball_cache.values())
-            while used > BALL_CACHE_BYTES:
-                used -= _ball_cache.popitem(last=False)[1].nbytes
-    return matrix
+    def build() -> np.ndarray:
+        # at t = 0 only the zero entry fits, however large k+ and k- are
+        values = np.arange(-p.k_minus, p.k_plus + 1) if p.t else np.zeros(1, dtype=np.int64)
+        return core.check_stack(_lex_rows(values, values != 0, p.n, p.t)[None], p)[0]
+
+    return cached(p, build)
 
 
-@functools.lru_cache(maxsize=16)
 def ball_one_hot(p: ChannelParams) -> np.ndarray | None:
     """The one-hot matrix H of the ball of p: a read-only (|B|, n (k+ + k-
     + 1)) float32 0/1 matrix whose row r has its 1 of coordinate i in
     column i (k+ + k- + 1) + e_i + k-, e being row r of ``ball_matrix(p)``.
     An (S, |B|) indicator of sets of ball rows times H counts each set's
-    rows by coordinate and value.  H is charged against ``core.BLOCK_BYTES``
-    at the first call for p: None when it is larger.  Either answer is kept
-    for the latest 16 channels."""
+    rows by coordinate and value.  None when H is larger than
+    ``core.BLOCK_BYTES``, judged on every call, before the lookup."""
     q = p.magnitude_span + 1
     if 4 * ball_size(p) * p.n * q > core.BLOCK_BYTES:
         return None
-    ball = ball_matrix(p)
-    hot = np.zeros((len(ball), p.n, q), dtype=np.float32)
-    np.put_along_axis(hot, (ball + p.k_minus)[..., None], 1, axis=2)
-    hot = hot.reshape(len(ball), -1)
-    hot.flags.writeable = False
-    return hot
+    hot = lambda: np.eye(q, dtype=np.float32)[ball_matrix(p) + p.k_minus].reshape(-1, p.n * q)
+    return cached(("one-hot", p), hot)
 
 
 def ball_vectors(

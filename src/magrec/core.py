@@ -11,8 +11,8 @@ in range), run by ``reconstruction.ReadBlock``'s constructor on the stack
 it is given and by ``combinatorics.ball_matrix`` on each ball it
 enumerates, whose order every drawn set inherits; a code decodes
 Python-int rows past it exactly (``Code.decode_rows``).  Everything in this
-package is a pure function over such values, and a code handle reads its
-one cached table once per decode, so all of it is safe to call concurrently.
+package is a pure function over such values or reads each entry of the one
+locked cache (``combinatorics.cached``) once, so all of it is thread-safe.
 
 The library's bounds live here.  Every loop whose work grows exponentially
 charges its count against an enumeration cap (``DEFAULT_ENUM_CAP`` unless

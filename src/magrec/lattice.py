@@ -26,8 +26,9 @@ with the same p.
 One matrix kernel, ``_syndrome_codes``, computes every syndrome of the
 tables, the decoder and the packing check, exact for a group of any order,
 and every vector set it is applied to is a ``combinatorics.ball_matrix``,
-charged against the enumeration cap before it is built.  The minimum
-distance is read off the splitting test, radius by radius.
+charged against the enumeration cap before it is built.  The distance is
+read off the splitting test, and it and every decode share one table per
+(spec, ball) in ``combinatorics.cached``.
 """
 
 from __future__ import annotations
@@ -157,11 +158,16 @@ def _coset_leaders(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sorted syndrome codes taken on the ball B(n, t, k+, k-) of p and
     their coset leaders: the first ball row (lexicographic order) with each
-    code (``group_keys``)."""
-    ball = combinatorics.ball_matrix(p, cap)
-    codes = _syndrome_codes(spec, ball)
-    first = group_keys(codes)[0]
-    return codes[first], ball[first]
+    code (``group_keys``), cached under (spec, p); ``cap`` is charged first."""
+    charge(combinatorics.ball_size(p), "ball vectors", cap)
+
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        ball = combinatorics.ball_matrix(p, cap)
+        codes = _syndrome_codes(spec, ball)
+        first = group_keys(codes)[0]
+        return codes[first], ball[first]
+
+    return combinatorics.cached((spec, p), build)
 
 
 def _check_length(spec: SplitterSpec, p: ChannelParams) -> None:
@@ -278,19 +284,16 @@ class LatticeCode(Code):
 
     z - e is a codeword iff e has the syndrome of z, so the lexicographically
     first e of the error ball with that syndrome (its coset leader) gives the
-    first codeword of the window scan.  The handle keeps one
-    ``_coset_leaders`` table (sorted syndrome codes, leader matrix) for the
-    last decode ball ChannelParams(n, radius, k+, k-), rebuilt when that
-    ball changes.
-    Every call charges the decode ball against ``cap``, whether its table is
-    cached or not.  ``decode_rows`` is one syndrome pass, one lookup and
-    U - leaders, exact in Python ints for rows or groups past int64.
+    first codeword of the window scan.  The handle holds no table: each call
+    reads the cached ``_coset_leaders`` table of its decode ball
+    ChannelParams(n, radius, k+, k-) once, after charging that ball against
+    ``cap``.  ``decode_rows`` is one syndrome pass, one lookup and U -
+    leaders, exact in Python ints for rows or groups past int64.
     """
 
     def __init__(self, spec: SplitterSpec):
         self.spec = spec
         self.n = spec.n
-        self._leaders: tuple[ChannelParams, np.ndarray, np.ndarray] | None = None
 
     def contains(self, v: Vec) -> bool:
         return syndrome(self.spec, v) == self.spec.group.identity
@@ -299,13 +302,7 @@ class LatticeCode(Code):
         self, U: np.ndarray, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> tuple[np.ndarray, np.ndarray]:
         key = ChannelParams(self.n, radius, params.k_plus, params.k_minus)
-        charge(combinatorics.ball_size(key), "ball vectors", cap)
-        # another thread may swap the handle's table at any time, so the
-        # table this call decodes with is bound once
-        table = self._leaders
-        if table is None or table[0] != key:
-            table = self._leaders = (key, *_coset_leaders(self.spec, key, cap))
-        _, codes, leaders = table
+        codes, leaders = _coset_leaders(self.spec, key, cap)
         syndromes = _syndrome_codes(self.spec, U)
         at = np.searchsorted(codes, syndromes).clip(max=len(codes) - 1)
         return U - leaders[at], codes[at] == syndromes

@@ -11,7 +11,8 @@ of N-subsets of the ball for exhaustive claims whose subset count is out of
 reach.  ``oracle_exhaustive_totals`` decodes every N-subset one stack at a
 time, the oracle of the CLI's per-minimum counts.  ``in_ball``,
 ``count_greater`` and ``distance_asymmetric`` are the scalar membership
-test and k- = 0 distance that only the tests call.  ``per_set`` turns a decoder's owner-tagged rows back into one tuple
+test and k- = 0 distance that only the tests call.  ``empty_cache``
+gives a test the one cache of derived tables empty.  ``per_set`` turns a decoder's owner-tagged rows back into one tuple
 of codewords per set, the shape the tuple oracles compare.
 
 Everything else here is built from itertools primitives and set arithmetic only,
@@ -41,15 +42,25 @@ later ones at once and keeps each class once.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from magrec import combinatorics
 from magrec.channel import read_sets, score_sets
 from magrec.combinatorics import ball_matrix, ball_vectors
 from magrec.core import ERASURE, ChannelParams, Vec
 from magrec.reconstruction import ReadBlock, read_plan
+
+
+def empty_cache(monkeypatch) -> OrderedDict:
+    """An empty one cache of derived tables (``combinatorics.cached``), with
+    its running byte total at 0, for the rest of the test."""
+    monkeypatch.setattr(combinatorics, "_cache", OrderedDict())
+    monkeypatch.setattr(combinatorics, "_cache_bytes", 0)
+    return combinatorics._cache
 
 
 def brute_force_decode(

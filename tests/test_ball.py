@@ -1,19 +1,25 @@
-"""Property tests of the ball cache, the per-minimum subset counts, the
-intersection count, the splitting test, and the lattice distance and
-packing check against the brute-force oracles in ``helpers``."""
+"""Property tests of the one cache of derived tables, the per-minimum
+subset counts, the intersection count, the splitting test, and the lattice
+distance and packing check against the brute-force oracles in
+``helpers``."""
 
 import math
-from collections import Counter, OrderedDict
+import sys
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magrec import ChannelParams, EnumerationCapExceeded
-from magrec import combinatorics
+from magrec import combinatorics, core
 from magrec.combinatorics import (
     ball_matrix,
+    ball_one_hot,
     ball_size,
     ball_vectors,
     intersection_exact,
@@ -21,6 +27,7 @@ from magrec.combinatorics import (
 )
 from magrec.lattice import (
     FiniteAbelianGroup,
+    LatticeCode,
     SplitterSpec,
     check_partial_splitting,
     lattice_min_distance,
@@ -28,6 +35,7 @@ from magrec.lattice import (
 )
 
 from helpers import (
+    empty_cache,
     oracle_ball,
     oracle_intersection,
     oracle_lattice_min_distance,
@@ -131,31 +139,91 @@ def test_lattice_scans_match_box_oracles(spec, channel, data):
 
 @pytest.fixture
 def fresh_cache(monkeypatch):
-    """An empty ball cache for the test."""
-    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
-    return combinatorics._ball_cache
+    """An empty cache for the test."""
+    return empty_cache(monkeypatch)
 
 
 @pytest.fixture
 def small_cache(fresh_cache, monkeypatch):
-    """An empty ball cache with a 64 KiB budget for the test."""
+    """An empty cache with a 64 KiB budget for the test."""
     monkeypatch.setattr(combinatorics, "BALL_CACHE_BYTES", 64 * 2**10)
     return fresh_cache
 
 
 def charged(cache):
-    return sum(matrix.nbytes for matrix in cache.values())
+    """The bytes of the arrays the cache keeps (all int64 or float32 here)."""
+    return sum(
+        a.nbytes
+        for value, _ in cache.values()
+        for a in (value if isinstance(value, tuple) else (value,))
+    )
 
 
 def test_ball_cache_stays_within_its_budget(small_cache):
+    # balls, one-hot matrices and coset-leader tables fill the one budget,
+    # and the running total is always the bytes of what is kept
     for n in range(1, 8):
+        spec = SplitterSpec(FiniteAbelianGroup((7,)), tuple((i,) for i in range(1, n + 1)))
         for t in range(n + 1):
             for kp, km in [(1, 0), (1, 1), (2, 1)]:
-                ball_matrix(ChannelParams(n, t, kp, km))
+                p = ChannelParams(n, t, kp, km)
+                ball_matrix(p)
+                ball_one_hot(p)
+                LatticeCode(spec).decode_within((0,) * n, t, p)
+                assert combinatorics._cache_bytes == charged(small_cache)
                 assert charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
-    assert small_cache  # the smaller balls are kept
-    last = next(reversed(small_cache))
-    assert ball_matrix(last) is small_cache[last]  # a hit
+    kinds = {type(key[0]) if isinstance(key, tuple) else type(key) for key in small_cache}
+    assert kinds == {ChannelParams, str, SplitterSpec}  # all three kinds are kept
+    last = [key for key in small_cache if isinstance(key, ChannelParams)][-1]
+    assert ball_matrix(last) is small_cache[last][0]  # a hit
+
+
+def test_one_hot_is_judged_against_the_block_budget_on_every_call(fresh_cache, monkeypatch):
+    # the size test comes before the lookup: a kept matrix is refused once
+    # core.BLOCK_BYTES drops below it, with nothing cleared
+    p = ChannelParams(4, 2, 1, 1)
+    hot = ball_one_hot(p)
+    assert hot is not None and ball_one_hot(p) is hot
+    monkeypatch.setattr(core, "BLOCK_BYTES", hot.nbytes - 1)
+    assert ball_one_hot(p) is None
+    assert fresh_cache[("one-hot", p)][0] is hot
+    monkeypatch.setattr(core, "BLOCK_BYTES", hot.nbytes)
+    assert ball_one_hot(p) is hot
+
+
+def test_an_insert_costs_the_same_however_full_the_cache(small_cache):
+    # the byte total moves by each kept or dropped entry, never re-summed:
+    # 10**4 tiny tables, most of them kept, go in well within a second
+    start = time.perf_counter()
+    for i in range(10**4):
+        combinatorics.cached(("tiny", i), lambda: np.zeros(1))
+    assert time.perf_counter() - start < 1
+    assert len(small_cache) == combinatorics.BALL_CACHE_BYTES // 8
+    assert combinatorics._cache_bytes == charged(small_cache)
+
+
+def test_threads_keep_the_byte_total_exact(small_cache):
+    # 8 threads insert, hit and evict overlapping keys with a thread switch
+    # every microsecond: a lost update would leave the total off the bytes
+    def work(seed):
+        for i in range(2000):
+            combinatorics.cached(("tiny", (seed * 977 + i) % 9000), lambda: np.zeros(1 + i % 3))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for done in [pool.submit(work, seed) for seed in range(8)]:
+                done.result(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert combinatorics._cache_bytes == charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
+
+
+def test_an_object_table_is_charged_its_python_ints(fresh_cache):
+    big = np.array([2**100, 3], dtype=object)
+    assert combinatorics.cached("big", lambda: big) is big and not big.flags.writeable
+    assert combinatorics._cache_bytes == big.nbytes + sys.getsizeof(2**100) + sys.getsizeof(3)
 
 
 def test_ball_over_the_budget_is_returned_but_not_kept(small_cache):
@@ -173,11 +241,11 @@ def test_ball_is_charged_exactly_its_matrix_bytes(key, fresh_cache, monkeypatch)
     monkeypatch.setattr(
         combinatorics, "BALL_CACHE_BYTES", ball_matrix(key).nbytes + ball_matrix(other).nbytes
     )
-    fresh_cache.clear()
+    fresh_cache = empty_cache(monkeypatch)
     matrix = ball_matrix(key)
     ball_matrix(other)
     assert list(fresh_cache) == [key, other]  # both fit exactly
-    assert fresh_cache[key] is matrix and not matrix.flags.writeable
+    assert fresh_cache[key][0] is matrix and not matrix.flags.writeable
     ball_matrix(last)  # 16 bytes more drops the oldest
     assert list(fresh_cache) == [other, last]
 

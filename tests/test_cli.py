@@ -10,7 +10,6 @@ import os
 import resource
 import subprocess
 import sys
-from collections import OrderedDict
 from itertools import chain, product
 from pathlib import Path
 from unittest import mock
@@ -26,7 +25,7 @@ from magrec.lattice import LatticeCode
 from magrec.core import ExplicitCode
 from magrec.tandem import SimplexCode, format_simplex_code, greedy_simplex_code
 
-from helpers import oracle_exhaustive_totals
+from helpers import empty_cache, oracle_exhaustive_totals
 
 
 def run_cli(capsys, *argv):
@@ -121,7 +120,7 @@ def test_ball_example(capsys):
 
 
 def test_ball_oracle_reports_a_wrong_formula(monkeypatch, capsys):
-    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
+    empty_cache(monkeypatch)
     volume = combinatorics.hamming_volume
     # one point of the formula off by one: V_3(2, 1) = 5, reported as 6
     monkeypatch.setattr(

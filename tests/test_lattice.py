@@ -30,6 +30,7 @@ from helpers import (
     DIFFERENTIAL_CHANNELS,
     brute_force_decode,
     differential_specs,
+    empty_cache,
     oracle_ball_set,
     oracle_lattice_box,
     oracle_lattice_min_distance,
@@ -205,42 +206,70 @@ def test_lattice_code_contains_and_decodes():
     assert code2.decode_within((1, 0), 1, ChannelParams(2, 1, 1, 0)) == (1, -1)
 
 
-def test_lattice_code_keeps_one_coset_leader_table():
+def test_lattice_code_keeps_one_coset_leader_table(monkeypatch):
+    # the handle holds no table: each decode ball's table is built once, kept
+    # in the one cache, and read there by every handle of an equal spec
+    cache = empty_cache(monkeypatch)
     spec = spec1(7, (1, 2, 3))
     code = LatticeCode(spec)
     keys = [(1, 1, 1), (1, 2, 0), (0, 1, 1)]  # (radius, k+, k-) of the decode ball
-    fresh = {key: LatticeCode(spec) for key in keys}
-    # the table switches key on every call
+    fresh = {key: LatticeCode(spec1(7, (1, 2, 3))) for key in keys}
+    # the decode ball switches on every call
     for z in product(range(-2, 3), repeat=3):
         for key in keys:
             radius, kp, km = key
             p = ChannelParams(3, 3, kp, km)
             assert code.decode_within(z, radius, p) == fresh[key].decode_within(z, radius, p)
-            assert code._leaders[0] == ChannelParams(3, *key)
-    # the table is (key, sorted syndrome codes, leader matrix)
-    mine, theirs = code._leaders, fresh[keys[-1]]._leaders
-    assert mine[0] == theirs[0]
-    assert all(np.array_equal(a, b) for a, b in zip(mine[1:], theirs[1:]))
+    assert vars(code) == {"spec": spec, "n": 3}
+    tables = {key: value for key, (value, _) in cache.items() if isinstance(key, tuple)}
+    assert list(tables) == [(spec, ChannelParams(3, *key)) for key in keys]
+    # a table is (sorted syndrome codes, leader matrix), read-only
+    for (_, p), (codes, leaders) in tables.items():
+        assert lattice._coset_leaders(spec, p)[0] is codes
+        assert not codes.flags.writeable and not leaders.flags.writeable
+        assert (np.diff(codes) > 0).all() and len(leaders) == len(codes)
 
 
-def test_decode_rows_decodes_with_the_table_it_looked_up():
-    # a thread switch may come before any line of decode_rows: emulate one,
-    # deterministically, that swaps the handle's table to another key's
+def test_splitting_test_and_decodes_share_one_table(monkeypatch):
+    empty_cache(monkeypatch)
+    text = "group=Z13; s=[1,2,3,4,5,6]"
+    spec, p = parse_splitter_spec(text), ChannelParams(6, 2, 1, 1)
+    assert not check_partial_splitting(spec, p)
+    table = combinatorics._cache[(spec, p)][0]
+    leaders, looked_up = lattice._coset_leaders, []
+    monkeypatch.setattr(
+        lattice, "_coset_leaders", lambda *args: looked_up.append(leaders(*args)) or looked_up[-1]
+    )
+    U = np.array(list(product(range(-1, 2), repeat=6)), dtype=np.int64)
+    for handle in (LatticeCode(spec), LatticeCode(parse_splitter_spec(text))):
+        C, found = handle.decode_rows(U, p.t, p)
+        assert found.any() and all(lattice.syndrome(spec, c) == (0,) for c in C[found].tolist())
+    assert len(looked_up) == 2 and all(got is table for got in looked_up)
+
+
+def test_decode_rows_decodes_with_the_table_it_looked_up(monkeypatch):
+    # a thread switch may come before any line of decode_rows, and another
+    # thread may then drop the table from the cache: emulate that,
+    # deterministically, by emptying the cache before every line
     spec = spec1(7, (1, 2, 3))
     p = ChannelParams(3, 3, 1, 1)
     U = np.array(list(product(range(-2, 3), repeat=3)), dtype=np.int64)
-    other = LatticeCode(spec)
-    other.decode_rows(U, 0, p)
     expected = LatticeCode(spec).decode_rows(U, 1, p)
+    cache = empty_cache(monkeypatch)
     code = LatticeCode(spec)
+    syndromes, passes = lattice._syndrome_codes, []
+    monkeypatch.setattr(
+        lattice, "_syndrome_codes", lambda spec, M: passes.append(len(M)) or syndromes(spec, M)
+    )
 
-    def swap(frame, event, arg):
+    def clear(frame, event, arg):
         if event == "line":
-            code._leaders = other._leaders
-        return swap
+            cache.clear()
+            combinatorics._cache_bytes = 0
+        return clear
 
     def calls(frame, event, arg):
-        return swap if frame.f_code is LatticeCode.decode_rows.__code__ else None
+        return clear if frame.f_code is LatticeCode.decode_rows.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(calls)
@@ -248,7 +277,9 @@ def test_decode_rows_decodes_with_the_table_it_looked_up():
         C, found = code.decode_rows(U, 1, p)
     finally:
         sys.settrace(previous)
-    assert code._leaders is other._leaders
+    assert not cache
+    # one table built (the 7-row ball's syndromes), then one pass over U
+    assert passes == [7, len(U)]
     assert np.array_equal(found, expected[1]) and np.array_equal(C, expected[0])
 
 

@@ -183,15 +183,16 @@ def test_a_hundred_sets_with_one_minimum_decode_one_row():
 
 
 def test_class_pairs_bound_the_decode_memory():
-    # every coordinate erased, so a set's class is its anchor: about 110 of
-    # 2000 sets share the ball's first row, and at delta = 2 every fill of
-    # their class decodes, so each fill block pairs every one of them with
-    # each of its 1820 decoded rows, 9 MB as one (pairs, n) int64 matrix;
-    # so for the drawn block and for a block of its stack
+    # every coordinate erased, so a set's class is its anchor: about 100 of
+    # 1795 sets (one block, each charged its 73 8-byte keys) share the ball's
+    # first row, and at delta = 2 every fill of their class decodes, so each
+    # fill block pairs every one of them with each of its 1820 decoded rows,
+    # 9 MB as one (pairs, n) int64 matrix; so for the drawn block and for a
+    # block of its stack
     p = ChannelParams(6, 2, 1, 1)
     code = LatticeCode(SplitterSpec(cyclic(13), tuple((s,) for s in range(1, 7))))
     tau = Fraction(10**6)
-    (drawn,) = read_blocks((0,) * 6, p, 4, "random", 2000, seed=3)
+    (drawn,) = read_blocks((0,) * 6, p, 4, "random", 1795, seed=3)
     assert drawn.ind is not None and len(drawn) >= reconstruction._CLASS_MIN
     assert np.bincount(drawn.ind.argmax(axis=1)).max() > 100
     decode = ALGORITHMS["majority"].decode
@@ -203,7 +204,7 @@ def test_class_pairs_bound_the_decode_memory():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert owner.tolist() == list(range(2000))
+        assert owner.tolist() == list(range(1795))
         assert peak < 4 * core.BLOCK_BYTES
 
 

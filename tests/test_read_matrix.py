@@ -3,7 +3,7 @@ syndrome-table decoder against the tuple kernels and brute-force oracles in
 ``helpers``, and of decoding a stack against decoding its sets one by one."""
 
 import tracemalloc
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -54,6 +54,7 @@ from helpers import (
     add,
     brute_force_decode,
     differential_specs,
+    empty_cache,
     oracle_adversarial_order,
     oracle_ball,
     oracle_componentwise_min,
@@ -398,8 +399,8 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
             if comb(len(ball), count) <= 500 else None
         )
 
-    # a dense draw's set is also charged its float32 indicator row over the ball
-    row_bytes = 8 * count * p.n if slack < 0 else max(8 * count * p.n, 4 * len(ball))
+    # a dense draw's set is also charged its row of 8-byte keys over the ball
+    row_bytes = 8 * count * p.n if slack < 0 else max(8 * count * p.n, 8 * len(ball))
     per_block = max(1, per_stack * 8 * count * p.n // row_bytes)
     sizes = [per_block] * (trials // per_block) + [trials % per_block] * (trials % per_block > 0)
     for got in (random_stacks, sampled):
@@ -578,7 +579,7 @@ def test_a_ball_out_of_order_fails_the_build_check(monkeypatch):
         return rows
 
     monkeypatch.setattr(combinatorics, "_lex_rows", mutant)
-    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
+    empty_cache(monkeypatch)
     for build in (
         lambda: channel.read_sets(x, p, len(ball), "random", 3, seed=1),
         lambda: channel.read_sets(x, p, len(ball), "adversarial"),
@@ -607,7 +608,7 @@ def test_a_point_checks_its_ball_once_and_its_blocks_never(monkeypatch):
     # from it inherits that order, so later calls at the point check nothing
     p, x = ChannelParams(4, 2, 1, 0), (0, 1, -1, 2)
     checked = spy_on_check_stack(monkeypatch)
-    monkeypatch.setattr(combinatorics, "_ball_cache", OrderedDict())
+    empty_cache(monkeypatch)
     size = len(channel.ball_matrix(p))
     assert checked == [(1, size, 4)]
     checked.clear()
