@@ -28,9 +28,11 @@ the subsets.  ``max_intersection_of_code`` counts one intersection per
 ``distances.difference_classes`` row.
 
 One locked LRU cache, ``cached(key, build)``, keeps the balls (key p), their
-one-hot matrices (key ("one-hot", p)) and the lattice coset-leader tables
-(key (spec, p)) under the one budget ``BALL_CACHE_BYTES``; its byte total
-moves by each entry kept or dropped, and a caller reads an entry once.
+one-hot matrices (key ("one-hot", p)), the lattice coset-leader tables (key
+(spec, p)) and difference classes (("differences", spec, p)) and the tandem
+upward balls (("excess", k, t)) under the one budget ``BALL_CACHE_BYTES``;
+its byte total moves by each entry kept or dropped, and a caller reads an
+entry once.
 
 All arithmetic is exact integer arithmetic (the one-hot matrix holds 0 and
 1, whose float32 sums are exact below 2**24).

@@ -14,8 +14,8 @@ here is in fact cyclic).  The module provides:
   whole matrix up in the same table, and
 * the exact intersection check over the lattice differences,
   ``max_pairwise_intersection_lattice``, one count per distinct sorted
-  difference row (``core.distinct_rows``), which certifies all of the
-  above on small instances (the packing is its value 0).
+  difference row (``core.distinct_rows``, cached), which certifies all of
+  the above on small instances (the packing is its value 0).
 
 Every function of a channel takes it as one ``ChannelParams`` p whose n is
 the splitter's length.  The radius-1 statements (``check_recon_N1``,
@@ -340,15 +340,15 @@ def max_pairwise_intersection_lattice(
     ball B(n, min(2t, n), k+ + k-, k+ + k-), of which ``cap`` bounds the
     size.  Its nonzero rows with the identity syndrome are therefore every
     difference of lattice points whose balls can meet.  The intersection
-    depends only on the multiset of d's entries, so the rows are sorted and
-    ``intersection_exact`` counts each distinct sorted row once.
+    depends only on the multiset of d's entries, so ``intersection_exact``
+    counts each distinct sorted row once, cached as ("differences", spec, p).
     """
     _check_length(spec, p)
     span = p.magnitude_span
     box = combinatorics.ball_matrix(ChannelParams(p.n, min(2 * p.t, p.n), span, span), cap)
-    differences = np.sort(box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)], axis=1)
+    classes = combinatorics.cached(("differences", spec, p), lambda: distinct_rows(
+        np.sort(box[(_syndrome_codes(spec, box) == 0) & box.any(axis=1)], axis=1))).tolist()
     zero = (0,) * p.n
-    classes = distinct_rows(differences).tolist()
     return max((combinatorics.intersection_exact(zero, d, p) for d in classes), default=0)
 
 

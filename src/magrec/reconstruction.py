@@ -32,25 +32,23 @@ checked when it was enumerated.  A block drawn as indicator rows over the
 shifted ball reads every vote, range and minimum off one count table, the
 indicators times the ball's one-hot matrix; any other block holds a
 stack, an (S, N, n) int64 array, each set's rows in lexicographic order,
-and votes by sorting each column (``_sorted_votes``).  The minimum, the
-plurality vote, the anchors (each set's first read) and the cover check
-run over all S sets at once, and ``ReadPlan.decode`` decodes a whole block
-into its ``Decoded`` rows (set, codeword); a set owning no row failed, and
-x came back from a set exactly when (set, x) is a row.  A block of at least
-``_CLASS_MIN`` sets decodes each distinct decoder input once (``_classes``):
-each distinct minimum, or, for the majority family, each distinct triple
-of kept values, erased coordinates and anchor values on them, and fans
-the result out to its sets (``_fan_out``); the majority cover test stays
-per set.  The majority decoder and ``list-min`` build the candidates of
-all inputs of a block as owner-tagged int64 blocks of
-``core.rows_per_block`` fills (``_candidates``), and each block is decoded
-by one ``Code.decode_rows`` call, a table lookup for lattice codes.  The
-majority list decoder builds each candidate's mixed-radix row key instead
-(``_fill_keys``): fills of many inputs share rows, so it decodes only the
-distinct rows of each block of keys and dedupes (set, codeword) pairs by
-one sort (``_decode_fills``), and it builds rows only where the keys would
-pass 2**63.  A ``ReadSet`` is a single (N, n) matrix, and the per-set
-procedures above decode it as a block of one.
+and votes by sorting each column (``_sorted_votes``).  Every decoder runs
+over all S sets at once, ``ReadPlan.decode`` giving a block's ``Decoded``
+rows (set, codeword): a set owning no row failed, and x came back from a
+set exactly when (set, x) is a row.  A block of at least ``_CLASS_MIN``
+sets decodes each distinct decoder input once (``_classes``): each
+distinct minimum, or each distinct triple of kept values, erased
+coordinates and anchor values on them, fanned out to its sets
+(``_fan_out``).  The majority decoder and ``list-min`` build candidates
+as owner-tagged int64 blocks of ``core.rows_per_block`` rows
+(``_candidates``), each decoded by one ``Code.decode_rows`` call, a table
+lookup for lattice codes; the majority list decoder decodes the distinct
+mixed-radix keys of its fills instead (``_fill_keys``, ``_decode_fills``),
+building rows only where keys would pass 2**63.  The Sauer decoder
+searches every set of a block for its witness at once, over bitsets of
+uint64 words (``_witnesses``), and builds the candidates of all sets with
+one witness in one pass.  A ``ReadSet`` is a single (N, n) matrix, and the
+per-set procedures above decode it as a block of one.
 
 The vote compares twice a count minus N, an integer in [-N, N], with the
 threshold tau as the int64 test 2c - N > floor(tau), floor(tau) clamped to
@@ -64,9 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, product
-from operator import and_
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -651,6 +647,15 @@ def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) ->
     return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
+def _merged(parts: list, n: int) -> Decoded:
+    """The ``Decoded`` parts of one stack as one, by one ``distinct_rows``."""
+    if len(parts) == 1:
+        return parts[0]
+    tagged = distinct_rows(np.concatenate([np.zeros((0, n + 1), dtype=np.int64)]
+                                          + [np.column_stack(part) for part in parts]))
+    return tagged[:, 0].astype(np.intp), tagged[:, 1:]
+
+
 def _fill_keys(
     words: np.ndarray, erased: np.ndarray, anchors: np.ndarray, shifts: np.ndarray,
     p: ChannelParams, cap: int,
@@ -720,7 +725,7 @@ def _decode_fills(
     row (``key_rows``) and decoded once, ``rows_per_block(32 n)`` rows to a
     ``Code.decode_rows`` call, and the (set, codeword) pairs are made
     distinct by one sort of (set, codeword rank); the blocks' pairs are
-    merged once (``distinct_rows``).  Where the keys would pass 2**63 the
+    merged once (``_merged``).  Where the keys would pass 2**63 the
     rows are built and decoded (``_candidates``, ``_decode_lists``)."""
     frame = _fill_keys(words, erased, anchors, shifts, p, cap)
     if frame is None:
@@ -748,11 +753,7 @@ def _decode_fills(
         pair = pair[_starts(pair)]
         return pair // ranks, np.take(found[first], pair % ranks, axis=0)
 
-    parts = [decode(*block) for block in blocks]
-    if len(parts) == 1:
-        return parts[0]
-    tagged = distinct_rows(np.concatenate([np.column_stack(part) for part in parts]))
-    return tagged[:, 0].astype(np.intp), tagged[:, 1:]
+    return _merged([decode(*block) for block in blocks], p.n)
 
 
 def _decode_list_min(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
@@ -831,20 +832,53 @@ def list_reconstruct_majority(
     return _rows(_decode_list_majority(Y.block, Y.params, tau, code, delta, a, cap))
 
 
+def _witnesses(X: np.ndarray, q: int, c: int) -> tuple[list, np.ndarray]:
+    """(subsets, found) of the coordinate search over the (S, n, N) columns
+    X of S sets of N distinct members in [0, q)^n, 1 <= c <= n: found[s] is
+    the rank, in ``combinations(range(n), c)`` order, of the first U that
+    set s witnesses (every pattern over U avoided coordinatewise by some
+    member), -1 when there is none; ``subsets`` lists the subsets walked.
+
+    A set avoids a pattern when the AND of the pattern's c rows of uint64
+    words is nonzero, a row per (coordinate, value) packed from one mask of
+    the members avoiding it.  Subsets are walked in chunks of 1, 2, 4, ...
+    (the first witness is mostly among the first few), ``rows_per_block``
+    open sets at a time, each charged its word rows and, per subset, c + 1
+    word rows per pattern."""
+    S, n, N = X.shape
+    mask = np.zeros((S, n, q, -N % 64 + N), dtype=bool)
+    for value in range(q):  # one broadcast comparison into the padded mask buffers a copy
+        np.not_equal(X, value, out=mask[:, :, value, :N])
+    words = np.packbits(mask, axis=3, bitorder="little").view(np.uint64).reshape(S, n * q, -1)
+    patterns = np.indices((q,) * c).reshape(c, -1).T
+    row_bytes = 8 * (c + 1) * len(patterns) * words.shape[2]
+    found = np.full(S, -1, dtype=np.intp)
+    open_sets, subsets, walk, size = np.arange(S), [], combinations(range(n), c), 1
+    while len(open_sets) and (chunk := list(islice(
+            walk, min(size, rows_per_block(row_bytes * len(open_sets)))))):
+        rows = np.array(chunk)[:, None, :] * q + patterns  # (subset, pattern, coordinate)
+        per = rows_per_block(row_bytes * len(chunk) + words[0].nbytes)  # a set's words copied
+        for lo in range(0, len(open_sets), per):
+            part = open_sets[lo:lo + per]
+            avoided = np.bitwise_and.reduce(words[part][:, rows], axis=3).any(axis=3)
+            shattered = avoided.all(axis=2)
+            hit = shattered.any(axis=1)
+            found[part[hit]] = len(subsets) + shattered[hit].argmax(axis=1)
+        subsets += chunk
+        open_sets, size = open_sets[found[open_sets] < 0], 2 * size
+    return subsets, found
+
+
 def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
     """A size-c coordinate set U such that every pattern over U is avoided
     coordinatewise by some member of S.
 
     S is an (|S|, n) int64 matrix with one member per row, or any iterable
     of length-n vectors, converted to one once; a repeated member counts
-    once (``distinct_rows``).  Search over all coordinate subsets
-    (lexicographic order, first witness wins) and all q^c patterns, with
-    one Python-int bitset per (coordinate, value) of the members avoiding
-    it, packed from one (n, q, |S|) mask: a pattern is avoided when the AND
-    of its c bitsets is nonzero.  Such a U exists whenever |S| >
-    V_q(n, c - 1); absence therefore signals a violated precondition.  The
-    worst-case scan, C(n, c) q^c |S| member tests over the distinct
-    members, is charged against ``cap`` first.
+    once (``distinct_rows``).  U is the first witness in lexicographic
+    order, by the block search (``_witnesses``) on a stack of one.  It
+    exists whenever |S| > V_q(n, c - 1), so absence signals a violated
+    precondition.  C(n, c) q^c |S| member tests are charged first.
     """
     if not isinstance(S, np.ndarray):
         rows = [tuple(v) for v in S]
@@ -865,16 +899,12 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
         raise ReconstructionError(f"no coordinate set of size {c} in length {n}")
     members = distinct_rows(S)
     charge(binom(n, c) * q**c * len(members), "coordinate-search member tests", cap)
-    # avoid[i][x] has bit b set when member b has no x at coordinate i
-    mask = members.T[:, None, :] != np.arange(q)[:, None]
-    avoid = [[int.from_bytes(bits.tobytes(), "little") for bits in row]
-             for row in np.packbits(mask, axis=2, bitorder="little")]
-    for U in combinations(range(n), c):
-        if all(reduce(and_, bitsets) for bitsets in product(*(avoid[i] for i in U))):
-            return U
-    raise ReconstructionError(
-        "no witness coordinate set: |S| is too small for the requested size"
-    )
+    subsets, found = _witnesses(members.T[None], q, c)
+    if found[0] < 0:
+        raise ReconstructionError(
+            "no witness coordinate set: |S| is too small for the requested size"
+        )
+    return subsets[found[0]]
 
 
 def sauer_reads_required(p: ChannelParams, delta: int, a: int) -> int:
@@ -883,32 +913,51 @@ def sauer_reads_required(p: ChannelParams, delta: int, a: int) -> int:
     return hamming_volume(p.magnitude_span + 1, p.n, f - 1 - a) + 1
 
 
-def _sauer_list(M: np.ndarray, p: ChannelParams, delta: int, a: int, cap: int) -> np.ndarray:
-    """The candidates of the Sauer list of one read set, given as its (N, n)
-    matrix; raises ReconstructionError when the coordinate search finds no
-    witness."""
-    f = _list_excess(p, delta, a)
-    lows = np.minimum(M.min(axis=0), M.max(axis=0) - p.k_plus)
-    U = sauer_shelah_find(M - lows, p.magnitude_span + 1, f - a, cap)
-    return _sauer_candidates(M, p, U, f, cap)
+def _sauer_shift(stack: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """The (S, n, N) columns of a stack's sets, each column less the least
+    of its least value and its largest less k+ (where K_i starts)."""
+    X = stack.transpose(0, 2, 1).copy()  # a reduction along rows is 3x slower
+    return np.subtract(X, np.minimum(X.min(axis=2), X.max(axis=2) - p.k_plus)[..., None], out=X)
+
+
+def _sauer_candidates(stack: np.ndarray, X: np.ndarray, q: int, sets: np.ndarray, U,
+                      p: ChannelParams, f: int, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Pieces (owner, rows) of the rows rep - e of the ``sets`` of a stack,
+    X its ``_sauer_shift`` in [0, q): rep is a set's first read of each
+    pattern on U (one ``group_keys`` of (set, base-q pattern) keys), e in
+    B(n, f, k+, k-) is nonzero on all of U.  A piece holds whole sets, in
+    order, at most ``rows_per_block(32 n)`` rows (as ``_candidates``), or one."""
+    U, N = list(U), stack.shape[1]
+    ball = ball_matrix(ChannelParams(p.n, f, p.k_plus, p.k_minus), cap)
+    shifts = ball[(ball[:, U] != 0).all(axis=1)]
+    keys = q ** np.arange(len(U)) @ X[np.ix_(sets, U)] + q ** len(U) * np.arange(len(sets))[:, None]
+    first = group_keys(keys.reshape(-1))[0]
+    owner = sets[first // N]
+    reps = stack.reshape(-1, p.n)[owner * N + first % N]
+    per = max(1, rows_per_block(32 * p.n) // (len(shifts) * int(np.bincount(owner).max())))
+    cuts = np.searchsorted(owner, sets[per::per]).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(owner)]):
+        yield owner[lo:hi].repeat(len(shifts)), (reps[lo:hi, None] - shifts).reshape(-1, p.n)
 
 
 def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
                   cap: int):
-    """Per set: the Sauer list, empty where the coordinate search fails.
-    The search is combinatorial per set, so each set's candidates are built
-    alone, from its matrix in the block's stack, as one block of one
-    ``_decode_lists`` pass over the block."""
-
-    def blocks():
-        for s, M in enumerate(block.stack):
-            try:
-                rows = _sauer_list(M, p, delta, a, cap)
-            except ReconstructionError:
-                continue
-            yield np.full(len(rows), s, dtype=np.intp), rows
-
-    return _decode_lists(blocks(), code, delta, p, cap)
+    """Per set: the Sauer list, empty where no witness is found.  All sets
+    are shifted into [0, q)^n (ValueError past it) and searched at once
+    (``_witnesses``), charged C(n, c) q^c N member tests once, as every set
+    holds N distinct reads; the sets of each distinct witness U then have
+    their candidates built and decoded in one pass, and the lists merged."""
+    f = _list_excess(p, delta, a)
+    q, c, stack = p.magnitude_span + 1, f - a, block.stack
+    if (X := _sauer_shift(stack, p)).max() >= q:  # no entry is below 0
+        raise ValueError(f"entries must lie in [0, {q - 1}]")
+    charge(binom(p.n, c) * q**c * block.N, "coordinate-search member tests", cap)
+    subsets, found = _witnesses(X, q, c)
+    return _merged([
+        _decode_lists(_sauer_candidates(stack, X, q, (found == rank).nonzero()[0], subsets[rank],
+                                        p, f, cap), code, delta, p, cap)
+        for rank in sorted(set(found.tolist()) - {-1})
+    ], p.n)
 
 
 def list_reconstruct_sauer(
@@ -923,27 +972,15 @@ def list_reconstruct_sauer(
     the codeword on all of U; stripping up to f errors that include all of U
     from each representative yields a candidate set whose decodes contain
     the transmitted codeword.  Needs |Y| > V(n, f - 1 - a); the list size is
-    at most (k+ + k- + 1)^(2(f - a)) * V(n - f + a, a).
+    at most (k+ + k- + 1)^(2(f - a)) * V(n - f + a, a).  Y is decoded as a
+    block of one, and an empty list searched again, to raise on no witness.
     """
-    rows = _sauer_list(Y.matrix, Y.params, delta, a, cap)
-    owner = np.zeros(len(rows), dtype=np.intp)
-    return _rows(_decode_lists([(owner, rows)], code, delta, Y.params, cap))
-
-
-def _sauer_candidates(
-    M: np.ndarray, p: ChannelParams, U: tuple[int, ...], f: int,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> np.ndarray:
-    """The distinct candidates rep - e as the rows of a matrix, sorted: rep
-    is the first read (row of M) of each pattern on U, and e in
-    B(n, f, k+, k-) is nonzero on every coordinate of U.  Patterns are told
-    apart by ``group_keys`` of their ``_row_keys``, candidates by
-    ``distinct_rows``."""
-    cols = list(U)
-    shifts = ball_matrix(ChannelParams(p.n, f, p.k_plus, p.k_minus), cap)
-    shifts = shifts[(shifts[:, cols] != 0).all(axis=1)]
-    first = group_keys(_row_keys(M[:, cols]))[0]
-    return distinct_rows((M[first, None, :] - shifts).reshape(-1, p.n))
+    p = Y.params
+    words = _rows(_decode_sauer(Y.block, p, None, code, delta, a, cap))
+    if not words:
+        q, c = p.magnitude_span + 1, _list_excess(p, delta, a) - a
+        sauer_shelah_find(_sauer_shift(Y.block.stack, p)[0].T, q, c, cap)
+    return words
 
 
 def majority_list_size_bound(p: ChannelParams, delta: int, a: int) -> int:

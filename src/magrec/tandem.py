@@ -16,25 +16,25 @@ here work shell by shell.
 
 The error-ball enumerator (``combinatorics._lex_rows``, each excess costing
 itself) builds the excess vectors of B_t^+(0) as a lexicographically
-ordered int64 matrix; a shell w is a row of B_w^+(0) one coordinate shorter
-followed by the excess it leaves, so it depends only on (m + 1, w).  A read
-set of x + shell has componentwise minimum x + z, z the minimum of its
-subset of the shell, and the shell's N-subsets with minimum z are counted
-in closed form by Möbius inversion (``_shell_minimum_count``), a count
-that depends on |z| alone, so no subset is enumerated.  The rows x + z,
-one per codeword x and distinct z, are built a block of codewords at a
-time and decoded by ``SimplexCode.decode_rows``, the only decoder, which
-tests each row against every member at once; the rows that decode to their
-own x are counted per excess |z| and weighted by the sets of all shells
-with that minimum, in Python ints.  The rows are int64 while r + t stays
-below 2**62 and Python ints (an object array) past it, so a code of any
-entries is counted exactly.  The cap is charged the whole upward ball
-before its first shell is built, then every shell, and, where the subsets
-are enumerated (``exhaustive_simplex_read_sets``), every shell's subset
-count.  Where reads are built as int64 rows
-(``upward_ball``, ``exhaustive_simplex_read_sets``,
-``reconstruct_simplex_min``), x plus any excess must stay below 2**62
-(``core.check_entries``).
+ordered int64 matrix, kept in the one cache; a shell w is a row of B_w^+(0)
+one coordinate shorter followed by the excess it leaves, so it depends only
+on (m + 1, w).  A read set of x + shell has componentwise minimum x + z, z
+the minimum of its subset of the shell, and the shell's N-subsets with
+minimum z are counted in closed form by Möbius inversion
+(``_shell_minimum_count``), a count that depends on |z| alone, so no subset
+is enumerated.  The rows x + z, one per codeword x and distinct z, are
+built a block of codewords at a time and decoded by
+``SimplexCode.decode_rows``, the only decoder, which tests each row against
+every member at once; the rows that decode to their own x are counted per
+excess |z| and weighted by the sets of all shells with that minimum, in
+Python ints.  The rows are int64 while r + t stays below 2**62 and Python
+ints (an object array) past it, so a code of any entries is counted
+exactly.  The cap is charged the whole upward ball before its first shell
+is built, then every shell, and, where the subsets are enumerated
+(``exhaustive_simplex_read_sets``), every shell's subset count.  Where
+reads are built as int64 rows (``upward_ball``,
+``exhaustive_simplex_read_sets``, ``reconstruct_simplex_min``), x plus any
+excess must stay below 2**62 (``core.check_entries``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.combinatorics import _lex_rows
+from magrec.combinatorics import _lex_rows, cached
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     ENTRY_LIMIT,
@@ -68,9 +68,10 @@ def is_simplex_member(v: Vec, m: int, r: int) -> bool:
 def _excess(k: int, t: int) -> np.ndarray:
     """B_t^+(0) in Z^k: the non-negative int64 rows of sum at most t, in
     lexicographic order, from the error-ball enumerator with each excess
-    costing itself."""
+    costing itself, kept read-only in the one cache under ("excess", k, t);
+    every caller charges its vectors first."""
     steps = np.arange(t + 1)
-    return _lex_rows(steps, steps, k, t)
+    return cached(("excess", k, t), lambda: _lex_rows(steps, steps, k, t))
 
 
 def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:

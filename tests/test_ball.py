@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magrec import ChannelParams, EnumerationCapExceeded
-from magrec import combinatorics, core
+from magrec import combinatorics, core, tandem
 from magrec.combinatorics import (
     ball_matrix,
     ball_one_hot,
@@ -160,8 +160,10 @@ def charged(cache):
 
 
 def test_ball_cache_stays_within_its_budget(small_cache):
-    # balls, one-hot matrices and coset-leader tables fill the one budget,
-    # and the running total is always the bytes of what is kept
+    # balls, one-hot matrices, coset-leader tables, lattice difference
+    # classes and tandem upward balls fill the one budget, and the running
+    # total is always the bytes of what is kept
+    kinds = set()
     for n in range(1, 8):
         spec = SplitterSpec(FiniteAbelianGroup((7,)), tuple((i,) for i in range(1, n + 1)))
         for t in range(n + 1):
@@ -170,10 +172,16 @@ def test_ball_cache_stays_within_its_budget(small_cache):
                 ball_matrix(p)
                 ball_one_hot(p)
                 LatticeCode(spec).decode_within((0,) * n, t, p)
+                max_pairwise_intersection_lattice(spec, ChannelParams(n, 1, kp, km))
+                tandem.upward_ball((0,) * n, min(t, 3))
                 assert combinatorics._cache_bytes == charged(small_cache)
                 assert charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
-    kinds = {type(key[0]) if isinstance(key, tuple) else type(key) for key in small_cache}
-    assert kinds == {ChannelParams, str, SplitterSpec}  # all three kinds are kept
+                kinds |= {
+                    key[0] if isinstance(key[0], str) else type(key[0])
+                    for key in (key if isinstance(key, tuple) else (key,) for key in small_cache)
+                }
+    # all five kinds are kept
+    assert kinds == {ChannelParams, "one-hot", SplitterSpec, "differences", "excess"}
     last = [key for key in small_cache if isinstance(key, ChannelParams)][-1]
     assert ball_matrix(last) is small_cache[last][0]  # a hit
 

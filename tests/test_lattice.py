@@ -247,6 +247,32 @@ def test_splitting_test_and_decodes_share_one_table(monkeypatch):
     assert len(looked_up) == 2 and all(got is table for got in looked_up)
 
 
+@pytest.mark.parametrize("code, flags, keys", [
+    ("group=Z8; s=[1,2,3,4,5]", ("--kp", "2", "--km", "1", "--t", "1"), 40),
+    ("group=Z15; s=[1,2,3,4,5,6,7]", ("--kp", "1", "--km", "0", "--t", "2"), 70),
+])
+def test_a_repeated_packing_oracle_groups_nothing(monkeypatch, capsys, code, flags, keys):
+    # the sorted lattice differences are grouped once and kept in the one
+    # cache beside the coset-leader table: a repeated command groups no key
+    from magrec import cli, core
+
+    empty_cache(monkeypatch)
+    grouped, group_keys = [], core.group_keys
+    spy = lambda k: grouped.append(len(k)) or group_keys(k)  # noqa: E731
+    monkeypatch.setattr(core, "group_keys", spy)
+    monkeypatch.setattr(lattice, "group_keys", spy)
+    argv = ["check-splitting", "--code", f"splitter:{code}", *flags, "--oracle"]
+    assert cli.main(argv) == 0
+    assert keys in grouped
+    spec = parse_splitter_spec(code)
+    p = ChannelParams(spec.n, int(flags[5]), int(flags[1]), int(flags[3]))
+    assert not combinatorics._cache[("differences", spec, p)][0].flags.writeable
+    grouped.clear()
+    assert cli.main(argv) == 0
+    assert "MATCH" in capsys.readouterr().out
+    assert grouped == []
+
+
 def test_decode_rows_decodes_with_the_table_it_looked_up(monkeypatch):
     # a thread switch may come before any line of decode_rows, and another
     # thread may then drop the table from the cache: emulate that,

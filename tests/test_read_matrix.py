@@ -29,7 +29,7 @@ from magrec.channel import (
     score_sets,
 )
 from magrec.combinatorics import ball_size
-from magrec.core import ENTRY_LIMIT
+from magrec.core import ENTRY_LIMIT, distinct_rows
 from magrec.lattice import LatticeCode, parse_splitter_spec, syndrome
 from magrec.reconstruction import (
     ALGORITHMS,
@@ -38,6 +38,7 @@ from magrec.reconstruction import (
     _cover_rows,
     _covers,
     _sauer_candidates,
+    _sauer_shift,
     _sorted_votes,
     check_stack,
     list_reconstruct_majority,
@@ -266,7 +267,11 @@ def test_sauer_shift_prefilter_matches_full_filter(case, data):
         st.sets(st.integers(0, p.n - 1), max_size=f)
     )))
     Y = ReadSet(reads, p)
-    rows = _sauer_candidates(Y.matrix, p, U, f).tolist()
+    # reads from no one ball: the patterns are read in a base past every shifted value
+    X = _sauer_shift(Y.matrix[None], p)
+    sets = np.zeros(1, dtype=np.intp)
+    pieces = _sauer_candidates(Y.matrix[None], X, int(X.max()) + 1, sets, U, p, f, 10**7)
+    rows = distinct_rows(np.concatenate([rows for _, rows in pieces])).tolist()
     assert list(map(tuple, rows)) == oracle_sauer_candidates(reads, U, f, p.k_plus, p.k_minus)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magrec import core
+from magrec import core, tandem
 from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, ReconstructionError
 from magrec.tandem import (
     SimplexCode,
@@ -26,7 +26,13 @@ from magrec.tandem import (
     upward_ball,
 )
 
-from helpers import l1_distance, oracle_decode_upward, oracle_simplex_counts, oracle_upward_ball
+from helpers import (
+    empty_cache,
+    l1_distance,
+    oracle_decode_upward,
+    oracle_simplex_counts,
+    oracle_upward_ball,
+)
 
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -216,6 +222,34 @@ def test_caps_and_int64_range():
         reconstruct_simplex_min([(big + 1, 0)], code, 1)
     with pytest.raises(ValueError, match="int64-safe"):
         upward_ball((big, 0), 1)
+
+
+def test_upward_balls_are_read_from_the_one_cache_and_charged_first(monkeypatch):
+    # B_t^+(0) is enumerated once per (length, t), read-only, and every
+    # caller charges its vectors before the lookup, on a hit as on a miss
+    cache = empty_cache(monkeypatch)
+    code = greedy_simplex_code(2, 3, 1)
+    first = simplex_min_counts(code, 2, 2, 1)
+    kept = {key: value for key, (value, _) in cache.items() if key[0] == "excess"}
+    # the simplex r = 3 the code was picked from and the shells w = 0, 1, 2
+    # of Z^3 are each a row of B_w^+(0) in Z^2 and the excess it leaves
+    assert sorted(kept) == [("excess", 2, w) for w in range(4)]
+    assert all(not value.flags.writeable for value in kept.values())
+    enumerated = []
+    lex_rows = tandem._lex_rows
+    monkeypatch.setattr(tandem, "_lex_rows",
+                        lambda *args: enumerated.append(args) or lex_rows(*args))
+    assert simplex_min_counts(code, 2, 2, 1) == first
+    assert _excess(2, 2) is kept[("excess", 2, 2)]
+    assert enumerated == []
+    assert upward_ball((1, 0, 2), 2) == tuple(oracle_upward_ball((1, 0, 2), 2))
+    assert len(enumerated) == 1 and _excess(3, 2) is cache[("excess", 3, 2)][0]
+    with pytest.raises(EnumerationCapExceeded, match="^10 upward ball vectors"):
+        upward_ball((0, 0, 0), 2, cap=9)
+    with pytest.raises(EnumerationCapExceeded, match="^10 upward ball vectors"):
+        simplex_min_counts(code, 2, 2, 1, cap=9)
+    with pytest.raises(EnumerationCapExceeded, match="^3 upward shell vectors"):
+        _excess_shell(3, 1, 2)
 
 
 def test_shell_walks_refuse_t_below_zero():

@@ -3,13 +3,14 @@
 ``perfbench/tracing.py`` wraps functions by name and reads some of their
 arguments by position; a traced function that is renamed, deleted or whose
 observed argument moves breaks traced benchmark runs.  This runs a few small
-commands, and the two traced channel functions the CLI does not call,
-under an installed tracer.
+commands, and the traced functions the CLI does not call (two channel
+functions, and ``reconstruction.sauer_shelah_find``, since ``list --alg
+sauer`` searches a whole block at once), under an installed tracer.
 """
 
 from pathlib import Path
 
-from magrec import ChannelParams, channel, cli
+from magrec import ChannelParams, channel, cli, reconstruction
 from magrec.lattice import LatticeCode, SplitterSpec, cyclic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -33,6 +34,7 @@ def test_tracer_installs_and_reports(tmp_path, monkeypatch, capsys):
         code = LatticeCode(SplitterSpec(cyclic(3), ((1,),) * 3))
         record = channel.run_trial(code, "majority", (0, 0, 0), ChannelParams(3, 1, 1, 1), 5, 1)
         assert record.success
+        assert reconstruction.sauer_shelah_find([(0, 0), (1, 1), (0, 1)], 2, 1) == (0,)
     capsys.readouterr()
     metrics = tracer.metrics(1.0)
     assert metrics["cli.main.calls"] == 3
