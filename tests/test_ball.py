@@ -159,6 +159,12 @@ def charged(cache):
     )
 
 
+def kind(key):
+    """A cache key's kind: its string tag, or else the type of its head."""
+    head = key[0] if isinstance(key, tuple) else key
+    return head if isinstance(head, str) else type(head)
+
+
 def test_ball_cache_stays_within_its_budget(small_cache):
     # balls, one-hot matrices, coset-leader tables, lattice difference
     # classes and tandem upward balls fill the one budget, and the running
@@ -176,10 +182,7 @@ def test_ball_cache_stays_within_its_budget(small_cache):
                 tandem.upward_ball((0,) * n, min(t, 3))
                 assert combinatorics._cache_bytes == charged(small_cache)
                 assert charged(small_cache) <= combinatorics.BALL_CACHE_BYTES
-                kinds |= {
-                    key[0] if isinstance(key[0], str) else type(key[0])
-                    for key in (key if isinstance(key, tuple) else (key,) for key in small_cache)
-                }
+                kinds |= set(map(kind, small_cache))
     # all five kinds are kept
     assert kinds == {ChannelParams, "one-hot", SplitterSpec, "differences", "excess"}
     last = [key for key in small_cache if isinstance(key, ChannelParams)][-1]
