@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -873,13 +873,15 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     """A size-c coordinate set U such that every pattern over U is avoided
     coordinatewise by some member of S.
 
-    S is an (|S|, n) int64 matrix with one member per row, or any iterable
-    of length-n vectors, converted to one once; a repeated member counts
-    once (``distinct_rows``).  U is the first witness in lexicographic
+    S is an (|S|, n) integer matrix with one member per row, or any
+    iterable of length-n vectors, converted to one once; a repeated member
+    counts once (``distinct_rows``).  U is the first witness in lexicographic
     order, by the block search (``_witnesses``) on a stack of one.  It
     exists whenever |S| > V_q(n, c - 1), so absence signals a violated
     precondition.  C(n, c) q^c |S| member tests are charged first.
     """
+    if c < 0:
+        raise ValueError(f"c must be >= 0, got {c}")
     if not isinstance(S, np.ndarray):
         rows = [tuple(v) for v in S]
         if len({len(v) for v in rows}) > 1:
@@ -888,6 +890,8 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
             S = np.array(rows, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"entries must lie in [0, {q - 1}]") from None
+    elif S.ndim != 2 or S.dtype.kind not in "iu":
+        raise ValueError(f"S must be a 2-D integer matrix, got a {S.ndim}-D {S.dtype} array")
     if not len(S):
         raise ValueError("S must be nonempty")
     if S.size and (S.min() < 0 or S.max() >= q):

@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import random
 import resource
+import shlex
 import subprocess
 import sys
 from itertools import chain, product
@@ -622,6 +624,42 @@ def test_the_paper_point_holds_for_every_read_set(N, fail):
     assert (row["fail"], status) == (fail, int(fail > 0))
 
 
+@pytest.mark.parametrize("argv", [
+    # an explicit code decodes by its member scan
+    "list --alg sauer --code explicit:@TWO --n 4 --t 2 --kp 1 --km 1 --delta 1 --trials 5",
+    # a seeded 1000-member code over [-20, 20]^6: its distance comes from one
+    # pass over the difference classes, not from a loop over its 499500 pairs
+    "reconstruct --alg majority --code explicit:@BIG --n 6 --t 2 --kp 1 --km 1",
+    "list --alg sauer --code explicit:@BIG --n 6 --t 2 --kp 1 --km 1 --delta 1",
+    # the majority decoder counts its votes and cover-tests each block of
+    # candidates at once
+    "reconstruct --alg majority --code 'splitter:group=Z13; s=[1,2,3,4,5,6]' --n 6 --t 2 "
+    "--kp 1 --km 1 --trials 800",
+    "list --alg majority --code 'splitter:group=Z13; s=[1,2,3,4,5,6]' --n 6 --t 2 --kp 1 --km 1",
+    "list --alg min --code sum-mod:2 --n 5 --t 2 --kp 1 --reads exhaustive",
+    # every formula against its brute-force count
+    "ball --n 1:7 --t 0:4 --kp 1:3 --km 0:2 --oracle",
+    "intersect --n 2:6 --t 1:3 --kp 1:2 --km 0:1 --oracle",
+    # the packing oracle agrees with the splitting test on a product group
+    # and on a cyclic spec that does not split
+    "check-splitting --code 'splitter:group=Z4xZ3; s=[(1,0),(0,1),(1,1)]' --kp 1 --km 0 --t 1 "
+    "--oracle",
+    "check-splitting --code 'splitter:group=Z9; s=[1,2,3,4,5,6]' --kp 1 --km 1 --t 1 --oracle",
+])
+def test_every_set_decodes_and_every_oracle_matches(argv, tmp_path, capsys):
+    two, big = tmp_path / "two.txt", tmp_path / "big.txt"
+    two.write_text("0,0,0,0\n1,1,-1,0\n", encoding="utf-8")
+    big.write_text("".join(
+        ",".join(str(v // 41**i % 41 - 20) for i in range(6)) + "\n"
+        for v in random.Random(26).sample(range(41**6), 1000)
+    ), encoding="utf-8")
+    argv = argv.replace("@TWO", f"@{two}").replace("@BIG", f"@{big}")
+    code, out = run_cli(capsys, *shlex.split(argv), "--format", "records")
+    rows = [json.loads(line) for line in out.splitlines() if not line.startswith("#")]
+    assert code == 0 and rows
+    assert all(row.get("fail", 0) == 0 and row.get("match", "MATCH") == "MATCH" for row in rows)
+
+
 def test_list_counts_failed_sauer_sets(capsys):
     # one read is too few for the Sauer search: each set fails, none aborts
     code, out = run_cli(
@@ -908,6 +946,17 @@ def test_tandem_below_zero_t_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: t must be >= 0\n"
+
+
+def test_simplex_members_closer_than_two_delta_are_one_error_line(tmp_path, capsys):
+    f = tmp_path / "code.txt"
+    f.write_text("m=2,r=3,delta=2\n2,1,0\n1,1,1\n", encoding="utf-8")
+    assert main(["tandem", "--code", f"simplex:@{f}", "--t", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: l1 distance 2 between (1, 1, 1) and (2, 1, 0) is below 2*delta = 4\n"
+    )
 
 
 def test_tandem_notes_an_N_past_every_shell_as_skipped(tmp_path, capsys):

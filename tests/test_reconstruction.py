@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -298,6 +299,17 @@ def test_sauer_shelah_find_examples():
     for S in ({(0, 3)}, {(0, 2**64)}, {(-(2**64), 0)}, np.array([[0, 3]]), np.array([[-1, 0]])):
         with pytest.raises(ValueError, match=r"entries must lie in \[0, 2\]"):
             sauer_shelah_find(S, 3, 1)
+
+
+@pytest.mark.parametrize("S, c, message", [
+    (np.array([0, 1, 1]), 1, "S must be a 2-D integer matrix, got a 1-D int64 array"),
+    (np.array([[0.5, 0], [1, 1]]), 1, "S must be a 2-D integer matrix, got a 2-D float64 array"),
+    (np.array([[0, 0], [1, 1]]), -1, "c must be >= 0, got -1"),
+    ({(0, 0), (1, 1)}, -1, "c must be >= 0, got -1"),
+])
+def test_sauer_shelah_find_refuses_a_malformed_matrix_or_size(S, c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sauer_shelah_find(S, 2, c)
 
 
 def test_sauer_shelah_find_succeeds_above_volume():
