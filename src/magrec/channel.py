@@ -81,7 +81,7 @@ from magrec.core import (
     check_entries,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, ball_size, minimum_counts
+from magrec.combinatorics import ball_matrix, ball_size, cached, minimum_counts
 from magrec import reconstruction
 from magrec.reconstruction import ReadBlock
 
@@ -234,13 +234,14 @@ def minimum_sets(
     of every N-subset of the k- = 0 ball around x: pairs (block, counts) of
     the distinct minima x + z, each a one-read set, in the ball's order, and
     for each the number of N-subsets with that minimum
-    (``combinatorics.minimum_counts``), an object array of Python ints.  A
-    block holds as many one-read sets as ``_per_block`` allows.  ``cap``
-    bounds the ball; no subset is enumerated, so none is charged."""
+    (``combinatorics.minimum_counts``, cached), an object array of Python
+    ints.  A block holds as many one-read sets as ``_per_block`` allows.
+    ``cap`` bounds the ball; no subset is enumerated, so none is charged."""
     if N < 1:
         raise ValueError("read set must be nonempty")
     _, shifted, shift = _ball_and_shift(x, p, cap)
-    counts = np.array(minimum_counts(p, N, cap), dtype=object)
+    counts = cached(("minimum-counts", p, N),
+                    lambda: np.array(minimum_counts(p, N, cap), dtype=object))
     for rows in _row_blocks(counts.nonzero()[0][:, None], 1, p.n):
         yield ReadBlock.of_ball(p, shifted, shift, 1, rows), counts[rows[:, 0]]
 

@@ -5,6 +5,8 @@ cross-checked against a brute-force oracle with --oracle; a mismatch is the
 headline failure mode and exits nonzero.  Each command takes only the flags
 it reads, so any other flag exits 2.  Output is deterministic for fixed
 flags and seed (``simulate`` zeroes its timings unless --timings is given).
+A command line is parsed in one pass, by its command's parser, and by the
+full parser only when that fails to read it (``parse_args``).
 
 Code mini-language for --code:
 
@@ -131,8 +133,9 @@ def parse_vector(flag: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"--{flag}: bad vector {text!r} (expected comma-separated integers)")
 
 
-def load_vectors(path: str) -> list[tuple[int, ...]]:
-    lines = payload_lines(Path(path).read_text(encoding="utf-8"), path)
+def load_vectors(text: str, source: str) -> list[tuple[int, ...]]:
+    """The codewords of explicit code file ``source``, whose text is ``text``."""
+    lines = payload_lines(text, source)
     return [tuple(parse_int(v, where) for v in line.split(",")) for where, line in lines]
 
 
@@ -140,7 +143,8 @@ def parse_code_spec(text: str, n: int | None = None, cap: int = DEFAULT_ENUM_CAP
     """Resolve a --code value into a code handle (or SimplexCode).  A
     ``splitter:`` or ``explicit:`` code has its own length, which a given
     --n must equal; a ``sum-mod:`` splitter's n entries are charged against
-    ``cap`` before they are built."""
+    ``cap`` before they are built.  A code file is read on every call and
+    checked once per distinct text, its handle cached as ("code", kind, text)."""
     kind, _, rest = text.partition(":")
     if kind == "sum-mod":
         if n is None:
@@ -154,9 +158,12 @@ def parse_code_spec(text: str, n: int | None = None, cap: int = DEFAULT_ENUM_CAP
     elif kind in ("explicit", "simplex"):
         if not rest.startswith("@"):
             raise ValueError(f"{kind} codes are loaded from a file: {kind}:@FILE")
+        path, text = rest[1:], Path(rest[1:]).read_text(encoding="utf-8")
+        code = combinatorics.cached(("code", kind, text), lambda: (
+            tandem.parse_simplex_code(text, path) if kind == "simplex"
+            else ExplicitCode(load_vectors(text, path))))
         if kind == "simplex":
-            return tandem.parse_simplex_code(Path(rest[1:]).read_text(encoding="utf-8"), rest[1:])
-        code = ExplicitCode(load_vectors(rest[1:]))
+            return code
     else:
         raise ValueError(f"unknown code spec {text!r}")
     if n is not None and n != code.n:
@@ -473,11 +480,10 @@ def cmd_simulate(args) -> int:
     columns = ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"]
     report = Report(columns, args.format, args.explain)
     given_delta = single_value("delta", args.delta) if args.delta else None
-    code_for = functools.cache(lambda n: parse_code_spec(args.code, n, args.cap))
     trial_lines = []
     status = 0
     for p in _grid_params(args, report):
-        code = code_for(p.n)
+        code = parse_code_spec(args.code, p.n, args.cap)
         distance = code_distance(code, p, cap=args.cap)
         try:
             plan = reconstruction.read_plan(args.alg, p, _given_delta(given_delta, distance), 0)
@@ -585,6 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="limited-magnitude reconstruction: formulas, oracles, trials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's name -> its own parser
     unique = [name for name in reconstruction.ALGORITHMS if not name.startswith("list-")]
     listed = [name.removeprefix("list-") for name in reconstruction.ALGORITHMS
               if name.startswith("list-")]
@@ -625,9 +632,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The namespace of command line ``argv`` (default: the process's), in
+    one pass by the parser of the command its first word names; when it
+    names none, or a word is left unread, the full parser runs, so every
+    usage text, error line and exit code is its own."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and (command := parser.commands.get(argv[0])):
+        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unread:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ReconstructionError, EnumerationCapExceeded, OSError, MemoryError) as exc:

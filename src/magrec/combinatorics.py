@@ -24,15 +24,19 @@ ball, made on every call, for the oracles; it keeps separate arguments
 because ``perfbench/tracing.py`` reads them by position.  ``minimum_counts``
 counts, per row z of a k- = 0 ball, the N-subsets of the ball whose
 componentwise minimum is z, by Möbius inversion rather than by enumerating
-the subsets.  ``max_intersection_of_code`` counts one intersection per
-``distances.difference_classes`` row.
+the subsets.  ``difference_classes`` decides, in one place, which pairs of
+an explicit code the pair scans (``distances.code_min_distance``,
+``max_intersection_of_code``) evaluate: one per class of differences.
 
-One locked LRU cache, ``cached(key, build)``, keeps the balls (key p), their
-one-hot matrices (key ("one-hot", p)), the lattice coset-leader tables (key
-(spec, p)) and difference classes (("differences", spec, p)) and the tandem
-upward balls (("excess", k, t)) under the one budget ``BALL_CACHE_BYTES``;
-its byte total moves by each entry kept or dropped, and a caller reads an
-entry once.
+One locked LRU cache, ``cached(key, build)``, keeps under the one budget
+``BALL_CACHE_BYTES`` the balls (key p), their one-hot matrices (("one-hot",
+p)), the lattice coset-leader tables ((spec, p)) and difference classes
+(("differences", spec, p)), the explicit codes' difference classes
+(("differences", members, p)), the tandem upward balls (("excess", k, t)),
+``channel.minimum_sets``' ``minimum_counts`` (("minimum-counts", p, N)) and
+the handles of ``simplex:@`` and ``explicit:@`` code files (("code", kind,
+text), ``cli.parse_code_spec``); its byte total moves by each entry kept or
+dropped, and a caller reads an entry once.
 
 All arithmetic is exact integer arithmetic (the one-hot matrix holds 0 and
 1, whose float32 sums are exact below 2**24).
@@ -53,12 +57,13 @@ from magrec import core
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     ChannelParams,
+    ExplicitCode,
     Vec,
     _row_keys,
     charge,
+    distinct_rows,
     group_keys,
 )
-from magrec.distances import difference_classes
 
 #: Byte budget of the one cache of derived tables (``cached``); an entry
 #: larger than it is returned but not kept.
@@ -70,21 +75,29 @@ _cache_bytes = 0
 _cache_lock = threading.Lock()
 
 
+def _frozen_bytes(value) -> int:
+    """The bytes of a cache entry, its arrays made read-only: those of its
+    arrays (with an object array's Python ints) and a handle's members."""
+    if isinstance(value, tuple):
+        return sum(map(_frozen_bytes, value))
+    if not isinstance(value, np.ndarray):  # a code handle
+        arrays = [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+        return sum(map(sys.getsizeof, value.members)) + sum(map(_frozen_bytes, arrays))
+    value.flags.writeable = False
+    return value.nbytes + (sum(map(sys.getsizeof, value.flat)) if value.dtype == object else 0)
+
+
 def cached(key, build):
-    """The entry of ``key``, or ``build()``'s array (or tuple of arrays),
-    made read-only and kept when its bytes (with an object array's Python
-    ints) fit, dropping the least recently used entries past the budget."""
+    """The entry of ``key``, or ``build()``'s array, tuple of arrays or code
+    handle, made read-only and kept when its bytes (``_frozen_bytes``) fit,
+    dropping the least recently used entries past the budget."""
     global _cache_bytes
     with _cache_lock:
         if (entry := _cache.get(key)) is not None:
             _cache.move_to_end(key)
             return entry[0]
     value = build()
-    arrays = value if isinstance(value, tuple) else (value,)
-    for a in arrays:
-        a.flags.writeable = False
-    size = sum(a.nbytes + (sum(map(sys.getsizeof, a.flat)) if a.dtype == object else 0)
-               for a in arrays)
+    size = _frozen_bytes(value)
     if size <= BALL_CACHE_BYTES:
         with _cache_lock:
             _cache_bytes += size - _cache.pop(key, (value, 0))[1]  # a racing thread's entry
@@ -329,9 +342,45 @@ def intersection_bounds(p: ChannelParams, delta: int) -> IntersectionBounds:
     return IntersectionBounds(lower, upper)
 
 
+def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
+    """The distinct sorted differences y - x of members x < y with every
+    entry in [-(k+ + k-), k+ + k-], as sorted rows: the only pairs within
+    distance n or with meeting balls, kept in the one cache under
+    ("differences", members, p), members the sorted codewords.  Each row of
+    the ``ExplicitCode`` matrix is subtracted from the later (smaller) ones
+    at once.  ``code_members`` is an ``ExplicitCode``, whose matrix is
+    reused, or any iterable of vectors.  A repeated member, or one of length
+    other than p.n, is a ValueError."""
+    if isinstance(code_members, ExplicitCode):
+        if code_members.n != p.n:
+            raise ValueError(f"length mismatch: code n={code_members.n}, channel n={p.n}")
+    else:
+        members = [tuple(m) for m in code_members]
+        for m in members:
+            if len(m) != p.n:
+                raise ValueError(
+                    f"length mismatch: {len(members[0])} vs {len(m)}, channel n={p.n}"
+                )
+        if not members:
+            return np.zeros((0, p.n), dtype=np.int64)
+        code_members = ExplicitCode(members)
+    M = code_members._largest_first
+
+    def build() -> np.ndarray:
+        classes = M[:0]
+        for i in range(len(M) - 1):
+            D = M[i] - M[i + 1:]
+            D = np.sort(D[(abs(D) <= p.magnitude_span).all(axis=1)], axis=1)
+            if len(D):
+                classes = distinct_rows(np.concatenate((classes, D)))
+        return classes
+
+    return cached(("differences", code_members.members, p), build)
+
+
 def max_intersection_of_code(code_members, p: ChannelParams) -> int:
     """Maximum ball intersection over pairs of distinct codewords, one per
-    ``distances.difference_classes`` row; 0 when there is none."""
+    ``difference_classes`` row; 0 when there is none."""
     members = list(code_members)
     if len(members) < 2:
         raise ValueError("need at least 2 codewords")

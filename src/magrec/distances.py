@@ -1,4 +1,4 @@
-"""Channel distance, difference classes and minimum distance of a code.
+"""Channel distance and minimum distance of a code.
 
 ``distance_general`` handles every channel; at k- = 0 it is the asymmetric
 distance, the larger one-sided disagreement count.  It does not satisfy the
@@ -7,20 +7,18 @@ metric axioms.  Values live on [0, n+1]; n+1 is an ordinary integer encoding
 "out of magnitude range", since every use is an order comparison.  Each
 function takes the channel as one ``ChannelParams`` p and reads no p.t.
 
-``difference_classes`` decides, in one place, which pairs of an explicit
-code the pair scans (``code_min_distance``, ``max_intersection_of_code``)
-evaluate: one per sorted difference within k+ + k-.  The lattice scan,
-``lattice.max_pairwise_intersection_lattice``, sorts its own difference rows
-and makes them distinct with ``core.distinct_rows``.
+``code_min_distance`` evaluates one pair of an explicit code per row of
+``combinatorics.difference_classes``, which keeps them in the one cache.
+The lattice scan, ``lattice.max_pairwise_intersection_lattice``, sorts its
+own difference rows and makes them distinct with ``core.distinct_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from magrec.core import ChannelParams, ExplicitCode, Vec, distinct_rows
+from magrec.combinatorics import difference_classes
+from magrec.core import ChannelParams, Vec
 
 
 @dataclass(frozen=True)
@@ -78,35 +76,6 @@ def distance_general(x: Vec, y: Vec, p: ChannelParams) -> int:
         return p.n + 1
     half = max(c.n_small - abs(c.m_forward - c.m_backward), 0)
     return -(-half // 2) + max(c.m_forward, c.m_backward) + c.n_large
-
-
-def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
-    """The distinct sorted differences y - x of members x < y with every
-    entry in [-(k+ + k-), k+ + k-], as sorted rows: the only pairs within
-    distance n or with meeting balls.  Each row of the ``ExplicitCode``
-    matrix is subtracted from the later (smaller) ones at once.
-    ``code_members`` is an ``ExplicitCode``, whose matrix is reused, or any
-    iterable of vectors.  A repeated member, or one of length other than
-    p.n, is a ValueError."""
-    if isinstance(code_members, ExplicitCode):
-        if code_members.n != p.n:
-            raise ValueError(f"length mismatch: code n={code_members.n}, channel n={p.n}")
-        M = code_members._largest_first
-    else:
-        members = [tuple(m) for m in code_members]
-        for m in members:
-            if len(m) != p.n:
-                raise ValueError(
-                    f"length mismatch: {len(members[0])} vs {len(m)}, channel n={p.n}"
-                )
-        M = ExplicitCode(members)._largest_first if members else np.zeros((0, p.n), dtype=np.int64)
-    classes = M[:0]
-    for i in range(len(M) - 1):
-        D = M[i] - M[i + 1:]
-        D = np.sort(D[(abs(D) <= p.magnitude_span).all(axis=1)], axis=1)
-        if len(D):
-            classes = distinct_rows(np.concatenate((classes, D)))
-    return classes
 
 
 def code_min_distance(code_members, p: ChannelParams) -> int:

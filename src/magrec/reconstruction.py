@@ -874,18 +874,24 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     coordinatewise by some member of S.
 
     S is an (|S|, n) integer matrix with one member per row, or any
-    iterable of length-n vectors, converted to one once; a repeated member
-    counts once (``distinct_rows``).  U is the first witness in lexicographic
-    order, by the block search (``_witnesses``) on a stack of one.  It
+    iterable of length-n integer vectors, converted to one once (anything
+    else is a ValueError); a repeated member counts once
+    (``distinct_rows``).  U is the first witness in lexicographic order, by
+    the block search (``_witnesses``) on a stack of one.  It
     exists whenever |S| > V_q(n, c - 1), so absence signals a violated
     precondition.  C(n, c) q^c |S| member tests are charged first.
     """
     if c < 0:
         raise ValueError(f"c must be >= 0, got {c}")
     if not isinstance(S, np.ndarray):
-        rows = [tuple(v) for v in S]
+        try:
+            rows = [tuple(v) for v in S]
+        except TypeError:
+            raise ValueError("S must be an integer matrix or an iterable of vectors") from None
         if len({len(v) for v in rows}) > 1:
             raise ValueError("vectors in S must share one length")
+        if bad := [x for v in rows for x in v if not isinstance(x, (int, np.integer))]:
+            raise ValueError(f"entries of S must be integers, got {bad[0]!r}")
         try:
             S = np.array(rows, dtype=np.int64)
         except OverflowError:

@@ -35,7 +35,7 @@ sets became stacks, with ``oracle_decode_upward``, the member-by-member
 scan the library ran before a simplex code decoded rows as one matrix, and
 ``l1_distance``, the distance its validation took one pair at a time.
 ``oracle_pair_classes`` takes the difference of every pair of a code one at
-a time, where ``distances.difference_classes`` subtracts one member from the
+a time, where ``combinatorics.difference_classes`` subtracts one member from the
 later ones at once and keeps each class once.
 """
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from magrec import ChannelParams, EnumerationCapExceeded
 from magrec import combinatorics, core, tandem
+from magrec.channel import minimum_sets
 from magrec.combinatorics import (
     ball_matrix,
     ball_one_hot,
@@ -70,6 +71,16 @@ def test_minimum_counts_match_a_counter_of_the_subsets(p, data):
     # a count per row of the ball, in its order, and 0 where no set has it
     assert len(counts) == len(ball)
     assert {z: c for z, c in zip(ball, counts) if c} == minima
+
+
+def test_kept_minimum_counts_equal_fresh_ones(fresh_cache):
+    # minimum_sets counts from the one cache: a second run reads the kept,
+    # read-only table, which equals a fresh minimum_counts
+    p, N, x = ChannelParams(5, 2, 1, 0), 4, (1, 0, 0, 1, 0)
+    runs = [[c for _, counts in minimum_sets(x, p, N) for c in counts.tolist()] for _ in range(2)]
+    kept = fresh_cache[("minimum-counts", p, N)][0]
+    assert kept.tolist() == minimum_counts(p, N) and not kept.flags.writeable
+    assert runs[0] == runs[1] == [c for c in minimum_counts(p, N) if c]
 
 
 def test_minimum_counts_need_a_k_minus_zero_channel():

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import contextlib
 import dataclasses
@@ -25,7 +24,12 @@ from magrec.cli import main, parse_code_spec, parse_grid
 from magrec.reconstruction import ALGORITHMS, read_plan
 from magrec.lattice import LatticeCode
 from magrec.core import ExplicitCode
-from magrec.tandem import SimplexCode, format_simplex_code, greedy_simplex_code
+from magrec.tandem import (
+    SimplexCode,
+    format_simplex_code,
+    greedy_simplex_code,
+    parse_simplex_code,
+)
 
 from helpers import empty_cache, oracle_exhaustive_totals
 
@@ -204,8 +208,10 @@ def test_one_codeword_explicit_code_decodes_every_set(tmp_path, capsys):
     assert [rec["success"] for rec in records["simulate"]] == [True] * 10
 
 
-def test_reconstruct_on_an_explicit_code_builds_it_once(tmp_path, capsys):
-    # the code distance reuses the member matrix of the code it is given
+def test_reconstruct_on_an_explicit_code_builds_it_once(tmp_path, capsys, monkeypatch):
+    # the code distance reuses the member matrix of the code it is given; the
+    # cache starts empty, so the one build is this command's
+    empty_cache(monkeypatch)
     f = tmp_path / "two.txt"
     f.write_text("0,0,0,0\n1,1,-1,0\n", encoding="utf-8")
     real, builds = ExplicitCode.__init__, []
@@ -1110,11 +1116,6 @@ def test_lattice_scan_past_int64_matches_its_oracle(capsys):
     assert out.splitlines()[1].split()[-1] == "MATCH"
 
 
-def _subparsers(parser):
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 def test_command_flags():
     # each command takes only the flags its cmd_* function reads: edit this
     # table with them
@@ -1130,7 +1131,7 @@ def test_command_flags():
         "simulate": [*trials, "--timings"],
         "tandem": [*report, "--N", "--cap", "--code", "--delta", "--t"],
     }
-    commands = _subparsers(cli.build_parser())
+    commands = cli.build_parser().commands
     flags = {
         name: sorted(s for a in sp._actions for s in a.option_strings if s.startswith("--")
                      and s != "--help")
@@ -1149,7 +1150,7 @@ def test_command_flags():
 def test_alg_choices_follow_the_registry(monkeypatch):
     monkeypatch.setitem(ALGORITHMS, "cover", ALGORITHMS["min"])
     monkeypatch.setitem(ALGORITHMS, "list-cover", ALGORITHMS["list-min"])
-    commands = _subparsers(cli.build_parser.__wrapped__())
+    commands = cli.build_parser.__wrapped__().commands
     choices = {name: commands[name]._option_string_actions["--alg"].choices
                for name in ("reconstruct", "list", "simulate")}
     assert choices == {
@@ -1183,3 +1184,121 @@ def test_a_flag_the_command_does_not_read_exits_two(argv, unread, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {unread}\n" in captured.err
+
+
+def test_one_pass_parses_every_golden_line_as_the_full_parser_does():
+    from test_cli_golden import CASES
+
+    parser = cli.build_parser()
+    for argv, _, _ in CASES:
+        full = parser.parse_args(shlex.split(argv))
+        with mock.patch.object(parser, "parse_args", side_effect=AssertionError):
+            args = cli.parse_args(shlex.split(argv))  # by the command's parser alone
+        assert args == full and args.command == argv.split()[0]
+
+
+def _run(argv, capsys):
+    """(exit status, stdout, stderr) of ``main(argv)``."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, status, err", [
+    ("-h", 0, ""),
+    ("reconstruct -h", 0, ""),
+    ("frobnicate --n 3", 2, "magrec: error: argument command: invalid choice: 'frobnicate'"),
+    (f"{RECONSTRUCT} --oracle", 2, "magrec: error: unrecognized arguments: --oracle\n"),
+    (f"{RECONSTRUCT} --format bogus", 2,
+     "magrec reconstruct: error: argument --format: invalid choice: 'bogus'"),
+    (f"{RECONSTRUCT} --tri 5", 0, ""),
+])
+def test_one_pass_keeps_every_usage_error_and_exit_code(argv, status, err, capsys, monkeypatch):
+    one = _run(argv.split(), capsys)
+    monkeypatch.setattr(cli, "parse_args", cli.build_parser().parse_args)
+    assert _run(argv.split(), capsys) == one  # byte for byte the full parser's
+    assert one[0] == status and err in one[2]
+    assert ("usage: magrec" in one[1] + one[2]) == (argv != f"{RECONSTRUCT} --tri 5")
+
+
+def _rewrite(f, text):
+    f.write_text(text, encoding="utf-8")
+    return text
+
+
+def test_a_code_file_is_read_on_every_command(tmp_path, capsys):
+    # the file is read on every command, so rewriting it between two is seen
+    f = tmp_path / "code.txt"
+    argv = ["tandem", "--code", f"simplex:@{f}", "--t", "2", "--format", "records"]
+    rows = []
+    for m, r, delta in [(2, 6, 1), (3, 4, 1), (2, 6, 1)]:
+        _rewrite(f, format_simplex_code(greedy_simplex_code(m, r, delta)))
+        rows.append(json.loads(_run(argv, capsys)[1]))
+    assert [(row["m"], row["r"]) for row in rows] == [(2, 6), (3, 4), (2, 6)]
+    recon = ["reconstruct", "--alg", "min", "--code", f"explicit:@{f}", "--n", "2", "--t", "1",
+             "--kp", "1", "--reads", "exhaustive", "--format", "records"]
+    deltas = []
+    for text in ["0,0\n3,3\n", "0,0\n1,1\n", "0,0\n3,3\n"]:
+        _rewrite(f, text)
+        deltas.append(json.loads(_run(recon, capsys)[1])["delta"])
+    assert deltas == [3, 2, 3]
+
+
+@pytest.mark.parametrize("argv, good, bad, where", [
+    (["tandem", "--code", "simplex:@FILE", "--t", "1"], "m=1,r=2,delta=1\n2,0\n0,2\n",
+     "m=1,r=2,delta=1\n2,0\n0,x\n", "FILE line 3: bad integer 'x'"),
+    (["reconstruct", "--alg", "min", "--code", "explicit:@FILE", "--n", "2", "--t", "1",
+      "--kp", "1"], "0,0\n3,3\n", "0,0\n3,x\n", "FILE line 2: bad integer 'x'"),
+])
+def test_a_code_file_that_breaks_after_a_good_run_is_one_error_line(
+    argv, good, bad, where, tmp_path, capsys
+):
+    f = tmp_path / "code.txt"
+    argv = [a.replace("FILE", str(f)) for a in argv]
+    _rewrite(f, good)
+    assert _run(argv, capsys)[0] == 0
+    _rewrite(f, bad)
+    assert _run(argv, capsys) == (1, "", f"error: {where.replace('FILE', str(f))}\n")
+
+
+def _handle_bytes(code, matrix):
+    """The bytes the one cache charges a code handle: its array and member tuples."""
+    return matrix.nbytes + sum(map(sys.getsizeof, code.members))
+
+
+def test_a_kept_code_handle_equals_a_fresh_one_and_is_read_only(tmp_path, monkeypatch):
+    f, s = tmp_path / "code.txt", tmp_path / "simplex.txt"
+    words = _rewrite(f, "0,0,0\n1,1,-1  # one\n2,0,0\n")
+    simplex = _rewrite(s, format_simplex_code(greedy_simplex_code(2, 6, 1)))
+    cache = empty_cache(monkeypatch)
+    explicit, kept = parse_code_spec(f"explicit:@{f}"), parse_code_spec(f"simplex:@{s}")
+    assert parse_code_spec(f"explicit:@{f}", n=3) is explicit
+    assert parse_code_spec(f"simplex:@{s}") is kept
+    fresh = ExplicitCode(cli.load_vectors(words, str(f)))
+    assert explicit.members == fresh.members
+    assert explicit._largest_first.tolist() == fresh._largest_first.tolist()
+    assert kept == parse_simplex_code(simplex) and kept._matrix.tolist() == (
+        parse_simplex_code(simplex)._matrix.tolist())
+    assert not explicit._largest_first.flags.writeable and not kept._matrix.flags.writeable
+    assert list(cache) == [("code", "explicit", words), ("code", "simplex", simplex)]
+    assert combinatorics._cache_bytes == (
+        _handle_bytes(explicit, explicit._largest_first) + _handle_bytes(kept, kept._matrix))
+
+
+def test_a_code_handle_over_the_budget_is_returned_but_not_kept(tmp_path, monkeypatch):
+    f = tmp_path / "code.txt"
+    words = _rewrite(f, "".join(f"{i},{-i},0\n" for i in range(50)))
+    code = ExplicitCode(cli.load_vectors(words, str(f)))
+    monkeypatch.setattr(combinatorics, "BALL_CACHE_BYTES", _handle_bytes(code, code._largest_first))
+    cache = empty_cache(monkeypatch)
+    kept = parse_code_spec(f"explicit:@{f}")
+    assert list(cache) == [("code", "explicit", words)]  # it fits exactly
+    monkeypatch.setattr(combinatorics, "BALL_CACHE_BYTES", combinatorics.BALL_CACHE_BYTES - 1)
+    cache = empty_cache(monkeypatch)
+    big = parse_code_spec(f"explicit:@{f}")
+    assert big.members == kept.members and big is not kept
+    assert list(cache) == [] and combinatorics._cache_bytes == 0
+    assert parse_code_spec(f"explicit:@{f}") is not big

@@ -114,8 +114,9 @@ def test_one_coordinate_search():
 
 
 def test_derived_tables_live_in_the_one_cache():
-    """Balls, one-hot matrices, coset-leader tables, lattice difference classes and tandem
-    upward balls are kept by combinatorics.cached alone, under one byte budget: no lru_cache,
+    """Balls, one-hot matrices, coset-leader tables, difference classes, tandem upward balls,
+    minimum counts and code-file handles are kept by combinatorics.cached alone, under one byte
+    budget: no lru_cache, functools.cache only on cli.build_parser (the one parser, no table),
     no OrderedDict outside combinatorics.py, and no code handle (a subclass of core.Code) sets
     an attribute outside __init__."""
     classes = [(m, n) for m, _, n in _nodes() if isinstance(n, ast.ClassDef)]
@@ -126,7 +127,8 @@ def test_derived_tables_live_in_the_one_cache():
             for f in c.body if isinstance(f, DEFS) and f.name != "__init__" for n in ast.walk(f)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, (ast.Store, ast.Del))
             and getattr(n.value, "id", None) == "self"]
-    assert sites("lru_cache", (ast.Name, ast.Attribute, ast.alias)) == []
+    names = (ast.Name, ast.Attribute, ast.alias)
+    assert sites("lru_cache", names) + sites("cache", names, allowed=[("cli", "build_parser")]) == []
     assert sites("OrderedDict", allowed=["combinatorics"]) + sets == []
 
 

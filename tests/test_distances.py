@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from magrec import ChannelParams, ExplicitCode, distances
+from magrec import ChannelParams, ExplicitCode, combinatorics, distances
 from magrec.distances import (
     code_min_distance,
     difference_classes,
@@ -17,6 +17,7 @@ from helpers import (
     correction_capability_oracle,
     count_greater,
     distance_asymmetric,
+    empty_cache,
     oracle_corrects,
     oracle_pair_classes,
     random_code,
@@ -120,11 +121,13 @@ CODES = [
 
 
 @pytest.mark.parametrize("size, n, lo, hi, kp, km", CODES[1:])
-def test_difference_classes_match_the_pair_loop(size, n, lo, hi, kp, km):
+def test_difference_classes_match_the_pair_loop(size, n, lo, hi, kp, km, monkeypatch):
     code = random_code(random.Random(size), size, n, lo, hi)
     p = channel(n, kp, km)
     shuffled = random.Random(size + 1).sample(code, size)
-    with mock.patch.object(distances, "distinct_rows", wraps=distances.distinct_rows) as dedup:
+    empty_cache(monkeypatch)  # so that the classes are built here, not read
+    wrapped = mock.patch.object(combinatorics, "distinct_rows", wraps=combinatorics.distinct_rows)
+    with wrapped as dedup:
         classes = difference_classes(shuffled, p)
     assert classes.tolist() == [list(d) for d in sorted(set(oracle_pair_classes(code, kp + km)))]
     # one member's differences at a time: no dedup holds more than the

@@ -306,6 +306,9 @@ def test_sauer_shelah_find_examples():
     (np.array([[0.5, 0], [1, 1]]), 1, "S must be a 2-D integer matrix, got a 2-D float64 array"),
     (np.array([[0, 0], [1, 1]]), -1, "c must be >= 0, got -1"),
     ({(0, 0), (1, 1)}, -1, "c must be >= 0, got -1"),
+    # an iterable is checked as the matrix is: no entry is cut to an integer
+    ([(0, 1.5), (1, 1)], 1, "entries of S must be integers, got 1.5"),
+    ([0, 1], 1, "S must be an integer matrix or an iterable of vectors"),
 ])
 def test_sauer_shelah_find_refuses_a_malformed_matrix_or_size(S, c, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
