@@ -1221,7 +1221,6 @@ def test_one_pass_keeps_every_usage_error_and_exit_code(argv, status, err, capsy
     monkeypatch.setattr(cli, "parse_args", cli.build_parser().parse_args)
     assert _run(argv.split(), capsys) == one  # byte for byte the full parser's
     assert one[0] == status and err in one[2]
-    assert ("usage: magrec" in one[1] + one[2]) == (argv != f"{RECONSTRUCT} --tri 5")
 
 
 def _rewrite(f, text):
@@ -1280,8 +1279,8 @@ def test_a_kept_code_handle_equals_a_fresh_one_and_is_read_only(tmp_path, monkey
     fresh = ExplicitCode(cli.load_vectors(words, str(f)))
     assert explicit.members == fresh.members
     assert explicit._largest_first.tolist() == fresh._largest_first.tolist()
-    assert kept == parse_simplex_code(simplex) and kept._matrix.tolist() == (
-        parse_simplex_code(simplex)._matrix.tolist())
+    fresh_simplex = parse_simplex_code(simplex)
+    assert kept == fresh_simplex and kept._matrix.tolist() == fresh_simplex._matrix.tolist()
     assert not explicit._largest_first.flags.writeable and not kept._matrix.flags.writeable
     assert list(cache) == [("code", "explicit", words), ("code", "simplex", simplex)]
     assert combinatorics._cache_bytes == (
