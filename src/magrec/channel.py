@@ -188,9 +188,9 @@ def read_blocks(
     from the one generator ``rng_for(seed)`` (trial i as the module
     docstring defines it; the seed must fit in 64 bits); the one adversarial
     set; or every N-subset of the ball, in lexicographic subset order.
-    ``cap`` bounds the ball and, for exhaustive reads, the subset count:
-    past it EnumerationCapExceeded is raised.  N and ``trials`` below 1
-    raise ValueError before anything is charged."""
+    ``cap`` bounds the ball, the subset count of exhaustive reads and the
+    ``trials`` of random ones: past it EnumerationCapExceeded is raised.  N
+    and ``trials`` below 1 raise ValueError before anything is charged."""
     if N < 1:
         raise ValueError("read set must be nonempty")
     if trials < 1:
@@ -200,6 +200,7 @@ def read_blocks(
     elif reads == "random":
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        charge(trials, "random read sets", cap)
     elif reads != "adversarial":
         raise ValueError(
             f"reads must be random, adversarial or exhaustive, got {reads!r}"

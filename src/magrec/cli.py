@@ -23,9 +23,9 @@ errors.  Grid flags (--n, --t, --kp, --km, --delta, --a) accept a single
 value ``2``, a range ``1:3`` (inclusive, its end not below its start), or a
 comma list ``1,2,4``; any other value is an error naming the flag and the
 value.
-Each grid flag's value count, and the product of those counts, is charged
-against --cap (the default cap where a command has none) before any value
-is built, and a flag that takes one value is checked before it is built.
+Each grid flag's value count, their product and --trials times it (the
+random read sets) are charged against --cap (the default where a command
+has none) before any is built; a one-value flag is checked before it is.
 Only ``ball``, ``intersect`` and ``simulate`` sweep --n, --t, --kp and --km;
 every other flag takes one value and a range or list there is an error.
 A point that cannot run is noted as ``skipped n=.. t=.. kp=.. km=..:
@@ -251,15 +251,16 @@ def _channel_flags(args, parse) -> list:
 def _grid_params(args, report: Report):
     """Yield the ChannelParams of each point of the flag grids, in grid
     order; a point that violates a precondition is noted as skipped.  Each
-    flag's value count, then the point count, is charged against --cap
-    (``DEFAULT_ENUM_CAP`` for a command without it) before any value is
-    built."""
+    flag's value count, the point count, then its random read sets (none
+    without --trials), is charged against --cap (``DEFAULT_ENUM_CAP`` for a
+    command without it) before any value is built."""
     cap = getattr(args, "cap", DEFAULT_ENUM_CAP)
     grids = _channel_flags(args, parse_grid)
     sizes = list(map(_grid_size, grids))
     for flag, size in zip(GRID, sizes):
         charge(size, f"values of --{flag}", cap)
     charge(math.prod(sizes), "points of the --n, --t, --kp and --km grid", cap)
+    charge(math.prod(sizes) * getattr(args, "trials", 0), "random read sets", cap)
     for point in product(*map(chain.from_iterable, grids)):
         try:
             p = ChannelParams(*point)

@@ -21,11 +21,11 @@ is the ball's one-hot float32 matrix, by which an indicator of sets of ball
 rows counts each set's values, or None when it is larger than
 ``core.BLOCK_BYTES``.  ``ball_vectors(n, t, k+, k-)`` is a tuple copy of the
 ball, made on every call, for the oracles; it keeps separate arguments
-because ``perfbench/tracing.py`` reads them by position.  ``minimum_counts``
-counts, per row z of a k- = 0 ball, the N-subsets of the ball whose
-componentwise minimum is z, by Möbius inversion rather than by enumerating
-the subsets.  ``difference_classes`` decides, in one place, which pairs of
-an explicit code the pair scans (``distances.code_min_distance``,
+because ``perfbench/tracing.py`` reads them by position.  The one Möbius
+inversion, ``subsets_with_minimum``, counts the N-subsets with a given
+componentwise minimum from up-set sizes; ``minimum_counts`` applies it per
+row of a k- = 0 ball.  ``difference_classes`` decides, in one place, which
+pairs of an explicit code the pair scans (``distances.code_min_distance``,
 ``max_intersection_of_code``) evaluate: one per class of differences.
 
 One locked LRU cache, ``cached(key, build)``, keeps under the one budget
@@ -203,24 +203,33 @@ def ball_vectors(
     return tuple(map(tuple, ball_matrix(ChannelParams(n, t, k_plus, k_minus), cap).tolist()))
 
 
+def subsets_with_minimum(classes: list[int], up, N: int) -> int:
+    """How many N-subsets of a set of integer vectors have componentwise
+    minimum z, by Möbius inversion over the coordinates raised above z:
+    sum over a of (-1)^|a| prod_v C(c_v, a_v) C(U(a), N), a_v of the c_v =
+    ``classes[v]`` exchangeable coordinates of class v raised and U(a) of
+    the vectors above.  The last class is the inner sum: ``up(a)``, for the
+    counts a of the others, gives U(a, j), j = 0..c_last."""
+    *outer, last = classes
+    inner = [(-1) ** j * math.comb(last, j) for j in range(last + 1)]
+    return sum(
+        (-1) ** sum(raised) * math.prod(map(math.comb, outer, raised))
+        * sum(w * math.comb(u, N) for w, u in zip(inner, up(raised)))
+        for raised in product(*(range(c + 1) for c in outer)))
+
+
 def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
     """Per row z of the k- = 0 ball ``ball_matrix``, the number of N-subsets
-    of the ball whose componentwise minimum is z, as Python ints, counted
-    without enumerating a subset; ``cap`` bounds the ball.
+    of the ball whose componentwise minimum is z, as Python ints, by
+    ``subsets_with_minimum``; ``cap`` bounds the ball.
 
-    Möbius inversion on the product of chains [0, k+]^n gives count(z) =
-    sum over S ⊆ [n] of (-1)^|S| C(U(z + 1_S), N), where U(y), the number
-    of rows >= y, is the product of k+ - y_i + 1 over supp y times
-    tail(|supp y|), tail(r) = sum_{j <= t - r} C(n - r, j) k+^j (0 for
-    r > t).  Grouping S by how many a_v of the c_v coordinates of value v
-    in z it raises, and how many j of the n - s zero coordinates (s =
-    |supp z|), leaves prod_v (c_v + 1) * (n - s + 1) terms:
-
-        count(z) = sum (-1)^(|a| + j) prod_v C(c_v, a_v) C(n - s, j)
-                   C(prod_v (k+ - v + 1)^(c_v - a_v) (k+ - v)^a_v k+^j tail(s + j), N).
-
-    It depends on the multiplicities c_v alone, so each distinct class of
-    rows is counted once.
+    U(y), the number of rows >= y, is the product of k+ - y_i + 1 over
+    supp y times tail(|supp y|), tail(r) = sum_{j <= t - r} C(n - r, j) k+^j
+    (0 for r > t).  No row exceeds k+, so the classes are the c_v
+    coordinates of each value v < k+ in z and, the inner sum, its n - s
+    zeros (s = |supp z|); raising a_v and j of them leaves U = prod_{v < k+}
+    (k+ - v + 1)^(c_v - a_v) (k+ - v)^a_v k+^j tail(s + j), so each distinct
+    class of rows (its c_v) is counted once.
     """
     if p.k_minus:
         raise ValueError("minimum counts need a k- = 0 channel")
@@ -229,17 +238,14 @@ def minimum_counts(p: ChannelParams, N: int, cap: int = DEFAULT_ENUM_CAP) -> lis
     tail = [sum(math.comb(n - r, j) * kp**j for j in range(t - r + 1)) for r in range(n + 1)]
 
     def count(mult: list[int]) -> int:
-        s, total = sum(mult), 0
-        for raised in product(*(range(c + 1) for c in mult)):
-            ways = above = 1
-            for v, (c, a) in enumerate(zip(mult, raised), 1):
-                ways *= math.comb(c, a)
-                above *= (kp - v + 1) ** (c - a) * (kp - v) ** a
-            total += (-1) ** sum(raised) * ways * sum(
-                (-1) ** j * math.comb(n - s, j) * math.comb(above * kp**j * tail[s + j], N)
-                for j in range(n - s + 1)
-            )
-        return total
+        s, below = sum(mult), mult[:-1]
+        zeros = [kp**j * tail[s + j] for j in range(n - s + 1)]
+
+        def up(raised):
+            above = math.prod((kp - v + 1) ** (c - a) * (kp - v) ** a
+                              for v, (c, a) in enumerate(zip(below, raised), 1))
+            return [above * u for u in zeros]
+        return subsets_with_minimum([*below, n - s], up, N)
 
     # a row's class: how often each value 1..k+ occurs in it
     mults = np.column_stack([(ball == v).sum(axis=1) for v in range(1, kp + 1)])

@@ -16,37 +16,38 @@ here work shell by shell.
 
 The error-ball enumerator (``combinatorics._lex_rows``, each excess costing
 itself) builds the excess vectors of B_t^+(0) as a lexicographically
-ordered int64 matrix, kept in the one cache; a shell w is a row of B_w^+(0)
-one coordinate shorter followed by the excess it leaves, so it depends only
-on (m + 1, w).  A read set of x + shell has componentwise minimum x + z, z
-the minimum of its subset of the shell, and the shell's N-subsets with
-minimum z are counted in closed form by Möbius inversion
-(``_shell_minimum_count``), a count that depends on |z| alone, so no subset
-is enumerated.  The rows x + z, one per codeword x and distinct z, are
-built a block of codewords at a time and decoded by
-``SimplexCode.decode_rows``, the only decoder, which tests each row against
-every member at once; the rows that decode to their own x are counted per
-excess |z| and weighted by the sets of all shells with that minimum, in
-Python ints.  The rows are int64 while r + t stays below 2**62 and Python
-ints (an object array) past it, so a code of any entries is counted
-exactly.  The cap is charged the whole upward ball before its first shell
-is built, then every shell, and, where the subsets are enumerated
-(``exhaustive_simplex_read_sets``), every shell's subset count.  Where
-reads are built as int64 rows (``upward_ball``,
-``exhaustive_simplex_read_sets``, ``reconstruct_simplex_min``), x plus any
-excess must stay below 2**62 (``core.check_entries``).
+ordered int64 matrix, kept in the one cache; shell w is its rows of excess
+w.  A read set of x + shell has componentwise minimum x + z, z the minimum
+of its subset of the shell, and the one Möbius inversion
+(``combinatorics.subsets_with_minimum``, through ``_shell_minimum_count``)
+counts the shell's N-subsets with minimum z from the gap w - |z| alone.  So
+the counter enumerates no subset and builds no shell: it reads the
+candidate minima z from the one cached upward ball, and ``_shells`` serves
+the oracle ``exhaustive_simplex_read_sets`` alone.  The rows x + z, one per
+codeword x and distinct z, are built a block of codewords at a time and
+decoded by ``SimplexCode.decode_rows``, the only decoder, which tests each
+row against every member at once; the rows that decode to their own x are
+counted per excess |z| and weighted by the sets of all shells with that
+minimum, in Python ints.  The rows are int64 while r + t stays below 2**62
+and Python ints (an object array) past it, so a code of any entries is
+counted exactly.  The cap is charged the whole upward ball before the
+lookup, and every shell's subset count where the subsets are enumerated
+(``exhaustive_simplex_read_sets``).  Where reads are built as int64 rows
+(``upward_ball``, ``exhaustive_simplex_read_sets``,
+``reconstruct_simplex_min``), x plus any excess must stay below 2**62
+(``core.check_entries``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from magrec.combinatorics import _lex_rows, cached
+from magrec.combinatorics import _lex_rows, cached, subsets_with_minimum
 from magrec.core import (
     DEFAULT_ENUM_CAP,
     ENTRY_LIMIT,
@@ -65,11 +66,14 @@ def is_simplex_member(v: Vec, m: int, r: int) -> bool:
     return len(v) == m + 1 and min(v, default=0) >= 0 and sum(v) == r
 
 
-def _excess(k: int, t: int) -> np.ndarray:
+def _excess(k: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """B_t^+(0) in Z^k: the non-negative int64 rows of sum at most t, in
     lexicographic order, from the error-ball enumerator with each excess
     costing itself, kept read-only in the one cache under ("excess", k, t);
-    every caller charges its vectors first."""
+    charged against ``cap`` first, and a t below 0 is a ValueError."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    charge(math.comb(k + t, k), "upward ball vectors", cap)
     steps = np.arange(t + 1)
     return cached(("excess", k, t), lambda: _lex_rows(steps, steps, k, t))
 
@@ -85,7 +89,7 @@ def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:
     if w < 0:
         raise ValueError("w must be >= 0")
     charge(math.comb(k - 1 + w, k - 1), "upward shell vectors", cap)
-    prefix = _excess(k - 1, w)
+    prefix = _excess(k - 1, w, cap)
     return np.column_stack((prefix, w - prefix.sum(axis=1)))
 
 
@@ -101,10 +105,7 @@ def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
 
     Size is C(m + 1 + t, m + 1) for x of length m + 1.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    charge(math.comb(len(x) + t, len(x)), "upward ball vectors", cap)
-    return tuple(map(tuple, (_excess(len(x), t) + _shift(x, t)).tolist()))
+    return tuple(map(tuple, (_excess(len(x), t, cap) + _shift(x, t)).tolist()))
 
 
 def reads_required_simplex(m: int, t: int, delta: int) -> int:
@@ -214,37 +215,29 @@ def reconstruct_simplex_min(
 
 
 def _shells(k: int, t: int, cap: int) -> Iterator[np.ndarray]:
-    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k.  The whole
-    ball, C(k + t, k) vectors, is charged against ``cap`` before the first
-    shell is built, since a caller may keep every shell; then each shell is
-    charged with its vectors.  A t below 0 is a ValueError."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    charge(math.comb(k + t, k), "upward ball vectors", cap)
+    """The constant-excess shells w = 0..t of B_t^+(0) in Z^k, in
+    lexicographic order: the rows of each excess of the one upward ball."""
+    ball = _excess(k, t, cap)
+    level = ball.sum(axis=1)
     for w in range(t + 1):
-        yield _excess_shell(k, w, cap)
+        yield ball[level == w]
 
 
 def _shell_minimum_count(m: int, gap: int, count: int) -> int:
     """How many ``count``-subsets of a weight-w shell in Z^(m + 1) have
-    componentwise minimum z, for any z >= 0 with gap = w - |z| >= 0.
-
-    The shell has C(m + w - |y|, m) rows >= y (none when |y| > w), so
-    Möbius inversion over the coordinates raised above z gives
-    sum_j (-1)^j C(m + 1, j) C(C(m + gap - j, m), count), j <= gap.
-    """
-    return sum(
-        (-1) ** j * math.comb(m + 1, j) * math.comb(math.comb(m + gap - j, m), count)
-        for j in range(min(m + 1, gap) + 1)
-    )
+    componentwise minimum z, for any z >= 0 with gap = w - |z| >= 0: the
+    shell has C(m + w - |y|, m) rows >= y (none when |y| > w), so its m + 1
+    coordinates are one class of ``subsets_with_minimum``."""
+    above = [math.comb(m + gap - j, m) if j <= gap else 0 for j in range(m + 2)]
+    return subsets_with_minimum([m + 1], lambda _: above, count)
 
 
 def exhaustive_simplex_read_sets(
     x: Vec, t: int, count: int, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[tuple[Vec, ...]]:
     """All size-``count`` subsets of each constant-excess shell of B_t^+(x),
-    one by one, in lexicographic subset order; ``cap`` bounds the ball, each
-    shell and each shell's subset count."""
+    one by one, in lexicographic subset order; ``cap`` bounds the ball and
+    each shell's subset count."""
     shift = _shift(x, t)
     for shell in _shells(len(x), t, cap):
         charge(math.comb(len(shell), count), "upward shell read sets", cap)
@@ -258,28 +251,26 @@ def simplex_min_counts(
     constant-excess shell of every codeword's B_t^+(x); a set succeeds when
     it decodes to its own codeword.
 
-    A set's minimum is x + z, and ``_shell_minimum_count`` counts the sets
-    of each shell with minimum z, so no subset is enumerated: the rows
-    x + z, one per codeword x and z of B_t^+(0) that is some set's minimum,
-    are decoded a block of codewords at a time by ``decode_rows``; the rows
-    that decode to their own x are counted per excess |z| and weighted by
-    the sets of all shells with that minimum.  ``cap`` is charged the whole
-    ball B_t^+(0) first, then each shell; the subsets are not built, so
-    their count is not charged.
-    """
+    Shell w holds C(m + w, m) reads, and ``_shell_minimum_count`` counts its
+    sets with minimum x + z from the gap w - |z| alone: the rows x + z, one
+    per codeword x and z of the upward ball B_t^+(0) that is some set's
+    minimum, are decoded a block of codewords at a time by ``decode_rows``;
+    the rows that decode to their own x are counted per excess |z| and
+    weighted by the sets with that minimum of the shells of gap 0..t - |z|.
+    ``cap`` bounds the ball, charged before anything is counted; the subsets
+    are not built, so their count is not charged."""
     if count < 1:
         raise ValueError("read set must be nonempty")
-    sets, shells = 0, []
-    weight = [0] * (t + 1)  # per excess |z|: the sets of all shells with minimum z
-    for w, shell in enumerate(_shells(code.m + 1, t, cap)):
-        sets += math.comb(len(shell), count)
-        shells.append(shell)
-        for level in range(w + 1):
-            weight[level] += _shell_minimum_count(code.m, w - level, count)
-    sets *= len(code.members)
-    if not any(weight):
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    m = code.m
+    charge(math.comb(m + 1 + t, m + 1), "upward ball vectors", cap)
+    sets = len(code.members) * sum(math.comb(math.comb(m + w, m), count) for w in range(t + 1))
+    weight = list(accumulate(_shell_minimum_count(m, gap, count) for gap in range(t + 1)))[::-1]
+    if not any(weight):  # no shell holds count reads: no ball to build
         return sets, 0
-    Z = np.concatenate([shell for shell, hits in zip(shells, weight) if hits])
+    Z = _excess(m + 1, t, cap)
+    Z = Z[np.array(list(map(bool, weight)))[Z.sum(axis=1)]]
     level = Z.sum(axis=1)
     # x + z sums to at most r + t, so int64 rows stay exact below ENTRY_LIMIT
     Z = Z.astype(object) if code.r + t >= ENTRY_LIMIT else Z
@@ -287,7 +278,7 @@ def simplex_min_counts(
     step = rows_per_block(8 * Z.size)  # codewords per block of x + z rows
     for start in range(0, len(X), step):
         block = X[start:start + step]
-        rows = (block[:, None, :] + Z).reshape(-1, code.m + 1)
+        rows = (block[:, None, :] + Z).reshape(-1, m + 1)
         first, found = code.decode_rows(rows, delta - 1)
         own = found & (first == np.arange(start, start + len(block)).repeat(len(Z)))
         hits += np.bincount(np.tile(level, len(block))[own], minlength=t + 1)

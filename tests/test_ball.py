@@ -25,6 +25,7 @@ from magrec.combinatorics import (
     ball_vectors,
     intersection_exact,
     minimum_counts,
+    subsets_with_minimum,
 )
 from magrec.lattice import (
     FiniteAbelianGroup,
@@ -58,6 +59,27 @@ def splitters(draw, max_n=3):
     n = draw(st.integers(1, max_n))
     element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
     return SplitterSpec(FiniteAbelianGroup(moduli), tuple(draw(element) for _ in range(n)))
+
+
+@CHECKS
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.sets(st.tuples(*[st.integers(0, 3)] * k), min_size=1, max_size=12)
+), st.integers(1, 4))
+def test_the_mobius_kernel_matches_a_counter_of_the_minima(X, N):
+    # one class per coordinate, so U(a) is any up-set count, not a product
+    X = sorted(X)
+    k = len(X[0])
+    minima = Counter(tuple(map(min, zip(*S))) for S in combinations(X, N))
+
+    def above(y):
+        return sum(all(a >= b for a, b in zip(x, y)) for x in X)
+
+    for z in product(range(4), repeat=k):
+        def up(raised):  # the last coordinate is the inner sum
+            head = [c + a for c, a in zip(z, raised)]
+            return [above((*head, z[-1] + j)) for j in (0, 1)]
+
+        assert subsets_with_minimum([1] * k, up, N) == minima[z]
 
 
 @CHECKS

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, LatticeCode, core
-from magrec import lattice, reconstruction
+from magrec import cli, lattice, reconstruction
 from magrec.channel import minimum_sets, read_blocks, read_sets
 from magrec.combinatorics import ball_matrix
 from magrec.lattice import parse_splitter_spec
@@ -144,6 +144,19 @@ ENUMERATIONS = {
     "exhaustive minima": (
         4, "ball vectors",
         lambda cap: list(minimum_sets((0, 0, 0), ChannelParams(3, 1, 1, 0), 2, cap)),
+    ),
+    # five random pairs of the 4-vector ball, charged before the ball
+    "random reads": (
+        5, "random read sets",
+        lambda cap: list(read_sets((0, 0, 0), ChannelParams(3, 1, 1, 0), 2, "random", 5,
+                                   cap=cap)),
+    ),
+    # simulate's 3 trials at each of its 2 grid points, before the first point
+    "simulated reads": (
+        6, "random read sets",
+        lambda cap: list(cli._grid_params(cli.parse_args(
+            f"simulate --alg min --code sum-mod:2 --n 2:3 --t 1 --kp 1 --trials 3 --cap {cap}"
+            .split()), cli.Report([], "table", False))),
     ),
     "upward shell": (6, "upward shell vectors", lambda cap: _excess_shell(3, 2, cap)),
     "upward ball": (10, "upward ball vectors", lambda cap: upward_ball((0, 0, 0), 2, cap)),

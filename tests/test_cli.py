@@ -11,6 +11,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from itertools import chain, product
 from pathlib import Path
 from unittest import mock
@@ -97,6 +98,22 @@ def test_grid_at_the_cap_runs(capsys):
 
 GRID = "grid value", "A, A:B or a comma list"
 VECTOR = "vector", "comma-separated integers"
+
+
+@pytest.mark.parametrize("command", [
+    "reconstruct --alg min", "list --alg min --delta 1", "simulate --alg min",
+])
+def test_a_twenty_digit_trial_count_is_one_error_line(command, capsys):
+    # a million trials take a fraction of a second, so 10**20 would run for
+    # about 10**13 s: the count is charged against --cap before any is drawn
+    trials = "99999999999999999999"
+    argv = f"{command} --code sum-mod:2 --n 3 --t 1 --kp 1 --trials {trials}".split()
+    start = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {trials} random read sets exceed enumeration cap 10000000\n"
 
 
 @pytest.mark.parametrize("argv, flag, text, kind", [

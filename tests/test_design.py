@@ -134,11 +134,20 @@ def test_derived_tables_live_in_the_one_cache():
 
 def test_one_ball_enumerator():
     """Every ball is enumerated by combinatorics._lex_rows, through ball_matrix and the tandem
-    excess table; itertools.product builds only the CLI's parameter grid and the count patterns
-    of minimum_counts, so no fast path keeps a product loop over a ball."""
+    excess table; itertools.product builds only the CLI's parameter grid and the raised counts
+    of the Möbius kernel, so no fast path keeps a product loop over a ball."""
     lex = sites("_lex_rows", allowed=[("combinatorics", "ball_matrix"), ("tandem", "_excess")])
-    grids = [("cli", "_grid_params"), ("combinatorics", "minimum_counts")]
+    grids = [("cli", "_grid_params"), ("combinatorics", "subsets_with_minimum")]
     assert lex + sites("product", allowed=grids) == []
+
+
+def test_one_mobius_inversion():
+    """Every count of the N-subsets with a given minimum is one Möbius inversion, written once
+    in combinatorics.subsets_with_minimum: no other code raises -1 to a power, the alternating
+    sign of an inclusion-exclusion sum."""
+    sign = lambda n: isinstance(n.op, ast.Pow) and ast.unparse(n.left) == "-1"  # noqa: E731
+    assert sites(None, ast.BinOp, sign, [("combinatorics", "subsets_with_minimum")]) == []
+    assert sites(None, ast.BinOp, sign) != []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -231,19 +231,20 @@ def test_upward_balls_are_read_from_the_one_cache_and_charged_first(monkeypatch)
     code = greedy_simplex_code(2, 3, 1)
     first = simplex_min_counts(code, 2, 2, 1)
     kept = {key: value for key, (value, _) in cache.items() if key[0] == "excess"}
-    # the simplex r = 3 the code was picked from and the shells w = 0, 1, 2
-    # of Z^3 are each a row of B_w^+(0) in Z^2 and the excess it leaves
-    assert sorted(kept) == [("excess", 2, w) for w in range(4)]
+    # the simplex r = 3 the code was picked from is a row of B_3^+(0) in Z^2
+    # and the excess it leaves; the counter reads the upward ball B_2^+(0)
+    assert sorted(kept) == [("excess", 2, 3), ("excess", 3, 2)]
     assert all(not value.flags.writeable for value in kept.values())
     enumerated = []
     lex_rows = tandem._lex_rows
     monkeypatch.setattr(tandem, "_lex_rows",
                         lambda *args: enumerated.append(args) or lex_rows(*args))
     assert simplex_min_counts(code, 2, 2, 1) == first
-    assert _excess(2, 2) is kept[("excess", 2, 2)]
+    assert _excess(3, 2) is kept[("excess", 3, 2)]
     assert enumerated == []
+    # the counter's ball is the one upward_ball reads, so it is a hit too
     assert upward_ball((1, 0, 2), 2) == tuple(oracle_upward_ball((1, 0, 2), 2))
-    assert len(enumerated) == 1 and _excess(3, 2) is cache[("excess", 3, 2)][0]
+    assert enumerated == [] and _excess(3, 2) is cache[("excess", 3, 2)][0]
     with pytest.raises(EnumerationCapExceeded, match="^10 upward ball vectors"):
         upward_ball((0, 0, 0), 2, cap=9)
     with pytest.raises(EnumerationCapExceeded, match="^10 upward ball vectors"):
