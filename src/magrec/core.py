@@ -24,15 +24,15 @@ member chunks) holds ``rows_per_block(row_bytes)`` rows, at most
 are read from text by ``parse_int`` alone: ASCII decimal digits with an
 optional sign.
 
-Rows are keyed and grouped here alone: ``_row_keys`` maps rows to keys that
-order like them, in the mixed-radix frame of ``radix_places`` where it fits
-int64 (``key_rows`` inverts it), and ``group_keys`` is the one grouping sort.
+Rows are keyed and grouped here alone: ``_row_keys`` keys rows in the
+mixed-radix frame of ``radix_places``, int64 below 2**63 and Python ints past
+it (``key_rows`` inverts it); ``group_keys`` is the one grouping sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +88,14 @@ def check_entries(lo: int, hi: int) -> None:
         )
 
 
+def check_integers(rows: Sequence, what: str) -> Sequence:
+    """The vectors ``rows`` themselves, after checking that every entry is an
+    ``int`` or a NumPy integer, which a matrix would not truncate."""
+    if bad := [x for v in rows for x in v if not isinstance(x, (int, np.integer))]:
+        raise ValueError(f"entries of {what} must be integers, got {bad[0]!r}")
+    return rows
+
+
 def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
     """``stack`` itself, after checking that it is an (S, N, n) int64 array of
     nonempty read sets, each of distinct rows in lexicographic order, with
@@ -124,23 +132,23 @@ def _column_reduce(M: np.ndarray, reduce) -> np.ndarray:
     return reduce(folded, axis=0)
 
 
-def radix_places(lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
-    """The int64 place value of each column of rows within [lo, hi], the
-    product of the later columns' ranges, so that the keys (M - lo) @ place
-    order like the rows M; None when the ranges multiply to 2**63 or more."""
+def radix_places(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The place value of each column of rows within [lo, hi], the product
+    of the later columns' ranges, so that the keys (M - lo) @ place order
+    like the rows M: int64 below 2**63, Python ints (an object array) past."""
     place, size = [], 1
     for low, high in zip(lo.tolist()[::-1], hi.tolist()[::-1]):
         place.append(size)
         size *= high - low + 1
-    return np.array(place[::-1], dtype=np.int64) if size < 2**63 else None
+    return np.array(place[::-1], dtype=np.int64 if size < 2**63 else object)
 
 
 def key_rows(keys: np.ndarray, lo: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """The rows M whose keys (M - lo) @ place are ``keys``: a column's digit
-    is key // place less its range times the quotient of the column before."""
+    """The rows M, in lo's dtype, of the keys (M - lo) @ place: a column's
+    digit is key // place less its range times the quotient of the one before."""
     rows = keys[:, None] // place
     rows[:, 1:] -= rows[:, :-1] * (place[:-1] // place[1:])
-    return rows + lo
+    return (rows + lo).astype(lo.dtype, copy=False)
 
 
 def _starts(values: np.ndarray) -> np.ndarray:
@@ -169,18 +177,17 @@ def _row_keys(M: np.ndarray) -> np.ndarray:
     like the rows lexicographically: key i < key j exactly when row i < row
     j, so that ``group_keys`` of the keys groups the rows.  The key is (M -
     lo) @ ``radix_places(lo, hi)``, lo and hi the column ranges from
-    ``_column_reduce``'s flat passes, where that fits int64, and otherwise
-    the row's dense rank under a stable ``np.lexsort``."""
+    ``_column_reduce``'s flat passes, and M - lo is in Python ints where the
+    place values are."""
     if not len(M):
         return np.zeros(0, dtype=np.int64)
     lo, hi = _column_reduce(M, np.minimum.reduce), _column_reduce(M, np.maximum.reduce)
-    if (place := radix_places(lo, hi)) is not None:
-        return (M - lo) @ place
-    order = np.lexsort(M.T[::-1])
-    rows = M[order]
-    ranks = np.empty(len(M), dtype=np.int64)
-    ranks[order] = np.concatenate(([0], (rows[1:] != rows[:-1]).any(axis=1).cumsum()))
-    return ranks
+    place, D = radix_places(lo, hi), M - lo
+    if place.dtype == object and D.dtype == np.int64:
+        # an int64 difference wraps past 2**63, but read as uint64 it is exact,
+        # and converts faster than a subtraction in Python ints
+        D = D.view(np.uint64).astype(object)
+    return D @ place
 
 
 def distinct_rows(M: np.ndarray) -> np.ndarray:
@@ -304,7 +311,7 @@ class ExplicitCode(Code):
     of differences (``rows_per_block``), each row taking its first hit."""
 
     def __init__(self, members: Iterable[Vec]):
-        members = [tuple(m) for m in members]
+        members = check_integers([tuple(m) for m in members], "codewords")
         if not members:
             raise ValueError("explicit code needs at least one codeword")
         n = len(members[0])

@@ -44,7 +44,7 @@ as owner-tagged int64 blocks of ``core.rows_per_block`` rows
 (``_candidates``), each decoded by one ``Code.decode_rows`` call, a table
 lookup for lattice codes; the majority list decoder decodes the distinct
 mixed-radix keys of its fills instead (``_fill_keys``, ``_decode_fills``),
-building rows only where keys would pass 2**63.  The Sauer decoder
+int64 where they fit it and Python ints past 2**63.  The Sauer decoder
 searches every set of a block for its witness at once, over bitsets of
 uint64 words (``_witnesses``), and builds the candidates of all sets with
 one witness in one pass.  A ``ReadSet`` is a single (N, n) matrix, and the
@@ -79,6 +79,7 @@ from magrec.core import (
     _starts,
     charge,
     check_entries,
+    check_integers,
     check_stack,
     distinct_rows,
     group_keys,
@@ -218,8 +219,9 @@ class ReadSet:
         if isinstance(reads, np.ndarray):
             matrix = reads
         else:
+            rows = check_integers(sorted(tuple(r) for r in reads), "reads")
             try:
-                matrix = np.array(sorted(tuple(r) for r in reads), dtype=np.int64)
+                matrix = np.array(rows, dtype=np.int64)
             except OverflowError:
                 raise ValueError("read entries exceed the int64 range") from None
             except ValueError:
@@ -436,7 +438,7 @@ def _candidates(
     The majority decoder tests these rows in fill order, and ``list-min``
     decodes its few rows (one input per distinct minimum, no erasure) so
     faster than by key; the majority list decoder takes their keys
-    (``_fill_keys``) and these rows only where the keys pass 2**63.
+    (``_fill_keys``) instead.
 
     A set with m erasures has (k+ + k- + 1)^m * |shifts| rows; the largest
     such count is charged against ``cap`` before any row is built.  A block
@@ -659,13 +661,13 @@ def _merged(parts: list, n: int) -> Decoded:
 def _fill_keys(
     words: np.ndarray, erased: np.ndarray, anchors: np.ndarray, shifts: np.ndarray,
     p: ChannelParams, cap: int,
-) -> Optional[tuple]:
+) -> tuple:
     """(lo, place, blocks) of the rows u - e that ``_candidates`` builds
     from the same arguments, as mixed-radix keys: row r has the key (r -
     lo) . place, lo the least value of each column over all the rows and
     place the column's place value, the product of the later columns'
-    ranges, so keys order like rows.  None when the ranges multiply past
-    2**63.
+    ranges, so keys order like rows: int64 below 2**63 and Python ints
+    past it (``core.radix_places``); lo is int64.
 
     A key is linear in its row: the key of u - e is base + digits . radix -
     key(e), base the key of the class's least fill and radix the place
@@ -681,9 +683,9 @@ def _fill_keys(
     low = np.where(erased, anchors - p.k_plus, words)
     lo = low.min(axis=0) - shifts.max(axis=0)
     hi = np.where(erased, anchors + p.k_minus, words).max(axis=0) - shifts.min(axis=0)
-    if (place := radix_places(lo, hi)) is None:
-        return None
-    base, shift_keys = (low - lo) @ place, shifts @ place
+    place = radix_places(lo, hi)
+    # in Python ints where the place values are, so that low - lo cannot wrap
+    base, shift_keys = (low.astype(place.dtype, copy=False) - lo) @ place, shifts @ place
     per_block = rows_per_block(48)
 
     def pieces():
@@ -721,17 +723,13 @@ def _decode_fills(
     ``_candidates`` builds from the same arguments, decoded within radius
     delta - 1, failures dropped, in set and then codeword order.
 
-    Per block of ``_fill_keys``, each distinct key is turned back into its
-    row (``key_rows``) and decoded once, ``rows_per_block(32 n)`` rows to a
+    Per block of ``_fill_keys``, each distinct key, int64 or a Python int,
+    is turned back into its int64 row (``key_rows``; fill entries stay
+    below 2**63) and decoded once, ``rows_per_block(32 n)`` rows to a
     ``Code.decode_rows`` call, and the (set, codeword) pairs are made
     distinct by one sort of (set, codeword rank); the blocks' pairs are
-    merged once (``_merged``).  Where the keys would pass 2**63 the
-    rows are built and decoded (``_candidates``, ``_decode_lists``)."""
-    frame = _fill_keys(words, erased, anchors, shifts, p, cap)
-    if frame is None:
-        return _decode_lists(_candidates(words, erased, anchors, shifts, p, cap),
-                             code, delta, p, cap)
-    lo, place, blocks = frame
+    merged once (``_merged``)."""
+    lo, place, blocks = _fill_keys(words, erased, anchors, shifts, p, cap)
     step = rows_per_block(32 * p.n)
 
     def decode(owner, keys):
@@ -890,10 +888,8 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
             raise ValueError("S must be an integer matrix or an iterable of vectors") from None
         if len({len(v) for v in rows}) > 1:
             raise ValueError("vectors in S must share one length")
-        if bad := [x for v in rows for x in v if not isinstance(x, (int, np.integer))]:
-            raise ValueError(f"entries of S must be integers, got {bad[0]!r}")
         try:
-            S = np.array(rows, dtype=np.int64)
+            S = np.array(check_integers(rows, "S"), dtype=np.int64)
         except OverflowError:
             raise ValueError(f"entries must lie in [0, {q - 1}]") from None
     elif S.ndim != 2 or S.dtype.kind not in "iu":

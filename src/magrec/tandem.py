@@ -55,6 +55,7 @@ from magrec.core import (
     Vec,
     charge,
     check_entries,
+    check_integers,
     parse_int,
     payload_lines,
     rows_per_block,
@@ -136,7 +137,7 @@ class SimplexCode:
     members: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(tuple(v) for v in self.members))
+        members = check_integers(tuple(sorted(tuple(v) for v in self.members)), "codewords")
         if not members:
             raise ValueError("simplex code needs at least one codeword")
         for v in members:

@@ -2,7 +2,6 @@ import inspect
 import random
 from itertools import product
 from math import prod
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +125,13 @@ def test_explicit_code_validation():
         ExplicitCode([(0, 0), (0, 0)])
 
 
+def test_explicit_code_refuses_non_integer_entries():
+    # its matrix would cut (0, 0.5) to (0, 0), a row that contains rejects
+    with pytest.raises(ValueError, match=r"^entries of codewords must be integers, got 0\.5$"):
+        ExplicitCode([(0, 0.5), (3, 3)])
+    assert ExplicitCode([(np.int64(0), 1), (3, 3)]).contains((0, 1))
+
+
 def test_oracle_agrees_with_library_ball():
     for (n, t, kp, km) in [(1, 1, 2, 1), (2, 1, 1, 0), (3, 2, 2, 2), (4, 2, 1, 1)]:
         assert sorted(oracle_ball(n, t, kp, km)) == list(ball_vectors(n, t, kp, km))
@@ -185,13 +191,12 @@ def key_matrices(draw):
 def check_row_keys(M):
     """``core._row_keys`` against ``np.unique(axis=0)``: keys order like the
     rows, and the keyed unique gives the same rows, first indices and counts;
-    the lexsort fallback runs exactly when the column ranges multiply past
-    2**63."""
-    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-        keys = core._row_keys(M)
+    the keys are Python ints exactly when the column ranges multiply to
+    2**63 or more, and int64 otherwise."""
+    keys = core._row_keys(M)
     spans = [int(hi) - int(lo) + 1 for lo, hi in zip(M.min(axis=0), M.max(axis=0))]
-    assert lexsort.call_count == (prod(spans) >= 2**63)
-    assert keys.dtype == np.int64 and keys.shape == (len(M),)
+    python_ints = prod(spans) >= 2**63
+    assert keys.dtype == (object if python_ints else np.int64) and keys.shape == (len(M),)
     rows, keys = M.tolist(), keys.tolist()
     for i, j in product(range(len(M)), repeat=2):
         assert (keys[i] > keys[j]) - (keys[i] < keys[j]) == (rows[i] > rows[j]) - (rows[i] < rows[j])
@@ -199,7 +204,7 @@ def check_row_keys(M):
     want = np.unique(M, axis=0, return_index=True, return_counts=True)
     for got, expected in zip((M[first], first, counts), want):
         np.testing.assert_array_equal(got, expected)
-    return lexsort.call_count
+    return python_ints
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -208,7 +213,7 @@ def test_row_keys_order_like_the_rows(M):
     check_row_keys(M)
 
 
-@pytest.mark.parametrize("rows, fallback", [
+@pytest.mark.parametrize("rows, python_ints", [
     ([[3, 1], [0, 2], [3, 1], [0, 2], [-1, 5]], False),
     ([[4], [-2], [4], [0]], False),
     ([[7, -3, 0, 2]], False),
@@ -218,8 +223,8 @@ def test_row_keys_order_like_the_rows(M):
     ([[I64.min, I64.max], [I64.max, I64.min], [I64.min, I64.max], [0, 0]], True),
 ], ids=["duplicates", "one-column", "one-row", "ranges-past-2**63",
         "ranges-of-2**63-1", "three-columns-past-2**63", "int64-extremes"])
-def test_row_keys_examples(rows, fallback):
-    assert check_row_keys(np.array(rows, dtype=np.int64)) == fallback
+def test_row_keys_examples(rows, python_ints):
+    assert check_row_keys(np.array(rows, dtype=np.int64)) == python_ints
 
 
 def test_row_keys_of_no_rows():
@@ -299,11 +304,14 @@ def test_group_keys_match_unique_on_syndrome_codes(modulus):
 @st.composite
 def framed_matrices(draw):
     """(M, lo, ranges): an int64 matrix whose column i lies in [lo[i], lo[i]
-    + ranges[i]), the ranges multiplying to less than 2**63."""
-    n = draw(st.integers(1, 5))
+    + ranges[i]), the ranges multiplying to less than 2**63, or, in a frame
+    of two to five columns of at least 2**32 values each, past it."""
+    past = draw(st.booleans())
+    n = draw(st.integers(2 if past else 1, 5))
     ranges = []
     for _ in range(n):
-        ranges.append(draw(st.integers(1, min(2**40, (2**63 - 1) // prod(ranges)))))
+        top = 2**40 if past else min(2**40, (2**63 - 1) // prod(ranges))
+        ranges.append(draw(st.integers(2**32 if past else 1, top)))
     lo = np.array(draw(st.lists(st.integers(-SAFE, SAFE), min_size=n, max_size=n)))
     digits = draw(st.lists(st.tuples(*(st.integers(0, r - 1) for r in ranges)), max_size=10))
     return np.array(digits, dtype=np.int64).reshape(-1, n) + lo, lo, ranges
@@ -311,11 +319,15 @@ def framed_matrices(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(framed_matrices())
+@example((np.array([[0, 0], [2**32 - 1, 2**31 - 1], [5, 7]]), np.array([0, 0]), [2**32, 2**31]))
 def test_key_rows_invert_the_radix_keys(frame):
     M, lo, ranges = frame
     place = core.radix_places(lo, lo + np.array(ranges) - 1)
-    assert place.dtype == np.int64
-    np.testing.assert_array_equal(core.key_rows((M - lo) @ place, lo, place), M)
+    assert place.dtype == (object if prod(ranges) >= 2**63 else np.int64)
+    keys = (M.astype(place.dtype) - lo) @ place
+    rows = core.key_rows(keys, lo, place)
+    assert rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, M)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -327,12 +339,13 @@ def test_key_rows_invert_the_radix_keys(frame):
 @example([2**32, 2**31], 0)
 @example([2**32, 2**31 - 1], 0)
 @example([7**2 * 73 * 127, 337 * 92737 * 649657], 0)  # 2**63 - 1
-def test_radix_places_are_none_at_2_to_the_63(ranges, low):
+def test_radix_places_are_python_ints_at_2_to_the_63(ranges, low):
     place = core.radix_places(np.full(len(ranges), low),
                               np.array([low + r - 1 for r in ranges]))
-    assert (place is None) == (prod(ranges) >= 2**63)
-    if place is not None:
-        assert place.tolist() == [prod(ranges[i + 1:]) for i in range(len(ranges))]
+    assert place.dtype == (object if prod(ranges) >= 2**63 else np.int64)
+    if place.dtype == object:  # the entries themselves are Python ints
+        assert {type(v) for v in place} == {int}
+    assert place.tolist() == [prod(ranges[i + 1:]) for i in range(len(ranges))]
 
 
 def test_public_names():

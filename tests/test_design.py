@@ -94,14 +94,22 @@ def test_the_cli_decodes_only_stacks_that_channel_built():
     assert sites("decode", ast.Call, method, [("channel", "run_trial"), ("cli", "_trials")]) == []
 
 
-def test_erasure_fills_are_decoded_by_key_and_rows_only_where_keys_cannot_go():
-    """list-majority decodes its fills as mixed-radix keys (reconstruction._decode_fills);
-    candidate rows are built by _candidates for the majority decoder, for list-min (whose few
-    rows decode faster so) and for the fallback of _decode_fills past 2**63, and are collected
-    by _decode_lists there and in the Sauer block decoder."""
-    rows = [("reconstruction", f) for f in ("_decode_list_min", "_decode_fills")]
-    assert sites("_candidates", allowed=[("reconstruction", "_decode_majority"), *rows]) == []
-    assert sites("_decode_lists", allowed=[("reconstruction", "_decode_sauer"), *rows]) == []
+def test_list_majority_decodes_its_fills_by_key():
+    """list-majority decodes its fills as mixed-radix keys (reconstruction._decode_fills), int64
+    or Python ints; candidate rows are built by _candidates for the majority decoder and for
+    list-min (whose few rows decode faster so), and are collected by _decode_lists there and in
+    the Sauer block decoder."""
+    rows = [("reconstruction", f) for f in ("_decode_majority", "_decode_list_min")]
+    assert sites("_candidates", allowed=rows) == []
+    assert sites("_decode_lists", allowed=[("reconstruction", f)
+                                           for f in ("_decode_list_min", "_decode_sauer")]) == []
+
+
+def test_one_key_format():
+    """core._row_keys keys rows in the one mixed-radix frame of core.radix_places, int64 below
+    2**63 and Python ints past it, so no code ranks rows by np.lexsort; lexsort orders the ball
+    by error weight in channel._adversarial_order alone, which is an order, not a grouping."""
+    assert sites("lexsort", allowed=[("channel", "_adversarial_order")]) == []
 
 
 def test_one_coordinate_search():

@@ -208,10 +208,10 @@ def test_class_pairs_bound_the_decode_memory():
         assert peak < 4 * core.BLOCK_BYTES
 
 
-def test_fills_whose_keys_pass_2_63_decode_by_rows_and_match_the_sets():
+def test_fills_whose_keys_pass_2_63_decode_by_python_int_keys_and_match_the_sets():
     # sets around 0 and around (300,) * 8 spread each column over about 306
-    # values, and 306**8 > 2**63, so the block's fills fall back to rows;
-    # each set alone spans at most 5 values a column and decodes by keys
+    # values, and 306**8 > 2**63, so the block's fill keys are Python ints;
+    # each set alone spans at most 5 values a column and has int64 keys
     p = ChannelParams(8, 2, 1, 1)
     code = LatticeCode(SplitterSpec(cyclic(3), ((1,),) * 8))
     far = (300,) * 8
@@ -225,10 +225,11 @@ def test_fills_whose_keys_pass_2_63_decode_by_rows_and_match_the_sets():
     keyed = []
     with mock.patch.object(reconstruction, "_fill_keys", recording_fill_keys(keyed)):
         got = plan.decode(ReadBlock(p, stack), code)
-        assert keyed == []
+        assert keyed and all(dtype == object for *_, dtype in keyed)
+        keyed.clear()
         want = [decode_one_by_one("list-majority", ReadSet(matrix, p), plan.tau, code,
                                   plan.delta, plan.a) for matrix in stack]
-        assert len(keyed) >= len(stack)
+        assert len(keyed) >= len(stack) and all(dtype == np.int64 for *_, dtype in keyed)
     assert per_set(got, len(stack)) == want
     assert all(x in out for x, out in zip([(0,) * 8] * 20 + [far] * 20, want))
     # and the rows path itself, set by set

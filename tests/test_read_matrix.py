@@ -156,6 +156,14 @@ def test_read_entries_outside_int64_safe_range_rejected(entry):
             ReadSet(np.array([[0, 0], [entry, 0]], dtype=np.int64), p)
 
 
+def test_read_set_refuses_non_integer_entries():
+    # a matrix of the reads would cut 1.5 to 1
+    p = ChannelParams(2, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^entries of reads must be integers, got 1\.5$"):
+        ReadSet([(0, 1.5), (1, 1)], p)
+    assert ReadSet([(np.int64(0), 1), (1, 1)], p).reads == ((0, 1), (1, 1))
+
+
 def test_read_matrix_must_be_sorted_distinct_int64():
     # a ReadSet, and a ReadBlock of the set as a stack of one, refuse it
     # with check_stack's message
@@ -744,15 +752,11 @@ def recording_fill_keys(blocks):
     """A stand-in for ``reconstruction._fill_keys`` that appends, for each
     block (owner, keys) it yields, the shift count it was built with, the
     owner's length and the keys' length and dtype to ``blocks`` (not the
-    arrays, which would stay alive), and appends nothing when the keys
-    would pass 2**63."""
+    arrays, which would stay alive)."""
     real = reconstruction._fill_keys
 
     def fill_keys(words, erased, anchors, shifts, p, cap):
-        frame = real(words, erased, anchors, shifts, p, cap)
-        if frame is None:
-            return None
-        lo, place, keyed = frame
+        lo, place, keyed = real(words, erased, anchors, shifts, p, cap)
 
         def recorded():
             for owner, keys in keyed:

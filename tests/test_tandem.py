@@ -333,6 +333,12 @@ def test_simplex_code_validation():
         SimplexCode(2, 3, 1, ())
 
 
+def test_simplex_code_refuses_non_integer_entries():
+    # (0.5, 2.5) sums to r = 3, but its stored row would be (0, 2)
+    with pytest.raises(ValueError, match=r"^entries of codewords must be integers, got 0\.5$"):
+        SimplexCode(1, 3, 1, ((0.5, 2.5), (3, 0)))
+
+
 def test_greedy_code_distance():
     for delta in (1, 2):
         code = greedy_simplex_code(2, 4, delta)
