@@ -20,8 +20,8 @@ is; a stack from anywhere else becomes a block by ``ReadBlock(p, stack)``,
 which checks it, as ``ReadSet`` builds its block of one from a matrix.  A
 block holds ``core.rows_per_block`` sets, each charged its stack and, drawn
 as an indicator, its row of keys, so its memory stays bounded whatever N, n
-and the trial count.  x is a tuple, and x plus any error must stay below
-``ENTRY_LIMIT`` in magnitude.
+and the trial count.  x is an integer vector (``core.int_rows``), and x
+plus any error must stay below ``ENTRY_LIMIT`` in magnitude.
 
 Every generator takes the channel as one ``ChannelParams`` p, and the read
 mode is one of the CLI's ``--reads`` words: "random", "adversarial"
@@ -79,6 +79,7 @@ from magrec.core import (
     Vec,
     charge,
     check_entries,
+    int_rows,
     rows_per_block,
 )
 from magrec.combinatorics import ball_matrix, ball_size, cached, minimum_counts
@@ -105,10 +106,11 @@ def _ball_and_shift(
     """The ball matrix of p (at most ``cap`` rows), the ball shifted by x,
     and x as an int64 row, after checking that x plus any error stays
     within the int64-safe range."""
-    if len(x) != p.n:
-        raise ValueError(f"x has length {len(x)}, the channel has n={p.n}")
-    check_entries(min(x) - p.k_minus, max(x) + p.k_plus)
-    ball, shift = ball_matrix(p, cap), np.array(x, dtype=np.int64)
+    (shift,) = int_rows([x], "x")
+    if len(shift) != p.n:
+        raise ValueError(f"x has length {len(shift)}, the channel has n={p.n}")
+    check_entries(int(shift.min()) - p.k_minus, int(shift.max()) + p.k_plus)
+    ball = ball_matrix(p, cap)
     return ball, ball + shift, shift
 
 

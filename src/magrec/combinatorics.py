@@ -355,21 +355,18 @@ def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
     ("differences", members, p), members the sorted codewords.  Each row of
     the ``ExplicitCode`` matrix is subtracted from the later (smaller) ones
     at once.  ``code_members`` is an ``ExplicitCode``, whose matrix is
-    reused, or any iterable of vectors.  A repeated member, or one of length
-    other than p.n, is a ValueError."""
-    if isinstance(code_members, ExplicitCode):
-        if code_members.n != p.n:
-            raise ValueError(f"length mismatch: code n={code_members.n}, channel n={p.n}")
-    else:
-        members = [tuple(m) for m in code_members]
+    reused, or any iterable of vectors, made one.  A repeated member, or one
+    of length other than p.n, is a ValueError."""
+    if not isinstance(code_members, ExplicitCode):
+        members = list(code_members)
         for m in members:
-            if len(m) != p.n:
-                raise ValueError(
-                    f"length mismatch: {len(members[0])} vs {len(m)}, channel n={p.n}"
-                )
+            if np.ndim(m) == 1 and len(m) != p.n:  # a non-vector fails in int_rows
+                raise ValueError(f"length mismatch: {p.n} vs {len(m)}, channel n={p.n}")
         if not members:
             return np.zeros((0, p.n), dtype=np.int64)
         code_members = ExplicitCode(members)
+    if code_members.n != p.n:
+        raise ValueError(f"length mismatch: code n={code_members.n}, channel n={p.n}")
     M = code_members._largest_first
 
     def build() -> np.ndarray:
@@ -386,9 +383,11 @@ def difference_classes(code_members, p: ChannelParams) -> np.ndarray:
 
 def max_intersection_of_code(code_members, p: ChannelParams) -> int:
     """Maximum ball intersection over pairs of distinct codewords, one per
-    ``difference_classes`` row; 0 when there is none."""
-    members = list(code_members)
-    if len(members) < 2:
+    ``difference_classes`` row; 0 when there is none.  ``code_members`` is
+    an ``ExplicitCode``, passed through as it is, or an iterable of vectors."""
+    if not isinstance(code_members, ExplicitCode):
+        code_members = list(code_members)
+    if len(code_members) < 2:
         raise ValueError("need at least 2 codewords")
-    classes = difference_classes(members, p).tolist()
+    classes = difference_classes(code_members, p).tolist()
     return max((intersection_exact((0,) * p.n, d, p) for d in classes), default=0)

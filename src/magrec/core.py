@@ -2,7 +2,8 @@
 
 At the API edge vectors are plain tuples of Python ints (immutable,
 hashable): codewords, decoder inputs and outputs, and the reads a
-``ReadSet`` hands back.  Inside, a read set is one (N, n) int64 matrix, so
+``ReadSet`` hands back.  Every vector from outside becomes a matrix through
+``int_rows`` alone.  Inside, a read set is one (N, n) int64 matrix, so
 its entries, and those of the codewords compared with it, must stay below
 ``ENTRY_LIMIT`` in magnitude; ``check_entries`` rejects anything larger
 with a ValueError instead of letting int64 arithmetic wrap, and
@@ -32,7 +33,7 @@ it (``key_rows`` inverts it); ``group_keys`` is the one grouping sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -88,12 +89,23 @@ def check_entries(lo: int, hi: int) -> None:
         )
 
 
-def check_integers(rows: Sequence, what: str) -> Sequence:
-    """The vectors ``rows`` themselves, after checking that every entry is an
-    ``int`` or a NumPy integer, which a matrix would not truncate."""
-    if bad := [x for v in rows for x in v if not isinstance(x, (int, np.integer))]:
+def int_rows(vectors: Iterable, what: str) -> np.ndarray:
+    """The vectors as one matrix, a row each: int64 when every entry is below
+    ``ENTRY_LIMIT`` in magnitude, Python ints (an object array) otherwise.  A
+    member that is no vector, an entry that is no ``int`` or NumPy integer,
+    or vectors of two lengths are a ValueError naming ``what``."""
+    try:
+        rows = [tuple(v) for v in vectors]
+    except TypeError:
+        raise ValueError(f"{what} must be an integer matrix or an iterable of vectors") from None
+    if len({len(v) for v in rows}) > 1:
+        raise ValueError(f"{what} must share one length")
+    entries = [x for v in rows for x in v]
+    if bad := [x for x in entries if not isinstance(x, (int, np.integer))]:
         raise ValueError(f"entries of {what} must be integers, got {bad[0]!r}")
-    return rows
+    big = entries and (min(entries) <= -ENTRY_LIMIT or max(entries) >= ENTRY_LIMIT)
+    M = np.array(list(map(int, entries)) if big else entries, dtype=object if big else np.int64)
+    return M.reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -296,9 +308,7 @@ class Code:
     def decode_within(
         self, z: Vec, radius: int, params: ChannelParams, cap: int = DEFAULT_ENUM_CAP
     ) -> Optional[Vec]:
-        safe = -ENTRY_LIMIT < min(z) and max(z) < ENTRY_LIMIT
-        U = np.array([z], dtype=np.int64 if safe else object)
-        C, found = self.decode_rows(U, radius, params, cap)
+        C, found = self.decode_rows(int_rows([z], "z"), radius, params, cap)
         return tuple(C[0].tolist()) if found[0] else None
 
 
@@ -311,19 +321,15 @@ class ExplicitCode(Code):
     of differences (``rows_per_block``), each row taking its first hit."""
 
     def __init__(self, members: Iterable[Vec]):
-        members = check_integers([tuple(m) for m in members], "codewords")
-        if not members:
+        M = int_rows(members, "codewords")
+        if not len(M):
             raise ValueError("explicit code needs at least one codeword")
-        n = len(members[0])
-        if any(len(m) != n for m in members):
-            raise ValueError("codewords must share one length")
-        if len(set(members)) != len(members):
-            raise ValueError("duplicate codewords")
-        self.members: tuple[Vec, ...] = tuple(sorted(members))
-        self.n = n
+        self.members: tuple[Vec, ...] = tuple(sorted(map(tuple, M.tolist())))
         self._set = frozenset(self.members)
-        safe = all(-ENTRY_LIMIT < x < ENTRY_LIMIT for m in members for x in m)
-        self._largest_first = np.array(self.members[::-1], dtype=np.int64 if safe else object)
+        if len(self._set) != len(M):
+            raise ValueError("duplicate codewords")
+        self.n = M.shape[1]
+        self._largest_first = np.array(self.members[::-1], dtype=M.dtype)
 
     def contains(self, v: Vec) -> bool:
         return v in self._set

@@ -79,10 +79,10 @@ from magrec.core import (
     _starts,
     charge,
     check_entries,
-    check_integers,
     check_stack,
     distinct_rows,
     group_keys,
+    int_rows,
     key_rows,
     radix_places,
     rows_per_block,
@@ -199,8 +199,8 @@ class ReadSet:
     read serves as the anchor wherever a procedure needs one, which keeps
     every algorithm here deterministic.
 
-    ``reads`` is an iterable of vectors, which are sorted, an int64
-    matrix, which must already hold distinct rows in lexicographic order
+    ``reads`` is an iterable of vectors, sorted after ``core.int_rows``, an
+    int64 matrix, which must already hold distinct rows in lexicographic order
     (one set of a ``channel`` stack is one) and is taken over, not copied,
     or a ``ReadBlock`` of one set, valid by construction, which is kept as
     it is.  Entries must stay below ``ENTRY_LIMIT`` in magnitude.
@@ -219,13 +219,10 @@ class ReadSet:
         if isinstance(reads, np.ndarray):
             matrix = reads
         else:
-            rows = check_integers(sorted(tuple(r) for r in reads), "reads")
-            try:
-                matrix = np.array(rows, dtype=np.int64)
-            except OverflowError:
-                raise ValueError("read entries exceed the int64 range") from None
-            except ValueError:
-                raise ValueError("every read must have length n") from None
+            matrix = int_rows(reads, "reads")
+            # an entry past ENTRY_LIMIT gets its message, not check_stack's dtype one
+            check_entries(matrix.min(initial=0), matrix.max(initial=0))
+            matrix = matrix[_row_keys(matrix).argsort()]
         stack = matrix[None]
         self.block = ReadBlock(params, stack)
         matrix.flags.writeable = stack.flags.writeable = False
@@ -872,8 +869,8 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     coordinatewise by some member of S.
 
     S is an (|S|, n) integer matrix with one member per row, or any
-    iterable of length-n integer vectors, converted to one once (anything
-    else is a ValueError); a repeated member counts once
+    iterable of length-n integer vectors, made one by ``core.int_rows``
+    (anything else is a ValueError); a repeated member counts once
     (``distinct_rows``).  U is the first witness in lexicographic order, by
     the block search (``_witnesses``) on a stack of one.  It
     exists whenever |S| > V_q(n, c - 1), so absence signals a violated
@@ -882,16 +879,7 @@ def sauer_shelah_find(S, q: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[i
     if c < 0:
         raise ValueError(f"c must be >= 0, got {c}")
     if not isinstance(S, np.ndarray):
-        try:
-            rows = [tuple(v) for v in S]
-        except TypeError:
-            raise ValueError("S must be an integer matrix or an iterable of vectors") from None
-        if len({len(v) for v in rows}) > 1:
-            raise ValueError("vectors in S must share one length")
-        try:
-            S = np.array(check_integers(rows, "S"), dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"entries must lie in [0, {q - 1}]") from None
+        S = int_rows(S, "S")
     elif S.ndim != 2 or S.dtype.kind not in "iu":
         raise ValueError(f"S must be a 2-D integer matrix, got a {S.ndim}-D {S.dtype} array")
     if not len(S):

@@ -32,10 +32,10 @@ minimum, in Python ints.  The rows are int64 while r + t stays below 2**62
 and Python ints (an object array) past it, so a code of any entries is
 counted exactly.  The cap is charged the whole upward ball before the
 lookup, and every shell's subset count where the subsets are enumerated
-(``exhaustive_simplex_read_sets``).  Where reads are built as int64 rows
-(``upward_ball``, ``exhaustive_simplex_read_sets``,
-``reconstruct_simplex_min``), x plus any excess must stay below 2**62
-(``core.check_entries``).
+(``exhaustive_simplex_read_sets``).  Outside vectors become matrices by
+``core.int_rows``; where reads are int64 rows (``upward_ball``,
+``exhaustive_simplex_read_sets``, ``reconstruct_simplex_min``), x plus any
+excess must stay below 2**62 (``core.check_entries``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from magrec.core import (
     Vec,
     charge,
     check_entries,
-    check_integers,
+    int_rows,
     parse_int,
     payload_lines,
     rows_per_block,
@@ -97,8 +97,9 @@ def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:
 def _shift(x: Vec, t: int) -> np.ndarray:
     """x as an int64 row, after checking that x plus any excess up to t
     stays within the int64-safe range."""
-    check_entries(min(x), max(x) + t)
-    return np.array(x, dtype=np.int64)
+    (shift,) = int_rows([x], "x")
+    check_entries(int(shift.min()), int(shift.max()) + t)
+    return shift
 
 
 def upward_ball(x: Vec, t: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Vec, ...]:
@@ -137,7 +138,7 @@ class SimplexCode:
     members: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        members = check_integers(tuple(sorted(tuple(v) for v in self.members)), "codewords")
+        members = tuple(sorted(map(tuple, int_rows(self.members, "codewords").tolist())))
         if not members:
             raise ValueError("simplex code needs at least one codeword")
         for v in members:
@@ -190,8 +191,9 @@ class SimplexCode:
     def decode_upward(self, z: Vec, radius: int) -> Optional[Vec]:
         """``decode_rows`` on the one row z: the codeword c with z in its
         radius-``radius`` upward ball, or None."""
-        safe = sum(map(abs, z)) < ENTRY_LIMIT
-        first, found = self.decode_rows(np.array([z], dtype=np.int64 if safe else object), radius)
+        U = int_rows([z], "z")
+        big = sum(map(abs, U[0].tolist())) >= ENTRY_LIMIT  # decode_rows sums each row
+        first, found = self.decode_rows(U.astype(object) if big else U, radius)
         return self.members[first[0]] if found[0] else None
 
 
@@ -202,11 +204,12 @@ def reconstruct_simplex_min(
 
     Exact for constant-excess read sets of size >= reads_required_simplex.
     """
-    reads = [tuple(y) for y in Y]
-    if {len(y) for y in reads} != {code.m + 1}:
+    reads = list(Y)
+    if {np.shape(y) for y in reads} != {(code.m + 1,)}:
         raise ValueError(f"read set must be nonempty, of length-{code.m + 1} reads")
-    check_entries(min(map(min, reads)), max(map(max, reads)))
-    c = code.decode_upward(tuple(map(min, zip(*reads))), delta - 1)
+    R = int_rows(reads, "reads")
+    check_entries(R.min(), R.max())
+    c = code.decode_upward(R.min(axis=0), delta - 1)
     if c is None:
         raise ReconstructionError(
             "upward decode failed: reads are not from one codeword's upward ball "

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from magrec import ChannelParams, EnumerationCapExceeded, combinatorics
+from magrec import ChannelParams, EnumerationCapExceeded, ExplicitCode, combinatorics
 from magrec.combinatorics import (
     binom,
     ball_size,
@@ -227,6 +227,15 @@ def test_max_intersection_of_code():
     # a word of another length is an error, not cut to the channel's length
     with pytest.raises(ValueError, match="length mismatch: 2 vs 3, channel n=2"):
         max_intersection_of_code([(0, 0), (1, 0, 0)], ChannelParams(2, 1, 1, 1))
+
+
+def test_max_intersection_of_code_reads_a_given_code_as_it_is(monkeypatch):
+    # an ExplicitCode is passed through: no second code is built from its members
+    code, one = ExplicitCode([(0, 0), (1, 0), (2, 0)]), ExplicitCode([(0, 0)])
+    monkeypatch.setattr(ExplicitCode, "__init__", mock.Mock(side_effect=AssertionError))
+    assert max_intersection_of_code(code, ChannelParams(2, 1, 1, 1)) == 2
+    with pytest.raises(ValueError, match="need at least 2 codewords"):
+        max_intersection_of_code(one, ChannelParams(2, 1, 1, 1))
 
 
 def test_max_intersection_of_code_rejects_repeated_codewords():

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 from itertools import product
 from math import prod
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import magrec
 from magrec import ChannelParams, ExplicitCode, FiniteAbelianGroup, LatticeCode, SplitterSpec
-from magrec import core, lattice
+from magrec import channel, combinatorics, core, lattice, reconstruction, tandem
 from magrec.combinatorics import ball_matrix, ball_vectors
 
 from helpers import (
@@ -130,6 +131,56 @@ def test_explicit_code_refuses_non_integer_entries():
     with pytest.raises(ValueError, match=r"^entries of codewords must be integers, got 0\.5$"):
         ExplicitCode([(0, 0.5), (3, 3)])
     assert ExplicitCode([(np.int64(0), 1), (3, 3)]).contains((0, 1))
+
+
+def test_int_rows_is_int64_below_the_entry_limit_and_python_ints_past_it():
+    top = core.ENTRY_LIMIT - 1
+    M = core.int_rows(iter([(top, -top), (np.int64(1), np.uint8(0))]), "v")
+    assert M.dtype == np.int64 and M.tolist() == [[top, -top], [1, 0]]
+    for big in (core.ENTRY_LIMIT, -core.ENTRY_LIMIT, 2**70):
+        M = core.int_rows([(big, 0), (np.int64(1), 0)], "v")
+        assert M.dtype == object and M.tolist() == [[big, 0], [1, 0]]
+        assert {type(x) for x in M.flat} == {int}
+    assert core.int_rows([], "v").shape == (0, 0)
+    assert core.int_rows([()], "v").shape == (1, 0)
+
+
+P2 = ChannelParams(2, 1, 1, 1)
+SIMPLEX = tandem.SimplexCode(1, 2, 1, ((0, 2), (2, 0)))
+
+
+# every site where a vector from outside becomes an array, each given an
+# input that a matrix would cut to an integer or that is no vector at all
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ExplicitCode([0, 1]),
+                 "codewords must be an integer matrix or an iterable of vectors", id="ExplicitCode"),
+    pytest.param(lambda: ExplicitCode([(0, 0), (1,)]), "codewords must share one length",
+                 id="ExplicitCode-ragged"),
+    pytest.param(lambda: ExplicitCode([(0, 0), (3, 3)]).decode_within((0.5, 0), 0, P2),
+                 "entries of z must be integers, got 0.5", id="decode_within"),
+    pytest.param(lambda: next(channel.read_sets((0.5, 0), P2, 2, "adversarial")),
+                 "entries of x must be integers, got 0.5", id="read_sets"),
+    pytest.param(lambda: channel.generate_reads((0.5, 0), P2, 2),
+                 "entries of x must be integers, got 0.5", id="generate_reads"),
+    pytest.param(lambda: reconstruction.ReadSet([0, 1], P2),
+                 "reads must be an integer matrix or an iterable of vectors", id="ReadSet"),
+    pytest.param(lambda: combinatorics.difference_classes([0, 1], P2),
+                 "codewords must be an integer matrix or an iterable of vectors",
+                 id="difference_classes"),
+    pytest.param(lambda: tandem.upward_ball((0.5, 1), 1),
+                 "entries of x must be integers, got 0.5", id="upward_ball"),
+    pytest.param(lambda: next(tandem.exhaustive_simplex_read_sets((0.5, 1), 1, 1)),
+                 "entries of x must be integers, got 0.5", id="exhaustive_simplex_read_sets"),
+    pytest.param(lambda: tandem.SimplexCode(1, 1, 1, (0, 1)),
+                 "codewords must be an integer matrix or an iterable of vectors", id="SimplexCode"),
+    pytest.param(lambda: SIMPLEX.decode_upward((0.5, 2), 0),
+                 "entries of z must be integers, got 0.5", id="decode_upward"),
+    pytest.param(lambda: tandem.reconstruct_simplex_min([(0.5, 2), (0, 3)], SIMPLEX, 1),
+                 "entries of reads must be integers, got 0.5", id="reconstruct_simplex_min"),
+])
+def test_every_outside_vector_is_refused_by_the_one_gate(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_oracle_agrees_with_library_ball():

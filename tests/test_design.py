@@ -167,3 +167,92 @@ def test_no_module_imports_a_name_it_does_not_use():
               and getattr(n, "module", None) != "__future__" for a in n.names
               if (module, (a.asname or a.name).split(".")[0]) not in used]
     assert unused == []
+
+
+def test_one_integer_gate():
+    """Every vector from outside the library becomes a matrix through core.int_rows, which
+    alone tests an entry against np.integer and picks int64 or Python ints (an object array)
+    from the entries. So no other code tests an entry so or calls a function that does, and no
+    other code picks an object dtype, apart from three rules that pick from something else:
+    tandem's row sums (a simplex row's sum, not its entries, must stay below 2**62), the group
+    order of lattice._syndrome_codes, and the key frame of core.radix_places and _row_keys."""
+    gate = [("core", "int_rows")]
+    gated = {("core", "Code.decode_within"), ("core", "ExplicitCode.__init__"),
+             ("reconstruction", "ReadSet.__init__"), ("reconstruction", "sauer_shelah_find"),
+             ("channel", "_ball_and_shift"), ("tandem", "_shift"),
+             ("tandem", "SimplexCode.__post_init__"), ("tandem", "SimplexCode.decode_upward"),
+             ("tandem", "reconstruct_simplex_min")}
+    other_rules = [("tandem", "SimplexCode.__post_init__"), ("tandem", "SimplexCode.decode_upward"),
+                   ("tandem", "simplex_min_counts"), ("lattice", "_syndrome_codes"),
+                   ("core", "radix_places"), ("core", "_row_keys")]
+    integer = lambda call: len(call.args) == 2 and any(  # noqa: E731
+        name_of(n) == "integer" for n in ast.walk(call.args[1]))
+    tests = sites("isinstance", ast.Call, integer, gate)
+    # an object dtype read, not picked: compared with, given outright, or an attribute's owner
+    read = {id(n) for _, _, node in _nodes() for n in (
+        [node.left, *node.comparators] if isinstance(node, ast.Compare)
+        else [node.value] if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.keyword) and node.arg == "dtype" else [])}
+    picked = lambda n: n.id == "object" and id(n) not in read  # noqa: E731
+    assert {s[:2] for s in sites("int_rows")} == gated
+    assert tests + [s for _, where, _ in tests for s in sites(where.split(".")[-1])] == []
+    assert sites(None, ast.Name, picked, gate + other_rules) == []
+
+
+TRACED = "item 6: the per-set layer, pinned by perfbench/tracing.py (item 1a first)"
+ITEM_2 = "item 2: a paper result waiting for intersect --delta"
+ITEM_3 = "items 3 and 26: a paper result waiting for a code's read count"
+ITEM_4 = "item 4: a paper result waiting for the smallest lattice codes"
+ITEM_9 = "item 9: a paper result waiting for the read/list-size trade-off"
+WORKLOAD = "a workload helper: perfbench/workloads.py writes its simplex code files"
+ORACLE = "an oracle: the tests and the README doctest draw reference read sets with it"
+
+#: The defs that no command reaches, each with its reason.  The list may only shrink.
+UNREACHED = {
+    "channel.TrialRecord": TRACED, "channel.TrialRecord.to_line": TRACED,
+    "channel.exhaustive_read_sets": TRACED, "channel.generate_reads": TRACED,
+    "channel.read_sets": ORACLE, "channel.run_trial": TRACED,
+    "combinatorics.IntersectionBounds": ITEM_2, "combinatorics.intersection_bounds": ITEM_2,
+    "combinatorics.ball_vectors": TRACED, "combinatorics.max_intersection_of_code": ITEM_3,
+    "core.Code.decode_within": TRACED, "core.EstimateWord": TRACED,
+    "lattice.FiniteAbelianGroup.scale": ITEM_4, "lattice._distinct_multiples": ITEM_4,
+    "lattice._radius_one": ITEM_4, "lattice.check_recon_N1": ITEM_4,
+    "lattice.check_recon_N2": ITEM_4, "lattice.construct_N1_code": ITEM_4,
+    "lattice.construct_N2_code": ITEM_4, "lattice.min_group_order_bound": ITEM_4,
+    "reconstruction.ReadSet": TRACED, "reconstruction._covers": TRACED,
+    "reconstruction._rows": TRACED, "reconstruction.list_reconstruct_majority": TRACED,
+    "reconstruction.list_reconstruct_min": TRACED, "reconstruction.list_reconstruct_sauer": TRACED,
+    "reconstruction.majority_estimate": TRACED, "reconstruction.reconstruct_majority": TRACED,
+    "reconstruction.reconstruct_min": TRACED, "reconstruction.sauer_shelah_find": TRACED,
+    "reconstruction.adversarial_code_size_bound": ITEM_9,
+    "reconstruction.adversarial_instance": ITEM_9,
+    "tandem.SimplexCode.decode_upward": TRACED, "tandem._shells": TRACED, "tandem._shift": TRACED,
+    "tandem.exhaustive_simplex_read_sets": TRACED, "tandem.reconstruct_simplex_min": TRACED,
+    "tandem.upward_ball": TRACED, "tandem._excess_shell": WORKLOAD,
+    "tandem.greedy_simplex_code": WORKLOAD, "tandem.format_simplex_code": WORKLOAD,
+}
+
+
+def test_every_function_is_reached():
+    """The least code: every function, class and method of src/magrec is reached from cli.main
+    or the module-level code by a call graph whose names resolve by their last part (so it
+    over-approximates what runs), or is on UNREACHED with its reason; a method named __x__ goes
+    with its class. An entry that is reached or gone fails too, so the list only shrinks."""
+    unit = lambda module, where: (module, where and where.split(".__")[0])  # noqa: E731
+    defs = {(m, w) for m, w, n in _nodes() if isinstance(n, DEFS + (ast.ClassDef,)) and w
+            and w.split(".")[-1] == n.name and not n.name.startswith("__")}
+    named, refs = {}, {}
+    for m, w in defs:
+        named.setdefault(w.split(".")[-1], set()).add((m, w))
+    for m, w, n in _nodes():
+        if isinstance(n, (ast.Name, ast.Attribute)):
+            key = unit(m, w) if unit(m, w) in defs else (m, None)
+            refs.setdefault(key, set()).add(name_of(n))
+    todo, reached = [("cli", "main"), *{(m, None) for m, _, _ in _nodes()}], set()
+    while todo:
+        if (key := todo.pop()) not in reached:
+            reached.add(key)
+            todo += [d for name in refs.get(key, ()) for d in named.get(name, ())]
+    unreached = {f"{m}.{w}" for m, w in defs - reached}
+    assert sorted(unreached - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - unreached) == []

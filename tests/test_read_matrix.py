@@ -148,11 +148,13 @@ def test_vote_memory_does_not_grow_with_value_spread():
 
 @pytest.mark.parametrize("entry", [ENTRY_LIMIT, -ENTRY_LIMIT, 2**63, -(2**63) - 1])
 def test_read_entries_outside_int64_safe_range_rejected(entry):
+    # one message, whether or not the entry fits in int64
     p = ChannelParams(2, 1, 1, 1)
-    with pytest.raises(ValueError):
+    message = r"exceed the int64-safe magnitude 2\*\*62$"
+    with pytest.raises(ValueError, match=message):
         ReadSet(((0, 0), (entry, 0)), p)
     if abs(entry) < 2**63:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             ReadSet(np.array([[0, 0], [entry, 0]], dtype=np.int64), p)
 
 
