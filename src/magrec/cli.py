@@ -5,8 +5,8 @@ cross-checked against a brute-force oracle with --oracle; a mismatch is the
 headline failure mode and exits nonzero.  Each command takes only the flags
 it reads, so any other flag exits 2.  Output is deterministic for fixed
 flags and seed (``simulate`` zeroes its timings unless --timings is given).
-A command line is parsed in one pass, by its command's parser, and by the
-full parser only when that fails to read it (``parse_args``).
+A command line is read in one loop off the flag table of its command, and
+by the full argparse parser only when the table refuses it (``parse_args``).
 
 Code mini-language for --code:
 
@@ -50,6 +50,7 @@ from dataclasses import astuple
 from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from magrec.core import (
     charge,
     parse_int,
     payload_lines,
+    rows_per_block,
 )
 
 #: Internal anchor ids naming the formula behind each emitted value.
@@ -228,13 +230,15 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def emit(report: Report, args, text: str | None = None) -> None:
-    """Write the rendered report, or ``text`` in its place, to --out or stdout."""
-    text = report.render() if text is None else text
+def emit(report: Report, args, chunks: Iterable[str] | None = None) -> None:
+    """Write the rendered report, or the strings of ``chunks`` one after
+    another in its place, to --out or stdout."""
+    chunks = [report.render()] if chunks is None else chunks
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _skip_note(n: int, t: int, kp: int, km: int, reason) -> str:
@@ -481,7 +485,7 @@ def cmd_simulate(args) -> int:
     columns = ["alg", "n", "t", "kp", "km", "delta", "N", "trials", "success"]
     report = Report(columns, args.format, args.explain)
     given_delta = single_value("delta", args.delta) if args.delta else None
-    trial_lines = []
+    blocks = []  # per decoded block, its record_lines arguments, rendered at emit
     status = 0
     for p in _grid_params(args, report):
         code = parse_code_spec(args.code, p.n, args.cap)
@@ -492,21 +496,29 @@ def cmd_simulate(args) -> int:
             report.note(_skip_note(*astuple(p), exc))
             continue
         x = _transmitted_word(code, p.n)
-        lines, successes = [], 0
+        trials = successes = 0
         for _, sizes, hits, share in _trials(args, report, plan, code, x, plan.N, "random"):
+            if args.format == "records":
+                blocks.append((p, plan.N, trials, hits, sizes, share))
+            trials += len(hits)
             successes += int(hits.sum())
-            lines += channel.record_lines(channel.RNG_NAME, args.seed, p, args.alg, plan.N,
-                                          len(lines), hits.tolist(), sizes.tolist(), share)
-        if lines:
-            status |= successes < len(lines)
-            trial_lines += lines
+        if trials:
+            status |= successes < trials
             report.add(
                 alg=args.alg, n=p.n, t=p.t, kp=p.k_plus, km=p.k_minus, delta=plan.delta,
                 N=plan.N, trials=args.trials, success=successes, anchor=plan.anchor,
             )
     if args.format == "records":
-        notes = [f"# {note}" for note in report.notes]
-        emit(report, args, "\n".join(trial_lines + notes) + "\n")
+        # BLOCK_BYTES of lines at a time, a line charged 256 bytes: its 180-220
+        # characters and its string object
+        step = rows_per_block(256)
+        records = (
+            "\n".join(channel.record_lines(
+                channel.RNG_NAME, args.seed, p, args.alg, N, first + i,
+                hits[i:i + step].tolist(), sizes[i:i + step].tolist(), share)) + "\n"
+            for p, N, first, hits, sizes, share in blocks for i in range(0, len(hits), step)
+        )
+        emit(report, args, chain(records, (f"# {note}\n" for note in report.notes)))
     else:
         emit(report, args)
     return status
@@ -583,8 +595,9 @@ TRIALS = (*GRID, *REPORT, "cap", "seed", "trials", "code", "delta")
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call.  Each command
-    takes only the flags its ``cmd_*`` function reads, and its --alg choices
-    are the names of ``reconstruction.ALGORITHMS``.  Reusing the parser is
+    takes only the flags its ``cmd_*`` function reads, kept in its ``flags``
+    table (``_read_table``), and its --alg choices are the names of
+    ``reconstruction.ALGORITHMS``.  Reusing the parser is
     safe: ``prog`` is fixed, no default is mutable and no action appends,
     so ``parse_args`` leaves nothing behind for the next call."""
     parser = argparse.ArgumentParser(
@@ -601,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
         """Add subcommand ``name`` with the FLAGS entries named in ``flags``,
         then each flag of ``own`` with its own keywords."""
         sp = sub.add_parser(name, help=help_text)
+        sp.flags = {}  # each option string -> its action, the table parse_args reads
         for flag, kwargs in [*((flag, FLAGS[flag]) for flag in flags), *own.items()]:
-            sp.add_argument(f"--{flag}", **kwargs)
+            sp.flags[f"--{flag}"] = sp.add_argument(f"--{flag}", **kwargs)
         sp.set_defaults(func=func)
         return sp
 
@@ -633,18 +647,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_table(command: argparse.ArgumentParser, words: list[str]):
+    """The namespace of command line ``words`` (its first word names
+    ``command``) read off ``command.flags``, or None when the table refuses
+    it.  It reads a line only when every later word is an exact ``--flag
+    value`` whose value does not start with "-", an exact ``--flag=value``
+    or a bare store_true flag, every value passes its action's type and
+    choices, and every required flag is given.  Defaults are filled as
+    argparse fills them: a string default goes through its type, then the
+    command's ``set_defaults`` go under the names still unset."""
+    flags, values = command.flags, {}
+    rest = iter(words[1:])
+    for word in rest:
+        flag, eq, text = word.partition("=")
+        action = flags.get(flag)
+        if action is None or (eq and action.nargs == 0):
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            text = next(rest, "-")  # a missing value is refused as a "-" one is
+            if text.startswith("-"):
+                return None
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in flags.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            default = action.default
+            values[action.dest] = (action.type(default) if action.type and isinstance(default, str)
+                                   else default)
+    return argparse.Namespace(**{**command._defaults, **values}, command=words[0])
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """The namespace of command line ``argv`` (default: the process's), in
-    one pass by the parser of the command its first word names; when it
-    names none, or a word is left unread, the full parser runs, so every
-    usage text, error line and exit code is its own."""
+    """The namespace of command line ``argv`` (default: the process's),
+    read in one loop off the flag table of the command its first word names
+    (``_read_table``).  Any line the table refuses (no command, ``-h``, an
+    abbreviation, ``--``, a value starting with "-", a bad value or a
+    missing required flag) goes to the full parser, so every usage text,
+    error line and exit code is argparse's own."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and (command := parser.commands.get(argv[0])):
-        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not unread:
-            return args
-    return parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    args = _read_table(command, argv) if command else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

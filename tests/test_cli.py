@@ -12,15 +12,16 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import chain, product
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from magrec import ChannelParams, cli, combinatorics
+from magrec import ChannelParams, cli, combinatorics, core
 from magrec.cli import main, parse_code_spec, parse_grid
 from magrec.reconstruction import ALGORITHMS, read_plan
 from magrec.lattice import LatticeCode
@@ -406,6 +407,46 @@ def test_simulate_timings_fill_only_elapsed_ns(capsys):
     # field for field, in the same order, once the timing is zeroed
     zeroed = [json.dumps(dict(r, elapsed_ns=0), separators=(",", ":")) for r in timed]
     assert zeroed == plain
+
+
+SIMULATE = "simulate --alg min --code sum-mod:2 --n 3 --t 1 --kp 1 --format records".split()
+
+
+def test_simulate_records_memory_is_bounded_by_the_block():
+    # each point keeps its trials' hits and sizes as arrays, and the lines are rendered
+    # BLOCK_BYTES of them at a time as they are written: the peak at 10**5 trials is
+    # within MARGIN of the peak at 10**3 (it was 47.8 MiB at 10**5 while every line was
+    # kept as a string until the end)
+    MARGIN = 5 * core.BLOCK_BYTES  # a decode block, a rendered chunk, 9 bytes a trial
+    peaks = []
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for trials in ("3", "1000", "100000"):  # the first fills the caches
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    assert main([*SIMULATE, "--trials", trials]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[2] < peaks[1] + MARGIN
+
+
+def test_simulate_records_out_writes_the_bytes_of_stdout(tmp_path, capsys):
+    # 10**4 trials span several rendered chunks of records
+    argv = [*SIMULATE, "--n", "3:4", "--t", "1:2", "--trials", "10000", "--seed", "4"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 4 * 10**4
+    target = tmp_path / "records.jsonl"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_simulate_that_fails_after_a_point_prints_only_its_error_line(tmp_path, capsys):
+    # the records of the first point are kept, not written, when the second fails
+    f = tmp_path / "code.txt"
+    f.write_text("0,0,0\n3,3,3\n", encoding="utf-8")
+    argv = [*SIMULATE, "--code", f"explicit:@{f}", "--n", "3:4", "--trials", "500"]
+    assert _run(argv, capsys) == (1, "", "error: --n 4 does not match the code's length 3\n")
 
 
 def test_explain_legend(capsys):
@@ -1208,10 +1249,12 @@ def test_one_pass_parses_every_golden_line_as_the_full_parser_does():
 
     parser = cli.build_parser()
     for argv, _, _ in CASES:
-        full = parser.parse_args(shlex.split(argv))
+        words = shlex.split(argv)
+        full = parser.parse_args(words)
+        table = cli._read_table(parser.commands[words[0]], words)  # the table reads it
         with mock.patch.object(parser, "parse_args", side_effect=AssertionError):
-            args = cli.parse_args(shlex.split(argv))  # by the command's parser alone
-        assert args == full and args.command == argv.split()[0]
+            args = cli.parse_args(words)  # by the flag table alone
+        assert table == args == full and args.command == words[0]
 
 
 def _run(argv, capsys):
@@ -1238,6 +1281,65 @@ def test_one_pass_keeps_every_usage_error_and_exit_code(argv, status, err, capsy
     monkeypatch.setattr(cli, "parse_args", cli.build_parser().parse_args)
     assert _run(argv.split(), capsys) == one  # byte for byte the full parser's
     assert one[0] == status and err in one[2]
+
+
+#: Values of any flag: small ints, or words the table refuses or argparse rejects.
+SMALL = st.integers(0, 3).map(str)
+VALUES = SMALL | st.sampled_from(["-1", "-x", "x", "", "1:2", "bogus"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of one command of build_parser(): mostly its required flags, and
+    a few more, repeats allowed, each in the space or = form.  Half the lines take choices
+    and small ints alone; the others take any of VALUES and a few edge words (-h, --, an
+    abbreviation with a value) put anywhere."""
+    commands = cli.build_parser().commands
+    name = draw(st.sampled_from(sorted(commands)))
+    flags = commands[name].flags
+    chosen = [f for f, action in flags.items() if action.required and draw(st.integers(0, 7))]
+    chosen += draw(st.lists(st.sampled_from(sorted(flags)), max_size=6))
+    clean = draw(st.booleans())
+    words = [name]
+    for flag in draw(st.permutations(chosen)):
+        action = flags[flag]
+        values = SMALL if clean else VALUES
+        if action.choices:
+            values = st.sampled_from(action.choices) | (st.nothing() if clean else values)
+        value = draw(values)
+        if action.nargs == 0 and draw(st.integers(0, 3)):
+            words.append(flag)  # a bare store_true flag, mostly
+        elif draw(st.booleans()):
+            words.append(f"{flag}={value}")
+        else:
+            words += [flag, value]
+    abbreviations = [f[:k] for f in flags for k in range(3, len(f))]
+    edges = st.sampled_from(["-h", "--"]) | st.sampled_from(abbreviations).map(
+        lambda f: f"{f} 1")
+    for edge in draw(st.lists(edges, max_size=0 if clean else 2)):
+        at = draw(st.integers(1, len(words)))
+        words[at:at] = edge.split()
+    return words
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(words=command_lines())
+def test_the_flag_table_reads_a_line_as_the_full_parser_does_or_hands_it_over(
+    words, capsys, tmp_path, monkeypatch
+):
+    # a line the table reads gives the full parser's namespace; one it refuses gives
+    # the full parser's status, output and error lines, whether argparse reads it or not
+    monkeypatch.chdir(tmp_path)  # where an --out value writes
+    parser = cli.build_parser()
+    table = cli._read_table(parser.commands[words[0]], words)
+    if table is not None:
+        assert table == parser.parse_args(words)
+        return
+    one = _run(words, capsys)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "parse_args", parser.parse_args)
+        assert _run(words, capsys) == one
 
 
 def _rewrite(f, text):
