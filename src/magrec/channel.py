@@ -18,10 +18,12 @@ the cost.  The CLI's decode loop, ``cli._trials``, decodes these blocks as
 built, and ``generate_reads`` hands its block of one to ``ReadSet`` as it
 is; a stack from anywhere else becomes a block by ``ReadBlock(p, stack)``,
 which checks it, as ``ReadSet`` builds its block of one from a matrix.  A
-block holds ``core.rows_per_block`` sets, each charged its stack and, drawn
-as an indicator, its row of keys, so its memory stays bounded whatever N, n
-and the trial count.  x is an integer vector (``core.int_rows``), and x
-plus any error must stay below ``ENTRY_LIMIT`` in magnitude.
+block holds ``core.rows_per_block`` sets, each charged its stack or, kept as
+an indicator, 8 bytes a ball row (``_per_block``), and such a block's stack
+is gathered a part at a time (``ReadBlock.parts``), so its memory stays
+bounded whatever N, n and the trial count.  x is an integer vector
+(``core.int_rows``), and x plus any error must stay below ``ENTRY_LIMIT`` in
+magnitude.
 
 Every generator takes the channel as one ``ChannelParams`` p, and the read
 mode is one of the CLI's ``--reads`` words: "random", "adversarial"
@@ -44,12 +46,12 @@ splittable algorithm); every artifact that depends on randomness records the
 generator name, the seed and the trial index.  A random-read command owns
 one generator, ``rng_for(seed)``, and trial i of it is a function of the
 seed, the ball size, N and i alone: trials own consecutive segments of that
-generator's stream, so neither the block size nor the trial count changes
-trial i, and neighbouring seeds, being different Philox keys, share no
-trial.  Trials are drawn a block at a time.  When the ball exceeds N by at
-most ``_DENSE_SLACK`` rows, trial i keeps the N rows with the smallest keys
-in row i of ``rng_for(seed).random((trials, size))``, so row i of
-``rng_for(seed).random((i + 1, size))`` replays it alone.  The keys are
+generator's stream, so neither the block or key chunk size nor the trial
+count changes trial i, and neighbouring seeds, being different Philox keys,
+share no trial.  Trials are drawn a block at a time.  When the ball exceeds
+N by at most ``_DENSE_SLACK`` rows, trial i keeps the N rows with the
+smallest keys in row i of ``rng_for(seed).random((trials, size))``, so row
+i of ``rng_for(seed).random((i + 1, size))`` replays it alone.  The keys are
 drawn as the generator's raw 64-bit words shifted right by 11 bits, which
 ``random`` scales by 2**-53 into its floats: the same stream, ordered the
 same way, ties included, at less cost.  A row marks its keys at most its
@@ -82,7 +84,7 @@ from magrec.core import (
     int_rows,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, ball_size, cached, minimum_counts
+from magrec.combinatorics import ball_matrix, ball_one_hot, ball_size, cached, minimum_counts
 from magrec import reconstruction
 from magrec.reconstruction import ReadBlock
 
@@ -121,12 +123,12 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
 
 
 def _per_block(count: int, n: int, size: int = 0) -> int:
-    """How many sets of ``count`` (>= 1) length-n reads one block holds:
-    each set is charged its (count, n) int64 stack, or, drawn as an
-    indicator row over a ball of ``size`` rows, its row of ``size`` 8-byte
-    keys when that is larger (which also bounds the indicator's float32
-    row)."""
-    return rows_per_block(max(8 * count * n, 8 * size))
+    """How many sets of ``count`` (>= 1) length-n reads one block holds: a
+    set is charged its (count, n) int64 stack or, when ``size`` > 0, kept as
+    an indicator row over a ball of ``size`` rows and never gathered, 8
+    bytes a ball row (its boolean and float32 rows), but at least the 64 n
+    bytes of the int64 rows that the vote and class steps build a set."""
+    return rows_per_block(max(8 * size, 64 * n) if size else 8 * count * n)
 
 
 def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
@@ -146,12 +148,13 @@ def _keys(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
     return keys.reshape(rows, size)
 
 
-def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+def _smallest(keys: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     """Per row of ``keys``, the boolean indicator of the positions of its
-    ``count`` smallest keys: those at most the count-th smallest.  A row
-    with a tie there indicates more; it takes the set that
-    ``np.argpartition(keys, count - 1, axis=1)[:, :count]`` picks."""
-    ind = keys <= np.partition(keys, count - 1, axis=1)[:, count - 1:count]
+    ``count`` smallest keys, written into ``out`` and returned: those at
+    most the count-th smallest.  A row with a tie there indicates more; it
+    takes the set that ``np.argpartition(keys, count - 1, axis=1)[:, :count]``
+    picks."""
+    ind = np.less_equal(keys, np.partition(keys, count - 1, axis=1)[:, count - 1:count], out=out)
     if np.count_nonzero(ind) > len(ind) * count:
         for i in (ind.view(np.uint8).sum(axis=1, dtype=np.intp) > count).nonzero()[0]:
             ind[i] = False
@@ -160,21 +163,28 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def _random_blocks(
-    size: int, count: int, n: int, trials: int, rng: np.random.Generator
+    size: int, count: int, n: int, trials: int, rng: np.random.Generator, kept: bool = True
 ) -> Iterator[np.ndarray]:
     """Blocks of ``trials`` random ``count``-subsets of ``range(size)``,
     drawn from ``rng`` as the module docstring defines them, as many to a
     block of length-n reads as ``_per_block`` allows.  Dense keys (then
-    ``size <= count + _DENSE_SLACK``) are drawn a block at a time, one
-    trial's ``size`` keys a row, and each block is an (S, size) boolean
-    indicator (``_smallest``); otherwise each block is an (S, count) matrix
-    of indices."""
+    ``size <= count + _DENSE_SLACK``) make each block an (S, size) boolean
+    indicator, charged its rows alone when ``kept`` (the block keeps it and
+    gathers no stack); they are drawn ``rows_per_block(64 size)`` trials at
+    a time, an eighth of a block's bytes of keys, each chunk written into
+    the indicator by ``_smallest`` while it is in cache.  Otherwise each
+    block is an (S, count) matrix of indices."""
     dense = size - count <= _DENSE_SLACK
-    per_block = _per_block(count, n, size if dense else 0)
+    per_block = _per_block(count, n, size if dense and kept else 0)
+    chunk = rows_per_block(64 * size)
     for start in range(0, trials, per_block):
         stop = min(start + per_block, trials)
         if dense:
-            yield _smallest(_keys(rng, stop - start, size), count)
+            ind = np.empty((stop - start, size), dtype=bool)
+            for lo in range(0, len(ind), chunk):
+                hi = min(lo + chunk, len(ind))
+                _smallest(_keys(rng, hi - lo, size), count, ind[lo:hi])
+            yield ind
         else:
             yield np.array([
                 rng.choice(size, count, replace=False, shuffle=False)
@@ -214,7 +224,10 @@ def read_blocks(
     elif N > size:
         raise ValueError(f"cannot draw {N} distinct reads from a ball of size {size}")
     elif reads == "random":
-        sets = _random_blocks(size, N, p.n, trials, rng_for(seed))
+        # only a dense draw asks for the one-hot matrix: with it, its
+        # indicator is kept, and without it, its stack is gathered
+        kept = size - N > _DENSE_SLACK or ball_one_hot(p) is not None
+        sets = _random_blocks(size, N, p.n, trials, rng_for(seed), kept)
     else:
         sets = _row_blocks((_adversarial_order(ball)[:N],), N, p.n)
     for rows in sets:
@@ -225,9 +238,11 @@ def read_sets(
     x: Vec, p: ChannelParams, N: int, reads: str, trials: int = 1, seed: int = 0,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> Iterator[np.ndarray]:
-    """The stacks of the ``read_blocks`` of the same arguments."""
+    """The stacks of the ``read_blocks`` of the same arguments, each block's
+    gathered a part at a time (``ReadBlock.parts``)."""
     for block in read_blocks(x, p, N, reads, trials, seed, cap):
-        yield block.stack
+        for _, part in block.parts():
+            yield part.stack
 
 
 def minimum_sets(

@@ -61,6 +61,7 @@ from magrec.core import (
     Vec,
     _row_keys,
     charge,
+    check_ints,
     distinct_rows,
     group_keys,
 )
@@ -267,11 +268,13 @@ def intersection_exact(x: Vec, y: Vec, p: ChannelParams) -> int:
     applied at the end as binomial sums along the diagonal and only the
     wt(d) nonzero entries are multiplied in: O(n t^2) exact integer
     operations, and no ball is built.  No e exists when some |d_i| exceeds
-    k+ + k-.
+    k+ + k-.  An entry that is no integer is a ValueError (``check_ints``).
     """
     if len(x) != len(y) or len(x) != p.n:
         raise ValueError("centers must both have length n")
     d = [a - b for a, b in zip(x, y)]
+    if not set(map(type, d)) <= {int}:  # Python ints have Python int differences
+        check_ints(x=x, y=y)
     span = p.magnitude_span
     if any(abs(v) > span for v in d):
         return 0

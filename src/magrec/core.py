@@ -108,6 +108,15 @@ def int_rows(vectors: Iterable, what: str) -> np.ndarray:
     return M.reshape(len(rows), len(rows[0]) if rows else 0)
 
 
+def check_ints(**vectors: Vec) -> None:
+    """Raise the ValueError of ``int_rows``, naming the vector, unless each
+    of ``vectors`` (by name) holds integers alone; a vector of Python ints
+    passes without a matrix being built."""
+    for what, v in vectors.items():
+        if not set(map(type, v)) <= {int}:
+            int_rows([v], what)
+
+
 def check_stack(stack: np.ndarray, params: ChannelParams) -> np.ndarray:
     """``stack`` itself, after checking that it is an (S, N, n) int64 array of
     nonempty read sets, each of distinct rows in lexicographic order, with

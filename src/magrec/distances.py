@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from magrec.combinatorics import difference_classes
-from magrec.core import ChannelParams, Vec
+from magrec.core import ChannelParams, Vec, check_ints
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class DistanceComponents:
 def distance_components(x: Vec, y: Vec, p: ChannelParams) -> DistanceComponents:
     if not len(x) == len(y) == p.n:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}, channel n={p.n}")
+    check_ints(x=x, y=y)
     k_plus, k_minus, span = p.k_plus, p.k_minus, p.magnitude_span
     n_small = n_large = m_fwd = m_bwd = 0
     exceeds = False
@@ -69,7 +70,8 @@ def distance_general(x: Vec, y: Vec, p: ChannelParams) -> int:
         + max(m_forward, m_backward) + n_large.
 
     At k- = 0 this is n+1 when some |x[i]-y[i]| exceeds k+, and otherwise
-    the larger one-sided disagreement count.  It reads no t.
+    the larger one-sided disagreement count.  It reads no t.  An entry that
+    is no integer is a ValueError (``core.check_ints``).
     """
     c = distance_components(x, y, p)
     if c.exceeds:

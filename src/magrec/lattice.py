@@ -48,6 +48,7 @@ from magrec.core import (
     Code,
     Vec,
     charge,
+    check_ints,
     distinct_rows,
     group_keys,
     parse_int,
@@ -129,9 +130,11 @@ class SplitterSpec:
 
 def syndrome(spec: SplitterSpec, x: Vec) -> GroupElement:
     """sum x[i] * s[i] in the group, scalars extended to negative integers:
-    per component j, the linear form sum x[i] * s[i][j] modulo moduli[j]."""
+    per component j, the linear form sum x[i] * s[i][j] modulo moduli[j].
+    An entry of x that is no integer is a ValueError (``core.check_ints``)."""
     if len(x) != spec.n:
         raise ValueError(f"length mismatch: vector {len(x)}, splitter {spec.n}")
+    check_ints(x=x)
     return tuple(
         sum(map(mul, x, form)) % m for form, m in zip(spec.forms, spec.group.moduli)
     )

@@ -59,6 +59,7 @@ misclassify boundary cases.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,7 +112,10 @@ class ReadBlock:
     minima are read off that one table, exactly (float32 sums of 0/1
     products below 2**24), each set's anchor (its first read) is its first
     indicated row, and the (S, N, n) ``stack`` is gathered only when asked
-    for.  Any other block holds a stack and reads all of these off it."""
+    for: the channel charges such a block its indicator rows, not its
+    stack, so the Sauer decoder and ``channel.read_sets`` gather it a part
+    at a time (``parts``).  Any other block holds a stack and reads all of
+    these off it."""
 
     ball = base = ind = hot = None  # a block drawn as an indicator sets them
 
@@ -152,6 +156,20 @@ class ReadBlock:
 
     def __len__(self) -> int:
         return len(self._stack if self.ind is None else self.ind)
+
+    def parts(self) -> Iterator[tuple[int, ReadBlock]]:
+        """The block cut, in order, into parts of at most
+        ``rows_per_block(8 N n)`` sets, as pairs (first, part), the part
+        holding sets first, first + 1, ...: a part's stack fits the block
+        budget, and the block keeps none of them."""
+        per = rows_per_block(8 * self.N * self.p.n)
+        for first in range(0, len(self), per):
+            part = copy.copy(self)
+            if self._stack is not None:
+                part._stack = self._stack[first:first + per]
+            if self.ind is not None:
+                part.ind = self.ind[first:first + per]
+            yield first, part
 
     @property
     def stack(self) -> np.ndarray:
@@ -936,22 +954,26 @@ def _sauer_candidates(stack: np.ndarray, X: np.ndarray, q: int, sets: np.ndarray
 
 def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
                   cap: int):
-    """Per set: the Sauer list, empty where no witness is found.  All sets
+    """Per set: the Sauer list, empty where no witness is found.  The block
+    is searched a part at a time (``ReadBlock.parts``): all sets of a part
     are shifted into [0, q)^n (ValueError past it) and searched at once
-    (``_witnesses``), charged C(n, c) q^c N member tests once, as every set
-    holds N distinct reads; the sets of each distinct witness U then have
-    their candidates built and decoded in one pass, and the lists merged."""
+    (``_witnesses``), charged C(n, c) q^c N member tests, as every set holds
+    N distinct reads; the sets of each distinct witness U then have their
+    candidates built and decoded in one pass, and the lists merged."""
     f = _list_excess(p, delta, a)
-    q, c, stack = p.magnitude_span + 1, f - a, block.stack
-    if (X := _sauer_shift(stack, p)).max() >= q:  # no entry is below 0
-        raise ValueError(f"entries must lie in [0, {q - 1}]")
-    charge(binom(p.n, c) * q**c * block.N, "coordinate-search member tests", cap)
-    subsets, found = _witnesses(X, q, c)
-    return _merged([
-        _decode_lists(_sauer_candidates(stack, X, q, (found == rank).nonzero()[0], subsets[rank],
-                                        p, f, cap), code, delta, p, cap)
-        for rank in sorted(set(found.tolist()) - {-1})
-    ], p.n)
+    q, c, lists = p.magnitude_span + 1, f - a, []
+    for first, part in block.parts():
+        stack = part.stack
+        if (X := _sauer_shift(stack, p)).max() >= q:  # no entry is below 0
+            raise ValueError(f"entries must lie in [0, {q - 1}]")
+        charge(binom(p.n, c) * q**c * block.N, "coordinate-search member tests", cap)
+        subsets, found = _witnesses(X, q, c)
+        for rank in sorted(set(found.tolist()) - {-1}):
+            rows = _sauer_candidates(stack, X, q, (found == rank).nonzero()[0], subsets[rank],
+                                     p, f, cap)
+            owner, words = _decode_lists(rows, code, delta, p, cap)
+            lists.append((owner + first, words))
+    return _merged(lists, p.n)
 
 
 def list_reconstruct_sauer(

@@ -431,6 +431,39 @@ def test_simulate_records_memory_is_bounded_by_the_block():
     assert peaks[2] < peaks[1] + MARGIN
 
 
+def _second_run_peak(argv) -> int:
+    """The tracemalloc peak of the second of two runs of ``main(argv)``, the
+    first having filled the caches."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_sauer_gathers_a_drawn_block_a_part_at_a_time(tmp_path):
+    # a set of 202 reads at n = 10 is a 16 KB stack, 1.7 times its 9 KB row
+    # over the 1161-row ball, so a drawn block of 112 sets would gather a
+    # 1.8 MB stack (and its shifted copy) whole; its parts hold 64 sets
+    (tmp_path / "d1n10.txt").write_text("0,0,0,0,0,0,0,0,0,0\n1,0,0,0,0,0,0,0,0,0\n")
+    argv = ["list", "--alg", "sauer", "--code", f"explicit:@{tmp_path / 'd1n10.txt'}",
+            "--n", "10", "--t", "3", "--kp", "1", "--km", "1", "--delta", "1",
+            "--trials", "500", "--seed", "3"]
+    assert _second_run_peak(argv) < 5 * core.BLOCK_BYTES
+
+
+def test_a_drawn_set_is_charged_its_int64_rows_on_a_small_ball():
+    # the ball of n + 1 rows at n = 40 is a 328-byte indicator row a set,
+    # but the vote and class steps build int64 rows of 320 bytes a set:
+    # charged the floor of 64 n bytes, a block holds 409 sets, not 3196
+    argv = ["reconstruct", "--alg", "min", "--code", "sum-mod:2", "--n", "40", "--t", "1",
+            "--kp", "1", "--trials", "20000", "--seed", "3"]
+    assert _second_run_peak(argv) < 2 * core.BLOCK_BYTES
+
+
 def test_simulate_records_out_writes_the_bytes_of_stdout(tmp_path, capsys):
     # 10**4 trials span several rendered chunks of records
     argv = [*SIMULATE, "--n", "3:4", "--t", "1:2", "--trials", "10000", "--seed", "4"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import magrec
 from magrec import ChannelParams, ExplicitCode, FiniteAbelianGroup, LatticeCode, SplitterSpec
-from magrec import channel, combinatorics, core, lattice, reconstruction, tandem
+from magrec import channel, cli, combinatorics, core, distances, lattice, reconstruction, tandem
 from magrec.combinatorics import ball_matrix, ball_vectors
 
 from helpers import (
@@ -177,6 +177,16 @@ SIMPLEX = tandem.SimplexCode(1, 2, 1, ((0, 2), (2, 0)))
                  "entries of z must be integers, got 0.5", id="decode_upward"),
     pytest.param(lambda: tandem.reconstruct_simplex_min([(0.5, 2), (0, 3)], SIMPLEX, 1),
                  "entries of reads must be integers, got 0.5", id="reconstruct_simplex_min"),
+    # scalar functions build no matrix, but take their vectors through the gate
+    pytest.param(lambda: combinatorics.intersection_exact((0.5, 0), (0, 0), P2),
+                 "entries of x must be integers, got 0.5", id="intersection_exact"),
+    pytest.param(lambda: cli.parse_code_spec("sum-mod:3", 2).contains((1.5, 1.5)),
+                 "entries of x must be integers, got 1.5", id="contains"),
+    pytest.param(lambda: distances.distance_general((0, 0), (0, 0.5), P2),
+                 "entries of y must be integers, got 0.5", id="distance_general"),
+    pytest.param(lambda: lattice.syndrome(lattice.parse_splitter_spec("group=Z7; s=[1,2]"),
+                                          (1, 2.0)),
+                 "entries of x must be integers, got 2.0", id="syndrome"),
 ])
 def test_every_outside_vector_is_refused_by_the_one_gate(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -170,7 +170,8 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_one_integer_gate():
-    """Every vector from outside the library becomes a matrix through core.int_rows, which
+    """Every vector from outside the library becomes a matrix through core.int_rows (or is checked
+    by it: core.check_ints hands it any vector that is not all Python ints), which
     alone tests an entry against np.integer and picks int64 or Python ints (an object array)
     from the entries. So no other code tests an entry so or calls a function that does, and no
     other code picks an object dtype, apart from three rules that pick from something else:
@@ -178,6 +179,7 @@ def test_one_integer_gate():
     order of lattice._syndrome_codes, and the key frame of core.radix_places and _row_keys."""
     gate = [("core", "int_rows")]
     gated = {("core", "Code.decode_within"), ("core", "ExplicitCode.__init__"),
+             ("core", "check_ints"),
              ("reconstruction", "ReadSet.__init__"), ("reconstruction", "sauer_shelah_find"),
              ("channel", "_ball_and_shift"), ("tandem", "_shift"),
              ("tandem", "SimplexCode.__post_init__"), ("tandem", "SimplexCode.decode_upward"),

@@ -96,9 +96,9 @@ def test_block_decode_matches_the_gathered_stack_row_for_row(case, reads, data):
             with mock.patch.object(core, "BLOCK_BYTES", budget):
                 got = plan.decode(block, code)
             if reads == "random":
-                # a dense draw over a ball with a one-hot matrix: no stack
-                assert block.ind is not None
-                assert (block._stack is None) == (name != "list-sauer")
+                # a dense draw over a ball with a one-hot matrix keeps no
+                # stack, and the Sauer decoder gathers its parts' stacks only
+                assert block.ind is not None and block._stack is None
             stack = block.stack
             assert same_rows(got, plan.decode(ReadBlock(plan.p, stack), code))
             assert same_rows(got, plan.decode(drawn_block(p, x, stack), code))
@@ -132,11 +132,21 @@ def test_the_count_table_gives_the_sort_branch_votes(p, data):
 
 @pytest.mark.parametrize("size, N", [(64, 7), (50, 25), (9, 8)])
 def test_keys_tied_at_the_Nth_smallest_give_argpartitions_set(size, N, monkeypatch):
-    # keys from a few values tie at the threshold in most rows
+    # keys from a few values tie at the threshold in most rows, and the one
+    # block of 40 sets is drawn in chunks of 8 rows, served in turn
     tied = np.random.default_rng(size).integers(0, 4, (40, size)).astype(np.uint64)
-    monkeypatch.setattr(channel, "_keys", lambda rng, rows, size: tied[:rows].copy())
+    served = []
+
+    def keys(rng, rows, size):
+        served.append(rows)
+        return tied[sum(served) - rows:sum(served)].copy()
+
+    monkeypatch.setattr(channel, "_keys", keys)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 64 * size)
     (ind,) = channel._random_blocks(size, N, 1, 40, rng_for(0))
-    assert (np.count_nonzero(tied <= np.sort(tied, axis=1)[:, N - 1:N], axis=1) > N).sum() > 10
+    assert served == [8] * 5
+    ties = np.count_nonzero(tied <= np.sort(tied, axis=1)[:, N - 1:N], axis=1) > N
+    assert ties[8:].sum() > 10
     want = np.sort(np.argpartition(tied, N - 1, axis=1)[:, :N], axis=1)
     np.testing.assert_array_equal(ind.nonzero()[1].reshape(40, N), want)
 

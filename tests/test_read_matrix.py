@@ -404,7 +404,8 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
     trials = data.draw(st.sampled_from([1, per_stack, per_stack + 1, 3 * per_stack - 1]))
     seed = data.draw(st.integers(0, 2**32))
     slack = data.draw(st.sampled_from(list(BRANCHES.values())))
-    with mock.patch.object(core, "BLOCK_BYTES", per_stack * 8 * count * p.n), \
+    budget = per_stack * 8 * count * p.n
+    with mock.patch.object(core, "BLOCK_BYTES", budget), \
             mock.patch.object(channel, "_DENSE_SLACK", slack):
         random_stacks = list(channel.read_sets(x, p, count, "random", trials, seed))
         want = drawn_trials(seed, len(ball), count, trials)
@@ -413,16 +414,19 @@ def test_stacks_split_trials_at_the_byte_bound(p, data):
             list(channel.read_sets(x, p, count, "exhaustive"))
             if comb(len(ball), count) <= 500 else None
         )
+        kept = slack >= 0 and combinatorics.ball_one_hot(p) is not None
 
-    # a dense draw's set is also charged its row of 8-byte keys over the ball
-    row_bytes = 8 * count * p.n if slack < 0 else max(8 * count * p.n, 8 * len(ball))
-    per_block = max(1, per_stack * 8 * count * p.n // row_bytes)
-    sizes = [per_block] * (trials // per_block) + [trials % per_block] * (trials % per_block > 0)
+    # a dense draw's set, kept as an indicator row over the ball, is charged
+    # 8 bytes a ball row (at least 64 n), not its stack; read_sets gathers
+    # such a block's stacks per_stack sets at a time
+    per_block = max(1, budget // max(8 * len(ball), 64 * p.n)) if kept else per_stack
+    blocks = [per_block] * (trials // per_block) + [trials % per_block] * (trials % per_block > 0)
+    sizes = [min(per_stack, size - i) for size in blocks for i in range(0, size, per_stack)]
     for got in (random_stacks, sampled):
         assert [len(s) for s in got] == sizes
         for s in got:
             assert s.dtype == np.int64 and s.shape[1:] == (count, p.n)
-            assert not s.flags.writeable
+            assert s.nbytes <= budget and not s.flags.writeable
 
     def flat(got):
         return [tuple(map(tuple, m)) for s in got for m in s.tolist()]
@@ -526,6 +530,7 @@ class _KeySpy:
 
 @pytest.mark.parametrize("size, N, n", [(64, 7, 7), (1161, 337, 10), (20_000, 19_000, 2)])
 def test_dense_key_blocks_stay_within_the_byte_bound(size, N, n):
+    # keys are drawn an eighth of a block's bytes at a time, or one row
     spy = _KeySpy(rng_for(1))
     trials = 300
     blocks = list(channel._random_blocks(size, N, n, trials, spy))
@@ -533,20 +538,27 @@ def test_dense_key_blocks_stay_within_the_byte_bound(size, N, n):
     for raw in spy.sizes:
         rows, keys = divmod(raw, size)
         assert keys == 0
-        assert rows * size * 8 <= max(core.BLOCK_BYTES, 8 * (N + channel._DENSE_SLACK))
+        assert rows * size * 8 <= max(core.BLOCK_BYTES // 8, 8 * size)
 
 
 @pytest.mark.parametrize("size, N", [(64, 7), (73, 17), (1161, 337)])
 @pytest.mark.parametrize("seed", [0, 1, 77, 2**64 - 1])
-def test_raw_keys_replay_the_float_keys(size, N, seed, monkeypatch):
+@pytest.mark.parametrize("budget", ["sets", "chunks"])
+def test_raw_keys_replay_the_float_keys(size, N, seed, budget, monkeypatch):
     # the keys are random_raw's words shifted right by 11 bits: each row
     # keeps the N indices of the smallest floats of random((trials, size)),
-    # and stacks of 3 sets split the draw across many key blocks
+    # and blocks of a few sets split the draw across many blocks, or chunks
+    # of 3 rows split each block of 19 to 24 sets across many key draws
     assert size - N <= channel._DENSE_SLACK
     trials, n = 40, 10
-    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * max(3 * N * n, 5 * size))
-    blocks = list(channel._random_blocks(size, N, n, trials, rng_for(seed)))
+    monkeypatch.setattr(core, "BLOCK_BYTES",
+                        8 * max(3 * N * n, 5 * size) if budget == "sets" else 3 * 64 * size)
+    spy = _KeySpy(rng_for(seed))
+    blocks = list(channel._random_blocks(size, N, n, trials, spy))
     assert len(blocks) > 1 and all(b.dtype == bool for b in blocks)
+    if budget == "chunks":
+        assert all(len(b) > 3 for b in blocks[:-1]) and {raw // size for raw in spy.sizes} >= {3}
+        assert len(spy.sizes) == sum(-(-len(b) // 3) for b in blocks)
     keys = rng_for(seed).random((trials, size))
     want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :N], axis=1)
     np.testing.assert_array_equal(np.concatenate(blocks).nonzero()[1].reshape(trials, N), want)
