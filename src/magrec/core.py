@@ -326,8 +326,8 @@ class ExplicitCode(Code):
     order as e runs up the ball's, so ``decode_rows`` tests the members (one
     matrix, int64 below ``ENTRY_LIMIT`` and Python ints beyond) from the
     largest down, a chunk at a time: every unfound row against every member
-    of the chunk in one (M, chunk, n) block, each member charged its M rows
-    of differences (``rows_per_block``), each row taking its first hit."""
+    of the chunk in one (n, chunk, M) block, rows innermost, each member
+    charged its M rows of differences (``rows_per_block``), each taking its first hit."""
 
     def __init__(self, members: Iterable[Vec]):
         M = int_rows(members, "codewords")
@@ -341,6 +341,7 @@ class ExplicitCode(Code):
         self._largest_first = np.array(self.members[::-1], dtype=M.dtype)
 
     def contains(self, v: Vec) -> bool:
+        check_ints(v=v)
         return v in self._set
 
     def decode_rows(
@@ -353,11 +354,12 @@ class ExplicitCode(Code):
             chunk = rows_per_block(8 * len(todo) * self.n)
             block = members[start:start + chunk]
             start += chunk
-            e = U[todo, None, :] - block
-            hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=2)
-            hit &= (e != 0).sum(axis=2) <= radius
-            rows = hit.any(axis=1)
-            C[todo[rows]] = block[hit[rows].argmax(axis=1)]
+            e = np.empty((self.n, len(block), len(todo)), dtype=np.result_type(U, block))
+            np.subtract(np.take(U, todo, axis=0).T.copy().T[:, None], block, out=e.T)
+            hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=0)
+            hit &= (e != 0).sum(axis=0, dtype=np.min_scalar_type(self.n)) <= radius  # <= n ones
+            rows = hit.any(axis=0)
+            C[todo[rows]] = block[hit[:, rows].argmax(axis=0)]
             found[todo[rows]] = True
             todo = todo[~rows]
         return C, found

@@ -46,9 +46,9 @@ lookup for lattice codes; the majority list decoder decodes the distinct
 mixed-radix keys of its fills instead (``_fill_keys``, ``_decode_fills``),
 int64 where they fit it and Python ints past 2**63.  The Sauer decoder
 searches every set of a block for its witness at once, over bitsets of
-uint64 words (``_witnesses``), and builds the candidates of all sets with
-one witness in one pass.  A ``ReadSet`` is a single (N, n) matrix, and the
-per-set procedures above decode it as a block of one.
+uint64 words (``_witnesses``), and makes one candidate pass per block
+part.  A ``ReadSet`` is a single (N, n) matrix, and the per-set
+procedures above decode it as a block of one.
 
 The vote compares twice a count minus N, an integer in [-N, N], with the
 threshold tau as the int64 test 2c - N > floor(tau), floor(tau) clamped to
@@ -88,7 +88,7 @@ from magrec.core import (
     radix_places,
     rows_per_block,
 )
-from magrec.combinatorics import ball_matrix, ball_one_hot, binom, hamming_volume
+from magrec.combinatorics import ball_matrix, ball_one_hot, binom, cached, hamming_volume
 
 #: A decoder's result for a stack: ``owner``, a (K,) intp array of set
 #: indices, and ``words``, the (K, n) int64 matrix of the distinct codewords
@@ -175,7 +175,8 @@ class ReadBlock:
     def stack(self) -> np.ndarray:
         """The (S, N, n) read-only int64 stack of the sets."""
         if self._stack is None:
-            rows = self.ind.nonzero()[1]  # row-major: each set's rows in order
+            # a flat nonzero, row-major: each set's rows in order (a 2-D one is 3x slower)
+            rows = np.flatnonzero(self.ind != 0) % len(self.ball)
             stack = np.take(self.ball, rows, axis=0).reshape(len(self), self.N, self.p.n)
             stack.flags.writeable = False
             self._stack = stack
@@ -859,22 +860,22 @@ def _witnesses(X: np.ndarray, q: int, c: int) -> tuple[list, np.ndarray]:
     open sets at a time, each charged its word rows and, per subset, c + 1
     word rows per pattern."""
     S, n, N = X.shape
-    mask = np.zeros((S, n, q, -N % 64 + N), dtype=bool)
-    for value in range(q):  # one broadcast comparison into the padded mask buffers a copy
-        np.not_equal(X, value, out=mask[:, :, value, :N])
-    words = np.packbits(mask, axis=3, bitorder="little").view(np.uint64).reshape(S, n * q, -1)
-    patterns = np.indices((q,) * c).reshape(c, -1).T
-    row_bytes = 8 * (c + 1) * len(patterns) * words.shape[2]
+    mask = np.zeros((q, S, n, -N % 64 + N), dtype=bool)
+    np.not_equal(X, np.arange(q)[:, None, None, None], out=mask[..., :N])
+    # (set, value, coordinate, word), a view: a set's words are copied as it is searched
+    words = np.packbits(mask, axis=3, bitorder="little").view(np.uint64).transpose(1, 0, 2, 3)
+    patterns = cached(("patterns", q, c), lambda: np.indices((q,) * c).reshape(c, -1).T)
+    row_bytes = 8 * (c + 1) * len(patterns) * words.shape[3]
     found = np.full(S, -1, dtype=np.intp)
     open_sets, subsets, walk, size = np.arange(S), [], combinations(range(n), c), 1
     while len(open_sets) and (chunk := list(islice(
             walk, min(size, rows_per_block(row_bytes * len(open_sets)))))):
-        rows = np.array(chunk)[:, None, :] * q + patterns  # (subset, pattern, coordinate)
         per = rows_per_block(row_bytes * len(chunk) + words[0].nbytes)  # a set's words copied
         for lo in range(0, len(open_sets), per):
             part = open_sets[lo:lo + per]
-            avoided = np.bitwise_and.reduce(words[part][:, rows], axis=3).any(axis=3)
-            shattered = avoided.all(axis=2)
+            # (set, subset, pattern, coordinate, word): each pattern's c word rows
+            avoided = np.bitwise_and.reduce(words[part][:, patterns, np.array(chunk)[:, None]], 3)
+            shattered = avoided.any(axis=3).all(axis=2)
             hit = shattered.any(axis=1)
             found[part[hit]] = len(subsets) + shattered[hit].argmax(axis=1)
         subsets += chunk
@@ -932,24 +933,30 @@ def _sauer_shift(stack: np.ndarray, p: ChannelParams) -> np.ndarray:
     return np.subtract(X, np.minimum(X.min(axis=2), X.max(axis=2) - p.k_plus)[..., None], out=X)
 
 
-def _sauer_candidates(stack: np.ndarray, X: np.ndarray, q: int, sets: np.ndarray, U,
+def _sauer_candidates(X: np.ndarray, anchors: np.ndarray, q: int, found: np.ndarray, subsets,
                       p: ChannelParams, f: int, cap: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Pieces (owner, rows) of the rows rep - e of the ``sets`` of a stack,
-    X its ``_sauer_shift`` in [0, q): rep is a set's first read of each
-    pattern on U (one ``group_keys`` of (set, base-q pattern) keys), e in
-    B(n, f, k+, k-) is nonzero on all of U.  A piece holds whole sets, in
-    order, at most ``rows_per_block(32 n)`` rows (as ``_candidates``), or one."""
-    U, N = list(U), stack.shape[1]
-    ball = ball_matrix(ChannelParams(p.n, f, p.k_plus, p.k_minus), cap)
-    shifts = ball[(ball[:, U] != 0).all(axis=1)]
-    keys = q ** np.arange(len(U)) @ X[np.ix_(sets, U)] + q ** len(U) * np.arange(len(sets))[:, None]
+    """Pieces (owner, rows) of the rows rep - e of every set with a witness U =
+    subsets[found[set]]: rep is its first read of each pattern on U (one
+    ``group_keys`` of (set, base-q pattern) keys of X, the ``_sauer_shift`` in
+    [0, q); anchors are the first reads), e in B(n, f, k+, k-) is nonzero on all
+    of U (cached per U).  Whole sets to a piece, in order, as ``_candidates``."""
+    if not len(sets := (found >= 0).nonzero()[0]):
+        return
+    ranks, ball_p = sorted(set(found[sets].tolist())), ChannelParams(p.n, f, p.k_plus, p.k_minus)
+    ball = ball_matrix(ball_p, cap)
+    shifts = np.array([cached(("sauer-shifts", ball_p, U), lambda U=list(U): np.compress(
+        (ball.T[U] != 0).all(axis=0), ball, axis=0)) for U in map(subsets.__getitem__, ranks)])
+    U = np.array(subsets, dtype=np.intp)[found[sets]]  # (set, coordinate)
+    keys = q ** np.arange(U.shape[1]) @ X[sets[:, None], U] + q ** U.shape[1] * sets[:, None]
     first = group_keys(keys.reshape(-1))[0]
-    owner = sets[first // N]
-    reps = stack.reshape(-1, p.n)[owner * N + first % N]
-    per = max(1, rows_per_block(32 * p.n) // (len(shifts) * int(np.bincount(owner).max())))
+    owner, read = sets[first // X.shape[2]], first % X.shape[2]
+    # a set's reads are its shifted columns plus its first read less its first column
+    reps = X.transpose(0, 2, 1)[owner, read] + (anchors - X[:, :, 0])[owner]
+    per = max(1, rows_per_block(32 * p.n) // (shifts.shape[1] * int(np.bincount(owner).max())))
     cuts = np.searchsorted(owner, sets[per::per]).tolist()
     for lo, hi in zip([0] + cuts, cuts + [len(owner)]):
-        yield owner[lo:hi].repeat(len(shifts)), (reps[lo:hi, None] - shifts).reshape(-1, p.n)
+        rows = reps[lo:hi, None] - shifts[np.searchsorted(ranks, found[owner[lo:hi]])]
+        yield owner[lo:hi].repeat(shifts.shape[1]), rows.reshape(-1, p.n)
 
 
 def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
@@ -957,22 +964,17 @@ def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: in
     """Per set: the Sauer list, empty where no witness is found.  The block
     is searched a part at a time (``ReadBlock.parts``): all sets of a part
     are shifted into [0, q)^n (ValueError past it) and searched at once
-    (``_witnesses``), charged C(n, c) q^c N member tests, as every set holds
-    N distinct reads; the sets of each distinct witness U then have their
-    candidates built and decoded in one pass, and the lists merged."""
-    f = _list_excess(p, delta, a)
-    q, c, lists = p.magnitude_span + 1, f - a, []
+    (``_witnesses``), charged C(n, c) q^c N member tests, c = f - a, as
+    every set holds N distinct reads; then one candidate pass per block part."""
+    f, q, lists = _list_excess(p, delta, a), p.magnitude_span + 1, []
     for first, part in block.parts():
-        stack = part.stack
-        if (X := _sauer_shift(stack, p)).max() >= q:  # no entry is below 0
+        if (X := _sauer_shift(part.stack, p)).max() >= q:  # no entry is below 0
             raise ValueError(f"entries must lie in [0, {q - 1}]")
-        charge(binom(p.n, c) * q**c * block.N, "coordinate-search member tests", cap)
-        subsets, found = _witnesses(X, q, c)
-        for rank in sorted(set(found.tolist()) - {-1}):
-            rows = _sauer_candidates(stack, X, q, (found == rank).nonzero()[0], subsets[rank],
-                                     p, f, cap)
-            owner, words = _decode_lists(rows, code, delta, p, cap)
-            lists.append((owner + first, words))
+        charge(binom(p.n, f - a) * q ** (f - a) * block.N, "coordinate-search member tests", cap)
+        subsets, found = _witnesses(X, q, f - a)
+        rows = _sauer_candidates(X, part.anchors, q, found, subsets, p, f, cap)
+        owner, words = _decode_lists(rows, code, delta, p, cap)
+        lists.append((owner + first, words))
     return _merged(lists, p.n)
 
 

@@ -96,25 +96,35 @@ def test_decode_contract_round_trip():
 
 @pytest.mark.parametrize("offset", [0, 2**70], ids=["int64", "python-ints"])
 @pytest.mark.parametrize("budget", [1, 8 * 200 * 5 * 7, None], ids=["1", "7", "default"])
-def test_explicit_decode_of_a_large_code_matches_brute_force(offset, budget, monkeypatch):
-    # 1000 of the 3125 words of [-2, 2]^5, so most radius-2 windows hold
-    # several members and the first hit decides; member chunks of 1, of 7
-    # (while all 200 rows are unfound) and of the default budget; int64
-    # entries, and Python ints past it
+@pytest.mark.parametrize("shape", ["large-code", "sauer-radius-0", "sauer-radius-n"])
+def test_explicit_decode_of_a_large_code_matches_brute_force(shape, offset, budget, monkeypatch):
+    # a large code: 1000 of the 3125 words of [-2, 2]^5, so most radius-2
+    # windows of its 200 rows hold several members and the first hit
+    # decides; a Sauer block's shape: two members a coordinate apart and 1000
+    # candidate rows around them, at radius 0 and at n, where most rows lie
+    # in both windows.  Member chunks of 1, of 7 (while 200 rows are
+    # unfound) and of the default budget; int64 entries, and Python ints past it
     if budget is not None:
         monkeypatch.setattr(core, "BLOCK_BYTES", budget)
     rng = random.Random(1000)
     p = ChannelParams(5, 2, 1, 1)
-    words = list(product(range(-2, 3), repeat=5))
-    members = [tuple(v + offset for v in w) for w in rng.sample(words, 1000)]
+    if shape == "large-code":
+        members, radius = rng.sample(list(product(range(-2, 3), repeat=5)), 1000), 2
+        rows = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(200)]
+    else:
+        members, radius = [(0,) * 5, (1,) + (0,) * 4], 0 if shape == "sauer-radius-0" else 5
+        rows = [(rng.randint(-1, 2),) + tuple(rng.randint(-1, 1) for _ in range(4))
+                for _ in range(1000)]
+    members = [tuple(v + offset for v in w) for w in members]
+    rows = [tuple(v + offset for v in z) for z in rows]
     code = ExplicitCode(members)
-    rows = [tuple(rng.randint(-3, 3) + offset for _ in range(5)) for _ in range(200)]
     U = np.array(rows, dtype=object if offset else np.int64)
-    C, found = code.decode_rows(U, 2, p)
+    C, found = code.decode_rows(U, radius, p)
     got = [tuple(c) if ok else None for c, ok in zip(C.tolist(), found.tolist())]
-    want = [brute_force_decode(members, z, 2, p) for z in rows]
+    want = [brute_force_decode(members, z, radius, p) for z in rows]
     assert got == want
-    assert None in want and len(set(want)) > 100
+    assert (None in want) == (radius < p.n)
+    assert len(set(want) - {None}) > (100 if shape == "large-code" else 1)
 
 
 def test_explicit_code_validation():
@@ -158,6 +168,8 @@ SIMPLEX = tandem.SimplexCode(1, 2, 1, ((0, 2), (2, 0)))
                  id="ExplicitCode-ragged"),
     pytest.param(lambda: ExplicitCode([(0, 0), (3, 3)]).decode_within((0.5, 0), 0, P2),
                  "entries of z must be integers, got 0.5", id="decode_within"),
+    pytest.param(lambda: ExplicitCode([(1, 0), (0, 0)]).contains((1.0, 0)),
+                 "entries of v must be integers, got 1.0", id="ExplicitCode.contains"),
     pytest.param(lambda: next(channel.read_sets((0.5, 0), P2, 2, "adversarial")),
                  "entries of x must be integers, got 0.5", id="read_sets"),
     pytest.param(lambda: channel.generate_reads((0.5, 0), P2, 2),

@@ -115,10 +115,21 @@ def test_one_key_format():
 def test_one_coordinate_search():
     """The Sauer witness search is reconstruction._witnesses, a bit-parallel scan over whole
     blocks: sauer_shelah_find runs it on a stack of one and _decode_sauer on each block, no
-    other code calls it, and no per-pattern reduce(and_, ...) scan remains."""
+    other code calls it, and no per-pattern reduce(and_, ...) scan remains.  And _decode_sauer
+    makes one candidate pass per block part: it calls _sauer_candidates and _decode_lists once
+    in its loop over block.parts() and in no inner loop, since every witness of size c has the
+    same (k+ + k-)^c V(n - c, f - c) shifts, and a pass per witness pays each numpy call again."""
     users = {("reconstruction", "sauer_shelah_find"), ("reconstruction", "_decode_sauer")}
     assert {s[:2] for s in sites("_witnesses")} == users
     assert sites("reduce", test=lambda call: call.args and name_of(call.args[0]) == "and_") == []
+    (decode,) = [n for module, where, n in _nodes() if isinstance(n, DEFS)
+                 and (module, where) == ("reconstruction", "_decode_sauer")]
+    loops = [n for n in ast.walk(decode) if isinstance(n, (
+        ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    (parts,) = [n for n in loops if isinstance(n, ast.For) and name_of(n.iter) == "parts"]
+    for name in ("_sauer_candidates", "_decode_lists"):
+        (call,) = [n for n in ast.walk(decode) if isinstance(n, ast.Call) and name_of(n) == name]
+        assert [loop for loop in loops if call in ast.walk(loop)] == [parts]
 
 
 def test_derived_tables_live_in_the_one_cache():

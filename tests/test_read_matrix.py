@@ -279,8 +279,8 @@ def test_sauer_shift_prefilter_matches_full_filter(case, data):
     Y = ReadSet(reads, p)
     # reads from no one ball: the patterns are read in a base past every shifted value
     X = _sauer_shift(Y.matrix[None], p)
-    sets = np.zeros(1, dtype=np.intp)
-    pieces = _sauer_candidates(Y.matrix[None], X, int(X.max()) + 1, sets, U, p, f, 10**7)
+    found = np.zeros(1, dtype=np.intp)
+    pieces = _sauer_candidates(X, Y.matrix[:1], int(X.max()) + 1, found, [U], p, f, 10**7)
     rows = distinct_rows(np.concatenate([rows for _, rows in pieces])).tolist()
     assert list(map(tuple, rows)) == oracle_sauer_candidates(reads, U, f, p.k_plus, p.k_minus)
 

@@ -1,6 +1,6 @@
 """The Sauer list decoder a block at a time: one bit-parallel witness search
-over the whole block and one candidate pass per distinct witness, against
-the member-by-member oracles of ``helpers`` and the per-set decodes."""
+over the whole block and one candidate pass per block part, against the
+member-by-member oracles of ``helpers`` and the per-set decodes."""
 
 import tracemalloc
 from math import comb
@@ -109,18 +109,23 @@ def test_block_decodes_match_the_oracles_and_the_sets_one_by_one(case, reads, da
 ])
 def test_a_block_of_several_witnesses_and_failed_sets(p, N):
     # 40 sets below the plan's read count: most find no witness, and the
-    # others find at least three different ones, each a pass of its own
+    # others find at least three different ones; parts of 8 sets, each one
+    # candidate pass for all the witnesses its sets found
     plan = read_plan("list-sauer", p, 1, 0)
     code = LatticeCode(SplitterSpec(cyclic(3), ((1,),) * p.n))
     (stack,) = channel.read_sets((0,) * p.n, p, N, "random", 40, seed=1)
     found = witnesses(stack, plan)
     assert None in found and len(set(found) - {None}) >= 3
-    passes = []
-    candidates = reconstruction._sauer_candidates
-    with mock.patch.object(reconstruction, "_sauer_candidates",
-                           lambda *args: passes.append(args[4]) or candidates(*args)):
+    passes, candidates = [], reconstruction._sauer_candidates
+
+    def recorded(X, anchors, q, ranks, subsets, *args):
+        passes.append({subsets[rank] for rank in ranks.tolist() if rank >= 0})
+        return candidates(X, anchors, q, ranks, subsets, *args)
+
+    with mock.patch.object(core, "BLOCK_BYTES", 8 * 8 * N * p.n), \
+            mock.patch.object(reconstruction, "_sauer_candidates", recorded):
         got = per_set(plan.decode(ReadBlock(p, stack), code), len(stack))
-    assert passes == sorted(set(found) - {None})
+    assert passes == [set(found[lo:lo + 8]) - {None} for lo in range(0, len(stack), 8)]
     for matrix, U, out in zip(stack, found, got):
         assert U == oracle_witness(matrix.tolist(), p, 1, 0)
         if U is None:
