@@ -355,6 +355,7 @@ class ExplicitCode(Code):
             block = members[start:start + chunk]
             start += chunk
             e = np.empty((self.n, len(block), len(todo)), dtype=np.result_type(U, block))
+            # the unfound rows copied with M innermost, so the subtraction writes e in order
             np.subtract(np.take(U, todo, axis=0).T.copy().T[:, None], block, out=e.T)
             hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=0)
             hit &= (e != 0).sum(axis=0, dtype=np.min_scalar_type(self.n)) <= radius  # <= n ones

@@ -94,10 +94,13 @@ def test_decode_contract_round_trip():
         assert [tuple(c) if ok else None for c, ok in zip(C.tolist(), found.tolist())] == each
 
 
-@pytest.mark.parametrize("offset", [0, 2**70], ids=["int64", "python-ints"])
-@pytest.mark.parametrize("budget", [1, 8 * 200 * 5 * 7, None], ids=["1", "7", "default"])
-@pytest.mark.parametrize("shape", ["large-code", "sauer-radius-0", "sauer-radius-n"])
-def test_explicit_decode_of_a_large_code_matches_brute_force(shape, offset, budget, monkeypatch):
+@pytest.mark.parametrize("shape, budget, offset", [
+    pytest.param(shape, budget, offset,
+                 id="-".join(([] if shape == "large-code" else [shape]) + [b, o]))
+    for shape in ("large-code", "sauer-radius-0", "sauer-radius-n")
+    for budget, b in ((1, "1"), (8 * 200 * 5 * 7, "7"), (None, "default"))
+    for offset, o in ((0, "int64"), (2**70, "python-ints"))])
+def test_explicit_decode_of_a_large_code_matches_brute_force(shape, budget, offset, monkeypatch):
     # a large code: 1000 of the 3125 words of [-2, 2]^5, so most radius-2
     # windows of its 200 rows hold several members and the first hit
     # decides; a Sauer block's shape: two members a coordinate apart and 1000
