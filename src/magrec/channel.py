@@ -50,17 +50,18 @@ generator's stream, so neither the block or key chunk size nor the trial
 count changes trial i, and neighbouring seeds, being different Philox keys,
 share no trial.  Trials are drawn a block at a time.  When the ball exceeds
 N by at most ``_DENSE_SLACK`` rows, trial i keeps the N rows with the
-smallest keys in row i of ``rng_for(seed).random((trials, size))``, so row
-i of ``rng_for(seed).random((i + 1, size))`` replays it alone.  The keys are
-drawn as the generator's raw 64-bit words shifted right by 11 bits, which
-``random`` scales by 2**-53 into its floats: the same stream, ordered the
-same way, ties included, at less cost.  A row marks its keys at most its
-N-th smallest (one ``np.partition``, no index sort); a row with a tie there
+smallest keys among numbers i |B| ... (i + 1) |B| - 1 of the generator's
+uint32 stream, so row i of ``rng_for(seed).integers(0, 2**32, (i + 1,
+size), dtype=np.uint32)`` replays it alone.  The keys are the generator's
+raw 64-bit words, each split into its low and then its high half, as
+``integers`` splits them, and a half word left over at the end of a key
+chunk or block starts the next one.  A row marks its keys at most its N-th
+smallest (one ``np.partition``, no index sort); a row with a tie there
 marks more, and keeps the N that ``np.argpartition`` picks instead, so
-every set is the one an ``np.argpartition`` of the keys gives.  On a
-larger ball
-trial i is the i-th ``rng.choice(size, N, replace=False, shuffle=False)``
-of the command generator.  Either way it is a uniformly random N-subset.
+every set is the one an ``np.argpartition`` of the keys gives.  A tie has
+probability below |B| / 2**32 per set.  On a larger ball trial i is the
+i-th ``rng.choice(size, N, replace=False, shuffle=False)`` of the command
+generator.  Either way it is a uniformly random N-subset.
 """
 
 from __future__ import annotations
@@ -90,11 +91,12 @@ from magrec.reconstruction import ReadBlock
 
 RNG_NAME = "philox"
 
-#: A random trial draws one key per ball row when the ball exceeds N by at
-#: most this many rows, and N indices with ``choice`` otherwise: a key costs
-#: about as much as a ``choice`` index, and a ``choice`` call about as much
-#: as this many keys (timeit crossover in CHANGES.md).
-_DENSE_SLACK = 1024
+#: A random trial draws one uint32 key per ball row when the ball exceeds N
+#: by at most this many rows, and N indices with ``choice`` otherwise: a
+#: ``choice`` call costs about as much as this many keys, so at small N the
+#: two draws cost the same at this slack, and at larger N the keys are the
+#: cheaper (timeit crossover in CHANGES.md).
+_DENSE_SLACK = 2048
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -139,20 +141,29 @@ def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
         yield np.array(block, dtype=np.intp)
 
 
-def _keys(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
-    """A (rows, size) uint64 matrix of keys ordered like the floats of
-    ``rng.random((rows, size))``, from the same stream: the 53 bits that
-    ``random`` scales by 2**-53 (Philox draws one 64-bit word a float)."""
-    keys = rng.bit_generator.random_raw(rows * size)
-    keys >>= 11
-    return keys.reshape(rows, size)
+def _keys(
+    rng: np.random.Generator, rows: int, size: int, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, size) uint32 matrix of the next keys of ``rng``'s uint32
+    stream, the one ``rng.integers(0, 2**32, dtype=np.uint32)`` reads, and
+    the half word left over after them (none or one key).  ``spare``, the
+    half word the last call left over, comes first.  Each raw 64-bit word
+    splits into its low half, then its high half, on any byte order; on a
+    little-endian machine, with no spare, that is a view of the words."""
+    count = rows * size
+    raw = rng.bit_generator.random_raw((count - len(spare) + 1) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    if len(spare):
+        halves = np.concatenate((spare, halves))
+    return halves[:count].reshape(rows, size), halves[count:].copy()
 
 
 def _smallest(keys: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
-    """Per row of ``keys``, the boolean indicator of the positions of its
-    ``count`` smallest keys, written into ``out`` and returned: those at
-    most the count-th smallest.  A row with a tie there indicates more; it
-    takes the set that ``np.argpartition(keys, count - 1, axis=1)[:, :count]``
+    """Per row of the uint32 ``keys``, the boolean indicator of the
+    positions of its ``count`` smallest keys, written into ``out`` and
+    returned: those at most the count-th smallest.  A row with a tie there
+    (probability below its length over 2**32) indicates more; it takes the
+    set that ``np.argpartition(keys, count - 1, axis=1)[:, :count]``
     picks."""
     ind = np.less_equal(keys, np.partition(keys, count - 1, axis=1)[:, count - 1:count], out=out)
     if np.count_nonzero(ind) > len(ind) * count:
@@ -170,20 +181,21 @@ def _random_blocks(
     block of length-n reads as ``_per_block`` allows.  Dense keys (then
     ``size <= count + _DENSE_SLACK``) make each block an (S, size) boolean
     indicator, charged its rows alone when ``kept`` (the block keeps it and
-    gathers no stack); they are drawn ``rows_per_block(64 size)`` trials at
-    a time, an eighth of a block's bytes of keys, each chunk written into
-    the indicator by ``_smallest`` while it is in cache.  Otherwise each
-    block is an (S, count) matrix of indices."""
+    gathers no stack); their uint32 keys are drawn ``rows_per_block(32
+    size)`` trials at a time, an eighth of a block's bytes of keys, each
+    chunk written into the indicator by ``_smallest`` while it is in
+    cache.  Otherwise each block is an (S, count) matrix of indices."""
     dense = size - count <= _DENSE_SLACK
     per_block = _per_block(count, n, size if dense and kept else 0)
-    chunk = rows_per_block(64 * size)
+    chunk, spare = rows_per_block(32 * size), np.zeros(0, dtype=np.uint32)
     for start in range(0, trials, per_block):
         stop = min(start + per_block, trials)
         if dense:
             ind = np.empty((stop - start, size), dtype=bool)
             for lo in range(0, len(ind), chunk):
                 hi = min(lo + chunk, len(ind))
-                _smallest(_keys(rng, hi - lo, size), count, ind[lo:hi])
+                keys, spare = _keys(rng, hi - lo, size, spare)
+                _smallest(keys, count, ind[lo:hi])
             yield ind
         else:
             yield np.array([

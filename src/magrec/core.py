@@ -27,7 +27,8 @@ optional sign.
 
 Rows are keyed and grouped here alone: ``_row_keys`` keys rows in the
 mixed-radix frame of ``radix_places``, int64 below 2**63 and Python ints past
-it (``key_rows`` inverts it); ``group_keys`` is the one grouping sort.
+it (``key_rows`` inverts it); ``group_keys`` is the one grouping sort, and
+``first_keys`` its first indices alone.
 """
 
 from __future__ import annotations
@@ -180,17 +181,31 @@ def _starts(values: np.ndarray) -> np.ndarray:
     return new
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(first, order, new) of the 1-D array ``keys``, int64 or Python ints:
+    its one default ``argsort`` (``np.unique`` and a stable sort run merge
+    sorts, 3 times slower at 10k keys), whether each sorted key starts a run
+    of equal keys, and each run's least index, in key order."""
+    order = keys.argsort()
+    new = _starts(keys[order])
+    return np.minimum.reduceat(order, new.nonzero()[0]) if len(keys) else order, order, new
+
+
+def first_keys(keys: np.ndarray) -> np.ndarray:
+    """The first index of each distinct key of the 1-D array ``keys``, in
+    key order, as ``np.unique(keys, return_index=True)`` gives them: the
+    ``first`` of ``group_keys`` without its inverse."""
+    return _runs(keys)[0]
+
+
 def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) of the 1-D array ``keys``, int64 or Python ints, as
     ``np.unique(keys, return_index=True, return_inverse=True)`` gives them,
-    from one default ``argsort`` (``np.unique`` and a stable sort run merge
-    sorts, 3 times slower at 10k keys): a run of equal keys is first at its
-    least index."""
-    order = keys.argsort()
-    new = _starts(keys[order])
+    from one ``_runs``: a run of equal keys is first at its least index."""
+    first, order, new = _runs(keys)
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = new.cumsum() - 1
-    return np.minimum.reduceat(order, new.nonzero()[0]) if len(keys) else order, inverse
+    return first, inverse
 
 
 def _row_keys(M: np.ndarray) -> np.ndarray:
@@ -212,8 +227,8 @@ def _row_keys(M: np.ndarray) -> np.ndarray:
 
 
 def distinct_rows(M: np.ndarray) -> np.ndarray:
-    """The distinct rows of M, sorted, by ``group_keys`` of ``_row_keys``."""
-    return M[group_keys(_row_keys(M))[0]]
+    """The distinct rows of M, sorted, by ``first_keys`` of ``_row_keys``."""
+    return M[first_keys(_row_keys(M))]
 
 
 def parse_int(text: str, where: str) -> int:

@@ -50,7 +50,7 @@ from magrec.core import (
     charge,
     check_ints,
     distinct_rows,
-    group_keys,
+    first_keys,
     parse_int,
 )
 from magrec import combinatorics
@@ -161,13 +161,13 @@ def _coset_leaders(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sorted syndrome codes taken on the ball B(n, t, k+, k-) of p and
     their coset leaders: the first ball row (lexicographic order) with each
-    code (``group_keys``), cached under (spec, p); ``cap`` is charged first."""
+    code (``first_keys``), cached under (spec, p); ``cap`` is charged first."""
     charge(combinatorics.ball_size(p), "ball vectors", cap)
 
     def build() -> tuple[np.ndarray, np.ndarray]:
         ball = combinatorics.ball_matrix(p, cap)
         codes = _syndrome_codes(spec, ball)
-        first = group_keys(codes)[0]
+        first = first_keys(codes)
         return codes[first], ball[first]
 
     return combinatorics.cached((spec, p), build)

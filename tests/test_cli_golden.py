@@ -157,7 +157,7 @@ majority  4  2  1   1   1      0  29  3     3           1         81     MATCH
         0,
         """\
 alg    n  t  kp  km  delta  a  N  sets  contains_x  max_list  bound  match
-sauer  4  2  1   1   1      1  2  5     5           10        63     MATCH
+sauer  4  2  1   1   1      1  2  5     5           12        63     MATCH
 """,
     ),
     (

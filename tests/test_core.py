@@ -333,10 +333,12 @@ def test_column_ranges_match_the_axis_reductions(R, n, kind):
 
 def check_group_keys(keys):
     """``core.group_keys`` against ``np.unique``: the same first indices, in
-    key order, and the same inverse, both intp arrays."""
+    key order, and the same inverse, both intp arrays; ``core.first_keys``
+    gives the same first indices alone."""
     first, inverse = core.group_keys(keys)
     _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
-    for got, want in ((first, want_first), (inverse, want_inverse)):
+    for got, want in ((first, want_first), (inverse, want_inverse),
+                      (core.first_keys(keys), want_first)):
         assert got.dtype == np.intp and got.shape == want.shape
         assert got.tolist() == want.tolist()
 

@@ -257,10 +257,10 @@ def test_a_repeated_packing_oracle_groups_nothing(monkeypatch, capsys, code, fla
     from magrec import cli, core
 
     empty_cache(monkeypatch)
-    grouped, group_keys = [], core.group_keys
-    spy = lambda k: grouped.append(len(k)) or group_keys(k)  # noqa: E731
-    monkeypatch.setattr(core, "group_keys", spy)
-    monkeypatch.setattr(lattice, "group_keys", spy)
+    grouped, first_keys = [], core.first_keys
+    spy = lambda k: grouped.append(len(k)) or first_keys(k)  # noqa: E731
+    monkeypatch.setattr(core, "first_keys", spy)
+    monkeypatch.setattr(lattice, "first_keys", spy)
     argv = ["check-splitting", "--code", f"splitter:{code}", *flags, "--oracle"]
     assert cli.main(argv) == 0
     assert keys in grouped

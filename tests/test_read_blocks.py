@@ -132,21 +132,21 @@ def test_the_count_table_gives_the_sort_branch_votes(p, data):
 
 @pytest.mark.parametrize("size, N", [(64, 7), (50, 25), (9, 8)])
 def test_keys_tied_at_the_Nth_smallest_give_argpartitions_set(size, N, monkeypatch):
-    # keys from a few values tie at the threshold in most rows, and the one
-    # block of 40 sets is drawn in chunks of 8 rows, served in turn
-    tied = np.random.default_rng(size).integers(0, 4, (40, size)).astype(np.uint64)
+    # uint32 keys from a few values tie at the threshold in most rows, and
+    # the one block of 40 sets is drawn in chunks of 16 rows, served in turn
+    tied = np.random.default_rng(size).integers(0, 4, (40, size)).astype(np.uint32)
     served = []
 
-    def keys(rng, rows, size):
+    def keys(rng, rows, size, spare):
         served.append(rows)
-        return tied[sum(served) - rows:sum(served)].copy()
+        return tied[sum(served) - rows:sum(served)].copy(), spare
 
     monkeypatch.setattr(channel, "_keys", keys)
     monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 64 * size)
     (ind,) = channel._random_blocks(size, N, 1, 40, rng_for(0))
-    assert served == [8] * 5
+    assert served == [16, 16, 8]
     ties = np.count_nonzero(tied <= np.sort(tied, axis=1)[:, N - 1:N], axis=1) > N
-    assert ties[8:].sum() > 10
+    assert ties[16:].sum() > 10
     want = np.sort(np.argpartition(tied, N - 1, axis=1)[:, :N], axis=1)
     np.testing.assert_array_equal(ind.nonzero()[1].reshape(40, N), want)
 

@@ -204,12 +204,14 @@ def drawn_trials(seed, size, count, trials):
     """The sorted index rows of random trials 0, ..., trials - 1 of ``seed``
     on a ball of ``size`` rows, by the definition of the ``channel``
     docstring, drawn one trial at a time: the ``count`` smallest of ``size``
-    keys (argsort, not a partition, of one ``random(size)`` call per trial)
+    uint32 keys (argsort, not a partition, of one ``integers`` call per
+    trial, which carries an odd key count's half word into the next call)
     when the ball exceeds ``count`` by at most ``_DENSE_SLACK`` rows, else
     one ``choice`` call per trial."""
     rng = rng_for(seed)
     if size - count <= channel._DENSE_SLACK:
-        picks = (np.argsort(rng.random(size), kind="stable")[:count] for _ in range(trials))
+        picks = (np.argsort(rng.integers(0, 2**32, size, dtype=np.uint32), kind="stable")[:count]
+                 for _ in range(trials))
     else:
         picks = (
             rng.choice(size, count, replace=False, shuffle=False) for _ in range(trials)
@@ -485,7 +487,7 @@ def test_trial_i_depends_on_neither_the_stack_size_nor_the_trial_count(name, mon
     if name == "dense":
         # the replay the docs give: trial i alone from i + 1 rows of keys
         i = 2 * k + 1
-        keys = rng_for(9).random((i + 1, size))[i]
+        keys = rng_for(9).integers(0, 2**32, (i + 1, size), dtype=np.uint32)[i]
         assert list(full[i]) == sorted(np.argsort(keys)[:N].tolist())
 
 
@@ -518,50 +520,88 @@ def test_sparse_draws_on_a_large_ball_stay_within_the_byte_bound():
 
 class _KeySpy:
     """A generator whose bit generator records the size of each
-    ``random_raw`` call."""
+    ``random_raw`` call, and serves its words in the byte order ``order``
+    (the same values either way)."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, order="="):
         self.bit_generator, self.sizes, self._raw = self, [], rng.bit_generator.random_raw
+        self._dtype = np.dtype(np.uint64).newbyteorder(order)
 
     def random_raw(self, size):
         self.sizes.append(size)
-        return self._raw(size)
+        return self._raw(size).astype(self._dtype)
+
+
+def _key_rows(sizes, size):
+    """The trials each ``random_raw`` call of ``sizes`` words served keys
+    to, on a ball of ``size`` rows: every call's keys are whole rows, but
+    for the half word (none or one) it leaves to the next call, checked
+    here."""
+    rows, spare = [], 0
+    for words in sizes:
+        served, spare = divmod(2 * words + spare, size)
+        assert spare in (0, 1) and served > 0
+        rows.append(served)
+    return rows
 
 
 @pytest.mark.parametrize("size, N, n", [(64, 7, 7), (1161, 337, 10), (20_000, 19_000, 2)])
 def test_dense_key_blocks_stay_within_the_byte_bound(size, N, n):
-    # keys are drawn an eighth of a block's bytes at a time, or one row
+    # uint32 keys are drawn an eighth of a block's bytes at a time, or one row
     spy = _KeySpy(rng_for(1))
     trials = 300
     blocks = list(channel._random_blocks(size, N, n, trials, spy))
     assert sum(map(len, blocks)) == trials and spy.sizes
-    for raw in spy.sizes:
-        rows, keys = divmod(raw, size)
-        assert keys == 0
-        assert rows * size * 8 <= max(core.BLOCK_BYTES // 8, 8 * size)
+    rows = _key_rows(spy.sizes, size)
+    assert sum(rows) == trials
+    assert all(r * size * 4 <= max(core.BLOCK_BYTES // 8, 4 * size) for r in rows)
 
 
 @pytest.mark.parametrize("size, N", [(64, 7), (73, 17), (1161, 337)])
 @pytest.mark.parametrize("seed", [0, 1, 77, 2**64 - 1])
 @pytest.mark.parametrize("budget", ["sets", "chunks"])
-def test_raw_keys_replay_the_float_keys(size, N, seed, budget, monkeypatch):
-    # the keys are random_raw's words shifted right by 11 bits: each row
-    # keeps the N indices of the smallest floats of random((trials, size)),
-    # and blocks of a few sets split the draw across many blocks, or chunks
-    # of 3 rows split each block of 19 to 24 sets across many key draws
+def test_raw_keys_replay_the_uint32_keys(size, N, seed, budget, monkeypatch):
+    # the keys are random_raw's words split in uint32 halves: each row keeps
+    # the N indices of the smallest keys of integers(0, 2**32, (trials,
+    # size), dtype=np.uint32), and blocks of a few sets split the draw across
+    # many blocks, or chunks of 3 rows split each block of 9 to 12 sets
+    # across many key draws
     assert size - N <= channel._DENSE_SLACK
     trials, n = 40, 10
     monkeypatch.setattr(core, "BLOCK_BYTES",
-                        8 * max(3 * N * n, 5 * size) if budget == "sets" else 3 * 64 * size)
+                        8 * max(3 * N * n, 5 * size) if budget == "sets" else 3 * 32 * size)
     spy = _KeySpy(rng_for(seed))
     blocks = list(channel._random_blocks(size, N, n, trials, spy))
     assert len(blocks) > 1 and all(b.dtype == bool for b in blocks)
     if budget == "chunks":
-        assert all(len(b) > 3 for b in blocks[:-1]) and {raw // size for raw in spy.sizes} >= {3}
+        assert all(len(b) > 3 for b in blocks[:-1]) and set(_key_rows(spy.sizes, size)) >= {3}
         assert len(spy.sizes) == sum(-(-len(b) // 3) for b in blocks)
-    keys = rng_for(seed).random((trials, size))
+    keys = rng_for(seed).integers(0, 2**32, (trials, size), dtype=np.uint32)
     want = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :N], axis=1)
     np.testing.assert_array_equal(np.concatenate(blocks).nonzero()[1].reshape(trials, N), want)
+
+
+@pytest.mark.parametrize("size, N", [(75, 20), (1161, 337)])
+@pytest.mark.parametrize("rows", [5, 13])
+@pytest.mark.parametrize("order", ["<", ">"])
+def test_odd_balls_carry_the_half_word_across_chunks_and_blocks(size, N, rows, order, monkeypatch):
+    # on an odd ball, blocks of 5 or 13 sets drawn in chunks of 1 or 3 rows
+    # end both chunks and blocks mid-word; the leftover half starts the next
+    # draw, so each trial i is the replay of its own rows of the uint32
+    # stream, served in either byte order
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * size * rows)
+    trials, seed = 31, 5
+    spy = _KeySpy(rng_for(seed), order)
+    blocks = list(channel._random_blocks(size, N, 4, trials, spy))
+    assert {len(b) for b in blocks[:-1]} == {rows}
+    chunks = _key_rows(spy.sizes, size)
+    assert max(chunks) == rows // 4
+    ends = np.cumsum(chunks) * size
+    assert (ends % 2).any() and (np.cumsum([len(b) for b in blocks]) * size % 2).any()
+    got = np.concatenate(blocks)
+    for i in range(trials):
+        keys = rng_for(seed).integers(0, 2**32, (i + 1, size), dtype=np.uint32)[i]
+        assert got[i].nonzero()[0].tolist() == sorted(np.argpartition(keys, N - 1)[:N].tolist())
 
 
 def _stacks_of_every_mode(x, p, N, seed):
