@@ -18,9 +18,9 @@ the cost.  The CLI's decode loop, ``cli._trials``, decodes these blocks as
 built, and ``generate_reads`` hands its block of one to ``ReadSet`` as it
 is; a stack from anywhere else becomes a block by ``ReadBlock(p, stack)``,
 which checks it, as ``ReadSet`` builds its block of one from a matrix.  A
-block holds ``core.rows_per_block`` sets, each charged its stack or, kept as
-an indicator, 8 bytes a ball row (``_per_block``), and such a block's stack
-is gathered a part at a time (``ReadBlock.parts``), so its memory stays
+block holds ``reconstruction.sets_per_block`` sets, each charged its stack
+or, kept as an indicator, 8 bytes a ball row, and such a block's stack is
+gathered a part at a time (``ReadBlock.parts``), so its memory stays
 bounded whatever N, n and the trial count.  x is an integer vector
 (``core.int_rows``), and x plus any error must stay below ``ENTRY_LIMIT`` in
 magnitude.
@@ -82,12 +82,13 @@ from magrec.core import (
     Vec,
     charge,
     check_entries,
+    hamming,
     int_rows,
     rows_per_block,
 )
 from magrec.combinatorics import ball_matrix, ball_one_hot, ball_size, cached, minimum_counts
 from magrec import reconstruction
-from magrec.reconstruction import ReadBlock
+from magrec.reconstruction import ReadBlock, sets_per_block
 
 RNG_NAME = "philox"
 
@@ -124,19 +125,10 @@ def _adversarial_order(ball: np.ndarray) -> np.ndarray:
     return np.lexsort((-np.abs(ball).sum(axis=1), -np.count_nonzero(ball, axis=1)))
 
 
-def _per_block(count: int, n: int, size: int = 0) -> int:
-    """How many sets of ``count`` (>= 1) length-n reads one block holds: a
-    set is charged its (count, n) int64 stack or, when ``size`` > 0, kept as
-    an indicator row over a ball of ``size`` rows and never gathered, 8
-    bytes a ball row (its boolean and float32 rows), but at least the 64 n
-    bytes of the int64 rows that the vote and class steps build a set."""
-    return rows_per_block(max(8 * size, 64 * n) if size else 8 * count * n)
-
-
 def _row_blocks(rows: Iterable, count: int, n: int) -> Iterator[np.ndarray]:
     """The index rows that ``rows`` yields, ``count`` each, as (S, count)
     blocks of as many rows as one block of length-n reads holds."""
-    rows, per_block = iter(rows), _per_block(count, n)
+    rows, per_block = iter(rows), sets_per_block(count, n)
     while block := list(islice(rows, per_block)):
         yield np.array(block, dtype=np.intp)
 
@@ -167,7 +159,7 @@ def _smallest(keys: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     picks."""
     ind = np.less_equal(keys, np.partition(keys, count - 1, axis=1)[:, count - 1:count], out=out)
     if np.count_nonzero(ind) > len(ind) * count:
-        for i in (ind.view(np.uint8).sum(axis=1, dtype=np.intp) > count).nonzero()[0]:
+        for i in (hamming(ind) > count).nonzero()[0]:
             ind[i] = False
             ind[i, np.argpartition(keys[i], count - 1)[:count]] = True
     return ind
@@ -178,7 +170,7 @@ def _random_blocks(
 ) -> Iterator[np.ndarray]:
     """Blocks of ``trials`` random ``count``-subsets of ``range(size)``,
     drawn from ``rng`` as the module docstring defines them, as many to a
-    block of length-n reads as ``_per_block`` allows.  Dense keys (then
+    block of length-n reads as ``sets_per_block`` allows.  Dense keys (then
     ``size <= count + _DENSE_SLACK``) make each block an (S, size) boolean
     indicator, charged its rows alone when ``kept`` (the block keeps it and
     gathers no stack); their uint32 keys are drawn ``rows_per_block(32
@@ -186,7 +178,7 @@ def _random_blocks(
     chunk written into the indicator by ``_smallest`` while it is in
     cache.  Otherwise each block is an (S, count) matrix of indices."""
     dense = size - count <= _DENSE_SLACK
-    per_block = _per_block(count, n, size if dense and kept else 0)
+    per_block = sets_per_block(count, n, size if dense and kept else 0)
     chunk, spare = rows_per_block(32 * size), np.zeros(0, dtype=np.uint32)
     for start in range(0, trials, per_block):
         stop = min(start + per_block, trials)
@@ -265,7 +257,7 @@ def minimum_sets(
     the distinct minima x + z, each a one-read set, in the ball's order, and
     for each the number of N-subsets with that minimum
     (``combinatorics.minimum_counts``, cached), an object array of Python
-    ints.  A block holds as many one-read sets as ``_per_block`` allows.
+    ints.  A block holds as many one-read sets as ``sets_per_block`` allows.
     ``cap`` bounds the ball; no subset is enumerated, so none is charged."""
     if N < 1:
         raise ValueError("read set must be nonempty")
@@ -348,7 +340,7 @@ def score_sets(decoded: reconstruction.Decoded, sets: int, x: Vec) -> tuple[np.n
     whether x is on its list, as two (sets,) arrays."""
     owner, words = decoded
     sizes = np.bincount(owner, minlength=sets)
-    hits = np.bincount(owner[reconstruction._errors(words != x) == 0], minlength=sets) > 0
+    hits = np.bincount(owner[hamming(words != x) == 0], minlength=sets) > 0
     return sizes, hits
 
 

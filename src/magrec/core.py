@@ -28,7 +28,7 @@ optional sign.
 Rows are keyed and grouped here alone: ``_row_keys`` keys rows in the
 mixed-radix frame of ``radix_places``, int64 below 2**63 and Python ints past
 it (``key_rows`` inverts it); ``group_keys`` is the one grouping sort, and
-``first_keys`` its first indices alone.
+``first_keys`` its first indices alone.  ``hamming`` alone counts weights.
 """
 
 from __future__ import annotations
@@ -79,6 +79,20 @@ def rows_per_block(row_bytes: int) -> int:
     """How many rows of ``row_bytes`` (> 0) bytes fit in ``BLOCK_BYTES``, at
     least one."""
     return max(1, BLOCK_BYTES // row_bytes)
+
+
+def hamming(mask: np.ndarray, axis: int = -1) -> np.ndarray:
+    """How many entries are set in each vector of the boolean ``mask`` along
+    its first (``axis`` 0) or last (-1) axis: uint8 below 256 entries (summed
+    over the mask's bytes, along the last axis by an ``einsum``, 2 to 3 times
+    faster), int64 from 256 on.  Only compare a uint8 count: NumPy 2 keeps its
+    dtype against a Python int (for w = 6, -w is 250 and 3 ** w is 217), so a
+    weight to negate or raise to is an ``np.count_nonzero`` or int64 sum."""
+    if mask.shape[axis] >= 256:
+        return mask.sum(axis=axis)
+    if axis == 0:
+        return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.uint8)
+    return np.einsum("...k->...", mask.view(np.uint8))
 
 
 def check_entries(lo: int, hi: int) -> None:
@@ -373,7 +387,7 @@ class ExplicitCode(Code):
             # the unfound rows copied with M innermost, so the subtraction writes e in order
             np.subtract(np.take(U, todo, axis=0).T.copy().T[:, None], block, out=e.T)
             hit = ((e >= -params.k_minus) & (e <= params.k_plus)).all(axis=0)
-            hit &= (e != 0).sum(axis=0, dtype=np.min_scalar_type(self.n)) <= radius  # <= n ones
+            hit &= hamming(e != 0, axis=0) <= radius
             rows = hit.any(axis=0)
             C[todo[rows]] = block[hit[:, rows].argmax(axis=0)]
             found[todo[rows]] = True

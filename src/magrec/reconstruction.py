@@ -46,9 +46,10 @@ lookup for lattice codes; the majority list decoder decodes the distinct
 mixed-radix keys of its fills instead (``_fill_keys``, ``_decode_fills``),
 int64 where they fit it and Python ints past 2**63.  The Sauer decoder
 searches every set of a block for its witness at once, over bitsets of
-uint64 words (``_witnesses``), and makes one candidate pass per block
-part.  A ``ReadSet`` is a single (N, n) matrix, and the per-set
-procedures above decode it as a block of one.
+uint64 words (``_witnesses``), makes one candidate pass per block part
+and concatenates the parts' lists, which share no set.  A block holds
+``sets_per_block`` sets.  A ``ReadSet`` is a single (N, n) matrix, and the
+per-set procedures above decode it as a block of one.
 
 The vote compares twice a count minus N, an integer in [-N, N], with the
 threshold tau as the int64 test 2c - N > floor(tau), floor(tau) clamped to
@@ -84,6 +85,7 @@ from magrec.core import (
     distinct_rows,
     first_keys,
     group_keys,
+    hamming,
     int_rows,
     key_rows,
     radix_places,
@@ -96,6 +98,20 @@ from magrec.combinatorics import ball_matrix, ball_one_hot, binom, cached, hammi
 #: found, rows sorted by set and then lexicographically; a unique decoder
 #: gives a set at most one row.
 Decoded = tuple[np.ndarray, np.ndarray]
+
+
+def sets_per_block(N: int, n: int, ball_rows: int = 0) -> int:
+    """How many sets of N length-n reads a block holds: a set is charged its
+    int64 stack or, kept as an indicator over a ball of ``ball_rows`` > 0
+    rows, 8 bytes a ball row (its boolean and float32 rows), but at least
+    the 64 n bytes of the int64 rows the vote and class steps build a set."""
+    return rows_per_block(max(8 * ball_rows, 64 * n) if ball_rows else 8 * N * n)
+
+
+def _indicated(ind: np.ndarray, N: int) -> np.ndarray:
+    """The (S, N) ball rows that the boolean indicator ``ind`` marks, each
+    set's in order, by a flat nonzero (a 2-D one is 2 to 3 times slower)."""
+    return (np.flatnonzero(ind) % ind.shape[1]).reshape(len(ind), N)
 
 
 class ReadBlock:
@@ -147,8 +163,7 @@ class ReadBlock:
                 block.ball, block.base, block.hot = shifted_ball, x - p.k_minus, hot
                 block.ind = rows.astype(np.float32)
                 return block
-            # a flat nonzero, row-major: each set's rows in order (a 2-D one is 2x slower)
-            rows = (np.flatnonzero(rows) % rows.shape[1]).reshape(len(rows), N)
+            rows = _indicated(rows, N)
         rows.sort(axis=1)
         if not (rows[:, 1:] > rows[:, :-1]).all():
             raise ValueError("reads must be distinct, and a matrix's rows sorted")
@@ -161,10 +176,10 @@ class ReadBlock:
 
     def parts(self) -> Iterator[tuple[int, ReadBlock]]:
         """The block cut, in order, into parts of at most
-        ``rows_per_block(8 N n)`` sets, as pairs (first, part), the part
+        ``sets_per_block(N, n)`` sets, as pairs (first, part), the part
         holding sets first, first + 1, ...: a part's stack fits the block
         budget, and the block keeps none of them."""
-        per = rows_per_block(8 * self.N * self.p.n)
+        per = sets_per_block(self.N, self.p.n)
         for first in range(0, len(self), per):
             part = copy.copy(self)
             if self._stack is not None:
@@ -177,9 +192,7 @@ class ReadBlock:
     def stack(self) -> np.ndarray:
         """The (S, N, n) read-only int64 stack of the sets."""
         if self._stack is None:
-            # a flat nonzero, row-major: each set's rows in order (a 2-D one is 3x slower)
-            rows = np.flatnonzero(self.ind != 0) % len(self.ball)
-            stack = np.take(self.ball, rows, axis=0).reshape(len(self), self.N, self.p.n)
+            stack = np.take(self.ball, _indicated(self.ind != 0, self.N), axis=0)
             stack.flags.writeable = False
             self._stack = stack
         return self._stack
@@ -485,14 +498,6 @@ def _candidates(
         yield owner.repeat(len(shifts)), (fills[:, None, :] - shifts).reshape(-1, p.n)
 
 
-def _errors(wrong: np.ndarray) -> np.ndarray:
-    """How many coordinates differ, per row of the boolean ``wrong`` along
-    its last axis; a uint8 count holds fewer than 256 of them."""
-    if wrong.shape[-1] < 256:
-        return np.einsum("...k->...", wrong.view(np.uint8))
-    return wrong.sum(axis=-1)
-
-
 def _cover_rows(
     words: np.ndarray, owner: np.ndarray, block: ReadBlock,
     least: np.ndarray, largest: np.ndarray, p: ChannelParams,
@@ -511,7 +516,7 @@ def _cover_rows(
     meets none of them: per row up to ``_PAIR_CELLS`` cells, and otherwise
     once per distinct word, in chunks of words, with one product of the
     marks and the indicators testing every row.  Any other block gathers
-    each row's set of reads, in chunks of ``rows_per_block(8 N n)`` rows.
+    each row's set of reads, in chunks of ``sets_per_block(N, n)`` rows.
     The differences stay below 2**63 (entries are under 2**62), and NumPy
     compares them with k+ and k- exactly, however large."""
     check_entries(int(words.min()), int(words.max()))
@@ -519,15 +524,14 @@ def _cover_rows(
                & (words - least[owner] <= p.k_minus)).all(axis=1)
     rows = covered.nonzero()[0]
     if block.ind is None:
-        stack = block.stack
-        chunk = rows_per_block(8 * stack[0].size)
+        stack, chunk = block.stack, sets_per_block(block.N, p.n)
         for i in range(0, len(rows), chunk):
             part = rows[i:i + chunk]
-            covered[part] = (_errors(stack[owner[part]] != words[part, None, :]) <= p.t).all(axis=1)
+            covered[part] = (hamming(stack[owner[part]] != words[part, None]) <= p.t).all(axis=1)
         return covered
     ball = block.ball
     if len(rows) * ball.size <= _PAIR_CELLS:
-        far = _errors(ball != words[rows, None, :]) > p.t
+        far = hamming(ball != words[rows, None, :]) > p.t
         covered[rows] = ~np.logical_and(far, block.ind[owner[rows]]).any(axis=1)
         return covered
     tested = words[rows]
@@ -536,7 +540,7 @@ def _cover_rows(
     # (chunk, |B|) marks by the (|B|, S) indicators: a (chunk, S) product
     chunk = rows_per_block(max(ball.size, 4 * (len(ball) + len(block))))
     for i in range(0, len(tested), chunk):
-        far = _errors(ball != tested[i:i + chunk, None, :]) > p.t
+        far = hamming(ball != tested[i:i + chunk, None, :]) > p.t
         met = far.astype(np.float32) @ block.ind.T
         part = (word >= i) & (word < i + chunk)
         covered[rows[part]] = met[word[part] - i, owner[rows[part]]] == 0
@@ -667,15 +671,6 @@ def _decode_lists(blocks, code: Code, delta: int, p: ChannelParams, cap: int) ->
     return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
-def _merged(parts: list, n: int) -> Decoded:
-    """The ``Decoded`` parts of one stack as one, by one ``distinct_rows``."""
-    if len(parts) == 1:
-        return parts[0]
-    tagged = distinct_rows(np.concatenate([np.zeros((0, n + 1), dtype=np.int64)]
-                                          + [np.column_stack(part) for part in parts]))
-    return tagged[:, 0].astype(np.intp), tagged[:, 1:]
-
-
 def _fill_keys(
     words: np.ndarray, erased: np.ndarray, anchors: np.ndarray, shifts: np.ndarray,
     p: ChannelParams, cap: int,
@@ -745,8 +740,8 @@ def _decode_fills(
     is turned back into its int64 row (``key_rows``; fill entries stay
     below 2**63) and decoded once, ``rows_per_block(32 n)`` rows to a
     ``Code.decode_rows`` call, and the (set, codeword) pairs are made
-    distinct by one sort of (set, codeword rank); the blocks' pairs are
-    merged once (``_merged``)."""
+    distinct by one sort of (set, codeword rank).  Blocks share sets, so
+    two or more are merged by one ``distinct_rows`` at the end."""
     lo, place, blocks = _fill_keys(words, erased, anchors, shifts, p, cap)
     step = rows_per_block(32 * p.n)
 
@@ -769,7 +764,11 @@ def _decode_fills(
         pair = pair[_starts(pair)]
         return pair // ranks, np.take(found[first], pair % ranks, axis=0)
 
-    return _merged([decode(*block) for block in blocks], p.n)
+    parts = [decode(*block) for block in blocks]
+    if len(parts) == 1:
+        return parts[0]
+    tagged = distinct_rows(np.concatenate([np.column_stack(part) for part in parts]))
+    return tagged[:, 0].astype(np.intp), tagged[:, 1:]
 
 
 def _decode_list_min(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: int, a: int,
@@ -967,7 +966,8 @@ def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: in
     is searched a part at a time (``ReadBlock.parts``): all sets of a part
     are shifted into [0, q)^n (ValueError past it) and searched at once
     (``_witnesses``), charged C(n, c) q^c N member tests, c = f - a, as
-    every set holds N distinct reads; then one candidate pass per block part."""
+    every set holds N distinct reads; then one candidate pass per block
+    part.  Parts share no set, so their lists are concatenated."""
     f, q, lists = _list_excess(p, delta, a), p.magnitude_span + 1, []
     for first, part in block.parts():
         if (X := _sauer_shift(part.stack, p)).max() >= q:  # no entry is below 0
@@ -977,7 +977,7 @@ def _decode_sauer(block: ReadBlock, p: ChannelParams, tau, code: Code, delta: in
         rows = _sauer_candidates(X, part.anchors, q, found, subsets, p, f, cap)
         owner, words = _decode_lists(rows, code, delta, p, cap)
         lists.append((owner + first, words))
-    return _merged(lists, p.n)
+    return tuple(map(np.concatenate, zip(*lists)))
 
 
 def list_reconstruct_sauer(

@@ -23,7 +23,8 @@ of its subset of the shell, and the one Möbius inversion
 counts the shell's N-subsets with minimum z from the gap w - |z| alone.  So
 the counter enumerates no subset and builds no shell: it reads the
 candidate minima z from the one cached upward ball, and ``_shells`` serves
-the oracle ``exhaustive_simplex_read_sets`` alone.  The rows x + z, one per
+the oracle ``exhaustive_simplex_read_sets`` and, for its last shell, the
+workload helper ``greedy_simplex_code``.  The rows x + z, one per
 codeword x and distinct z, are built a block of codewords at a time and
 decoded by ``SimplexCode.decode_rows``, the only decoder, which tests each
 row against every member at once; the rows that decode to their own x are
@@ -77,21 +78,6 @@ def _excess(k: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     charge(math.comb(k + t, k), "upward ball vectors", cap)
     steps = np.arange(t + 1)
     return cached(("excess", k, t), lambda: _lex_rows(steps, steps, k, t))
-
-
-def _excess_shell(k: int, w: int, cap: int) -> np.ndarray:
-    """The non-negative int64 rows of length k and sum exactly w, in
-    lexicographic order: the excess vectors of one constant-excess shell.
-
-    Each row is a row of B_w^+(0) in Z^(k - 1) followed by the excess it
-    leaves, so the shell holds C(k - 1 + w, k - 1) rows, charged against
-    ``cap`` before any is built.
-    """
-    if w < 0:
-        raise ValueError("w must be >= 0")
-    charge(math.comb(k - 1 + w, k - 1), "upward shell vectors", cap)
-    prefix = _excess(k - 1, w, cap)
-    return np.column_stack((prefix, w - prefix.sum(axis=1)))
 
 
 def _shift(x: Vec, t: int) -> np.ndarray:
@@ -291,8 +277,9 @@ def simplex_min_counts(
 
 def greedy_simplex_code(m: int, r: int, delta: int) -> SimplexCode:
     """Greedy maximal code in the simplex with l1 distance >= 2 * delta,
-    scanning simplex members in lexicographic order."""
-    simplex = _excess_shell(m + 1, r, DEFAULT_ENUM_CAP)
+    scanning simplex members in lexicographic order: the simplex is the
+    last shell of the one upward ball B_r^+(0) in Z^(m + 1)."""
+    *_, simplex = _shells(m + 1, r, DEFAULT_ENUM_CAP)
     chosen: list[int] = []
     for i in range(len(simplex)):
         if (_l1_distances(simplex[i:i + 1], simplex[chosen]) >= 2 * delta).all():

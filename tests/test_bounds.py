@@ -18,7 +18,6 @@ from magrec.lattice import parse_splitter_spec
 from magrec.reconstruction import ALGORITHMS, ReadBlock, sauer_shelah_find
 from magrec.tandem import (
     SimplexCode,
-    _excess_shell,
     exhaustive_simplex_read_sets,
     greedy_simplex_code,
     simplex_min_counts,
@@ -158,7 +157,6 @@ ENUMERATIONS = {
             f"simulate --alg min --code sum-mod:2 --n 2:3 --t 1 --kp 1 --trials 3 --cap {cap}"
             .split()), cli.Report([], "table", False))),
     ),
-    "upward shell": (6, "upward shell vectors", lambda cap: _excess_shell(3, 2, cap)),
     "upward ball": (10, "upward ball vectors", lambda cap: upward_ball((0, 0, 0), 2, cap)),
     # C(6, 3) triples of the last shell, which holds 6 vectors
     "shell read sets": (

@@ -991,12 +991,12 @@ def test_tandem_cap_bounds_the_shells(tmp_path, capsys):
 @pytest.mark.parametrize("t", [1000, 100000])
 def test_tandem_charges_the_whole_ball_before_any_shell(t, tmp_path, capsys):
     # the shells of t = 1000 hold C(1003, 3) vectors, 4 GB of int64 rows
-    # kept together; the ball's count must refuse them before the first
-    # shell is built
+    # kept together; the ball's count must refuse them before the ball
+    # enumerator, the one the command reaches, builds a row
     f = tmp_path / "code.txt"
     f.write_text(SIMPLEX, encoding="utf-8")
-    built = mock.Mock(side_effect=AssertionError("a shell was built"))
-    with mock.patch("magrec.tandem._excess_shell", built):
+    built = mock.Mock(side_effect=AssertionError("the ball was enumerated"))
+    with mock.patch("magrec.tandem._lex_rows", built):
         assert main(["tandem", "--code", f"simplex:@{f}", "--t", str(t)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -307,6 +307,24 @@ def test_row_keys_of_no_rows():
     assert core._row_keys(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("length", [255, 256, 257])
+@pytest.mark.parametrize("kind", ["int64", "python-ints"])
+def test_hamming_weights_match_count_nonzero(length, kind):
+    # a uint8 count below 256 entries and an int64 one from 256 on, along the
+    # first and the last axis, over the masks that int64 rows and Python-int
+    # (object) rows compare into; one line of each axis is all set, so the
+    # weight of length 256 would wrap to 0 in uint8
+    A = np.random.default_rng(length).integers(-1, 2, size=(length, 3, length))
+    A[:, 0, 0] = A[0, 0, :] = 1
+    if kind == "python-ints":
+        A = A.astype(object) * 2**70
+    mask = A != np.zeros(length, dtype=A.dtype)
+    for axis in (0, -1):
+        weight = core.hamming(mask, axis=axis)
+        np.testing.assert_array_equal(weight, np.count_nonzero(mask, axis=axis))
+        assert weight.max() == length
+
+
 @pytest.mark.parametrize("R", [1, 63, 64, 65, 129, 4000])
 @pytest.mark.parametrize("n", [0, 1, 11])
 @pytest.mark.parametrize("kind", ["int64", "python-ints"])

@@ -212,6 +212,17 @@ def test_one_integer_gate():
     assert sites(None, ast.Name, picked, gate + other_rules) == []
 
 
+def test_one_weight_count():
+    """Every Hamming weight compared with a bound is counted by core.hamming, the one home of the
+    uint8 einsum and its 256-entry limit: no other code calls einsum or min_scalar_type, or views
+    an array as uint8 bytes."""
+    uint8 = lambda call: name_of(call) == "view" and any(  # noqa: E731
+        name_of(a) == "uint8" or getattr(a, "value", None) in ("uint8", "u1") for a in call.args)
+    kernel = [("core", "hamming")]
+    assert sites("einsum", allowed=kernel) + sites("min_scalar_type", allowed=kernel) == []
+    assert sites(None, ast.Call, uint8, kernel) == []
+
+
 TRACED = "item 6: the per-set layer, pinned by perfbench/tracing.py (item 1a first)"
 ITEM_2 = "item 2: a paper result waiting for intersect --delta"
 ITEM_3 = "items 3 and 26: a paper result waiting for a code's read count"
@@ -241,7 +252,7 @@ UNREACHED = {
     "reconstruction.adversarial_instance": ITEM_9,
     "tandem.SimplexCode.decode_upward": TRACED, "tandem._shells": TRACED, "tandem._shift": TRACED,
     "tandem.exhaustive_simplex_read_sets": TRACED, "tandem.reconstruct_simplex_min": TRACED,
-    "tandem.upward_ball": TRACED, "tandem._excess_shell": WORKLOAD,
+    "tandem.upward_ball": TRACED,
     "tandem.greedy_simplex_code": WORKLOAD, "tandem.format_simplex_code": WORKLOAD,
 }
 

@@ -14,8 +14,8 @@ from magrec.core import DEFAULT_ENUM_CAP, EnumerationCapExceeded, Reconstruction
 from magrec.tandem import (
     SimplexCode,
     _excess,
-    _excess_shell,
     _shell_minimum_count,
+    _shells,
     exhaustive_simplex_read_sets,
     format_simplex_code,
     greedy_simplex_code,
@@ -62,8 +62,9 @@ def test_upward_ball_examples():
 
 
 def test_upward_shell():
-    assert (_excess_shell(3, 0, DEFAULT_ENUM_CAP) + (1, 1, 1)).tolist() == [[1, 1, 1]]
-    shell = _excess_shell(3, 2, DEFAULT_ENUM_CAP)
+    (shell,) = _shells(3, 0, DEFAULT_ENUM_CAP)
+    assert (shell + (1, 1, 1)).tolist() == [[1, 1, 1]]
+    *_, shell = _shells(3, 2, DEFAULT_ENUM_CAP)
     assert (shell.sum(axis=1) == 2).all()
     assert len(shell) == math.comb(2 + 2, 2)
 
@@ -76,10 +77,8 @@ def test_upward_ball_shells_and_read_sets_match_the_recursion(x, t, data):
     assert upward_ball(x, t) == tuple(ball)
     assert len(ball) == math.comb(len(x) + t, len(x))
     shells = [[y for y in ball if sum(y) - sum(x) == w] for w in range(t + 1)]
-    for w, shell in enumerate(shells):
-        assert (_excess_shell(len(x), w, DEFAULT_ENUM_CAP) + x).tolist() == [
-            list(y) for y in shell
-        ]
+    for shell, rows in zip(shells, _shells(len(x), t, DEFAULT_ENUM_CAP), strict=True):
+        assert (rows + x).tolist() == [list(y) for y in shell]
     N = data.draw(st.integers(1, 4))
     got = list(exhaustive_simplex_read_sets(x, t, N))
     assert got == [Y for shell in shells for Y in combinations(shell, N)]
@@ -88,7 +87,8 @@ def test_upward_ball_shells_and_read_sets_match_the_recursion(x, t, data):
 @CHECKS
 @given(st.integers(0, 3), st.integers(0, 4), st.integers(1, 6))
 def test_shell_minimum_counts_match_a_counter_of_the_subsets(m, w, N):
-    shell = list(map(tuple, _excess_shell(m + 1, w, DEFAULT_ENUM_CAP).tolist()))
+    *_, rows = _shells(m + 1, w, DEFAULT_ENUM_CAP)
+    shell = list(map(tuple, rows.tolist()))
     assume(math.comb(len(shell), N) <= 3000)
     minima = Counter(tuple(map(min, zip(*Y))) for Y in combinations(shell, N))
     # every z >= 0 with |z| <= w is counted, and 0 where no set has minimum z
@@ -115,7 +115,7 @@ def test_simplex_counts_match_the_per_set_loop(data):
 def test_simplex_min_counts_decodes_each_distinct_minimum_once_per_codeword():
     code = greedy_simplex_code(2, 4, 1)
     t, N, delta = 3, 2, 1
-    shells = [_excess_shell(3, w, DEFAULT_ENUM_CAP).tolist() for w in range(t + 1)]
+    shells = [shell.tolist() for shell in _shells(3, t, DEFAULT_ENUM_CAP)]
     minima = set().union(*(
         {tuple(map(min, zip(*Y))) for Y in combinations(map(tuple, shell), N)}
         for shell in shells
@@ -231,9 +231,9 @@ def test_upward_balls_are_read_from_the_one_cache_and_charged_first(monkeypatch)
     code = greedy_simplex_code(2, 3, 1)
     first = simplex_min_counts(code, 2, 2, 1)
     kept = {key: value for key, (value, _) in cache.items() if key[0] == "excess"}
-    # the simplex r = 3 the code was picked from is a row of B_3^+(0) in Z^2
-    # and the excess it leaves; the counter reads the upward ball B_2^+(0)
-    assert sorted(kept) == [("excess", 2, 3), ("excess", 3, 2)]
+    # the simplex r = 3 the code was picked from is the last shell of
+    # B_3^+(0) in Z^3; the counter reads the upward ball B_2^+(0)
+    assert sorted(kept) == [("excess", 3, 2), ("excess", 3, 3)]
     assert all(not value.flags.writeable for value in kept.values())
     enumerated = []
     lex_rows = tandem._lex_rows
@@ -249,8 +249,6 @@ def test_upward_balls_are_read_from_the_one_cache_and_charged_first(monkeypatch)
         upward_ball((0, 0, 0), 2, cap=9)
     with pytest.raises(EnumerationCapExceeded, match="^10 upward ball vectors"):
         simplex_min_counts(code, 2, 2, 1, cap=9)
-    with pytest.raises(EnumerationCapExceeded, match="^3 upward shell vectors"):
-        _excess_shell(3, 1, 2)
 
 
 def test_shell_walks_refuse_t_below_zero():
